@@ -6,7 +6,8 @@ Two modes:
   idempotent, so sensor streams may interleave arbitrarily.
 * ewma: exponential smoothing per sensor in the mW domain (energies
   average, dB values do not), then a bin-wise max across sensors. Per-sensor
-  sweeps must arrive in timestamp order.
+  sweeps must arrive in timestamp order; a sweep older than its sensor's
+  previous one is a DomainError.
 
 Sweeps also travel as line-delimited JSON records for logging and replay.
 """
@@ -83,7 +84,15 @@ def aggregate(
         if not 0.0 < alpha <= 1.0:
             raise DomainError(f"ewma alpha must lie in (0, 1], got {alpha}")
         per_sensor: dict[int, np.ndarray] = {}
+        seen_ms: dict[int, int] = {}
         for s in sweeps:
+            prev_ms = seen_ms.setdefault(s.sensor_id, s.timestamp_ms)
+            if s.timestamp_ms < prev_ms:
+                raise DomainError(
+                    f"ewma needs each sensor's sweeps in timestamp order: sensor "
+                    f"{s.sensor_id} went from {prev_ms} ms back to {s.timestamp_ms} ms"
+                )
+            seen_ms[s.sensor_id] = s.timestamp_ms
             power_mw = 10.0 ** (np.asarray(s.bins, dtype=float) / 10.0)
             prev = per_sensor.get(s.sensor_id)
             per_sensor[s.sensor_id] = (

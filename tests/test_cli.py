@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,31 @@ def test_fresnel_field_obliquity_needs_geometry(capsys):
     code, _, err = invoke(capsys, "fresnel", "field", "--block", "1:2", "--obliquity")
     assert code == 2
     assert "error" in err
+
+
+def test_fresnel_field_curve_to_u_max_200_has_4001_rows(capsys):
+    code, out, _ = invoke(
+        capsys, "fresnel", "field", "--block", "1:2", "--obliquity", "--lambda", "0.125",
+        "--d1", "25", "--d2", "25", "--curve-max", "200", "--format", "csv",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "u,partial_field_magnitude"
+    assert len(lines) == 1 + 4001
+    assert lines[-1].startswith("200.0,")
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, rfplan.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_lens_design_csv_profile(capsys):

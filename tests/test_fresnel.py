@@ -1,6 +1,8 @@
 import cmath
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,20 @@ def brute_force_ratio(blocked, geometry=None, steps_per_unit=4000):
         for i in range(1, n):
             acc += (4 if i % 2 else 2) * integrand(a + i * h)
         total += acc * h / 3
+    return 1 - total
+
+
+def gauss_legendre_ratio(blocked, geometry=None, nodes=32):
+    """1 - sum over blocked intervals of the aperture integral, with a
+    `nodes`-point Gauss-Legendre rule on each piece between integer u."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0j
+    for a, b in blocked:
+        grid = np.union1d([a, b], np.arange(math.floor(a) + 1, math.ceil(b)))
+        lo, hi = grid[:-1], grid[1:]
+        u = ((lo + hi) / 2)[:, None] + ((hi - lo) / 2)[:, None] * x
+        k = obliquity_factor(u, geometry) if geometry is not None else 1.0
+        total += np.sum((-1j * math.pi * k * np.exp(1j * math.pi * u)) @ w * (hi - lo) / 2)
     return 1 - total
 
 
@@ -230,6 +246,55 @@ def test_partial_field_curve_obliquity_decays():
     # odd-zone peaks shrink once the obliquity weight bites
     assert mags[1.0] < 2.0
     assert mags[5.0] < mags[1.0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    points=st.lists(
+        st.floats(min_value=0.0, max_value=U_MAX), min_size=2, max_size=6, unique=True
+    ),
+    d1=st.floats(min_value=0.5, max_value=500),
+    d2=st.floats(min_value=0.5, max_value=500),
+    lam=st.floats(min_value=0.01, max_value=1.0),
+    u_max=st.floats(min_value=0.01, max_value=U_MAX),
+)
+def test_panel_rule_matches_doubled_rule(points, d1, d2, lam, u_max):
+    points = sorted(points)
+    blocked = list(zip(points[::2], points[1::2]))
+    geom = PathGeometry(d1, d2, lam)
+    for geometry, kwargs in ((geom, {"obliquity": True}), (None, {"force_quadrature": True})):
+        got = field_ratio(blocked, geometry=geometry, **kwargs).complex_ratio
+        ref = gauss_legendre_ratio(blocked, geometry)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    # the curve's running sum ends where one integral over [0, u_max] does
+    last_u, last_mag = partial_field_curve(u_max, obliquity=True, geometry=geom)[-1]
+    whole = field_ratio([(0.0, u_max)], obliquity=True, geometry=geom).complex_ratio
+    assert last_u == u_max
+    assert last_mag == pytest.approx(abs(1.0 - whole), abs=1e-12)
+
+
+@pytest.mark.parametrize("obliquity", [False, True])
+def test_partial_field_curve_samples_do_not_drift(obliquity):
+    step = 0.05
+    curve = partial_field_curve(144.0, step, obliquity=obliquity, geometry=GEOM)
+    assert len(curve) == 2881
+    assert [u for u, _ in curve[:-1]] == [k * step for k in range(2880)]
+    assert curve[-1][0] == 144.0
+
+
+def test_partial_field_curve_rejects_bad_step():
+    for step in (0.0, -0.05, math.inf, math.nan):
+        with pytest.raises(DomainError, match=str(step)):
+            partial_field_curve(5.0, step)
+
+
+def test_quadrature_paths_emit_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        partial_field_curve(200.0, obliquity=True, geometry=GEOM)
+        field_ratio([(1.0, 2.0), (143.5, 199.9)], obliquity=True, geometry=GEOM)
+        field_ratio([(1.0, 2.0), (143.5, 199.9)], force_quadrature=True)
 
 
 def test_csv_emission():

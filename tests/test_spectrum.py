@@ -121,6 +121,18 @@ def test_ewma_smooths_in_mw_domain():
     assert merged.bins[1] == pytest.approx(expected1, abs=1e-12)
 
 
+def test_ewma_rejects_sweeps_out_of_timestamp_order():
+    first = sweep([-90, -40], sensor_id=3, t=1000)
+    second = sweep([-50, -60], sensor_id=3, t=2000)
+    with pytest.raises(DomainError, match=r"sensor 3 .*2000 ms .*1000 ms"):
+        aggregate([second, first], EWMA)
+    # equal timestamps, and other sensors' older sweeps, stay allowed
+    other = sweep([-70, -70], sensor_id=4, t=0)
+    aggregate([first, second, other, sweep([-80, -80], sensor_id=3, t=2000)], EWMA)
+    # max-hold is order-free
+    aggregate([second, first], MAX_HOLD)
+
+
 def test_ewma_then_max_across_sensors():
     merged = aggregate(
         [sweep([-90], sensor_id=0), sweep([-40], sensor_id=1)], EWMA, alpha=0.5
