@@ -64,6 +64,7 @@ class Result:
     command: str
     scalars: dict
     rows: Rows | None = None
+    raw: str | None = None  # printed verbatim instead of in --format
 
 
 def _fmt_cell(value) -> str:
@@ -327,12 +328,12 @@ def _cmd_spectrum_simulate(args) -> Result:
     ids, positions = default_sensor_layout(scenario)
     sweeps = simulate_sweeps(scenario, positions, t_ms=args.t_ms)
     if args.jsonl:
-        # raw interchange stream, one record per line, for piping into aggregate
-        return Result("spectrum simulate", {"_raw": sweeps_to_jsonl(sweeps)})
+        # the interchange stream, one record per line, for piping into aggregate
+        return Result("spectrum simulate", {}, raw=sweeps_to_jsonl(sweeps))
     rows = []
     for pos_id, sweep in zip(ids, sweeps):
-        for i, dbm in enumerate(sweep.bins):
-            rows.append((sweep.sensor_id, pos_id, sweep.bin_center_khz(i), dbm))
+        for center_khz, dbm in zip(sweep.grid.centers_khz(), sweep.bins):
+            rows.append((sweep.sensor_id, pos_id, center_khz, dbm))
     return Result(
         "spectrum simulate",
         {
@@ -348,7 +349,7 @@ def _cmd_spectrum_simulate(args) -> Result:
 def _cmd_spectrum_aggregate(args) -> Result:
     sweeps = sweeps_from_jsonl(Path(args.sweeps).read_text())
     spectrum = aggregate(sweeps, args.mode, alpha=args.alpha, position_id=args.position_id)
-    rows = [(spectrum.bin_center_khz(i), dbm) for i, dbm in enumerate(spectrum.bins)]
+    rows = list(zip(spectrum.grid.centers_khz(), spectrum.bins))
     return Result(
         "spectrum aggregate",
         {
@@ -556,16 +557,13 @@ def run(argv: Sequence[str] | None = None, stdout=None, stderr=None) -> int:
         return 1
     try:
         result = args.handler(args)
-    except DomainError as exc:
+        text = result.raw if result.raw is not None else _RENDERERS[args.format](result)
+        if args.out is not None:
+            Path(args.out).write_text(text)
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return 2
-    if "_raw" in result.scalars:
-        text = result.scalars["_raw"]
-    else:
-        text = _RENDERERS[args.format](result)
-    if args.out is not None:
-        Path(args.out).write_text(text)
-    else:
+    if args.out is None:
         stdout.write(text)
     return 0
 

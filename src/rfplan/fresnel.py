@@ -45,6 +45,11 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # degenerate sliver panels reach the rule.
 _SLIVER = 1e-12
 
+# Panels evaluated per pass. Each pass holds a few panels x nodes arrays of
+# about 2 MB, so memory stays flat for fine curves, while a curve to U_MAX at
+# the default step (about 4,000 panels) still runs in one pass.
+_PANEL_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class PathGeometry:
@@ -174,17 +179,20 @@ def _contributions(edges: np.ndarray, geometry: PathGeometry | None) -> np.ndarr
 
     edges must be non-decreasing; K = 1 when geometry is None. The intervals
     are split at interior integers, so each panel lies within one zone, and
-    all panels are evaluated at once.
+    the panels are evaluated _PANEL_BLOCK at a time.
     """
     cuts = np.arange(math.floor(edges[0]) + 1.0, math.ceil(edges[-1]))
     above = np.searchsorted(edges, cuts)
     cuts = cuts[(edges[above] - cuts > _SLIVER) & (cuts - edges[above - 1] > _SLIVER)]
     grid = np.sort(np.concatenate((edges, cuts)))
     lo, hi = grid[:-1], grid[1:]
-    half = (hi - lo) / 2.0
-    u = (lo + half)[:, None] + half[:, None] * _GL_NODES
-    weight = 1.0 if geometry is None else obliquity_factor(u, geometry)
-    panels = (weight * np.exp(1j * np.pi * u)) @ _GL_WEIGHTS * (-1j * np.pi * half)
+    panels = np.empty(len(lo), dtype=complex)
+    for start in range(0, len(lo), _PANEL_BLOCK):
+        block = slice(start, start + _PANEL_BLOCK)
+        half = (hi[block] - lo[block]) / 2.0
+        u = (lo[block] + half)[:, None] + half[:, None] * _GL_NODES
+        weight = 1.0 if geometry is None else obliquity_factor(u, geometry)
+        panels[block] = (weight * np.exp(1j * np.pi * u)) @ _GL_WEIGHTS * (-1j * np.pi * half)
     # fold the panels back onto the caller's intervals
     owner = np.searchsorted(edges, lo, side="right") - 1
     n = len(edges) - 1

@@ -25,6 +25,11 @@ from .linkbudget import (
 )
 
 
+# Profile angles closer than this to the aperture edge are not sampled, so
+# the curve never ends in a near-duplicate row.
+_SLIVER_DEG = 1e-12
+
+
 class BelowCutoffError(DomainError):
     """Plate spacing at or below lambda/2: the wave does not propagate."""
 
@@ -100,16 +105,14 @@ class LensProfile:
 
 def lens_profile(spec: LensSpec, step_deg: float = 1.0) -> LensProfile:
     """Sample the plate-edge curve from the axis out to the aperture edge."""
-    if step_deg <= 0:
-        raise DomainError(f"profile step must be positive, got {step_deg}")
+    if not (step_deg > 0 and math.isfinite(step_deg)):
+        raise DomainError(f"profile step must be positive and finite, got {step_deg}")
     n = spec.index
     f = spec.focal_length_m
-    thetas = []
-    t = 0.0
-    while t < spec.aperture_half_angle_deg:
-        thetas.append(t)
-        t += step_deg
-    thetas.append(spec.aperture_half_angle_deg)
+    # samples sit at k*step, so the angles cannot drift; the last is the edge
+    edge = spec.aperture_half_angle_deg
+    ks = range(math.ceil(edge / step_deg) + 2)
+    thetas = [k * step_deg for k in ks if k * step_deg < edge - _SLIVER_DEG] + [edge]
     samples = []
     for theta_deg in thetas:
         r = profile_radius(f, n, theta_deg)

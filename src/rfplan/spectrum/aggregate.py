@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..errors import DomainError
-from .frames import SensorSweep
+from .frames import BinGrid, SensorSweep
 
 MAX_HOLD = "max-hold"
 EWMA = "ewma"
@@ -40,30 +40,8 @@ class AggregatedSpectrum:
     last_update_ms: Mapping[int, int]
 
     @property
-    def n_bins(self) -> int:
-        return len(self.bins)
-
-    def bin_center_khz(self, i: int) -> float:
-        return self.start_khz + (i + 0.5) * self.bin_khz
-
-    @property
-    def stop_khz(self) -> int:
-        return self.start_khz + self.n_bins * self.bin_khz
-
-
-def _check_common_grid(sweeps: Sequence[SensorSweep]) -> None:
-    first = sweeps[0]
-    for s in sweeps[1:]:
-        if (
-            s.start_khz != first.start_khz
-            or s.bin_khz != first.bin_khz
-            or s.n_bins != first.n_bins
-        ):
-            raise DomainError(
-                "sweeps disagree on the bin grid "
-                f"({s.start_khz}/{s.bin_khz}/{s.n_bins} vs "
-                f"{first.start_khz}/{first.bin_khz}/{first.n_bins}); resampling is not supported"
-            )
+    def grid(self) -> BinGrid:
+        return BinGrid(self.start_khz, self.bin_khz, len(self.bins))
 
 
 def aggregate(
@@ -76,7 +54,13 @@ def aggregate(
     """Merge sweeps sharing one grid into a single spectrum."""
     if not sweeps:
         raise DomainError("nothing to aggregate")
-    _check_common_grid(sweeps)
+    grid = sweeps[0].grid
+    for s in sweeps[1:]:
+        if s.grid != grid:
+            raise DomainError(
+                f"sweeps disagree on the bin grid ({s.grid} vs {grid}); "
+                "resampling is not supported"
+            )
 
     if mode == MAX_HOLD:
         merged = np.max(np.array([s.bins for s in sweeps], dtype=float), axis=0)

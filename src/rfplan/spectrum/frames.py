@@ -1,4 +1,4 @@
-"""Binary sensor frame codec.
+"""Sensor sweeps on a regular bin grid, and their binary frame codec.
 
 One frame carries one full sweep from one sensor. Layout, all multi-byte
 integers little-endian:
@@ -50,6 +50,35 @@ class FrameIntegrityError(FrameError):
 
 
 @dataclass(frozen=True)
+class BinGrid:
+    """A regular frequency grid: n_bins bins of bin_khz each from start_khz."""
+
+    start_khz: int
+    bin_khz: int
+    n_bins: int
+
+    @property
+    def stop_khz(self) -> int:
+        return self.start_khz + self.n_bins * self.bin_khz
+
+    def centers_khz(self) -> list[float]:
+        return [self.start_khz + (i + 0.5) * self.bin_khz for i in range(self.n_bins)]
+
+    def span(self, lo_khz: int, hi_khz: int) -> slice:
+        """The bins whose centers lie in [lo_khz, hi_khz]; the grid must cover it."""
+        if lo_khz < self.start_khz or hi_khz > self.stop_khz:
+            raise DomainError(
+                f"spectrum [{self.start_khz}, {self.stop_khz}] kHz does not cover "
+                f"[{lo_khz}, {hi_khz}] kHz"
+            )
+        # bin i is inside iff 2*(lo - start) <= (2i + 1)*bin <= 2*(hi - start)
+        width = 2 * self.bin_khz
+        first = -((self.bin_khz - 2 * (lo_khz - self.start_khz)) // width)
+        stop = (2 * (hi_khz - self.start_khz) + self.bin_khz) // width
+        return slice(first, stop)
+
+
+@dataclass(frozen=True)
 class SensorSweep:
     """One spectrum sweep: dBm per frequency bin on a regular grid."""
 
@@ -76,20 +105,13 @@ class SensorSweep:
                 raise DomainError(f"bin value {b} outside signed 8-bit range")
 
     @property
-    def n_bins(self) -> int:
-        return len(self.bins)
-
-    def bin_center_khz(self, i: int) -> float:
-        return self.start_khz + (i + 0.5) * self.bin_khz
-
-    @property
-    def stop_khz(self) -> int:
-        return self.start_khz + self.n_bins * self.bin_khz
+    def grid(self) -> BinGrid:
+        return BinGrid(self.start_khz, self.bin_khz, len(self.bins))
 
 
 def encode_frame(sweep: SensorSweep) -> bytes:
     """Serialize one sweep; raises DomainError if it cannot fit a frame."""
-    n = sweep.n_bins
+    n = len(sweep.bins)
     if n > 0xFFFF:
         raise DomainError(f"{n} bins do not fit the 16-bit frame length field")
     body = _HEADER.pack(

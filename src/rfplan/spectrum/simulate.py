@@ -17,15 +17,13 @@ import numpy as np
 
 from ..errors import DomainError
 from ..linkbudget import Frequency, LinkGeometry, fspl_db
-from .frames import SensorSweep
+from .frames import BinGrid, SensorSweep
 from .plan import CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
-SWEEP_START_KHZ = 2_400_000
-SWEEP_BIN_KHZ = 1_000
-SWEEP_N_BINS = 100
+SWEEP_GRID = BinGrid(start_khz=2_400_000, bin_khz=1_000, n_bins=100)
 
 # power spread evenly over the 22 one-MHz bins of the mask
-_MASK_BINS = 2 * CHANNEL_HALF_WIDTH_KHZ // SWEEP_BIN_KHZ
+_MASK_BINS = 2 * CHANNEL_HALF_WIDTH_KHZ // SWEEP_GRID.bin_khz
 _SPREAD_DB = 10.0 * math.log10(_MASK_BINS)
 
 
@@ -104,7 +102,7 @@ def simulate_sweeps(
     """
     sweeps = []
     for sensor_index, (sx, sy) in enumerate(sensor_positions):
-        total_mw = np.zeros(SWEEP_N_BINS)
+        total_mw = np.zeros(SWEEP_GRID.n_bins)
         for emitter_index, emitter in enumerate(scenario.emitters):
             center_khz = channel_center_khz(emitter.channel)
             freq = Frequency(center_khz * 1e3)
@@ -117,12 +115,10 @@ def simulate_sweeps(
                 - _SPREAD_DB
                 + _shadowing_db(scenario, sensor_index, emitter_index)
             )
-            lo = center_khz - CHANNEL_HALF_WIDTH_KHZ
-            hi = center_khz + CHANNEL_HALF_WIDTH_KHZ
-            for i in range(SWEEP_N_BINS):
-                center = SWEEP_START_KHZ + (i + 0.5) * SWEEP_BIN_KHZ
-                if lo <= center <= hi:
-                    total_mw[i] += 10.0 ** (per_bin_dbm / 10.0)
+            mask = SWEEP_GRID.span(
+                center_khz - CHANNEL_HALF_WIDTH_KHZ, center_khz + CHANNEL_HALF_WIDTH_KHZ
+            )
+            total_mw[mask] += 10.0 ** (per_bin_dbm / 10.0)
         bins = []
         for mw in total_mw:
             dbm = scenario.noise_floor_dbm if mw <= 0 else max(
@@ -133,8 +129,8 @@ def simulate_sweeps(
             SensorSweep(
                 sensor_id=sensor_index,
                 timestamp_ms=t_ms,
-                start_khz=SWEEP_START_KHZ,
-                bin_khz=SWEEP_BIN_KHZ,
+                start_khz=SWEEP_GRID.start_khz,
+                bin_khz=SWEEP_GRID.bin_khz,
                 bins=tuple(bins),
             )
         )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -175,7 +176,7 @@ def test_spectrum_simulate_jsonl_interchange(capsys, tmp_path):
     assert code == 0
     sweeps = sweeps_from_jsonl(out)
     assert len(sweeps) == 2  # ap + one client
-    assert all(s.n_bins == 100 for s in sweeps)
+    assert all(s.grid.n_bins == 100 for s in sweeps)
 
     # feed the stream through aggregate
     log = tmp_path / "sweeps.jsonl"
@@ -187,6 +188,33 @@ def test_spectrum_simulate_jsonl_interchange(capsys, tmp_path):
     doc = json.loads(out2)
     assert doc["n_sweeps"] == 2
     assert len(doc["bins"]) == 100
+
+
+# sha256 of stdout on the bundled divergence scenario, recorded before the
+# spectrum path moved onto BinGrid; the output contract is byte-identical
+SPECTRUM_STDOUT_SHA256 = {
+    ("simulate", "table"): "e2205495d72364447a07e566428518a7c831a3ddcec7607af166ddefe841b1d2",
+    ("simulate", "json"): "1bed3c706f309010aaa1d80bddbca9e1c7aee4ae39a08c6422c39b0398e8cc7f",
+    ("simulate", "csv"): "5972452514b7f402bf0ba394da73ff24ae597d9c63d75ffc9792f7e1204400c6",
+    ("minimax", "table"): "e45bb0ebc3be484ede8ff9fa27630bfef6479777042d7cfadbd6c5c0736764dd",
+    ("minimax", "json"): "445b1487cb66fe51fae99d32ef868b2afd5dcab83c2ef54b0dd10f44963fe9ae",
+    ("minimax", "csv"): "5d12b6b02bc3226232471c915a7baf0228cd1886fcd00e9510460bda58523b85",
+    ("weighted-sum", "table"): "60e9e56877fc89cb502f33d2b8fad218fa9c221540b6f70310e59ab3803526f8",
+    ("weighted-sum", "json"): "53c2334ef10798cbf9c22fc108c27bc1173457aa272393d31219ee679b1c52ba",
+    ("weighted-sum", "csv"): "148ce0c63de0f69d89f597d2d438a30903f8c4afdf2d15fa8e8fd1b5ca5acbd2",
+}
+
+
+@pytest.mark.parametrize(("command", "fmt"), sorted(SPECTRUM_STDOUT_SHA256))
+def test_spectrum_stdout_matches_pinned_bytes(capsys, command, fmt):
+    if command == "simulate":
+        argv = ["spectrum", "simulate", "--scenario", "divergence"]
+    else:
+        argv = ["spectrum", "plan", "--scenario", "divergence", "--objective", command]
+    code, out, _ = invoke(capsys, *argv, "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SPECTRUM_STDOUT_SHA256[command, fmt]
 
 
 def test_growth_fit_bundled_series(capsys):
@@ -229,6 +257,35 @@ def test_domain_errors_exit_two(capsys):
 
     code, _, err = invoke(capsys, "spectrum", "plan", "--scenario", "missing.json")
     assert code == 2
+
+
+def assert_file_error(capsys, path, *argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
+def test_growth_fit_missing_input_exits_two(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    assert_file_error(capsys, missing, "growth", "fit", "--input", str(missing))
+
+
+def test_spectrum_aggregate_missing_sweeps_exits_two(capsys, tmp_path):
+    missing = tmp_path / "missing.jsonl"
+    assert_file_error(capsys, missing, "spectrum", "aggregate", "--sweeps", str(missing))
+
+
+def test_spectrum_plan_directory_scenario_exits_two(capsys, tmp_path):
+    assert_file_error(capsys, tmp_path, "spectrum", "plan", "--scenario", str(tmp_path))
+
+
+def test_out_to_missing_directory_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    assert_file_error(
+        capsys, target, "lens", "apply", "--rx-dbm", "-60", "--out", str(target),
+    )
 
 
 def test_identical_argv_is_byte_identical(capsys):

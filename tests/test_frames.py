@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rfplan.errors import DomainError
 from rfplan.spectrum import (
+    BinGrid,
     FrameError,
     FrameFormatError,
     FrameIntegrityError,
@@ -18,6 +19,49 @@ from rfplan.spectrum import (
 GOLDEN_SWEEP = SensorSweep(
     sensor_id=1, timestamp_ms=0, start_khz=2_400_000, bin_khz=1000, bins=(-90,)
 )
+
+grids = st.builds(
+    BinGrid,
+    start_khz=st.integers(min_value=0, max_value=2**32 - 1),
+    bin_khz=st.integers(min_value=1, max_value=2**16 - 1),
+    n_bins=st.integers(min_value=1, max_value=2**16 - 1),
+)
+
+
+@st.composite
+def covered_windows(draw):
+    grid = draw(grids)
+
+    def edge():
+        # anywhere on the grid, or within 1 kHz of a bin center
+        i = draw(st.integers(min_value=0, max_value=grid.n_bins - 1))
+        near = grid.start_khz + (2 * i + 1) * grid.bin_khz // 2 + draw(st.integers(-1, 1))
+        anywhere = draw(st.integers(min_value=grid.start_khz, max_value=grid.stop_khz))
+        return min(max(draw(st.sampled_from((near, anywhere))), grid.start_khz), grid.stop_khz)
+
+    lo, hi = sorted((edge(), edge()))
+    return grid, lo, hi
+
+
+@given(covered_windows())
+def test_bin_grid_span_matches_center_predicate(case):
+    grid, lo, hi = case
+    inside = [
+        i for i in range(grid.n_bins)
+        if lo <= grid.start_khz + (i + 0.5) * grid.bin_khz <= hi
+    ]
+    assert list(range(grid.n_bins))[grid.span(lo, hi)] == inside
+
+
+@given(grids, st.integers(min_value=1, max_value=2**20), st.booleans())
+def test_bin_grid_span_rejects_uncovered_windows(grid, overshoot, below):
+    lo = grid.start_khz - overshoot if below else grid.start_khz
+    hi = grid.stop_khz if below else grid.stop_khz + overshoot
+    with pytest.raises(DomainError, match="does not cover") as info:
+        grid.span(lo, hi)
+    assert f"[{grid.start_khz}, {grid.stop_khz}]" in str(info.value)
+    assert f"[{lo}, {hi}]" in str(info.value)
+
 
 # frozen at build time from the layout: magic "WX", version 1, id 1,
 # t 0, start 2400000, bin 1000, n 1, payload 0xA6 (-90), crc32

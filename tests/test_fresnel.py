@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfplan import fresnel
 from rfplan.errors import DomainError
 from rfplan.fresnel import (
     U_MAX,
@@ -281,6 +283,25 @@ def test_partial_field_curve_samples_do_not_drift(obliquity):
     assert len(curve) == 2881
     assert [u for u, _ in curve[:-1]] == [k * step for k in range(2880)]
     assert curve[-1][0] == 144.0
+
+
+def test_fine_obliquity_curve_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        curve = partial_field_curve(200.0, 0.0005, obliquity=True, geometry=GEOM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve) == 400_001
+    assert peak < 128e6  # the returned list alone is about 45 MB
+
+
+def test_blocked_panels_match_one_block(monkeypatch):
+    # about 20,000 panels: two block edges at the default block size
+    blocked = partial_field_curve(200.0, 0.01, obliquity=True, geometry=GEOM)
+    assert len(blocked) > 2 * fresnel._PANEL_BLOCK
+    monkeypatch.setattr(fresnel, "_PANEL_BLOCK", len(blocked) * 2)
+    assert partial_field_curve(200.0, 0.01, obliquity=True, geometry=GEOM) == blocked
 
 
 def test_partial_field_curve_rejects_bad_step():

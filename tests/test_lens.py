@@ -121,6 +121,24 @@ def test_lens_profile_samples_and_identity():
         assert path == pytest.approx(0.3, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    ("aperture", "step", "n_samples"),
+    [(30.0, 0.15, 201), (5.0, 0.1, 51), (35.0, 0.7, 51), (65.0, 1.3, 51)],
+)
+def test_lens_profile_angles_do_not_drift(aperture, step, n_samples):
+    samples = lens_profile(spec_with_index_06(aperture), step_deg=step).samples
+    thetas = [s.theta_deg for s in samples]
+    assert len(thetas) == n_samples  # no sliver row just short of the edge
+    assert thetas[:-1] == [k * step for k in range(n_samples - 1)]
+    assert thetas[-1] == aperture
+
+
+def test_lens_profile_rejects_bad_step():
+    for step in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match=str(step)):
+            lens_profile(spec_with_index_06(), step_deg=step)
+
+
 def test_plate_edge_offset_vertex():
     assert plate_edge_offset(spec_with_index_06(), 0.0) == pytest.approx(0.0, abs=1e-9)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -12,9 +13,7 @@ from rfplan.spectrum import (
     EWMA,
     MAX_HOLD,
     MINIMAX,
-    SWEEP_BIN_KHZ,
-    SWEEP_N_BINS,
-    SWEEP_START_KHZ,
+    SWEEP_GRID,
     WEIGHTED_SUM,
     AggregatedSpectrum,
     Client,
@@ -38,7 +37,7 @@ from rfplan.spectrum import (
 from rfplan import fixtures
 
 
-def sweep(bins, sensor_id=0, t=0, start=SWEEP_START_KHZ, width=SWEEP_BIN_KHZ):
+def sweep(bins, sensor_id=0, t=0, start=SWEEP_GRID.start_khz, width=SWEEP_GRID.bin_khz):
     return SensorSweep(
         sensor_id=sensor_id, timestamp_ms=t, start_khz=start, bin_khz=width, bins=tuple(bins)
     )
@@ -48,9 +47,9 @@ def flat_spectrum(dbm, position_id="p"):
     return AggregatedSpectrum(
         position_id=position_id,
         mode=MAX_HOLD,
-        start_khz=SWEEP_START_KHZ,
-        bin_khz=SWEEP_BIN_KHZ,
-        bins=tuple(float(dbm) for _ in range(SWEEP_N_BINS)),
+        start_khz=SWEEP_GRID.start_khz,
+        bin_khz=SWEEP_GRID.bin_khz,
+        bins=tuple(float(dbm) for _ in range(SWEEP_GRID.n_bins)),
         last_update_ms={},
     )
 
@@ -83,7 +82,7 @@ def test_max_hold_order_independent():
 
 def test_grid_mismatch_rejected():
     with pytest.raises(DomainError):
-        aggregate([sweep([-90, -40]), sweep([-50, -60], start=SWEEP_START_KHZ + 1000)])
+        aggregate([sweep([-90, -40]), sweep([-50, -60], start=SWEEP_GRID.start_khz + 1000)])
     with pytest.raises(DomainError):
         aggregate([sweep([-90, -40]), sweep([-50, -60], width=2000)])
     with pytest.raises(DomainError):
@@ -210,7 +209,8 @@ def test_channel_power_monotone_in_bins(bin_index, bump):
     raised[bin_index] = -90.0 + bump
     spec_lo = flat_spectrum(-90.0)
     spec_hi = AggregatedSpectrum(
-        position_id="p", mode=MAX_HOLD, start_khz=SWEEP_START_KHZ, bin_khz=SWEEP_BIN_KHZ,
+        position_id="p", mode=MAX_HOLD, start_khz=SWEEP_GRID.start_khz,
+        bin_khz=SWEEP_GRID.bin_khz,
         bins=tuple(raised), last_update_ms={},
     )
     assert channel_power_mw(spec_hi, 6) > channel_power_mw(spec_lo, 6)
@@ -349,9 +349,9 @@ def test_candidate_restriction_respected():
 def test_simulate_empty_scenario_is_noise_floor():
     scenario = Scenario(ap_position=(0.0, 0.0))
     (s,) = simulate_sweeps(scenario, [(0.0, 0.0)])
-    assert s.bins == tuple([-95] * SWEEP_N_BINS)
-    assert s.start_khz == SWEEP_START_KHZ
-    assert s.n_bins == SWEEP_N_BINS
+    assert s.bins == tuple([-95] * SWEEP_GRID.n_bins)
+    assert s.start_khz == SWEEP_GRID.start_khz
+    assert s.grid.n_bins == SWEEP_GRID.n_bins
 
 
 def test_simulate_single_emitter_reference_level():
@@ -394,6 +394,30 @@ def test_simulate_deterministic_bytes():
         ),
         positions,
     )
+
+
+def survey_scenario(seed, n_clients=50, n_emitters=50):
+    rng = random.Random(seed)
+
+    def xy():
+        return rng.uniform(-80.0, 80.0), rng.uniform(-80.0, 80.0)
+
+    clients = tuple(Client(f"c{i}", *xy()) for i in range(n_clients))
+    emitters = tuple(
+        Emitter(rng.randint(1, 14), rng.uniform(-10.0, 23.0), *xy()) for _ in range(n_emitters)
+    )
+    return Scenario(ap_position=(0.0, 0.0), clients=clients, emitters=emitters, seed=seed)
+
+
+def test_simulated_frames_match_pinned_bytes():
+    # recorded before the simulator used BinGrid spans; any change to the
+    # per-link draws, the summation order or the quantization shows here
+    scenario = survey_scenario(2024)
+    _, positions = default_sensor_layout(scenario)
+    sweeps = simulate_sweeps(scenario, positions, t_ms=1500)
+    assert len(sweeps) == 51
+    digest = hashlib.sha256(b"".join(encode_frame(s) for s in sweeps)).hexdigest()
+    assert digest == "033c5df7aa55b0203c1fb1d3b5663b3711aebe6da97b030cae526e1215107785"
 
 
 def test_simulate_colocated_sensor_does_not_blow_up():
