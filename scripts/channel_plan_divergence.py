@@ -10,6 +10,7 @@ import math
 
 from rfplan import fixtures
 from rfplan.spectrum import (
+    AP_ID,
     AP_ONLY,
     CLIENT_AWARE,
     MAX_HOLD,
@@ -38,7 +39,7 @@ def main():
 
     print(f"{'ch':>3} {'at AP (dBm)':>12} {'worst (dBm)':>12}")
     for ch, score in sorted(client_plan.per_channel_scores.items()):
-        ap_mw = score.per_position_mw["ap"]
+        ap_mw = score.per_position_mw[AP_ID]
         print(f"{ch:>3} {dbm(ap_mw):>12.1f} {dbm(score.objective):>12.1f}")
 
     print(f"\nap-only choice      : channel {ap_plan.chosen_channel}")

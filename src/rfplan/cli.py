@@ -12,7 +12,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -21,10 +21,10 @@ from .errors import DomainError
 from .linkbudget import (
     AntennaGain,
     Frequency,
+    LinkBudget,
     LinkGeometry,
     fspl_db,
     power_utilization,
-    wavelength,
 )
 from .spectrum import (
     AP_ONLY,
@@ -155,16 +155,16 @@ def _parse_channels(text: str) -> tuple[int, ...]:
 
 def _cmd_linkbudget(args) -> Result:
     geometry = LinkGeometry(args.dist, Frequency(args.freq))
-    tx_gain = AntennaGain.from_dbi(args.gt)
-    rx_gain = AntennaGain.from_dbi(args.gr)
-    loss = fspl_db(geometry)
+    budget = LinkBudget(
+        args.pt, AntennaGain.from_dbi(args.gt), AntennaGain.from_dbi(args.gr), geometry
+    )
     return Result(
         "linkbudget",
         {
-            "wavelength_m": wavelength(geometry.frequency),
-            "fspl_db": loss,
-            "rx_power_dbm": args.pt + args.gt + args.gr - loss,
-            "power_utilization": power_utilization(tx_gain, rx_gain, geometry),
+            "wavelength_m": geometry.wavelength_m,
+            "fspl_db": fspl_db(geometry),
+            "rx_power_dbm": budget.rx_power_dbm,
+            "power_utilization": power_utilization(budget.tx_gain, budget.rx_gain, geometry),
         },
     )
 
@@ -190,8 +190,8 @@ def _cmd_lens_design(args) -> Result:
         },
         Rows(
             "profile",
-            ["theta_deg", "r_m", "y_m", "depth_m"],
-            [(s.theta_deg, s.r_m, s.y_m, s.depth_m) for s in profile.samples],
+            [f.name for f in fields(lens.ProfileSample)],
+            [astuple(s) for s in profile.samples],
         ),
     )
 
@@ -201,17 +201,7 @@ def _cmd_lens_apply(args) -> Result:
         gain_uplift_db=args.uplift_db,
         throughput_uplift_fraction=args.throughput_frac,
     )
-    report = lens.boost_rx_power(args.rx_dbm, effect)
-    return Result(
-        "lens apply",
-        {
-            "rx_before_dbm": report.rx_before_dbm,
-            "rx_after_dbm": report.rx_after_dbm,
-            "gain_uplift_db": report.gain_uplift_db,
-            "range_ratio": report.range_ratio,
-            "throughput_multiplier": report.throughput_multiplier,
-        },
-    )
+    return Result("lens apply", asdict(lens.boost_rx_power(args.rx_dbm, effect)))
 
 
 def _fresnel_geometry(args) -> fresnel.PathGeometry:
@@ -395,7 +385,7 @@ def _cmd_spectrum_plan(args) -> Result:
 
 
 def _cmd_growth_fit(args) -> Result:
-    series = growth.read_count_series(Path(args.input))
+    series = growth.read_count_series(args.input)
     fit = growth.fit_doubling(series)
     scalars = {
         "points": len(series.points),

@@ -76,16 +76,13 @@ def predict_doubling_date(fit: GrowthFit, from_t_days: float) -> float:
     return from_t_days + fit.doubling_days
 
 
-def read_count_series(source: str | Path) -> CountSeries:
+def parse_count_series(text: str) -> CountSeries:
     """Parse two-column text (t_days count), comma or whitespace separated.
 
-    Accepts a path or the text itself; blank lines and #-comments skipped.
+    Blank lines and #-comments are skipped.
     """
-    text = source
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and Path(source).exists()):
-        text = Path(source).read_text()
     points = []
-    for lineno, line in enumerate(str(text).splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -97,3 +94,8 @@ def read_count_series(source: str | Path) -> CountSeries:
         except ValueError as exc:
             raise DomainError(f"line {lineno}: {exc}") from exc
     return CountSeries(points=tuple(points))
+
+
+def read_count_series(path: str | Path) -> CountSeries:
+    """Read a count-series file; see parse_count_series for the format."""
+    return parse_count_series(Path(path).read_text())

@@ -128,39 +128,26 @@ def lens_profile(spec: LensSpec, step_deg: float = 1.0) -> LensProfile:
     return LensProfile(focal_length_m=f, index=n, samples=tuple(samples))
 
 
-def plate_edge_offset(spec: LensSpec, y_m: float, tol_m: float = 1e-9) -> float:
+def plate_edge_offset(spec: LensSpec, y_m: float) -> float:
     """Axial depth of the plate edge at transverse offset y from the axis.
 
-    Solves r(theta)*sin(theta) = |y| by bisection on [0, aperture half
-    angle] (tolerance tol_m on y) and returns f - r*cos(theta).
+    The closed-form root of the path identity (f - n*d)^2 = (f - d)^2 + y^2
+    on the branch through the vertex,
+    d = y^2 / ((1-n)*(f + sqrt(f^2 - (1+n)/(1-n)*y^2))). Past theta = acos(n)
+    the curve turns back toward the axis; only the vertex branch is
+    returned. |y| beyond the aperture edge is a DomainError.
     """
     n = spec.index
     f = spec.focal_length_m
-    target = abs(y_m)
-
-    def y_of(theta_rad: float) -> float:
-        r = f * (1.0 - n) / (1.0 - n * math.cos(theta_rad))
-        return r * math.sin(theta_rad)
-
-    hi = math.radians(spec.aperture_half_angle_deg)
-    if target > y_of(hi):
+    edge_deg = spec.aperture_half_angle_deg
+    y_edge = profile_radius(f, n, edge_deg) * math.sin(math.radians(edge_deg))
+    if not abs(y_m) <= y_edge:
         raise DomainError(
-            f"offset {y_m} m lies outside the lens aperture (edge at {y_of(hi):.6f} m)"
+            f"offset {y_m} m lies outside the lens aperture (edge at {y_edge:.6f} m)"
         )
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = y_of(mid)
-        if abs(val - target) <= tol_m:
-            lo = hi = mid
-            break
-        if val < target:
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
-    r = f * (1.0 - n) / (1.0 - n * math.cos(theta))
-    return f - r * math.cos(theta)
+    # the radicand is 0 at the fold theta = acos(n); rounding may take it below
+    root = math.sqrt(max(0.0, f * f - (1.0 + n) / (1.0 - n) * y_m * y_m))
+    return y_m * y_m / ((1.0 - n) * (f + root))
 
 
 @dataclass(frozen=True)

@@ -84,11 +84,6 @@ class LinkBudget:
         return friis_received_dbm(self)
 
 
-def wavelength(frequency: Frequency) -> float:
-    """Wavelength in meters, c / f with the exact SI speed of light."""
-    return frequency.wavelength_m
-
-
 def _check_far_field(geometry: LinkGeometry) -> None:
     if geometry.distance_m < geometry.wavelength_m:
         raise NearFieldError(

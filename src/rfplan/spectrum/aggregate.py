@@ -133,6 +133,6 @@ def sweeps_from_jsonl(text: str) -> list[SensorSweep]:
                     bins=tuple(rec["bins"]),
                 )
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"bad sweep record on line {lineno}: {exc}") from exc
     return sweeps

@@ -20,6 +20,7 @@ collector can count framing noise, short reads and corruption separately.
 """
 from __future__ import annotations
 
+import operator
 import struct
 import zlib
 from dataclasses import dataclass
@@ -78,6 +79,14 @@ class BinGrid:
         return slice(first, stop)
 
 
+def _index(name: str, value) -> int:
+    """value as an int; a float or string is rejected, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SensorSweep:
     """One spectrum sweep: dBm per frequency bin on a regular grid."""
@@ -89,7 +98,14 @@ class SensorSweep:
     bins: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bins", tuple(int(b) for b in self.bins))
+        for name in ("sensor_id", "timestamp_ms", "start_khz", "bin_khz"):
+            object.__setattr__(self, name, _index(name, getattr(self, name)))
+        try:
+            bins = tuple(map(operator.index, self.bins))
+        except TypeError:
+            # map is the fast path for every parsed frame; redo bin by bin to name the bad one
+            bins = tuple(_index("bin value", b) for b in self.bins)
+        object.__setattr__(self, "bins", bins)
         if not 0 <= self.sensor_id <= 0xFFFF:
             raise DomainError(f"sensor_id must fit 16 bits, got {self.sensor_id}")
         if not 0 <= self.timestamp_ms <= 0xFFFFFFFFFFFFFFFF:

@@ -14,6 +14,9 @@ from typing import Iterable, Mapping, Sequence
 from ..errors import DomainError
 from .aggregate import AggregatedSpectrum
 
+# position id of the access point's own spectrum
+AP_ID = "ap"
+
 AP_ONLY = "ap-only"
 CLIENT_AWARE = "client-aware"
 
@@ -79,15 +82,13 @@ def select_channel(
     mode: str = CLIENT_AWARE,
     candidates: Iterable[int] | None = None,
     objective: str = MINIMAX,
-    *,
-    ap_id: str = "ap",
-    weights: Mapping[str, float] | None = None,
 ) -> ChannelPlan:
     """Pick the channel minimizing in-channel interference over positions.
 
-    ap-only scores only the spectrum at the AP; client-aware scores the AP
+    ap-only scores only the spectrum at AP_ID; client-aware scores the AP
     plus every client position. The objective is the worst position's
-    in-channel power (minimax) or a weighted sum. Every candidate is scored
+    in-channel power (minimax) or the plain, unweighted sum over positions
+    (weighted-sum). Every candidate is scored
     exhaustively; ties fall to the lower AP-local power, then to channels
     {1, 6, 11}, then to the lowest number.
     """
@@ -96,10 +97,10 @@ def select_channel(
         raise DomainError("no candidate channels to choose from")
     for ch in channels:
         channel_center_khz(ch)  # validates the range
-    if ap_id not in spectra:
-        raise DomainError(f"no spectrum for the access-point position {ap_id!r}")
+    if AP_ID not in spectra:
+        raise DomainError(f"no spectrum for the access-point position {AP_ID!r}")
     if mode == AP_ONLY:
-        positions: Sequence[str] = (ap_id,)
+        positions: Sequence[str] = (AP_ID,)
     elif mode == CLIENT_AWARE:
         if len(spectra) < 2:
             raise DomainError("client-aware selection needs at least one client spectrum")
@@ -116,13 +117,10 @@ def select_channel(
         if objective == MINIMAX:
             value = max(per_position.values())
         else:
-            value = sum(
-                (weights.get(pos, 1.0) if weights else 1.0) * mw
-                for pos, mw in per_position.items()
-            )
+            value = sum(per_position.values())
         scores[ch] = ChannelScore(per_position_mw=per_position, objective=value)
         ranking.append(
-            (value, per_position[ap_id], 0 if ch in PREFERRED_CHANNELS else 1, ch)
+            (value, per_position[AP_ID], 0 if ch in PREFERRED_CHANNELS else 1, ch)
         )
 
     chosen = min(ranking)[3]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import DomainError
 from ..linkbudget import Frequency, LinkGeometry, fspl_db
 from .frames import BinGrid, SensorSweep
-from .plan import CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
+from .plan import AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
 SWEEP_GRID = BinGrid(start_khz=2_400_000, bin_khz=1_000, n_bins=100)
 
@@ -75,7 +75,7 @@ class Scenario:
 
 def default_sensor_layout(scenario: Scenario) -> tuple[list[str], list[tuple[float, float]]]:
     """Sensors at the AP and at every client, the deployment worth arguing for."""
-    ids = ["ap"] + [c.id for c in scenario.clients]
+    ids = [AP_ID] + [c.id for c in scenario.clients]
     positions = [scenario.ap_position] + [(c.x, c.y) for c in scenario.clients]
     return ids, positions
 
@@ -139,32 +139,20 @@ def simulate_sweeps(
 
 def scenario_to_json(scenario: Scenario, indent: int = 2) -> str:
     """Scenario as a JSON document mirroring the type field-for-field."""
-    doc = {
-        "ap_position": list(scenario.ap_position),
-        "clients": [{"id": c.id, "x": c.x, "y": c.y} for c in scenario.clients],
-        "emitters": [
-            {"channel": e.channel, "tx_power_dbm": e.tx_power_dbm, "x": e.x, "y": e.y}
-            for e in scenario.emitters
-        ],
-        "noise_floor_dbm": scenario.noise_floor_dbm,
-        "shadowing_sigma_db": scenario.shadowing_sigma_db,
-        "seed": scenario.seed,
-    }
-    return json.dumps(doc, indent=indent) + "\n"
+    return json.dumps(asdict(scenario), indent=indent) + "\n"
 
 
 def scenario_from_json(text: str) -> Scenario:
+    """Inverse of scenario_to_json; omitted fields take the Scenario defaults."""
     try:
         doc = json.loads(text)
-        return Scenario(
-            ap_position=tuple(doc["ap_position"]),
-            clients=tuple(Client(**c) for c in doc.get("clients", [])),
-            emitters=tuple(Emitter(**e) for e in doc.get("emitters", [])),
-            noise_floor_dbm=doc.get("noise_floor_dbm", -95.0),
-            shadowing_sigma_db=doc.get("shadowing_sigma_db", 4.0),
-            seed=doc.get("seed", 0),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        for key, record in (("clients", Client), ("emitters", Emitter)):
+            if key in doc:
+                doc[key] = tuple(record(**fields) for fields in doc[key])
+        return Scenario(**doc)
+    except (ValueError, TypeError) as exc:
         raise DomainError(f"bad scenario document: {exc}") from exc
 
 

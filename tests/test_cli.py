@@ -10,7 +10,15 @@ import pytest
 from rfplan import fixtures
 from rfplan.cli import run
 from rfplan.fresnel import PathGeometry, shading_cone_deg, zone_radius
-from rfplan.linkbudget import AntennaGain, Frequency, LinkGeometry, fspl_db, power_utilization
+from rfplan.linkbudget import (
+    AntennaGain,
+    Frequency,
+    LinkBudget,
+    LinkGeometry,
+    friis_received_dbm,
+    fspl_db,
+    power_utilization,
+)
 from rfplan.polarization import dual_polarized_channel, mimo_capacity_bps_hz
 from rfplan.spectrum import sweeps_from_jsonl
 
@@ -46,6 +54,27 @@ def test_json_numbers_round_trip_to_library_values(capsys):
     assert doc["rx_power_dbm"] == 26.0 - loss
     assert doc["power_utilization"] == k
     assert doc["wavelength_m"] == Frequency(2.437e9).wavelength_m
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_linkbudget_rx_power_is_the_library_value(capsys, fmt):
+    # -1.3 dBi does not survive the dBi -> linear -> dBi round trip exactly,
+    # so retyping Pt + Gt + Gr - FSPL in the CLI would differ in the last bit
+    code, out, _ = invoke(
+        capsys, "linkbudget", "--pt", "0", "--gt", "-1.3", "--gr", "3",
+        "--freq", "2.437e9", "--dist", "10", "--format", fmt,
+    )
+    assert code == 0
+    budget = LinkBudget(
+        0.0, AntennaGain.from_dbi(-1.3), AntennaGain.from_dbi(3.0),
+        LinkGeometry(10.0, Frequency(2.437e9)),
+    )
+    if fmt == "json":
+        rx = json.loads(out)["rx_power_dbm"]
+    else:
+        header, row = out.splitlines()
+        rx = float(dict(zip(header.split(","), row.split(",")))["rx_power_dbm"])
+    assert rx == friis_received_dbm(budget)
 
 
 def test_fresnel_screen_reference(capsys):
@@ -265,6 +294,56 @@ def assert_file_error(capsys, path, *argv):
     assert out == ""
     assert err.startswith("error: ") and str(path) in err
     assert "Traceback" not in err
+
+
+def assert_domain_error(capsys, *argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    ("document", "named"),
+    [
+        ('{"ap_position": [0, 0], "noise_floor_dbn": -60}', "noise_floor_dbn"),
+        ("[1, 2]", "list"),
+    ],
+)
+def test_spectrum_plan_bad_scenario_document_exits_two(capsys, tmp_path, document, named):
+    path = tmp_path / "scenario.json"
+    path.write_text(document)
+    err = assert_domain_error(capsys, "spectrum", "plan", "--scenario", str(path))
+    assert "bad scenario document" in err and named in err
+
+
+SWEEP_RECORD = (
+    '{{"sensor_id": {sensor_id}, "timestamp_ms": 0, "start_khz": 2400000, '
+    '"bin_khz": 1000, "bins": {bins}}}\n'
+)
+
+
+@pytest.mark.parametrize(
+    ("sensor_id", "bins", "message"),
+    [
+        ("1", '"ab"', "bin value must be an integer, got 'a'"),
+        ("1", "[1.5e400]", "bin value must be an integer, got inf"),
+        ("1", "[-60.7, -50]", "bin value must be an integer, got -60.7"),
+        ("1.5", "[-60, -50]", "sensor_id must be an integer, got 1.5"),
+    ],
+)
+def test_spectrum_aggregate_non_integer_sweep_field_exits_two(
+    capsys, tmp_path, sensor_id, bins, message
+):
+    log = tmp_path / "sweeps.jsonl"
+    log.write_text(
+        SWEEP_RECORD.format(sensor_id=0, bins="[-60, -50]")
+        + SWEEP_RECORD.format(sensor_id=sensor_id, bins=bins)
+    )
+    err = assert_domain_error(capsys, "spectrum", "aggregate", "--sweeps", str(log))
+    assert err == f"error: bad sweep record on line 2: {message}\n"
 
 
 def test_growth_fit_missing_input_exits_two(capsys, tmp_path):

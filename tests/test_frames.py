@@ -1,5 +1,7 @@
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -184,3 +186,38 @@ def test_bulk_random_round_trips():
             bins=tuple(rng.randrange(-128, 128) for _ in range(rng.randrange(1, 40))),
         )
         assert parse_frame(encode_frame(sweep)) == sweep
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "named"),
+    [
+        ("sensor_id", 1.5, "sensor_id"),
+        ("timestamp_ms", 0.5, "timestamp_ms"),
+        ("start_khz", "2400000", "start_khz"),
+        ("bin_khz", None, "bin_khz"),
+        ("bins", (-60.7, -50), "bin value"),
+        ("bins", (-60.0,), "bin value"),
+        ("bins", "ab", "bin value"),
+        ("bins", (float("inf"),), "bin value"),
+    ],
+)
+def test_sweep_rejects_non_integer_fields(field, value, named):
+    fields = dict(sensor_id=1, timestamp_ms=0, start_khz=2_400_000, bin_khz=1000, bins=(-60,))
+    fields[field] = value
+    bad = value[0] if field == "bins" else value
+    with pytest.raises(DomainError, match=re.escape(f"{named} must be an integer, got {bad!r}")):
+        SensorSweep(**fields)
+
+
+def test_sweep_stores_numpy_integers_as_int():
+    sweep = SensorSweep(
+        sensor_id=np.uint16(1),
+        timestamp_ms=np.int64(0),
+        start_khz=np.uint32(2_400_000),
+        bin_khz=np.int32(1000),
+        bins=np.array([-60, -50], dtype=np.int8),
+    )
+    values = (sweep.sensor_id, sweep.timestamp_ms, sweep.start_khz, sweep.bin_khz, *sweep.bins)
+    assert all(type(v) is int for v in values)
+    assert sweep == SensorSweep(1, 0, 2_400_000, 1000, (-60, -50))
+    assert parse_frame(encode_frame(sweep)) == sweep

@@ -11,6 +11,7 @@ from rfplan.growth import (
     CountSeries,
     NoGrowthError,
     fit_doubling,
+    parse_count_series,
     predict_doubling_date,
     read_count_series,
 )
@@ -111,7 +112,7 @@ def test_exact_exponential_recovery(doubling):
 
 def test_read_count_series_text_and_file(tmp_path):
     text = "# header comment\n0 100\n700, 200\n\n1400 400\n"
-    series = read_count_series(text)
+    series = parse_count_series(text)
     assert series.points == ((0.0, 100.0), (700.0, 200.0), (1400.0, 400.0))
 
     path = tmp_path / "counts.txt"
@@ -119,9 +120,14 @@ def test_read_count_series_text_and_file(tmp_path):
     assert read_count_series(path) == series
 
     with pytest.raises(DomainError):
-        read_count_series("0 100 extra\n1 2\n")
+        parse_count_series("0 100 extra\n1 2\n")
     with pytest.raises(DomainError):
-        read_count_series("0 abc\n1 2\n")
+        parse_count_series("0 abc\n1 2\n")
+
+
+def test_read_count_series_missing_file_is_not_parsed_as_text(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_count_series(str(tmp_path / "counts.txt"))
 
 
 def test_bundled_fixture_doubles_every_700_days():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -172,6 +173,34 @@ def test_plate_edge_offset_outside_aperture():
     assert plate_edge_offset(spec, -0.05) == pytest.approx(
         plate_edge_offset(spec, 0.05), abs=1e-9
     )
+
+
+@given(
+    spacing_factor=st.floats(min_value=0.51, max_value=50.0),
+    focal=st.floats(min_value=0.01, max_value=10.0),
+    # 1.0 puts the aperture edge exactly on the fold theta = acos(n)
+    fold_fraction=st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1.0)),
+)
+def test_plate_edge_offset_matches_profile_depth(spacing_factor, focal, fold_fraction):
+    spacing = spacing_factor * LAM
+    n = effective_index(spacing, F_DESIGN)
+    aperture = fold_fraction * math.degrees(math.acos(n))
+    spec = LensSpec(spacing, F_DESIGN, focal, aperture)
+    # The bound is the problem's own conditioning, not the solver's: the
+    # profile's r carries a relative rounding of about eps/(1-n) from
+    # 1 - n*cos(theta), and near the fold, where dy/dtheta -> 0, a relative
+    # change rho in y moves the depth by rho*f/sigma, at most f*sqrt(2*rho).
+    # Away from the fold and for n < 0.99 it is below 1e-12*f.
+    rho = 8.0 * sys.float_info.epsilon / (1.0 - n)
+    for sample in lens_profile(spec, step_deg=aperture / 16.0).samples:
+        sigma = math.sqrt(max(0.0, 1.0 - (1.0 + n) / (1.0 - n) * (sample.y_m / focal) ** 2))
+        tol = focal * rho * (1.0 + 1.0 / max(sigma, math.sqrt(rho / 2.0)))
+        assert abs(plate_edge_offset(spec, sample.y_m) - sample.depth_m) <= tol
+
+
+def test_plate_edge_offset_rejects_nan():
+    with pytest.raises(DomainError, match="nan"):
+        plate_edge_offset(spec_with_index_06(), math.nan)
 
 
 def test_apply_lens_defaults_to_measured_band_midpoint():

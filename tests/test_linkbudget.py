@@ -16,19 +16,18 @@ from rfplan.linkbudget import (
     friis_received_dbm,
     power_utilization,
     range_ratio_from_gain_delta,
-    wavelength,
 )
 
 GHZ = 1e9
 
 
 def test_wavelength_of_c_hz_is_one_meter():
-    assert wavelength(Frequency(299_792_458.0)) == 1.0
+    assert Frequency(299_792_458.0).wavelength_m == 1.0
 
 
 def test_wavelength_wifi_bands():
-    assert wavelength(Frequency(2.4 * GHZ)) == pytest.approx(0.12491352416666666, rel=1e-12)
-    assert wavelength(Frequency(5.0 * GHZ)) == pytest.approx(0.0599584916, rel=1e-12)
+    assert Frequency(2.4 * GHZ).wavelength_m == pytest.approx(0.12491352416666666, rel=1e-12)
+    assert Frequency(5.0 * GHZ).wavelength_m == pytest.approx(0.0599584916, rel=1e-12)
 
 
 def test_nonpositive_frequency_rejected():
@@ -39,7 +38,7 @@ def test_nonpositive_frequency_rejected():
 
 
 def test_fspl_log_argument_one_gives_zero():
-    lam = wavelength(Frequency(2.4 * GHZ))
+    lam = Frequency(2.4 * GHZ).wavelength_m
     geom = LinkGeometry(lam / (4 * math.pi), Frequency(2.4 * GHZ))
     assert fspl_db(geom, enforce_far_field=False) == pytest.approx(0.0, abs=1e-12)
 

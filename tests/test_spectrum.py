@@ -460,6 +460,34 @@ def test_scenario_json_round_trip():
         scenario_from_json("{\"clients\": []}")  # ap_position missing
 
 
+def test_scenario_json_matches_pinned_bytes():
+    # recorded from the field-by-field serializer that json.dumps(asdict(...))
+    # replaced; the scenario file format is part of the output contract
+    cases = [
+        (
+            load_scenario(fixtures.divergence_scenario_path()),
+            "2277dd1e7e2d43dd973705dcd800f7d521bcbc253ad722f08cb5a2007f174f5a",
+        ),
+        (
+            survey_scenario(2024),
+            "d99382da00e385cd275db46b49a4142a0f87d6d0c2b9f4a5d95504517c203ea2",
+        ),
+    ]
+    for scenario, digest in cases:
+        text = scenario_to_json(scenario)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert scenario_from_json(text) == scenario
+
+
+def test_scenario_json_rejects_unknown_keys():
+    with pytest.raises(DomainError, match="noise_floor_dbn"):
+        scenario_from_json('{"ap_position": [0, 0], "noise_floor_dbn": -60}')
+    with pytest.raises(DomainError, match="'z'"):
+        scenario_from_json(
+            '{"ap_position": [0, 0], "clients": [{"id": "a", "x": 1, "y": 2, "z": 3}]}'
+        )
+
+
 def test_bundled_divergence_scenario_loads():
     scenario = load_scenario(fixtures.divergence_scenario_path())
     assert scenario.shadowing_sigma_db == 0.0
