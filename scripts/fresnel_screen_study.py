@@ -4,18 +4,12 @@
 For a 50 m 2.4 GHz link, sweeps the screen plane from near the AP to the
 midpoint: the screen shrinks and its shadow cone narrows as it approaches
 one end. Also dumps (u, |field|) curves with and without obliquity
-weighting to out/.
+weighting to out/, written by the CLI.
 """
 from pathlib import Path
 
-from rfplan.fresnel import (
-    PathGeometry,
-    field_curve_csv,
-    field_ratio,
-    partial_field_curve,
-    screen_for_zone,
-    shading_cone_deg,
-)
+from rfplan.cli import run
+from rfplan.fresnel import PathGeometry, field_ratio, screen_for_zone, shading_cone_deg
 
 LINK_M = 50.0
 LAMBDA_M = 0.125
@@ -43,12 +37,11 @@ def main():
           f"{weighted.magnitude:.4f} with obliquity "
           f"({weighted.power_gain_db:.2f} dB power gain)")
 
-    for name, kwargs in (
-        ("field_curve_ideal.csv", {}),
-        ("field_curve_obliquity.csv", {"obliquity": True, "geometry": geom}),
-    ):
-        curve = partial_field_curve(12.0, step=0.05, **kwargs)
-        (OUT / name).write_text(field_curve_csv(curve))
+    curve = ["fresnel", "field", "--curve-max", "12", "--curve-step", "0.05", "--format", "csv"]
+    obliquity = ["--obliquity", "--lambda", str(LAMBDA_M), "--d1", "25", "--d2", "25"]
+    for name, flags in (("field_curve_ideal.csv", []), ("field_curve_obliquity.csv", obliquity)):
+        if run([*curve, *flags, "--out", str(OUT / name)]) != 0:
+            raise SystemExit(1)
         print(f"wrote {OUT / name}")
 
 

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Design a metal-plate lens for channel 6 and export its plate-edge profile.
 
-Writes out/lens_profile.csv and prints the link-level numbers a 6 dB lens
-buys on a 10 m stock link.
+Writes out/lens_profile.csv through the CLI and prints the link-level
+numbers a 6 dB lens buys on a 10 m stock link.
 """
 from pathlib import Path
 
-from rfplan.lens import LensEffect, LensSpec, boost_rx_power, lens_profile, profile_csv
+from rfplan.cli import run
+from rfplan.lens import LensEffect, LensSpec, boost_rx_power, lens_profile
 from rfplan.linkbudget import Frequency
 
 OUT = Path(__file__).resolve().parent.parent / "out"
@@ -24,7 +25,9 @@ def main():
 
     OUT.mkdir(exist_ok=True)
     target = OUT / "lens_profile.csv"
-    target.write_text(profile_csv(profile))
+    design = ["lens", "design", "--freq", "2.437e9", "--focal", "0.3", "--aperture", "40"]
+    if run([*design, "--step", "1", "--format", "csv", "--out", str(target)]) != 0:
+        raise SystemExit(1)
 
     edge = profile.samples[-1]
     print(f"wavelength        {freq.wavelength_m:.5f} m")

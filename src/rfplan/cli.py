@@ -29,8 +29,11 @@ from .linkbudget import (
 from .spectrum import (
     AP_ONLY,
     CLIENT_AWARE,
+    DEFAULT_EWMA_ALPHA,
+    EWMA,
     MAX_HOLD,
     MINIMAX,
+    WEIGHTED_SUM,
     aggregate,
     default_sensor_layout,
     load_scenario,
@@ -61,7 +64,6 @@ class Rows:
 
 @dataclass
 class Result:
-    command: str
     scalars: dict
     rows: Rows | None = None
     raw: str | None = None  # printed verbatim instead of in --format
@@ -75,7 +77,7 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _render_table(result: Result) -> str:
+def _render_table(command: str, result: Result) -> str:
     lines = []
     width = max((len(k) for k in result.scalars), default=0)
     for key, value in result.scalars.items():
@@ -92,8 +94,8 @@ def _render_table(result: Result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_json(result: Result) -> str:
-    doc: dict = {"command": result.command}
+def _render_json(command: str, result: Result) -> str:
+    doc: dict = {"command": command}
     doc.update(result.scalars)
     if result.rows is not None:
         doc[result.rows.name] = [
@@ -102,7 +104,7 @@ def _render_json(result: Result) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _render_csv(result: Result) -> str:
+def _render_csv(command: str, result: Result) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if result.rows is not None:
@@ -117,29 +119,11 @@ def _render_csv(result: Result) -> str:
     return buf.getvalue()
 
 
-_RENDERERS: dict[str, Callable[[Result], str]] = {
+_RENDERERS: dict[str, Callable[[str, Result], str]] = {
     "table": _render_table,
     "json": _render_json,
     "csv": _render_csv,
 }
-
-
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("table", "json", "csv"), default="table",
-        help="output format (default: table)",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="override the random seed")
-    parser.add_argument("--out", type=Path, default=None, help="write output to a file")
-
-
-def _resolve_scenario(name: str):
-    path = Path(name)
-    if path.exists():
-        return load_scenario(path)
-    if name in fixtures.BUNDLED_SCENARIOS:
-        return load_scenario(fixtures.BUNDLED_SCENARIOS[name]())
-    raise DomainError(f"no scenario file or bundled scenario named {name!r}")
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
@@ -159,7 +143,6 @@ def _cmd_linkbudget(args) -> Result:
         args.pt, AntennaGain.from_dbi(args.gt), AntennaGain.from_dbi(args.gr), geometry
     )
     return Result(
-        "linkbudget",
         {
             "wavelength_m": geometry.wavelength_m,
             "fspl_db": fspl_db(geometry),
@@ -180,7 +163,6 @@ def _cmd_lens_design(args) -> Result:
     )
     profile = lens.lens_profile(spec, step_deg=args.step)
     return Result(
-        "lens design",
         {
             "wavelength_m": freq.wavelength_m,
             "plate_spacing_m": spacing,
@@ -201,7 +183,7 @@ def _cmd_lens_apply(args) -> Result:
         gain_uplift_db=args.uplift_db,
         throughput_uplift_fraction=args.throughput_frac,
     )
-    return Result("lens apply", asdict(lens.boost_rx_power(args.rx_dbm, effect)))
+    return Result(asdict(lens.boost_rx_power(args.rx_dbm, effect)))
 
 
 def _fresnel_geometry(args) -> fresnel.PathGeometry:
@@ -219,7 +201,6 @@ def _cmd_fresnel_zones(args) -> Result:
     geometry = _fresnel_geometry(args)
     table = fresnel.zone_table(geometry, args.max_zone)
     return Result(
-        "fresnel zones",
         {"lambda_m": geometry.lambda_m, "d1_m": geometry.d1_m, "d2_m": geometry.d2_m},
         Rows("zones", ["r_m", "zone_index"], [(r, n) for r, n in table]),
     )
@@ -230,7 +211,6 @@ def _cmd_fresnel_screen(args) -> Result:
     screen = fresnel.screen_for_zone(args.zone, geometry)
     total = geometry.d1_m + geometry.d2_m
     return Result(
-        "fresnel screen",
         {
             "blocked_zone": screen.blocked_zone,
             "r_inner_m": screen.r_inner_m,
@@ -261,7 +241,6 @@ def _cmd_fresnel_field(args) -> Result:
         )
         rows = Rows("partial_field", ["u", "partial_field_magnitude"], curve)
     return Result(
-        "fresnel field",
         {
             "blocked": ",".join(f"{a:g}:{b:g}" for a, b in blocked) or "none",
             "ratio_real": ratio.complex_ratio.real,
@@ -288,7 +267,7 @@ def _cmd_polar_loss(args) -> Result:
         scalars["tilt_deg"] = args.tilt_deg
         scalars["tilt_effect_db"] = tilt
         scalars["total_effect_db"] = scalars["mismatch_loss_db"] + tilt
-    return Result("polar loss", scalars)
+    return Result(scalars)
 
 
 def _cmd_polar_capacity(args) -> Result:
@@ -296,7 +275,6 @@ def _cmd_polar_capacity(args) -> Result:
         args.xpd, snr_linear=args.snr_linear, seed=args.seed
     )
     return Result(
-        "polar capacity",
         {
             "xpd": args.xpd,
             "snr_linear": args.snr_linear,
@@ -307,10 +285,13 @@ def _cmd_polar_capacity(args) -> Result:
 
 
 def _scenario_from_args(args):
-    scenario = _resolve_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    return scenario
+    path = Path(args.scenario)
+    if not path.exists():
+        if args.scenario not in fixtures.BUNDLED_SCENARIOS:
+            raise DomainError(f"no scenario file or bundled scenario named {args.scenario!r}")
+        path = fixtures.BUNDLED_SCENARIOS[args.scenario]()
+    scenario = load_scenario(path)
+    return scenario if args.seed is None else replace(scenario, seed=args.seed)
 
 
 def _cmd_spectrum_simulate(args) -> Result:
@@ -319,13 +300,12 @@ def _cmd_spectrum_simulate(args) -> Result:
     sweeps = simulate_sweeps(scenario, positions, t_ms=args.t_ms)
     if args.jsonl:
         # the interchange stream, one record per line, for piping into aggregate
-        return Result("spectrum simulate", {}, raw=sweeps_to_jsonl(sweeps))
+        return Result({}, raw=sweeps_to_jsonl(sweeps))
     rows = []
     for pos_id, sweep in zip(ids, sweeps):
         for center_khz, dbm in zip(sweep.grid.centers_khz(), sweep.bins):
             rows.append((sweep.sensor_id, pos_id, center_khz, dbm))
     return Result(
-        "spectrum simulate",
         {
             "sensors": len(sweeps),
             "t_ms": args.t_ms,
@@ -341,7 +321,6 @@ def _cmd_spectrum_aggregate(args) -> Result:
     spectrum = aggregate(sweeps, args.mode, alpha=args.alpha, position_id=args.position_id)
     rows = list(zip(spectrum.grid.centers_khz(), spectrum.bins))
     return Result(
-        "spectrum aggregate",
         {
             "position_id": spectrum.position_id,
             "mode": spectrum.mode,
@@ -373,7 +352,6 @@ def _cmd_spectrum_plan(args) -> Result:
             )
         )
     return Result(
-        "spectrum plan",
         {
             "ap_only_channel": ap_plan.chosen_channel,
             "client_aware_channel": client_plan.chosen_channel,
@@ -396,49 +374,39 @@ def _cmd_growth_fit(args) -> Result:
     if fit.doubling_days > 0:
         last_t = series.points[-1][0]
         scalars["next_doubling_t_days"] = growth.predict_doubling_date(fit, last_t)
-    return Result("growth fit", scalars)
+    return Result(scalars)
 
 
 # --- parser assembly ---------------------------------------------------------
 
+_GROUPS = {
+    "lens": "accelerating metal-plate lens",
+    "fresnel": "Fresnel zones, screens, field ratios",
+    "polar": "polarization mismatch and MIMO capacity",
+    "spectrum": "sweep simulation, aggregation, channel plan",
+    "growth": "AP count growth trends",
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="rfplan", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    groups = {"": top}
+    leaves = []
 
-    p = top.add_parser("linkbudget", help="free-space link budget and power utilization")
-    p.add_argument("--pt", type=float, required=True, help="transmit power, dBm")
-    p.add_argument("--gt", type=float, required=True, help="transmit antenna gain, dBi")
-    p.add_argument("--gr", type=float, required=True, help="receive antenna gain, dBi")
-    p.add_argument("--freq", type=float, required=True, help="carrier frequency, Hz")
-    p.add_argument("--dist", type=float, required=True, help="link distance, m")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_linkbudget)
+    def command(name: str, help: str, handler: Callable[..., Result]) -> _Parser:
+        """Register `rfplan <name>`; a two-word name lands in its group's parser."""
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:
+            groups[group] = top.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="subcommand", required=True, parser_class=_Parser
+            )
+        p = groups[group].add_parser(leaf, help=help)
+        p.set_defaults(handler=handler, name=name)
+        leaves.append(p)
+        return p
 
-    lens_p = top.add_parser("lens", help="accelerating metal-plate lens")
-    lens_sub = lens_p.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = lens_sub.add_parser("design", help="effective index and plate-edge profile")
-    p.add_argument("--freq", type=float, default=2.437e9, help="design frequency, Hz")
-    p.add_argument("--spacing", type=float, default=None,
-                   help="plate spacing, m (default: 0.625 wavelengths)")
-    p.add_argument("--focal", type=float, default=0.3, help="focal length, m")
-    p.add_argument("--aperture", type=float, default=40.0, help="aperture half angle, deg")
-    p.add_argument("--step", type=float, default=1.0, help="profile sample step, deg")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_lens_design)
-
-    p = lens_sub.add_parser("apply", help="apply the lens gain uplift to a link")
-    p.add_argument("--rx-dbm", type=float, required=True, help="received power without lens, dBm")
-    p.add_argument("--uplift-db", type=float, default=6.0, help="lens gain uplift, dB")
-    p.add_argument("--throughput-frac", type=float, default=0.04,
-                   help="fractional throughput gain at fixed range")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_lens_apply)
-
-    fres_p = top.add_parser("fresnel", help="Fresnel zones, screens, field ratios")
-    fres_sub = fres_p.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    def _fresnel_geom_flags(q, d_required=True):
+    def fresnel_geometry_flags(q, d_required=True):
         q.add_argument("--lambda", dest="lambda_m", type=float, default=None,
                        help="wavelength, m")
         q.add_argument("--freq", type=float, default=None,
@@ -448,20 +416,42 @@ def build_parser() -> _Parser:
         q.add_argument("--d2", type=float, required=d_required,
                        help="screen plane to receiver, m")
 
-    p = fres_sub.add_parser("zones", help="zone radius table")
-    _fresnel_geom_flags(p)
+    def scenario_flags(q):
+        q.add_argument("--scenario", required=True,
+                       help="scenario JSON file or bundled name (e.g. 'divergence')")
+        q.add_argument("--t-ms", type=int, default=0, help="sweep timestamp, ms")
+
+    p = command("linkbudget", "free-space link budget and power utilization", _cmd_linkbudget)
+    p.add_argument("--pt", type=float, required=True, help="transmit power, dBm")
+    p.add_argument("--gt", type=float, required=True, help="transmit antenna gain, dBi")
+    p.add_argument("--gr", type=float, required=True, help="receive antenna gain, dBi")
+    p.add_argument("--freq", type=float, required=True, help="carrier frequency, Hz")
+    p.add_argument("--dist", type=float, required=True, help="link distance, m")
+
+    p = command("lens design", "effective index and plate-edge profile", _cmd_lens_design)
+    p.add_argument("--freq", type=float, default=2.437e9, help="design frequency, Hz")
+    p.add_argument("--spacing", type=float, default=None,
+                   help="plate spacing, m (default: 0.625 wavelengths)")
+    p.add_argument("--focal", type=float, default=0.3, help="focal length, m")
+    p.add_argument("--aperture", type=float, default=40.0, help="aperture half angle, deg")
+    p.add_argument("--step", type=float, default=1.0, help="profile sample step, deg")
+
+    p = command("lens apply", "apply the lens gain uplift to a link", _cmd_lens_apply)
+    p.add_argument("--rx-dbm", type=float, required=True, help="received power without lens, dBm")
+    p.add_argument("--uplift-db", type=float, default=6.0, help="lens gain uplift, dB")
+    p.add_argument("--throughput-frac", type=float, default=0.04,
+                   help="fractional throughput gain at fixed range")
+
+    p = command("fresnel zones", "zone radius table", _cmd_fresnel_zones)
+    fresnel_geometry_flags(p)
     p.add_argument("--max-zone", type=int, default=5, help="largest zone to tabulate")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_fresnel_zones)
 
-    p = fres_sub.add_parser("screen", help="annular screen for one zone")
-    _fresnel_geom_flags(p)
+    p = command("fresnel screen", "annular screen for one zone", _cmd_fresnel_screen)
+    fresnel_geometry_flags(p)
     p.add_argument("--zone", type=int, required=True, help="zone to block")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_fresnel_screen)
 
-    p = fres_sub.add_parser("field", help="on-axis field ratio with zones blocked")
-    _fresnel_geom_flags(p, d_required=False)
+    p = command("fresnel field", "on-axis field ratio with zones blocked", _cmd_fresnel_field)
+    fresnel_geometry_flags(p, d_required=False)
     p.add_argument("--block", type=_parse_interval, action="append", default=None,
                    metavar="A:B", help="blocked zone-coordinate interval, repeatable")
     p.add_argument("--obliquity", action="store_true",
@@ -471,13 +461,8 @@ def build_parser() -> _Parser:
     p.add_argument("--curve-max", type=float, default=None,
                    help="also emit the partial-field curve up to this u")
     p.add_argument("--curve-step", type=float, default=0.05, help="curve sample step in u")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_fresnel_field)
 
-    polar_p = top.add_parser("polar", help="polarization mismatch and MIMO capacity")
-    polar_sub = polar_p.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = polar_sub.add_parser("loss", help="polarization mismatch loss")
+    p = command("polar loss", "polarization mismatch loss", _cmd_polar_loss)
     p.add_argument("--delta-psi", type=float, required=True,
                    help="polarization misalignment, deg")
     p.add_argument("--env", choices=sorted(polarization.ENVIRONMENT_PRESETS),
@@ -486,53 +471,39 @@ def build_parser() -> _Parser:
                    help="diffuse fraction, overrides --env")
     p.add_argument("--tilt-deg", type=float, default=None,
                    help="also report the tilt effect at this forward lean")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_polar_loss)
 
-    p = polar_sub.add_parser("capacity", help="2x2 polarization-diversity capacity")
+    p = command("polar capacity", "2x2 polarization-diversity capacity", _cmd_polar_capacity)
     p.add_argument("--xpd", type=float, required=True, help="cross-polar leakage in [0, 1]")
     p.add_argument("--snr-linear", type=float, default=100.0, help="mean branch SNR, linear")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_polar_capacity)
 
-    spec_p = top.add_parser("spectrum", help="sweep simulation, aggregation, channel plan")
-    spec_sub = spec_p.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = spec_sub.add_parser("simulate", help="simulate sweeps at the AP and clients")
-    p.add_argument("--scenario", required=True,
-                   help="scenario JSON file or bundled name (e.g. 'divergence')")
-    p.add_argument("--t-ms", type=int, default=0, help="sweep timestamp, ms")
+    p = command("spectrum simulate", "simulate sweeps at the AP and clients",
+                _cmd_spectrum_simulate)
+    scenario_flags(p)
     p.add_argument("--jsonl", action="store_true",
                    help="emit raw line-delimited sweep records instead of --format")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_spectrum_simulate)
 
-    p = spec_sub.add_parser("aggregate", help="merge a sweep log into one spectrum")
+    p = command("spectrum aggregate", "merge a sweep log into one spectrum",
+                _cmd_spectrum_aggregate)
     p.add_argument("--sweeps", required=True, help="JSONL sweep log file")
-    p.add_argument("--mode", choices=("max-hold", "ewma"), default="max-hold")
-    p.add_argument("--alpha", type=float, default=0.3, help="ewma smoothing factor")
+    p.add_argument("--mode", choices=(MAX_HOLD, EWMA), default=MAX_HOLD)
+    p.add_argument("--alpha", type=float, default=DEFAULT_EWMA_ALPHA,
+                   help="ewma smoothing factor")
     p.add_argument("--position-id", default="all", help="label for the merged spectrum")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_spectrum_aggregate)
 
-    p = spec_sub.add_parser("plan", help="pick a channel, ap-only vs client-aware")
-    p.add_argument("--scenario", required=True,
-                   help="scenario JSON file or bundled name (e.g. 'divergence')")
-    p.add_argument("--t-ms", type=int, default=0, help="sweep timestamp, ms")
+    p = command("spectrum plan", "pick a channel, ap-only vs client-aware", _cmd_spectrum_plan)
+    scenario_flags(p)
     p.add_argument("--candidates", type=_parse_channels, default=None,
                    metavar="1,6,11", help="candidate channels (default: 1-14)")
-    p.add_argument("--objective", choices=(MINIMAX, "weighted-sum"), default=MINIMAX)
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_spectrum_plan)
+    p.add_argument("--objective", choices=(MINIMAX, WEIGHTED_SUM), default=MINIMAX)
 
-    growth_p = top.add_parser("growth", help="AP count growth trends")
-    growth_sub = growth_p.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = growth_sub.add_parser("fit", help="fit a doubling period to a count series")
+    p = command("growth fit", "fit a doubling period to a count series", _cmd_growth_fit)
     p.add_argument("--input", required=True, help="two-column text file: t_days count")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_growth_fit)
 
+    for p in leaves:  # the common flags come last in every command's usage and help
+        p.add_argument("--format", choices=_RENDERERS, default="table",
+                       help="output format (default: table)")
+        p.add_argument("--seed", type=int, default=None, help="override the random seed")
+        p.add_argument("--out", type=Path, default=None, help="write output to a file")
     return parser
 
 
@@ -547,7 +518,8 @@ def run(argv: Sequence[str] | None = None, stdout=None, stderr=None) -> int:
         return 1
     try:
         result = args.handler(args)
-        text = result.raw if result.raw is not None else _RENDERERS[args.format](result)
+        render = _RENDERERS[args.format]
+        text = result.raw if result.raw is not None else render(args.name, result)
         if args.out is not None:
             Path(args.out).write_text(text)
     except (DomainError, OSError) as exc:

@@ -267,18 +267,3 @@ def zone_table(geometry: PathGeometry, max_zone: int) -> list[tuple[float, int]]
         raise DomainError(f"max_zone must be >= 1, got {max_zone}")
     return [(zone_radius(n, geometry), n) for n in range(1, max_zone + 1)]
 
-
-FIELD_CURVE_CSV_HEADER = "u,partial_field_magnitude"
-ZONE_TABLE_CSV_HEADER = "r_m,zone_index"
-
-
-def field_curve_csv(points: Sequence[tuple[float, float]]) -> str:
-    lines = [FIELD_CURVE_CSV_HEADER]
-    lines += [f"{u!r},{mag!r}" for u, mag in points]
-    return "\n".join(lines) + "\n"
-
-
-def zone_table_csv(rows: Sequence[tuple[float, int]]) -> str:
-    lines = [ZONE_TABLE_CSV_HEADER]
-    lines += [f"{r!r},{n}" for r, n in rows]
-    return "\n".join(lines) + "\n"

@@ -247,13 +247,3 @@ def shading_assessment(
         out.append(sector.attenuation_db if dist <= half else 0.0)
     return out
 
-
-PROFILE_CSV_HEADER = "theta_deg,r_m,y_m,depth_m"
-
-
-def profile_csv(profile: LensProfile) -> str:
-    """Plate-edge curve as CSV for plotting or fabrication layout."""
-    lines = [PROFILE_CSV_HEADER]
-    for s in profile.samples:
-        lines.append(f"{s.theta_deg!r},{s.r_m!r},{s.y_m!r},{s.depth_m!r}")
-    return "\n".join(lines) + "\n"

@@ -80,8 +80,10 @@ class BinGrid:
 
 
 def _index(name: str, value) -> int:
-    """value as an int; a float or string is rejected, never truncated."""
+    """value as an int; a bool, float or string is rejected, never truncated."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
@@ -100,11 +102,9 @@ class SensorSweep:
     def __post_init__(self):
         for name in ("sensor_id", "timestamp_ms", "start_khz", "bin_khz"):
             object.__setattr__(self, name, _index(name, getattr(self, name)))
-        try:
-            bins = tuple(map(operator.index, self.bins))
-        except TypeError:
-            # map is the fast path for every parsed frame; redo bin by bin to name the bad one
-            bins = tuple(_index("bin value", b) for b in self.bins)
+        bins = tuple(self.bins)
+        if {*map(type, bins)} != {int}:  # plain ints, as every parsed frame holds, pass as is
+            bins = tuple(_index("bin value", b) for b in bins)
         object.__setattr__(self, "bins", bins)
         if not 0 <= self.sensor_id <= 0xFFFF:
             raise DomainError(f"sensor_id must fit 16 bits, got {self.sensor_id}")

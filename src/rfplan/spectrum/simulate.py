@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -17,7 +18,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..linkbudget import Frequency, LinkGeometry, fspl_db
-from .frames import BinGrid, SensorSweep
+from .frames import BinGrid, SensorSweep, _index
 from .plan import AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
 SWEEP_GRID = BinGrid(start_khz=2_400_000, bin_khz=1_000, n_bins=100)
@@ -27,11 +28,26 @@ _MASK_BINS = 2 * CHANNEL_HALF_WIDTH_KHZ // SWEEP_GRID.bin_khz
 _SPREAD_DB = 10.0 * math.log10(_MASK_BINS)
 
 
+def _finite(name: str, value) -> None:
+    # a float skips the numbers.Real ABC check, which costs about 1 us a call
+    real = isinstance(value, float) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
+    if not (real and math.isfinite(value)):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Client:
     id: str
     x: float
     y: float
+
+    def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise DomainError(f"client id must be a string, got {self.id!r}")
+        _finite("client x", self.x)
+        _finite("client y", self.y)
 
 
 @dataclass(frozen=True)
@@ -42,7 +58,10 @@ class Emitter:
     y: float
 
     def __post_init__(self):
-        channel_center_khz(self.channel)  # validates 1..14
+        channel_center_khz(_index("emitter channel", self.channel))  # validates 1..14
+        _finite("emitter tx_power_dbm", self.tx_power_dbm)
+        _finite("emitter x", self.x)
+        _finite("emitter y", self.y)
 
 
 @dataclass(frozen=True)
@@ -57,16 +76,16 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        if len(self.ap_position) != 2:
+            raise DomainError(f"ap_position must be an (x, y) pair, got {self.ap_position!r}")
+        for v in self.ap_position:
+            _finite("ap_position", v)
         object.__setattr__(self, "ap_position", tuple(float(v) for v in self.ap_position))
         object.__setattr__(self, "clients", tuple(self.clients))
         object.__setattr__(self, "emitters", tuple(self.emitters))
-        coords = [*self.ap_position]
-        for c in self.clients:
-            coords += [c.x, c.y]
-        for e in self.emitters:
-            coords += [e.x, e.y]
-        if not all(math.isfinite(v) for v in coords):
-            raise DomainError("all positions must be finite")
+        _finite("noise_floor_dbm", self.noise_floor_dbm)
+        _finite("shadowing_sigma_db", self.shadowing_sigma_db)
+        _index("seed", self.seed)
         if self.shadowing_sigma_db < 0:
             raise DomainError(f"shadowing sigma must be non-negative, got {self.shadowing_sigma_db}")
         if not 0 <= self.seed <= 0xFFFFFFFFFFFFFFFF:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,10 +25,17 @@ from rfplan.polarization import dual_polarized_channel, mimo_capacity_bps_hz
 from rfplan.spectrum import sweeps_from_jsonl
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_linkbudget_reference(capsys):
@@ -119,8 +128,20 @@ def test_fresnel_field_curve_to_u_max_200_has_4001_rows(capsys):
     assert lines[-1].startswith("200.0,")
 
 
+def test_fresnel_zones_csv(capsys):
+    code, out, _ = invoke(
+        capsys, "fresnel", "zones", "--lambda", "0.125", "--d1", "25", "--d2", "25",
+        "--max-zone", "3", "--format", "csv",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "r_m,zone_index"
+    assert len(lines) == 4
+    assert lines[2] == f"{zone_radius(2, PathGeometry(25.0, 25.0, 0.125))!r},2"
+
+
 def test_cli_import_does_not_load_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
+    src = ROOT / "src"
     code = (
         "import sys, rfplan.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -242,8 +263,7 @@ def test_spectrum_stdout_matches_pinned_bytes(capsys, command, fmt):
         argv = ["spectrum", "plan", "--scenario", "divergence", "--objective", command]
     code, out, _ = invoke(capsys, *argv, "--format", fmt)
     assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == SPECTRUM_STDOUT_SHA256[command, fmt]
+    assert sha256(out) == SPECTRUM_STDOUT_SHA256[command, fmt]
 
 
 def test_growth_fit_bundled_series(capsys):
@@ -268,6 +288,73 @@ def test_usage_errors_exit_one(capsys):
 
     code, _, err = invoke(capsys, "lens", "design", "--step", "fast")
     assert code == 1
+
+
+# sha256 of `--help` stdout for every parser and of the stderr of one usage
+# error per command, recorded before the parser was declared command by
+# command. argparse lays help out differently from one Python minor version
+# to the next, so the pins hold for the version they were recorded on.
+HELP_PYTHON = (3, 11)
+HELP_SHA256 = {
+    (): "a4c7879de5d98208d239170de18723f033f7dde15aaaeed2b2b3c914ca762216",
+    ("lens",): "4dafaa2097f69299cbc8f0860e11029370ab80d6b466b0542bacbb9a6db4b63f",
+    ("fresnel",): "9f02d0c81415d91d855458f4cb6d8b191e1a765eb4f0d98236f99b7f6e876dda",
+    ("polar",): "c707f234ede57510fe3855cb4eb435a7953aaef8b1356e560af91090507491be",
+    ("spectrum",): "16039ff79ada851d6b0d81fe8187ab2cd485ea247ceb9eff3578132f8e60d89f",
+    ("growth",): "8f4b982e1e3a801fcb4db986ef7a043ba77518ebcf6f6fbb70ce7c766970409f",
+    ("linkbudget",): "fd2f1218057778060a909a86408fc8a8d745a5bb75000a9b74bfb8062fd53667",
+    ("lens", "design"): "9764a76db49ca3bc03fc4ef04ab229adf9236fe92fcb072a30965f022a529650",
+    ("lens", "apply"): "7ed9b0daf2050d3f3be7b72754e4bb34612e339933339dd45e9cfcdd9acda80c",
+    ("fresnel", "zones"): "d5da418b960680aa4e66aa88506e8b6c65b8b511606a7b76468a31c42a46d4e7",
+    ("fresnel", "screen"): "16a188cd69a58729f2f748ecd196dbb126e07ba1a7c3a1cbfaec353a3d80b7c6",
+    ("fresnel", "field"): "468b357e1ae9d96e04df28ce493f97e48d8c270945dec6140e720be8aff9a1cd",
+    ("polar", "loss"): "16abe22db7dc292faf02bf8f55ec866fbce49920c433320c10e51049288f497e",
+    ("polar", "capacity"): "6349d3edcc486a3e49673cb910a84c578b27a8b76ac7404818102f3503aef17e",
+    ("spectrum", "simulate"): "11898c34980683674f93032eedf659e76e20b032c6fefcbbf9c4ad97c92e6c19",
+    ("spectrum", "aggregate"): "dbbee40664d0e6a7857ec8ee8ca415e72582de60de2307b1770bd8613aadee27",
+    ("spectrum", "plan"): "46e0af3fb39eec2764f9c624fa0b66acd033c81953d1afec5b8fd613b0aab999",
+    ("growth", "fit"): "ffadf9dd87c91c14104b338e95b789d863534f3977a2b1b573f1ae65273dcc4b",
+}
+# stderr of `<command> --format xml`, which prints the command's full usage
+USAGE_ERROR_SHA256 = {
+    ("linkbudget",): "e81c79fea2af921562965d3b408739c5a105d16e4c7c7e4f9afdc5372bdef1d0",
+    ("lens", "design"): "97f6e848b77e5f592e4efa835b63af876400be8b5f6fc0936a5d3255fe988cd7",
+    ("lens", "apply"): "eb05589cc97368d47f6aad8558c6490713fa56adf18caaa1647bd8731419b8b2",
+    ("fresnel", "zones"): "d27b99673255b47512824ed061e778febad8fdd1717d9f154b0c2d7cf3b2d628",
+    ("fresnel", "screen"): "cc78c0c20a024bc375ac45a91f4a8ace11be89ca9cbb44f2ffd485967117b4d4",
+    ("fresnel", "field"): "c0f132c39206d3ea5e6aa86368dad08b7601c50563cfecacb8a5560afaa6e967",
+    ("polar", "loss"): "24cdea72ec6f86b19b56a92210915386a12948723ab66b0465d9929785078f35",
+    ("polar", "capacity"): "c3160e7ebc03b302b88598dd4c815114cc570b396c1e8bf11059309c5e0db459",
+    ("spectrum", "simulate"): "46be7aa2c3de48ed9bb9ad9636af7e1904c6d06342ff51e55e3ccf6b39ae2213",
+    ("spectrum", "aggregate"): "9e1568cbe27ac82367dda1e0f58fa808ad39b3f4dd812fb08cfb218a3d9a6214",
+    ("spectrum", "plan"): "56dc423e219e0e0b963d6c5115eac8e0aac5501a7b245f5c69bc3d9c15c21025",
+    ("growth", "fit"): "a4a4fa80b1f822751764c66b469344b4065dea3542c0a6e734c0c1c16d454768",
+}
+pinned_argparse = pytest.mark.skipif(
+    sys.version_info[:2] != HELP_PYTHON, reason="help layout pinned for another Python"
+)
+
+
+@pinned_argparse
+@pytest.mark.parametrize("command", sorted(HELP_SHA256), ids=lambda c: "-".join(c) or "rfplan")
+def test_help_matches_pinned_bytes(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert sha256(captured.out) == HELP_SHA256[command]
+
+
+@pinned_argparse
+@pytest.mark.parametrize("command", sorted(USAGE_ERROR_SHA256), ids="-".join)
+def test_usage_error_matches_pinned_bytes(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke(capsys, *command, "--format", "xml")
+    assert code == 1
+    assert out == ""
+    assert sha256(err) == USAGE_ERROR_SHA256[command]
 
 
 def test_domain_errors_exit_two(capsys):
@@ -305,11 +392,37 @@ def assert_domain_error(capsys, *argv):
     return err
 
 
+EMITTER = {"channel": 6, "tx_power_dbm": 10.0, "x": 1.0, "y": 0.0}
+
+
+def scenario_document(**change):
+    return json.dumps({"ap_position": [0, 0], "emitters": [EMITTER], **change})
+
+
 @pytest.mark.parametrize(
     ("document", "named"),
     [
         ('{"ap_position": [0, 0], "noise_floor_dbn": -60}', "noise_floor_dbn"),
         ("[1, 2]", "list"),
+        (scenario_document(seed=1.5), "seed must be an integer, got 1.5"),
+        (scenario_document(seed=True), "seed must be an integer, got True"),
+        (
+            scenario_document(emitters=[{**EMITTER, "channel": 1.0}]),
+            "emitter channel must be an integer, got 1.0",
+        ),
+        (
+            scenario_document(emitters=[{**EMITTER, "channel": True}]),
+            "emitter channel must be an integer, got True",
+        ),
+        (
+            scenario_document(emitters=[{**EMITTER, "tx_power_dbm": "10"}]),
+            "emitter tx_power_dbm must be a finite number, got '10'",
+        ),
+        (
+            scenario_document(ap_position=[0, 0, 0]),
+            "ap_position must be an (x, y) pair, got [0, 0, 0]",
+        ),
+        (scenario_document(noise_floor_dbm="x"), "noise_floor_dbm must be a finite number, got 'x'"),
     ],
 )
 def test_spectrum_plan_bad_scenario_document_exits_two(capsys, tmp_path, document, named):
@@ -332,6 +445,8 @@ SWEEP_RECORD = (
         ("1", "[1.5e400]", "bin value must be an integer, got inf"),
         ("1", "[-60.7, -50]", "bin value must be an integer, got -60.7"),
         ("1.5", "[-60, -50]", "sensor_id must be an integer, got 1.5"),
+        ("1", "[true, -50]", "bin value must be an integer, got True"),
+        ("true", "[-60, -50]", "sensor_id must be an integer, got True"),
     ],
 )
 def test_spectrum_aggregate_non_integer_sweep_field_exits_two(
@@ -407,3 +522,27 @@ def test_table_format_is_default(capsys):
     assert code == 0
     assert "rx_after_dbm" in out
     assert "{" not in out
+
+
+def readme_commands():
+    """Every `rfplan ...` line of the README's CLI block, comments stripped."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [
+        line.split("#")[0].strip() for line in block.splitlines() if line.startswith("rfplan ")
+    ]
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(ROOT)  # the README's paths are relative to the repo root
+    commands = readme_commands()
+    assert len(commands) >= 12
+    for line in commands:
+        argv = shlex.split(line.replace("/tmp/", f"{tmp_path}/"))[1:]
+        target = None
+        if ">" in argv:
+            argv, target = argv[: argv.index(">")], argv[-1]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, (line, err)
+        if target is not None:
+            Path(target).write_text(out)

@@ -199,6 +199,9 @@ def test_bulk_random_round_trips():
         ("bins", (-60.0,), "bin value"),
         ("bins", "ab", "bin value"),
         ("bins", (float("inf"),), "bin value"),
+        ("bins", (True, -50), "bin value"),
+        ("sensor_id", True, "sensor_id"),
+        ("timestamp_ms", False, "timestamp_ms"),
     ],
 )
 def test_sweep_rejects_non_integer_fields(field, value, named):

@@ -14,7 +14,6 @@ from rfplan.fresnel import (
     U_MAX,
     AnnularScreenSpec,
     PathGeometry,
-    field_curve_csv,
     field_ratio,
     obliquity_factor,
     partial_field_curve,
@@ -22,8 +21,6 @@ from rfplan.fresnel import (
     shading_cone_deg,
     zone_index,
     zone_radius,
-    zone_table,
-    zone_table_csv,
 )
 
 GEOM = PathGeometry(d1_m=25.0, d2_m=25.0, lambda_m=0.125)
@@ -316,18 +313,6 @@ def test_quadrature_paths_emit_no_warnings():
         partial_field_curve(200.0, obliquity=True, geometry=GEOM)
         field_ratio([(1.0, 2.0), (143.5, 199.9)], obliquity=True, geometry=GEOM)
         field_ratio([(1.0, 2.0), (143.5, 199.9)], force_quadrature=True)
-
-
-def test_csv_emission():
-    rows = zone_table(GEOM, 3)
-    text = zone_table_csv(rows)
-    lines = text.strip().splitlines()
-    assert lines[0] == "r_m,zone_index"
-    assert len(lines) == 4
-    assert float(lines[2].split(",")[0]) == pytest.approx(zone_radius(2, GEOM))
-
-    curve_text = field_curve_csv(partial_field_curve(2.0, step=0.5))
-    assert curve_text.splitlines()[0] == "u,partial_field_magnitude"
 
 
 def test_path_geometry_validation():

@@ -17,7 +17,6 @@ from rfplan.lens import (
     lens_profile,
     lens_shadow_sector,
     plate_edge_offset,
-    profile_csv,
     profile_radius,
     shading_assessment,
 )
@@ -295,14 +294,3 @@ def test_lens_shadow_sector_uses_aperture_width():
     assert sector.width_deg == 80.0
     assert sector.bearing_deg == 123.0
     assert sector.attenuation_db == 10.0
-
-
-def test_profile_csv_header_and_shape():
-    profile = lens_profile(spec_with_index_06(), step_deg=10.0)
-    text = profile_csv(profile)
-    lines = text.strip().splitlines()
-    assert lines[0] == "theta_deg,r_m,y_m,depth_m"
-    assert len(lines) == 1 + len(profile.samples)
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(0.3)

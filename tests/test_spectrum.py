@@ -450,6 +450,14 @@ def test_scenario_validation():
         Scenario(ap_position=(0.0, 0.0), shadowing_sigma_db=-1.0)
     with pytest.raises(DomainError):
         Scenario(ap_position=(0.0, 0.0), seed=-1)
+    with pytest.raises(DomainError, match="client id must be a string, got 1"):
+        Client(1, 0.0, 0.0)
+    with pytest.raises(DomainError, match="client x must be a finite number, got '1'"):
+        Client("c1", "1", 0.0)
+    with pytest.raises(DomainError, match="client y must be a finite number, got inf"):
+        Client("c1", 0.0, math.inf)
+    with pytest.raises(DomainError, match="emitter tx_power_dbm must be a finite number, got True"):
+        Emitter(channel=6, tx_power_dbm=True, x=0.0, y=0.0)
 
 
 def test_scenario_json_round_trip():
