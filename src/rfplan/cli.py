@@ -49,7 +49,18 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems instead of exiting with code 2."""
+    """argparse that reports usage problems instead of exiting with code 2,
+    and keeps the flag of every float-valued argument by its dest."""
+
+    def __init__(self, *args, **kwargs):
+        self.float_flags: dict[str, str] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.type in (float, _parse_interval):
+            self.float_flags[action.dest] = action.option_strings[0]
+        return action
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
@@ -128,11 +139,27 @@ _RENDERERS: dict[str, Callable[[str, Result], str]] = {
 
 def _parse_interval(text: str) -> tuple[float, float]:
     a, _, b = text.partition(":")
-    return float(a), float(b)
+    try:
+        return float(a), float(b)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid interval value: {text!r}") from None
 
 
 def _parse_channels(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid channel list value: {text!r}") from None
+
+
+def _reject_non_finite(args) -> None:
+    """nan or inf from a float flag would print as NaN/Infinity, which is not JSON."""
+    for dest, flag in args.float_flags.items():
+        value = getattr(args, dest)
+        for item in value if isinstance(value, list) else [value]:  # --block repeats
+            numbers = item if isinstance(item, tuple) else (item,)  # an A:B interval
+            if not all(math.isfinite(x) for x in numbers if x is not None):
+                raise DomainError(f"{flag} must be finite, got {':'.join(map(repr, numbers))}")
 
 
 # --- command handlers -------------------------------------------------------
@@ -285,6 +312,8 @@ def _cmd_polar_capacity(args) -> Result:
 
 
 def _scenario_from_args(args):
+    if args.t_ms < 0:
+        raise DomainError(f"--t-ms must be non-negative, got {args.t_ms}")
     path = Path(args.scenario)
     if not path.exists():
         if args.scenario not in fixtures.BUNDLED_SCENARIOS:
@@ -504,6 +533,7 @@ def build_parser() -> _Parser:
                        help="output format (default: table)")
         p.add_argument("--seed", type=int, default=None, help="override the random seed")
         p.add_argument("--out", type=Path, default=None, help="write output to a file")
+        p.set_defaults(float_flags=p.float_flags)
     return parser
 
 
@@ -517,6 +547,7 @@ def run(argv: Sequence[str] | None = None, stdout=None, stderr=None) -> int:
         print(str(exc), file=stderr)
         return 1
     try:
+        _reject_non_finite(args)
         result = args.handler(args)
         render = _RENDERERS[args.format]
         text = result.raw if result.raw is not None else render(args.name, result)

@@ -2,8 +2,12 @@
 
 Each emitter radiates its power spread flat over a 22 MHz channel mask;
 sensors receive it over free space plus one log-normal shadowing draw per
-sensor-emitter link (drawn from the scenario seed, so a scenario always
-produces byte-identical sweeps). Sweeps cover 2400-2500 MHz in 1 MHz bins.
+sensor-emitter link. Sweeps cover 2400-2500 MHz in 1 MHz bins.
+
+Seeding contract: the draw of sensor s and emitter e (both 0-based) equals
+numpy.random.default_rng([seed, s, e]).normal(0.0, shadowing_sigma_db), and
+nothing is drawn when sigma is 0, so a scenario always produces
+byte-identical sweeps.
 """
 from __future__ import annotations
 
@@ -99,13 +103,6 @@ def default_sensor_layout(scenario: Scenario) -> tuple[list[str], list[tuple[flo
     return ids, positions
 
 
-def _shadowing_db(scenario: Scenario, sensor_index: int, emitter_index: int) -> float:
-    if scenario.shadowing_sigma_db == 0.0:
-        return 0.0
-    rng = np.random.default_rng([scenario.seed, sensor_index, emitter_index])
-    return float(rng.normal(0.0, scenario.shadowing_sigma_db))
-
-
 def simulate_sweeps(
     scenario: Scenario,
     sensor_positions: Sequence[tuple[float, float]],
@@ -116,44 +113,53 @@ def simulate_sweeps(
     Per sensor-emitter link: received power = tx - FSPL(distance, emitter
     center) + one shadowing draw, spread flat over the emitter's mask bins.
     Distances are clamped up to one wavelength so co-located gear stays in
-    the free-space formula's domain. Bin powers add in mW, are floored at the
-    scenario noise floor, and quantize to signed 8-bit dBm.
+    the free-space formula's domain. Bin powers add in mW, emitter by emitter
+    in scenario order, are floored at the scenario noise floor, and quantize
+    to signed 8-bit dBm. The link arithmetic stays scalar: a vectorized
+    log10 or power may differ in the last ulp, enough to cross a rounding
+    edge.
     """
-    sweeps = []
-    for sensor_index, (sx, sy) in enumerate(sensor_positions):
-        total_mw = np.zeros(SWEEP_GRID.n_bins)
-        for emitter_index, emitter in enumerate(scenario.emitters):
-            center_khz = channel_center_khz(emitter.channel)
-            freq = Frequency(center_khz * 1e3)
-            distance = math.hypot(emitter.x - sx, emitter.y - sy)
-            distance = max(distance, freq.wavelength_m)
+    shape = (len(sensor_positions), len(scenario.emitters))
+    draws = np.zeros(shape)
+    if scenario.shadowing_sigma_db != 0.0:
+        # imported here: numpy.random costs several ms, and only drawing needs it
+        from .shadowing import shadowing_draws
+
+        draws = shadowing_draws(scenario.seed, scenario.shadowing_sigma_db, *shape)
+    total_mw = np.zeros((shape[0], SWEEP_GRID.n_bins))
+    for emitter, shadow_db in zip(scenario.emitters, draws.T.tolist()):
+        center_khz = channel_center_khz(emitter.channel)
+        freq = Frequency(center_khz * 1e3)
+        wavelength_m = freq.wavelength_m
+        per_bin_mw = []
+        for (sx, sy), shadow in zip(sensor_positions, shadow_db):
+            distance = max(math.hypot(emitter.x - sx, emitter.y - sy), wavelength_m)
             loss_db = fspl_db(LinkGeometry(distance, freq))
-            per_bin_dbm = (
-                emitter.tx_power_dbm
-                - loss_db
-                - _SPREAD_DB
-                + _shadowing_db(scenario, sensor_index, emitter_index)
-            )
-            mask = SWEEP_GRID.span(
-                center_khz - CHANNEL_HALF_WIDTH_KHZ, center_khz + CHANNEL_HALF_WIDTH_KHZ
-            )
-            total_mw[mask] += 10.0 ** (per_bin_dbm / 10.0)
-        bins = []
-        for mw in total_mw:
-            dbm = scenario.noise_floor_dbm if mw <= 0 else max(
-                10.0 * math.log10(mw), scenario.noise_floor_dbm
-            )
-            bins.append(int(min(127, max(-128, round(dbm)))))
-        sweeps.append(
-            SensorSweep(
-                sensor_id=sensor_index,
-                timestamp_ms=t_ms,
-                start_khz=SWEEP_GRID.start_khz,
-                bin_khz=SWEEP_GRID.bin_khz,
-                bins=tuple(bins),
-            )
+            per_bin_dbm = emitter.tx_power_dbm - loss_db - _SPREAD_DB + shadow
+            per_bin_mw.append(10.0 ** (per_bin_dbm / 10.0))
+        mask = SWEEP_GRID.span(
+            center_khz - CHANNEL_HALF_WIDTH_KHZ, center_khz + CHANNEL_HALF_WIDTH_KHZ
         )
-    return sweeps
+        total_mw[:, mask] += np.array(per_bin_mw)[:, None]
+    # bins covered by the same emitters hold the same total, so each distinct
+    # total is quantized once
+    totals, where = np.unique(total_mw, return_inverse=True)
+    floor = scenario.noise_floor_dbm
+    levels = [
+        int(min(127, max(-128, round(floor if mw <= 0 else max(10.0 * math.log10(mw), floor)))))
+        for mw in totals.tolist()
+    ]
+    rows = np.array(levels, dtype=np.int64)[where].reshape(total_mw.shape).tolist()
+    return [
+        SensorSweep(
+            sensor_id=sensor_index,
+            timestamp_ms=t_ms,
+            start_khz=SWEEP_GRID.start_khz,
+            bin_khz=SWEEP_GRID.bin_khz,
+            bins=tuple(bins),
+        )
+        for sensor_index, bins in enumerate(rows)
+    ]
 
 
 def scenario_to_json(scenario: Scenario, indent: int = 2) -> str:

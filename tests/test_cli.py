@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import shlex
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rfplan import fixtures
 from rfplan.cli import run
@@ -151,6 +155,28 @@ def test_cli_import_does_not_load_scipy():
         env=dict(os.environ, PYTHONPATH=str(src)), check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_that_draw_nothing_leave_numpy_random_unloaded():
+    # numpy.random costs several ms to import; only shadowing draws need it,
+    # and the bundled divergence scenario has no shadowing
+    code = (
+        "import io, sys, rfplan.cli as cli, rfplan.spectrum as sp; "
+        "loaded = lambda: print('numpy.random' in sys.modules); "
+        "loaded(); "
+        "cli.run(['linkbudget', '--pt', '20', '--gt', '3', '--gr', '3', "
+        "'--freq', '2.437e9', '--dist', '10'], io.StringIO()); "
+        "cli.run(['spectrum', 'plan', '--scenario', 'divergence'], io.StringIO()); "
+        "loaded(); "
+        "sp.simulate_sweeps(sp.Scenario((0, 0), emitters=(sp.Emitter(6, 10.0, 1.0, 0.0),), "
+        "shadowing_sigma_db=4.0), [(0.0, 0.0)]); "
+        "loaded()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
+    )
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 def test_lens_design_csv_profile(capsys):
@@ -480,6 +506,74 @@ def test_out_to_missing_directory_exits_two(capsys, tmp_path):
     assert_file_error(
         capsys, target, "lens", "apply", "--rx-dbm", "-60", "--out", str(target),
     )
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["linkbudget", "--pt", "nan", "--gt", "0", "--gr", "0", "--freq", "2.4e9",
+          "--dist", "10"], "--pt must be finite, got nan"),
+        (["lens", "apply", "--rx-dbm", "nan"], "--rx-dbm must be finite, got nan"),
+        (["polar", "loss", "--delta-psi", "nan"], "--delta-psi must be finite, got nan"),
+        (["polar", "loss", "--delta-psi", "3", "--tilt-deg", "inf"],
+         "--tilt-deg must be finite, got inf"),
+        (["lens", "design", "--focal=-inf"], "--focal must be finite, got -inf"),
+        (["fresnel", "field", "--block", "0:1", "--block", "nan:2"],
+         "--block must be finite, got nan:2.0"),
+    ],
+)
+def test_non_finite_float_flags_exit_two(capsys, argv, message):
+    err = assert_domain_error(capsys, *argv, "--format", "json")
+    assert err == f"error: {message}\n"
+
+
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not a JSON number")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# each command printed bare NaN for a nan in its flag
+JSON_FLAG_COMMANDS = {
+    "--pt": ["linkbudget", "--gt", "0", "--gr", "0", "--freq", "2.4e9", "--dist", "10"],
+    "--rx-dbm": ["lens", "apply"],
+    "--delta-psi": ["polar", "loss"],
+}
+
+
+@given(flag=st.sampled_from(sorted(JSON_FLAG_COMMANDS)), value=st.floats())
+def test_json_documents_parse_strictly(flag, value):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    argv = [*JSON_FLAG_COMMANDS[flag], f"{flag}={value!r}", "--format", "json"]
+    code = run(argv, stdout, stderr)
+    if math.isfinite(value):
+        assert code == 0
+        strict_json(stdout.getvalue())
+    else:
+        assert (code, stdout.getvalue()) == (2, "")
+        assert stderr.getvalue() == f"error: {flag} must be finite, got {value!r}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "plan"])
+def test_negative_t_ms_names_the_flag(capsys, command):
+    err = assert_domain_error(capsys, "spectrum", command, "--scenario", "divergence", "--t-ms=-5")
+    assert err == "error: --t-ms must be non-negative, got -5\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["fresnel", "field", "--block", "x"], "argument --block: invalid interval value: 'x'"),
+        (["spectrum", "plan", "--scenario", "divergence", "--candidates", "1,x"],
+         "argument --candidates: invalid channel list value: '1,x'"),
+    ],
+)
+def test_usage_errors_name_the_value_kind(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f": {message}\n" in err
+    assert "_parse" not in err
 
 
 def test_identical_argv_is_byte_identical(capsys):

@@ -2,11 +2,13 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rfplan.errors import DomainError
+from rfplan.linkbudget import Frequency, LinkGeometry, fspl_db
 from rfplan.spectrum import (
     AP_ONLY,
     CLIENT_AWARE,
@@ -34,6 +36,8 @@ from rfplan.spectrum import (
     sweeps_from_jsonl,
     sweeps_to_jsonl,
 )
+from rfplan.spectrum.plan import CHANNEL_HALF_WIDTH_KHZ
+from rfplan.spectrum.shadowing import shadowing_draws
 from rfplan import fixtures
 
 
@@ -418,6 +422,98 @@ def test_simulated_frames_match_pinned_bytes():
     assert len(sweeps) == 51
     digest = hashlib.sha256(b"".join(encode_frame(s) for s in sweeps)).hexdigest()
     assert digest == "033c5df7aa55b0203c1fb1d3b5663b3711aebe6da97b030cae526e1215107785"
+
+
+# seeds whose SeedSequence entropy is one word, or two (2^32 and above)
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1)
+seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
+sigmas = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e3))
+
+
+def default_rng_draws(seed, sigma, n_sensors, n_emitters):
+    # sigma 0 draws nothing (numpy's normal refuses a scale of -0.0)
+    return [
+        [
+            np.random.default_rng([seed, s, e]).normal(0.0, sigma) if sigma != 0.0 else 0.0
+            for e in range(n_emitters)
+        ]
+        for s in range(n_sensors)
+    ]
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("sigma", [4.0, 0.0, -0.0])
+def test_shadowing_draws_match_default_rng_at_edge_seeds(seed, sigma):
+    draws = shadowing_draws(seed, sigma, 8, 8)
+    assert draws.shape == (8, 8)
+    assert draws.tolist() == default_rng_draws(seed, sigma, 8, 8)
+
+
+@given(seeds, sigmas, st.integers(0, 8), st.integers(0, 8))
+def test_shadowing_draws_match_default_rng(seed, sigma, n_sensors, n_emitters):
+    # fails, rather than letting sweeps drift, if numpy ever changes SeedSequence
+    draws = shadowing_draws(seed, sigma, n_sensors, n_emitters)
+    assert draws.shape == (n_sensors, n_emitters)
+    assert draws.tolist() == default_rng_draws(seed, sigma, n_sensors, n_emitters)
+
+
+def per_link_sweeps(scenario, positions, t_ms):
+    """The simulator written link by link with a fresh default_rng per link."""
+    spread_db = 10.0 * math.log10(2 * CHANNEL_HALF_WIDTH_KHZ // SWEEP_GRID.bin_khz)
+    sweeps = []
+    for sensor_index, (sx, sy) in enumerate(positions):
+        total_mw = np.zeros(SWEEP_GRID.n_bins)
+        for emitter_index, emitter in enumerate(scenario.emitters):
+            center_khz = channel_center_khz(emitter.channel)
+            freq = Frequency(center_khz * 1e3)
+            distance = max(math.hypot(emitter.x - sx, emitter.y - sy), freq.wavelength_m)
+            shadow = 0.0
+            if scenario.shadowing_sigma_db != 0.0:
+                rng = np.random.default_rng([scenario.seed, sensor_index, emitter_index])
+                shadow = float(rng.normal(0.0, scenario.shadowing_sigma_db))
+            per_bin_dbm = (
+                emitter.tx_power_dbm - fspl_db(LinkGeometry(distance, freq)) - spread_db + shadow
+            )
+            mask = SWEEP_GRID.span(
+                center_khz - CHANNEL_HALF_WIDTH_KHZ, center_khz + CHANNEL_HALF_WIDTH_KHZ
+            )
+            total_mw[mask] += 10.0 ** (per_bin_dbm / 10.0)
+        bins = []
+        for mw in total_mw:
+            floor = scenario.noise_floor_dbm
+            dbm = floor if mw <= 0 else max(10.0 * math.log10(mw), floor)
+            bins.append(int(min(127, max(-128, round(dbm)))))
+        sweeps.append(sweep(bins, sensor_id=sensor_index, t=t_ms))
+    return sweeps
+
+
+coordinates = st.floats(-80.0, 80.0)
+
+
+@given(
+    seed=seeds,
+    sigma=st.one_of(st.sampled_from([0.0, 4.0]), st.floats(0.0, 20.0)),
+    noise_floor=st.floats(-110.0, -40.0),
+    clients=st.lists(st.tuples(coordinates, coordinates), max_size=6),
+    emitters=st.lists(
+        st.tuples(st.integers(1, 14), st.floats(-20.0, 30.0), coordinates, coordinates),
+        max_size=8,
+    ),
+    t_ms=st.integers(0, 2**64 - 1),
+)
+def test_simulate_matches_per_link_oracle(seed, sigma, noise_floor, clients, emitters, t_ms):
+    scenario = Scenario(
+        ap_position=(0.0, 0.0),
+        clients=tuple(Client(f"c{i}", x, y) for i, (x, y) in enumerate(clients)),
+        emitters=tuple(Emitter(*fields) for fields in emitters),
+        noise_floor_dbm=noise_floor,
+        shadowing_sigma_db=sigma,
+        seed=seed,
+    )
+    _, positions = default_sensor_layout(scenario)
+    assert simulate_sweeps(scenario, positions, t_ms) == per_link_sweeps(
+        scenario, positions, t_ms
+    )
 
 
 def test_simulate_colocated_sensor_does_not_blow_up():
