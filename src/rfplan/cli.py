@@ -164,17 +164,31 @@ def _reject_non_finite(args) -> None:
 
 # --- command handlers -------------------------------------------------------
 
+def _antenna_gain(flag: str, dbi: float) -> AntennaGain:
+    try:
+        return AntennaGain.from_dbi(dbi)
+    except DomainError:
+        raise DomainError(
+            f"{flag} must be a gain with a positive, finite linear value, got {dbi!r} dBi"
+        ) from None
+
+
 def _cmd_linkbudget(args) -> Result:
     geometry = LinkGeometry(args.dist, Frequency(args.freq))
     budget = LinkBudget(
-        args.pt, AntennaGain.from_dbi(args.gt), AntennaGain.from_dbi(args.gr), geometry
+        args.pt, _antenna_gain("--gt", args.gt), _antenna_gain("--gr", args.gr), geometry
     )
+    utilization = power_utilization(budget.tx_gain, budget.rx_gain, geometry)
+    if not math.isfinite(utilization):
+        raise DomainError(
+            f"--gt {args.gt!r} dBi with --gr {args.gr!r} dBi overflows power_utilization"
+        )
     return Result(
         {
             "wavelength_m": geometry.wavelength_m,
             "fspl_db": fspl_db(geometry),
             "rx_power_dbm": budget.rx_power_dbm,
-            "power_utilization": power_utilization(budget.tx_gain, budget.rx_gain, geometry),
+            "power_utilization": utilization,
         },
     )
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from .errors import DomainError
@@ -44,21 +46,27 @@ class GrowthFit:
     r_squared: float
 
 
+def _sum(values) -> float:
+    """Left to right, as sum() of floats was before Python 3.12 compensated it,
+    so a fit gives the same bits on every Python."""
+    return reduce(add, values, 0.0)
+
+
 def fit_doubling(series: CountSeries) -> GrowthFit:
     """Least squares of log2(count) against time; doubling = 1/slope."""
     ts = [t for t, _ in series.points]
     ys = [math.log2(c) for _, c in series.points]
     n = len(ts)
-    t_mean = sum(ts) / n
-    y_mean = sum(ys) / n
-    s_tt = sum((t - t_mean) ** 2 for t in ts)
-    s_ty = sum((t - t_mean) * (y - y_mean) for t, y in zip(ts, ys))
+    t_mean = _sum(ts) / n
+    y_mean = _sum(ys) / n
+    s_tt = _sum((t - t_mean) ** 2 for t in ts)
+    s_ty = _sum((t - t_mean) * (y - y_mean) for t, y in zip(ts, ys))
     slope = s_ty / s_tt
     if slope == 0.0:
         raise NoGrowthError("flat series: log2(count) has zero slope")
     intercept = y_mean - slope * t_mean
-    ss_res = sum((y - (intercept + slope * t)) ** 2 for t, y in zip(ts, ys))
-    ss_tot = sum((y - y_mean) ** 2 for y in ys)
+    ss_res = _sum((y - (intercept + slope * t)) ** 2 for t, y in zip(ts, ys))
+    ss_tot = _sum((y - y_mean) ** 2 for y in ys)
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return GrowthFit(
         doubling_days=1.0 / slope,

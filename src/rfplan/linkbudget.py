@@ -51,7 +51,10 @@ class AntennaGain:
 
     @classmethod
     def from_dbi(cls, dbi: float) -> "AntennaGain":
-        return cls(10.0 ** (dbi / 10.0))
+        try:
+            return cls(10.0 ** (dbi / 10.0))
+        except (OverflowError, DomainError):  # above about 3083 dBi or below -3236
+            raise DomainError(f"{dbi} dBi has no positive, finite linear gain") from None
 
 
 @dataclass(frozen=True)

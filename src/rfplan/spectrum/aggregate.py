@@ -14,7 +14,9 @@ Sweeps also travel as line-delimited JSON records for logging and replay.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -26,6 +28,11 @@ MAX_HOLD = "max-hold"
 EWMA = "ewma"
 
 DEFAULT_EWMA_ALPHA = 0.3
+
+# mW of every dBm a bin can hold, indexed by the bin's byte as unsigned. EWMA
+# output carries np.power's bits, which differ from the scalar pow in the last
+# bit for some of these values, so the table must be built with np.power.
+_MW_TABLE = 10.0 ** (np.asarray(np.arange(256, dtype=np.uint8).view(np.int8), dtype=float) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -54,11 +61,12 @@ def aggregate(
     """Merge sweeps sharing one grid into a single spectrum."""
     if not sweeps:
         raise DomainError("nothing to aggregate")
-    grid = sweeps[0].grid
+    first = sweeps[0]
+    shape = (first.start_khz, first.bin_khz, len(first.bins))
     for s in sweeps[1:]:
-        if s.grid != grid:
+        if (s.start_khz, s.bin_khz, len(s.bins)) != shape:
             raise DomainError(
-                f"sweeps disagree on the bin grid ({s.grid} vs {grid}); "
+                f"sweeps disagree on the bin grid ({s.grid} vs {first.grid}); "
                 "resampling is not supported"
             )
 
@@ -67,7 +75,7 @@ def aggregate(
     elif mode == EWMA:
         if not 0.0 < alpha <= 1.0:
             raise DomainError(f"ewma alpha must lie in (0, 1], got {alpha}")
-        per_sensor: dict[int, np.ndarray] = {}
+        per_sensor: dict[int, list[SensorSweep]] = {}
         seen_ms: dict[int, int] = {}
         for s in sweeps:
             prev_ms = seen_ms.setdefault(s.sensor_id, s.timestamp_ms)
@@ -77,13 +85,8 @@ def aggregate(
                     f"{s.sensor_id} went from {prev_ms} ms back to {s.timestamp_ms} ms"
                 )
             seen_ms[s.sensor_id] = s.timestamp_ms
-            power_mw = 10.0 ** (np.asarray(s.bins, dtype=float) / 10.0)
-            prev = per_sensor.get(s.sensor_id)
-            per_sensor[s.sensor_id] = (
-                power_mw if prev is None else alpha * power_mw + (1.0 - alpha) * prev
-            )
-        smoothed_dbm = [10.0 * np.log10(mw) for mw in per_sensor.values()]
-        merged = np.max(np.array(smoothed_dbm), axis=0)
+            per_sensor.setdefault(s.sensor_id, []).append(s)
+        merged = np.max(10.0 * np.log10(_ewma_mw(list(per_sensor.values()), alpha)), axis=0)
     else:
         raise DomainError(f"unknown aggregation mode {mode!r}")
 
@@ -91,15 +94,43 @@ def aggregate(
     for s in sweeps:
         last_update[s.sensor_id] = max(last_update.get(s.sensor_id, 0), s.timestamp_ms)
 
-    first = sweeps[0]
     return AggregatedSpectrum(
         position_id=position_id,
         mode=mode,
         start_khz=first.start_khz,
         bin_khz=first.bin_khz,
-        bins=tuple(float(v) for v in merged),
+        bins=tuple(merged.tolist()),
         last_update_ms=last_update,
     )
+
+
+def _ewma_mw(histories: list[list[SensorSweep]], alpha: float) -> np.ndarray:
+    """Smoothed mW per sensor, one row per history of in-order sweeps.
+
+    Sensors ranked by sweep count, most first, make the sensors with an r-th
+    sweep a prefix, so step r is one update of that prefix. Each bin still
+    gets alpha*p + (1-alpha)*prev exactly: IEEE + and * are commutative.
+    """
+    histories.sort(key=len, reverse=True)
+    widths = []  # widths[r]: how many sensors have an r-th sweep
+    width = len(histories)
+    for r in range(len(histories[0])):
+        while len(histories[width - 1]) <= r:
+            width -= 1
+        widths.append(width)
+    rows = [h[r].bins for r, width in enumerate(widths) for h in histories[:width]]
+    n = len(rows) * len(rows[0])
+    codes = np.frombuffer(struct.pack(f"{n}b", *chain.from_iterable(rows)), np.uint8)
+    power = _MW_TABLE[codes].reshape(len(rows), -1)
+    smoothed = power[: widths[0]].copy()
+    scaled = alpha * power
+    keep = 1.0 - alpha
+    start = widths[0]
+    for width in widths[1:]:
+        smoothed[:width] *= keep
+        smoothed[:width] += scaled[start : start + width]
+        start += width
+    return smoothed
 
 
 def sweep_record(sweep: SensorSweep) -> dict:

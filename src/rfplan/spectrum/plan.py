@@ -9,10 +9,15 @@ client-aware mode the proposed improvement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ..errors import DomainError
 from .aggregate import AggregatedSpectrum
+from .frames import BinGrid
 
 # position id of the access point's own spectrum
 AP_ID = "ap"
@@ -43,14 +48,47 @@ def channel_center_khz(channel: int) -> int:
 
 def channel_power_mw(spectrum: AggregatedSpectrum, channel: int) -> float:
     """Total in-channel power: sum of bin powers whose centers fall in the mask."""
-    center = channel_center_khz(channel)
-    mask = spectrum.grid.span(center - CHANNEL_HALF_WIDTH_KHZ, center + CHANNEL_HALF_WIDTH_KHZ)
-    # a plain left-to-right loop: numpy sums pairwise, and sum() is compensated
-    # from Python 3.12, so either would change the last bits of the total
-    total = 0.0
-    for dbm in spectrum.bins[mask]:
-        total += 10.0 ** (dbm / 10.0)
-    return total
+    return float(_in_channel_mw([spectrum], [channel])[0, 0])
+
+
+def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int]) -> np.ndarray:
+    """In-channel power of each channel (rows) at each spectrum (columns).
+
+    Each total adds its bins' scalar 10.0 ** (dbm / 10.0) left to right:
+    numpy sums pairwise, np.power differs from the scalar pow in the last bit,
+    and sum() is compensated from Python 3.12, so any of them would change the
+    last bits of a total.
+    """
+    centers = [channel_center_khz(ch) for ch in channels]
+    members: dict[BinGrid, list[int]] = {}  # the spectra on each grid, by first use
+    for k, spectrum in enumerate(spectra):
+        members.setdefault(spectrum.grid, []).append(k)
+    # channel by channel, then grid by first use, so the first grid that does
+    # not cover a channel is the one the spectrum-by-spectrum order meets first
+    masks: dict[BinGrid, list[slice]] = {grid: [] for grid in members}
+    for center in centers:
+        for grid, grid_masks in masks.items():
+            grid_masks.append(
+                grid.span(center - CHANNEL_HALF_WIDTH_KHZ, center + CHANNEL_HALF_WIDTH_KHZ)
+            )
+    totals = np.empty((len(channels), len(spectra)))
+    for grid, on_grid in members.items():
+        starts = np.array([mask.start for mask in masks[grid]])
+        lengths = np.array([max(0, mask.stop - mask.start) for mask in masks[grid]])
+        lo = int(starts.min())
+        hi = max(lo, max(mask.stop for mask in masks[grid]))
+        # every bin any mask holds, then a zero column: padding a short mask
+        # with it adds 0.0 after its last term, which changes nothing
+        mw = np.array(
+            [[10.0 ** (dbm / 10.0) for dbm in spectra[k].bins[lo:hi]] + [0.0] for k in on_grid]
+        )
+        steps = np.arange(lengths.max())[:, None]
+        index = np.where(steps < lengths, starts - lo + steps, hi - lo)  # step x channel
+        total = np.zeros((len(centers), len(on_grid)))
+        for term in mw.T[index]:
+            total += term
+        totals[:, on_grid] = total
+    return totals
 
 
 def overlap_weight(channel_distance: int) -> float:
@@ -110,14 +148,16 @@ def select_channel(
     if objective not in (MINIMAX, WEIGHTED_SUM):
         raise DomainError(f"unknown objective {objective!r}")
 
+    in_channel = _in_channel_mw([spectra[pos] for pos in positions], channels)
     scores: dict[int, ChannelScore] = {}
     ranking = []
-    for ch in channels:
-        per_position = {pos: channel_power_mw(spectra[pos], ch) for pos in positions}
+    for ch, row in zip(channels, in_channel.tolist()):
+        per_position = dict(zip(positions, row))
         if objective == MINIMAX:
-            value = max(per_position.values())
+            value = max(row)
         else:
-            value = sum(per_position.values())
+            # left to right, as sum() did before Python 3.12 compensated it
+            value = reduce(add, row, 0.0)
         scores[ch] = ChannelScore(per_position_mw=per_position, objective=value)
         ranking.append(
             (value, per_position[AP_ID], 0 if ch in PREFERRED_CHANNELS else 1, ch)

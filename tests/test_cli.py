@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -26,7 +27,7 @@ from rfplan.linkbudget import (
     power_utilization,
 )
 from rfplan.polarization import dual_polarized_channel, mimo_capacity_bps_hz
-from rfplan.spectrum import sweeps_from_jsonl
+from rfplan.spectrum import Client, Emitter, Scenario, scenario_to_json, sweeps_from_jsonl
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -292,6 +293,64 @@ def test_spectrum_stdout_matches_pinned_bytes(capsys, command, fmt):
     assert sha256(out) == SPECTRUM_STDOUT_SHA256[command, fmt]
 
 
+def seeded_sweep_log(seed, sensors=6, ticks=12):
+    """A multi-sensor sweep log, one tick per second, with some sweeps lost."""
+    rng = random.Random(seed)
+    records = []
+    for tick in range(ticks):
+        for sensor_id in rng.sample(range(sensors), sensors):
+            if tick and rng.random() < 0.2:
+                continue
+            bins = [rng.randint(-110, -15) for _ in range(100)]
+            records.append(
+                {"sensor_id": sensor_id, "timestamp_ms": 1000 * tick,
+                 "start_khz": 2_400_000, "bin_khz": 1_000, "bins": bins}
+            )
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+def seeded_survey_scenario(seed, n_clients=50, n_emitters=50):
+    rng = random.Random(seed)
+
+    def xy():
+        return rng.uniform(-80.0, 80.0), rng.uniform(-80.0, 80.0)
+
+    clients = tuple(Client(f"c{i}", *xy()) for i in range(n_clients))
+    emitters = tuple(
+        Emitter(rng.randint(1, 14), rng.uniform(-10.0, 23.0), *xy()) for _ in range(n_emitters)
+    )
+    return Scenario(ap_position=(0.0, 0.0), clients=clients, emitters=emitters, seed=seed)
+
+
+# sha256 of stdout of EWMA aggregation over a seeded log and of the
+# weighted-sum plan of a seeded 51-position survey, recorded before EWMA ran
+# rank by rank and channel scores became one gather; the sum over 51
+# positions would change in the last bits if it were not taken left to right
+CONSUMER_STDOUT_SHA256 = {
+    ("aggregate", "table"): "39748f1f5964b3d6f569cc5d40861f688a8b7f542f904141d9243ec1a790bdea",
+    ("aggregate", "json"): "fa6a09b928015ce6406b5da0c8f541825e3bf2beae11dee2097929ff9439a06a",
+    ("aggregate", "csv"): "3f236290ca14c41947e2b46b713a6ceba4e4eb3c5b4ec8ff664de3c702dc902a",
+    ("weighted-sum", "table"): "1efa44b9429fb824a263a89a75fb8ff39a9dc95c8905b8788b1df7e902a9de1d",
+    ("weighted-sum", "json"): "62584d5461af38efff91b27fd16336b673a0dcc217732bce4f1b377234baf606",
+    ("weighted-sum", "csv"): "926ca679a8af7f5307d1b87c8f4abcd87c0b0898e0a618315b3e56e5823b699f",
+}
+
+
+@pytest.mark.parametrize(("command", "fmt"), sorted(CONSUMER_STDOUT_SHA256))
+def test_consumer_stdout_matches_pinned_bytes(capsys, tmp_path, command, fmt):
+    if command == "aggregate":
+        log = tmp_path / "sweeps.jsonl"
+        log.write_text(seeded_sweep_log(7))
+        argv = ["spectrum", "aggregate", "--sweeps", str(log), "--mode", "ewma"]
+    else:
+        path = tmp_path / "survey.json"
+        path.write_text(scenario_to_json(seeded_survey_scenario(1)))
+        argv = ["spectrum", "plan", "--scenario", str(path), "--objective", command]
+    code, out, _ = invoke(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert sha256(out) == CONSUMER_STDOUT_SHA256[command, fmt]
+
+
 def test_growth_fit_bundled_series(capsys):
     code, out, _ = invoke(
         capsys, "growth", "fit", "--input", str(fixtures.ap_counts_path()),
@@ -553,6 +612,42 @@ def test_json_documents_parse_strictly(flag, value):
     else:
         assert (code, stdout.getvalue()) == (2, "")
         assert stderr.getvalue() == f"error: {flag} must be finite, got {value!r}\n"
+
+
+LINKBUDGET_GEOMETRY = ["linkbudget", "--pt", "1", "--freq", "2.4e9", "--dist", "10"]
+
+
+@pytest.mark.parametrize(
+    ("gains", "message"),
+    [
+        (["--gt", "1e308", "--gr", "0"],
+         "--gt must be a gain with a positive, finite linear value, got 1e+308 dBi"),
+        (["--gt", "0", "--gr=-1e308"],
+         "--gr must be a gain with a positive, finite linear value, got -1e+308 dBi"),
+        (["--gt", "3000", "--gr", "3000"],
+         "--gt 3000.0 dBi with --gr 3000.0 dBi overflows power_utilization"),
+    ],
+)
+def test_overflowing_gains_name_the_flag(capsys, gains, message):
+    err = assert_domain_error(capsys, *LINKBUDGET_GEOMETRY, *gains, "--format", "json")
+    assert err == f"error: {message}\n"
+
+
+finite_gains = st.one_of(
+    st.floats(-4000.0, 4000.0), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@given(gt=finite_gains, gr=finite_gains)
+def test_finite_gains_exit_two_or_print_strict_json(gt, gr):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    argv = [*LINKBUDGET_GEOMETRY, f"--gt={gt!r}", f"--gr={gr!r}", "--format", "json"]
+    code = run(argv, stdout, stderr)
+    if code == 0:
+        strict_json(stdout.getvalue())
+    else:
+        assert (code, stdout.getvalue()) == (2, "")
+        assert re.match(r"error: --g[tr] ", stderr.getvalue())
 
 
 @pytest.mark.parametrize("command", ["simulate", "plan"])

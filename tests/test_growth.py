@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -108,6 +110,49 @@ def test_exact_exponential_recovery(doubling):
     fit = fit_doubling(series)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert fit.doubling_days == pytest.approx(doubling, rel=1e-9)
+
+
+def add_left_to_right(values):
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def fit_left_to_right(series):
+    """The least-squares fit with every sum taken strictly left to right."""
+    ts = [t for t, _ in series.points]
+    ys = [math.log2(c) for _, c in series.points]
+    n = len(ts)
+    t_mean = add_left_to_right(ts) / n
+    y_mean = add_left_to_right(ys) / n
+    s_tt = add_left_to_right((t - t_mean) ** 2 for t in ts)
+    s_ty = add_left_to_right((t - t_mean) * (y - y_mean) for t, y in zip(ts, ys))
+    slope = s_ty / s_tt
+    intercept = y_mean - slope * t_mean
+    ss_res = add_left_to_right((y - (intercept + slope * t)) ** 2 for t, y in zip(ts, ys))
+    ss_tot = add_left_to_right((y - y_mean) ** 2 for y in ys)
+    r_squared = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
+    return 1.0 / slope, intercept, r_squared
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(0.01, 400.0), st.floats(1.0, 1e6)), min_size=2, max_size=40
+    )
+)
+def test_fit_adds_left_to_right(steps):
+    # sum() of floats is compensated from Python 3.12 on; the fit must give
+    # the same bits on every Python
+    t = 0.0
+    points = []
+    for dt, count in steps:
+        t += dt
+        points.append((t, count))
+    series = CountSeries(tuple(points))
+    try:
+        fit = fit_doubling(series)
+    except NoGrowthError:
+        return
+    got = (fit.doubling_days, fit.intercept_log2, fit.r_squared)
+    assert [v.hex() for v in got] == [v.hex() for v in fit_left_to_right(series)]
 
 
 def test_read_count_series_text_and_file(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -187,3 +188,10 @@ def test_geometry_validation():
 
 def test_speed_of_light_is_exact_si():
     assert SPEED_OF_LIGHT_M_S == 299_792_458.0
+
+
+@pytest.mark.parametrize("dbi", [1e308, 3084.0, -1e308, -3300.0])
+def test_gain_without_a_finite_linear_value_names_its_dbi(dbi):
+    message = f"{dbi} dBi has no positive, finite linear gain"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        AntennaGain.from_dbi(dbi)

@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import math
+import operator
 import random
 
 import numpy as np
@@ -36,6 +38,7 @@ from rfplan.spectrum import (
     sweeps_from_jsonl,
     sweeps_to_jsonl,
 )
+from rfplan.spectrum.aggregate import _MW_TABLE
 from rfplan.spectrum.plan import CHANNEL_HALF_WIDTH_KHZ
 from rfplan.spectrum.shadowing import shadowing_draws
 from rfplan import fixtures
@@ -166,6 +169,106 @@ def test_jsonl_round_trip():
     assert sweeps_from_jsonl(text) == sweeps
     with pytest.raises(DomainError):
         sweeps_from_jsonl("{not json}\n")
+
+
+def bits(values):
+    """The exact bit patterns of a float sequence, so 0.0 and -0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+def outcome(function, *args, **kwargs):
+    """The call's result, or the message of the DomainError it raised."""
+    try:
+        return function(*args, **kwargs)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def ewma_per_sweep(sweeps, alpha):
+    """EWMA aggregation written sweep by sweep, one numpy round trip each."""
+    grid = sweeps[0].grid
+    for s in sweeps[1:]:
+        if s.grid != grid:
+            raise DomainError(
+                f"sweeps disagree on the bin grid ({s.grid} vs {grid}); "
+                "resampling is not supported"
+            )
+    per_sensor = {}
+    seen_ms = {}
+    for s in sweeps:
+        prev_ms = seen_ms.setdefault(s.sensor_id, s.timestamp_ms)
+        if s.timestamp_ms < prev_ms:
+            raise DomainError(
+                f"ewma needs each sensor's sweeps in timestamp order: sensor "
+                f"{s.sensor_id} went from {prev_ms} ms back to {s.timestamp_ms} ms"
+            )
+        seen_ms[s.sensor_id] = s.timestamp_ms
+        power_mw = 10.0 ** (np.asarray(s.bins, dtype=float) / 10.0)
+        prev = per_sensor.get(s.sensor_id)
+        per_sensor[s.sensor_id] = (
+            power_mw if prev is None else alpha * power_mw + (1.0 - alpha) * prev
+        )
+    smoothed_dbm = [10.0 * np.log10(mw) for mw in per_sensor.values()]
+    return tuple(float(v) for v in np.max(np.array(smoothed_dbm), axis=0))
+
+
+@st.composite
+def sweep_logs(draw):
+    """1-8 sensors with uneven sweep counts, interleaved; timestamps may tie,
+    and in some logs a sensor goes back in time or one sweep is off the grid."""
+    n_bins = draw(st.integers(1, 100))
+    sensor_ids = draw(st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=8, unique=True))
+    counts = [draw(st.integers(1, 13)) for _ in sensor_ids]
+    order = draw(st.permutations([k for k, c in enumerate(counts) for _ in range(c)]))
+    ordered = draw(st.integers(0, 9)) > 0
+    clock = [0] * len(sensor_ids)
+    sweeps = []
+    for k in order:
+        if ordered:
+            clock[k] += draw(st.sampled_from([0, 0, 1, 1000]))
+        else:
+            clock[k] = draw(st.integers(0, 3))
+        bins = np.frombuffer(draw(st.binary(min_size=n_bins, max_size=n_bins)), np.int8).tolist()
+        sweeps.append(sweep(bins, sensor_id=sensor_ids[k], t=clock[k]))
+    if draw(st.integers(0, 19)) == 0:
+        i = draw(st.integers(0, len(sweeps) - 1))
+        off_grid = draw(st.sampled_from(["start", "width", "bins"]))
+        s = sweeps[i]
+        sweeps[i] = sweep(
+            s.bins + ((-90,) if off_grid == "bins" else ()),
+            sensor_id=s.sensor_id,
+            t=s.timestamp_ms,
+            start=s.start_khz + (1000 if off_grid == "start" else 0),
+            width=s.bin_khz * (2 if off_grid == "width" else 1),
+        )
+    return sweeps
+
+
+alphas = st.one_of(
+    st.sampled_from([0.3, 1.0]), st.floats(0.0, 1.0, exclude_min=True)
+)
+
+
+@given(sweep_logs(), alphas)
+def test_ewma_matches_per_sweep_oracle(sweeps, alpha):
+    got = outcome(aggregate, sweeps, EWMA, alpha=alpha)
+    want = outcome(ewma_per_sweep, sweeps, alpha)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert bits(got.bins) == bits(want)
+
+
+def test_mw_table_entries_match_the_per_sweep_expression():
+    # np.power is not the scalar pow, so each entry must come from the array
+    # expression every sweep went through; check it at every position of
+    # sweeps of 1-17, 100 and 256 bins
+    for n in (*range(1, 18), 100, 256):
+        for offset in range(256):
+            codes = [(offset + k) % 256 - 128 for k in range(n)]
+            expected = 10.0 ** (np.asarray(codes, dtype=float) / 10.0)
+            got = _MW_TABLE[np.asarray(codes, dtype=np.int8).view(np.uint8)]
+            assert bits(got) == bits(expected)
 
 
 # --- channel scoring ---------------------------------------------------------
@@ -339,6 +442,147 @@ def test_weighted_sum_objective_scores_add_up():
     minimax_plan = select_channel(spectra, CLIENT_AWARE, objective=MINIMAX)
     worst = max(minimax_plan.per_channel_scores[1].per_position_mw.values())
     assert minimax_plan.per_channel_scores[1].objective == pytest.approx(worst, rel=1e-12)
+
+
+def channel_power_per_bin(spectrum, channel):
+    """In-channel power added bin by bin, left to right."""
+    center = channel_center_khz(channel)
+    mask = spectrum.grid.span(center - CHANNEL_HALF_WIDTH_KHZ, center + CHANNEL_HALF_WIDTH_KHZ)
+    total = 0.0
+    for dbm in spectrum.bins[mask]:
+        total += 10.0 ** (dbm / 10.0)
+    return total
+
+
+def select_channel_per_bin(spectra, mode, candidates, objective):
+    """select_channel scored one channel, position and bin at a time."""
+    channels = tuple(candidates) if candidates is not None else tuple(range(1, 15))
+    if not channels:
+        raise DomainError("no candidate channels to choose from")
+    for ch in channels:
+        channel_center_khz(ch)
+    if "ap" not in spectra:
+        raise DomainError("no spectrum for the access-point position 'ap'")
+    if mode == AP_ONLY:
+        positions = ("ap",)
+    elif mode == CLIENT_AWARE:
+        if len(spectra) < 2:
+            raise DomainError("client-aware selection needs at least one client spectrum")
+        positions = tuple(spectra)
+    else:
+        raise DomainError(f"unknown selection mode {mode!r}")
+    if objective not in (MINIMAX, WEIGHTED_SUM):
+        raise DomainError(f"unknown objective {objective!r}")
+    scores, ranking = {}, []
+    for ch in channels:
+        per_position = {pos: channel_power_per_bin(spectra[pos], ch) for pos in positions}
+        if objective == MINIMAX:
+            value = max(per_position.values())
+        else:
+            value = functools.reduce(operator.add, per_position.values())
+        scores[ch] = (list(per_position), bits(per_position.values()), value.hex())
+        ranking.append((value, per_position["ap"], 0 if ch in (1, 6, 11) else 1, ch))
+    return min(ranking)[3], scores
+
+
+def plan_bits(plan):
+    return plan.chosen_channel, {
+        ch: (list(score.per_position_mw), bits(score.per_position_mw.values()),
+             score.objective.hex())
+        for ch, score in plan.per_channel_scores.items()
+    }
+
+
+# the sweep grid, a narrower one that misses the top channels, coarser and
+# finer bins whose masks hold different bin counts per channel, bins so wide
+# that some masks hold none, and a grid that covers nothing
+SCORING_GRIDS = (
+    (SWEEP_GRID.start_khz, SWEEP_GRID.bin_khz, SWEEP_GRID.n_bins),
+    (2_400_000, 1_000, 80),
+    (2_399_500, 3_000, 34),
+    (2_400_000, 700, 130),
+    (2_390_000, 30_000, 4),
+    (2_300_000, 1_000, 40),
+)
+
+
+@st.composite
+def scored_spectra(draw):
+    n_clients = draw(st.integers(0, 5))
+    ids = draw(st.permutations(["ap", *(f"c{i}" for i in range(n_clients))]))
+    single = draw(st.booleans())
+    grids = [SCORING_GRIDS[0] if single else draw(st.sampled_from(SCORING_GRIDS)) for _ in ids]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    spectra = {}
+    for pos, (start, width, n) in zip(ids, grids):
+        bins = tuple(
+            rng.choice([float(rng.randint(-128, 127)), rng.uniform(-130.0, 20.0), -0.0])
+            for _ in range(n)
+        )
+        spectra[pos] = AggregatedSpectrum(pos, MAX_HOLD, start, width, bins, {})
+    return spectra
+
+
+candidate_lists = st.one_of(
+    st.none(),
+    st.lists(st.integers(1, 14), min_size=1, max_size=20),
+    st.lists(st.integers(0, 15), max_size=4),
+)
+
+
+@given(
+    scored_spectra(),
+    st.sampled_from([AP_ONLY, CLIENT_AWARE]),
+    candidate_lists,
+    st.sampled_from([MINIMAX, WEIGHTED_SUM]),
+)
+def test_select_channel_matches_per_bin_oracle(spectra, mode, candidates, objective):
+    got = outcome(select_channel, spectra, mode, candidates, objective)
+    want = outcome(select_channel_per_bin, spectra, mode, candidates, objective)
+    assert (got if isinstance(want, str) else plan_bits(got)) == want
+    for spectrum in spectra.values():
+        for ch in candidates or (1, 14):
+            got = outcome(channel_power_mw, spectrum, ch)
+            want = outcome(channel_power_per_bin, spectrum, ch)
+            assert got == want if isinstance(want, str) else got.hex() == want.hex()
+
+
+def test_uncovered_grid_names_the_first_channel_and_position():
+    spectra = {
+        "ap": flat_spectrum(-95.0, "ap"),
+        "c1": AggregatedSpectrum("c1", MAX_HOLD, 2_400_000, 1_000, (-90.0,) * 80, {}),
+        "c2": AggregatedSpectrum("c2", MAX_HOLD, 2_430_000, 1_000, (-90.0,) * 30, {}),
+    }
+    # channel by channel, then position by position: with 13 first, c1 fails
+    # before c2 (which misses both channels) is looked at
+    with pytest.raises(DomainError) as info:
+        select_channel(spectra, CLIENT_AWARE, candidates=(13, 1))
+    assert str(info.value) == (
+        "spectrum [2400000, 2480000] kHz does not cover [2461000, 2483000] kHz"
+    )
+    with pytest.raises(DomainError) as info:
+        select_channel(spectra, CLIENT_AWARE, candidates=(1, 13))
+    assert str(info.value) == (
+        "spectrum [2430000, 2460000] kHz does not cover [2401000, 2423000] kHz"
+    )
+
+
+def survey_spectra(seed):
+    scenario = survey_scenario(seed)
+    ids, positions = default_sensor_layout(scenario)
+    sweeps = simulate_sweeps(scenario, positions)
+    return {pid: aggregate([s], MAX_HOLD, position_id=pid) for pid, s in zip(ids, sweeps)}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_weighted_sum_adds_positions_left_to_right(seed):
+    # sum() of floats is compensated from Python 3.12 on, so it would give
+    # other last bits than this order on a 51-position survey
+    plan = select_channel(survey_spectra(seed), CLIENT_AWARE, objective=WEIGHTED_SUM)
+    for score in plan.per_channel_scores.values():
+        per_position = list(score.per_position_mw.values())
+        assert len(per_position) == 51
+        assert score.objective.hex() == functools.reduce(operator.add, per_position).hex()
 
 
 def test_candidate_restriction_respected():
