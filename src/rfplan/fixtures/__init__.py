@@ -1,4 +1,4 @@
-"""Bundled example inputs for the CLI, scripts, and test suite."""
+"""Bundled example inputs for the CLI and the test suite."""
 
 from pathlib import Path
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,6 +65,16 @@ class PathGeometry:
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise DomainError(f"{name} must be positive and finite, got {v}")
+        # the terms of zone_radius and obliquity_factor to U_MAX, in their order
+        # of operations; one that overflows or goes subnormal turns radii into
+        # inf or nan and K(u) into nan or a flat 0.5
+        d1, d2, lam = self.d1_m, self.d2_m, self.lambda_m
+        r_sq = U_MAX * lam * d1 * d2 / (d1 + d2)
+        terms = (lam * d1 * d2 / (d1 + d2), d1 * d2, d1 * d1, d2 * d2,
+                 (d1 * d1) * (d2 * d2), (d1 * d1 + r_sq) * (d2 * d2 + r_sq))
+        if not all(sys.float_info.min <= t < math.inf for t in terms):
+            raise DomainError(f"d1_m={d1!r}, d2_m={d2!r}, lambda_m={lam!r}: zone radii "
+                              f"or K(u) to u = {U_MAX:g} leave the float range")
 
 
 def zone_radius(n: int, geometry: PathGeometry) -> float:

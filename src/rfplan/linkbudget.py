@@ -99,11 +99,16 @@ def fspl_db(geometry: LinkGeometry, *, enforce_far_field: bool = True) -> float:
     """Free-space path loss, 20*log10(4*pi*R/lambda).
 
     Raises NearFieldError for R < lambda unless enforce_far_field is False
-    (useful only for checking the formula's fixed points).
+    (useful only for checking the formula's fixed points), and DomainError
+    when 4*pi*R/lambda overflows (or, without the far-field check, reaches 0).
     """
     if enforce_far_field:
         _check_far_field(geometry)
-    return 20.0 * math.log10(4.0 * math.pi * geometry.distance_m / geometry.wavelength_m)
+    ratio = 4.0 * math.pi * geometry.distance_m / geometry.wavelength_m
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(f"4*pi*R/lambda for distance {geometry.distance_m} m and "
+                          f"wavelength {geometry.wavelength_m} m leaves the float range")
+    return 20.0 * math.log10(ratio)
 
 
 def friis_received_dbm(budget: LinkBudget) -> float:

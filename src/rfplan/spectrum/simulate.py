@@ -162,9 +162,9 @@ def simulate_sweeps(
     ]
 
 
-def scenario_to_json(scenario: Scenario, indent: int = 2) -> str:
+def scenario_to_json(scenario: Scenario) -> str:
     """Scenario as a JSON document mirroring the type field-for-field."""
-    return json.dumps(asdict(scenario), indent=indent) + "\n"
+    return json.dumps(asdict(scenario), indent=2) + "\n"
 
 
 def scenario_from_json(text: str) -> Scenario:

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfplan import fixtures
@@ -648,6 +648,74 @@ def test_finite_gains_exit_two_or_print_strict_json(gt, gr):
     else:
         assert (code, stdout.getvalue()) == (2, "")
         assert re.match(r"error: --g[tr] ", stderr.getvalue())
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["linkbudget", "--pt", "1", "--gt", "0", "--gr", "0", "--freq", "2.4e9",
+          "--dist", "1e308"],
+         "4*pi*R/lambda for distance 1e+308 m and wavelength 0.12491352416666666 m "
+         "leaves the float range"),
+        (["fresnel", "zones", "--lambda", "0.125", "--d1", "1e308", "--d2", "1e308"],
+         "d1_m=1e+308, d2_m=1e+308, lambda_m=0.125"),
+        (["fresnel", "zones", "--lambda", "1e300", "--d1", "1e300", "--d2", "1e300"],
+         "d1_m=1e+300, d2_m=1e+300, lambda_m=1e+300"),
+        (["fresnel", "field", "--block", "1:2", "--obliquity", "--lambda", "1e-300",
+          "--d1", "1e-300", "--d2", "1e-300"],
+         "d1_m=1e-300, d2_m=1e-300, lambda_m=1e-300"),
+        (["fresnel", "field", "--block", "1:2", "--obliquity", "--lambda", "0.125",
+          "--d1", "1e200", "--d2", "25"],
+         "d1_m=1e+200, d2_m=25.0, lambda_m=0.125"),
+    ],
+)
+def test_values_outside_float_range_exit_two(capsys, argv, message):
+    err = assert_domain_error(capsys, *argv, "--format", "json")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
+positive_finite = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(dist=positive_finite, freq=positive_finite)
+def test_any_positive_link_exits_two_or_prints_strict_json(dist, freq):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    argv = ["linkbudget", "--pt", "1", "--gt", "0", "--gr", "0",
+            f"--freq={freq!r}", f"--dist={dist!r}", "--format", "json"]
+    code = run(argv, stdout, stderr)
+    if code == 0:
+        strict_json(stdout.getvalue())
+    else:
+        assert (code, stdout.getvalue()) == (2, "")
+        assert re.fullmatch(f"error: [^\n]*distance {re.escape(repr(dist))} m[^\n]*\n",
+                            stderr.getvalue())
+
+
+FRESNEL_GEOMETRY_COMMANDS = [
+    ["fresnel", "zones"],
+    ["fresnel", "screen", "--zone", "2"],
+    ["fresnel", "field", "--block", "1:2", "--obliquity", "--curve-max", "3"],
+]
+
+
+@settings(deadline=None)
+@given(
+    command=st.sampled_from(FRESNEL_GEOMETRY_COMMANDS),
+    lam=positive_finite,
+    d1=positive_finite,
+    d2=positive_finite,
+)
+def test_any_positive_fresnel_geometry_exits_two_or_prints_strict_json(command, lam, d1, d2):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    argv = [*command, f"--lambda={lam!r}", f"--d1={d1!r}", f"--d2={d2!r}", "--format", "json"]
+    code = run(argv, stdout, stderr)
+    if code == 0:
+        strict_json(stdout.getvalue())
+    else:
+        assert (code, stdout.getvalue()) == (2, "")
+        named = f"d1_m={d1!r}, d2_m={d2!r}, lambda_m={lam!r}: "
+        assert re.fullmatch(f"error: {re.escape(named)}[^\n]*\n", stderr.getvalue())
 
 
 @pytest.mark.parametrize("command", ["simulate", "plan"])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -313,6 +314,53 @@ def test_quadrature_paths_emit_no_warnings():
         partial_field_curve(200.0, obliquity=True, geometry=GEOM)
         field_ratio([(1.0, 2.0), (143.5, 199.9)], obliquity=True, geometry=GEOM)
         field_ratio([(1.0, 2.0), (143.5, 199.9)], force_quadrature=True)
+
+
+@pytest.mark.parametrize(
+    ("d1", "d2", "lam"),
+    [
+        (1e308, 1e308, 0.125),  # d1 + d2 and d1*d1 overflow: nan radii
+        (1e300, 1e300, 1e300),  # lambda*d1 overflows: infinite radii
+        (1e-300, 1e-300, 1e-300),  # d1*d2 underflows: K(u) is nan
+        (1e200, 25.0, 0.125),  # d1*d1 overflows: K(u) is a flat 0.5
+        (1e-160, 1e100, 0.125),  # d1*d1 is subnormal: K(0) is 1.0000028
+    ],
+)
+def test_path_geometry_outside_float_range_names_all_three(d1, d2, lam):
+    message = f"d1_m={d1!r}, d2_m={d2!r}, lambda_m={lam!r}: "
+    with pytest.raises(DomainError, match=re.escape(message)):
+        PathGeometry(d1, d2, lam)
+
+
+# moderate values, hypothesis's edge-biased floats, and log-uniform ones
+# that reach every binary exponent
+positive_finite = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e4),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1023)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=positive_finite,
+    d1=positive_finite,
+    d2=positive_finite,
+    u=st.lists(st.floats(min_value=0.0, max_value=U_MAX), max_size=20),
+)
+def test_accepted_geometry_obliquity_matches_overflow_free_oracle(lam, d1, d2, u):
+    try:
+        geom = PathGeometry(d1, d2, lam)
+    except DomainError:
+        return
+    us = np.concatenate((np.linspace(0.0, U_MAX, 201), u))
+    for ui, k in zip(us.tolist(), obliquity_factor(us, geom).tolist()):
+        # r from logs, so no intermediate product can leave the float range
+        r = 0.0 if ui == 0 else math.exp(
+            (math.log(ui) + math.log(lam) + math.log(d1) + math.log(d2) - math.log(d1 + d2)) / 2
+        )
+        oracle = 0.5 * (1.0 + math.cos(math.atan2(r, d1) + math.atan2(r, d2)))
+        assert k == pytest.approx(oracle, abs=1e-9)
 
 
 def test_path_geometry_validation():

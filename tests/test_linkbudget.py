@@ -58,6 +58,20 @@ def test_fspl_near_field_guard():
     fspl_db(LinkGeometry(f.wavelength_m, f))
 
 
+@pytest.mark.parametrize(
+    ("distance", "hertz", "far_field"),
+    [(1e308, 2.4 * GHZ, True), (2e306, 2.4 * GHZ, True), (1e-300, 1e-300, False)],
+)
+def test_fspl_outside_float_range_names_distance_and_wavelength(distance, hertz, far_field):
+    geometry = LinkGeometry(distance, Frequency(hertz))
+    message = (
+        f"4*pi*R/lambda for distance {distance} m and wavelength "
+        f"{geometry.wavelength_m} m leaves the float range"
+    )
+    with pytest.raises(DomainError, match=re.escape(message)):
+        fspl_db(geometry, enforce_far_field=far_field)
+
+
 @given(
     r=st.floats(min_value=0.5, max_value=1e5),
     f_ghz=st.floats(min_value=0.5, max_value=60.0),

@@ -618,6 +618,15 @@ def test_simulate_single_emitter_reference_level():
     assert all(b == -95 for b in out_mask)
 
 
+def test_simulate_rejects_an_emitter_beyond_float_range():
+    scenario = Scenario(
+        ap_position=(0.0, 0.0),
+        emitters=(Emitter(channel=6, tx_power_dbm=20.0, x=1e307, y=0.0),),
+    )
+    with pytest.raises(DomainError, match="distance 1e\\+307 m and wavelength"):
+        simulate_sweeps(scenario, [(0.0, 0.0)])
+
+
 def test_simulate_deterministic_bytes():
     scenario = random_scenario(1234)
     positions = [(0.0, 0.0), (10.0, 5.0)]
