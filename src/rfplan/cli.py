@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import fixtures, fresnel, growth, lens, polarization
-from .errors import DomainError
+from .errors import DomainError, check_sample_count
 from .linkbudget import (
     AntennaGain,
     Frequency,
@@ -26,7 +26,7 @@ from .linkbudget import (
     fspl_db,
     power_utilization,
 )
-from .spectrum import (
+from .modes import (
     AP_ONLY,
     CLIENT_AWARE,
     DEFAULT_EWMA_ALPHA,
@@ -34,14 +34,11 @@ from .spectrum import (
     MAX_HOLD,
     MINIMAX,
     WEIGHTED_SUM,
-    aggregate,
-    default_sensor_layout,
-    load_scenario,
-    select_channel,
-    simulate_sweeps,
-    sweeps_from_jsonl,
-    sweeps_to_jsonl,
 )
+
+# The spectrum package, numpy and the numpy-backed parts of fresnel and
+# polarization load inside the handlers that need them, so the commands
+# that never touch an array start without numpy.
 
 
 class UsageError(Exception):
@@ -202,6 +199,7 @@ def _cmd_lens_design(args) -> Result:
         focal_length_m=args.focal,
         aperture_half_angle_deg=args.aperture,
     )
+    check_sample_count(args.step, args.aperture, "--step", "--aperture")
     profile = lens.lens_profile(spec, step_deg=args.step)
     return Result(
         {
@@ -240,6 +238,7 @@ def _fresnel_geometry(args) -> fresnel.PathGeometry:
 
 def _cmd_fresnel_zones(args) -> Result:
     geometry = _fresnel_geometry(args)
+    fresnel.check_zone_number(args.max_zone, "--max-zone")
     table = fresnel.zone_table(geometry, args.max_zone)
     return Result(
         {"lambda_m": geometry.lambda_m, "d1_m": geometry.d1_m, "d2_m": geometry.d2_m},
@@ -249,6 +248,7 @@ def _cmd_fresnel_zones(args) -> Result:
 
 def _cmd_fresnel_screen(args) -> Result:
     geometry = _fresnel_geometry(args)
+    fresnel.check_zone_number(args.zone, "--zone")
     screen = fresnel.screen_for_zone(args.zone, geometry)
     total = geometry.d1_m + geometry.d2_m
     return Result(
@@ -274,6 +274,7 @@ def _cmd_fresnel_field(args) -> Result:
     )
     rows = None
     if args.curve_max is not None:
+        check_sample_count(args.curve_step, args.curve_max, "--curve-step", "--curve-max")
         curve = fresnel.partial_field_curve(
             args.curve_max,
             step=args.curve_step,
@@ -326,6 +327,8 @@ def _cmd_polar_capacity(args) -> Result:
 
 
 def _scenario_from_args(args):
+    from .spectrum import load_scenario
+
     if args.t_ms < 0:
         raise DomainError(f"--t-ms must be non-negative, got {args.t_ms}")
     path = Path(args.scenario)
@@ -338,6 +341,8 @@ def _scenario_from_args(args):
 
 
 def _cmd_spectrum_simulate(args) -> Result:
+    from .spectrum import default_sensor_layout, simulate_sweeps, sweeps_to_jsonl
+
     scenario = _scenario_from_args(args)
     ids, positions = default_sensor_layout(scenario)
     sweeps = simulate_sweeps(scenario, positions, t_ms=args.t_ms)
@@ -360,6 +365,8 @@ def _cmd_spectrum_simulate(args) -> Result:
 
 
 def _cmd_spectrum_aggregate(args) -> Result:
+    from .spectrum import aggregate, sweeps_from_jsonl
+
     sweeps = sweeps_from_jsonl(Path(args.sweeps).read_text())
     spectrum = aggregate(sweeps, args.mode, alpha=args.alpha, position_id=args.position_id)
     rows = list(zip(spectrum.grid.centers_khz(), spectrum.bins))
@@ -376,6 +383,8 @@ def _cmd_spectrum_aggregate(args) -> Result:
 
 
 def _cmd_spectrum_plan(args) -> Result:
+    from .spectrum import aggregate, default_sensor_layout, select_channel, simulate_sweeps
+
     scenario = _scenario_from_args(args)
     ids, positions = default_sensor_layout(scenario)
     sweeps = simulate_sweeps(scenario, positions, t_ms=args.t_ms)

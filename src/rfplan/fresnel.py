@@ -22,11 +22,13 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from .errors import DomainError, check_sample_count
 
-from .errors import DomainError
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest zone coordinate that field ratios and curves accept. It bounds the
 # work of one call, about one unit panel per zone, not its accuracy: the
@@ -37,10 +39,6 @@ U_MAX = 200.0
 # Accuracy quadrature results are held to, relative to max(1, |value|); the
 # fixed rule's error is orders of magnitude below it.
 QUADRATURE_REL_TOL = 1e-6
-
-# Between integer u the integrand is entire and spans at most half a period,
-# so 16 Gauss-Legendre nodes per unit panel are exact to rounding.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # Split points within this distance of an interval edge are dropped, so no
 # degenerate sliver panels reach the rule.
@@ -77,10 +75,15 @@ class PathGeometry:
                               f"or K(u) to u = {U_MAX:g} leave the float range")
 
 
+def check_zone_number(n: int, name: str = "zone number") -> None:
+    """Refuse a zone outside 1..U_MAX: PathGeometry checks the terms only that far."""
+    if not 1 <= n <= U_MAX:
+        raise DomainError(f"{name} must lie in 1..{U_MAX:g}, got {n}")
+
+
 def zone_radius(n: int, geometry: PathGeometry) -> float:
     """Outer radius of Fresnel zone n: sqrt(n*lambda*d1*d2/(d1+d2))."""
-    if n < 1:
-        raise DomainError(f"zone number must be >= 1, got {n}")
+    check_zone_number(n)
     g = geometry
     return math.sqrt(n * g.lambda_m * g.d1_m * g.d2_m / (g.d1_m + g.d2_m))
 
@@ -115,8 +118,7 @@ class AnnularScreenSpec:
 
 def screen_for_zone(n: int, geometry: PathGeometry) -> AnnularScreenSpec:
     """Annular screen spanning zone n: [r_{n-1}, r_n] (r_0 = 0)."""
-    if n < 1:
-        raise DomainError(f"zone number must be >= 1, got {n}")
+    check_zone_number(n)
     inner = 0.0 if n == 1 else zone_radius(n - 1, geometry)
     return AnnularScreenSpec(
         geometry=geometry,
@@ -160,6 +162,8 @@ def obliquity_factor(u: float | np.ndarray, geometry: PathGeometry) -> float | n
 
     u may be a float or a numpy array; the result has the same shape.
     """
+    import numpy as np
+
     g = geometry
     r_sq = u * g.lambda_m * g.d1_m * g.d2_m / (g.d1_m + g.d2_m)
     cos_chi = (g.d1_m * g.d2_m - r_sq) / np.sqrt(
@@ -185,6 +189,18 @@ def _validated_intervals(blocked: Sequence[tuple[float, float]]) -> list[tuple[f
     return intervals
 
 
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the rule, computed once on first use.
+
+    Between integer u the integrand is entire and spans at most half a
+    period, so 16 Gauss-Legendre nodes per unit panel are exact to rounding.
+    """
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(16)
+
+
 def _contributions(edges: np.ndarray, geometry: PathGeometry | None) -> np.ndarray:
     """Integral of (-i*pi)*K(u)*exp(i*pi*u) over each [edges[k], edges[k+1]].
 
@@ -192,6 +208,9 @@ def _contributions(edges: np.ndarray, geometry: PathGeometry | None) -> np.ndarr
     are split at interior integers, so each panel lies within one zone, and
     the panels are evaluated _PANEL_BLOCK at a time.
     """
+    import numpy as np
+
+    nodes, weights = _gauss_legendre()
     cuts = np.arange(math.floor(edges[0]) + 1.0, math.ceil(edges[-1]))
     above = np.searchsorted(edges, cuts)
     cuts = cuts[(edges[above] - cuts > _SLIVER) & (cuts - edges[above - 1] > _SLIVER)]
@@ -201,9 +220,9 @@ def _contributions(edges: np.ndarray, geometry: PathGeometry | None) -> np.ndarr
     for start in range(0, len(lo), _PANEL_BLOCK):
         block = slice(start, start + _PANEL_BLOCK)
         half = (hi[block] - lo[block]) / 2.0
-        u = (lo[block] + half)[:, None] + half[:, None] * _GL_NODES
+        u = (lo[block] + half)[:, None] + half[:, None] * nodes
         weight = 1.0 if geometry is None else obliquity_factor(u, geometry)
-        panels[block] = (weight * np.exp(1j * np.pi * u)) @ _GL_WEIGHTS * (-1j * np.pi * half)
+        panels[block] = (weight * np.exp(1j * np.pi * u)) @ weights * (-1j * np.pi * half)
     # fold the panels back onto the caller's intervals
     owner = np.searchsorted(edges, lo, side="right") - 1
     n = len(edges) - 1
@@ -237,6 +256,8 @@ def field_ratio(
 
     if not intervals:
         return FieldRatio(1.0 + 0.0j)
+    import numpy as np
+
     # the even-numbered gaps between edges are the blocked intervals
     edges = np.array(intervals, dtype=float).ravel()
     blocked_sum = _contributions(edges, geometry if obliquity else None)[::2].sum()
@@ -259,8 +280,10 @@ def partial_field_curve(
         raise DomainError(f"u_max must lie in (0, {U_MAX}], got {u_max}")
     if not (step > 0 and math.isfinite(step)):
         raise DomainError(f"step must be positive and finite, got {step}")
+    check_sample_count(step, u_max, "step", "u_max")
     if obliquity and geometry is None:
         raise DomainError("obliquity weighting needs the path geometry")
+    import numpy as np
 
     # samples sit at k*step, so the grid cannot drift; the last is u_max
     ks = np.arange(math.ceil(u_max / step) + 2) * step
@@ -274,7 +297,6 @@ def partial_field_curve(
 
 def zone_table(geometry: PathGeometry, max_zone: int) -> list[tuple[float, int]]:
     """(radius, zone index) rows out to max_zone."""
-    if max_zone < 1:
-        raise DomainError(f"max_zone must be >= 1, got {max_zone}")
+    check_zone_number(max_zone, "max_zone")
     return [(zone_radius(n, geometry), n) for n in range(1, max_zone + 1)]
 

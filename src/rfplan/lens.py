@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, check_sample_count
 from .linkbudget import (
     AntennaGain,
     Frequency,
@@ -111,6 +111,7 @@ def lens_profile(spec: LensSpec, step_deg: float = 1.0) -> LensProfile:
     f = spec.focal_length_m
     # samples sit at k*step, so the angles cannot drift; the last is the edge
     edge = spec.aperture_half_angle_deg
+    check_sample_count(step_deg, edge, "profile step", "aperture half angle")
     ks = range(math.ceil(edge / step_deg) + 2)
     thetas = [k * step_deg for k in ks if k * step_deg < edge - _SLIVER_DEG] + [edge]
     samples = []

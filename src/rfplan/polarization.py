@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Reference tilt for the default tilt-gain slope: +2 dB at a 15 degree
 # forward lean of the receiving element.
@@ -93,6 +95,8 @@ class MimoChannel:
     snr_linear: float
 
     def __post_init__(self):
+        import numpy as np
+
         h = np.asarray(self.h, dtype=complex)
         if h.shape != (2, 2):
             raise DomainError(f"channel matrix must be 2x2, got shape {h.shape}")
@@ -109,6 +113,8 @@ def mimo_capacity_bps_hz(channel: MimoChannel) -> float:
     Evaluated through the eigenvalues of the Hermitian product H H^dagger,
     which keeps the log-det stable for near-singular channels.
     """
+    import numpy as np
+
     hh = channel.h @ channel.h.conj().T
     eigenvalues = np.linalg.eigvalsh(hh)
     capacity = 0.0
@@ -131,6 +137,10 @@ def dual_polarized_channel(
     """
     if not 0.0 <= xpd_linear <= 1.0:
         raise DomainError(f"cross-polar leakage must lie in [0, 1], got {xpd_linear}")
+    if seed is not None and seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    import numpy as np
+
     s = math.sqrt(xpd_linear)
     h = np.array([[1.0, s], [s, 1.0]], dtype=complex)
     if seed is not None:

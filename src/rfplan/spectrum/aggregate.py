@@ -22,12 +22,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..errors import DomainError
+from ..modes import DEFAULT_EWMA_ALPHA, EWMA, MAX_HOLD
 from .frames import BinGrid, SensorSweep
-
-MAX_HOLD = "max-hold"
-EWMA = "ewma"
-
-DEFAULT_EWMA_ALPHA = 0.3
 
 # mW of every dBm a bin can hold, indexed by the bin's byte as unsigned. EWMA
 # output carries np.power's bits, which differ from the scalar pow in the last

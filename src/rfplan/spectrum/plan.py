@@ -16,17 +16,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..errors import DomainError
+from ..modes import AP_ONLY, CLIENT_AWARE, MINIMAX, WEIGHTED_SUM
 from .aggregate import AggregatedSpectrum
 from .frames import BinGrid
 
 # position id of the access point's own spectrum
 AP_ID = "ap"
-
-AP_ONLY = "ap-only"
-CLIENT_AWARE = "client-aware"
-
-MINIMAX = "minimax"
-WEIGHTED_SUM = "weighted-sum"
 
 # 2.4 GHz (802.11b/g) channel plan; channel energy is approximated by a flat
 # +-11 MHz mask around the center, deliberately a touch conservative.

@@ -803,3 +803,98 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
         assert code == 0, (line, err)
         if target is not None:
             Path(target).write_text(out)
+
+
+# README lines that touch an array: the obliquity field, capacity and spectrum
+NUMPY_README_COMMANDS = ("--obliquity", "rfplan polar capacity", "rfplan spectrum ")
+
+RUN_EACH_ARGV = (
+    "import io, json, sys\n"
+    "from rfplan.cli import run\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    code = run(argv, out, err)\n"
+    "    print(json.dumps([code, out.getvalue(), err.getvalue(), 'numpy' in sys.modules]))\n"
+)
+
+
+def run_each_in_fresh_interpreter(argvs, prelude=""):
+    """[code, stdout, stderr, numpy loaded] after each argv, in one new process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + RUN_EACH_ARGV, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=60, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
+    )
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_numpy_free_readme_commands_run_without_numpy(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    lines = [line for line in readme_commands()
+             if not any(word in line for word in NUMPY_README_COMMANDS)]
+    assert len(lines) == 8
+    argvs = [shlex.split(line)[1:] for line in lines]
+    # a None entry makes every `import numpy` raise ImportError
+    results = run_each_in_fresh_interpreter(argvs, "import sys; sys.modules['numpy'] = None\n")
+    assert len(results) == len(argvs)
+    for argv, (code, out, err, _) in zip(argvs, results):
+        assert (code, out, err) == invoke(capsys, *argv), argv
+
+
+def test_numpy_commands_run_after_a_numpy_free_one(capsys):
+    argvs = [
+        ["linkbudget", "--pt", "20", "--gt", "3", "--gr", "3", "--freq", "2.437e9",
+         "--dist", "10"],
+        ["fresnel", "field", "--block", "1:2", "--obliquity", "--lambda", "0.125",
+         "--d1", "25", "--d2", "25", "--curve-max", "3"],
+        ["polar", "capacity", "--xpd", "0.25", "--seed", "3"],
+        ["spectrum", "plan", "--scenario", "divergence", "--format", "json"],
+    ]
+    results = run_each_in_fresh_interpreter(argvs)
+    assert [loaded for *_, loaded in results] == [False, True, True, True]
+    for argv, (code, out, err, _) in zip(argvs, results):
+        assert (code, out, err) == invoke(capsys, *argv), argv
+
+
+FRESNEL_25_25 = ["--lambda", "0.125", "--d1", "25", "--d2", "25"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        # the zone reached float() unchecked: OverflowError, exit 1
+        (["fresnel", "screen", "--zone", str(10**400), *FRESNEL_25_25],
+         f"--zone must lie in 1..200, got {10**400}"),
+        (["fresnel", "screen", "--zone", "201", *FRESNEL_25_25],
+         "--zone must lie in 1..200, got 201"),
+        (["fresnel", "screen", "--zone", "0", *FRESNEL_25_25],
+         "--zone must lie in 1..200, got 0"),
+        # built the table row by row without end
+        (["fresnel", "zones", *FRESNEL_25_25, "--max-zone", str(10**26)],
+         f"--max-zone must lie in 1..200, got {10**26}"),
+        # looped without end
+        (["lens", "design", "--step", "1e-300"],
+         "--step 1e-300 splits --aperture 40.0 into more than 1000000 steps"),
+        # numpy's "Maximum allowed size exceeded", exit 1
+        (["fresnel", "field", "--block", "1:2", "--curve-max", "200", "--curve-step", "1e-300"],
+         "--curve-step 1e-300 splits --curve-max 200.0 into more than 1000000 steps"),
+        # numpy's "expected non-negative integer", exit 1
+        (["polar", "capacity", "--xpd", "0.25", "--seed=-3"],
+         "seed must be non-negative, got -3"),
+    ],
+    ids=["zone-1e400", "zone-201", "zone-0", "max-zone-1e26", "lens-step", "curve-step",
+         "negative-seed"],
+)
+def test_unbounded_inputs_exit_two_naming_the_flag(capsys, argv, message):
+    assert assert_domain_error(capsys, *argv) == f"error: {message}\n"
+
+
+@given(n=st.integers(min_value=-10**30, max_value=10**30) | st.integers(-2, 202))
+def test_any_zone_number_exits_two_or_prints_strict_json(n):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = run(["fresnel", "screen", f"--zone={n}", *FRESNEL_25_25, "--format", "json"],
+               stdout, stderr)
+    if 1 <= n <= 200:
+        assert json.loads(stdout.getvalue())["blocked_zone"] == n
+    else:
+        assert (code, stderr.getvalue()) == (2, f"error: --zone must lie in 1..200, got {n}\n")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfplan import fresnel
-from rfplan.errors import DomainError
+from rfplan.errors import MAX_SAMPLES, DomainError, check_sample_count
 from rfplan.fresnel import (
     U_MAX,
     AnnularScreenSpec,
@@ -22,6 +22,7 @@ from rfplan.fresnel import (
     shading_cone_deg,
     zone_index,
     zone_radius,
+    zone_table,
 )
 
 GEOM = PathGeometry(d1_m=25.0, d2_m=25.0, lambda_m=0.125)
@@ -73,6 +74,20 @@ def test_zone_radius_vanishes_with_near_end_placement():
 def test_zone_radius_rejects_zone_zero():
     with pytest.raises(DomainError):
         zone_radius(0, GEOM)
+
+
+def test_zone_numbers_above_u_max_are_refused():
+    # PathGeometry checks the terms of zone_radius only out to U_MAX; a zone
+    # number past it reached float() unchecked (10**400 overflowed) or built
+    # a table row by row without end
+    assert zone_radius(int(U_MAX), GEOM) == pytest.approx(math.sqrt(U_MAX) * 1.25)
+    for call in (lambda n: zone_radius(n, GEOM), lambda n: screen_for_zone(n, GEOM)):
+        for n in (int(U_MAX) + 1, 10**400):
+            with pytest.raises(DomainError, match=f"zone number must lie in 1..200, got {n}$"):
+                call(n)
+    with pytest.raises(DomainError, match=f"max_zone must lie in 1..200, got {10**26}$"):
+        zone_table(GEOM, 10**26)
+    assert len(zone_table(GEOM, int(U_MAX))) == U_MAX
 
 
 @given(
@@ -306,6 +321,22 @@ def test_partial_field_curve_rejects_bad_step():
     for step in (0.0, -0.05, math.inf, math.nan):
         with pytest.raises(DomainError, match=str(step)):
             partial_field_curve(5.0, step)
+
+
+def test_partial_field_curve_bounds_the_sample_count():
+    # numpy was asked for 2e302 samples and raised its own ValueError
+    message = "^step 1e-300 splits u_max 200.0 into more than 1000000 steps$"
+    with pytest.raises(DomainError, match=message):
+        partial_field_curve(200.0, 1e-300, obliquity=True, geometry=GEOM)
+    with pytest.raises(DomainError, match="5e-324 splits u_max 200.0"):
+        partial_field_curve(200.0, 5e-324)  # 200/step overflows to inf
+
+
+def test_sample_count_limit_is_inclusive():
+    check_sample_count(1.0, float(MAX_SAMPLES), "step", "extent")
+    check_sample_count(0.0, 1.0, "step", "extent")  # the caller's own check refuses it
+    with pytest.raises(DomainError, match="step 1.0 splits extent 1000001.0 into more than"):
+        check_sample_count(1.0, MAX_SAMPLES + 1.0, "step", "extent")
 
 
 def test_quadrature_paths_emit_no_warnings():

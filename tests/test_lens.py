@@ -139,6 +139,13 @@ def test_lens_profile_rejects_bad_step():
             lens_profile(spec_with_index_06(), step_deg=step)
 
 
+def test_lens_profile_bounds_the_sample_count():
+    # range(ceil(40 / 1e-300)) was filtered element by element without end
+    message = "^profile step 1e-300 splits aperture half angle 40.0 into more than 1000000 steps$"
+    with pytest.raises(DomainError, match=message):
+        lens_profile(spec_with_index_06(40.0), step_deg=1e-300)
+
+
 def test_plate_edge_offset_vertex():
     assert plate_edge_offset(spec_with_index_06(), 0.0) == pytest.approx(0.0, abs=1e-9)
 

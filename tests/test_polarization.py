@@ -163,6 +163,13 @@ def test_builder_validation():
         dual_polarized_channel(1.1)
 
 
+def test_builder_refuses_a_negative_seed():
+    # numpy's default_rng raised its own ValueError
+    with pytest.raises(DomainError, match="seed must be non-negative, got -3"):
+        dual_polarized_channel(0.25, seed=-3)
+    assert mimo_capacity_bps_hz(dual_polarized_channel(0.25, seed=0)) > 0
+
+
 def test_builder_seeded_perturbation_reproducible():
     a = dual_polarized_channel(0.3, seed=7)
     b = dual_polarized_channel(0.3, seed=7)
