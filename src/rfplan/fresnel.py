@@ -183,9 +183,11 @@ def _validated_intervals(blocked: Sequence[tuple[float, float]]) -> list[tuple[f
             )
         intervals.append((float(a), float(b)))
     intervals.sort()
-    for (_, b_prev), (a_next, _) in zip(intervals, intervals[1:]):
+    for (a_prev, b_prev), (a_next, b_next) in zip(intervals, intervals[1:]):
         if a_next < b_prev:
-            raise DomainError("blocked intervals overlap")
+            raise DomainError(
+                f"blocked intervals [{a_prev}, {b_prev}] and [{a_next}, {b_next}] overlap"
+            )
     return intervals
 
 
@@ -285,9 +287,10 @@ def partial_field_curve(
         raise DomainError("obliquity weighting needs the path geometry")
     import numpy as np
 
-    # samples sit at k*step, so the grid cannot drift; the last is u_max
+    # samples sit at k*step, so the grid cannot drift; the first is 0 and the
+    # last u_max, even when u_max is shorter than the sliver
     ks = np.arange(math.ceil(u_max / step) + 2) * step
-    u = np.append(ks[: np.searchsorted(ks, u_max - _SLIVER)], u_max)
+    u = np.append(ks[: max(1, np.searchsorted(ks, u_max - _SLIVER))], u_max)
     if obliquity:
         field = np.cumsum(_contributions(u, geometry))
     else:

@@ -109,11 +109,13 @@ def lens_profile(spec: LensSpec, step_deg: float = 1.0) -> LensProfile:
         raise DomainError(f"profile step must be positive and finite, got {step_deg}")
     n = spec.index
     f = spec.focal_length_m
-    # samples sit at k*step, so the angles cannot drift; the last is the edge
+    # samples sit at k*step, so the angles cannot drift; the first is the
+    # axis and the last the edge, even when the edge is inside the sliver
     edge = spec.aperture_half_angle_deg
     check_sample_count(step_deg, edge, "profile step", "aperture half angle")
     ks = range(math.ceil(edge / step_deg) + 2)
-    thetas = [k * step_deg for k in ks if k * step_deg < edge - _SLIVER_DEG] + [edge]
+    thetas = [k * step_deg for k in ks if k == 0 or k * step_deg < edge - _SLIVER_DEG]
+    thetas.append(edge)
     samples = []
     for theta_deg in thetas:
         r = profile_radius(f, n, theta_deg)

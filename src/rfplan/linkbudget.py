@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -104,11 +105,43 @@ def fspl_db(geometry: LinkGeometry, *, enforce_far_field: bool = True) -> float:
     """
     if enforce_far_field:
         _check_far_field(geometry)
-    ratio = 4.0 * math.pi * geometry.distance_m / geometry.wavelength_m
+    ratio = _path_ratio(geometry.distance_m, geometry.wavelength_m)
     if not 0.0 < ratio < math.inf:
         raise DomainError(f"4*pi*R/lambda for distance {geometry.distance_m} m and "
                           f"wavelength {geometry.wavelength_m} m leaves the float range")
-    return 20.0 * math.log10(ratio)
+    return _ratio_db(math.log10(ratio))
+
+
+def fspl_db_columns(distance_m, frequencies: Sequence[Frequency]):
+    """fspl_db over a numpy array of distances, one column per frequency.
+
+    Entry [i, j] equals fspl_db(LinkGeometry(distance_m[i, j], frequencies[j]))
+    bit for bit, far-field check included; if any link fails, the first one
+    column by column raises what fspl_db raises for it. The ratio and the dB
+    scaling are exact IEEE steps and run as array operations; log10 stays
+    the scalar math.log10, since numpy's log10 may differ in the last ulp.
+    """
+    import numpy as np
+
+    wavelength_m = np.array([f.wavelength_m for f in frequencies])
+    with np.errstate(all="ignore"):  # a failing link raises below, never warns
+        ratio = _path_ratio(distance_m, wavelength_m)
+        fails = ~((distance_m >= wavelength_m) & (ratio < math.inf))
+    if fails.any():
+        j, i = divmod(int(fails.T.argmax()), fails.shape[0])
+        fspl_db(LinkGeometry(float(distance_m[i, j]), frequencies[j]))
+    log10_ratio = [math.log10(r) for r in ratio.ravel().tolist()]
+    return _ratio_db(np.array(log10_ratio).reshape(ratio.shape))
+
+
+def _path_ratio(distance_m, wavelength_m):
+    """4*pi*R/lambda; elementwise on numpy arrays, rounding as on floats."""
+    return 4.0 * math.pi * distance_m / wavelength_m
+
+
+def _ratio_db(log10_ratio):
+    """Path loss in dB from log10 of the path ratio; elementwise for arrays."""
+    return 20.0 * log10_ratio
 
 
 def friis_received_dbm(budget: LinkBudget) -> float:

@@ -100,8 +100,10 @@ class MimoChannel:
         h = np.asarray(self.h, dtype=complex)
         if h.shape != (2, 2):
             raise DomainError(f"channel matrix must be 2x2, got shape {h.shape}")
-        if not np.all(np.isfinite(h.view(float))):
-            raise DomainError("channel matrix must be finite")
+        finite = np.isfinite(h)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0].tolist()
+            raise DomainError(f"channel matrix must be finite, got {h[i, j]} at [{i}, {j}]")
         if not (self.snr_linear > 0 and math.isfinite(self.snr_linear)):
             raise DomainError(f"snr must be positive and finite, got {self.snr_linear}")
         object.__setattr__(self, "h", h)

@@ -116,9 +116,9 @@ class SensorSweep:
             raise DomainError(f"bin_khz must be a positive 16-bit value, got {self.bin_khz}")
         if not self.bins:
             raise DomainError("sweep must contain at least one bin")
-        for b in self.bins:
-            if not -128 <= b <= 127:
-                raise DomainError(f"bin value {b} outside signed 8-bit range")
+        if not (-128 <= min(self.bins) and max(self.bins) <= 127):
+            bad = next(b for b in self.bins if not -128 <= b <= 127)
+            raise DomainError(f"bin value {bad} outside signed 8-bit range")
 
     @property
     def grid(self) -> BinGrid:

@@ -4,17 +4,26 @@ numpy's SeedSequence (NEP 19, after O'Neill's PCG seed_seq, HMC-CS-2014-0905)
 is a fixed hash in uint32 arithmetic: mix the entropy words into a 4-word
 pool, then expand the pool into the 8 words that seed PCG64. Running that
 hash as array operations over every sensor x emitter link replaces one
-SeedSequence per link; numpy's own PCG64 seeding and normal draw still run
-per link, so nothing of PCG64 or the normal sampler is restated here.
+SeedSequence per link; numpy's own PCG64 seeding and standard_normal draw
+still run per link, so nothing of PCG64 or the normal sampler is restated
+here. normal(loc, scale) is loc + scale * standard_normal() in numpy's
+distributions.c, so the whole matrix of draws is scaled once as
+0.0 + sigma * z, which rounds the same; numpy's own check of the scale is
+then skipped, and shadowing_draws refuses a negative or non-finite sigma
+itself.
 
 This module imports numpy.random, which costs several ms; simulate.py loads
 it only for a scenario with shadowing.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
+
+from ..errors import DomainError
 
 # numpy/random/bit_generator.pyx
 _POOL_SIZE = 4
@@ -96,13 +105,16 @@ def shadowing_draws(seed: int, sigma: float, n_sensors: int, n_emitters: int) ->
     """draws[s, e] == default_rng([seed, s, e]).normal(0.0, sigma), bit for bit.
 
     Shape (n_sensors, n_emitters); all zeros, with nothing drawn, when
-    sigma is 0.
+    sigma is 0. Each link draws standard_normal() and the whole matrix is
+    scaled once as 0.0 + sigma * z, which is numpy's normal(loc, scale).
     """
-    draws = np.zeros((n_sensors, n_emitters))
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise DomainError(f"sigma must be a non-negative finite number, got {sigma}")
     if sigma == 0.0:
-        return draws
+        return np.zeros((n_sensors, n_emitters))
     seeds = _pcg64_seeds(seed, n_sensors, n_emitters).reshape(-1, 4)
-    draws.flat[:] = [
-        Generator(PCG64(_FixedState(words))).normal(0.0, sigma) for words in seeds
-    ]
-    return draws
+    z = np.array(
+        [Generator(PCG64(_FixedState(words))).standard_normal() for words in seeds]
+    )
+    with np.errstate(over="ignore"):  # an inf draw, as numpy's normal gives it
+        return (0.0 + float(sigma) * z).reshape(n_sensors, n_emitters)

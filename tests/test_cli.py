@@ -194,6 +194,24 @@ def test_lens_design_csv_profile(capsys):
     assert float(vertex[3]) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fresnel", "field", "--curve-max", "1e-13"],
+        ["fresnel", "field", "--curve-max", "1e-13", "--obliquity", "--lambda", "0.125",
+         "--d1", "25", "--d2", "25"],
+        ["lens", "design", "--aperture", "1e-13"],
+    ],
+    ids=["curve", "obliquity-curve", "lens"],
+)
+def test_range_inside_the_sliver_keeps_both_ends(capsys, argv):
+    # a range shorter than the sliver once printed only one of its two rows
+    code, out, _ = invoke(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.0", "1e-13"]
+
+
 def test_lens_apply_reference(capsys):
     code, out, _ = invoke(
         capsys, "lens", "apply", "--rx-dbm", "-60", "--format", "json",

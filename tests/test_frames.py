@@ -146,6 +146,13 @@ def test_sweep_validation():
         SensorSweep(1 << 16, 0, 2_400_000, 1000, bins=(-90,))
 
 
+def test_sweep_names_the_first_bin_out_of_range():
+    with pytest.raises(DomainError, match=r"^bin value 128 outside signed 8-bit range$"):
+        SensorSweep(1, 0, 2_400_000, 1000, bins=(-90, 128, 0, -129))
+    with pytest.raises(DomainError, match=r"^bin value -129 outside signed 8-bit range$"):
+        SensorSweep(1, 0, 2_400_000, 1000, bins=(-90, -129, 0, 128))
+
+
 def test_encode_rejects_oversized_sweep():
     sweep = SensorSweep(1, 0, 2_400_000, 1, bins=(0,) * 70_000)
     with pytest.raises(DomainError):

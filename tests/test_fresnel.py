@@ -175,8 +175,10 @@ def test_field_ratio_two_zones_blocked_telescopes_to_one():
 
 
 def test_field_ratio_rejects_bad_intervals():
-    with pytest.raises(DomainError):
-        field_ratio([(1.0, 2.0), (1.5, 2.5)])  # overlap
+    with pytest.raises(
+        DomainError, match=re.escape("blocked intervals [1.0, 2.0] and [1.5, 2.5] overlap")
+    ):
+        field_ratio([(1.5, 2.5), (1.0, 2.0)])
     with pytest.raises(DomainError):
         field_ratio([(2.0, 1.0)])  # reversed
     with pytest.raises(DomainError):

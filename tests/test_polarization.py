@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,8 +127,12 @@ def test_capacity_monotone_in_snr():
 
 
 def test_channel_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=re.escape("finite, got (nan+0j) at [0, 0]")):
         MimoChannel(h=np.full((2, 2), np.nan), snr_linear=10.0)
+    h = np.eye(2, dtype=complex)
+    h[1, 0] = complex(3.0, math.inf)
+    with pytest.raises(DomainError, match=re.escape("finite, got (3+infj) at [1, 0]")):
+        MimoChannel(h=h, snr_linear=10.0)
     with pytest.raises(DomainError):
         MimoChannel(h=np.eye(2), snr_linear=0.0)
     with pytest.raises(DomainError):

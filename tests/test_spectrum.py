@@ -3,6 +3,7 @@ import hashlib
 import math
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from rfplan.spectrum import (
 from rfplan.spectrum.aggregate import _MW_TABLE
 from rfplan.spectrum.plan import CHANNEL_HALF_WIDTH_KHZ
 from rfplan.spectrum.shadowing import shadowing_draws
+from rfplan.spectrum.simulate import _quantize
 from rfplan import fixtures
 
 
@@ -677,6 +679,13 @@ def test_simulated_frames_match_pinned_bytes():
     assert digest == "033c5df7aa55b0203c1fb1d3b5663b3711aebe6da97b030cae526e1215107785"
 
 
+@pytest.mark.parametrize("sigma", [-1.0, -math.inf, math.inf, math.nan])
+def test_shadowing_draws_refuse_a_negative_or_non_finite_sigma(sigma):
+    message = f"sigma must be a non-negative finite number, got {sigma}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        shadowing_draws(1, sigma, 2, 2)
+
+
 # seeds whose SeedSequence entropy is one word, or two (2^32 and above)
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1)
 seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
@@ -779,6 +788,66 @@ def test_simulate_colocated_sensor_does_not_blow_up():
     assert all(-128 <= b <= 127 for b in s.bins)
     # clamped to one wavelength: 20 - 20log10(4*pi) - 10log10(22) = -15.4 dBm/bin
     assert max(s.bins) == -15
+
+
+def test_colocated_links_match_the_per_link_oracle():
+    # every sensor sits on an emitter, or within a wavelength of one
+    emitters = tuple(Emitter(ch, 20.0, 3.0, -2.0) for ch in (1, 6, 14)) + (
+        Emitter(11, 5.0, 0.0, 0.0),
+    )
+    scenario = Scenario(
+        ap_position=(3.0, -2.0),
+        clients=(Client("c0", 0.0, 0.0), Client("c1", 3.0, -1.99)),
+        emitters=emitters,
+        seed=7,
+    )
+    _, positions = default_sensor_layout(scenario)
+    assert simulate_sweeps(scenario, positions) == per_link_sweeps(scenario, positions, 0)
+
+
+@pytest.mark.parametrize(
+    ("emitter_xs", "positions", "message"),
+    [
+        # the distance itself overflows
+        ((1.7e308,), [(-1.7e308, 0.0)], "distance must be positive and finite, got inf"),
+        # links fail at (sensor 1, emitter 0) and at (sensor 0, emitter 1);
+        # the simulator goes emitter by emitter, so the first is reported
+        ((1.0, 1e307), [(0.0, 0.0), (-1.7e308, 0.0)], "for distance 1.7e+308 m and wavelength"),
+    ],
+    ids=["distance", "first-link-by-emitter"],
+)
+def test_simulate_names_the_first_failing_link(emitter_xs, positions, message):
+    scenario = Scenario(
+        ap_position=(0.0, 0.0), emitters=tuple(Emitter(6, 20.0, x, 0.0) for x in emitter_xs)
+    )
+    with pytest.raises(DomainError, match=re.escape(message)):
+        simulate_sweeps(scenario, positions)
+
+
+def scalar_level(mw, floor):
+    dbm = floor if mw <= 0 else max(10.0 * math.log10(mw), floor)
+    return int(min(127, max(-128, round(dbm))))
+
+
+def near_half_level_totals(floor):
+    """The totals at each half-integer level of the 8-bit range and one ulp either side."""
+    levels = [k + 0.5 for k in range(-140, 140)] + [floor]
+    totals = []
+    for level in levels:
+        mw = 10.0 ** (level / 10.0)
+        totals += [math.nextafter(mw, 0.0), mw, math.nextafter(mw, math.inf)]
+    return totals + [0.0]
+
+
+@pytest.mark.parametrize("floor", [-1e9, -95.0, -95.5, -128.5, 126.5])
+def test_quantize_matches_the_scalar_formula_next_to_half_levels(floor):
+    # with numpy 2.4.6 on AVX-512, 10*log10 of 1.778279410038923 is 2.5 with
+    # math.log10 but 2.5000000000000004 with np.log10, and of 35.48133892335754
+    # 15.499999999999998 against 15.5: round() differs for both
+    totals = near_half_level_totals(floor)
+    levels = _quantize(np.array(totals).reshape(-1, 1), floor)
+    assert levels.shape == (len(totals), 1)
+    assert levels.ravel().tolist() == [scalar_level(mw, floor) for mw in totals]
 
 
 def test_simulate_timestamps_and_ids():
