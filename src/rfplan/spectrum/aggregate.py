@@ -9,14 +9,15 @@ Two modes:
   sweeps must arrive in timestamp order; a sweep older than its sensor's
   previous one is a DomainError.
 
+Both modes read each sweep's frame payload (SensorSweep.payload) as one
+numpy buffer of signed bytes, never the bins as Python ints.
+
 Sweeps also travel as line-delimited JSON records for logging and replay.
 """
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -67,28 +68,30 @@ def aggregate(
             )
 
     if mode == MAX_HOLD:
-        merged = np.max(np.array([s.bins for s in sweeps], dtype=float), axis=0)
+        levels = np.frombuffer(b"".join([s.payload for s in sweeps]), np.int8)
+        merged = np.max(levels.reshape(len(sweeps), -1), axis=0).astype(float)
+        last_update: dict[int, int] = {}
+        for s in sweeps:
+            last_update[s.sensor_id] = max(last_update.get(s.sensor_id, 0), s.timestamp_ms)
     elif mode == EWMA:
         if not 0.0 < alpha <= 1.0:
             raise DomainError(f"ewma alpha must lie in (0, 1], got {alpha}")
         per_sensor: dict[int, list[SensorSweep]] = {}
-        seen_ms: dict[int, int] = {}
+        # in timestamp order, each sensor's latest timestamp is also its last
+        last_update = {}
         for s in sweeps:
-            prev_ms = seen_ms.setdefault(s.sensor_id, s.timestamp_ms)
+            prev_ms = last_update.setdefault(s.sensor_id, s.timestamp_ms)
             if s.timestamp_ms < prev_ms:
                 raise DomainError(
                     f"ewma needs each sensor's sweeps in timestamp order: sensor "
                     f"{s.sensor_id} went from {prev_ms} ms back to {s.timestamp_ms} ms"
                 )
-            seen_ms[s.sensor_id] = s.timestamp_ms
+            last_update[s.sensor_id] = s.timestamp_ms
             per_sensor.setdefault(s.sensor_id, []).append(s)
-        merged = np.max(10.0 * np.log10(_ewma_mw(list(per_sensor.values()), alpha)), axis=0)
+        smoothed_dbm = 10.0 * np.log10(_ewma_mw(list(per_sensor.values()), alpha))
+        merged = smoothed_dbm[0] if len(per_sensor) == 1 else np.max(smoothed_dbm, axis=0)
     else:
         raise DomainError(f"unknown aggregation mode {mode!r}")
-
-    last_update: dict[int, int] = {}
-    for s in sweeps:
-        last_update[s.sensor_id] = max(last_update.get(s.sensor_id, 0), s.timestamp_ms)
 
     return AggregatedSpectrum(
         position_id=position_id,
@@ -114,17 +117,19 @@ def _ewma_mw(histories: list[list[SensorSweep]], alpha: float) -> np.ndarray:
         while len(histories[width - 1]) <= r:
             width -= 1
         widths.append(width)
-    rows = [h[r].bins for r, width in enumerate(widths) for h in histories[:width]]
-    n = len(rows) * len(rows[0])
-    codes = np.frombuffer(struct.pack(f"{n}b", *chain.from_iterable(rows)), np.uint8)
+    rows = [h[r].payload for r, width in enumerate(widths) for h in histories[:width]]
+    codes = np.frombuffer(b"".join(rows), np.uint8)
     power = _MW_TABLE[codes].reshape(len(rows), -1)
     smoothed = power[: widths[0]].copy()
     scaled = alpha * power
     keep = 1.0 - alpha
     start = widths[0]
+    prefix = smoothed
     for width in widths[1:]:
-        smoothed[:width] *= keep
-        smoothed[:width] += scaled[start : start + width]
+        if width != len(prefix):
+            prefix = smoothed[:width]
+        prefix *= keep
+        prefix += scaled[start : start + width]
         start += width
     return smoothed
 

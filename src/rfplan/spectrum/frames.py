@@ -17,6 +17,12 @@ integers little-endian:
 The CRC is the ubiquitous reflected-0xEDB88320 variant (init and final xor
 0xFFFFFFFF), i.e. exactly zlib.crc32. Parse errors are split three ways so a
 collector can count framing noise, short reads and corruption separately.
+
+A sweep from parse_frame or the simulator carries its frame payload, the
+bins as signed bytes, next to the bins tuple: encode_frame appends it and
+the aggregation reads it as one numpy buffer, so no producer-to-consumer
+path unpacks bins into ints only to pack them again. Any other sweep packs
+its payload on demand.
 """
 from __future__ import annotations
 
@@ -99,11 +105,16 @@ class SensorSweep:
     bin_khz: int
     bins: tuple[int, ...]
 
+    # The bins' frame bytes when a producer already holds them (see payload).
+    # Not a field: equality, repr and dataclasses.replace never see it, and a
+    # replaced sweep packs its own bins again.
+    _payload = None
+
     def __post_init__(self):
         for name in ("sensor_id", "timestamp_ms", "start_khz", "bin_khz"):
             object.__setattr__(self, name, _index(name, getattr(self, name)))
         bins = tuple(self.bins)
-        if {*map(type, bins)} != {int}:  # plain ints, as every parsed frame holds, pass as is
+        if {*map(type, bins)} != {int}:  # plain ints, as the simulator and JSON give, pass as is
             bins = tuple(_index("bin value", b) for b in bins)
         object.__setattr__(self, "bins", bins)
         if not 0 <= self.sensor_id <= 0xFFFF:
@@ -124,6 +135,25 @@ class SensorSweep:
     def grid(self) -> BinGrid:
         return BinGrid(self.start_khz, self.bin_khz, len(self.bins))
 
+    @property
+    def payload(self) -> bytes:
+        """The bins as a frame carries them: one signed byte each."""
+        if self._payload is not None:
+            return self._payload
+        return struct.pack(f"<{len(self.bins)}b", *self.bins)
+
+
+def _carrying_payload(payload: bytes, **fields) -> SensorSweep:
+    """A SensorSweep of fields that pass its checks, whose bins pack to payload.
+
+    The sweep gets a dict of its own: adding _payload to its shared-key
+    instance dict would widen the layout that every SensorSweep shares, by
+    16 bytes a sweep, payload or not.
+    """
+    sweep = object.__new__(SensorSweep)
+    object.__setattr__(sweep, "__dict__", {**fields, "_payload": payload})
+    return sweep
+
 
 def encode_frame(sweep: SensorSweep) -> bytes:
     """Serialize one sweep; raises DomainError if it cannot fit a frame."""
@@ -138,7 +168,7 @@ def encode_frame(sweep: SensorSweep) -> bytes:
         sweep.start_khz,
         sweep.bin_khz,
         n,
-    ) + struct.pack(f"<{n}b", *sweep.bins)
+    ) + sweep.payload
     return body + _CRC.pack(zlib.crc32(body))
 
 
@@ -170,11 +200,18 @@ def parse_frame(data: bytes) -> SensorSweep:
     (crc_received,) = _CRC.unpack_from(data, _HEADER.size + n)
     if zlib.crc32(body) != crc_received:
         raise FrameIntegrityError("CRC mismatch")
-    bins = struct.unpack_from(f"<{n}b", data, _HEADER.size)
-    return SensorSweep(
+    if n == 0:
+        raise FrameFormatError("frame field n_bins is 0; a sweep needs at least one bin")
+    if bin_khz == 0:
+        raise FrameFormatError("frame field bin_khz is 0; it must be positive")
+    # The header's field widths and the bins' signed bytes keep every other
+    # value in SensorSweep's ranges.
+    payload = bytes(body[_HEADER.size :])  # bytes, for a bytearray or memoryview too
+    return _carrying_payload(
+        payload,
         sensor_id=sensor_id,
         timestamp_ms=timestamp_ms,
         start_khz=start_khz,
         bin_khz=bin_khz,
-        bins=bins,
+        bins=struct.unpack(f"<{n}b", payload),
     )

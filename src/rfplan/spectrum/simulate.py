@@ -38,7 +38,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..linkbudget import Frequency, fspl_db_columns
-from .frames import BinGrid, SensorSweep, _index
+from .frames import BinGrid, SensorSweep, _carrying_payload, _index
 from .plan import AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
 SWEEP_GRID = BinGrid(start_khz=2_400_000, bin_khz=1_000, n_bins=100)
@@ -155,26 +155,53 @@ def simulate_sweeps(
         loss_db = fspl_db_columns(distance_m, freqs)
         tx_dbm = np.array([e.tx_power_dbm for e in scenario.emitters], dtype=float)
         per_bin_dbm = tx_dbm - loss_db - _SPREAD_DB + draws
-        per_bin_mw = np.array(
-            [10.0 ** x for x in (per_bin_dbm / 10.0).ravel().tolist()]
-        ).reshape(shape)
+        exponents = per_bin_dbm / 10.0
+        try:
+            per_bin_mw = np.array([10.0 ** x for x in exponents.ravel().tolist()]).reshape(shape)
+        except OverflowError:
+            s, e = _first_overflow(exponents)
+            raise DomainError(
+                f"emitter {e} with tx_power_dbm {scenario.emitters[e].tx_power_dbm!r} puts "
+                f"{float(per_bin_dbm[s, e])!r} dBm in each bin at sensor {s}, "
+                "whose mW leaves the float range"
+            ) from None
         total_mw = np.zeros((shape[0], SWEEP_GRID.n_bins))
         for center_khz, column in zip(centers_khz, per_bin_mw.T):
             mask = SWEEP_GRID.span(
                 center_khz - CHANNEL_HALF_WIDTH_KHZ, center_khz + CHANNEL_HALF_WIDTH_KHZ
             )
             total_mw[:, mask] += column[:, None]
-        rows = _quantize(total_mw, scenario.noise_floor_dbm).tolist()
+        levels = _quantize(total_mw, scenario.noise_floor_dbm)
+    # every level lies in [-128, 127], so its int8 bytes are the frame payload
+    payload = levels.astype(np.int8).tobytes()
+    n = SWEEP_GRID.n_bins
     return [
-        SensorSweep(
-            sensor_id=sensor_index,
-            timestamp_ms=t_ms,
-            start_khz=SWEEP_GRID.start_khz,
-            bin_khz=SWEEP_GRID.bin_khz,
-            bins=tuple(bins),
+        _carrying_payload(
+            payload[sensor_index * n : (sensor_index + 1) * n],
+            # SensorSweep checks the id and the timestamp
+            **vars(
+                SensorSweep(
+                    sensor_id=sensor_index,
+                    timestamp_ms=t_ms,
+                    start_khz=SWEEP_GRID.start_khz,
+                    bin_khz=SWEEP_GRID.bin_khz,
+                    bins=tuple(bins),
+                )
+            ),
         )
-        for sensor_index, bins in enumerate(rows)
+        for sensor_index, bins in enumerate(levels.tolist())
     ]
+
+
+def _first_overflow(exponents: np.ndarray) -> tuple[int, int]:
+    """(sensor, emitter) of the first link, emitter by emitter, whose 10.0 ** x overflows."""
+    for e, column in enumerate(exponents.T.tolist()):
+        for s, x in enumerate(column):
+            try:
+                10.0 ** x
+            except OverflowError:
+                return s, e
+    raise AssertionError("no link overflows")
 
 
 def _level(mw: float, floor_dbm: float) -> int:

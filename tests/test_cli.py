@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -502,6 +503,14 @@ def scenario_document(**change):
     return json.dumps({"ap_position": [0, 0], "emitters": [EMITTER], **change})
 
 
+def test_spectrum_plan_emitter_power_beyond_float_range_exits_two(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario_document(emitters=[EMITTER, {**EMITTER, "tx_power_dbm": 4000.0}]))
+    err = assert_domain_error(capsys, "spectrum", "plan", "--scenario", str(path))
+    assert err.startswith("error: emitter 1 with tx_power_dbm 4000.0 puts ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     ("document", "named"),
     [
@@ -734,6 +743,48 @@ def test_any_positive_fresnel_geometry_exits_two_or_prints_strict_json(command, 
         assert (code, stdout.getvalue()) == (2, "")
         named = f"d1_m={d1!r}, d2_m={d2!r}, lambda_m={lam!r}: "
         assert re.fullmatch(f"error: {re.escape(named)}[^\n]*\n", stderr.getvalue())
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# mostly on a floor plan's scale, sometimes anywhere in the float range
+coordinates = st.one_of(st.floats(-200.0, 200.0), finite)
+scenario_documents = st.fixed_dictionaries(
+    {
+        "ap_position": st.lists(coordinates, min_size=2, max_size=2),
+        "clients": st.lists(st.tuples(coordinates, coordinates), max_size=3).map(
+            lambda xys: [{"id": f"c{i}", "x": x, "y": y} for i, (x, y) in enumerate(xys)]
+        ),
+        "emitters": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "channel": st.integers(1, 14),
+                    "tx_power_dbm": st.one_of(st.floats(-100.0, 5000.0), finite),
+                    "x": coordinates,
+                    "y": coordinates,
+                }
+            ),
+            max_size=3,
+        ),
+        "noise_floor_dbm": st.one_of(st.floats(-200.0, 200.0), finite),
+        "shadowing_sigma_db": st.one_of(st.floats(0.0, 50.0), finite),
+        "seed": st.integers(0, 2**64 - 1),
+    }
+)
+
+
+@settings(deadline=None)
+@given(document=scenario_documents)
+def test_any_finite_scenario_exits_two_or_prints_strict_json(document):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(document))
+        code = run(["spectrum", "plan", "--scenario", str(path), "--format", "json"], stdout, stderr)
+    if code == 0:
+        strict_json(stdout.getvalue())
+    else:
+        assert (code, stdout.getvalue()) == (2, "")
+        assert re.fullmatch("error: [^\n]+\n", stderr.getvalue())
 
 
 @pytest.mark.parametrize("command", ["simulate", "plan"])

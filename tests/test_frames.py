@@ -1,5 +1,8 @@
+import dataclasses
 import random
 import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -13,9 +16,14 @@ from rfplan.spectrum import (
     FrameFormatError,
     FrameIntegrityError,
     FrameTruncationError,
+    Emitter,
+    Scenario,
     SensorSweep,
     encode_frame,
     parse_frame,
+    simulate_sweeps,
+    sweeps_from_jsonl,
+    sweeps_to_jsonl,
 )
 
 GOLDEN_SWEEP = SensorSweep(
@@ -114,6 +122,24 @@ def test_parse_rejects_payload_corruption():
     frame[21] ^= 0xFF  # the single dBm byte
     with pytest.raises(FrameIntegrityError):
         parse_frame(bytes(frame))
+
+
+def crc_framed(sensor_id, timestamp_ms, start_khz, bin_khz, n_bins, payload):
+    """A frame with any header values and a valid CRC."""
+    body = struct.pack(
+        "<2sBHQIHH", b"WX", 1, sensor_id, timestamp_ms, start_khz, bin_khz, n_bins
+    ) + payload
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_parse_names_a_zero_bin_count():
+    with pytest.raises(FrameFormatError, match=r"^frame field n_bins is 0; "):
+        parse_frame(crc_framed(1, 0, 2_400_000, 1000, 0, b""))
+
+
+def test_parse_names_a_zero_bin_width():
+    with pytest.raises(FrameFormatError, match=r"^frame field bin_khz is 0; "):
+        parse_frame(crc_framed(1, 0, 2_400_000, 0, 1, b"\xa6"))
 
 
 def test_error_types_are_distinguishable_and_domain_errors():
@@ -231,3 +257,74 @@ def test_sweep_stores_numpy_integers_as_int():
     assert all(type(v) is int for v in values)
     assert sweep == SensorSweep(1, 0, 2_400_000, 1000, (-60, -50))
     assert parse_frame(encode_frame(sweep)) == sweep
+
+
+def packed(sweep):
+    return struct.pack(f"<{len(sweep.bins)}b", *sweep.bins)
+
+
+def by_value(sweep):
+    """The same sweep built field by field from a tuple of ints."""
+    return SensorSweep(
+        sweep.sensor_id, sweep.timestamp_ms, sweep.start_khz, sweep.bin_khz, tuple(sweep.bins)
+    )
+
+
+@given(sweeps, st.lists(st.integers(-128, 127), min_size=1, max_size=300).map(tuple))
+def test_payload_is_the_packed_bins_from_every_source(sweep, other_bins):
+    parsed = parse_frame(encode_frame(sweep))
+    sources = [
+        sweep,
+        parsed,
+        *sweeps_from_jsonl(sweeps_to_jsonl([sweep])),
+        dataclasses.replace(sweep, timestamp_ms=0),
+        dataclasses.replace(parsed, timestamp_ms=0),
+        dataclasses.replace(parsed, bins=other_bins),
+        dataclasses.replace(sweep, bins=other_bins),
+    ]
+    for source in sources:
+        assert type(source.payload) is bytes
+        assert source.payload == packed(source)
+        assert encode_frame(source) == encode_frame(by_value(source))
+
+
+def test_encode_leaves_a_sweep_without_payload_as_it_was():
+    # packing on demand, not caching: a sweep from ints keeps its footprint
+    sweep = SensorSweep(1, 0, 2_400_000, 1000, bins=(-90, -40, 7))
+    before = dict(vars(sweep))
+    encode_frame(sweep)
+    assert vars(sweep) == before
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    sigma=st.floats(0.0, 30.0),
+    floor=st.floats(-140.0, 140.0),
+    emitters=st.lists(
+        st.builds(
+            Emitter,
+            channel=st.integers(1, 14),
+            tx_power_dbm=st.floats(-100.0, 200.0),
+            x=st.floats(-100.0, 100.0),
+            y=st.floats(-100.0, 100.0),
+        ),
+        max_size=4,
+    ),
+    positions=st.lists(
+        st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)), min_size=1, max_size=4
+    ),
+)
+def test_simulated_payload_is_the_packed_bins(seed, sigma, floor, emitters, positions):
+    scenario = Scenario(
+        ap_position=(0.0, 0.0),
+        emitters=tuple(emitters),
+        noise_floor_dbm=floor,
+        shadowing_sigma_db=sigma,
+        seed=seed,
+    )
+    for sweep in simulate_sweeps(scenario, positions, t_ms=5):
+        assert type(sweep.payload) is bytes
+        assert sweep.payload == packed(sweep)
+        assert encode_frame(sweep) == encode_frame(by_value(sweep))
+        replaced = dataclasses.replace(sweep, bins=sweep.bins[::-1])
+        assert replaced.payload == packed(replaced)

@@ -32,6 +32,7 @@ from rfplan.spectrum import (
     encode_frame,
     load_scenario,
     overlap_weight,
+    parse_frame,
     scenario_from_json,
     scenario_to_json,
     select_channel,
@@ -259,6 +260,20 @@ def test_ewma_matches_per_sweep_oracle(sweeps, alpha):
         assert got == want
     else:
         assert bits(got.bins) == bits(want)
+
+
+@given(sweep_logs(), alphas, st.sampled_from([MAX_HOLD, EWMA]))
+def test_aggregate_of_parsed_frames_matches_tuple_sweeps(sweeps, alpha, mode):
+    # parsed sweeps carry their frame payload, tuple-built ones pack it on demand
+    parsed = [parse_frame(encode_frame(s)) for s in sweeps]
+    got = outcome(aggregate, parsed, mode, alpha=alpha)
+    want = outcome(aggregate, sweeps, mode, alpha=alpha)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert bits(got.bins) == bits(want.bins)
+        assert list(got.last_update_ms.items()) == list(want.last_update_ms.items())
+        assert got == want
 
 
 def test_mw_table_entries_match_the_per_sweep_expression():
@@ -627,6 +642,29 @@ def test_simulate_rejects_an_emitter_beyond_float_range():
     )
     with pytest.raises(DomainError, match="distance 1e\\+307 m and wavelength"):
         simulate_sweeps(scenario, [(0.0, 0.0)])
+
+
+@pytest.mark.parametrize(
+    ("emitters", "sigma", "named"),
+    [
+        (((6, 4000.0),), 0.0, "emitter 0 with tx_power_dbm 4000.0 puts "),
+        # emitter 1 overflows at sensor 1 only, emitter 2 at both sensors: the
+        # simulator goes emitter by emitter, so the first is reported
+        (((6, 10.0), (1, 3130.0), (11, 4000.0)), 0.0, "emitter 1 with tx_power_dbm 3130.0 "),
+        (((6, 20.0),), 1e300, "emitter 0 with tx_power_dbm 20.0 puts "),
+    ],
+    ids=["tx-power", "first-emitter", "shadowing"],
+)
+def test_simulate_names_an_emitter_whose_power_leaves_float_range(emitters, sigma, named):
+    scenario = Scenario(
+        ap_position=(0.0, 0.0),
+        emitters=tuple(Emitter(ch, tx, 10.0, 0.0) for ch, tx in emitters),
+        shadowing_sigma_db=sigma,
+        seed=3,
+    )
+    with pytest.raises(DomainError, match=re.escape(named)) as info:
+        simulate_sweeps(scenario, [(0.0, 0.0), (10.0, 0.0)])
+    assert str(info.value).endswith("whose mW leaves the float range")
 
 
 def test_simulate_deterministic_bytes():
