@@ -46,8 +46,14 @@ _SLIVER = 1e-12
 
 # Panels evaluated per pass. Each pass holds a few panels x nodes arrays of
 # about 2 MB, so memory stays flat for fine curves, while a curve to U_MAX at
-# the default step (about 4,000 panels) still runs in one pass.
+# the default step (about 4,000 panels) still runs in one pass. A curve's
+# first pass is also all it keeps between calls: the panel edges, nodes and
+# phases of at most this many panels, about 3 MB (see _curve_nodes_and_phases).
 _PANEL_BLOCK = 8192
+
+# (step, lo, hi, u, exp(i*pi*u)) of the first panel block of the longest curve
+# at that step so far; a curve at another step replaces it.
+_curve_phases = None
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,8 @@ class PathGeometry:
 
 def check_zone_number(n: int, name: str = "zone number") -> None:
     """Refuse a zone outside 1..U_MAX: PathGeometry checks the terms only that far."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
     if not 1 <= n <= U_MAX:
         raise DomainError(f"{name} must lie in 1..{U_MAX:g}, got {n}")
 
@@ -90,10 +98,13 @@ def zone_radius(n: int, geometry: PathGeometry) -> float:
 
 def zone_index(r_m: float, geometry: PathGeometry) -> float:
     """Continuous zone coordinate u at radius r; inverse of zone_radius."""
-    if r_m < 0:
-        raise DomainError(f"radius must be non-negative, got {r_m}")
+    if not 0 <= r_m < math.inf:
+        raise DomainError(f"radius must be non-negative and finite, got {r_m}")
     g = geometry
-    return r_m * r_m * (g.d1_m + g.d2_m) / (g.lambda_m * g.d1_m * g.d2_m)
+    u = r_m * r_m * (g.d1_m + g.d2_m) / (g.lambda_m * g.d1_m * g.d2_m)
+    if u == math.inf:
+        raise DomainError(f"radius {r_m} puts the zone coordinate beyond the float range")
+    return u
 
 
 @dataclass(frozen=True)
@@ -134,10 +145,10 @@ def shading_cone_deg(r_outer_m: float, distance_m: float) -> float:
     The caller picks the apex distance: d1 for the cone seen from the access
     point, d1+d2 for the whole link.
     """
-    if distance_m <= 0:
-        raise DomainError(f"distance must be positive, got {distance_m}")
-    if r_outer_m < 0:
-        raise DomainError(f"radius must be non-negative, got {r_outer_m}")
+    if not 0 < distance_m < math.inf:
+        raise DomainError(f"distance must be positive and finite, got {distance_m}")
+    if not 0 <= r_outer_m < math.inf:
+        raise DomainError(f"radius must be non-negative and finite, got {r_outer_m}")
     return 2.0 * math.degrees(math.atan(r_outer_m / distance_m))
 
 
@@ -203,16 +214,64 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(16)
 
 
-def _contributions(edges: np.ndarray, geometry: PathGeometry | None) -> np.ndarray:
+def _nodes_and_phases(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rule nodes u of the panels [lo, hi], one row per panel, and exp(i*pi*u)."""
+    import numpy as np
+
+    nodes, _ = _gauss_legendre()
+    half = (hi - lo) / 2.0
+    u = (lo + half)[:, None] + half[:, None] * nodes
+    return u, np.exp(1j * np.pi * u)
+
+
+def _curve_nodes_and_phases(
+    lo: np.ndarray, hi: np.ndarray, step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """_nodes_and_phases of a curve's first panel block, reusing earlier curves'.
+
+    Neither depends on the geometry, and every curve at one step samples the
+    grid k*step, so the leading panels whose edges equal the memo's exactly
+    take its nodes and phases: elementwise, they are the bits a recomputation
+    gives. Only the panels past that prefix are computed.
+    """
+    global _curve_phases
+    import numpy as np
+
+    memo = _curve_phases
+    if memo is not None and memo[0] != step:
+        memo = None
+    reused = 0
+    if memo is not None:
+        _, memo_lo, memo_hi, memo_u, memo_phase = memo
+        n = min(len(lo), len(memo_lo))
+        same = (lo[:n] == memo_lo[:n]) & (hi[:n] == memo_hi[:n])
+        reused = n if same.all() else int(same.argmin())
+        if reused == len(lo):
+            return memo_u[:reused], memo_phase[:reused]
+    u, phase = _nodes_and_phases(lo[reused:], hi[reused:])
+    if reused:
+        u = np.concatenate((memo_u[:reused], u))
+        phase = np.concatenate((memo_phase[:reused], phase))
+    if memo is None or len(lo) > len(memo_lo):
+        _curve_phases = (step, lo.copy(), hi.copy(), u, phase)
+    return u, phase
+
+
+def _contributions(
+    edges: np.ndarray, geometry: PathGeometry | None, step: float | None = None
+) -> np.ndarray:
     """Integral of (-i*pi)*K(u)*exp(i*pi*u) over each [edges[k], edges[k+1]].
 
     edges must be non-decreasing; K = 1 when geometry is None. The intervals
     are split at interior integers, so each panel lies within one zone, and
-    the panels are evaluated _PANEL_BLOCK at a time.
+    the panels are evaluated _PANEL_BLOCK at a time. A curve passes its sample
+    step: the nodes and phases of its first block then come from the one-entry
+    memo of _curve_nodes_and_phases, which holds at most _PANEL_BLOCK panels
+    of the longest curve at that step, so only K(u) is evaluated afresh.
     """
     import numpy as np
 
-    nodes, weights = _gauss_legendre()
+    _, weights = _gauss_legendre()
     cuts = np.arange(math.floor(edges[0]) + 1.0, math.ceil(edges[-1]))
     above = np.searchsorted(edges, cuts)
     cuts = cuts[(edges[above] - cuts > _SLIVER) & (cuts - edges[above - 1] > _SLIVER)]
@@ -221,10 +280,13 @@ def _contributions(edges: np.ndarray, geometry: PathGeometry | None) -> np.ndarr
     panels = np.empty(len(lo), dtype=complex)
     for start in range(0, len(lo), _PANEL_BLOCK):
         block = slice(start, start + _PANEL_BLOCK)
+        if start == 0 and step is not None:
+            u, phase = _curve_nodes_and_phases(lo[block], hi[block], step)
+        else:
+            u, phase = _nodes_and_phases(lo[block], hi[block])
         half = (hi[block] - lo[block]) / 2.0
-        u = (lo[block] + half)[:, None] + half[:, None] * nodes
         weight = 1.0 if geometry is None else obliquity_factor(u, geometry)
-        panels[block] = (weight * np.exp(1j * np.pi * u)) @ weights * (-1j * np.pi * half)
+        panels[block] = (weight * phase) @ weights * (-1j * np.pi * half)
     # fold the panels back onto the caller's intervals
     owner = np.searchsorted(edges, lo, side="right") - 1
     n = len(edges) - 1
@@ -292,7 +354,7 @@ def partial_field_curve(
     ks = np.arange(math.ceil(u_max / step) + 2) * step
     u = np.append(ks[: max(1, np.searchsorted(ks, u_max - _SLIVER))], u_max)
     if obliquity:
-        field = np.cumsum(_contributions(u, geometry))
+        field = np.cumsum(_contributions(u, geometry, step))
     else:
         field = 1.0 - np.exp(1j * np.pi * u[1:])
     return [(0.0, 0.0)] + list(zip(u[1:].tolist(), np.abs(field).tolist()))

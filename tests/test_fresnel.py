@@ -115,6 +115,30 @@ def test_zone_index_degenerate_points():
         zone_index(-0.1, GEOM)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_zone_index_refuses_non_finite_radius(r):
+    # nan and inf came back as the zone coordinate
+    with pytest.raises(DomainError, match=f"got {r}$"):
+        zone_index(r, GEOM)
+
+
+def test_zone_index_refuses_radius_whose_coordinate_overflows():
+    with pytest.raises(DomainError, match="radius 1e\\+200 puts"):
+        zone_index(1e200, GEOM)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+def test_zone_numbers_must_be_integers(n):
+    # 2.5 gave a radius between zones 2 and 3, True zone 1's radius, and
+    # screen_for_zone(2.5) an annulus with blocked_zone=2.5
+    message = re.escape(f"zone number must be an integer, got {n!r}") + "$"
+    for call in (lambda: zone_radius(n, GEOM), lambda: screen_for_zone(n, GEOM)):
+        with pytest.raises(DomainError, match=message):
+            call()
+    with pytest.raises(DomainError, match=re.escape(f"max_zone must be an integer, got {n!r}")):
+        zone_table(GEOM, n)
+
+
 def test_screen_for_zone_two_on_axis_midpoint():
     screen = screen_for_zone(2, GEOM)
     assert screen.r_inner_m == pytest.approx(1.25, abs=1e-12)
@@ -148,6 +172,20 @@ def test_shading_cone_reference_angles():
     assert shading_cone_deg(1.0606601717798212, 45.0) == pytest.approx(2.700448939399231, abs=1e-9)
     with pytest.raises(DomainError):
         shading_cone_deg(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "r, distance, message",
+    [
+        (math.nan, 50.0, "radius must be non-negative and finite, got nan"),  # was nan
+        (math.inf, 50.0, "radius must be non-negative and finite, got inf"),  # was 180
+        (1.0, math.nan, "distance must be positive and finite, got nan"),  # was nan
+        (1.0, math.inf, "distance must be positive and finite, got inf"),  # was 0.0
+    ],
+)
+def test_shading_cone_refuses_non_finite_inputs(r, distance, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        shading_cone_deg(r, distance)
 
 
 def test_field_ratio_empty_blockage_is_exactly_one():
@@ -317,6 +355,73 @@ def test_blocked_panels_match_one_block(monkeypatch):
     assert len(blocked) > 2 * fresnel._PANEL_BLOCK
     monkeypatch.setattr(fresnel, "_PANEL_BLOCK", len(blocked) * 2)
     assert partial_field_curve(200.0, 0.01, obliquity=True, geometry=GEOM) == blocked
+
+
+def _hex_curve(curve):
+    return [(u.hex(), mag.hex()) for u, mag in curve]
+
+
+def _cold(call):
+    """call() with the curve phase memo empty, leaving the memo as it was."""
+    saved = fresnel._curve_phases
+    fresnel._curve_phases = None
+    try:
+        return call()
+    finally:
+        fresnel._curve_phases = saved
+
+
+_CURVE_CALL = st.tuples(
+    st.just("curve"),
+    st.sampled_from([0.05, 0.1, 0.013, 0.5]),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=U_MAX, exclude_min=True),
+        st.integers(min_value=1, max_value=int(U_MAX)).map(float),
+    ),
+    st.booleans(),
+)
+_RATIO_CALL = st.tuples(
+    st.just("ratio"),
+    st.floats(min_value=0.0, max_value=U_MAX - 1.0),
+    st.floats(min_value=0.01, max_value=1.0),
+    st.just(True),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    calls=st.lists(st.one_of(_CURVE_CALL, _CURVE_CALL, _RATIO_CALL), min_size=1, max_size=6),
+    d1=st.floats(min_value=1.0, max_value=300.0),
+    d2=st.floats(min_value=1.0, max_value=300.0),
+    lam=st.floats(min_value=0.01, max_value=1.0),
+)
+def test_warm_phase_memo_matches_cold(calls, d1, d2, lam):
+    # the memo's nodes and phases must be the bits a fresh evaluation gives,
+    # whatever steps and lengths the calls before it asked for
+    geom = PathGeometry(d1, d2, lam)
+    for kind, x, y, obliquity in calls:
+        if kind == "curve":
+            def call():
+                return partial_field_curve(y, x, obliquity=obliquity, geometry=geom)
+
+            assert _hex_curve(call()) == _hex_curve(_cold(call))
+        else:
+            before = fresnel._curve_phases
+            field_ratio([(x, x + y)], obliquity=True, geometry=geom)
+            assert fresnel._curve_phases is before  # field ratios never touch the memo
+
+
+def test_fine_curve_leaves_the_phase_memo_bounded():
+    before = _hex_curve(_cold(lambda: partial_field_curve(150.0, obliquity=True, geometry=GEOM)))
+    fine = partial_field_curve(200.0, 0.0005, obliquity=True, geometry=GEOM)
+    assert len(fine) == 400_001
+    step, lo, hi, u, phase = fresnel._curve_phases
+    assert step == 0.0005
+    assert len(lo) == len(hi) == len(u) == len(phase) <= fresnel._PANEL_BLOCK
+    after = partial_field_curve(150.0, obliquity=True, geometry=GEOM)
+    assert _hex_curve(after) == before
+    whole = field_ratio([(0.0, 150.0)], obliquity=True, geometry=GEOM).complex_ratio
+    assert after[-1][1] == pytest.approx(abs(1.0 - whole), abs=1e-12)
 
 
 def test_partial_field_curve_rejects_bad_step():
