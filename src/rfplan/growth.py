@@ -53,23 +53,39 @@ def _sum(values) -> float:
 
 
 def fit_doubling(series: CountSeries) -> GrowthFit:
-    """Least squares of log2(count) against time; doubling = 1/slope."""
+    """Least squares of log2(count) against time; doubling = 1/slope.
+
+    Times so far apart that a sum of squares overflows, or so close that it
+    rounds to 0, leave the fit undefined in floats: that raises a DomainError
+    naming the time span.
+    """
     ts = [t for t, _ in series.points]
     ys = [math.log2(c) for _, c in series.points]
+    out_of_range = DomainError(
+        f"times {ts[0]!r} to {ts[-1]!r}: the least-squares fit leaves the float range"
+    )
     n = len(ts)
-    t_mean = _sum(ts) / n
-    y_mean = _sum(ys) / n
-    s_tt = _sum((t - t_mean) ** 2 for t in ts)
-    s_ty = _sum((t - t_mean) * (y - y_mean) for t, y in zip(ts, ys))
-    slope = s_ty / s_tt
-    if slope == 0.0:
-        raise NoGrowthError("flat series: log2(count) has zero slope")
-    intercept = y_mean - slope * t_mean
-    ss_res = _sum((y - (intercept + slope * t)) ** 2 for t, y in zip(ts, ys))
-    ss_tot = _sum((y - y_mean) ** 2 for y in ys)
+    try:
+        t_mean = _sum(ts) / n
+        y_mean = _sum(ys) / n
+        s_tt = _sum((t - t_mean) ** 2 for t in ts)
+        if not 0.0 < s_tt < math.inf:
+            raise out_of_range
+        s_ty = _sum((t - t_mean) * (y - y_mean) for t, y in zip(ts, ys))
+        slope = s_ty / s_tt
+        if slope == 0.0:
+            raise NoGrowthError("flat series: log2(count) has zero slope")
+        intercept = y_mean - slope * t_mean
+        ss_res = _sum((y - (intercept + slope * t)) ** 2 for t, y in zip(ts, ys))
+        ss_tot = _sum((y - y_mean) ** 2 for y in ys)
+    except OverflowError:
+        raise out_of_range from None
+    doubling_days = 1.0 / slope
+    if not all(map(math.isfinite, (slope, intercept, ss_res, doubling_days))):
+        raise out_of_range
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return GrowthFit(
-        doubling_days=1.0 / slope,
+        doubling_days=doubling_days,
         intercept_log2=intercept,
         r_squared=r_squared,
     )
@@ -81,7 +97,12 @@ def predict_doubling_date(fit: GrowthFit, from_t_days: float) -> float:
         raise DomainError(
             f"doubling period must be positive to extrapolate, got {fit.doubling_days}"
         )
-    return from_t_days + fit.doubling_days
+    t = from_t_days + fit.doubling_days
+    if not math.isfinite(t):
+        raise DomainError(
+            f"{from_t_days!r} + {fit.doubling_days!r} days leaves the float range"
+        )
+    return t
 
 
 def parse_count_series(text: str) -> CountSeries:

@@ -578,6 +578,21 @@ def test_growth_fit_missing_input_exits_two(capsys, tmp_path):
     assert_file_error(capsys, missing, "growth", "fit", "--input", str(missing))
 
 
+@pytest.mark.parametrize(
+    ("text", "span"),
+    [
+        ("0 1\n1e300 2\n", "times 0.0 to 1e+300"),
+        ("0 1\n1e-300 2\n", "times 0.0 to 1e-300"),
+        ("1e308 1\n1.5e308 2\n", "times 1e+308 to 1.5e+308"),
+    ],
+)
+def test_growth_fit_outside_the_float_range_exits_two(capsys, tmp_path, text, span):
+    path = tmp_path / "counts.txt"
+    path.write_text(text)
+    err = assert_domain_error(capsys, "growth", "fit", "--input", str(path))
+    assert err == f"error: {span}: the least-squares fit leaves the float range\n"
+
+
 def test_spectrum_aggregate_missing_sweeps_exits_two(capsys, tmp_path):
     missing = tmp_path / "missing.jsonl"
     assert_file_error(capsys, missing, "spectrum", "aggregate", "--sweeps", str(missing))

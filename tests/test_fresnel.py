@@ -350,6 +350,9 @@ def test_fine_obliquity_curve_memory_is_bounded():
 
 
 def test_blocked_panels_match_one_block(monkeypatch):
+    # start cold, and put back at teardown the memo this test's raised block
+    # size would otherwise leave holding all of its panels
+    monkeypatch.setattr(fresnel, "_curve_phases", None)
     # about 20,000 panels: two block edges at the default block size
     blocked = partial_field_curve(200.0, 0.01, obliquity=True, geometry=GEOM)
     assert len(blocked) > 2 * fresnel._PANEL_BLOCK
@@ -422,6 +425,89 @@ def test_fine_curve_leaves_the_phase_memo_bounded():
     assert _hex_curve(after) == before
     whole = field_ratio([(0.0, 150.0)], obliquity=True, geometry=GEOM).complex_ratio
     assert after[-1][1] == pytest.approx(abs(1.0 - whole), abs=1e-12)
+
+
+@given(
+    n=st.integers(min_value=0, max_value=60),
+    block=st.integers(min_value=1, max_value=20),
+    chunk=st.integers(min_value=2, max_value=25),
+    data=st.data(),
+)
+def test_panel_slices_cover_the_panels_without_lone_rows(n, block, chunk, data):
+    # the memo never holds more than one block of the curve's panels
+    known = data.draw(st.integers(min_value=0, max_value=min(n, block)), label="known")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fresnel, "_PANEL_BLOCK", block)
+        mp.setattr(fresnel, "_PANEL_CHUNK", chunk)
+        slices = list(fresnel._panel_slices(n, known))
+    ends = [0] + [rows.stop for rows, _ in slices]
+    assert [rows.start for rows, _ in slices] == ends[:-1] and ends[-1] == n
+    for rows, from_memo in slices:
+        first_block = rows.start // block
+        assert (rows.stop - 1) // block == first_block
+        assert 1 <= rows.stop - rows.start <= chunk + 1
+        # numpy's one-row product adds in another order: only a one-panel
+        # block may have one
+        assert rows.stop - rows.start > 1 or min(n - first_block * block, block) == 1
+        assert not from_memo or rows.stop <= known
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    step=st.sampled_from([0.05, 0.1, 0.013, 0.5]),
+    u_max=st.floats(min_value=0.0, max_value=U_MAX, exclude_min=True),
+    warm_u=st.floats(min_value=0.0, max_value=U_MAX, exclude_min=True),
+    block=st.sampled_from([fresnel._PANEL_BLOCK, 37]),
+    a=st.floats(min_value=0.0, max_value=U_MAX - 1.0),
+    width=st.floats(min_value=0.01, max_value=60.0),
+    d1=st.floats(min_value=1.0, max_value=300.0),
+    d2=st.floats(min_value=1.0, max_value=300.0),
+    lam=st.floats(min_value=0.01, max_value=1.0),
+)
+def test_panel_chunk_size_leaves_every_bit(step, u_max, warm_u, block, a, width, d1, d2, lam):
+    # K(u), the weighted phases and each panel's 16-term row sum do not
+    # depend on which rows share a chunk, nor on where a warm memo's prefix
+    # ends (a curve to warm_u first) or whether there is one (cold)
+    geom = PathGeometry(d1, d2, lam)
+    blocked = [(a, min(a + width, U_MAX))]
+
+    def evaluate(warm):
+        fresnel._curve_phases = None
+        if warm:
+            partial_field_curve(warm_u, step, obliquity=True, geometry=geom)
+        curve = partial_field_curve(u_max, step, obliquity=True, geometry=geom)
+        # the curve's panel sums, as the curve call split them: a last bit
+        # they differ in can vanish from the curve's magnitudes
+        sums = fresnel._contributions(np.array([u for u, _ in curve]), geom, step)
+        ratio = field_ratio(blocked, obliquity=True, geometry=geom).complex_ratio
+        return (_hex_curve(curve), [(z.real.hex(), z.imag.hex()) for z in sums.tolist()],
+                ratio.real.hex(), ratio.imag.hex())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fresnel, "_curve_phases", None)
+        mp.setattr(fresnel, "_PANEL_BLOCK", block)
+        results = []
+        for chunk in (2, 3, fresnel._PANEL_CHUNK, block + 1):
+            mp.setattr(fresnel, "_PANEL_CHUNK", chunk)
+            results += [evaluate(warm=False), evaluate(warm=True)]
+    assert all(r == results[0] for r in results[1:])
+
+
+@pytest.mark.parametrize("u_max", [200.0, 137.3])  # 137.3 is off the grid: a memo tail
+def test_warm_curve_temporaries_stay_small(monkeypatch, u_max):
+    # with the memo warm, a curve's temporaries are a few chunks of nodes,
+    # not whole-curve arrays
+    monkeypatch.setattr(fresnel, "_curve_phases", None)
+    partial_field_curve(200.0, 0.05, obliquity=True, geometry=GEOM)
+    geom = PathGeometry(d1_m=31.0, d2_m=17.0, lambda_m=0.0577)
+    tracemalloc.start()
+    try:
+        curve = partial_field_curve(u_max, 0.05, obliquity=True, geometry=geom)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert curve[-1][0] == u_max
+    assert peak - retained < 1e6
 
 
 def test_partial_field_curve_rejects_bad_step():

@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rfplan import fixtures
 from rfplan.errors import DomainError
 from rfplan.growth import (
     CountSeries,
+    GrowthFit,
     NoGrowthError,
     fit_doubling,
     parse_count_series,
@@ -181,3 +183,43 @@ def test_bundled_fixture_doubles_every_700_days():
     assert fit.doubling_days == pytest.approx(700.0, rel=1e-3)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
     assert predict_doubling_date(fit, series.points[-1][0]) == pytest.approx(5600.0, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        ((0.0, 1.0), (1e300, 2.0)),  # (t - t_mean) ** 2 overflows
+        ((0.0, 1.0), (1e-300, 2.0)),  # (t - t_mean) ** 2 rounds to 0
+        ((1e308, 1.0), (1.5e308, 2.0)),  # the sum of the times overflows
+    ],
+)
+def test_fit_outside_the_float_range_names_the_time_span(points):
+    with pytest.raises(DomainError, match=re.escape(f"times {points[0][0]!r} to {points[-1][0]!r}")):
+        fit_doubling(CountSeries(points))
+
+
+def test_predict_refuses_a_date_beyond_the_float_range():
+    fit = GrowthFit(doubling_days=1e308, intercept_log2=0.0, r_squared=1.0)
+    with pytest.raises(DomainError, match="float range"):
+        predict_doubling_date(fit, 1e308)
+
+
+_ANY_TIME = st.floats(allow_nan=False, allow_infinity=False)
+_ANY_COUNT = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(_ANY_TIME, _ANY_COUNT), min_size=2, max_size=8, unique_by=lambda p: p[0]))
+def test_any_valid_series_fits_finite_or_raises_domain_error(points):
+    series = CountSeries(tuple(sorted(points)))
+    try:
+        fit = fit_doubling(series)
+    except DomainError:
+        return
+    assert all(map(math.isfinite, (fit.doubling_days, fit.intercept_log2, fit.r_squared)))
+    assert 0.0 <= fit.r_squared <= 1.0
+    if fit.doubling_days > 0:
+        try:
+            t = predict_doubling_date(fit, series.points[-1][0])
+        except DomainError:
+            return
+        assert math.isfinite(t)
