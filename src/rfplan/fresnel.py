@@ -22,7 +22,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError, check_sample_count
@@ -53,16 +53,11 @@ _SLIVER = 1e-12
 # near-zero fault count. At least 2: see _panel_slices.
 _PANEL_CHUNK = 512
 
-# Panels of a curve whose edges, nodes and phases are kept between calls:
-# those of the first _PANEL_BLOCK panels of the longest curve at one step,
-# about 3 MB (see _curve_nodes_and_phases). A curve to U_MAX at the default
-# step, about 4,000 panels, fits whole. Slices of panels never cross a block
-# edge (see _panel_slices).
+# Panels of the curve grid at one step whose edges, nodes and phases are
+# kept between calls, about 3 MB (see _step_phases). A curve to U_MAX at the
+# default step, about 4,000 panels, fits whole. Slices of panels never cross
+# a block edge (see _panel_slices).
 _PANEL_BLOCK = 8192
-
-# (step, lo, hi, u, exp(i*pi*u)) of the first _PANEL_BLOCK panels of the
-# longest curve at that step so far; a curve at another step replaces it.
-_curve_phases = None
 
 
 @dataclass(frozen=True)
@@ -233,44 +228,49 @@ def _nodes_and_phases(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nd
     return u, np.exp(1j * np.pi * u)
 
 
-def _curve_nodes_and_phases(
-    lo: np.ndarray, hi: np.ndarray, step: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """_nodes_and_phases of a curve's leading panels, as earlier curves left them.
+def _curve_samples(u_max: float, step: float) -> np.ndarray:
+    """Curve samples k*step below u_max, then u_max itself.
 
-    Neither depends on the geometry, and every curve at one step samples the
-    grid k*step, so the leading panels whose edges equal the memo's exactly
-    take its nodes and phases: elementwise, they are the bits a recomputation
-    gives. The result covers that prefix only, as a view of the memo, and the
-    caller computes the panels past it. A curve longer than the memo's
-    instead replaces it: its first _PANEL_BLOCK panels are computed past the
-    prefix, joined to it and stored, and all of them are returned.
+    Samples sit at k*step, so the grid cannot drift; the first is 0 and the
+    last u_max, even when u_max is shorter than the sliver.
     """
-    global _curve_phases
     import numpy as np
 
-    lo, hi = lo[:_PANEL_BLOCK], hi[:_PANEL_BLOCK]
-    memo = _curve_phases
-    if memo is not None and memo[0] != step:
-        memo = None
-    reused = 0
-    if memo is not None:
-        _, memo_lo, memo_hi, memo_u, memo_phase = memo
-        n = min(len(lo), len(memo_lo))
-        same = (lo[:n] == memo_lo[:n]) & (hi[:n] == memo_hi[:n])
-        reused = n if same.all() else int(same.argmin())
-        if len(lo) <= len(memo_lo):
-            return memo_u[:reused], memo_phase[:reused]
-    u, phase = _nodes_and_phases(lo[reused:], hi[reused:])
-    if reused:
-        u = np.concatenate((memo_u[:reused], u))
-        phase = np.concatenate((memo_phase[:reused], phase))
-    _curve_phases = (step, lo.copy(), hi.copy(), u, phase)
-    return u, phase
+    ks = np.arange(math.ceil(u_max / step) + 2) * step
+    return np.append(ks[: max(1, np.searchsorted(ks, u_max - _SLIVER))], u_max)
+
+
+def _panel_edges(edges: np.ndarray) -> np.ndarray:
+    """Non-decreasing edges plus the integers between them, bar those within _SLIVER of one."""
+    import numpy as np
+
+    cuts = np.arange(math.floor(edges[0]) + 1.0, math.ceil(edges[-1]))
+    above = np.searchsorted(edges, cuts)
+    cuts = cuts[(edges[above] - cuts > _SLIVER) & (cuts - edges[above - 1] > _SLIVER)]
+    return np.sort(np.concatenate((edges, cuts)))
+
+
+@lru_cache(maxsize=1)
+def _step_phases(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, u, exp(i*pi*u)) of the first _PANEL_BLOCK panels of the curve grid at step.
+
+    Neither depends on the geometry, and every curve at one step samples the
+    grid k*step, so a curve's leading panels whose edges equal these exactly
+    may take their nodes and phases: elementwise, they are the bits a
+    recomputation gives. The grid ends once it has _PANEL_BLOCK panels, or at
+    U_MAX, so a coarse step cuts no more integers than a curve to U_MAX does
+    and a fine one sorts no samples past the block.
+    """
+    grid = _panel_edges(_curve_samples(min(U_MAX, (_PANEL_BLOCK + 1) * step), step))
+    lo, hi = grid[:-1][:_PANEL_BLOCK], grid[1:][:_PANEL_BLOCK]
+    table = (lo, hi, *_nodes_and_phases(lo, hi))
+    for array in table:
+        array.flags.writeable = False  # the cache hands the same arrays to every curve
+    return table
 
 
 def _panel_slices(n: int, known: int):
-    """(rows, from_memo) slices that cover n panels, the first known from the memo.
+    """(rows, from_table) slices that cover n panels, the first known from _step_phases.
 
     A slice lies within one _PANEL_BLOCK block and on one side of the known
     prefix, and holds at most _PANEL_CHUNK + 1 rows. None has one row unless
@@ -287,11 +287,11 @@ def _panel_slices(n: int, known: int):
                 split -= 1
             if split - start == 1:
                 split = start
-        for first, last, from_memo in ((start, split, True), (split, stop, False)):
+        for first, last, from_table in ((start, split, True), (split, stop, False)):
             if first < last:
                 cuts = [*range(first, max(first + 1, last - 1), _PANEL_CHUNK), last]
                 for a, b in zip(cuts, cuts[1:]):
-                    yield slice(a, b), from_memo
+                    yield slice(a, b), from_table
 
 
 def _contributions(
@@ -300,26 +300,28 @@ def _contributions(
     """Integral of (-i*pi)*K(u)*exp(i*pi*u) over each [edges[k], edges[k+1]].
 
     edges must be non-decreasing; K = 1 when geometry is None. The intervals
-    are split at interior integers, so each panel lies within one zone, and
-    K(u) and the rule's row sums are formed _PANEL_CHUNK panels at a time
-    (see _panel_slices), so no temporary holds more than one chunk's nodes. A
-    curve passes its sample step: its leading panels then take their nodes
-    and phases from the memo of _curve_nodes_and_phases, as views, and only
-    K(u) is evaluated afresh for them.
+    are split into panels at interior integers (see _panel_edges), and K(u)
+    and the rule's row sums are formed _PANEL_CHUNK panels at a time (see
+    _panel_slices), so no temporary holds more than one chunk's nodes. A
+    curve passes its sample step: its leading panels whose edges equal those
+    of _step_phases(step) exactly then take their nodes and phases from that
+    table, as views, and only K(u) is evaluated afresh for them.
     """
     import numpy as np
 
     _, weights = _gauss_legendre()
-    cuts = np.arange(math.floor(edges[0]) + 1.0, math.ceil(edges[-1]))
-    above = np.searchsorted(edges, cuts)
-    cuts = cuts[(edges[above] - cuts > _SLIVER) & (cuts - edges[above - 1] > _SLIVER)]
-    grid = np.sort(np.concatenate((edges, cuts)))
+    grid = _panel_edges(edges)
     lo, hi = grid[:-1], grid[1:]
-    known_u, known_phase = _curve_nodes_and_phases(lo, hi, step) if step is not None else ((), ())
+    known = 0
+    if step is not None:
+        table_lo, table_hi, table_u, table_phase = _step_phases(step)
+        n = min(len(lo), len(table_lo))
+        same = (lo[:n] == table_lo[:n]) & (hi[:n] == table_hi[:n])
+        known = n if same.all() else int(same.argmin())
     panels = np.empty(len(lo), dtype=complex)
-    for rows, from_memo in _panel_slices(len(lo), len(known_u)):
-        if from_memo:
-            u, phase = known_u[rows], known_phase[rows]
+    for rows, from_table in _panel_slices(len(lo), known):
+        if from_table:
+            u, phase = table_u[rows], table_phase[rows]
         else:
             u, phase = _nodes_and_phases(lo[rows], hi[rows])
         weight = 1.0 if geometry is None else obliquity_factor(u, geometry)
@@ -387,10 +389,7 @@ def partial_field_curve(
         raise DomainError("obliquity weighting needs the path geometry")
     import numpy as np
 
-    # samples sit at k*step, so the grid cannot drift; the first is 0 and the
-    # last u_max, even when u_max is shorter than the sliver
-    ks = np.arange(math.ceil(u_max / step) + 2) * step
-    u = np.append(ks[: max(1, np.searchsorted(ks, u_max - _SLIVER))], u_max)
+    u = _curve_samples(u_max, step)
     if obliquity:
         field = np.cumsum(_contributions(u, geometry, step))
     else:

@@ -42,8 +42,17 @@ def effective_index(plate_spacing_m: float, frequency: Frequency) -> float:
             f"plate spacing {plate_spacing_m} m is at or below cutoff "
             f"lambda/2 = {lam / 2.0:.5f} m"
         )
+    if not math.isfinite(plate_spacing_m):
+        raise DomainError(f"plate spacing must be finite, got {plate_spacing_m} m")
     ratio = lam / (2.0 * plate_spacing_m)
     return math.sqrt(1.0 - ratio * ratio)
+
+
+def _check_focal_length(focal_m: float) -> None:
+    if focal_m <= 0:
+        raise DomainError(f"focal length must be positive, got {focal_m}")
+    if not math.isfinite(focal_m):
+        raise DomainError(f"focal length must be finite, got {focal_m}")
 
 
 def profile_radius(focal_m: float, index: float, theta_deg: float) -> float:
@@ -54,10 +63,9 @@ def profile_radius(focal_m: float, index: float, theta_deg: float) -> float:
     """
     if not 0.0 < index < 1.0:
         raise DomainError(f"effective index must lie in (0, 1), got {index}")
-    if abs(theta_deg) > 90.0:
+    if not abs(theta_deg) <= 90.0:
         raise DomainError(f"profile angle must satisfy |theta| <= 90 deg, got {theta_deg}")
-    if focal_m <= 0:
-        raise DomainError(f"focal length must be positive, got {focal_m}")
+    _check_focal_length(focal_m)
     theta = math.radians(theta_deg)
     return focal_m * (1.0 - index) / (1.0 - index * math.cos(theta))
 
@@ -74,8 +82,7 @@ class LensSpec:
     def __post_init__(self):
         # raises BelowCutoffError for a <= lambda/2
         effective_index(self.plate_spacing_m, self.design_frequency)
-        if self.focal_length_m <= 0:
-            raise DomainError(f"focal length must be positive, got {self.focal_length_m}")
+        _check_focal_length(self.focal_length_m)
         if not 0.0 < self.aperture_half_angle_deg < 90.0:
             raise DomainError(
                 f"aperture half angle must lie in (0, 90) deg, got {self.aperture_half_angle_deg}"
@@ -164,6 +171,10 @@ class ShadingSector:
     def __post_init__(self):
         if not 0.0 <= self.width_deg < 360.0:
             raise DomainError(f"sector width must lie in [0, 360), got {self.width_deg}")
+        for name in ("bearing_deg", "attenuation_db"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -185,12 +196,18 @@ class LensEffect:
             raise DomainError(
                 f"throughput uplift must be non-negative, got {self.throughput_uplift_fraction}"
             )
+        if not math.isfinite(self.throughput_uplift_fraction):
+            raise DomainError(
+                f"throughput uplift must be finite, got {self.throughput_uplift_fraction}"
+            )
 
 
 def lens_shadow_sector(
     spec: LensSpec, bearing_deg: float, attenuation_db: float = 10.0
 ) -> ShadingSector:
     """Shadow sector whose width is the lens aperture as seen from the AP."""
+    if not math.isfinite(bearing_deg):  # the sector would hold inf % 360, a nan
+        raise DomainError(f"bearing_deg must be finite, got {bearing_deg}")
     return ShadingSector(
         bearing_deg=bearing_deg % 360.0,
         width_deg=2.0 * spec.aperture_half_angle_deg,

@@ -83,6 +83,10 @@ class LinkBudget:
     rx_gain: AntennaGain
     geometry: LinkGeometry
 
+    def __post_init__(self):
+        if not math.isfinite(self.tx_power_dbm):
+            raise DomainError(f"transmit power must be finite, got {self.tx_power_dbm} dBm")
+
     @property
     def rx_power_dbm(self) -> float:
         return friis_received_dbm(self)
@@ -180,4 +184,10 @@ def range_ratio_from_gain_delta(delta_db: float) -> float:
     Free space: power goes with 1/R^2, so a delta_db budget improvement buys
     a factor 10**(delta_db/20) of range at constant link quality.
     """
-    return 10.0 ** (delta_db / 20.0)
+    try:
+        ratio = 10.0 ** (delta_db / 20.0)
+    except OverflowError:  # above about 6165 dB
+        ratio = math.inf
+    if not ratio < math.inf:
+        raise DomainError(f"a gain change of {delta_db} dB has no finite range ratio")
+    return ratio

@@ -34,6 +34,10 @@ class EnvironmentModel:
             raise DomainError(
                 f"diffuse fraction must lie in [0, 1], got {self.diffuse_fraction}"
             )
+        # tilt_effect_db multiplies it by a tilt of up to pi/2
+        if not abs(self.tilt_gain_db_per_rad) * (math.pi / 2.0) < math.inf:
+            raise DomainError(f"tilt gain must keep the effect at |tilt| = pi/2 finite, "
+                              f"got {self.tilt_gain_db_per_rad} dB/rad")
 
 
 def calibrate_diffuse_from_isolation(isolation_db: float) -> float:
@@ -42,7 +46,7 @@ def calibrate_diffuse_from_isolation(isolation_db: float) -> float:
     epsilon = 10**(-isolation_db/10), so mismatch_loss_db at 90 degrees gives
     back -isolation_db by construction.
     """
-    if isolation_db < 0:
+    if not isolation_db >= 0:
         raise DomainError(f"isolation must be non-negative dB, got {isolation_db}")
     return 10.0 ** (-isolation_db / 10.0)
 
@@ -70,6 +74,8 @@ def mismatch_loss_db(delta_psi_deg: float, env: EnvironmentModel) -> float:
     Always <= 0; exactly 0 at aligned polarizations; bounded below by the
     diffuse floor 10*log10(eps).
     """
+    if not math.isfinite(delta_psi_deg):
+        raise DomainError(f"polarization angle must be finite, got {delta_psi_deg}")
     eps = env.diffuse_fraction
     cos = math.cos(math.radians(delta_psi_deg))
     power = (1.0 - eps) * cos * cos + eps
@@ -82,7 +88,7 @@ def tilt_effect_db(tilt_rad: float, env: EnvironmentModel) -> float:
     Positive for a forward lean (toward the ground-reflected wave), negative
     backward; odd by construction.
     """
-    if abs(tilt_rad) > math.pi / 2.0:
+    if not abs(tilt_rad) <= math.pi / 2.0:
         raise DomainError(f"tilt must satisfy |tilt| <= pi/2, got {tilt_rad}")
     return env.tilt_gain_db_per_rad * tilt_rad
 

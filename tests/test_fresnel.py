@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import math
 import re
 import tracemalloc
@@ -349,33 +350,31 @@ def test_fine_obliquity_curve_memory_is_bounded():
     assert peak < 128e6  # the returned list alone is about 45 MB
 
 
-def test_blocked_panels_match_one_block(monkeypatch):
-    # start cold, and put back at teardown the memo this test's raised block
-    # size would otherwise leave holding all of its panels
-    monkeypatch.setattr(fresnel, "_curve_phases", None)
+@contextlib.contextmanager
+def _panel_block(block):
+    """_PANEL_BLOCK set to block, with no step table of another size kept past either edge."""
+    fresnel._step_phases.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fresnel, "_PANEL_BLOCK", block)
+        try:
+            yield mp
+        finally:
+            fresnel._step_phases.cache_clear()
+
+
+def test_blocked_panels_match_one_block():
     # about 20,000 panels: two block edges at the default block size
     blocked = partial_field_curve(200.0, 0.01, obliquity=True, geometry=GEOM)
     assert len(blocked) > 2 * fresnel._PANEL_BLOCK
-    monkeypatch.setattr(fresnel, "_PANEL_BLOCK", len(blocked) * 2)
-    assert partial_field_curve(200.0, 0.01, obliquity=True, geometry=GEOM) == blocked
+    with _panel_block(len(blocked) * 2):
+        assert partial_field_curve(200.0, 0.01, obliquity=True, geometry=GEOM) == blocked
 
 
 def _hex_curve(curve):
     return [(u.hex(), mag.hex()) for u, mag in curve]
 
 
-def _cold(call):
-    """call() with the curve phase memo empty, leaving the memo as it was."""
-    saved = fresnel._curve_phases
-    fresnel._curve_phases = None
-    try:
-        return call()
-    finally:
-        fresnel._curve_phases = saved
-
-
 _CURVE_CALL = st.tuples(
-    st.just("curve"),
     st.sampled_from([0.05, 0.1, 0.013, 0.5]),
     st.one_of(
         st.floats(min_value=0.0, max_value=U_MAX, exclude_min=True),
@@ -383,44 +382,32 @@ _CURVE_CALL = st.tuples(
     ),
     st.booleans(),
 )
-_RATIO_CALL = st.tuples(
-    st.just("ratio"),
-    st.floats(min_value=0.0, max_value=U_MAX - 1.0),
-    st.floats(min_value=0.01, max_value=1.0),
-    st.just(True),
-)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    calls=st.lists(st.one_of(_CURVE_CALL, _CURVE_CALL, _RATIO_CALL), min_size=1, max_size=6),
+    calls=st.lists(_CURVE_CALL, min_size=1, max_size=6),
     d1=st.floats(min_value=1.0, max_value=300.0),
     d2=st.floats(min_value=1.0, max_value=300.0),
     lam=st.floats(min_value=0.01, max_value=1.0),
 )
 def test_warm_phase_memo_matches_cold(calls, d1, d2, lam):
-    # the memo's nodes and phases must be the bits a fresh evaluation gives,
-    # whatever steps and lengths the calls before it asked for
+    # a kept step table's nodes and phases must be the bits a fresh one
+    # gives, whatever steps and lengths the calls before it asked for
     geom = PathGeometry(d1, d2, lam)
-    for kind, x, y, obliquity in calls:
-        if kind == "curve":
-            def call():
-                return partial_field_curve(y, x, obliquity=obliquity, geometry=geom)
-
-            assert _hex_curve(call()) == _hex_curve(_cold(call))
-        else:
-            before = fresnel._curve_phases
-            field_ratio([(x, x + y)], obliquity=True, geometry=geom)
-            assert fresnel._curve_phases is before  # field ratios never touch the memo
+    for step, u_max, obliquity in calls:
+        warm = partial_field_curve(u_max, step, obliquity=obliquity, geometry=geom)
+        fresnel._step_phases.cache_clear()
+        cold = partial_field_curve(u_max, step, obliquity=obliquity, geometry=geom)
+        assert _hex_curve(warm) == _hex_curve(cold)
 
 
 def test_fine_curve_leaves_the_phase_memo_bounded():
-    before = _hex_curve(_cold(lambda: partial_field_curve(150.0, obliquity=True, geometry=GEOM)))
+    before = _hex_curve(partial_field_curve(150.0, obliquity=True, geometry=GEOM))
     fine = partial_field_curve(200.0, 0.0005, obliquity=True, geometry=GEOM)
     assert len(fine) == 400_001
-    step, lo, hi, u, phase = fresnel._curve_phases
-    assert step == 0.0005
-    assert len(lo) == len(hi) == len(u) == len(phase) <= fresnel._PANEL_BLOCK
+    lo, hi, u, phase = fresnel._step_phases(0.0005)
+    assert len(lo) == len(hi) == len(u) == len(phase) == fresnel._PANEL_BLOCK
     after = partial_field_curve(150.0, obliquity=True, geometry=GEOM)
     assert _hex_curve(after) == before
     whole = field_ratio([(0.0, 150.0)], obliquity=True, geometry=GEOM).complex_ratio
@@ -434,29 +421,27 @@ def test_fine_curve_leaves_the_phase_memo_bounded():
     data=st.data(),
 )
 def test_panel_slices_cover_the_panels_without_lone_rows(n, block, chunk, data):
-    # the memo never holds more than one block of the curve's panels
+    # the step table never holds more than one block of the curve's panels
     known = data.draw(st.integers(min_value=0, max_value=min(n, block)), label="known")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fresnel, "_PANEL_BLOCK", block)
+    with _panel_block(block) as mp:
         mp.setattr(fresnel, "_PANEL_CHUNK", chunk)
         slices = list(fresnel._panel_slices(n, known))
     ends = [0] + [rows.stop for rows, _ in slices]
     assert [rows.start for rows, _ in slices] == ends[:-1] and ends[-1] == n
-    for rows, from_memo in slices:
+    for rows, from_table in slices:
         first_block = rows.start // block
         assert (rows.stop - 1) // block == first_block
         assert 1 <= rows.stop - rows.start <= chunk + 1
         # numpy's one-row product adds in another order: only a one-panel
         # block may have one
         assert rows.stop - rows.start > 1 or min(n - first_block * block, block) == 1
-        assert not from_memo or rows.stop <= known
+        assert not from_table or rows.stop <= known
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     step=st.sampled_from([0.05, 0.1, 0.013, 0.5]),
     u_max=st.floats(min_value=0.0, max_value=U_MAX, exclude_min=True),
-    warm_u=st.floats(min_value=0.0, max_value=U_MAX, exclude_min=True),
     block=st.sampled_from([fresnel._PANEL_BLOCK, 37]),
     a=st.floats(min_value=0.0, max_value=U_MAX - 1.0),
     width=st.floats(min_value=0.01, max_value=60.0),
@@ -464,40 +449,34 @@ def test_panel_slices_cover_the_panels_without_lone_rows(n, block, chunk, data):
     d2=st.floats(min_value=1.0, max_value=300.0),
     lam=st.floats(min_value=0.01, max_value=1.0),
 )
-def test_panel_chunk_size_leaves_every_bit(step, u_max, warm_u, block, a, width, d1, d2, lam):
+def test_panel_chunk_size_leaves_every_bit(step, u_max, block, a, width, d1, d2, lam):
     # K(u), the weighted phases and each panel's 16-term row sum do not
-    # depend on which rows share a chunk, nor on where a warm memo's prefix
-    # ends (a curve to warm_u first) or whether there is one (cold)
+    # depend on which rows share a chunk, nor on whether a panel's nodes and
+    # phases come from the step table or are computed afresh
     geom = PathGeometry(d1, d2, lam)
     blocked = [(a, min(a + width, U_MAX))]
 
-    def evaluate(warm):
-        fresnel._curve_phases = None
-        if warm:
-            partial_field_curve(warm_u, step, obliquity=True, geometry=geom)
+    def evaluate(table_step):
         curve = partial_field_curve(u_max, step, obliquity=True, geometry=geom)
         # the curve's panel sums, as the curve call split them: a last bit
         # they differ in can vanish from the curve's magnitudes
-        sums = fresnel._contributions(np.array([u for u, _ in curve]), geom, step)
+        sums = fresnel._contributions(np.array([u for u, _ in curve]), geom, table_step)
         ratio = field_ratio(blocked, obliquity=True, geometry=geom).complex_ratio
         return (_hex_curve(curve), [(z.real.hex(), z.imag.hex()) for z in sums.tolist()],
                 ratio.real.hex(), ratio.imag.hex())
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fresnel, "_curve_phases", None)
-        mp.setattr(fresnel, "_PANEL_BLOCK", block)
+    with _panel_block(block) as mp:
         results = []
         for chunk in (2, 3, fresnel._PANEL_CHUNK, block + 1):
             mp.setattr(fresnel, "_PANEL_CHUNK", chunk)
-            results += [evaluate(warm=False), evaluate(warm=True)]
+            results += [evaluate(step), evaluate(None)]
     assert all(r == results[0] for r in results[1:])
 
 
-@pytest.mark.parametrize("u_max", [200.0, 137.3])  # 137.3 is off the grid: a memo tail
-def test_warm_curve_temporaries_stay_small(monkeypatch, u_max):
-    # with the memo warm, a curve's temporaries are a few chunks of nodes,
-    # not whole-curve arrays
-    monkeypatch.setattr(fresnel, "_curve_phases", None)
+@pytest.mark.parametrize("u_max", [200.0, 137.3])  # 137.3 is off the grid: a tail past the table
+def test_warm_curve_temporaries_stay_small(u_max):
+    # with the step table built, a curve's temporaries are a few chunks of
+    # nodes, not whole-curve arrays
     partial_field_curve(200.0, 0.05, obliquity=True, geometry=GEOM)
     geom = PathGeometry(d1_m=31.0, d2_m=17.0, lambda_m=0.0577)
     tracemalloc.start()
@@ -508,6 +487,16 @@ def test_warm_curve_temporaries_stay_small(monkeypatch, u_max):
         tracemalloc.stop()
     assert curve[-1][0] == u_max
     assert peak - retained < 1e6
+
+
+def test_step_table_ends_at_u_max_and_field_ratios_leave_it_alone():
+    # not at (_PANEL_BLOCK + 1) * step: a step of 1e6 would cut a million integers
+    partial_field_curve(200.0, 1e6, obliquity=True, geometry=GEOM)
+    before = fresnel._step_phases.cache_info()
+    field_ratio([(0.5, 2.0), (3.0, 150.0)], obliquity=True, geometry=GEOM)
+    assert fresnel._step_phases.cache_info() == before
+    lo, hi, _, _ = fresnel._step_phases(1e6)
+    assert len(lo) <= 201 and hi[-1] == U_MAX
 
 
 def test_partial_field_curve_rejects_bad_step():

@@ -1,8 +1,10 @@
 import math
+import re
 import sys
+from dataclasses import astuple
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rfplan.errors import DomainError
@@ -301,3 +303,49 @@ def test_lens_shadow_sector_uses_aperture_width():
     assert sector.width_deg == 80.0
     assert sector.bearing_deg == 123.0
     assert sector.attenuation_db == 10.0
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: LensSpec(0.625 * LAM, F_DESIGN, math.inf, 40.0), "inf"),
+        (lambda: LensSpec(math.nan, F_DESIGN, 0.3, 40.0), "nan m"),
+        (lambda: LensEffect(throughput_uplift_fraction=math.nan), "nan"),
+        (lambda: LensEffect(throughput_uplift_fraction=math.inf), "inf"),
+        (lambda: profile_radius(0.3, 0.6, math.nan), "nan"),
+        (lambda: lens_shadow_sector(spec_with_index_06(), math.inf), "inf"),
+    ],
+)
+def test_edge_inputs_raise_a_domain_error_naming_them(call, value):
+    with pytest.raises(DomainError, match=re.escape(value)):
+        call()
+
+
+def _profile_floats(spec):
+    profile = lens_profile(spec)
+    return [profile.index, *(v for sample in profile.samples for v in astuple(sample))]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: _profile_floats(LensSpec(x, F_DESIGN, 0.3, 40.0)),
+        lambda x: _profile_floats(LensSpec(0.625 * LAM, F_DESIGN, x, 40.0)),
+        lambda x: [profile_radius(0.3, 0.6, x)],
+        lambda x: [profile_radius(x, 0.6, 30.0)],
+        lambda x: astuple(boost_rx_power(-60.0, LensEffect(throughput_uplift_fraction=x))),
+        lambda x: astuple(lens_shadow_sector(spec_with_index_06(), x)),
+        lambda x: astuple(lens_shadow_sector(spec_with_index_06(), 0.0, x)),
+    ],
+)
+@given(x=st.floats())
+@example(x=math.nan)
+@example(x=math.inf)
+@example(x=-math.inf)
+@example(x=7000.0)
+def test_any_float_gives_finite_fields_or_raises_domain_error(call, x):
+    try:
+        values = call(x)
+    except DomainError:
+        return
+    assert all(map(math.isfinite, values))

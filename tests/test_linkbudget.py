@@ -2,7 +2,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rfplan.errors import DomainError
@@ -209,3 +209,39 @@ def test_gain_without_a_finite_linear_value_names_its_dbi(dbi):
     message = f"{dbi} dBi has no positive, finite linear gain"
     with pytest.raises(DomainError, match=re.escape(message)):
         AntennaGain.from_dbi(dbi)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: LinkBudget(
+            math.nan, AntennaGain(1.0), AntennaGain(1.0), LinkGeometry(10.0, Frequency(GHZ))
+        ), "got nan dBm"),
+        (lambda: range_ratio_from_gain_delta(7000.0), "7000.0 dB"),
+    ],
+)
+def test_edge_inputs_raise_a_domain_error_naming_them(call, value):
+    with pytest.raises(DomainError, match=re.escape(value)):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        range_ratio_from_gain_delta,
+        lambda x: LinkBudget(
+            x, AntennaGain(1.0), AntennaGain(1.0), LinkGeometry(10.0, Frequency(2.4 * GHZ))
+        ).rx_power_dbm,
+    ],
+)
+@given(x=st.floats())
+@example(x=math.nan)
+@example(x=math.inf)
+@example(x=-math.inf)
+@example(x=7000.0)
+def test_any_float_gives_a_finite_result_or_raises_domain_error(call, x):
+    try:
+        result = call(x)
+    except DomainError:
+        return
+    assert math.isfinite(result)

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rfplan.errors import DomainError
@@ -194,3 +194,42 @@ def test_capacity_monotone_in_decorrelation():
     for lo in range(len(caps)):
         for hi in range(lo + 1, len(caps)):
             assert caps[lo] >= caps[hi]
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: mismatch_loss_db(math.nan, EnvironmentModel(0.1)), "nan"),
+        (lambda: mismatch_loss_db(math.inf, EnvironmentModel(0.1)), "inf"),
+        (lambda: tilt_effect_db(math.nan, EnvironmentModel(0.1)), "nan"),
+        (lambda: EnvironmentModel(0.1, tilt_gain_db_per_rad=math.nan), "nan"),
+        (lambda: EnvironmentModel(0.1, tilt_gain_db_per_rad=-1.2e308), "-1.2e+308"),
+        (lambda: calibrate_diffuse_from_isolation(math.nan), "nan"),
+    ],
+)
+def test_edge_inputs_raise_a_domain_error_naming_them(call, value):
+    with pytest.raises(DomainError, match=re.escape(f"got {value}")):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: mismatch_loss_db(x, EnvironmentModel(0.0)),
+        lambda x: mismatch_loss_db(90.0, EnvironmentModel(x)),
+        lambda x: tilt_effect_db(x, EnvironmentModel(0.1)),
+        lambda x: tilt_effect_db(-math.pi / 2, EnvironmentModel(0.1, tilt_gain_db_per_rad=x)),
+        calibrate_diffuse_from_isolation,
+    ],
+)
+@given(x=st.floats())
+@example(x=math.nan)
+@example(x=math.inf)
+@example(x=-math.inf)
+@example(x=7000.0)
+def test_any_float_gives_a_finite_result_or_raises_domain_error(call, x):
+    try:
+        result = call(x)
+    except DomainError:
+        return
+    assert math.isfinite(result)
