@@ -236,7 +236,8 @@ def _curve_samples(u_max: float, step: float) -> np.ndarray:
     """
     import numpy as np
 
-    ks = np.arange(math.ceil(u_max / step) + 2) * step
+    # a step at or past u_max keeps only 0, and 2*step could overflow
+    ks = np.arange(math.ceil(u_max / step) + 2 if step < u_max else 2) * step
     return np.append(ks[: max(1, np.searchsorted(ks, u_max - _SLIVER))], u_max)
 
 

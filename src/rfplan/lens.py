@@ -45,7 +45,13 @@ def effective_index(plate_spacing_m: float, frequency: Frequency) -> float:
     if not math.isfinite(plate_spacing_m):
         raise DomainError(f"plate spacing must be finite, got {plate_spacing_m} m")
     ratio = lam / (2.0 * plate_spacing_m)
-    return math.sqrt(1.0 - ratio * ratio)
+    index = math.sqrt(1.0 - ratio * ratio)
+    if index == 1.0:
+        raise DomainError(
+            f"plate spacing {plate_spacing_m} m is so wide against lambda = {lam:.5f} m "
+            "that the effective index rounds to 1"
+        )
+    return index
 
 
 def _check_focal_length(focal_m: float) -> None:

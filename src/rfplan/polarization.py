@@ -128,7 +128,13 @@ def mimo_capacity_bps_hz(channel: MimoChannel) -> float:
     capacity = 0.0
     for lam in eigenvalues:
         lam = max(float(lam), 0.0)
-        capacity += math.log2(1.0 + channel.snr_linear / 2.0 * lam)
+        gain = 1.0 + channel.snr_linear / 2.0 * lam
+        if math.isinf(gain):
+            raise DomainError(
+                f"snr_linear {channel.snr_linear!r} times eigenvalue {lam!r} / 2 "
+                "leaves the float range"
+            )
+        capacity += math.log2(gain)
     return capacity
 
 

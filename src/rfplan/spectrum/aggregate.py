@@ -12,7 +12,7 @@ Two modes:
 Both modes read each sweep's frame payload (SensorSweep.payload) as one
 numpy buffer of signed bytes, never the bins as Python ints.
 
-Sweeps also travel as line-delimited JSON records for logging and replay.
+Sweeps also travel as JSON lines for logging and replay, written from the payload too.
 """
 from __future__ import annotations
 
@@ -24,12 +24,16 @@ import numpy as np
 
 from ..errors import DomainError
 from ..modes import DEFAULT_EWMA_ALPHA, EWMA, MAX_HOLD
-from .frames import BinGrid, SensorSweep
+from .frames import _LEVELS, BinGrid, SensorSweep
 
 # mW of every dBm a bin can hold, indexed by the bin's byte as unsigned. EWMA
 # output carries np.power's bits, which differ from the scalar pow in the last
 # bit for some of these values, so the table must be built with np.power.
-_MW_TABLE = 10.0 ** (np.asarray(np.arange(256, dtype=np.uint8).view(np.int8), dtype=float) / 10.0)
+_MW_TABLE = 10.0 ** (np.asarray(_LEVELS, dtype=float) / 10.0)
+_LEVEL_TEXT = tuple(map(str, _LEVELS))  # the JSON text of every level, indexed alike
+# A sweep's line: json.dumps(sweep_record(s)) + "\n" byte for byte, since it keeps json's
+# default separators and sweep_record's key order, and SensorSweep makes each field an exact int
+_RECORD = '{"sensor_id": %d, "timestamp_ms": %d, "start_khz": %d, "bin_khz": %d, "bins": [%s]}\n'
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,12 @@ def sweep_record(sweep: SensorSweep) -> dict:
 
 def sweeps_to_jsonl(sweeps: Iterable[SensorSweep]) -> str:
     """One JSON record per line; the interchange format for sweep logs."""
-    return "".join(json.dumps(sweep_record(s)) + "\n" for s in sweeps)
+    text = _LEVEL_TEXT.__getitem__
+    return "".join(
+        _RECORD
+        % (s.sensor_id, s.timestamp_ms, s.start_khz, s.bin_khz, ", ".join(map(text, s.payload)))
+        for s in sweeps
+    )
 
 
 def sweeps_from_jsonl(text: str) -> list[SensorSweep]:

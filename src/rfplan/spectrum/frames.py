@@ -19,8 +19,8 @@ The CRC is the ubiquitous reflected-0xEDB88320 variant (init and final xor
 collector can count framing noise, short reads and corruption separately.
 
 A sweep from parse_frame or the simulator carries its frame payload, the
-bins as signed bytes, next to the bins tuple: encode_frame appends it and
-the aggregation reads it as one numpy buffer, so no producer-to-consumer
+bins as signed bytes, next to the bins tuple: encode_frame appends it, and
+the aggregation and the JSONL writer read it, so no producer-to-consumer
 path unpacks bins into ints only to pack them again. Any other sweep packs
 its payload on demand.
 """
@@ -38,6 +38,8 @@ VERSION = 1
 
 _HEADER = struct.Struct("<2sBHQIHH")
 _CRC = struct.Struct("<I")
+# Each bin byte's level, indexed by the byte as unsigned; parsed sweeps share these ints.
+_LEVELS = tuple(b - 256 if b > 127 else b for b in range(256))
 
 
 class FrameError(DomainError):
@@ -213,5 +215,6 @@ def parse_frame(data: bytes) -> SensorSweep:
         timestamp_ms=timestamp_ms,
         start_khz=start_khz,
         bin_khz=bin_khz,
-        bins=struct.unpack(f"<{n}b", payload),
+        # itemgetter of one index gives the bare item, not a 1-tuple
+        bins=operator.itemgetter(*payload)(_LEVELS) if n > 1 else (_LEVELS[payload[0]],),
     )

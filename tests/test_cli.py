@@ -292,6 +292,8 @@ SPECTRUM_STDOUT_SHA256 = {
     ("simulate", "table"): "e2205495d72364447a07e566428518a7c831a3ddcec7607af166ddefe841b1d2",
     ("simulate", "json"): "1bed3c706f309010aaa1d80bddbca9e1c7aee4ae39a08c6422c39b0398e8cc7f",
     ("simulate", "csv"): "5972452514b7f402bf0ba394da73ff24ae597d9c63d75ffc9792f7e1204400c6",
+    # recorded before sweeps_to_jsonl formatted records from the payload
+    ("simulate", "jsonl"): "568347b4f644d49c94c4917df2241a131ab852b75bb7f3cd5ab060dd14462ed2",
     ("minimax", "table"): "e45bb0ebc3be484ede8ff9fa27630bfef6479777042d7cfadbd6c5c0736764dd",
     ("minimax", "json"): "445b1487cb66fe51fae99d32ef868b2afd5dcab83c2ef54b0dd10f44963fe9ae",
     ("minimax", "csv"): "5d12b6b02bc3226232471c915a7baf0228cd1886fcd00e9510460bda58523b85",
@@ -307,7 +309,7 @@ def test_spectrum_stdout_matches_pinned_bytes(capsys, command, fmt):
         argv = ["spectrum", "simulate", "--scenario", "divergence"]
     else:
         argv = ["spectrum", "plan", "--scenario", "divergence", "--objective", command]
-    code, out, _ = invoke(capsys, *argv, "--format", fmt)
+    code, out, _ = invoke(capsys, *argv, *(["--jsonl"] if fmt == "jsonl" else ["--format", fmt]))
     assert code == 0
     assert sha256(out) == SPECTRUM_STDOUT_SHA256[command, fmt]
 
@@ -971,6 +973,26 @@ FRESNEL_25_25 = ["--lambda", "0.125", "--d1", "25", "--d2", "25"]
 )
 def test_unbounded_inputs_exit_two_naming_the_flag(capsys, argv, message):
     assert assert_domain_error(capsys, *argv) == f"error: {message}\n"
+
+
+def test_overflowing_capacity_exits_two_naming_the_snr(capsys):
+    err = assert_domain_error(
+        capsys, "polar", "capacity", "--xpd", "1.0", "--snr-linear", "1.7e308"
+    )
+    assert re.fullmatch(r"error: snr_linear 1\.7e\+308 times [^\n]*\n", err)
+
+
+def test_curve_step_past_the_float_range_writes_nothing_to_stderr(capsys):
+    argv = ["fresnel", "field", "--block", "1:2", "--curve-max", "200", "--curve-step", "1.7e308"]
+    # numpy's overflow warning went to the process's stderr, not to run()'s
+    proc = subprocess.run(
+        [sys.executable, "-m", "rfplan.cli", *argv], capture_output=True, text=True,
+        timeout=60, cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == invoke(capsys, *argv)
+    assert proc.stderr == ""
+    # the curve keeps its samples: 0, then u_max
+    assert [row.split()[0] for row in proc.stdout.splitlines()[-2:]] == ["0", "200"]
 
 
 @given(n=st.integers(min_value=-10**30, max_value=10**30) | st.integers(-2, 202))

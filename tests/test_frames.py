@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import operator
 import random
 import re
 import struct
@@ -6,8 +8,9 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_cli import scenario_documents
 
 from rfplan.errors import DomainError
 from rfplan.spectrum import (
@@ -19,9 +22,12 @@ from rfplan.spectrum import (
     Emitter,
     Scenario,
     SensorSweep,
+    default_sensor_layout,
     encode_frame,
     parse_frame,
+    scenario_from_json,
     simulate_sweeps,
+    sweep_record,
     sweeps_from_jsonl,
     sweeps_to_jsonl,
 )
@@ -328,3 +334,33 @@ def test_simulated_payload_is_the_packed_bins(seed, sigma, floor, emitters, posi
         assert encode_frame(sweep) == encode_frame(by_value(sweep))
         replaced = dataclasses.replace(sweep, bins=sweep.bins[::-1])
         assert replaced.payload == packed(replaced)
+
+
+def json_line(sweep):
+    # as bytes, since pytest's diff of two long lines of text takes minutes
+    return (json.dumps(sweep_record(sweep)) + "\n").encode()
+
+
+@given(sweeps)
+@example(SensorSweep(0, 0, 0, 1, (0,)))
+@example(SensorSweep(0xFFFF, 2**64 - 1, 2**32 - 1, 0xFFFF, (-128,)))
+@example(SensorSweep(0xFFFF, 2**64 - 1, 2**32 - 1, 0xFFFF, (127, -128)))
+# the largest frame, every level in it
+@example(SensorSweep(1, 2, 3, 4, tuple(i % 256 - 128 for i in range(0xFFFF))))
+def test_jsonl_writer_is_json_dumps_of_the_record(sweep):
+    parsed = parse_frame(encode_frame(sweep))
+    for source in (sweep, parsed, *sweeps_from_jsonl(json_line(sweep).decode())):
+        assert sweeps_to_jsonl([source]).encode() == json_line(source)
+    # parsed sweeps share their bin ints
+    assert all(map(operator.is_, parsed.bins, parse_frame(encode_frame(sweep)).bins))
+
+
+@settings(deadline=None)
+@given(document=scenario_documents, t_ms=st.integers(0, 2**64 - 1))
+def test_jsonl_writer_is_json_dumps_of_simulated_records(document, t_ms):
+    try:
+        scenario = scenario_from_json(json.dumps(document))
+        simulated = simulate_sweeps(scenario, default_sensor_layout(scenario)[1], t_ms=t_ms)
+    except DomainError:
+        return  # the CLI tests cover the documents the simulator refuses
+    assert sweeps_to_jsonl(simulated).encode() == b"".join(map(json_line, simulated))

@@ -2,12 +2,13 @@ import cmath
 import contextlib
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rfplan import fresnel
@@ -337,6 +338,31 @@ def test_partial_field_curve_samples_do_not_drift(obliquity):
     assert len(curve) == 2881
     assert [u for u, _ in curve[:-1]] == [k * step for k in range(2880)]
     assert curve[-1][0] == 144.0
+
+
+def unclipped_curve_samples(u_max, step):
+    """The reference for _curve_samples: the same grid, formed in full, overflow and all."""
+    with np.errstate(over="ignore"):
+        ks = np.arange(math.ceil(u_max / step) + 2) * step
+    return np.append(ks[: max(1, np.searchsorted(ks, u_max - fresnel._SLIVER))], u_max)
+
+
+@given(
+    u_max=st.floats(min_value=0.0, max_value=U_MAX, exclude_min=True),
+    step=st.floats(min_value=2.5e-4, max_value=400.0)
+    | st.floats(min_value=1e300, max_value=sys.float_info.max),
+)
+@example(u_max=200.0, step=1.7e308)
+@example(u_max=200.0, step=sys.float_info.max)
+@example(u_max=5e-324, step=sys.float_info.max)
+@example(u_max=200.0, step=200.0)
+@example(u_max=200.0, step=math.nextafter(200.0, 0.0))
+@example(u_max=200.0, step=100.0)
+def test_curve_samples_match_the_unclipped_grid(u_max, step):
+    assume(u_max / step <= MAX_SAMPLES)
+    # under the suite's error::RuntimeWarning an overflow would raise here
+    got = fresnel._curve_samples(u_max, step)
+    assert got.tobytes() == unclipped_curve_samples(u_max, step).tobytes()
 
 
 def test_fine_obliquity_curve_memory_is_bounded():

@@ -220,6 +220,7 @@ def test_edge_inputs_raise_a_domain_error_naming_them(call, value):
         lambda x: tilt_effect_db(x, EnvironmentModel(0.1)),
         lambda x: tilt_effect_db(-math.pi / 2, EnvironmentModel(0.1, tilt_gain_db_per_rad=x)),
         calibrate_diffuse_from_isolation,
+        lambda x: mimo_capacity_bps_hz(dual_polarized_channel(1.0, snr_linear=x)),
     ],
 )
 @given(x=st.floats())
@@ -227,6 +228,7 @@ def test_edge_inputs_raise_a_domain_error_naming_them(call, value):
 @example(x=math.inf)
 @example(x=-math.inf)
 @example(x=7000.0)
+@example(x=1.7e308)
 def test_any_float_gives_a_finite_result_or_raises_domain_error(call, x):
     try:
         result = call(x)
