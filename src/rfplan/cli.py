@@ -16,29 +16,11 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import fixtures, fresnel, growth, lens, polarization
+from . import modes
 from .errors import DomainError, check_sample_count
-from .linkbudget import (
-    AntennaGain,
-    Frequency,
-    LinkBudget,
-    LinkGeometry,
-    fspl_db,
-    power_utilization,
-)
-from .modes import (
-    AP_ONLY,
-    CLIENT_AWARE,
-    DEFAULT_EWMA_ALPHA,
-    EWMA,
-    MAX_HOLD,
-    MINIMAX,
-    WEIGHTED_SUM,
-)
 
-# The spectrum package, numpy and the numpy-backed parts of fresnel and
-# polarization load inside the handlers that need them, so the commands
-# that never touch an array start without numpy.
+# Each handler imports the library module it runs, so a command loads and
+# compiles that module alone; the parser needs only the names in modes.
 
 
 class UsageError(Exception):
@@ -161,7 +143,9 @@ def _reject_non_finite(args) -> None:
 
 # --- command handlers -------------------------------------------------------
 
-def _antenna_gain(flag: str, dbi: float) -> AntennaGain:
+def _antenna_gain(flag: str, dbi: float):
+    from .linkbudget import AntennaGain
+
     try:
         return AntennaGain.from_dbi(dbi)
     except DomainError:
@@ -171,6 +155,8 @@ def _antenna_gain(flag: str, dbi: float) -> AntennaGain:
 
 
 def _cmd_linkbudget(args) -> Result:
+    from .linkbudget import Frequency, LinkBudget, LinkGeometry, fspl_db, power_utilization
+
     geometry = LinkGeometry(args.dist, Frequency(args.freq))
     budget = LinkBudget(
         args.pt, _antenna_gain("--gt", args.gt), _antenna_gain("--gr", args.gr), geometry
@@ -191,6 +177,9 @@ def _cmd_linkbudget(args) -> Result:
 
 
 def _cmd_lens_design(args) -> Result:
+    from . import lens
+    from .linkbudget import Frequency
+
     freq = Frequency(args.freq)
     spacing = args.spacing if args.spacing is not None else 0.625 * freq.wavelength_m
     spec = lens.LensSpec(
@@ -218,6 +207,8 @@ def _cmd_lens_design(args) -> Result:
 
 
 def _cmd_lens_apply(args) -> Result:
+    from . import lens
+
     effect = lens.LensEffect(
         gain_uplift_db=args.uplift_db,
         throughput_uplift_fraction=args.throughput_frac,
@@ -225,18 +216,24 @@ def _cmd_lens_apply(args) -> Result:
     return Result(asdict(lens.boost_rx_power(args.rx_dbm, effect)))
 
 
-def _fresnel_geometry(args) -> fresnel.PathGeometry:
+def _fresnel_geometry(args):
+    from .fresnel import PathGeometry
+
     lam = args.lambda_m
     if lam is None:
         if args.freq is None:
             raise DomainError("give either --lambda or --freq")
+        from .linkbudget import Frequency
+
         lam = Frequency(args.freq).wavelength_m
     if args.d1 is None or args.d2 is None:
         raise DomainError("this computation needs --d1 and --d2")
-    return fresnel.PathGeometry(d1_m=args.d1, d2_m=args.d2, lambda_m=lam)
+    return PathGeometry(d1_m=args.d1, d2_m=args.d2, lambda_m=lam)
 
 
 def _cmd_fresnel_zones(args) -> Result:
+    from . import fresnel
+
     geometry = _fresnel_geometry(args)
     fresnel.check_zone_number(args.max_zone, "--max-zone")
     table = fresnel.zone_table(geometry, args.max_zone)
@@ -247,6 +244,8 @@ def _cmd_fresnel_zones(args) -> Result:
 
 
 def _cmd_fresnel_screen(args) -> Result:
+    from . import fresnel
+
     geometry = _fresnel_geometry(args)
     fresnel.check_zone_number(args.zone, "--zone")
     screen = fresnel.screen_for_zone(args.zone, geometry)
@@ -264,6 +263,8 @@ def _cmd_fresnel_screen(args) -> Result:
 
 
 def _cmd_fresnel_field(args) -> Result:
+    from . import fresnel
+
     geometry = _fresnel_geometry(args) if args.obliquity else None
     blocked = args.block or []
     ratio = fresnel.field_ratio(
@@ -295,6 +296,8 @@ def _cmd_fresnel_field(args) -> Result:
 
 
 def _cmd_polar_loss(args) -> Result:
+    from . import polarization
+
     if args.epsilon is not None:
         env = polarization.EnvironmentModel(diffuse_fraction=args.epsilon)
     else:
@@ -313,6 +316,8 @@ def _cmd_polar_loss(args) -> Result:
 
 
 def _cmd_polar_capacity(args) -> Result:
+    from . import polarization
+
     channel = polarization.dual_polarized_channel(
         args.xpd, snr_linear=args.snr_linear, seed=args.seed
     )
@@ -327,6 +332,7 @@ def _cmd_polar_capacity(args) -> Result:
 
 
 def _scenario_from_args(args):
+    from . import fixtures
     from .spectrum import load_scenario
 
     if args.t_ms < 0:
@@ -389,11 +395,11 @@ def _cmd_spectrum_plan(args) -> Result:
     ids, positions = default_sensor_layout(scenario)
     sweeps = simulate_sweeps(scenario, positions, t_ms=args.t_ms)
     spectra = {
-        pos_id: aggregate([sweep], MAX_HOLD, position_id=pos_id)
+        pos_id: aggregate([sweep], modes.MAX_HOLD, position_id=pos_id)
         for pos_id, sweep in zip(ids, sweeps)
     }
-    ap_plan = select_channel(spectra, AP_ONLY, args.candidates, args.objective)
-    client_plan = select_channel(spectra, CLIENT_AWARE, args.candidates, args.objective)
+    ap_plan = select_channel(spectra, modes.AP_ONLY, args.candidates, args.objective)
+    client_plan = select_channel(spectra, modes.CLIENT_AWARE, args.candidates, args.objective)
     rows = []
     for ch in sorted(client_plan.per_channel_scores):
         rows.append(
@@ -415,6 +421,8 @@ def _cmd_spectrum_plan(args) -> Result:
 
 
 def _cmd_growth_fit(args) -> Result:
+    from . import growth
+
     series = growth.read_count_series(args.input)
     fit = growth.fit_doubling(series)
     scalars = {
@@ -517,7 +525,7 @@ def build_parser() -> _Parser:
     p = command("polar loss", "polarization mismatch loss", _cmd_polar_loss)
     p.add_argument("--delta-psi", type=float, required=True,
                    help="polarization misalignment, deg")
-    p.add_argument("--env", choices=sorted(polarization.ENVIRONMENT_PRESETS),
+    p.add_argument("--env", choices=sorted(modes.PRESET_ISOLATION_DB),
                    default="sparse-room", help="environment preset")
     p.add_argument("--epsilon", type=float, default=None,
                    help="diffuse fraction, overrides --env")
@@ -537,8 +545,8 @@ def build_parser() -> _Parser:
     p = command("spectrum aggregate", "merge a sweep log into one spectrum",
                 _cmd_spectrum_aggregate)
     p.add_argument("--sweeps", required=True, help="JSONL sweep log file")
-    p.add_argument("--mode", choices=(MAX_HOLD, EWMA), default=MAX_HOLD)
-    p.add_argument("--alpha", type=float, default=DEFAULT_EWMA_ALPHA,
+    p.add_argument("--mode", choices=(modes.MAX_HOLD, modes.EWMA), default=modes.MAX_HOLD)
+    p.add_argument("--alpha", type=float, default=modes.DEFAULT_EWMA_ALPHA,
                    help="ewma smoothing factor")
     p.add_argument("--position-id", default="all", help="label for the merged spectrum")
 
@@ -546,7 +554,8 @@ def build_parser() -> _Parser:
     scenario_flags(p)
     p.add_argument("--candidates", type=_parse_channels, default=None,
                    metavar="1,6,11", help="candidate channels (default: 1-14)")
-    p.add_argument("--objective", choices=(MINIMAX, WEIGHTED_SUM), default=MINIMAX)
+    p.add_argument("--objective", choices=(modes.MINIMAX, modes.WEIGHTED_SUM),
+                   default=modes.MINIMAX)
 
     p = command("growth fit", "fit a doubling period to a count series", _cmd_growth_fit)
     p.add_argument("--input", required=True, help="two-column text file: t_days count")

@@ -1,7 +1,7 @@
-"""Names of the spectrum aggregation modes, selector modes and objectives.
+"""Names of the spectrum modes and objectives and of the polarization presets.
 
-They live outside the spectrum package, whose modules load numpy, so the
-CLI can offer them as choices and defaults without loading it.
+They live outside the library modules that use them, so the CLI parser can
+offer them as choices and defaults without loading any of those modules.
 """
 
 # aggregation modes (spectrum.aggregate)
@@ -16,3 +16,7 @@ CLIENT_AWARE = "client-aware"
 
 MINIMAX = "minimax"
 WEIGHTED_SUM = "weighted-sum"
+
+# environment presets (polarization) by their cross-polar isolation in dB:
+# ~15 in rooms with few reflectors, only ~4 with many metal structures around
+PRESET_ISOLATION_DB = {"sparse-room": 15.0, "metal-rich": 4.0}

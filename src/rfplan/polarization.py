@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
+from .modes import PRESET_ISOLATION_DB
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,11 +52,9 @@ def calibrate_diffuse_from_isolation(isolation_db: float) -> float:
     return 10.0 ** (-isolation_db / 10.0)
 
 
-# Named anchors: ~15 dB isolation in rooms with few reflectors, only ~4 dB
-# with many metal structures around.
 ENVIRONMENT_PRESETS: dict[str, EnvironmentModel] = {
-    "sparse-room": EnvironmentModel(diffuse_fraction=calibrate_diffuse_from_isolation(15.0)),
-    "metal-rich": EnvironmentModel(diffuse_fraction=calibrate_diffuse_from_isolation(4.0)),
+    name: EnvironmentModel(diffuse_fraction=calibrate_diffuse_from_isolation(isolation_db))
+    for name, isolation_db in PRESET_ISOLATION_DB.items()
 }
 
 
@@ -123,8 +122,14 @@ def mimo_capacity_bps_hz(channel: MimoChannel) -> float:
     """
     import numpy as np
 
-    hh = channel.h @ channel.h.conj().T
-    eigenvalues = np.linalg.eigvalsh(hh)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused here, naming the entry
+        hh = channel.h @ channel.h.conj().T
+        # an eigenvalue can overflow where every entry of H H^dagger is finite
+        if not (np.isfinite(hh).all()
+                and np.isfinite(eigenvalues := np.linalg.eigvalsh(hh)).all()):
+            i, j = np.unravel_index(np.argmax(np.abs(channel.h)), (2, 2))
+            raise DomainError(f"channel matrix entry {channel.h[i, j]} at [{i}, {j}] "
+                              "overflows H H^dagger")
     capacity = 0.0
     for lam in eigenvalues:
         lam = max(float(lam), 0.0)

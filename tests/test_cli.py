@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfplan import fixtures
-from rfplan.cli import run
+from rfplan.cli import build_parser, run
 from rfplan.fresnel import PathGeometry, shading_cone_deg, zone_radius
 from rfplan.linkbudget import (
     AntennaGain,
@@ -27,7 +27,7 @@ from rfplan.linkbudget import (
     fspl_db,
     power_utilization,
 )
-from rfplan.polarization import dual_polarized_channel, mimo_capacity_bps_hz
+from rfplan.polarization import ENVIRONMENT_PRESETS, dual_polarized_channel, mimo_capacity_bps_hz
 from rfplan.spectrum import Client, Emitter, Scenario, scenario_to_json, sweeps_from_jsonl
 
 
@@ -940,6 +940,88 @@ def test_numpy_commands_run_after_a_numpy_free_one(capsys):
     assert [loaded for *_, loaded in results] == [False, True, True, True]
     for argv, (code, out, err, _) in zip(argvs, results):
         assert (code, out, err) == invoke(capsys, *argv), argv
+
+
+# every command loads rfplan.cli's own modules and then only the library
+# module it runs: a fresh process compiles each module it imports
+CLI_MODULES = {"rfplan", "rfplan.cli", "rfplan.errors", "rfplan.modes"}
+SPECTRUM_MODULES = {
+    "rfplan.linkbudget", "rfplan.spectrum", "rfplan.spectrum.aggregate",
+    "rfplan.spectrum.frames", "rfplan.spectrum.plan", "rfplan.spectrum.simulate",
+}
+FIELD_GEOMETRY = ["--obliquity", "--lambda", "0.125", "--d1", "25", "--d2", "25"]
+MODULES_PER_COMMAND = {
+    "linkbudget": (["linkbudget", "--pt", "20", "--gt", "3", "--gr", "3", "--freq", "2.437e9",
+                    "--dist", "10"], {"rfplan.linkbudget"}),
+    "lens-design": (["lens", "design", "--format", "csv"], {"rfplan.lens", "rfplan.linkbudget"}),
+    "lens-apply": (["lens", "apply", "--rx-dbm", "-60"], {"rfplan.lens", "rfplan.linkbudget"}),
+    "fresnel-zones": (["fresnel", "zones", "--lambda", "0.125", "--d1", "25", "--d2", "25"],
+                      {"rfplan.fresnel"}),
+    "fresnel-zones-freq": (["fresnel", "zones", "--freq", "2.4e9", "--d1", "25", "--d2", "25"],
+                           {"rfplan.fresnel", "rfplan.linkbudget"}),
+    "fresnel-screen": (["fresnel", "screen", "--zone", "2", "--lambda", "0.125", "--d1", "25",
+                        "--d2", "25"], {"rfplan.fresnel"}),
+    "fresnel-field": (["fresnel", "field", "--block", "1:2"], {"rfplan.fresnel"}),
+    "fresnel-field-obliquity": (["fresnel", "field", "--block", "1:2", *FIELD_GEOMETRY],
+                                {"rfplan.fresnel"}),
+    "fresnel-field-curve": (["fresnel", "field", "--block", "1:2", *FIELD_GEOMETRY,
+                             "--curve-max", "3"], {"rfplan.fresnel"}),
+    "polar-loss": (["polar", "loss", "--delta-psi", "90", "--env", "metal-rich"],
+                   {"rfplan.polarization"}),
+    "polar-capacity": (["polar", "capacity", "--xpd", "0.25"], {"rfplan.polarization"}),
+    "spectrum-simulate": (["spectrum", "simulate", "--scenario", "divergence", "--jsonl"],
+                          SPECTRUM_MODULES | {"rfplan.fixtures"}),
+    "spectrum-aggregate": (["spectrum", "aggregate", "--sweeps", "{sweeps}"], SPECTRUM_MODULES),
+    "spectrum-plan-divergence": (["spectrum", "plan", "--scenario", "divergence"],
+                                 SPECTRUM_MODULES | {"rfplan.fixtures"}),
+    # a scenario with shadowing draws also loads the shadowing module
+    "spectrum-plan-survey": (["spectrum", "plan", "--scenario", "{survey}"],
+                             SPECTRUM_MODULES | {"rfplan.fixtures", "rfplan.spectrum.shadowing"}),
+    "growth-fit": (["growth", "fit", "--input", str(fixtures.ap_counts_path())],
+                   {"rfplan.growth"}),
+    "help": (["--help"], set()),
+    "usage-error": (["linkbudget", "--format", "xml"], set()),
+}
+
+RUN_ONE_ARGV = (
+    "import io, json, sys\n"
+    "from rfplan.cli import run\n"
+    "try:\n"
+    "    code = run(json.loads(sys.argv[1]), io.StringIO(), io.StringIO())\n"
+    "except SystemExit as exc:  # --help\n"
+    "    code = exc.code\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'rfplan')]))\n"
+)
+
+
+@pytest.mark.parametrize("name", MODULES_PER_COMMAND)
+def test_each_command_loads_only_its_own_library_module(tmp_path, name):
+    argv, modules = MODULES_PER_COMMAND[name]
+    sweeps, survey = tmp_path / "sweeps.jsonl", tmp_path / "survey.json"
+    sweeps.write_text(seeded_sweep_log(7))
+    survey.write_text(scenario_to_json(Scenario(
+        (0, 0), clients=(Client("c0", 5.0, 0.0),), emitters=(Emitter(6, 10.0, 1.0, 0.0),),
+        shadowing_sigma_db=4.0,
+    )))
+    argv = [a.format(sweeps=sweeps, survey=survey) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_ONE_ARGV, json.dumps(argv)],
+        capture_output=True, text=True, timeout=60, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
+    )
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])  # --help prints above it
+    assert code == (1 if name == "usage-error" else 0)
+    assert set(loaded) == CLI_MODULES | modules
+
+
+def test_env_choices_are_the_polarization_presets():
+    parser = build_parser()
+    for name in ("polar", "loss"):
+        subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
+        parser = subparsers.choices[name]
+    env = next(a for a in parser._actions if a.dest == "env")
+    assert env.choices == sorted(ENVIRONMENT_PRESETS)
+    assert env.default in ENVIRONMENT_PRESETS
 
 
 FRESNEL_25_25 = ["--lambda", "0.125", "--d1", "25", "--d2", "25"]

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,12 @@ def test_presets_registered():
         environment_preset("vacuum")
 
 
+def test_unknown_preset_message_lists_the_presets():
+    with pytest.raises(DomainError) as exc:
+        environment_preset("x")
+    assert str(exc.value) == "unknown environment preset 'x'; have ['metal-rich', 'sparse-room']"
+
+
 def test_tilt_reference_slope():
     env = EnvironmentModel(0.1)
     assert tilt_effect_db(0.0, env) == 0.0
@@ -137,6 +144,49 @@ def test_channel_validation():
         MimoChannel(h=np.eye(2), snr_linear=0.0)
     with pytest.raises(DomainError):
         MimoChannel(h=np.eye(3), snr_linear=10.0)
+
+
+@pytest.mark.parametrize(
+    "h, entry",
+    [
+        ([[1e200, 0], [0, 1]], "(1e+200+0j) at [0, 0]"),
+        (np.full((2, 2), 1e155), "(1e+155+0j) at [0, 0]"),
+        ([[1e-3, 2e160], [0, 1]], "(2e+160+0j) at [0, 1]"),
+        ([[1, 0], [0, -1e200j]], "(-0-1e+200j) at [1, 1]"),
+        # every entry of H H^dagger is 1e308, its larger eigenvalue 2e308
+        ([[0, 1e154j], [0, 1e154j]], "1e+154j at [0, 1]"),
+    ],
+    ids=["1e200", "all-1e155", "off-diagonal", "imaginary", "eigenvalue"],
+)
+def test_capacity_of_an_overflowing_channel_names_its_largest_entry(h, entry):
+    channel = MimoChannel(h=h, snr_linear=1.0)
+    # no numpy overflow warning may escape on the way to the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"entry {entry} overflows")):
+            mimo_capacity_bps_hz(channel)
+
+
+channel_parts = st.floats(min_value=-1e308, max_value=1e308) | st.sampled_from([1e154, 1e155])
+
+
+@given(
+    entries=st.lists(st.builds(complex, channel_parts, channel_parts), min_size=4, max_size=4),
+    snr=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+@example(entries=[1e200, 0, 0, 1], snr=1.0)
+@example(entries=[1e155] * 4, snr=1.0)
+@example(entries=[complex(1e308, -1e308)] * 4, snr=1e308)
+@example(entries=[0, 1e154j, 0, 1e154j], snr=5e-324)
+def test_any_finite_channel_gives_a_finite_capacity_or_raises_domain_error(entries, snr):
+    channel = MimoChannel(h=np.reshape(entries, (2, 2)), snr_linear=snr)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            capacity = mimo_capacity_bps_hz(channel)
+        except DomainError:
+            return
+    assert math.isfinite(capacity)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
