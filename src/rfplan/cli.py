@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -139,6 +140,23 @@ def _reject_non_finite(args) -> None:
             numbers = item if isinstance(item, tuple) else (item,)  # an A:B interval
             if not all(math.isfinite(x) for x in numbers if x is not None):
                 raise DomainError(f"{flag} must be finite, got {':'.join(map(repr, numbers))}")
+
+
+def _reject_non_finite_result(result: Result) -> None:
+    """nan or inf in a result would print as NaN/Infinity, or as nan/inf in a table or CSV."""
+    columns = [(key, (value,)) for key, value in result.scalars.items()]
+    if result.rows is not None:
+        data = result.rows.data
+        columns += [(name, [*map(itemgetter(i), data)]) for i, name in enumerate(result.rows.header)]
+    for name, values in columns:
+        try:
+            if all(map(math.isfinite, values)):  # a column of numbers, at C speed
+                continue
+        except (TypeError, OverflowError):  # text, or an int past the float range
+            pass
+        for value in values:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"result {name} is {value!r}, not a finite number")
 
 
 # --- command handlers -------------------------------------------------------
@@ -581,6 +599,8 @@ def run(argv: Sequence[str] | None = None, stdout=None, stderr=None) -> int:
     try:
         _reject_non_finite(args)
         result = args.handler(args)
+        if result.raw is None:
+            _reject_non_finite_result(result)
         render = _RENDERERS[args.format]
         text = result.raw if result.raw is not None else render(args.name, result)
         if args.out is not None:

@@ -47,6 +47,11 @@ class AggregatedSpectrum:
     bins: tuple[float, ...]
     last_update_ms: Mapping[int, int]
 
+    # A max-hold spectrum's merged levels as int8 bytes, which channel scoring
+    # reads through a table. Not a field: equality, repr and dataclasses.replace
+    # never see it, and a replaced spectrum is scored from its bins.
+    _levels = None
+
     @property
     def grid(self) -> BinGrid:
         return BinGrid(self.start_khz, self.bin_khz, len(self.bins))
@@ -73,7 +78,8 @@ def aggregate(
 
     if mode == MAX_HOLD:
         levels = np.frombuffer(b"".join([s.payload for s in sweeps]), np.int8)
-        merged = np.max(levels.reshape(len(sweeps), -1), axis=0).astype(float)
+        peak = np.max(levels.reshape(len(sweeps), -1), axis=0)
+        merged = peak.astype(float)
         last_update: dict[int, int] = {}
         for s in sweeps:
             last_update[s.sensor_id] = max(last_update.get(s.sensor_id, 0), s.timestamp_ms)
@@ -97,7 +103,7 @@ def aggregate(
     else:
         raise DomainError(f"unknown aggregation mode {mode!r}")
 
-    return AggregatedSpectrum(
+    fields = dict(
         position_id=position_id,
         mode=mode,
         start_khz=first.start_khz,
@@ -105,6 +111,13 @@ def aggregate(
         bins=tuple(merged.tolist()),
         last_update_ms=last_update,
     )
+    if mode != MAX_HOLD:
+        return AggregatedSpectrum(**fields)
+    # a dict of its own: adding _levels to the shared-key instance dict would
+    # widen the layout every spectrum shares, EWMA ones included
+    spectrum = object.__new__(AggregatedSpectrum)
+    object.__setattr__(spectrum, "__dict__", {**fields, "_levels": peak.tobytes()})
+    return spectrum
 
 
 def _ewma_mw(histories: list[list[SensorSweep]], alpha: float) -> np.ndarray:

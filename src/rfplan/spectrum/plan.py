@@ -8,6 +8,9 @@ client-aware mode the proposed improvement.
 """
 from __future__ import annotations
 
+import math
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -18,7 +21,7 @@ import numpy as np
 from ..errors import DomainError
 from ..modes import AP_ONLY, CLIENT_AWARE, MINIMAX, WEIGHTED_SUM
 from .aggregate import AggregatedSpectrum
-from .frames import BinGrid
+from .frames import _LEVELS, BinGrid
 
 # position id of the access point's own spectrum
 AP_ID = "ap"
@@ -30,6 +33,10 @@ CHANNEL_MASK_KHZ = 22_000
 CHANNEL_STEP_KHZ = 5_000
 ALL_CHANNELS: tuple[int, ...] = tuple(range(1, 15))
 PREFERRED_CHANNELS = frozenset({1, 6, 11})
+
+# mW of every level a max-hold bin can hold, indexed by the bin's byte as
+# unsigned: the scalar 10.0 ** (dbm / 10.0) of each, which np.power is not
+_SCALAR_MW = np.array([10.0 ** (level / 10.0) for level in map(float, _LEVELS)])
 
 
 def channel_center_khz(channel: int) -> int:
@@ -52,7 +59,8 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
     Each total adds its bins' scalar 10.0 ** (dbm / 10.0) left to right:
     numpy sums pairwise, np.power differs from the scalar pow in the last bit,
     and sum() is compensated from Python 3.12, so any of them would change the
-    last bits of a total.
+    last bits of a total. A grid's spectra that all carry max-hold levels read
+    those powers from _SCALAR_MW; any other spectra take the scalar pow.
     """
     centers = [channel_center_khz(ch) for ch in channels]
     members: dict[BinGrid, list[int]] = {}  # the spectra on each grid, by first use
@@ -74,16 +82,57 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
         hi = max(lo, max(mask.stop for mask in masks[grid]))
         # every bin any mask holds, then a zero column: padding a short mask
         # with it adds 0.0 after its last term, which changes nothing
-        mw = np.array(
-            [[10.0 ** (dbm / 10.0) for dbm in spectra[k].bins[lo:hi]] + [0.0] for k in on_grid]
-        )
+        levels = [spectra[k]._levels for k in on_grid]
+        if None not in levels:
+            codes = np.frombuffer(b"".join(levels), np.uint8).reshape(len(on_grid), -1)
+            mw = np.zeros((len(on_grid), hi - lo + 1))
+            mw[:, :-1] = _SCALAR_MW[codes[:, lo:hi]]
+        else:
+            rows = [spectra[k].bins[lo:hi] for k in on_grid]
+            try:
+                mw = np.array([[10.0 ** (dbm / 10.0) for dbm in row] + [0.0] for row in rows])
+            except OverflowError:  # a bin past about 3083 dBm: the check below names it
+                mw = np.array([[*map(_mw_or_inf, row), 0.0] for row in rows])
         steps = np.arange(lengths.max())[:, None]
         index = np.where(steps < lengths, starts - lo + steps, hi - lo)  # step x channel
         total = np.zeros((len(centers), len(on_grid)))
-        for term in mw.T[index]:
-            total += term
+        # while every term stays under half of float_max / terms per total, no
+        # total can round past the float range; past that, or at nan, the sums
+        # are guarded and checked
+        bounded = mw.max() < sys.float_info.max / (2 * max(1, len(steps)))
+        with nullcontext() if bounded else np.errstate(over="ignore"):
+            for term in mw.T[index]:
+                total += term
+        if not (bounded or np.isfinite(total).all()):
+            raise _non_finite_total([spectra[k] for k in on_grid], channels, total)
         totals[:, on_grid] = total
     return totals
+
+
+def _mw_or_inf(dbm: float) -> float:
+    try:
+        return 10.0 ** (dbm / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def _non_finite_total(
+    spectra: Sequence[AggregatedSpectrum], channels: Sequence[int], totals: np.ndarray
+) -> DomainError:
+    """The first non-finite total, channel by channel, named by the bin that makes it so."""
+    row, column = np.argwhere(~np.isfinite(totals))[0].tolist()  # row-major: channel first
+    spectrum, channel = spectra[column], channels[row]
+    center = channel_center_khz(channel)
+    mask = spectrum.grid.span(center - CHANNEL_HALF_WIDTH_KHZ, center + CHANNEL_HALF_WIDTH_KHZ)
+    total = 0.0
+    for dbm in spectrum.bins[mask]:
+        total += _mw_or_inf(dbm)
+        if not math.isfinite(total):
+            return DomainError(
+                f"bin value {dbm!r} at position {spectrum.position_id!r} makes the "
+                f"in-channel power of channel {channel} non-finite"
+            )
+    raise AssertionError("every in-channel total is finite")
 
 
 def overlap_weight(channel_distance: int) -> float:
@@ -153,6 +202,11 @@ def select_channel(
         else:
             # left to right, as sum() did before Python 3.12 compensated it
             value = reduce(add, row, 0.0)
+            if not math.isfinite(value):
+                raise DomainError(
+                    f"the sum of channel {ch}'s in-channel powers over {len(row)} "
+                    "positions leaves the float range"
+                )
         scores[ch] = ChannelScore(per_position_mw=per_position, objective=value)
         ranking.append(
             (value, per_position[AP_ID], 0 if ch in PREFERRED_CHANNELS else 1, ch)

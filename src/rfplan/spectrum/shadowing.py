@@ -18,6 +18,7 @@ it only for a scenario with shadowing.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -91,14 +92,36 @@ def _pcg64_seeds(seed: int, n_sensors: int, n_emitters: int) -> np.ndarray:
     return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _FixedState(ISeedSequence):
-    """Hands PCG64 one link's precomputed generate_state(4, np.uint64) words."""
+class _SeedFeed(ISeedSequence):
+    """One seed for every link's PCG64: each generate_state call hands over the
+    next link's precomputed generate_state(4, np.uint64) words, row by row."""
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    def __init__(self, seeds: Iterable[np.ndarray]):
+        self._words = iter(seeds)  # lazy: a list of every row view costs memory
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        try:
+            return next(self._words)
+        except StopIteration:
+            raise RuntimeError("PCG64 asked the seed feed for more states than links") from None
+
+    def close(self) -> None:
+        if next(self._words, None) is not None:
+            raise RuntimeError("PCG64 asked the seed feed for fewer states than links")
+
+
+def _standard_normals(seeds: Iterable[np.ndarray], n_links: int) -> np.ndarray:
+    """Generator(PCG64(words)).standard_normal() for each link's words in seeds.
+
+    Each link gets its own PCG64 and Generator over one shared feed. numpy's
+    PCG64 asks its seed for state exactly once, so link k takes the k-th
+    words; had numpy asked more or less often, the draws would shift between
+    links, and the feed raises instead when it runs out early or is left over.
+    """
+    feed = _SeedFeed(seeds)
+    z = np.array([Generator(PCG64(feed)).standard_normal() for _ in range(n_links)])
+    feed.close()
+    return z
 
 
 def shadowing_draws(seed: int, sigma: float, n_sensors: int, n_emitters: int) -> np.ndarray:
@@ -113,8 +136,6 @@ def shadowing_draws(seed: int, sigma: float, n_sensors: int, n_emitters: int) ->
     if sigma == 0.0:
         return np.zeros((n_sensors, n_emitters))
     seeds = _pcg64_seeds(seed, n_sensors, n_emitters).reshape(-1, 4)
-    z = np.array(
-        [Generator(PCG64(_FixedState(words))).standard_normal() for words in seeds]
-    )
+    z = _standard_normals(seeds, len(seeds))
     with np.errstate(over="ignore"):  # an inf draw, as numpy's normal gives it
         return (0.0 + float(sigma) * z).reshape(n_sensors, n_emitters)

@@ -24,6 +24,10 @@ Quantization takes np.log10 once per distinct total. A level within
 _HALF_GUARD_DB (1e-6 dB) of a half-integer, or not finite, is redone with the
 scalar formula: an error of a few ulp can change round(), the floor clamp or
 the 8-bit clip only there.
+
+The sweeps are checked once per call, not once per sweep: they share t_ms and
+the grid, and their levels are clipped ints, so SensorSweep checks sensor 0
+and the first id past 16 bits, and every sweep is built carrying its payload.
 """
 from __future__ import annotations
 
@@ -174,22 +178,32 @@ def simulate_sweeps(
         levels = _quantize(total_mw, scenario.noise_floor_dbm)
     # every level lies in [-128, 127], so its int8 bytes are the frame payload
     payload = levels.astype(np.int8).tobytes()
+    rows = levels.tolist()
+    # The levels are clipped ints and the grid fields constants, so only the
+    # id bound and t_ms can fail SensorSweep's checks: check sensor 0, whose
+    # id always fits, and the first id that does not, if there are that many.
+    for sensor_index in (0, 0x10000):
+        if sensor_index >= len(rows):
+            break
+        checked = SensorSweep(
+            sensor_id=sensor_index,
+            timestamp_ms=t_ms,
+            start_khz=SWEEP_GRID.start_khz,
+            bin_khz=SWEEP_GRID.bin_khz,
+            bins=tuple(rows[sensor_index]),
+        )
+        t_ms = checked.timestamp_ms  # an int, as SensorSweep makes it
     n = SWEEP_GRID.n_bins
     return [
         _carrying_payload(
             payload[sensor_index * n : (sensor_index + 1) * n],
-            # SensorSweep checks the id and the timestamp
-            **vars(
-                SensorSweep(
-                    sensor_id=sensor_index,
-                    timestamp_ms=t_ms,
-                    start_khz=SWEEP_GRID.start_khz,
-                    bin_khz=SWEEP_GRID.bin_khz,
-                    bins=tuple(bins),
-                )
-            ),
+            sensor_id=sensor_index,
+            timestamp_ms=t_ms,
+            start_khz=SWEEP_GRID.start_khz,
+            bin_khz=SWEEP_GRID.bin_khz,
+            bins=tuple(bins),
         )
-        for sensor_index, bins in enumerate(levels.tolist())
+        for sensor_index, bins in enumerate(rows)
     ]
 
 

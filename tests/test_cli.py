@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfplan import fixtures
+from rfplan import cli, fixtures
 from rfplan.cli import build_parser, run
 from rfplan.fresnel import PathGeometry, shading_cone_deg, zone_radius
 from rfplan.linkbudget import (
@@ -656,6 +656,24 @@ def test_json_documents_parse_strictly(flag, value):
     else:
         assert (code, stdout.getvalue()) == (2, "")
         assert stderr.getvalue() == f"error: {flag} must be finite, got {value!r}\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["scalar", "row"])
+def test_a_non_finite_result_exits_two_naming_the_field(capsys, monkeypatch, fmt, value, where):
+    # no handler returns one today; the guard is the net for one that would
+    def handler(args):
+        if where == "scalar":
+            return cli.Result({"label": "x", "count": 3, "gain_db": value})
+        return cli.Result({}, cli.Rows("rows", ["id", "gain_db"], [("a", 1.0), ("b", value)]))
+
+    monkeypatch.setattr(cli, "_cmd_linkbudget", handler)
+    err = assert_domain_error(
+        capsys, "linkbudget", "--pt", "1", "--gt", "0", "--gr", "0", "--freq", "2.4e9",
+        "--dist", "10", "--format", fmt,
+    )
+    assert err == f"error: result gain_db is {value!r}, not a finite number\n"
 
 
 LINKBUDGET_GEOMETRY = ["linkbudget", "--pt", "1", "--freq", "2.4e9", "--dist", "10"]

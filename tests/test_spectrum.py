@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -7,12 +8,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rfplan.errors import DomainError
 from rfplan.linkbudget import Frequency, LinkGeometry, fspl_db
 from rfplan.spectrum import (
+    ALL_CHANNELS,
     AP_ONLY,
     CLIENT_AWARE,
     EWMA,
@@ -41,8 +43,10 @@ from rfplan.spectrum import (
     sweeps_to_jsonl,
 )
 from rfplan.spectrum.aggregate import _MW_TABLE
-from rfplan.spectrum.plan import CHANNEL_HALF_WIDTH_KHZ
-from rfplan.spectrum.shadowing import shadowing_draws
+from rfplan.spectrum import shadowing
+from rfplan.spectrum.frames import _LEVELS
+from rfplan.spectrum.plan import _SCALAR_MW, CHANNEL_HALF_WIDTH_KHZ
+from rfplan.spectrum.shadowing import _pcg64_seeds, _standard_normals, shadowing_draws
 from rfplan.spectrum.simulate import _quantize
 from rfplan import fixtures
 
@@ -564,6 +568,135 @@ def test_select_channel_matches_per_bin_oracle(spectra, mode, candidates, object
             assert got == want if isinstance(want, str) else got.hex() == want.hex()
 
 
+def test_scalar_mw_table_entries_match_the_scalar_expression():
+    # max-hold scoring reads a bin's mW from this table, so each entry must be
+    # the scalar pow that scores any other bin, bit for bit
+    expected = np.array([10.0 ** (float(level) / 10.0) for level in _LEVELS])
+    assert _SCALAR_MW.tobytes() == expected.tobytes()
+
+
+# the sweep grid; channel 1's mask edge on the first bin and channel 14's on
+# the last; one bin in a single mask, or in the masks of channels 1-5 and in
+# none of 6-7; 256 bins, so a rotated sweep holds every level from -128 to 127
+MAX_HOLD_GRIDS = (
+    (SWEEP_GRID.start_khz, SWEEP_GRID.bin_khz, SWEEP_GRID.n_bins),
+    (2_401_000, 1_000, 94),
+    (2_401_000, 22_000, 1),
+    (2_390_000, 65_000, 1),
+    (2_390_000, 500, 256),
+)
+
+
+@st.composite
+def max_hold_spectra(draw):
+    """Spectra that aggregate max-holds from 1-3 random sweeps per position."""
+    n_clients = draw(st.integers(0, 5))
+    ids = draw(st.permutations(["ap", *(f"c{i}" for i in range(n_clients))]))
+    shared = draw(st.sampled_from(MAX_HOLD_GRIDS))
+    single = draw(st.booleans())
+    spectra = {}
+    for pos in ids:
+        start, width, n = shared if single else draw(st.sampled_from(MAX_HOLD_GRIDS))
+        sweeps = []
+        for k in range(draw(st.integers(1, 3))):
+            if draw(st.booleans()):
+                shift = draw(st.integers(0, 255))
+                bins = [(shift + i) % 256 - 128 for i in range(n)]
+            else:
+                bins = np.frombuffer(draw(st.binary(min_size=n, max_size=n)), np.int8).tolist()
+            sweeps.append(sweep(bins, sensor_id=k, start=start, width=width))
+        spectra[pos] = aggregate(sweeps, MAX_HOLD, position_id=pos)
+    return spectra
+
+
+@given(
+    max_hold_spectra(),
+    st.sampled_from([AP_ONLY, CLIENT_AWARE]),
+    st.one_of(st.none(), st.lists(st.integers(1, 14), min_size=1, max_size=14, unique=True)),
+    st.sampled_from([MINIMAX, WEIGHTED_SUM]),
+)
+def test_max_hold_levels_score_like_the_bins(spectra, mode, candidates, objective):
+    # dataclasses.replace drops the carried levels, so the copies take the scalar pow
+    scalar = {pos: dataclasses.replace(spectrum) for pos, spectrum in spectra.items()}
+    assert all(spectrum._levels is not None for spectrum in spectra.values())
+    assert all(spectrum._levels is None for spectrum in scalar.values())
+    got = outcome(select_channel, spectra, mode, candidates, objective)
+    want = outcome(select_channel, scalar, mode, candidates, objective)
+    assert repr(got) == repr(want)
+    assert "non-finite" not in repr(got)  # aggregated levels always score finite
+    for pos, spectrum in spectra.items():
+        for ch in candidates or ALL_CHANNELS:
+            got = outcome(channel_power_mw, spectrum, ch)
+            want = outcome(channel_power_mw, scalar[pos], ch)
+            assert repr(got) == repr(want)
+
+
+def test_channel_power_names_a_bin_it_cannot_score():
+    def spectrum(bins):
+        return AggregatedSpectrum("ap", MAX_HOLD, 2_400_000, 1_000, tuple(bins), {})
+
+    # pow overflow, nan, +inf, and a sum past the float range from finite terms
+    for bins, bad in [
+        ((4000.0,) * 100, "4000.0"),
+        ((math.nan,) * 100, "nan"),
+        ([-90.0] * 30 + [math.inf] + [-90.0] * 69, "inf"),
+        ((3080.0,) * 100, "3080.0"),
+    ]:
+        with pytest.raises(DomainError) as info:
+            channel_power_mw(spectrum(bins), 6)
+        assert str(info.value) == (
+            f"bin value {bad} at position 'ap' makes the in-channel power of channel 6 "
+            "non-finite"
+        )
+    # a bin no mask holds is never scored, and -inf dBm is 0 mW
+    outside = [-90.0] * 100
+    outside[50] = 4000.0
+    assert channel_power_mw(spectrum(outside), 1) == channel_power_mw(flat_spectrum(-90.0), 1)
+    assert channel_power_mw(spectrum((-math.inf,) * 100), 6) == 0.0
+
+
+def test_weighted_sum_refuses_a_sum_past_the_float_range():
+    # each position's channel power is 2.2e307 mW; ten of them overflow
+    spectra = {
+        pos: AggregatedSpectrum(pos, MAX_HOLD, 2_400_000, 1_000, (3060.0,) * 100, {})
+        for pos in ("ap", *(f"c{i}" for i in range(9)))
+    }
+    assert select_channel(spectra, CLIENT_AWARE, objective=MINIMAX).chosen_channel == 1
+    with pytest.raises(DomainError, match=re.escape(
+        "the sum of channel 1's in-channel powers over 10 positions leaves the float range"
+    )):
+        select_channel(spectra, CLIENT_AWARE, objective=WEIGHTED_SUM)
+
+
+@given(
+    st.lists(st.floats(), min_size=2, max_size=4).flatmap(
+        lambda values: st.lists(st.sampled_from(values), min_size=100, max_size=100)
+    ),
+    st.integers(0, 3),
+    st.sampled_from([AP_ONLY, CLIENT_AWARE]),
+    st.sampled_from([MINIMAX, WEIGHTED_SUM]),
+)
+@example([math.nan] * 100, 0, AP_ONLY, MINIMAX)
+@example([math.inf] * 100, 0, AP_ONLY, MINIMAX)
+@example([-math.inf] * 100, 0, AP_ONLY, MINIMAX)
+@example([4000.0] * 100, 0, AP_ONLY, MINIMAX)
+@example([3080.0] * 100, 0, AP_ONLY, MINIMAX)
+@example([3060.0] * 100, 9, CLIENT_AWARE, WEIGHTED_SUM)
+def test_any_float_bins_give_finite_scores_or_raise_domain_error(bins, n_clients, mode, objective):
+    ids = ("ap", *(f"c{i}" for i in range(n_clients)))
+    spectra = {
+        pos: AggregatedSpectrum(pos, MAX_HOLD, 2_400_000, 1_000, tuple(bins[k:] + bins[:k]), {})
+        for k, pos in enumerate(ids)
+    }
+    try:
+        plan = select_channel(spectra, mode, objective=objective)
+    except DomainError:
+        return
+    for score in plan.per_channel_scores.values():
+        assert math.isfinite(score.objective)
+        assert all(map(math.isfinite, score.per_position_mw.values()))
+
+
 def test_uncovered_grid_names_the_first_channel_and_position():
     spectra = {
         "ap": flat_spectrum(-95.0, "ap"),
@@ -757,6 +890,31 @@ def test_shadowing_draws_match_default_rng(seed, sigma, n_sensors, n_emitters):
     assert draws.tolist() == default_rng_draws(seed, sigma, n_sensors, n_emitters)
 
 
+def test_seed_feed_serves_each_link_exactly_once():
+    words = _pcg64_seeds(1, 1, 3).reshape(-1, 4)
+    want = [np.random.default_rng([1, 0, e]).standard_normal() for e in range(3)]
+    assert _standard_normals(words, 3).tolist() == want
+    # words left over, or too few: the draws would shift between links
+    with pytest.raises(RuntimeError, match="fewer states than links"):
+        _standard_normals(words, 2)
+    with pytest.raises(RuntimeError, match="more states than links"):
+        _standard_normals(words[:2], 3)
+
+
+@pytest.mark.parametrize("asks", [0, 2])
+def test_seed_feed_refuses_a_pcg64_that_asks_other_than_once(monkeypatch, asks):
+    # a numpy whose PCG64 asked its seed for state twice, or never, would
+    # hand every link another link's words; the feed raises instead
+    def pcg64(feed):
+        for _ in range(asks - 1):
+            feed.generate_state(4, np.uint64)
+        return np.random.PCG64(feed if asks else 0)
+
+    monkeypatch.setattr(shadowing, "PCG64", pcg64)
+    with pytest.raises(RuntimeError, match="states than links"):
+        shadowing_draws(1, 4.0, 2, 2)
+
+
 def per_link_sweeps(scenario, positions, t_ms):
     """The simulator written link by link with a fresh default_rng per link."""
     spread_db = 10.0 * math.log10(2 * CHANNEL_HALF_WIDTH_KHZ // SWEEP_GRID.bin_khz)
@@ -895,6 +1053,33 @@ def test_simulate_timestamps_and_ids():
     sweeps = simulate_sweeps(scenario, positions, t_ms=99)
     assert [s.sensor_id for s in sweeps] == [0, 1]
     assert all(s.timestamp_ms == 99 for s in sweeps)
+
+
+@pytest.mark.parametrize(
+    ("t_ms", "message"),
+    [
+        (-1, "timestamp_ms must fit 64 bits, got -1"),
+        (2**64, "timestamp_ms must fit 64 bits, got 18446744073709551616"),
+        (1.5, "timestamp_ms must be an integer, got 1.5"),
+        (True, "timestamp_ms must be an integer, got True"),
+    ],
+)
+def test_simulate_names_a_bad_timestamp(t_ms, message):
+    scenario = Scenario(
+        ap_position=(0.0, 0.0), clients=(Client("c1", 5.0, 5.0),), emitters=(Emitter(6, 20.0, 1.0, 1.0),)
+    )
+    with pytest.raises(DomainError) as info:
+        simulate_sweeps(scenario, default_sensor_layout(scenario)[1], t_ms)
+    assert str(info.value) == message
+    # with no sensor there is no sweep to check
+    assert simulate_sweeps(scenario, [], t_ms) == []
+
+
+def test_simulate_makes_an_integer_timestamp_an_int():
+    scenario = Scenario(ap_position=(0.0, 0.0), clients=(Client("c1", 5.0, 5.0),))
+    sweeps = simulate_sweeps(scenario, default_sensor_layout(scenario)[1], np.int64(7))
+    assert [type(s.timestamp_ms) for s in sweeps] == [int, int]
+    assert sweeps == simulate_sweeps(scenario, default_sensor_layout(scenario)[1], 7)
 
 
 def test_scenario_validation():
