@@ -69,37 +69,41 @@ def aggregate(
         raise DomainError("nothing to aggregate")
     first = sweeps[0]
     shape = (first.start_khz, first.bin_khz, len(first.bins))
-    for s in sweeps[1:]:
-        if (s.start_khz, s.bin_khz, len(s.bins)) != shape:
+    # One pass checks the grid and groups each sensor's payloads. A sensor's
+    # latest timestamp is its last while its sweeps are in order; the first one
+    # that is not is reported only for ewma, after the grid check and alpha.
+    histories: dict[int, list[bytes]] = {}
+    last_update: dict[int, int] = {}
+    late = None
+    for s in sweeps:
+        payload = s.payload
+        if (s.start_khz, s.bin_khz, len(payload)) != shape:
             raise DomainError(
                 f"sweeps disagree on the bin grid ({s.grid} vs {first.grid}); "
                 "resampling is not supported"
             )
+        sensor, t_ms = s.sensor_id, s.timestamp_ms
+        histories.setdefault(sensor, []).append(payload)
+        prev_ms = last_update.setdefault(sensor, t_ms)
+        if t_ms >= prev_ms:
+            last_update[sensor] = t_ms
+        elif late is None:
+            late = (
+                f"ewma needs each sensor's sweeps in timestamp order: sensor "
+                f"{sensor} went from {prev_ms} ms back to {t_ms} ms"
+            )
 
     if mode == MAX_HOLD:
-        levels = np.frombuffer(b"".join([s.payload for s in sweeps]), np.int8)
-        peak = np.max(levels.reshape(len(sweeps), -1), axis=0)
+        levels = np.frombuffer(b"".join(map(b"".join, histories.values())), np.int8)
+        peak = levels.reshape(len(sweeps), -1).max(axis=0)
         merged = peak.astype(float)
-        last_update: dict[int, int] = {}
-        for s in sweeps:
-            last_update[s.sensor_id] = max(last_update.get(s.sensor_id, 0), s.timestamp_ms)
     elif mode == EWMA:
         if not 0.0 < alpha <= 1.0:
             raise DomainError(f"ewma alpha must lie in (0, 1], got {alpha}")
-        per_sensor: dict[int, list[SensorSweep]] = {}
-        # in timestamp order, each sensor's latest timestamp is also its last
-        last_update = {}
-        for s in sweeps:
-            prev_ms = last_update.setdefault(s.sensor_id, s.timestamp_ms)
-            if s.timestamp_ms < prev_ms:
-                raise DomainError(
-                    f"ewma needs each sensor's sweeps in timestamp order: sensor "
-                    f"{s.sensor_id} went from {prev_ms} ms back to {s.timestamp_ms} ms"
-                )
-            last_update[s.sensor_id] = s.timestamp_ms
-            per_sensor.setdefault(s.sensor_id, []).append(s)
-        smoothed_dbm = 10.0 * np.log10(_ewma_mw(list(per_sensor.values()), alpha))
-        merged = smoothed_dbm[0] if len(per_sensor) == 1 else np.max(smoothed_dbm, axis=0)
+        if late is not None:
+            raise DomainError(late)
+        smoothed_dbm = 10.0 * np.log10(_ewma_mw(list(histories.values()), alpha))
+        merged = smoothed_dbm[0] if len(histories) == 1 else smoothed_dbm.max(axis=0)
     else:
         raise DomainError(f"unknown aggregation mode {mode!r}")
 
@@ -120,26 +124,38 @@ def aggregate(
     return spectrum
 
 
-def _ewma_mw(histories: list[list[SensorSweep]], alpha: float) -> np.ndarray:
-    """Smoothed mW per sensor, one row per history of in-order sweeps.
+def _ewma_mw(histories: list[list[bytes]], alpha: float) -> np.ndarray:
+    """Smoothed mW per sensor, one row per history of in-order sweep payloads.
 
-    Sensors ranked by sweep count, most first, make the sensors with an r-th
-    sweep a prefix, so step r is one update of that prefix. Each bin still
-    gets alpha*p + (1-alpha)*prev exactly: IEEE + and * are commutative.
+    When every history has the same length, step r updates every sensor at
+    once, from row r of one steps x sensors x bins array. Otherwise sensors
+    ranked by sweep count, most first, make the sensors with an r-th sweep a
+    prefix, so step r is one update of that prefix. Each bin still gets
+    alpha*p + (1-alpha)*prev exactly: IEEE + and * are commutative.
     """
     histories.sort(key=len, reverse=True)
+    n_steps, n_sensors = len(histories[0]), len(histories)
+    keep = np.array(1.0 - alpha)  # a ufunc takes an array operand faster than a float
+    if len(histories[-1]) == n_steps:
+        rows = histories[0] if n_sensors == 1 else [p for step in zip(*histories) for p in step]
+        codes = np.frombuffer(b"".join(rows), np.uint8)
+        power = _MW_TABLE.take(codes).reshape(n_steps, n_sensors, -1)
+        smoothed = power[0]  # updated in place: the later rows are scaled first
+        for scaled in alpha * power[1:]:
+            smoothed *= keep
+            smoothed += scaled
+        return smoothed
     widths = []  # widths[r]: how many sensors have an r-th sweep
-    width = len(histories)
-    for r in range(len(histories[0])):
+    width = n_sensors
+    for r in range(n_steps):
         while len(histories[width - 1]) <= r:
             width -= 1
         widths.append(width)
-    rows = [h[r].payload for r, width in enumerate(widths) for h in histories[:width]]
+    rows = [h[r] for r, width in enumerate(widths) for h in histories[:width]]
     codes = np.frombuffer(b"".join(rows), np.uint8)
-    power = _MW_TABLE[codes].reshape(len(rows), -1)
+    power = _MW_TABLE.take(codes).reshape(len(rows), -1)
     smoothed = power[: widths[0]].copy()
     scaled = alpha * power
-    keep = 1.0 - alpha
     start = widths[0]
     prefix = smoothed
     for width in widths[1:]:

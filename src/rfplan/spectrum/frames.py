@@ -38,7 +38,8 @@ VERSION = 1
 
 _HEADER = struct.Struct("<2sBHQIHH")
 _CRC = struct.Struct("<I")
-# Each bin byte's level, indexed by the byte as unsigned; parsed sweeps share these ints.
+# Each bin byte's level, indexed by the byte as unsigned; parsed and simulated
+# sweeps share these ints.
 _LEVELS = tuple(b - 256 if b > 127 else b for b in range(256))
 
 
@@ -215,6 +216,12 @@ def parse_frame(data: bytes) -> SensorSweep:
         timestamp_ms=timestamp_ms,
         start_khz=start_khz,
         bin_khz=bin_khz,
-        # itemgetter of one index gives the bare item, not a 1-tuple
-        bins=operator.itemgetter(*payload)(_LEVELS) if n > 1 else (_LEVELS[payload[0]],),
+        bins=_shared_levels(payload),
     )
+
+
+def _shared_levels(payload: bytes) -> tuple[int, ...]:
+    """The bins a payload carries, as the shared ints of _LEVELS."""
+    if len(payload) > 1:
+        return operator.itemgetter(*payload)(_LEVELS)
+    return tuple(_LEVELS[b] for b in payload)  # itemgetter of one index gives the bare item

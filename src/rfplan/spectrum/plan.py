@@ -13,7 +13,8 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from itertools import chain, repeat
+from operator import add, truediv
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -82,17 +83,22 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
         hi = max(lo, max(mask.stop for mask in masks[grid]))
         # every bin any mask holds, then a zero column: padding a short mask
         # with it adds 0.0 after its last term, which changes nothing
+        mw = np.zeros((len(on_grid), hi - lo + 1))
         levels = [spectra[k]._levels for k in on_grid]
         if None not in levels:
             codes = np.frombuffer(b"".join(levels), np.uint8).reshape(len(on_grid), -1)
-            mw = np.zeros((len(on_grid), hi - lo + 1))
             mw[:, :-1] = _SCALAR_MW[codes[:, lo:hi]]
         else:
-            rows = [spectra[k].bins[lo:hi] for k in on_grid]
+            dbms = [spectra[k].bins[lo:hi] for k in on_grid]
             try:
-                mw = np.array([[10.0 ** (dbm / 10.0) for dbm in row] + [0.0] for row in rows])
+                scalar = np.fromiter(
+                    map(pow, repeat(10.0), map(truediv, chain.from_iterable(dbms), repeat(10.0))),
+                    float,
+                    len(on_grid) * (hi - lo),
+                )
             except OverflowError:  # a bin past about 3083 dBm: the check below names it
-                mw = np.array([[*map(_mw_or_inf, row), 0.0] for row in rows])
+                scalar = np.fromiter(map(_mw_or_inf, chain.from_iterable(dbms)), float)
+            mw[:, :-1] = scalar.reshape(len(on_grid), hi - lo)
         steps = np.arange(lengths.max())[:, None]
         index = np.where(steps < lengths, starts - lo + steps, hi - lo)  # step x channel
         total = np.zeros((len(centers), len(on_grid)))

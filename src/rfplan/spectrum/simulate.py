@@ -27,7 +27,8 @@ the 8-bit clip only there.
 
 The sweeps are checked once per call, not once per sweep: they share t_ms and
 the grid, and their levels are clipped ints, so SensorSweep checks sensor 0
-and the first id past 16 bits, and every sweep is built carrying its payload.
+and the first id past 16 bits before any bin is summed. Every sweep is built
+carrying its payload, its bins the shared ints that parse_frame gives.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..linkbudget import Frequency, fspl_db_columns
-from .frames import BinGrid, SensorSweep, _carrying_payload, _index
+from .frames import BinGrid, SensorSweep, _carrying_payload, _index, _shared_levels
 from .plan import AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
 SWEEP_GRID = BinGrid(start_khz=2_400_000, bin_khz=1_000, n_bins=100)
@@ -169,6 +170,21 @@ def simulate_sweeps(
                 f"{float(per_bin_dbm[s, e])!r} dBm in each bin at sensor {s}, "
                 "whose mW leaves the float range"
             ) from None
+        # The levels will be clipped ints and the grid fields are constants, so
+        # only the id bound and t_ms can fail SensorSweep's checks: check sensor
+        # 0, whose id always fits, and the first id that does not, if there are
+        # that many, before any bin is summed.
+        for sensor_index in (0, 0x10000):
+            if sensor_index >= shape[0]:
+                break
+            checked = SensorSweep(
+                sensor_id=sensor_index,
+                timestamp_ms=t_ms,
+                start_khz=SWEEP_GRID.start_khz,
+                bin_khz=SWEEP_GRID.bin_khz,
+                bins=(0,),
+            )
+            t_ms = checked.timestamp_ms  # an int, as SensorSweep makes it
         total_mw = np.zeros((shape[0], SWEEP_GRID.n_bins))
         for center_khz, column in zip(centers_khz, per_bin_mw.T):
             mask = SWEEP_GRID.span(
@@ -178,32 +194,18 @@ def simulate_sweeps(
         levels = _quantize(total_mw, scenario.noise_floor_dbm)
     # every level lies in [-128, 127], so its int8 bytes are the frame payload
     payload = levels.astype(np.int8).tobytes()
-    rows = levels.tolist()
-    # The levels are clipped ints and the grid fields constants, so only the
-    # id bound and t_ms can fail SensorSweep's checks: check sensor 0, whose
-    # id always fits, and the first id that does not, if there are that many.
-    for sensor_index in (0, 0x10000):
-        if sensor_index >= len(rows):
-            break
-        checked = SensorSweep(
-            sensor_id=sensor_index,
-            timestamp_ms=t_ms,
-            start_khz=SWEEP_GRID.start_khz,
-            bin_khz=SWEEP_GRID.bin_khz,
-            bins=tuple(rows[sensor_index]),
-        )
-        t_ms = checked.timestamp_ms  # an int, as SensorSweep makes it
+    bins = _shared_levels(payload)  # one call for every sensor's bins, sliced per sweep
     n = SWEEP_GRID.n_bins
     return [
         _carrying_payload(
-            payload[sensor_index * n : (sensor_index + 1) * n],
+            payload[start : start + n],
             sensor_id=sensor_index,
             timestamp_ms=t_ms,
             start_khz=SWEEP_GRID.start_khz,
             bin_khz=SWEEP_GRID.bin_khz,
-            bins=tuple(bins),
+            bins=bins[start : start + n],
         )
-        for sensor_index, bins in enumerate(rows)
+        for sensor_index, start in enumerate(range(0, len(payload), n))
     ]
 
 

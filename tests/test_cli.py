@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -1104,3 +1105,163 @@ def test_any_zone_number_exits_two_or_prints_strict_json(n):
         assert json.loads(stdout.getvalue())["blocked_zone"] == n
     else:
         assert (code, stderr.getvalue()) == (2, f"error: --zone must lie in 1..200, got {n}\n")
+
+
+# --- every command, driven by the parser ------------------------------------
+
+
+def leaf_commands(parser, words=()):
+    """{command words: leaf parser}, found through the parser's subcommand actions."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            leaves = {}
+            for name, sub in action.choices.items():
+                leaves.update(leaf_commands(sub, (*words, name)))
+            return leaves
+    return {words: parser}
+
+
+LEAF_COMMANDS = leaf_commands(build_parser())
+# --format is fixed to json, so exit 0 must print a document; --out would move it
+UNDRAWN_FLAGS = {"-h", "--format", "--out"}
+FLOAT_EXTREMES = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 2.0, 1e12, 1e300, 1.7e308]
+extreme_floats = st.sampled_from([*FLOAT_EXTREMES, *(-x for x in FLOAT_EXTREMES)])
+# A step of at least STEP_FLOOR keeps one example under about 50 ms: at most
+# 900 lens profile samples (the aperture is under 90 deg) or 2,000 curve
+# samples (u stops at 200), about 30 and 25 ms on a 2-CPU Xeon. A finer
+# extreme is refused by the sample-count check before any sample is formed.
+STEP_FLOOR = 0.1
+
+
+@st.composite
+def sweep_log_texts(draw):
+    """A JSONL sweep log of 0-6 records on one grid, now and then a bad line."""
+    n_bins = draw(st.integers(1, 100))
+    lines = [
+        json.dumps({
+            "sensor_id": draw(st.integers(0, 3)),
+            "timestamp_ms": draw(st.integers(0, 5)),
+            "start_khz": 2_400_000,
+            "bin_khz": 1_000,
+            "bins": draw(st.lists(st.integers(-128, 127), min_size=n_bins, max_size=n_bins)),
+        })
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=10)))
+    return "".join(line + "\n" for line in lines)
+
+
+count_series = st.lists(
+    st.tuples(st.one_of(finite, extreme_floats), st.one_of(st.integers(1, 10**6), finite)),
+    max_size=6,
+)
+
+# a value drawn as ("file", text) is written to a file and passed as its path
+FILE_FLAGS = {
+    "--scenario": st.one_of(
+        st.sampled_from(["divergence", "no-such-scenario"]),
+        scenario_documents.map(lambda doc: ("file", json.dumps(doc))),
+    ),
+    "--sweeps": sweep_log_texts().map(lambda text: ("file", text)),
+    "--input": st.one_of(count_series, count_series.map(sorted)).map(
+        lambda points: ("file", "".join(f"{t!r} {c!r}\n" for t, c in points))
+    ),
+}
+
+
+def flag_values(action, edge):
+    """argv words for one flag, read from its action. An edge value may be any
+    finite float, an extreme or a wild int; any other is on a plan's scale."""
+    flag = action.option_strings[-1]
+    if action.nargs == 0:  # store_true
+        return st.just([flag])
+    if flag in FILE_FLAGS:
+        return FILE_FLAGS[flag].map(lambda value: [flag, value])
+    if action.choices is not None:
+        values = st.sampled_from(sorted(action.choices))
+    elif action.type is float:
+        if not edge:
+            values = st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1000.0))
+        elif action.dest.endswith("step"):
+            values = st.one_of(extreme_floats, st.floats(STEP_FLOOR, allow_infinity=False))
+        else:
+            values = st.one_of(extreme_floats, finite)
+        values = values.map(repr)
+    elif action.type is int:
+        values = (st.integers(-(2**70), 2**70) | st.integers(-3, 300) if edge
+                  else st.integers(1, 200)).map(str)
+    elif action.type is cli._parse_interval:
+        bound = st.one_of(extreme_floats, finite) if edge else st.floats(0.0, 10.0)
+        values = st.tuples(bound, bound).map(lambda ab: f"{ab[0]!r}:{ab[1]!r}")
+    elif action.type is cli._parse_channels:
+        values = st.lists(st.integers(-1, 15) if edge else st.integers(1, 14),
+                          min_size=1, max_size=4).map(lambda chs: ",".join(map(str, chs)))
+    else:
+        values = st.text(st.characters(exclude_categories=["Cs"]), max_size=5)
+    values = values.map(lambda value: [f"{flag}={value}"])  # = lets a negative parse
+    if isinstance(action, argparse._AppendAction):
+        return st.lists(values, max_size=3).map(lambda words: sum(words, []))
+    return values
+
+
+@st.composite
+def command_lines(draw, words):
+    """(argv, usage fault) for one leaf command: its required flags always, the
+    optional ones half the time, one of them at an edge value. Now and then
+    one fault: a required flag dropped, or a typed value made unparsable."""
+    actions = [
+        action for action in LEAF_COMMANDS[words]._actions
+        if action.option_strings and not UNDRAWN_FLAGS & set(action.option_strings)
+    ]
+    drawn = [a for a in actions if a.required or draw(st.booleans())]
+    valued = [a for a in drawn if a.nargs != 0]
+    edge = draw(st.sampled_from(valued)) if valued else None
+    fault = None
+    if draw(st.integers(0, 9)) == 0:
+        candidates = [("drop", a) for a in drawn if a.required] + [
+            ("garble", a) for a in drawn if a.type is not None or a.choices is not None
+        ]
+        if candidates:
+            fault = draw(st.sampled_from(candidates))
+    argv = [*words, "--format", "json"]
+    for action in drawn:
+        if fault == ("drop", action):
+            continue
+        if fault == ("garble", action):
+            argv.append(f"{action.option_strings[-1]}=not-a-value")
+            continue
+        argv += draw(flag_values(action, action is edge))
+    return argv, fault
+
+
+# 40 examples of each of the 12 commands take about 9 s on a 2-CPU Xeon
+@pytest.mark.parametrize("words", sorted(LEAF_COMMANDS), ids=" ".join)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_every_command_exits_cleanly_on_any_flags(words, data):
+    argv, fault = data.draw(command_lines(words), label="command line")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, word in enumerate(argv):
+            if isinstance(word, tuple):
+                path = Path(tmp) / f"input{k}"
+                path.write_text(word[1])
+                argv[k] = str(path)
+        code = run(argv, stdout, stderr)  # any exception out of run fails the test
+    out, err = stdout.getvalue(), stderr.getvalue()
+    if code == 0:
+        assert err == ""
+        if "--jsonl" in argv:
+            for line in out.splitlines():
+                strict_json(line)
+        else:
+            strict_json(out)
+    elif code == 2:
+        assert out == ""
+        assert re.fullmatch("error: [^\n]*\n", err)
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("rfplan ") and "\nusage: rfplan " in err
+    # exit 1 is a usage error, and only a usage error
+    assert (code == 1) == (fault is not None), err

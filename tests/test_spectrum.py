@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,24 @@ alphas = st.one_of(
 )
 
 
+def equal_count_log(n_sensors, n_sweeps, n_bins=7):
+    """Sensors with n_sweeps in-order sweeps each, interleaved, levels spread over int8."""
+    return [
+        sweep(
+            [(37 * (t * n_sensors + k) + 11 * b) % 256 - 128 for b in range(n_bins)],
+            sensor_id=3 * k + 1,
+            t=100 * t,
+        )
+        for t in range(n_sweeps)
+        for k in range(n_sensors)
+    ]
+
+
+# equal sweep counts step every sensor from one array, a rare draw of
+# sweep_logs; a lone one-sweep sensor has no step at all
+@example(equal_count_log(2, 5), 0.3)
+@example(equal_count_log(3, 4), 0.6180339887498949)
+@example(equal_count_log(1, 1), 0.3)
 @given(sweep_logs(), alphas)
 def test_ewma_matches_per_sweep_oracle(sweeps, alpha):
     got = outcome(aggregate, sweeps, EWMA, alpha=alpha)
@@ -566,6 +585,36 @@ def test_select_channel_matches_per_bin_oracle(spectra, mode, candidates, object
             got = outcome(channel_power_mw, spectrum, ch)
             want = outcome(channel_power_per_bin, spectrum, ch)
             assert got == want if isinstance(want, str) else got.hex() == want.hex()
+
+
+# bins wider than the 22 MHz mask: on the first grid some channels' masks hold
+# no bin; on the second, whose centers are 2410 and 2470 MHz, the masks of
+# channels 3, 9 and 10 hold none
+WIDE_BIN_GRIDS = ((2_390_000, 30_000, 4), (2_380_000, 60_000, 2))
+
+
+@pytest.mark.parametrize("grid", WIDE_BIN_GRIDS)
+@pytest.mark.parametrize("candidates", [None, (3, 9, 10)])
+def test_empty_masks_score_like_the_per_bin_oracle(grid, candidates):
+    start, width, n = grid
+    rng = random.Random(7)
+    spectra = {}
+    for pos in ("ap", "c0", "c1"):
+        sweeps = [sweep([rng.randint(-128, 127) for _ in range(n)], sensor_id=k, t=k,
+                        start=start, width=width) for k in range(3)]
+        spectra[pos] = aggregate(sweeps, EWMA, position_id=pos)  # float bins: the scalar pow
+        spectra[f"{pos}-max"] = aggregate(sweeps, MAX_HOLD, position_id=pos)  # the level table
+    for mode in (AP_ONLY, CLIENT_AWARE):
+        for objective in (MINIMAX, WEIGHTED_SUM):
+            got = select_channel(spectra, mode, candidates, objective)
+            assert plan_bits(got) == select_channel_per_bin(spectra, mode, candidates, objective)
+    for spectrum in spectra.values():
+        for ch in candidates or ALL_CHANNELS:
+            assert channel_power_mw(spectrum, ch).hex() == channel_power_per_bin(spectrum, ch).hex()
+    if candidates is not None and n == 2:
+        plan = select_channel(spectra, CLIENT_AWARE, candidates)
+        assert {value for score in plan.per_channel_scores.values()
+                for value in score.per_position_mw.values()} == {0.0}
 
 
 def test_scalar_mw_table_entries_match_the_scalar_expression():
@@ -1073,6 +1122,37 @@ def test_simulate_names_a_bad_timestamp(t_ms, message):
     assert str(info.value) == message
     # with no sensor there is no sweep to check
     assert simulate_sweeps(scenario, [], t_ms) == []
+
+
+def test_simulated_bins_are_the_shared_level_ints():
+    scenario = survey_scenario(2024)
+    sweeps = simulate_sweeps(scenario, default_sensor_layout(scenario)[1])
+    assert all(
+        b is _LEVELS[code] for s in sweeps for b, code in zip(s.bins, s.payload, strict=True)
+    )
+
+
+def test_simulate_refuses_too_many_sensors_before_summing_bins():
+    # 65,537 sensors would sum, quantize and unpack 6.5M bins (about 285 MB)
+    # before the id check; checked first, the call stays far below that
+    positions = [(0.0, 0.0)] * 0x10001
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as info:
+            simulate_sweeps(Scenario(ap_position=(0.0, 0.0)), positions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "sensor_id must fit 16 bits, got 65536"
+    assert peak < 8 * 2**20
+    # an overflowing emitter is still the one named, and a bad timestamp
+    # still wins over the id
+    loud = Scenario(ap_position=(0.0, 0.0), emitters=(Emitter(6, 4000.0, 10.0, 0.0),),
+                    shadowing_sigma_db=0.0)
+    with pytest.raises(DomainError, match="^emitter 0 with tx_power_dbm 4000.0 puts "):
+        simulate_sweeps(loud, positions)
+    with pytest.raises(DomainError, match="^timestamp_ms must fit 64 bits, got -1$"):
+        simulate_sweeps(Scenario(ap_position=(0.0, 0.0)), positions, -1)
 
 
 def test_simulate_makes_an_integer_timestamp_an_int():
