@@ -24,11 +24,14 @@ import numpy as np
 
 from ..errors import DomainError
 from ..modes import DEFAULT_EWMA_ALPHA, EWMA, MAX_HOLD
-from .frames import _LEVELS, BinGrid, SensorSweep
+from .frames import _LEVELS, BinGrid, SensorSweep, _lookup
 
 # mW of every dBm a bin can hold, indexed by the bin's byte as unsigned. EWMA
-# output carries np.power's bits, which differ from the scalar pow in the last
-# bit for some of these values, so the table must be built with np.power.
+# output carries np.power's bits, and those follow the CPU: numpy sends
+# np.power's float64 loop to SIMD code, which with AVX-512 differs from the
+# scalar pow in the last bit on 14 of these entries and without it on none.
+# The pinned EWMA bytes are this table's on AVX-512; np.float_power would give
+# the same bits on every CPU, but other bytes there.
 _MW_TABLE = 10.0 ** (np.asarray(_LEVELS, dtype=float) / 10.0)
 _LEVEL_TEXT = tuple(map(str, _LEVELS))  # the JSON text of every level, indexed alike
 # A sweep's line: json.dumps(sweep_record(s)) + "\n" byte for byte, since it keeps json's
@@ -179,10 +182,10 @@ def sweep_record(sweep: SensorSweep) -> dict:
 
 def sweeps_to_jsonl(sweeps: Iterable[SensorSweep]) -> str:
     """One JSON record per line; the interchange format for sweep logs."""
-    text = _LEVEL_TEXT.__getitem__
+    text = _LEVEL_TEXT
     return "".join(
         _RECORD
-        % (s.sensor_id, s.timestamp_ms, s.start_khz, s.bin_khz, ", ".join(map(text, s.payload)))
+        % (s.sensor_id, s.timestamp_ms, s.start_khz, s.bin_khz, ", ".join(_lookup(text, s.payload)))
         for s in sweeps
     )
 

@@ -216,12 +216,12 @@ def parse_frame(data: bytes) -> SensorSweep:
         timestamp_ms=timestamp_ms,
         start_khz=start_khz,
         bin_khz=bin_khz,
-        bins=_shared_levels(payload),
+        bins=_lookup(_LEVELS, payload),
     )
 
 
-def _shared_levels(payload: bytes) -> tuple[int, ...]:
-    """The bins a payload carries, as the shared ints of _LEVELS."""
+def _lookup(table: tuple, payload: bytes) -> tuple:
+    """table's entry for each byte of payload, in one itemgetter call."""
     if len(payload) > 1:
-        return operator.itemgetter(*payload)(_LEVELS)
-    return tuple(_LEVELS[b] for b in payload)  # itemgetter of one index gives the bare item
+        return operator.itemgetter(*payload)(table)
+    return tuple(table[b] for b in payload)  # itemgetter of one index gives the bare item

@@ -13,8 +13,8 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
-from operator import add, truediv
+from itertools import chain
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -36,8 +36,9 @@ ALL_CHANNELS: tuple[int, ...] = tuple(range(1, 15))
 PREFERRED_CHANNELS = frozenset({1, 6, 11})
 
 # mW of every level a max-hold bin can hold, indexed by the bin's byte as
-# unsigned: the scalar 10.0 ** (dbm / 10.0) of each, which np.power is not
-_SCALAR_MW = np.array([10.0 ** (level / 10.0) for level in map(float, _LEVELS)])
+# unsigned: the scalar 10.0 ** (dbm / 10.0) of each. np.float_power's float64
+# loop calls the C library's pow, as 10.0 ** x does; np.power's need not.
+_SCALAR_MW = np.float_power(10.0, np.array(_LEVELS, dtype=float) / 10.0)
 
 
 def channel_center_khz(channel: int) -> int:
@@ -58,15 +59,18 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
     """In-channel power of each channel (rows) at each spectrum (columns).
 
     Each total adds its bins' scalar 10.0 ** (dbm / 10.0) left to right:
-    numpy sums pairwise, np.power differs from the scalar pow in the last bit,
-    and sum() is compensated from Python 3.12, so any of them would change the
-    last bits of a total. A grid's spectra that all carry max-hold levels read
-    those powers from _SCALAR_MW; any other spectra take the scalar pow.
+    numpy sums pairwise and sum() is compensated from Python 3.12, so either
+    would change the last bits of a total. The powers come from
+    np.float_power, which calls the C library's pow as 10.0 ** x does, bit
+    for bit; np.power dispatches to SIMD code that can differ in the last
+    bit. A grid's spectra that all carry max-hold levels read those powers
+    from _SCALAR_MW, which is faster than computing them.
     """
     centers = [channel_center_khz(ch) for ch in channels]
-    members: dict[BinGrid, list[int]] = {}  # the spectra on each grid, by first use
-    for k, spectrum in enumerate(spectra):
-        members.setdefault(spectrum.grid, []).append(k)
+    shapes: dict[tuple[int, int, int], list[int]] = {}  # the spectra on each grid, by first use
+    for k, s in enumerate(spectra):
+        shapes.setdefault((s.start_khz, s.bin_khz, len(s.bins)), []).append(k)
+    members = {BinGrid(*shape): on_grid for shape, on_grid in shapes.items()}
     # channel by channel, then grid by first use, so the first grid that does
     # not cover a channel is the one the spectrum-by-spectrum order meets first
     masks: dict[BinGrid, list[slice]] = {grid: [] for grid in members}
@@ -91,12 +95,10 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
         else:
             dbms = [spectra[k].bins[lo:hi] for k in on_grid]
             try:
-                scalar = np.fromiter(
-                    map(pow, repeat(10.0), map(truediv, chain.from_iterable(dbms), repeat(10.0))),
-                    float,
-                    len(on_grid) * (hi - lo),
-                )
-            except OverflowError:  # a bin past about 3083 dBm: the check below names it
+                dbm = np.fromiter(chain.from_iterable(dbms), float, len(on_grid) * (hi - lo))
+                with np.errstate(over="ignore"):  # past about 3083 dBm: the check below names it
+                    scalar = np.float_power(10.0, dbm / 10.0)
+            except OverflowError:  # an int bin past the float range, whatever its sign: inf
                 scalar = np.fromiter(map(_mw_or_inf, chain.from_iterable(dbms)), float)
             mw[:, :-1] = scalar.reshape(len(on_grid), hi - lo)
         steps = np.arange(lengths.max())[:, None]

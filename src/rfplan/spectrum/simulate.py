@@ -13,12 +13,16 @@ Arithmetic: the links form one sensors x emitters array, a column per
 emitter, and every step rounds exactly as the scalar per-link formula does.
 The IEEE-exact steps run as numpy array operations in the scalar evaluation
 order: the clamp to one wavelength, 4*pi*R/lambda, 20 times its log10,
-tx - loss - spread + shadow, and the division by 10. Three steps stay scalar
-list comprehensions, since numpy's versions are not bit-exact. Measured with
-numpy 2.4.6 on an AVX-512 Xeon, over 2M random inputs each, by one or two
-ulp: np.hypot differs from math.hypot on about 12,000 (coordinates uniform
-in +-160 m), np.log10 from math.log10 on about 24,000 (10**U(-15, 3)), and
-np.power(10.0, x) from 10.0 ** x on about 106,000 (x uniform in [-15, 3]).
+tx - loss - spread + shadow, and the division by 10. 10.0 ** x runs as
+np.float_power, whose float64 loop calls the C library's pow, the function
+Python's float ** calls. Two steps stay scalar list comprehensions:
+math.hypot, which CPython computes by its own algorithm, and math.log10, for
+which numpy has no loop that calls the C library. Measured with numpy 2.4.6
+on an AVX-512 Xeon, over 2M random inputs each, by one or two ulp: np.hypot
+differs from math.hypot on about 12,000 (coordinates uniform in +-160 m),
+np.log10 from math.log10 on about 24,000 (10**U(-15, 3)), and
+np.power(10.0, x), SIMD code, from 10.0 ** x on about 106,000 (x uniform in
+[-15, 3]); np.float_power on none.
 
 Quantization takes np.log10 once per distinct total. A level within
 _HALF_GUARD_DB (1e-6 dB) of a half-integer, or not finite, is redone with the
@@ -43,7 +47,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..linkbudget import Frequency, fspl_db_columns
-from .frames import BinGrid, SensorSweep, _carrying_payload, _index, _shared_levels
+from .frames import _LEVELS, BinGrid, SensorSweep, _carrying_payload, _index, _lookup
 from .plan import AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
 SWEEP_GRID = BinGrid(start_khz=2_400_000, bin_khz=1_000, n_bins=100)
@@ -161,15 +165,16 @@ def simulate_sweeps(
         tx_dbm = np.array([e.tx_power_dbm for e in scenario.emitters], dtype=float)
         per_bin_dbm = tx_dbm - loss_db - _SPREAD_DB + draws
         exponents = per_bin_dbm / 10.0
-        try:
-            per_bin_mw = np.array([10.0 ** x for x in exponents.ravel().tolist()]).reshape(shape)
-        except OverflowError:
-            s, e = _first_overflow(exponents)
+        per_bin_mw = np.float_power(10.0, exponents)
+        # 10.0 ** x raises where a finite x overflows; at x = inf it gives inf
+        overflow = np.isinf(per_bin_mw) & np.isfinite(exponents)
+        if overflow.any():
+            e, s = np.argwhere(overflow.T)[0].tolist()  # the first link, emitter by emitter
             raise DomainError(
                 f"emitter {e} with tx_power_dbm {scenario.emitters[e].tx_power_dbm!r} puts "
                 f"{float(per_bin_dbm[s, e])!r} dBm in each bin at sensor {s}, "
                 "whose mW leaves the float range"
-            ) from None
+            )
         # The levels will be clipped ints and the grid fields are constants, so
         # only the id bound and t_ms can fail SensorSweep's checks: check sensor
         # 0, whose id always fits, and the first id that does not, if there are
@@ -194,7 +199,7 @@ def simulate_sweeps(
         levels = _quantize(total_mw, scenario.noise_floor_dbm)
     # every level lies in [-128, 127], so its int8 bytes are the frame payload
     payload = levels.astype(np.int8).tobytes()
-    bins = _shared_levels(payload)  # one call for every sensor's bins, sliced per sweep
+    bins = _lookup(_LEVELS, payload)  # one call for every sensor's bins, sliced per sweep
     n = SWEEP_GRID.n_bins
     return [
         _carrying_payload(
@@ -207,17 +212,6 @@ def simulate_sweeps(
         )
         for sensor_index, start in enumerate(range(0, len(payload), n))
     ]
-
-
-def _first_overflow(exponents: np.ndarray) -> tuple[int, int]:
-    """(sensor, emitter) of the first link, emitter by emitter, whose 10.0 ** x overflows."""
-    for e, column in enumerate(exponents.T.tolist()):
-        for s, x in enumerate(column):
-            try:
-                10.0 ** x
-            except OverflowError:
-                return s, e
-    raise AssertionError("no link overflows")
 
 
 def _level(mw: float, floor_dbm: float) -> int:

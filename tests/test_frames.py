@@ -355,6 +355,18 @@ def test_jsonl_writer_is_json_dumps_of_the_record(sweep):
     assert all(map(operator.is_, parsed.bins, parse_frame(encode_frame(sweep)).bins))
 
 
+def test_jsonl_writer_takes_one_and_two_bin_payloads_whole():
+    # the writer looks up a payload's texts in one call, and a lookup of one
+    # index gives a bare item, not a tuple: every level in one-bin and
+    # two-bin sweeps, parsed so that they carry their payload
+    levels = range(-128, 128)
+    sweeps = [SensorSweep(7, 9, 2_400_000, 1_000, (b,)) for b in levels] + [
+        SensorSweep(7, 9, 2_400_000, 1_000, (b, -1 - b)) for b in levels
+    ]
+    parsed = [parse_frame(encode_frame(s)) for s in sweeps]
+    assert sweeps_to_jsonl(parsed) == "".join(json.dumps(sweep_record(s)) + "\n" for s in sweeps)
+
+
 @settings(deadline=None)
 @given(document=scenario_documents, t_ms=st.integers(0, 2**64 - 1))
 def test_jsonl_writer_is_json_dumps_of_simulated_records(document, t_ms):

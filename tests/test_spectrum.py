@@ -6,6 +6,7 @@ import operator
 import random
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from rfplan.spectrum import (
     sweeps_to_jsonl,
 )
 from rfplan.spectrum.aggregate import _MW_TABLE
-from rfplan.spectrum import shadowing
+from rfplan.spectrum import plan, shadowing
 from rfplan.spectrum.frames import _LEVELS
 from rfplan.spectrum.plan import _SCALAR_MW, CHANNEL_HALF_WIDTH_KHZ
 from rfplan.spectrum.shadowing import _pcg64_seeds, _standard_normals, shadowing_draws
@@ -746,6 +747,138 @@ def test_any_float_bins_give_finite_scores_or_raise_domain_error(bins, n_clients
         assert all(map(math.isfinite, score.per_position_mw.values()))
 
 
+# --- the C library's pow ------------------------------------------------------
+
+def scalar_pow10(x):
+    """10.0 ** x, the OverflowError of a finite x read as inf."""
+    try:
+        return 10.0 ** x
+    except OverflowError:
+        return math.inf
+
+
+# 10.0 ** x is finite at this x and overflows at the next float
+LAST_FINITE_EXPONENT = 308.2547155599167
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=24))  # any float, nan and +-inf included
+@example([LAST_FINITE_EXPONENT])
+@example([math.nextafter(LAST_FINITE_EXPONENT, math.inf)])
+@example([-307.66, -310.0, -320.5, -323.3, -324.0])  # subnormal results, 5e-324, then 0
+@example([0.0, -0.0])
+@example([math.inf, -math.inf, math.nan])
+def test_float_power_is_the_scalar_pow(xs):
+    # scoring and the simulator rely on np.float_power calling the C library's
+    # pow, as float ** does; np.power's SIMD loop need not give the same bits
+    # (nan compares as nan, whatever its sign and payload)
+    want = bits(map(scalar_pow10, xs))
+    with np.errstate(over="ignore"):
+        assert bits(np.float_power(10.0, np.array(x))[()] for x in xs) == want
+        assert bits([np.float_power(10.0, np.array([x]))[0] for x in xs]) == want
+        assert bits(np.float_power(10.0, np.array(xs))) == want
+        assert bits(np.float_power(10.0, np.array(xs * 2).reshape(2, -1)).ravel()) == want * 2
+        assert bits(np.float_power(10.0, np.repeat(xs, 3)[::3])) == want  # strided
+        assert bits(np.float_power(10.0, np.array(xs[::-1]))[::-1]) == want
+
+
+def scalar_mw(dbm):
+    """The scalar 10.0 ** (dbm / 10.0); inf where either step overflows."""
+    try:
+        return 10.0 ** (dbm / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def in_channel_mw_scalar_pow(spectra, channels):
+    """plan._in_channel_mw with every power the scalar pow, added bin by bin.
+
+    Masks are formed channel by channel, then grid by first use; grid by grid,
+    the first non-finite total, channel by channel, is named.
+    """
+    centers = [channel_center_khz(ch) for ch in channels]
+    members = {}
+    for k, spectrum in enumerate(spectra):
+        members.setdefault(spectrum.grid, []).append(k)
+    masks = {grid: [] for grid in members}
+    for center in centers:
+        for grid, grid_masks in masks.items():
+            grid_masks.append(
+                grid.span(center - CHANNEL_HALF_WIDTH_KHZ, center + CHANNEL_HALF_WIDTH_KHZ)
+            )
+    totals = np.empty((len(channels), len(spectra)))
+    for grid, on_grid in members.items():
+        for k in on_grid:
+            for row, mask in enumerate(masks[grid]):
+                total = 0.0
+                for dbm in spectra[k].bins[mask]:
+                    total += scalar_mw(dbm)
+                totals[row, k] = total
+        if not np.isfinite(totals[:, on_grid]).all():
+            raise plan._non_finite_total(
+                [spectra[k] for k in on_grid], channels, totals[:, on_grid]
+            )
+    return totals
+
+
+# past 3082.5 dBm the power overflows; an int past the float range overflows
+# the division too, whatever its sign
+DBM_EXTREMES = (
+    math.nan, math.inf, -math.inf, 3082.0, 3083.0, 3100.0, -3100.0,
+    10**400, -(10**400), 2**1023, -0.0, 5e-324,
+)
+
+
+@st.composite
+def float_bin_spectra(draw):
+    """Hand-built spectra: dBm on a plan's scale, a drawn share from a small
+    pool of any floats and extremes, on one grid or on several."""
+    n_clients = draw(st.integers(0, 4))
+    ids = draw(st.permutations(["ap", *(f"c{i}" for i in range(n_clients))]))
+    values = st.one_of(st.floats(), st.sampled_from(DBM_EXTREMES))
+    pool = draw(st.lists(values, min_size=1, max_size=4))
+    share = draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
+    single = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    spectra = {}
+    for pos in ids:
+        start, width, n = SCORING_GRIDS[0] if single else draw(st.sampled_from(SCORING_GRIDS))
+        bins = tuple(
+            rng.choice(pool) if rng.random() < share else rng.uniform(-130.0, 20.0)
+            for _ in range(n)
+        )
+        spectra[pos] = AggregatedSpectrum(pos, EWMA, start, width, bins, {})
+    return spectra
+
+
+def uniform_spectra(dbm, n_clients=1):
+    return {
+        pos: AggregatedSpectrum(pos, EWMA, 2_400_000, 1_000, (-90.0,) * 50 + (dbm,) * 50, {})
+        for pos in ("ap", *(f"c{i}" for i in range(n_clients)))
+    }
+
+
+@given(
+    float_bin_spectra(),
+    st.sampled_from([AP_ONLY, CLIENT_AWARE]),
+    candidate_lists,
+    st.sampled_from([MINIMAX, WEIGHTED_SUM]),
+)
+@example(uniform_spectra(10**400), CLIENT_AWARE, None, MINIMAX)
+@example(uniform_spectra(-(10**400)), CLIENT_AWARE, None, WEIGHTED_SUM)
+@example(uniform_spectra(math.nan), AP_ONLY, None, MINIMAX)
+@example(uniform_spectra(3060.0, 9), CLIENT_AWARE, None, WEIGHTED_SUM)
+def test_float_bins_score_like_the_scalar_pow(spectra, mode, candidates, objective):
+    listed = list(spectra.values())
+    channels = tuple(candidates or ALL_CHANNELS)
+    got = outcome(plan._in_channel_mw, listed, channels)
+    want = outcome(in_channel_mw_scalar_pow, listed, channels)
+    assert got == want if isinstance(want, str) else got.tobytes() == want.tobytes()
+    got = outcome(select_channel, spectra, mode, candidates, objective)
+    with mock.patch.object(plan, "_in_channel_mw", in_channel_mw_scalar_pow):
+        want = outcome(select_channel, spectra, mode, candidates, objective)
+    assert repr(got) == repr(want)
+
+
 def test_uncovered_grid_names_the_first_channel_and_position():
     spectra = {
         "ap": flat_spectrum(-95.0, "ap"),
@@ -847,6 +980,52 @@ def test_simulate_names_an_emitter_whose_power_leaves_float_range(emitters, sigm
     with pytest.raises(DomainError, match=re.escape(named)) as info:
         simulate_sweeps(scenario, [(0.0, 0.0), (10.0, 0.0)])
     assert str(info.value).endswith("whose mW leaves the float range")
+
+
+def test_simulate_names_the_first_overflowing_link_emitter_by_emitter():
+    # emitter 0 overflows only at sensor 2, on it, and emitter 1 only at
+    # sensor 0: link by link, sensor first, would name emitter 1
+    scenario = Scenario(
+        ap_position=(0.0, 0.0),
+        clients=(Client("c0", 50.0, 0.0), Client("c1", 100.0, 0.0)),
+        emitters=(Emitter(6, 3140.0, 100.0, 0.0), Emitter(11, 3140.0, 0.0, 0.0)),
+        shadowing_sigma_db=0.0,
+    )
+    with pytest.raises(DomainError) as info:
+        simulate_sweeps(scenario, default_sensor_layout(scenario)[1])
+    assert str(info.value) == (
+        "emitter 0 with tx_power_dbm 3140.0 puts 3104.591575911336 dBm in each bin at "
+        "sensor 2, whose mW leaves the float range"
+    )
+
+
+def test_simulate_reads_infinite_draws_as_the_scalar_pow_does():
+    # sigma 1e308 scales every draw past the float range or near it
+    scenario = Scenario(
+        ap_position=(0.0, 0.0),
+        clients=(Client("c0", 5.0, 0.0), Client("c1", 10.0, 0.0)),
+        emitters=(Emitter(6, 20.0, 10.0, 0.0), Emitter(1, 20.0, 10.0, 0.0)),
+        shadowing_sigma_db=1e308,
+        seed=770,
+    )
+    positions = default_sensor_layout(scenario)[1]
+    draws = shadowing_draws(scenario.seed, scenario.shadowing_sigma_db, 3, 2)
+    assert -math.inf in draws and (draws <= 0).all()
+    # 10.0 ** -inf is 0.0, so every bin sits at the floor
+    sweeps = simulate_sweeps(scenario, positions, t_ms=5)
+    digest = hashlib.sha256(b"".join(encode_frame(s) for s in sweeps)).hexdigest()
+    assert digest == "76dedddace8ac07713e2b58be463800f95b7a258917408a49d659d0457088651"
+    # 10.0 ** inf is inf without an error, so the link with the +inf draw
+    # (sensor 0, emitter 0) is not the overflow named; the finite one after it is
+    seeded = dataclasses.replace(scenario, clients=scenario.clients[:1], seed=3)
+    draws = shadowing_draws(seeded.seed, seeded.shadowing_sigma_db, 2, 2)
+    assert draws[0, 0] == math.inf and 0 < draws[1, 0] < math.inf
+    with pytest.raises(DomainError) as info:
+        simulate_sweeps(seeded, positions[:2])
+    assert str(info.value) == (
+        "emitter 0 with tx_power_dbm 20.0 puts 1.755360346943547e+306 dBm in each bin at "
+        "sensor 1, whose mW leaves the float range"
+    )
 
 
 def test_simulate_deterministic_bytes():
