@@ -7,7 +7,9 @@ sensor-emitter link. Sweeps cover 2400-2500 MHz in 1 MHz bins.
 Seeding contract: the draw of sensor s and emitter e (both 0-based) equals
 numpy.random.default_rng([seed, s, e]).normal(0.0, shadowing_sigma_db), and
 nothing is drawn when sigma is 0, so a scenario always produces
-byte-identical sweeps.
+byte-identical sweeps. shadowing.py draws every link at once as array code,
+and through numpy's own generator only the links its ziggurat fast path
+refuses.
 
 Arithmetic: the links form one sensors x emitters array, a column per
 emitter, and every step rounds exactly as the scalar per-link formula does.
@@ -24,10 +26,12 @@ np.log10 from math.log10 on about 24,000 (10**U(-15, 3)), and
 np.power(10.0, x), SIMD code, from 10.0 ** x on about 106,000 (x uniform in
 [-15, 3]); np.float_power on none.
 
-Quantization takes np.log10 once per distinct total. A level within
-_HALF_GUARD_DB (1e-6 dB) of a half-integer, or not finite, is redone with the
-scalar formula: an error of a few ulp can change round(), the floor clamp or
-the 8-bit clip only there.
+A bin total past the float range, from finite mW that add up past it or
+from a +inf draw, is a DomainError naming the first emitter, in scenario
+order, that took the sum there. Quantization takes np.log10 once per
+distinct finite total. A level within _HALF_GUARD_DB (1e-6 dB) of a
+half-integer is redone with the scalar formula: an error of a few ulp can
+change round(), the floor clamp or the 8-bit clip only there.
 
 The sweeps are checked once per call, not once per sweep: they share t_ms and
 the grid, and their levels are clipped ints, so SensorSweep checks sensor 0
@@ -141,9 +145,9 @@ def simulate_sweeps(
     center) + one shadowing draw, spread flat over the emitter's mask bins.
     Distances are clamped up to one wavelength so co-located gear stays in
     the free-space formula's domain. Bin powers add in mW, emitter by emitter
-    in scenario order, are floored at the scenario noise floor, and quantize
-    to signed 8-bit dBm. The module docstring says which steps run as
-    array operations and which stay scalar.
+    in scenario order, must stay finite, are floored at the scenario noise
+    floor, and quantize to signed 8-bit dBm. The module docstring says which
+    steps run as array operations and which stay scalar.
     """
     shape = (len(sensor_positions), len(scenario.emitters))
     draws = np.zeros(shape)
@@ -190,12 +194,15 @@ def simulate_sweeps(
                 bins=(0,),
             )
             t_ms = checked.timestamp_ms  # an int, as SensorSweep makes it
+        masks = [
+            SWEEP_GRID.span(c - CHANNEL_HALF_WIDTH_KHZ, c + CHANNEL_HALF_WIDTH_KHZ)
+            for c in centers_khz
+        ]
         total_mw = np.zeros((shape[0], SWEEP_GRID.n_bins))
-        for center_khz, column in zip(centers_khz, per_bin_mw.T):
-            mask = SWEEP_GRID.span(
-                center_khz - CHANNEL_HALF_WIDTH_KHZ, center_khz + CHANNEL_HALF_WIDTH_KHZ
-            )
+        for mask, column in zip(masks, per_bin_mw.T):
             total_mw[:, mask] += column[:, None]
+        if not np.isfinite(total_mw).all():
+            raise _summed_overflow(scenario.emitters, per_bin_dbm, per_bin_mw, masks, total_mw)
         levels = _quantize(total_mw, scenario.noise_floor_dbm)
     # every level lies in [-128, 127], so its int8 bytes are the frame payload
     payload = levels.astype(np.int8).tobytes()
@@ -214,6 +221,27 @@ def simulate_sweeps(
     ]
 
 
+def _summed_overflow(emitters, per_bin_dbm, per_bin_mw, masks, total_mw) -> DomainError:
+    """The error for the first bin, sensor by sensor, whose total is not finite.
+
+    It names the first emitter, in scenario order, whose mW takes that sum
+    past the float range: one with a +inf draw, or one whose finite mW adds
+    up with the others' past it.
+    """
+    s, b = np.argwhere(~np.isfinite(total_mw))[0].tolist()
+    total = 0.0
+    for e, mask in enumerate(masks):
+        if mask.start <= b < mask.stop:
+            total += float(per_bin_mw[s, e])  # the same adds, in the same order
+            if not math.isfinite(total):
+                break
+    return DomainError(
+        f"emitter {e} with tx_power_dbm {emitters[e].tx_power_dbm!r} puts "
+        f"{float(per_bin_dbm[s, e])!r} dBm in each bin at sensor {s}, which takes the sum "
+        f"in the bin at {SWEEP_GRID.centers_khz()[b]} kHz past the float range"
+    )
+
+
 def _level(mw: float, floor_dbm: float) -> int:
     """One total in mW as a signed 8-bit dBm level: the scalar formula."""
     dbm = floor_dbm if mw <= 0 else max(10.0 * math.log10(mw), floor_dbm)
@@ -226,8 +254,8 @@ def _quantize(total_mw: np.ndarray, floor_dbm: float) -> np.ndarray:
     Bins covered by the same emitters hold the same total, so each distinct
     total is quantized once. numpy's log10 is within a few ulp of
     math.log10, which can move round(), the floor clamp or the 8-bit clip
-    only for a level near a half-integer; those totals, and any non-finite
-    level, take the scalar formula.
+    only for a level near a half-integer; those totals take the scalar
+    formula. Every total must be finite: round() refuses an infinite level.
     """
     totals, where = np.unique(total_mw, return_inverse=True)
     with np.errstate(all="ignore"):  # log10(0) is -inf, which the floor replaces

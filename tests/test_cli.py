@@ -514,6 +514,19 @@ def test_spectrum_plan_emitter_power_beyond_float_range_exits_two(capsys, tmp_pa
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "plan"])
+def test_spectrum_bin_sum_beyond_float_range_exits_two(capsys, tmp_path, command):
+    # each link's mW is finite, the sum of the two co-channel links is not
+    stacked = {"channel": 6, "tx_power_dbm": 3155.0, "x": 10.0, "y": 0.0}
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario_document(emitters=[stacked, stacked], shadowing_sigma_db=0))
+    err = assert_domain_error(capsys, "spectrum", command, "--scenario", str(path))
+    assert err == (
+        "error: emitter 1 with tx_power_dbm 3155.0 puts 3081.3908793862 dBm in each bin at "
+        "sensor 0, which takes the sum in the bin at 2426500.0 kHz past the float range\n"
+    )
+
+
 @pytest.mark.parametrize(
     ("document", "named"),
     [
@@ -784,27 +797,44 @@ def test_any_positive_fresnel_geometry_exits_two_or_prints_strict_json(command, 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # mostly on a floor plan's scale, sometimes anywhere in the float range
 coordinates = st.one_of(st.floats(-200.0, 200.0), finite)
-scenario_documents = st.fixed_dictionaries(
-    {
-        "ap_position": st.lists(coordinates, min_size=2, max_size=2),
-        "clients": st.lists(st.tuples(coordinates, coordinates), max_size=3).map(
-            lambda xys: [{"id": f"c{i}", "x": x, "y": y} for i, (x, y) in enumerate(xys)]
+document_fields = {
+    "ap_position": st.lists(coordinates, min_size=2, max_size=2),
+    "clients": st.lists(st.tuples(coordinates, coordinates), max_size=3).map(
+        lambda xys: [{"id": f"c{i}", "x": x, "y": y} for i, (x, y) in enumerate(xys)]
+    ),
+    "emitters": st.lists(
+        st.fixed_dictionaries(
+            {
+                "channel": st.integers(1, 14),
+                "tx_power_dbm": st.one_of(st.floats(-100.0, 5000.0), finite),
+                "x": coordinates,
+                "y": coordinates,
+            }
         ),
-        "emitters": st.lists(
-            st.fixed_dictionaries(
-                {
-                    "channel": st.integers(1, 14),
-                    "tx_power_dbm": st.one_of(st.floats(-100.0, 5000.0), finite),
-                    "x": coordinates,
-                    "y": coordinates,
-                }
-            ),
-            max_size=3,
-        ),
-        "noise_floor_dbm": st.one_of(st.floats(-200.0, 200.0), finite),
-        "shadowing_sigma_db": st.one_of(st.floats(0.0, 50.0), finite),
-        "seed": st.integers(0, 2**64 - 1),
-    }
+        max_size=3,
+    ),
+    "noise_floor_dbm": st.one_of(st.floats(-200.0, 200.0), finite),
+    "shadowing_sigma_db": st.one_of(st.floats(0.0, 50.0), finite),
+    "seed": st.integers(0, 2**64 - 1),
+}
+# two to four co-channel emitters at one spot on the plan, unshadowed, so
+# that each link stays in the float range while their sum in a bin need not
+emitter_stacks = st.tuples(
+    st.fixed_dictionaries(
+        {
+            "channel": st.integers(1, 14),
+            "tx_power_dbm": st.floats(3100.0, 3200.0),
+            "x": st.floats(-200.0, 200.0),
+            "y": st.floats(-200.0, 200.0),
+        }
+    ),
+    st.integers(2, 4),
+).map(lambda stack: [stack[0]] * stack[1])
+scenario_documents = st.one_of(
+    st.fixed_dictionaries(document_fields),
+    st.fixed_dictionaries(
+        {**document_fields, "emitters": emitter_stacks, "shadowing_sigma_db": st.just(0.0)}
+    ),
 )
 
 
@@ -1235,9 +1265,16 @@ def command_lines(draw, words):
     return argv, fault
 
 
-# 40 examples of each of the 12 commands take about 9 s on a 2-CPU Xeon
+# The property below runs under the profile RFPLAN_CLI_FUZZ_PROFILE names.
+# cli-fuzz, the default: 40 examples of each of the 12 commands, about 9 s on
+# a 2-CPU Xeon. cli-fuzz-deep: 1,000 of each, a CI step of its own; it never
+# derandomizes, which hypothesis otherwise does by default on CI.
+settings.register_profile("cli-fuzz", deadline=None, max_examples=40)
+settings.register_profile("cli-fuzz-deep", deadline=None, max_examples=1000, derandomize=False)
+
+
 @pytest.mark.parametrize("words", sorted(LEAF_COMMANDS), ids=" ".join)
-@settings(deadline=None, max_examples=40)
+@settings(settings.get_profile(os.environ.get("RFPLAN_CLI_FUZZ_PROFILE", "cli-fuzz")))
 @given(data=st.data())
 def test_every_command_exits_cleanly_on_any_flags(words, data):
     argv, fault = data.draw(command_lines(words), label="command line")

@@ -48,7 +48,13 @@ from rfplan.spectrum.aggregate import _MW_TABLE
 from rfplan.spectrum import plan, shadowing
 from rfplan.spectrum.frames import _LEVELS
 from rfplan.spectrum.plan import _SCALAR_MW, CHANNEL_HALF_WIDTH_KHZ
-from rfplan.spectrum.shadowing import _pcg64_seeds, _standard_normals, shadowing_draws
+from rfplan.spectrum.shadowing import (
+    _fast_normals,
+    _first_outputs,
+    _pcg64_seeds,
+    _standard_normals,
+    shadowing_draws,
+)
 from rfplan.spectrum.simulate import _quantize
 from rfplan import fixtures
 
@@ -1028,6 +1034,52 @@ def test_simulate_reads_infinite_draws_as_the_scalar_pow_does():
     )
 
 
+@pytest.mark.parametrize(
+    "channels, named",
+    [
+        # each link's mW is finite at 10 m, the sum of two is not
+        ((6, 6), "emitter 1 with tx_power_dbm 3155.0 puts 3081.3908793862 dBm in each bin at "
+                 "sensor 0, which takes the sum in the bin at 2426500.0 kHz past the float range"),
+        # the first bin past the range holds channels 1 and 3; channel 6,
+        # between them in scenario order, does not cover it
+        ((1, 6, 3), "emitter 2 with tx_power_dbm 3155.0 puts 3081.444507193754 dBm in each bin "
+                    "at sensor 0, which takes the sum in the bin at 2411500.0 kHz past the "
+                    "float range"),
+    ],
+    ids=["co-channel", "scenario-order"],
+)
+def test_simulate_names_the_emitter_that_takes_a_bin_sum_past_the_float_range(channels, named):
+    scenario = Scenario(
+        ap_position=(0.0, 0.0),
+        emitters=tuple(Emitter(ch, 3155.0, 10.0, 0.0) for ch in channels),
+        shadowing_sigma_db=0.0,
+    )
+    with pytest.raises(DomainError) as info:
+        simulate_sweeps(scenario, default_sensor_layout(scenario)[1])
+    assert str(info.value) == named
+
+
+def test_simulate_names_the_emitter_whose_infinite_draw_takes_a_bin_sum_past_the_float_range():
+    # seed 4's draw [0, 1] is +inf, and the ziggurat's fast path drew it;
+    # 10.0 ** inf is inf without an error, so no single link overflows
+    scenario = Scenario(
+        ap_position=(0.0, 0.0),
+        clients=(Client("c0", 5.0, 0.0),),
+        emitters=(Emitter(6, 20.0, 10.0, 0.0), Emitter(1, 20.0, 10.0, 0.0)),
+        shadowing_sigma_db=1e308,
+        seed=4,
+    )
+    assert _fast_normals(_first_outputs(_pcg64_seeds(4, 2, 2).reshape(-1, 4)))[1].all()
+    draws = shadowing_draws(scenario.seed, scenario.shadowing_sigma_db, 2, 2)
+    assert draws[0, 1] == math.inf and np.isfinite(np.delete(draws.ravel(), 1)).all()
+    with pytest.raises(DomainError) as info:
+        simulate_sweeps(scenario, default_sensor_layout(scenario)[1])
+    assert str(info.value) == (
+        "emitter 1 with tx_power_dbm 20.0 puts inf dBm in each bin at sensor 0, which takes "
+        "the sum in the bin at 2401500.0 kHz past the float range"
+    )
+
+
 def test_simulate_deterministic_bytes():
     scenario = random_scenario(1234)
     positions = [(0.0, 0.0), (10.0, 5.0)]
@@ -1132,7 +1184,12 @@ def test_seed_feed_serves_each_link_exactly_once():
 @pytest.mark.parametrize("asks", [0, 2])
 def test_seed_feed_refuses_a_pcg64_that_asks_other_than_once(monkeypatch, asks):
     # a numpy whose PCG64 asked its seed for state twice, or never, would
-    # hand every link another link's words; the feed raises instead
+    # hand every link another link's words; the feed raises instead. Only a
+    # link that leaves the ziggurat's fast path draws through the feed:
+    # seed 15's link [0, 0] does
+    accepted = _fast_normals(_first_outputs(_pcg64_seeds(15, 2, 2).reshape(-1, 4)))[1]
+    assert accepted.tolist() == [False, True, True, True]
+
     def pcg64(feed):
         for _ in range(asks - 1):
             feed.generate_state(4, np.uint64)
@@ -1140,7 +1197,129 @@ def test_seed_feed_refuses_a_pcg64_that_asks_other_than_once(monkeypatch, asks):
 
     monkeypatch.setattr(shadowing, "PCG64", pcg64)
     with pytest.raises(RuntimeError, match="states than links"):
-        shadowing_draws(1, 4.0, 2, 2)
+        shadowing_draws(15, 4.0, 2, 2)
+
+
+@given(seeds, st.integers(0, 60), st.integers(0, 60))
+@example(15, 2, 2)  # link [0, 0] leaves the fast path
+@example(1, 51, 50)  # the benchmark's survey shape: 43 links leave it
+def test_shadowing_draws_equal_the_per_link_loop(seed, n_sensors, n_emitters):
+    # the per-link loop, numpy's own Generator for every link, is the oracle
+    words = _pcg64_seeds(seed, n_sensors, n_emitters).reshape(-1, 4)
+    want = 0.0 + 1.0 * _standard_normals(words, len(words))
+    draws = shadowing_draws(seed, 1.0, n_sensors, n_emitters)
+    assert draws.tobytes() == want.tobytes()
+
+
+# numpy/random/src/pcg64/pcg64.h
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def numpy_normal(word):
+    """(standard_normal(), outputs taken) of a Generator whose first output is word.
+
+    Its PCG64 is set so that the next step lands on state high 0, low word:
+    XSL-RR then rotates by 0 and outputs word itself. Counting steps to the
+    state after the draw tells how many outputs the sampler took.
+    """
+    inc = 1
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": (word - inc) * pow(PCG64_MULT, -1, 2**128) % 2**128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    x = np.random.Generator(bit_generator).standard_normal()
+    state, outputs = word, 1
+    while state != bit_generator.state["state"]["state"]:
+        state, outputs = (state * PCG64_MULT + inc) % 2**128, outputs + 1
+    return x, outputs
+
+
+def ziggurat_word(idx, rabs, sign=0, top=0):
+    """The raw word random_standard_normal reads as layer idx, sign and rabs;
+    its top 3 bits go unread."""
+    return top << 61 | rabs << 9 | sign << 8 | idx
+
+
+def calibrate_ziggurat():
+    """wi_double and ki_double of the installed numpy, read off its own draws."""
+    wi, ki = np.empty(256), np.empty(256, dtype=np.uint64)
+    for idx in range(256):
+        # rabs 1 draws 1.0 * wi[idx]. Layer 1 never takes the fast path, but
+        # its wedge accepts so small an x, taking one output more; a tail
+        # draw or a retry takes more still
+        x, outputs = numpy_normal(ziggurat_word(idx, 1))
+        assert outputs <= 2
+        wi[idx] = x
+        # the fast path takes exactly rabs < ki[idx]; bisect for the least
+        # rabs that leaves it
+        lo, hi = 0, 2**52 - 1
+        assert numpy_normal(ziggurat_word(idx, hi))[1] > 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if numpy_normal(ziggurat_word(idx, mid))[1] == 1:
+                lo = mid + 1
+            else:
+                hi = mid
+        ki[idx] = lo
+    return wi, ki
+
+
+def test_pinned_ziggurat_tables_are_the_installed_numpys():
+    wi, ki = calibrate_ziggurat()
+    assert wi.astype("<f8").tobytes() == shadowing._WI.tobytes()
+    assert ki.astype("<u8").tobytes() == shadowing._KI.tobytes()
+    assert ki[1] == 0
+
+
+seed_words = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+seed_rows = st.one_of(
+    st.lists(seed_words, min_size=4, max_size=4),
+    # the words SeedSequence hands PCG64
+    st.integers(0, 2**128).map(
+        lambda entropy: np.random.SeedSequence(entropy).generate_state(4, np.uint64).tolist()
+    ),
+)
+
+
+@given(st.lists(seed_rows, max_size=16))
+def test_first_outputs_are_pcg64_random_raw(rows):
+    words = np.array(rows, dtype=np.uint64).reshape(-1, 4)
+    want = [np.random.PCG64(shadowing._SeedFeed([row])).random_raw() for row in words]
+    assert _first_outputs(words).tolist() == want
+
+
+@st.composite
+def ziggurat_words(draw):
+    """Raw words at any layer, with rabs anywhere or next to the layer's ki."""
+    idx = draw(st.integers(0, 255))
+    ki = int(shadowing._KI[idx])
+    near_ki = st.integers(max(ki - 2, 0), min(ki + 1, 2**52 - 1))
+    rabs = draw(st.one_of(st.integers(0, 2**52 - 1), near_ki))
+    return ziggurat_word(idx, rabs, draw(st.integers(0, 1)), draw(st.integers(0, 7)))
+
+
+KI = [int(k) for k in shadowing._KI]
+
+
+@given(ziggurat_words())
+@example(ziggurat_word(0, 1))  # layer 0: fast below ki, the tail from it on
+@example(ziggurat_word(0, KI[0]))
+@example(ziggurat_word(1, 0))  # layer 1: ki is 0, so always a wedge
+@example(ziggurat_word(1, 1))
+@example(ziggurat_word(7, KI[7] - 1))
+@example(ziggurat_word(7, KI[7]))
+@example(ziggurat_word(9, 0, sign=1))  # -0.0
+@example(ziggurat_word(255, KI[255] - 1, sign=1, top=7))
+@example(ziggurat_word(255, KI[255]))
+def test_fast_normals_are_numpy_draws_where_they_accept(word):
+    x, accepted = _fast_normals(np.array([word], dtype=np.uint64))
+    draw, outputs = numpy_normal(word)
+    assert accepted.tolist() == [outputs == 1]
+    if outputs == 1:
+        assert float(x[0]).hex() == draw.hex()  # bit for bit, -0.0 included
 
 
 def per_link_sweeps(scenario, positions, t_ms):
