@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..modes import DEFAULT_EWMA_ALPHA, EWMA, MAX_HOLD
-from .frames import _LEVELS, BinGrid, SensorSweep, _lookup
+from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _prebuilt
 
 # mW of every dBm a bin can hold, indexed by the bin's byte as unsigned. EWMA
 # output carries np.power's bits, and those follow the CPU: numpy sends
@@ -120,11 +120,7 @@ def aggregate(
     )
     if mode != MAX_HOLD:
         return AggregatedSpectrum(**fields)
-    # a dict of its own: adding _levels to the shared-key instance dict would
-    # widen the layout every spectrum shares, EWMA ones included
-    spectrum = object.__new__(AggregatedSpectrum)
-    object.__setattr__(spectrum, "__dict__", {**fields, "_levels": peak.tobytes()})
-    return spectrum
+    return _prebuilt(AggregatedSpectrum, **fields, _levels=peak.tobytes())
 
 
 def _ewma_mw(histories: list[list[bytes]], alpha: float) -> np.ndarray:

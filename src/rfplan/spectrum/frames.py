@@ -146,16 +146,16 @@ class SensorSweep:
         return struct.pack(f"<{len(self.bins)}b", *self.bins)
 
 
-def _carrying_payload(payload: bytes, **fields) -> SensorSweep:
-    """A SensorSweep of fields that pass its checks, whose bins pack to payload.
+def _prebuilt(cls, **attrs):
+    """A frozen dataclass cls of fields that pass its checks, plus one hidden attr.
 
-    The sweep gets a dict of its own: adding _payload to its shared-key
-    instance dict would widen the layout that every SensorSweep shares, by
-    16 bytes a sweep, payload or not.
+    It gets a dict of its own: adding the hidden attribute to the shared-key
+    instance dict would widen the layout every instance of cls shares, by 16
+    bytes each, whether it carries the attribute or not.
     """
-    sweep = object.__new__(SensorSweep)
-    object.__setattr__(sweep, "__dict__", {**fields, "_payload": payload})
-    return sweep
+    instance = object.__new__(cls)
+    object.__setattr__(instance, "__dict__", attrs)
+    return instance
 
 
 def encode_frame(sweep: SensorSweep) -> bytes:
@@ -210,13 +210,14 @@ def parse_frame(data: bytes) -> SensorSweep:
     # The header's field widths and the bins' signed bytes keep every other
     # value in SensorSweep's ranges.
     payload = bytes(body[_HEADER.size :])  # bytes, for a bytearray or memoryview too
-    return _carrying_payload(
-        payload,
+    return _prebuilt(
+        SensorSweep,
         sensor_id=sensor_id,
         timestamp_ms=timestamp_ms,
         start_khz=start_khz,
         bin_khz=bin_khz,
         bins=_lookup(_LEVELS, payload),
+        _payload=payload,
     )
 
 

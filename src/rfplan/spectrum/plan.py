@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import DomainError
 from ..modes import AP_ONLY, CLIENT_AWARE, MINIMAX, WEIGHTED_SUM
 from .aggregate import AggregatedSpectrum
-from .frames import _LEVELS, BinGrid
+from .frames import _LEVELS, BinGrid, _index
 
 # position id of the access point's own spectrum
 AP_ID = "ap"
@@ -43,6 +43,7 @@ _SCALAR_MW = np.float_power(10.0, np.array(_LEVELS, dtype=float) / 10.0)
 
 def channel_center_khz(channel: int) -> int:
     """Center frequency of a 2.4 GHz channel: 2407 + 5*ch MHz, ch 14 at 2484."""
+    channel = _index("channel", channel)
     if channel == 14:
         return 2_484_000
     if 1 <= channel <= 13:

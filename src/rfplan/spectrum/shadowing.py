@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import binascii
 import math
-from typing import Iterable
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -68,32 +67,27 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(_XSHIFT))
 
 
-def _entropy_words(seed: int, n_sensors: int, n_emitters: int) -> list[np.ndarray]:
-    """The uint32 words of [seed, s, e] for every link, zero-padded to the pool.
-
-    SeedSequence splits each non-negative int into 32-bit words, least
-    significant first (0 is the one word [0]); the pool hashes a missing
-    word exactly like a 0 word, so padding with zeros changes nothing.
-    """
-    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    sensors, emitters = np.meshgrid(
-        np.arange(n_sensors, dtype=np.uint32), np.arange(n_emitters, dtype=np.uint32),
-        indexing="ij",
-    )
-    words = [np.full(sensors.shape, w, dtype=np.uint32) for w in seed_words]
-    words += [sensors, emitters]
-    words += [np.zeros(sensors.shape, dtype=np.uint32)] * (_POOL_SIZE - len(words))
-    return words
-
-
 def _pcg64_seeds(seed: int, n_sensors: int, n_emitters: int) -> np.ndarray:
     """SeedSequence([seed, s, e]).generate_state(4, np.uint64) for every link.
 
-    Shape (n_sensors, n_emitters, 4). Seeds up to 2^64 - 1 give at most 4
-    entropy words, so only the pool-to-pool half of mix_entropy runs.
+    Shape (n_sensors, n_emitters, 4). SeedSequence splits each non-negative
+    int into 32-bit words, least significant first (0 is the one word [0]);
+    the pool hashes a missing word exactly like a 0 word, so padding with
+    zeros changes nothing. Seeds up to 2^64 - 1 give at most 4 entropy words,
+    so only the pool-to-pool half of mix_entropy runs.
+
+    The hash is elementwise, so it runs over the seed and padding words as
+    (1, 1) arrays, the sensors as a column and the emitters as a row, and
+    broadcasts: each pool word mixes with every other, so all come out with
+    a row for every sensor and a column for every emitter. Arrays, not
+    scalars: numpy warns when a scalar op wraps.
     """
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    words = [np.array([[w]], dtype=np.uint32) for w in seed_words]
+    words += [w.astype(np.uint32) for w in np.ogrid[:n_sensors, :n_emitters]]
+    words += [np.zeros((1, 1), dtype=np.uint32)] * (_POOL_SIZE - len(words))
     hashmix = _HashMix(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in _entropy_words(seed, n_sensors, n_emitters)]
+    pool = [hashmix(word) for word in words]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
@@ -241,36 +235,18 @@ def _fast_normals(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, rabs < _KI[idx]
 
 
-class _SeedFeed(ISeedSequence):
-    """One seed for every link's PCG64: each generate_state call hands over the
-    next link's precomputed generate_state(4, np.uint64) words, row by row."""
+class _LinkSeed(ISeedSequence):
+    """One link's seed for PCG64: its precomputed generate_state(4, np.uint64)
+    words. Any other request raises, so a numpy that seeded PCG64 otherwise
+    fails loudly instead of drawing from other words."""
 
-    def __init__(self, seeds: Iterable[np.ndarray]):
-        self._words = iter(seeds)  # lazy: a list of every row view costs memory
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        try:
-            return next(self._words)
-        except StopIteration:
-            raise RuntimeError("PCG64 asked the seed feed for more states than links") from None
-
-    def close(self) -> None:
-        if next(self._words, None) is not None:
-            raise RuntimeError("PCG64 asked the seed feed for fewer states than links")
-
-
-def _standard_normals(seeds: Iterable[np.ndarray], n_links: int) -> np.ndarray:
-    """Generator(PCG64(words)).standard_normal() for each link's words in seeds.
-
-    Each link gets its own PCG64 and Generator over one shared feed. numpy's
-    PCG64 asks its seed for state exactly once, so link k takes the k-th
-    words; had numpy asked more or less often, the draws would shift between
-    links, and the feed raises instead when it runs out early or is left over.
-    """
-    feed = _SeedFeed(seeds)
-    z = np.array([Generator(PCG64(feed)).standard_normal() for _ in range(n_links)])
-    feed.close()
-    return z
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(f"PCG64 asked for {n_words} {np.dtype(dtype)} words, not 4 uint64")
+        return self.words
 
 
 def shadowing_draws(seed: int, sigma: float, n_sensors: int, n_emitters: int) -> np.ndarray:
@@ -289,6 +265,6 @@ def shadowing_draws(seed: int, sigma: float, n_sensors: int, n_emitters: int) ->
     seeds = _pcg64_seeds(seed, n_sensors, n_emitters).reshape(-1, 4)
     z, fast = _fast_normals(_first_outputs(seeds))
     slow = np.flatnonzero(~fast)
-    z[slow] = _standard_normals(seeds[slow], len(slow))
+    z[slow] = [Generator(PCG64(_LinkSeed(w))).standard_normal() for w in seeds[slow]]
     with np.errstate(over="ignore"):  # an inf draw, as numpy's normal gives it
         return (0.0 + float(sigma) * z).reshape(n_sensors, n_emitters)

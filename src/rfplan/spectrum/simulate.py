@@ -28,10 +28,10 @@ np.power(10.0, x), SIMD code, from 10.0 ** x on about 106,000 (x uniform in
 
 A bin total past the float range, from finite mW that add up past it or
 from a +inf draw, is a DomainError naming the first emitter, in scenario
-order, that took the sum there. Quantization takes np.log10 once per
-distinct finite total. A level within _HALF_GUARD_DB (1e-6 dB) of a
-half-integer is redone with the scalar formula: an error of a few ulp can
-change round(), the floor clamp or the 8-bit clip only there.
+order, that took the sum there. Quantization takes np.log10 of every bin
+total. A level within _HALF_GUARD_DB (1e-6 dB) of a half-integer is redone
+with the scalar formula: an error of a few ulp can change round(), the floor
+clamp or the 8-bit clip only there.
 
 The sweeps are checked once per call, not once per sweep: they share t_ms and
 the grid, and their levels are clipped ints, so SensorSweep checks sensor 0
@@ -51,7 +51,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..linkbudget import Frequency, fspl_db_columns
-from .frames import _LEVELS, BinGrid, SensorSweep, _carrying_payload, _index, _lookup
+from .frames import _LEVELS, BinGrid, SensorSweep, _index, _lookup, _prebuilt
 from .plan import AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
 SWEEP_GRID = BinGrid(start_khz=2_400_000, bin_khz=1_000, n_bins=100)
@@ -209,13 +209,14 @@ def simulate_sweeps(
     bins = _lookup(_LEVELS, payload)  # one call for every sensor's bins, sliced per sweep
     n = SWEEP_GRID.n_bins
     return [
-        _carrying_payload(
-            payload[start : start + n],
+        _prebuilt(
+            SensorSweep,
             sensor_id=sensor_index,
             timestamp_ms=t_ms,
             start_khz=SWEEP_GRID.start_khz,
             bin_khz=SWEEP_GRID.bin_khz,
             bins=bins[start : start + n],
+            _payload=payload[start : start + n],
         )
         for sensor_index, start in enumerate(range(0, len(payload), n))
     ]
@@ -251,20 +252,20 @@ def _level(mw: float, floor_dbm: float) -> int:
 def _quantize(total_mw: np.ndarray, floor_dbm: float) -> np.ndarray:
     """_level of every entry, bit for bit, as an int64 array of the same shape.
 
-    Bins covered by the same emitters hold the same total, so each distinct
-    total is quantized once. numpy's log10 is within a few ulp of
-    math.log10, which can move round(), the floor clamp or the 8-bit clip
-    only for a level near a half-integer; those totals take the scalar
-    formula. Every total must be finite: round() refuses an infinite level.
+    numpy's log10 is within a few ulp of math.log10, which can move round(),
+    the floor clamp or the 8-bit clip only for a level near a half-integer;
+    those totals take the scalar formula, once per distinct total: at a
+    half-integer floor every floor bin is one. Every total must be finite:
+    round() refuses an infinite level.
     """
-    totals, where = np.unique(total_mw, return_inverse=True)
     with np.errstate(all="ignore"):  # log10(0) is -inf, which the floor replaces
-        dbm = np.maximum(10.0 * np.log10(totals), floor_dbm)
+        dbm = np.maximum(10.0 * np.log10(total_mw), floor_dbm)
         levels = np.clip(np.rint(dbm), -128, 127).astype(np.int64)
         near_half = ~(np.abs(dbm - np.floor(dbm) - 0.5) > _HALF_GUARD_DB)
-    for i in np.flatnonzero(near_half).tolist():
-        levels[i] = _level(float(totals[i]), floor_dbm)
-    return levels[where].reshape(total_mw.shape)
+    if near_half.any():
+        totals, where = np.unique(total_mw[near_half], return_inverse=True)
+        levels[near_half] = np.array([_level(mw, floor_dbm) for mw in totals.tolist()])[where]
+    return levels
 
 
 def scenario_to_json(scenario: Scenario) -> str:

@@ -45,14 +45,14 @@ from rfplan.spectrum import (
     sweeps_to_jsonl,
 )
 from rfplan.spectrum.aggregate import _MW_TABLE
-from rfplan.spectrum import plan, shadowing
+from rfplan.spectrum import plan, shadowing, simulate
 from rfplan.spectrum.frames import _LEVELS
 from rfplan.spectrum.plan import _SCALAR_MW, CHANNEL_HALF_WIDTH_KHZ
 from rfplan.spectrum.shadowing import (
     _fast_normals,
     _first_outputs,
+    _LinkSeed,
     _pcg64_seeds,
-    _standard_normals,
     shadowing_draws,
 )
 from rfplan.spectrum.simulate import _quantize
@@ -328,6 +328,31 @@ def test_channel_centers():
     for bad in (0, 15, -3):
         with pytest.raises(DomainError):
             channel_center_khz(bad)
+
+
+@pytest.mark.parametrize(
+    "score",
+    [
+        channel_center_khz,
+        lambda channel: channel_power_mw(flat_spectrum(-90.0), channel),
+        lambda channel: select_channel({"ap": flat_spectrum(-90.0, "ap")}, AP_ONLY, [channel]),
+    ],
+    ids=["center", "power", "select"],
+)
+@pytest.mark.parametrize(
+    ("channel", "message"),
+    [
+        (6.5, "channel must be an integer, got 6.5"),
+        (True, "channel must be an integer, got True"),
+        ("6", "channel must be an integer, got '6'"),
+    ],
+    ids=["float", "bool", "str"],
+)
+def test_a_channel_that_is_not_an_integer_is_named(score, channel, message):
+    # 6.5 had a center between channels, True passed as channel 1, and
+    # scoring 6.5 or "6" raised a bare TypeError
+    with pytest.raises(DomainError, match=re.escape(message)):
+        score(channel)
 
 
 def test_channel_power_flat_minus_40():
@@ -1170,33 +1195,39 @@ def test_shadowing_draws_match_default_rng(seed, sigma, n_sensors, n_emitters):
     assert draws.tolist() == default_rng_draws(seed, sigma, n_sensors, n_emitters)
 
 
-def test_seed_feed_serves_each_link_exactly_once():
-    words = _pcg64_seeds(1, 1, 3).reshape(-1, 4)
-    want = [np.random.default_rng([1, 0, e]).standard_normal() for e in range(3)]
-    assert _standard_normals(words, 3).tolist() == want
-    # words left over, or too few: the draws would shift between links
-    with pytest.raises(RuntimeError, match="fewer states than links"):
-        _standard_normals(words, 2)
-    with pytest.raises(RuntimeError, match="more states than links"):
-        _standard_normals(words[:2], 3)
+@given(seeds, st.integers(0, 6), st.integers(0, 6))
+@example(2**64 - 1, 0, 3)
+@example(2**32 + 5, 3, 0)
+def test_pcg64_seeds_are_seed_sequence_states(seed, n_sensors, n_emitters):
+    words = _pcg64_seeds(seed, n_sensors, n_emitters)
+    assert words.shape == (n_sensors, n_emitters, 4)
+    assert words.dtype == np.uint64
+    for s in range(n_sensors):
+        for e in range(n_emitters):
+            want = np.random.SeedSequence([seed, s, e]).generate_state(4, np.uint64)
+            assert words[s, e].tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("asks", [0, 2])
-def test_seed_feed_refuses_a_pcg64_that_asks_other_than_once(monkeypatch, asks):
-    # a numpy whose PCG64 asked its seed for state twice, or never, would
-    # hand every link another link's words; the feed raises instead. Only a
-    # link that leaves the ziggurat's fast path draws through the feed:
-    # seed 15's link [0, 0] does
+@pytest.mark.parametrize(("n_words", "dtype"), [(2, np.uint64), (4, np.uint32), (8, np.uint32)])
+def test_link_seed_refuses_any_request_but_the_links_words(monkeypatch, n_words, dtype):
+    # a numpy whose PCG64 seeded itself from another request would draw the
+    # link from words that are not its SeedSequence state; the seed raises
+    # instead. Only a link that leaves the ziggurat's fast path draws through
+    # numpy's PCG64: seed 15's link [0, 0] does
     accepted = _fast_normals(_first_outputs(_pcg64_seeds(15, 2, 2).reshape(-1, 4)))[1]
     assert accepted.tolist() == [False, True, True, True]
+    words = _pcg64_seeds(15, 1, 1)[0, 0]
+    assert _LinkSeed(words).generate_state(4, np.uint64) is words
+    message = f"PCG64 asked for {n_words} {np.dtype(dtype)} words, not 4 uint64"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        _LinkSeed(words).generate_state(n_words, dtype)
 
-    def pcg64(feed):
-        for _ in range(asks - 1):
-            feed.generate_state(4, np.uint64)
-        return np.random.PCG64(feed if asks else 0)
+    def pcg64(seed):
+        seed.generate_state(n_words, dtype)
+        return np.random.PCG64(seed)
 
     monkeypatch.setattr(shadowing, "PCG64", pcg64)
-    with pytest.raises(RuntimeError, match="states than links"):
+    with pytest.raises(RuntimeError, match=re.escape(message)):
         shadowing_draws(15, 4.0, 2, 2)
 
 
@@ -1206,7 +1237,8 @@ def test_seed_feed_refuses_a_pcg64_that_asks_other_than_once(monkeypatch, asks):
 def test_shadowing_draws_equal_the_per_link_loop(seed, n_sensors, n_emitters):
     # the per-link loop, numpy's own Generator for every link, is the oracle
     words = _pcg64_seeds(seed, n_sensors, n_emitters).reshape(-1, 4)
-    want = 0.0 + 1.0 * _standard_normals(words, len(words))
+    z = [np.random.Generator(np.random.PCG64(_LinkSeed(w))).standard_normal() for w in words]
+    want = 0.0 + 1.0 * np.array(z)
     draws = shadowing_draws(seed, 1.0, n_sensors, n_emitters)
     assert draws.tobytes() == want.tobytes()
 
@@ -1287,7 +1319,7 @@ seed_rows = st.one_of(
 @given(st.lists(seed_rows, max_size=16))
 def test_first_outputs_are_pcg64_random_raw(rows):
     words = np.array(rows, dtype=np.uint64).reshape(-1, 4)
-    want = [np.random.PCG64(shadowing._SeedFeed([row])).random_raw() for row in words]
+    want = [np.random.PCG64(_LinkSeed(row)).random_raw() for row in words]
     assert _first_outputs(words).tolist() == want
 
 
@@ -1451,6 +1483,30 @@ def test_quantize_matches_the_scalar_formula_next_to_half_levels(floor):
     levels = _quantize(np.array(totals).reshape(-1, 1), floor)
     assert levels.shape == (len(totals), 1)
     assert levels.ravel().tolist() == [scalar_level(mw, floor) for mw in totals]
+
+
+def test_quantize_takes_the_scalar_formula_once_per_distinct_near_half_total(monkeypatch):
+    # at a half-integer floor every bin at the floor is near a half-integer:
+    # a survey-sized array that sits mostly there must not take the scalar
+    # formula bin by bin
+    floor = -95.5
+    rng = np.random.default_rng(22)
+    totals = rng.choice([0.0, 1e-12, 10.0 ** (floor / 10.0)], size=(51, 100))
+    loud = rng.random((51, 100)) < 0.2
+    totals[loud] = 10.0 ** rng.uniform(-9.5, 2.0, loud.sum())
+    near_half = near_half_level_totals(floor)
+    totals.flat[rng.choice(totals.size, len(near_half), replace=False)] = near_half
+    calls, level = [], simulate._level
+
+    def counted_level(mw, floor_dbm):
+        calls.append(mw)
+        return level(mw, floor_dbm)
+
+    monkeypatch.setattr(simulate, "_level", counted_level)
+    levels = _quantize(totals, floor)
+    assert levels.tolist() == [[scalar_level(mw, floor) for mw in row] for row in totals.tolist()]
+    assert len(calls) == len(set(calls))
+    assert {0.0, 1e-12} <= set(calls)
 
 
 def test_simulate_timestamps_and_ids():
