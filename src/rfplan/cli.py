@@ -149,11 +149,6 @@ def _reject_non_finite_result(result: Result) -> None:
         data = result.rows.data
         columns += [(name, [*map(itemgetter(i), data)]) for i, name in enumerate(result.rows.header)]
     for name, values in columns:
-        try:
-            if all(map(math.isfinite, values)):  # a column of numbers, at C speed
-                continue
-        except (TypeError, OverflowError):  # text, or an int past the float range
-            pass
         for value in values:
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"result {name} is {value!r}, not a finite number")

@@ -126,43 +126,25 @@ def aggregate(
 def _ewma_mw(histories: list[list[bytes]], alpha: float) -> np.ndarray:
     """Smoothed mW per sensor, one row per history of in-order sweep payloads.
 
-    When every history has the same length, step r updates every sensor at
-    once, from row r of one steps x sensors x bins array. Otherwise sensors
-    ranked by sweep count, most first, make the sensors with an r-th sweep a
-    prefix, so step r is one update of that prefix. Each bin still gets
-    alpha*p + (1-alpha)*prev exactly: IEEE + and * are commutative.
+    Step r updates every sensor at once, from row r of one steps x sensors x
+    bins array. Histories of unequal length go a group of equal length at a
+    time, their rows stacked: each bin still gets alpha*p + (1-alpha)*prev
+    exactly, and the caller's max over sensors does not depend on row order.
     """
-    histories.sort(key=len, reverse=True)
+    groups: dict[int, list[list[bytes]]] = {}
+    for h in histories:
+        groups.setdefault(len(h), []).append(h)
+    if len(groups) > 1:
+        return np.concatenate([_ewma_mw(group, alpha) for group in groups.values()])
     n_steps, n_sensors = len(histories[0]), len(histories)
     keep = np.array(1.0 - alpha)  # a ufunc takes an array operand faster than a float
-    if len(histories[-1]) == n_steps:
-        rows = histories[0] if n_sensors == 1 else [p for step in zip(*histories) for p in step]
-        codes = np.frombuffer(b"".join(rows), np.uint8)
-        power = _MW_TABLE.take(codes).reshape(n_steps, n_sensors, -1)
-        smoothed = power[0]  # updated in place: the later rows are scaled first
-        for scaled in alpha * power[1:]:
-            smoothed *= keep
-            smoothed += scaled
-        return smoothed
-    widths = []  # widths[r]: how many sensors have an r-th sweep
-    width = n_sensors
-    for r in range(n_steps):
-        while len(histories[width - 1]) <= r:
-            width -= 1
-        widths.append(width)
-    rows = [h[r] for r, width in enumerate(widths) for h in histories[:width]]
+    rows = histories[0] if n_sensors == 1 else [p for step in zip(*histories) for p in step]
     codes = np.frombuffer(b"".join(rows), np.uint8)
-    power = _MW_TABLE.take(codes).reshape(len(rows), -1)
-    smoothed = power[: widths[0]].copy()
-    scaled = alpha * power
-    start = widths[0]
-    prefix = smoothed
-    for width in widths[1:]:
-        if width != len(prefix):
-            prefix = smoothed[:width]
-        prefix *= keep
-        prefix += scaled[start : start + width]
-        start += width
+    power = _MW_TABLE.take(codes).reshape(n_steps, n_sensors, -1)
+    smoothed = power[0]  # updated in place: the later rows are scaled first
+    for scaled in alpha * power[1:]:
+        smoothed *= keep
+        smoothed += scaled
     return smoothed
 
 

@@ -117,6 +117,12 @@ class Scenario:
             _finite("ap_position", v)
         object.__setattr__(self, "ap_position", tuple(float(v) for v in self.ap_position))
         object.__setattr__(self, "clients", tuple(self.clients))
+        taken = {AP_ID}  # a client's id names its position, as AP_ID names the AP's
+        for c in self.clients:
+            if c.id in taken:
+                owner = "the access point" if c.id == AP_ID else "another client"
+                raise DomainError(f"client id {c.id!r} is already {owner}'s position id")
+            taken.add(c.id)
         object.__setattr__(self, "emitters", tuple(self.emitters))
         _finite("noise_floor_dbm", self.noise_floor_dbm)
         _finite("shadowing_sigma_db", self.shadowing_sigma_db)

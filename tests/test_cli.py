@@ -527,6 +527,45 @@ def test_spectrum_bin_sum_beyond_float_range_exits_two(capsys, tmp_path, command
     )
 
 
+# a client at (30, 0) hears channel 6, one at (-30, 0) channel 1 and, far
+# weaker, channel 11: client-aware minimax picks 11 only if it keeps both
+COLLIDING_EMITTERS = [
+    {"channel": 6, "tx_power_dbm": 10.0, "x": 31.0, "y": 0.0},
+    {"channel": 1, "tx_power_dbm": 10.0, "x": -31.0, "y": 0.0},
+    {"channel": 11, "tx_power_dbm": 0.0, "x": -30.0, "y": 5.0},
+]
+
+
+def colliding_document(*ids):
+    clients = [{"id": id_, "x": 30.0 - 60.0 * k, "y": 0.0} for k, id_ in enumerate(ids)]
+    return scenario_document(clients=clients, emitters=COLLIDING_EMITTERS, shadowing_sigma_db=0)
+
+
+def test_spectrum_plan_keeps_every_client_when_ids_differ(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(colliding_document("c", "c2"))
+    code, out, err = invoke(
+        capsys, "spectrum", "plan", "--scenario", str(path), "--candidates", "1,6,11"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["ap_only_channel       11", "client_aware_channel  11"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "plan"])
+@pytest.mark.parametrize(
+    ("ids", "owner"), [(("c", "c"), "another client"), (("ap",), "the access point")]
+)
+def test_spectrum_colliding_client_id_exits_two(capsys, tmp_path, command, ids, owner):
+    # a spectrum per position id: a second "c" or a client "ap" would replace one
+    path = tmp_path / "scenario.json"
+    path.write_text(colliding_document(*ids))
+    err = assert_domain_error(capsys, "spectrum", command, "--scenario", str(path))
+    assert err == (
+        f"error: bad scenario document: client id {ids[-1]!r} is already "
+        f"{owner}'s position id\n"
+    )
+
+
 @pytest.mark.parametrize(
     ("document", "named"),
     [

@@ -264,24 +264,29 @@ alphas = st.one_of(
 )
 
 
-def equal_count_log(n_sensors, n_sweeps, n_bins=7):
-    """Sensors with n_sweeps in-order sweeps each, interleaved, levels spread over int8."""
+def count_log(counts, n_bins=7):
+    """Sensor k with counts[k] in-order sweeps, interleaved, levels spread over int8."""
+    order = [(t, k) for t in range(max(counts)) for k, n in enumerate(counts) if t < n]
     return [
         sweep(
-            [(37 * (t * n_sensors + k) + 11 * b) % 256 - 128 for b in range(n_bins)],
+            [(37 * i + 11 * b) % 256 - 128 for b in range(n_bins)],
             sensor_id=3 * k + 1,
             t=100 * t,
         )
-        for t in range(n_sweeps)
-        for k in range(n_sensors)
+        for i, (t, k) in enumerate(order)
     ]
 
 
 # equal sweep counts step every sensor from one array, a rare draw of
-# sweep_logs; a lone one-sweep sensor has no step at all
-@example(equal_count_log(2, 5), 0.3)
-@example(equal_count_log(3, 4), 0.6180339887498949)
-@example(equal_count_log(1, 1), 0.3)
+# sweep_logs; a lone one-sweep sensor has no step at all. Uneven counts are
+# smoothed a group of equal counts at a time: [4, 4, 2] puts a group of two
+# sensors next to a group of one, [1, 3, 3, 3] a group of three next to a
+# sensor with no step
+@example(count_log([5, 5]), 0.3)
+@example(count_log([4, 4, 4]), 0.6180339887498949)
+@example(count_log([1]), 0.3)
+@example(count_log([4, 4, 2]), 0.3)
+@example(count_log([1, 3, 3, 3]), 0.6180339887498949)
 @given(sweep_logs(), alphas)
 def test_ewma_matches_per_sweep_oracle(sweeps, alpha):
     got = outcome(aggregate, sweeps, EWMA, alpha=alpha)
@@ -292,6 +297,8 @@ def test_ewma_matches_per_sweep_oracle(sweeps, alpha):
         assert bits(got.bins) == bits(want)
 
 
+@example(count_log([4, 4, 2]), 0.3, EWMA)
+@example(count_log([1, 3, 3, 3]), 0.6180339887498949, EWMA)
 @given(sweep_logs(), alphas, st.sampled_from([MAX_HOLD, EWMA]))
 def test_aggregate_of_parsed_frames_matches_tuple_sweeps(sweeps, alpha, mode):
     # parsed sweeps carry their frame payload, tuple-built ones pack it on demand
@@ -1593,6 +1600,23 @@ def test_scenario_validation():
         Client("c1", 0.0, math.inf)
     with pytest.raises(DomainError, match="emitter tx_power_dbm must be a finite number, got True"):
         Emitter(channel=6, tx_power_dbm=True, x=0.0, y=0.0)
+
+
+@pytest.mark.parametrize(
+    ("ids", "named"),
+    [
+        (("c", "c"), "client id 'c' is already another client's position id"),
+        (("c0", "c1", "c0"), "client id 'c0' is already another client's position id"),
+        (("ap",), "client id 'ap' is already the access point's position id"),
+        (("c0", "ap"), "client id 'ap' is already the access point's position id"),
+    ],
+)
+def test_a_client_id_that_collides_is_named(ids, named):
+    clients = tuple(Client(id_, float(k), 0.0) for k, id_ in enumerate(ids))
+    with pytest.raises(DomainError, match=re.escape(named)):
+        Scenario(ap_position=(0.0, 0.0), clients=clients)
+    distinct = tuple(Client(f"{c.id}{k}", c.x, c.y) for k, c in enumerate(clients))
+    assert Scenario(ap_position=(0.0, 0.0), clients=distinct).clients == distinct
 
 
 def test_scenario_json_round_trip():
