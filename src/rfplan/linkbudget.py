@@ -123,7 +123,8 @@ def fspl_db_columns(distance_m, frequencies: Sequence[Frequency]):
     bit for bit, far-field check included; if any link fails, the first one
     column by column raises what fspl_db raises for it. The ratio and the dB
     scaling are exact IEEE steps and run as array operations; log10 stays
-    the scalar math.log10, since numpy's log10 may differ in the last ulp.
+    the scalar math.log10, mapped over the ratios into np.fromiter, since
+    numpy's log10 may differ in the last ulp.
     """
     import numpy as np
 
@@ -134,8 +135,8 @@ def fspl_db_columns(distance_m, frequencies: Sequence[Frequency]):
     if fails.any():
         j, i = divmod(int(fails.T.argmax()), fails.shape[0])
         fspl_db(LinkGeometry(float(distance_m[i, j]), frequencies[j]))
-    log10_ratio = [math.log10(r) for r in ratio.ravel().tolist()]
-    return _ratio_db(np.array(log10_ratio).reshape(ratio.shape))
+    log10_ratio = np.fromiter(map(math.log10, ratio.ravel().tolist()), float, ratio.size)
+    return _ratio_db(log10_ratio.reshape(ratio.shape))
 
 
 def _path_ratio(distance_m, wavelength_m):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -63,28 +63,18 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
     np.float_power, which calls the C library's pow as 10.0 ** x does, bit
     for bit; np.power dispatches to SIMD code that can differ in the last
     bit. A grid's spectra that all carry max-hold levels read those powers
-    from _SCALAR_MW, which is faster than computing them. A total that is
-    not finite is a DomainError naming the bin that makes it so.
+    from _SCALAR_MW, which is faster than computing them. Which bins each
+    mask adds, per grid, comes from _scoring_index, cached by the grids and
+    channel centres. A total that is not finite is a DomainError naming the
+    bin that makes it so.
     """
-    centers = [channel_center_khz(ch) for ch in channels]
+    centers = tuple(channel_center_khz(ch) for ch in channels)
     shapes: dict[tuple[int, int, int], list[int]] = {}  # the spectra on each grid, by first use
     for k, s in enumerate(spectra):
         shapes.setdefault((s.start_khz, s.bin_khz, len(s.bins)), []).append(k)
-    members = {BinGrid(*shape): on_grid for shape, on_grid in shapes.items()}
-    # channel by channel, then grid by first use, so the first grid that does
-    # not cover a channel is the one the spectrum-by-spectrum order meets first
-    masks: dict[BinGrid, list[slice]] = {grid: [] for grid in members}
-    for center in centers:
-        for grid, grid_masks in masks.items():
-            grid_masks.append(
-                grid.span(center - CHANNEL_HALF_WIDTH_KHZ, center + CHANNEL_HALF_WIDTH_KHZ)
-            )
     totals = np.empty((len(channels), len(spectra)))
-    for grid, on_grid in members.items():
-        starts = np.array([mask.start for mask in masks[grid]])
-        lengths = np.array([max(0, mask.stop - mask.start) for mask in masks[grid]])
-        lo = int(starts.min())
-        hi = max(lo, max(mask.stop for mask in masks[grid]))
+    indexes = _scoring_index(tuple(shapes), centers)
+    for on_grid, (lo, hi, index) in zip(shapes.values(), indexes):
         # every bin any mask holds, then a zero column: padding a short mask
         # with it adds 0.0 after its last term, which changes nothing
         mw = np.zeros((len(on_grid), hi - lo + 1))
@@ -101,8 +91,6 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
             except OverflowError:  # an int bin past the float range, whatever its sign: inf
                 scalar = np.fromiter(map(_mw_or_inf, chain.from_iterable(dbms)), float)
             mw[:, :-1] = scalar.reshape(len(on_grid), hi - lo)
-        steps = np.arange(lengths.max())[:, None]
-        index = np.where(steps < lengths, starts - lo + steps, hi - lo)  # step x channel
         total = np.zeros((len(centers), len(on_grid)))
         with np.errstate(over="ignore"):  # a total past the float range is named below
             for term in mw.T[index]:
@@ -111,6 +99,37 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
             raise _non_finite_total([spectra[k] for k in on_grid], channels, total)
         totals[:, on_grid] = total
     return totals
+
+
+@lru_cache(maxsize=16)
+def _scoring_index(shapes: tuple[tuple[int, int, int], ...], centers: tuple[int, ...]):
+    """(lo, hi, index) per grid (start_khz, bin_khz, n_bins): the bins lo:hi
+    that any channel's mask holds, and the read-only step x channel array of
+    each mask's bins, counted from lo, padded with hi - lo, the zero column
+    past them.
+
+    The masks are formed channel by channel, then grid by first use, so the
+    first grid that does not cover a channel is the one the spectrum-by-
+    spectrum order meets first. An uncovered grid raises, which lru_cache
+    does not cache, so every call that meets it raises again.
+    """
+    masks: dict[BinGrid, list[slice]] = {BinGrid(*shape): [] for shape in shapes}
+    for center in centers:
+        for grid, grid_masks in masks.items():
+            grid_masks.append(
+                grid.span(center - CHANNEL_HALF_WIDTH_KHZ, center + CHANNEL_HALF_WIDTH_KHZ)
+            )
+    indexes = []
+    for grid_masks in masks.values():
+        starts = np.array([mask.start for mask in grid_masks])
+        lengths = np.array([max(0, mask.stop - mask.start) for mask in grid_masks])
+        lo = int(starts.min())
+        hi = max(lo, max(mask.stop for mask in grid_masks))
+        steps = np.arange(lengths.max())[:, None]
+        index = np.where(steps < lengths, starts - lo + steps, hi - lo)
+        index.flags.writeable = False
+        indexes.append((lo, hi, index))
+    return tuple(indexes)
 
 
 def _mw_or_inf(dbm: float) -> float:

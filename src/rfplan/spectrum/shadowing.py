@@ -4,7 +4,9 @@ numpy's SeedSequence (NEP 19, after O'Neill's PCG seed_seq, HMC-CS-2014-0905)
 is a fixed hash in uint32 arithmetic: mix the entropy words into a 4-word
 pool, then expand the pool into the 8 words that seed PCG64. Running that
 hash as array operations over every sensor x emitter link replaces one
-SeedSequence per link.
+SeedSequence per link. Its hashmix steps a constant on every call, so the
+constants are precomputed, and calls that follow one another on a stack
+of words run as one operation.
 
 Two more steps of numpy are restated as array code over every link. PCG64's
 seeding and first output (pcg64.h): a 128-bit LCG, run here in uint64 limbs,
@@ -43,28 +45,45 @@ _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 
 
-class _HashMix:
-    """SeedSequence's hashmix; its hash constant is multiplied on every call."""
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """hashmix's hash constant before each of its calls and after the last.
 
-    def __init__(self, init: int, mult: int):
-        self.const, self.mult = init, mult
+    A SeedSequence's hashmix multiplies its constant on every call: call k
+    xors with entry k, init * mult^k, and multiplies by entry k + 1. Shape
+    (calls + 1, 1, 1), so that a slice broadcasts over a stack of words.
+    """
+    constants = [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(calls + 1)]
+    return np.array(constants, dtype=np.uint32).reshape(-1, 1, 1)
 
-    def __call__(self, value: np.ndarray) -> np.ndarray:
-        value = value ^ np.uint32(self.const)
-        self.const = (self.const * self.mult) & _MASK32
-        value = value * np.uint32(self.const)
-        return value ^ (value >> np.uint32(_XSHIFT))
+
+# mix_entropy's 4 + 12 hashmix calls, then generate_state's 8
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray, first: int, calls: int) -> np.ndarray:
+    """hashmix calls first, first + 1, ... stacked on a new first axis.
+
+    values is one word array, which each call hashes, or a stack of as many
+    as there are calls, one each.
+    """
+    values = values ^ constants[first : first + calls]
+    values *= constants[first + 1 : first + calls + 1]
+    values ^= values >> _XSHIFT
+    return values
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> np.uint32(_XSHIFT))
+    result = _MIX_MULT_L * x
+    result -= _MIX_MULT_R * y
+    result ^= result >> _XSHIFT
+    return result
 
 
 def _pcg64_seeds(seed: int, n_sensors: int, n_emitters: int) -> np.ndarray:
@@ -76,26 +95,27 @@ def _pcg64_seeds(seed: int, n_sensors: int, n_emitters: int) -> np.ndarray:
     zeros changes nothing. Seeds up to 2^64 - 1 give at most 4 entropy words,
     so only the pool-to-pool half of mix_entropy runs.
 
-    The hash is elementwise, so it runs over the seed and padding words as
-    (1, 1) arrays, the sensors as a column and the emitters as a row, and
-    broadcasts: each pool word mixes with every other, so all come out with
-    a row for every sensor and a column for every emitter. Arrays, not
-    scalars: numpy warns when a scalar op wraps.
+    The hash is elementwise, so it runs over a stack of the four pool words
+    broadcast to (sensors, emitters). One source word feeds its three
+    hashmix calls, consecutive constants, as one stacked call, and mixes
+    into the other three words as another; the 8 output words are one more
+    stacked hashmix. Arrays, not scalars: numpy warns when a scalar op wraps.
     """
     seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    words = [np.array([[w]], dtype=np.uint32) for w in seed_words]
-    words += [w.astype(np.uint32) for w in np.ogrid[:n_sensors, :n_emitters]]
-    words += [np.zeros((1, 1), dtype=np.uint32)] * (_POOL_SIZE - len(words))
-    hashmix = _HashMix(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in words]
+    pool = np.empty((_POOL_SIZE, n_sensors, n_emitters), dtype=np.uint32)
+    # the entropy words, then a 0 that only a one-word seed leaves room for
+    for row, word in zip(pool, [*seed_words, *np.ogrid[:n_sensors, :n_emitters], 0]):
+        row[...] = word
+    pool = _hashmix(pool, _HASH_A, 0, _POOL_SIZE)
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    hashmix = _HashMix(_INIT_B, _MULT_B)
-    state = [hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)]
-    # word pairs read as little-endian uint64, as generate_state does
-    return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        hashed = _hashmix(pool[src], _HASH_A, _POOL_SIZE + len(dst) * src, len(dst))
+        pool[dst] = _mix(pool[dst], hashed)
+    state = _hashmix(np.concatenate([pool, pool]), _HASH_B, 0, 2 * _POOL_SIZE)
+    # word pairs read as little-endian uint64, as generate_state does; C order,
+    # since PCG64 reads a seed's words from its buffer, whatever its strides
+    state = np.ascontiguousarray(np.moveaxis(state, 0, -1), dtype="<u4")
+    return state.view("<u8").astype(np.uint64, copy=False)
 
 
 # numpy/random/src/pcg64/pcg64.h: the LCG multiplier as (high, low) words.
@@ -237,11 +257,12 @@ def _fast_normals(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _LinkSeed(ISeedSequence):
     """One link's seed for PCG64: its precomputed generate_state(4, np.uint64)
-    words. Any other request raises, so a numpy that seeded PCG64 otherwise
-    fails loudly instead of drawing from other words."""
+    words, held in C order, since PCG64 reads them from the array's buffer
+    whatever its strides. Any other request raises, so a numpy that seeded
+    PCG64 otherwise fails loudly instead of drawing from other words."""
 
     def __init__(self, words: np.ndarray):
-        self.words = words
+        self.words = np.ascontiguousarray(words, dtype=np.uint64)
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 4 or np.dtype(dtype) != np.uint64:

@@ -13,18 +13,24 @@ refuses.
 
 Arithmetic: the links form one sensors x emitters array, a column per
 emitter, and every step rounds exactly as the scalar per-link formula does.
-The IEEE-exact steps run as numpy array operations in the scalar evaluation
-order: the clamp to one wavelength, 4*pi*R/lambda, 20 times its log10,
-tx - loss - spread + shadow, and the division by 10. 10.0 ** x runs as
-np.float_power, whose float64 loop calls the C library's pow, the function
-Python's float ** calls. Two steps stay scalar list comprehensions:
-math.hypot, which CPython computes by its own algorithm, and math.log10, for
-which numpy has no loop that calls the C library. Measured with numpy 2.4.6
-on an AVX-512 Xeon, over 2M random inputs each, by one or two ulp: np.hypot
-differs from math.hypot on about 12,000 (coordinates uniform in +-160 m),
-np.log10 from math.log10 on about 24,000 (10**U(-15, 3)), and
-np.power(10.0, x), SIMD code, from 10.0 ** x on about 106,000 (x uniform in
-[-15, 3]); np.float_power on none.
+Distances are math.dist of each sensor's and emitter's (x, y), run over
+every link by np.fromiter: CPython computes math.dist and math.hypot by one
+routine of its own, and |sx - ex| equals |ex - sx| exactly, so each equals
+math.hypot(ex - sx, ey - sy) of the coordinates as floats. The IEEE-exact
+steps run as numpy array operations in the scalar evaluation order: the
+clamp to one wavelength, 4*pi*R/lambda, 20 times its log10, tx - loss -
+spread + shadow, and the division by 10. 10.0 ** x runs as np.float_power,
+whose float64 loop calls the C library's pow, the function Python's float
+** calls. math.log10 stays scalar, mapped over the ratios, since numpy has
+no loop that calls the C library. Measured with numpy 2.4.6 on an AVX-512
+Xeon, over 2M random inputs each, by one or two ulp: np.hypot differs from
+math.hypot on about 12,000 (coordinates uniform in +-160 m), np.log10 from
+math.log10 on about 24,000 (10**U(-15, 3)), and np.power(10.0, x), SIMD
+code, from 10.0 ** x on about 106,000 (x uniform in [-15, 3]);
+np.float_power on none. Each channel's frequency, wavelength and mask are
+derived once per process. The mW adds run on a bins x sensors array, where
+each emitter's mask is a block of whole rows, added in place emitter by
+emitter in scenario order.
 
 A bin total past the float range, from finite mW that add up past it or
 from a +inf draw, is a DomainError naming the first emitter, in scenario
@@ -33,10 +39,12 @@ total. A level within _HALF_GUARD_DB (1e-6 dB) of a half-integer is redone
 with the scalar formula: an error of a few ulp can change round(), the floor
 clamp or the 8-bit clip only there.
 
-The sweeps are checked once per call, not once per sweep: they share t_ms and
-the grid, and their levels are clipped ints, so SensorSweep checks sensor 0
-and the first id past 16 bits before any bin is summed. Every sweep is built
-carrying its payload, its bins the shared ints that parse_frame gives.
+Every sensor position must be an (x, y) pair of finite real numbers, as a
+Client's is; it is checked before any work. The sweeps are checked once per
+call, not once per sweep: they share t_ms and the grid, and their levels are
+clipped ints, so SensorSweep checks sensor 0 and the first id past 16 bits
+before any bin is summed. Every sweep is built carrying its payload, its
+bins the shared ints that parse_frame gives.
 """
 from __future__ import annotations
 
@@ -44,15 +52,17 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from functools import lru_cache
+from itertools import product, starmap
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..errors import DomainError
 from ..linkbudget import Frequency, fspl_db_columns
 from .frames import _LEVELS, BinGrid, SensorSweep, _index, _lookup, _prebuilt
-from .plan import AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
+from .plan import ALL_CHANNELS, AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
 SWEEP_GRID = BinGrid(start_khz=2_400_000, bin_khz=1_000, n_bins=100)
 
@@ -68,8 +78,44 @@ def _finite(name: str, value) -> None:
     real = isinstance(value, float) or (
         isinstance(value, numbers.Real) and not isinstance(value, bool)
     )
-    if not (real and math.isfinite(value)):
-        raise DomainError(f"{name} must be a finite number, got {value!r}")
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise DomainError(f"{name} must be a finite number, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    try:
+        return repr(value)
+    except ValueError:  # it holds an int longer than sys.get_int_max_str_digits()
+        return f"an overlong {type(value).__name__}"
+
+
+def _sensor_points(positions: Sequence[tuple[float, float]]) -> Iterator[tuple[float, float]]:
+    """Each position as an (x, y) tuple. It must be a pair of finite real
+    numbers, as a Client's position is; any other is a DomainError."""
+    for k, position in enumerate(positions):
+        try:
+            x, y = position
+        except (TypeError, ValueError):
+            shown = _shown(position)
+            raise DomainError(f"sensor {k} position must be an (x, y) pair, got {shown}") from None
+        # the common case inline: two floats whose sum is finite are both finite
+        if not (isinstance(x, float) and isinstance(y, float) and math.isfinite(x + y)):
+            _finite(f"sensor {k} x", x)
+            _finite(f"sensor {k} y", y)
+        yield x, y
+
+
+@lru_cache(maxsize=len(ALL_CHANNELS))
+def _channel_facts(channel: int) -> tuple[Frequency, float, slice]:
+    """An emitter channel's centre frequency, its wavelength and its mask's bins."""
+    center = channel_center_khz(channel)
+    freq = Frequency(center * 1e3)
+    mask = SWEEP_GRID.span(center - CHANNEL_HALF_WIDTH_KHZ, center + CHANNEL_HALF_WIDTH_KHZ)
+    return freq, freq.wavelength_m, mask
 
 
 @dataclass(frozen=True)
@@ -155,23 +201,23 @@ def simulate_sweeps(
     floor, and quantize to signed 8-bit dBm. The module docstring says which
     steps run as array operations and which stay scalar.
     """
-    shape = (len(sensor_positions), len(scenario.emitters))
+    points = list(_sensor_points(sensor_positions))  # checked before any work
+    shape = (len(points), len(scenario.emitters))
     draws = np.zeros(shape)
     if scenario.shadowing_sigma_db != 0.0:
         # imported here: numpy.random costs several ms, and only drawing needs it
         from .shadowing import shadowing_draws
 
         draws = shadowing_draws(scenario.seed, scenario.shadowing_sigma_db, *shape)
-    centers_khz = [channel_center_khz(e.channel) for e in scenario.emitters]
-    freqs = [Frequency(c * 1e3) for c in centers_khz]
+    facts = [_channel_facts(e.channel) for e in scenario.emitters]
     emitter_xy = [(e.x, e.y) for e in scenario.emitters]
-    distance_m = np.array(
-        [math.hypot(ex - sx, ey - sy) for sx, sy in sensor_positions for ex, ey in emitter_xy]
+    distance_m = np.fromiter(
+        starmap(math.dist, product(points, emitter_xy)), float, shape[0] * shape[1]
     ).reshape(shape)
     # overflow to inf is what the scalar steps give, without a warning
     with np.errstate(all="ignore"):
-        distance_m = np.maximum(distance_m, [f.wavelength_m for f in freqs])
-        loss_db = fspl_db_columns(distance_m, freqs)
+        distance_m = np.maximum(distance_m, [wavelength for _, wavelength, _ in facts])
+        loss_db = fspl_db_columns(distance_m, [freq for freq, _, _ in facts])
         tx_dbm = np.array([e.tx_power_dbm for e in scenario.emitters], dtype=float)
         per_bin_dbm = tx_dbm - loss_db - _SPREAD_DB + draws
         exponents = per_bin_dbm / 10.0
@@ -200,13 +246,13 @@ def simulate_sweeps(
                 bins=(0,),
             )
             t_ms = checked.timestamp_ms  # an int, as SensorSweep makes it
-        masks = [
-            SWEEP_GRID.span(c - CHANNEL_HALF_WIDTH_KHZ, c + CHANNEL_HALF_WIDTH_KHZ)
-            for c in centers_khz
-        ]
-        total_mw = np.zeros((shape[0], SWEEP_GRID.n_bins))
+        masks = [mask for _, _, mask in facts]
+        # bins x sensors, so that each mask is a block of whole rows, added in place
+        bin_major = np.zeros((SWEEP_GRID.n_bins, shape[0]))
         for mask, column in zip(masks, per_bin_mw.T):
-            total_mw[:, mask] += column[:, None]
+            rows = bin_major[mask]
+            np.add(rows, column, out=rows)
+        total_mw = bin_major.T
         if not np.isfinite(total_mw).all():
             raise _summed_overflow(scenario.emitters, per_bin_dbm, per_bin_mw, masks, total_mw)
         levels = _quantize(total_mw, scenario.noise_floor_dbm)

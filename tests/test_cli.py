@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfplan import cli, fixtures
@@ -599,6 +599,31 @@ def test_spectrum_plan_bad_scenario_document_exits_two(capsys, tmp_path, documen
     assert "bad scenario document" in err and named in err
 
 
+PAST_FLOAT_RANGE = 10**400 - 1  # 400 nines: a JSON int no float can hold
+
+
+@pytest.mark.parametrize(
+    ("change", "field"),
+    [
+        ({"ap_position": [PAST_FLOAT_RANGE, 0]}, "ap_position"),
+        ({"clients": [{"id": "c", "x": PAST_FLOAT_RANGE, "y": 0}]}, "client x"),
+        ({"clients": [{"id": "c", "x": 0, "y": PAST_FLOAT_RANGE}]}, "client y"),
+        ({"emitters": [{**EMITTER, "tx_power_dbm": PAST_FLOAT_RANGE}]}, "emitter tx_power_dbm"),
+        ({"emitters": [{**EMITTER, "x": PAST_FLOAT_RANGE}]}, "emitter x"),
+        ({"emitters": [{**EMITTER, "y": PAST_FLOAT_RANGE}]}, "emitter y"),
+        ({"noise_floor_dbm": PAST_FLOAT_RANGE}, "noise_floor_dbm"),
+        ({"shadowing_sigma_db": PAST_FLOAT_RANGE}, "shadowing_sigma_db"),
+    ],
+)
+def test_spectrum_plan_int_past_the_float_range_exits_two(capsys, tmp_path, change, field):
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario_document(**change))
+    err = assert_domain_error(capsys, "spectrum", "plan", "--scenario", str(path))
+    assert err == (
+        f"error: bad scenario document: {field} must be a finite number, got {PAST_FLOAT_RANGE}\n"
+    )
+
+
 SWEEP_RECORD = (
     '{{"sensor_id": {sensor_id}, "timestamp_ms": 0, "start_khz": 2400000, '
     '"bin_khz": 1000, "bins": {bins}}}\n'
@@ -834,28 +859,35 @@ def test_any_positive_fresnel_geometry_exits_two_or_prints_strict_json(command, 
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-# mostly on a floor plan's scale, sometimes anywhere in the float range
-coordinates = st.one_of(st.floats(-200.0, 200.0), finite)
-document_fields = {
-    "ap_position": st.lists(coordinates, min_size=2, max_size=2),
-    "clients": st.lists(st.tuples(coordinates, coordinates), max_size=3).map(
-        lambda xys: [{"id": f"c{i}", "x": x, "y": y} for i, (x, y) in enumerate(xys)]
-    ),
-    "emitters": st.lists(
-        st.fixed_dictionaries(
-            {
-                "channel": st.integers(1, 14),
-                "tx_power_dbm": st.one_of(st.floats(-100.0, 5000.0), finite),
-                "x": coordinates,
-                "y": coordinates,
-            }
+# JSON ints that no float can hold, either sign
+past_float_range = st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024))
+
+
+def document_fields(anywhere):
+    """Numbers mostly on a floor plan's scale, sometimes drawn from anywhere."""
+    coordinates = st.one_of(st.floats(-200.0, 200.0), anywhere)
+    return {
+        "ap_position": st.lists(coordinates, min_size=2, max_size=2),
+        "clients": st.lists(st.tuples(coordinates, coordinates), max_size=3).map(
+            lambda xys: [{"id": f"c{i}", "x": x, "y": y} for i, (x, y) in enumerate(xys)]
         ),
-        max_size=3,
-    ),
-    "noise_floor_dbm": st.one_of(st.floats(-200.0, 200.0), finite),
-    "shadowing_sigma_db": st.one_of(st.floats(0.0, 50.0), finite),
-    "seed": st.integers(0, 2**64 - 1),
-}
+        "emitters": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "channel": st.integers(1, 14),
+                    "tx_power_dbm": st.one_of(st.floats(-100.0, 5000.0), anywhere),
+                    "x": coordinates,
+                    "y": coordinates,
+                }
+            ),
+            max_size=3,
+        ),
+        "noise_floor_dbm": st.one_of(st.floats(-200.0, 200.0), anywhere),
+        "shadowing_sigma_db": st.one_of(st.floats(0.0, 50.0), anywhere),
+        "seed": st.integers(0, 2**64 - 1),
+    }
+
+
 # two to four co-channel emitters at one spot on the plan, unshadowed, so
 # that each link stays in the float range while their sum in a bin need not
 emitter_stacks = st.tuples(
@@ -870,15 +902,26 @@ emitter_stacks = st.tuples(
     st.integers(2, 4),
 ).map(lambda stack: [stack[0]] * stack[1])
 scenario_documents = st.one_of(
-    st.fixed_dictionaries(document_fields),
+    st.fixed_dictionaries(document_fields(finite)),
     st.fixed_dictionaries(
-        {**document_fields, "emitters": emitter_stacks, "shadowing_sigma_db": st.just(0.0)}
+        {**document_fields(finite), "emitters": emitter_stacks, "shadowing_sigma_db": st.just(0.0)}
     ),
+    st.fixed_dictionaries(document_fields(finite | past_float_range)),
 )
 
+# The CLI properties run under the profile RFPLAN_CLI_FUZZ_PROFILE names.
+# cli-fuzz, the default: 40 examples of each of the 12 commands, about 9 s on
+# a 2-CPU Xeon, and hypothesis's default 100 scenario documents. cli-fuzz-deep:
+# 1,000 of each, a CI step of its own; it never derandomizes, which
+# hypothesis otherwise does by default on CI.
+settings.register_profile("cli-fuzz", deadline=None, max_examples=40)
+settings.register_profile("cli-fuzz-deep", deadline=None, max_examples=1000, derandomize=False)
+CLI_FUZZ = settings.get_profile(os.environ.get("RFPLAN_CLI_FUZZ_PROFILE", "cli-fuzz"))
 
-@settings(deadline=None)
+
+@settings(CLI_FUZZ, max_examples=max(CLI_FUZZ.max_examples, 100))
 @given(document=scenario_documents)
+@example({"ap_position": [PAST_FLOAT_RANGE, 0]})
 def test_any_finite_scenario_exits_two_or_prints_strict_json(document):
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -1304,16 +1347,8 @@ def command_lines(draw, words):
     return argv, fault
 
 
-# The property below runs under the profile RFPLAN_CLI_FUZZ_PROFILE names.
-# cli-fuzz, the default: 40 examples of each of the 12 commands, about 9 s on
-# a 2-CPU Xeon. cli-fuzz-deep: 1,000 of each, a CI step of its own; it never
-# derandomizes, which hypothesis otherwise does by default on CI.
-settings.register_profile("cli-fuzz", deadline=None, max_examples=40)
-settings.register_profile("cli-fuzz-deep", deadline=None, max_examples=1000, derandomize=False)
-
-
 @pytest.mark.parametrize("words", sorted(LEAF_COMMANDS), ids=" ".join)
-@settings(settings.get_profile(os.environ.get("RFPLAN_CLI_FUZZ_PROFILE", "cli-fuzz")))
+@settings(CLI_FUZZ)
 @given(data=st.data())
 def test_every_command_exits_cleanly_on_any_flags(words, data):
     argv, fault = data.draw(command_lines(words), label="command line")

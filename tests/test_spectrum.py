@@ -924,17 +924,29 @@ def test_uncovered_grid_names_the_first_channel_and_position():
         "c2": AggregatedSpectrum("c2", MAX_HOLD, 2_430_000, 1_000, (-90.0,) * 30, {}),
     }
     # channel by channel, then position by position: with 13 first, c1 fails
-    # before c2 (which misses both channels) is looked at
-    with pytest.raises(DomainError) as info:
-        select_channel(spectra, CLIENT_AWARE, candidates=(13, 1))
-    assert str(info.value) == (
-        "spectrum [2400000, 2480000] kHz does not cover [2461000, 2483000] kHz"
+    # before c2 (which misses both channels) is looked at. Twice each: the
+    # scoring index is cached, a failure is not
+    for _ in range(2):
+        with pytest.raises(DomainError) as info:
+            select_channel(spectra, CLIENT_AWARE, candidates=(13, 1))
+        assert str(info.value) == (
+            "spectrum [2400000, 2480000] kHz does not cover [2461000, 2483000] kHz"
+        )
+        with pytest.raises(DomainError) as info:
+            select_channel(spectra, CLIENT_AWARE, candidates=(1, 13))
+        assert str(info.value) == (
+            "spectrum [2430000, 2460000] kHz does not cover [2401000, 2423000] kHz"
+        )
+
+
+def test_cached_scoring_index_serves_grids_in_either_order():
+    fine = flat_spectrum(-60.0, "fine")
+    coarse = AggregatedSpectrum(
+        "coarse", MAX_HOLD, 2_400_000, 2_000, tuple(-70.0 + 0.5 * k for k in range(45)), {}
     )
-    with pytest.raises(DomainError) as info:
-        select_channel(spectra, CLIENT_AWARE, candidates=(1, 13))
-    assert str(info.value) == (
-        "spectrum [2430000, 2460000] kHz does not cover [2401000, 2423000] kHz"
-    )
+    for spectra in ([fine, coarse], [coarse, fine], [fine, coarse], [coarse, fine]):
+        got = plan._in_channel_mw(spectra, (3, 6, 1, 6))
+        assert got.tobytes() == in_channel_mw_scalar_pow(spectra, (3, 6, 1, 6)).tobytes()
 
 
 def survey_spectra(seed):
@@ -1209,6 +1221,7 @@ def test_pcg64_seeds_are_seed_sequence_states(seed, n_sensors, n_emitters):
     words = _pcg64_seeds(seed, n_sensors, n_emitters)
     assert words.shape == (n_sensors, n_emitters, 4)
     assert words.dtype == np.uint64
+    assert words.flags.c_contiguous  # PCG64 reads a seed's words from its buffer
     for s in range(n_sensors):
         for e in range(n_emitters):
             want = np.random.SeedSequence([seed, s, e]).generate_state(4, np.uint64)
@@ -1236,6 +1249,16 @@ def test_link_seed_refuses_any_request_but_the_links_words(monkeypatch, n_words,
     monkeypatch.setattr(shadowing, "PCG64", pcg64)
     with pytest.raises(RuntimeError, match=re.escape(message)):
         shadowing_draws(15, 4.0, 2, 2)
+
+
+def test_link_seed_draws_from_its_words_whatever_their_strides():
+    words = _pcg64_seeds(15, 2, 2).reshape(-1, 4)
+    strided = np.asfortranarray(words)[0]  # link [0, 0]'s words, 32 bytes apart
+
+    def draw(link_words):
+        return np.random.Generator(np.random.PCG64(_LinkSeed(link_words))).standard_normal()
+
+    assert draw(strided) == draw(words[0]) == np.random.default_rng([15, 0, 0]).standard_normal()
 
 
 @given(seeds, st.integers(0, 60), st.integers(0, 60))
@@ -1405,6 +1428,17 @@ coordinates = st.floats(-80.0, 80.0)
     ),
     t_ms=st.integers(0, 2**64 - 1),
 )
+@example(1, 4.0, -95.0, [(3.0, 4.0), (-10.0, 2.5)], [], 0)  # no emitters
+@example(1, 4.0, -95.0, [], [(6, 20.0, 10.0, 0.0), (1, 5.0, -3.0, 7.0)], 5)  # one sensor
+@example(  # channels unsorted, repeated and overlapping
+    7,
+    4.0,
+    -95.0,
+    [(12.0, -4.0), (-30.0, 18.0)],
+    [(ch, 10.0, 6.0 * k - 20.0, 3.0 - k) for k, ch in enumerate([14, 1, 13, 2, 6, 6, 11, 7])],
+    0,
+)
+@example(2**32 + 7, 4.0, -95.0, [(12.0, -4.0)], [(6, 20.0, 1.0, 1.0), (11, 0.0, -5.0, 9.0)], 0)
 def test_simulate_matches_per_link_oracle(seed, sigma, noise_floor, clients, emitters, t_ms):
     scenario = Scenario(
         ap_position=(0.0, 0.0),
@@ -1418,6 +1452,57 @@ def test_simulate_matches_per_link_oracle(seed, sigma, noise_floor, clients, emi
     assert simulate_sweeps(scenario, positions, t_ms) == per_link_sweeps(
         scenario, positions, t_ms
     )
+
+
+def test_survey_shape_matches_per_link_oracle():
+    # 51 sensors x 50 emitters, the shape a site survey simulates
+    rng = random.Random(24)
+    scenario = Scenario(
+        ap_position=(0.0, 0.0),
+        clients=tuple(
+            Client(f"c{k}", rng.uniform(-80.0, 80.0), rng.uniform(-80.0, 80.0)) for k in range(50)
+        ),
+        emitters=tuple(
+            Emitter(rng.randint(1, 14), rng.uniform(-20.0, 30.0), *rng.choices(range(-80, 81), k=2))
+            for _ in range(50)
+        ),
+        seed=3,
+    )
+    _, positions = default_sensor_layout(scenario)
+    assert simulate_sweeps(scenario, positions) == per_link_sweeps(scenario, positions, 0)
+
+
+def test_a_numpy_int_channel_simulates_like_an_int():
+    def payloads(channel):
+        scenario = Scenario(
+            ap_position=(0.0, 0.0),
+            clients=(Client("c0", 4.0, -3.0),),
+            emitters=(Emitter(channel, 20.0, 10.0, 0.0),),
+        )
+        return [s.payload for s in simulate_sweeps(scenario, default_sensor_layout(scenario)[1])]
+
+    simulate._channel_facts.cache_clear()  # the numpy int is the first to reach the cache
+    assert payloads(np.int64(6)) == payloads(6)
+
+
+@pytest.mark.parametrize(
+    ("position", "message"),
+    [
+        ((1.0, 2.0, 3.0), "sensor 1 position must be an (x, y) pair, got (1.0, 2.0, 3.0)"),
+        (5.0, "sensor 1 position must be an (x, y) pair, got 5.0"),
+        (("1", 2.0), "sensor 1 x must be a finite number, got '1'"),
+        ((True, 0.0), "sensor 1 x must be a finite number, got True"),
+        ((math.nan, 0.0), "sensor 1 x must be a finite number, got nan"),
+        ((0.0, -math.inf), "sensor 1 y must be a finite number, got -inf"),
+        ((10**400, 0.0), f"sensor 1 x must be a finite number, got {10**400}"),
+    ],
+    ids=["triple", "scalar", "str", "bool", "nan", "inf", "int-past-float-range"],
+)
+@pytest.mark.parametrize("emitters", [(), (Emitter(6, 20.0, 10.0, 0.0),)])
+def test_simulate_names_a_sensor_position_that_is_not_a_finite_pair(position, message, emitters):
+    scenario = Scenario(ap_position=(0.0, 0.0), emitters=emitters)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        simulate_sweeps(scenario, [(0.0, 0.0), position])
 
 
 def test_simulate_colocated_sensor_does_not_blow_up():
@@ -1600,6 +1685,40 @@ def test_scenario_validation():
         Client("c1", 0.0, math.inf)
     with pytest.raises(DomainError, match="emitter tx_power_dbm must be a finite number, got True"):
         Emitter(channel=6, tx_power_dbm=True, x=0.0, y=0.0)
+
+
+PAST_FLOAT_RANGE = 10**400 - 1  # finite as an int, infinite as a float
+
+
+@pytest.mark.parametrize(
+    ("build", "field"),
+    [
+        (lambda v: Client("c0", v, 0.0), "client x"),
+        (lambda v: Client("c0", 0.0, v), "client y"),
+        (lambda v: Emitter(6, v, 0.0, 0.0), "emitter tx_power_dbm"),
+        (lambda v: Emitter(6, 0.0, v, 0.0), "emitter x"),
+        (lambda v: Emitter(6, 0.0, 0.0, v), "emitter y"),
+        (lambda v: Scenario(ap_position=(v, 0.0)), "ap_position"),
+        (lambda v: Scenario(ap_position=(0.0, 0.0), noise_floor_dbm=v), "noise_floor_dbm"),
+        (lambda v: Scenario(ap_position=(0.0, 0.0), shadowing_sigma_db=v), "shadowing_sigma_db"),
+    ],
+)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_int_past_the_float_range_is_named(build, field, sign):
+    value = sign * PAST_FLOAT_RANGE
+    with pytest.raises(DomainError, match=f"^{field} must be a finite number, got {value}$"):
+        build(value)
+
+
+def test_an_int_too_long_to_print_is_named_by_its_type():
+    value = 10**5000
+    try:
+        shown = repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits(), as by default
+        shown = "an overlong int"
+    with pytest.raises(DomainError) as info:
+        Client("c0", value, 0.0)
+    assert str(info.value) == f"client x must be a finite number, got {shown}"
 
 
 @pytest.mark.parametrize(
