@@ -65,15 +65,21 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
     bit. A grid's spectra that all carry max-hold levels read those powers
     from _SCALAR_MW, which is faster than computing them. Which bins each
     mask adds, per grid, comes from _scoring_index, cached by the grids and
-    channel centres. A total that is not finite is a DomainError naming the
-    bin that makes it so.
+    channel centres; each grid's start_khz and bin_khz, as the first
+    spectrum on it gives them, must be ints. A total that is not finite is a
+    DomainError naming the bin that makes it so.
     """
     centers = tuple(channel_center_khz(ch) for ch in channels)
     shapes: dict[tuple[int, int, int], list[int]] = {}  # the spectra on each grid, by first use
     for k, s in enumerate(spectra):
         shapes.setdefault((s.start_khz, s.bin_khz, len(s.bins)), []).append(k)
     totals = np.empty((len(channels), len(spectra)))
-    indexes = _scoring_index(tuple(shapes), centers)
+    # the cache key holds ints only: lru_cache takes 2400000.0 for 2400000
+    grids = tuple(
+        (_index("spectrum start_khz", start), _index("spectrum bin_khz", step), n_bins)
+        for start, step, n_bins in shapes
+    )
+    indexes = _scoring_index(grids, centers)
     for on_grid, (lo, hi, index) in zip(shapes.values(), indexes):
         # every bin any mask holds, then a zero column: padding a short mask
         # with it adds 0.0 after its last term, which changes nothing

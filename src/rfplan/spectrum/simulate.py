@@ -16,7 +16,10 @@ emitter, and every step rounds exactly as the scalar per-link formula does.
 Distances are math.dist of each sensor's and emitter's (x, y), run over
 every link by np.fromiter: CPython computes math.dist and math.hypot by one
 routine of its own, and |sx - ex| equals |ex - sx| exactly, so each equals
-math.hypot(ex - sx, ey - sy) of the coordinates as floats. The IEEE-exact
+math.hypot(ex - sx, ey - sy) of the coordinates as floats. A scenario with
+a coordinate that a float does not hold exactly, or that does not subtract
+as a float does (a Fraction, a float32), takes that hypot of the exact
+differences link by link. The IEEE-exact
 steps run as numpy array operations in the scalar evaluation order: the
 clamp to one wavelength, 4*pi*R/lambda, 20 times its log10, tx - loss -
 spread + shadow, and the division by 10. 10.0 ** x runs as np.float_power,
@@ -53,7 +56,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import product, starmap
+from itertools import chain, product, starmap
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -102,11 +105,24 @@ def _sensor_points(positions: Sequence[tuple[float, float]]) -> Iterator[tuple[f
         except (TypeError, ValueError):
             shown = _shown(position)
             raise DomainError(f"sensor {k} position must be an (x, y) pair, got {shown}") from None
-        # the common case inline: two floats whose sum is finite are both finite
-        if not (isinstance(x, float) and isinstance(y, float) and math.isfinite(x + y)):
-            _finite(f"sensor {k} x", x)
-            _finite(f"sensor {k} y", y)
+        try:  # named only on failure: an f-string per coordinate would triple the cost
+            _finite("x", x)
+            _finite("y", y)
+        except DomainError as exc:
+            raise DomainError(f"sensor {k} {exc}") from None
         yield x, y
+
+
+def _float_exact(points: Sequence[tuple[float, float]]) -> bool:
+    """Whether every coordinate is a float, or an int that a float holds
+    exactly. math.dist subtracts the coordinates as floats, so only then does
+    it give math.hypot of their differences: ints past 2**53, Fractions or
+    float32 values subtract otherwise."""
+    values = list(chain.from_iterable(points))
+    kinds = set(map(type, values))  # one C loop: a Python test per value costs more
+    if not kinds <= {float, int}:
+        return False
+    return int not in kinds or all(float(v) == v for v in values if type(v) is int)
 
 
 @lru_cache(maxsize=len(ALL_CHANNELS))
@@ -211,9 +227,12 @@ def simulate_sweeps(
         draws = shadowing_draws(scenario.seed, scenario.shadowing_sigma_db, *shape)
     facts = [_channel_facts(e.channel) for e in scenario.emitters]
     emitter_xy = [(e.x, e.y) for e in scenario.emitters]
-    distance_m = np.fromiter(
-        starmap(math.dist, product(points, emitter_xy)), float, shape[0] * shape[1]
-    ).reshape(shape)
+    links = product(points, emitter_xy)
+    if _float_exact(points + emitter_xy):
+        distances = starmap(math.dist, links)
+    else:
+        distances = (math.hypot(ex - sx, ey - sy) for (sx, sy), (ex, ey) in links)
+    distance_m = np.fromiter(distances, float, shape[0] * shape[1]).reshape(shape)
     # overflow to inf is what the scalar steps give, without a warning
     with np.errstate(all="ignore"):
         distance_m = np.maximum(distance_m, [wavelength for _, wavelength, _ in facts])

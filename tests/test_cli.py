@@ -901,12 +901,16 @@ emitter_stacks = st.tuples(
     ),
     st.integers(2, 4),
 ).map(lambda stack: [stack[0]] * stack[1])
-scenario_documents = st.one_of(
+# documents whose every number a float holds, and documents that may also
+# hold ints past the float range, which every scenario refuses
+float_scenario_documents = st.one_of(
     st.fixed_dictionaries(document_fields(finite)),
     st.fixed_dictionaries(
         {**document_fields(finite), "emitters": emitter_stacks, "shadowing_sigma_db": st.just(0.0)}
     ),
-    st.fixed_dictionaries(document_fields(finite | past_float_range)),
+)
+scenario_documents = float_scenario_documents | st.fixed_dictionaries(
+    document_fields(finite | past_float_range)
 )
 
 # The CLI properties run under the profile RFPLAN_CLI_FUZZ_PROFILE names.

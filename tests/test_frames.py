@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_cli import scenario_documents
+from test_cli import float_scenario_documents
 
 from rfplan.errors import DomainError
 from rfplan.spectrum import (
@@ -368,7 +368,7 @@ def test_jsonl_writer_takes_one_and_two_bin_payloads_whole():
 
 
 @settings(deadline=None)
-@given(document=scenario_documents, t_ms=st.integers(0, 2**64 - 1))
+@given(document=float_scenario_documents, t_ms=st.integers(0, 2**64 - 1))
 def test_jsonl_writer_is_json_dumps_of_simulated_records(document, t_ms):
     try:
         scenario = scenario_from_json(json.dumps(document))

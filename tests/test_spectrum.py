@@ -6,6 +6,7 @@ import operator
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -949,6 +950,19 @@ def test_cached_scoring_index_serves_grids_in_either_order():
         assert got.tobytes() == in_channel_mw_scalar_pow(spectra, (3, 6, 1, 6)).tobytes()
 
 
+def test_a_float_grid_leaves_the_scoring_index_cache_alone():
+    # lru_cache takes 2400000.0 for 2400000: a float grid must be refused
+    # before it reaches the cache, or its index would serve the int grid too
+    plan._scoring_index.cache_clear()
+    ints = flat_spectrum(-60.0, "ints")
+    floats = dataclasses.replace(ints, start_khz=float(ints.start_khz))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="^spectrum start_khz must be an integer, got 2400000.0$"):
+            plan._in_channel_mw([floats], (1, 6))
+        got = plan._in_channel_mw([ints], (1, 6))
+        assert got.tobytes() == in_channel_mw_scalar_pow([ints], (1, 6)).tobytes()
+
+
 def survey_spectra(seed):
     scenario = survey_scenario(seed)
     ids, positions = default_sensor_layout(scenario)
@@ -1483,6 +1497,35 @@ def test_a_numpy_int_channel_simulates_like_an_int():
 
     simulate._channel_facts.cache_clear()  # the numpy int is the first to reach the cache
     assert payloads(np.int64(6)) == payloads(6)
+
+
+@pytest.mark.parametrize(
+    ("client", "emitter"),
+    [
+        ((2**53 + 1, 0), (2**53, 0)),  # 1 m apart; as floats they coincide
+        ((Fraction(2**54 + 1, 2), Fraction(1, 3)), (Fraction(2**53), Fraction(1, 3))),
+        ((np.float32(25.639261), np.float32(79.40125)), (np.float32(66.710594), np.float32(0.2))),
+    ],
+    ids=["ints-past-2**53", "fractions", "float32"],
+)
+def test_coordinates_a_float_does_not_hold_subtract_exactly(client, emitter):
+    # math.dist subtracts the coordinates as floats; the per-link formula
+    # subtracts them as they are. The power puts the level of the one at
+    # x.5 - d and the other at x.5 + d, so that they round apart
+    exact = math.hypot(emitter[0] - client[0], emitter[1] - client[1])
+    as_floats = math.dist(client, emitter)
+    assert exact != as_floats
+    freq = Frequency(channel_center_khz(6) * 1e3)
+    loss = [fspl_db(LinkGeometry(max(d, freq.wavelength_m), freq)) for d in (exact, as_floats)]
+    tx_dbm = 0.5 + 10.0 * math.log10(22) + sum(loss) / 2
+    scenario = Scenario(
+        ap_position=(0.0, 0.0),
+        clients=(Client("c0", *client),),
+        emitters=(Emitter(6, tx_dbm, *emitter), Emitter(11, 10.0, 3.0, 4.0)),
+        shadowing_sigma_db=0.0,
+    )
+    positions = [client, (0.0, 0.0)]
+    assert simulate_sweeps(scenario, positions) == per_link_sweeps(scenario, positions, 0)
 
 
 @pytest.mark.parametrize(
