@@ -12,19 +12,27 @@ Two modes:
 Both modes read each sweep's frame payload (SensorSweep.payload) as one
 numpy buffer of signed bytes, never the bins as Python ints.
 
+aggregate checks every sweep when it is called, in both modes, but an EWMA
+spectrum's bins are computed later: on their first read, or when channel
+scoring is handed the spectrum. Scoring completes every pending spectrum it
+is handed in one batch, one recurrence over all their sensors per alpha and
+bin count, so the positions of one tick share each numpy step. A lone
+spectrum is a batch of one, and the bits do not depend on the batch.
+
 Sweeps also travel as JSON lines for logging and replay, written from the payload too.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import DomainError
 from ..modes import DEFAULT_EWMA_ALPHA, EWMA, MAX_HOLD
-from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _prebuilt
+from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _prebuilt, _real, _shown
 
 # mW of every dBm a bin can hold, indexed by the bin's byte as unsigned. EWMA
 # output carries np.power's bits, and those follow the CPU: numpy sends
@@ -50,10 +58,26 @@ class AggregatedSpectrum:
     bins: tuple[float, ...]
     last_update_ms: Mapping[int, int]
 
-    # A max-hold spectrum's merged levels as int8 bytes, which channel scoring
-    # reads through a table. Not a field: equality, repr and dataclasses.replace
-    # never see it, and a replaced spectrum is scored from its bins.
+    # Hidden attributes, not fields: equality, repr and dataclasses.replace
+    # never see them, and a replaced spectrum is scored from its bins.
+    # _levels: a max-hold spectrum's merged levels as int8 bytes, which
+    # channel scoring reads through a table. _pending: an EWMA spectrum's
+    # per-sensor payload histories and alpha, until _complete computes its
+    # bins and drops it. _dbm: those bins as float64 bytes, which scoring
+    # reads in place of the tuple.
     _levels = None
+    _pending = None
+    _dbm = None
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: bins while pending
+        if name == "bins" and self._pending is not None:
+            _complete((self,))
+        return object.__getattribute__(self, name)
+
+    def __getstate__(self):
+        self.bins  # pickle and copy take a pending spectrum's state complete
+        return self.__dict__
 
     @property
     def grid(self) -> BinGrid:
@@ -96,55 +120,81 @@ def aggregate(
                 f"{sensor} went from {prev_ms} ms back to {t_ms} ms"
             )
 
-    if mode == MAX_HOLD:
-        levels = np.frombuffer(b"".join(map(b"".join, histories.values())), np.int8)
-        peak = levels.reshape(len(sweeps), -1).max(axis=0)
-        merged = peak.astype(float)
-    elif mode == EWMA:
-        if not 0.0 < alpha <= 1.0:
-            raise DomainError(f"ewma alpha must lie in (0, 1], got {alpha}")
-        if late is not None:
-            raise DomainError(late)
-        smoothed_dbm = 10.0 * np.log10(_ewma_mw(list(histories.values()), alpha))
-        merged = smoothed_dbm[0] if len(histories) == 1 else smoothed_dbm.max(axis=0)
-    else:
-        raise DomainError(f"unknown aggregation mode {mode!r}")
-
     fields = dict(
         position_id=position_id,
         mode=mode,
         start_khz=first.start_khz,
         bin_khz=first.bin_khz,
-        bins=tuple(merged.tolist()),
         last_update_ms=last_update,
     )
-    if mode != MAX_HOLD:
-        return AggregatedSpectrum(**fields)
-    return _prebuilt(AggregatedSpectrum, **fields, _levels=peak.tobytes())
+    if mode == MAX_HOLD:
+        levels = np.frombuffer(b"".join(map(b"".join, histories.values())), np.int8)
+        peak = levels.reshape(len(sweeps), -1).max(axis=0)
+        bins = tuple(peak.astype(float).tolist())
+        return _prebuilt(AggregatedSpectrum, **fields, bins=bins, _levels=peak.tobytes())
+    if mode != EWMA:
+        raise DomainError(f"unknown aggregation mode {mode!r}")
+    if not (_real(alpha) and 0.0 < alpha <= 1.0):
+        raise DomainError(f"ewma alpha must be a real number in (0, 1], got {_shown(alpha)}")
+    if late is not None:
+        raise DomainError(late)
+    if not isinstance(alpha, (float, np.generic)):  # a Fraction, say, which numpy
+        alpha = float(alpha)  # would hold as an object, smooths as its float
+    return _prebuilt(AggregatedSpectrum, **fields, _pending=(list(histories.values()), alpha))
+
+
+def _complete(spectra: Iterable[AggregatedSpectrum]) -> None:
+    """Compute the bins of every pending spectrum in spectra; complete ones are left alone.
+
+    Per alpha and bin count, one _ewma_mw recurrence runs over every sensor
+    of those spectra and one log10 over all their rows, then each spectrum
+    takes the max over its own sensors' rows. The key keeps alpha's type: a
+    float32 alpha can equal a float one while 1.0 - alpha rounds in float32.
+    """
+    batches: dict[tuple, dict[int, tuple[AggregatedSpectrum, list]]] = {}
+    for s in spectra:
+        pending = s._pending
+        if pending is not None:
+            histories, alpha = pending
+            key = (type(alpha), alpha, len(histories[0][0]))
+            # a spectrum handed twice is computed once
+            batches.setdefault(key, {})[id(s)] = s, histories
+    for (_, alpha, _), batch in batches.items():
+        members, histories = zip(*batch.values())
+        starts = np.cumsum([0, *map(len, histories[:-1])])  # each spectrum's first sensor row
+        smoothed_dbm = 10.0 * np.log10(_ewma_mw(list(chain.from_iterable(histories)), alpha))
+        merged = np.maximum.reduceat(smoothed_dbm, starts)
+        for s, bins, dbm in zip(members, merged.tolist(), merged):
+            attrs = s.__dict__
+            attrs["_dbm"] = dbm.tobytes()
+            attrs["bins"] = tuple(bins)
+            # last: a thread reading the bins meanwhile computes the same ones itself
+            attrs.pop("_pending", None)
 
 
 def _ewma_mw(histories: list[list[bytes]], alpha: float) -> np.ndarray:
-    """Smoothed mW per sensor, one row per history of in-order sweep payloads.
+    """Smoothed mW of each history of in-order sweep payloads, one row each, in input order.
 
-    Step r updates every sensor at once, from row r of one steps x sensors x
-    bins array. Histories of unequal length go a group of equal length at a
-    time, their rows stacked: each bin still gets alpha*p + (1-alpha)*prev
-    exactly, and the caller's max over sensors does not depend on row order.
+    Histories of equal length step together: step r updates all of them at
+    once, gathering its mW from _MW_TABLE pre-scaled by alpha into one reused
+    buffer. Each bin still gets alpha*p + (1-alpha)*prev exactly.
     """
-    groups: dict[int, list[list[bytes]]] = {}
-    for h in histories:
-        groups.setdefault(len(h), []).append(h)
-    if len(groups) > 1:
-        return np.concatenate([_ewma_mw(group, alpha) for group in groups.values()])
-    n_steps, n_sensors = len(histories[0]), len(histories)
+    by_length: dict[int, list[int]] = {}
+    for k, history in enumerate(histories):
+        by_length.setdefault(len(history), []).append(k)
     keep = np.array(1.0 - alpha)  # a ufunc takes an array operand faster than a float
-    rows = histories[0] if n_sensors == 1 else [p for step in zip(*histories) for p in step]
-    codes = np.frombuffer(b"".join(rows), np.uint8)
-    power = _MW_TABLE.take(codes).reshape(n_steps, n_sensors, -1)
-    smoothed = power[0]  # updated in place: the later rows are scaled first
-    for scaled in alpha * power[1:]:
-        smoothed *= keep
-        smoothed += scaled
+    scaled = alpha * _MW_TABLE  # alpha * p of every level, as alpha * each p gives it
+    smoothed = np.empty((len(histories), len(histories[0][0])))
+    for n_steps, rows in by_length.items():
+        group = [histories[k] for k in rows]
+        codes = np.frombuffer(b"".join(chain.from_iterable(zip(*group))), np.uint8)
+        codes = codes.reshape(n_steps, -1)
+        mw = _MW_TABLE.take(codes[0])
+        step_mw = np.empty_like(mw, dtype=scaled.dtype)  # float64, or a longdouble alpha's
+        for step in codes[1:]:
+            mw *= keep
+            mw += scaled.take(step, out=step_mw, mode="clip")  # clip: out is not buffered
+        smoothed[rows] = mw.reshape(len(rows), -1)
     return smoothed
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..modes import AP_ONLY, CLIENT_AWARE, MINIMAX, WEIGHTED_SUM
-from .aggregate import AggregatedSpectrum
+from .aggregate import AggregatedSpectrum, _complete
 from .frames import _LEVELS, BinGrid, _index
 
 # position id of the access point's own spectrum
@@ -57,19 +57,23 @@ def channel_power_mw(spectrum: AggregatedSpectrum, channel: int) -> float:
 def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int]) -> np.ndarray:
     """In-channel power of each channel (rows) at each spectrum (columns).
 
-    Each total adds its bins' scalar 10.0 ** (dbm / 10.0) left to right:
-    numpy sums pairwise and sum() is compensated from Python 3.12, so either
-    would change the last bits of a total. The powers come from
-    np.float_power, which calls the C library's pow as 10.0 ** x does, bit
-    for bit; np.power dispatches to SIMD code that can differ in the last
-    bit. A grid's spectra that all carry max-hold levels read those powers
-    from _SCALAR_MW, which is faster than computing them. Which bins each
-    mask adds, per grid, comes from _scoring_index, cached by the grids and
+    It first completes every pending EWMA spectrum it is handed, in one
+    batch (aggregate._complete). Each total adds its bins' scalar
+    10.0 ** (dbm / 10.0) left to right: numpy sums pairwise and sum() is
+    compensated from Python 3.12, so either would change the last bits of a
+    total. The powers come from np.float_power, which calls the C library's
+    pow as 10.0 ** x does, bit for bit; np.power dispatches to SIMD code
+    that can differ in the last bit. A grid's spectra that all carry
+    max-hold levels read those powers from _SCALAR_MW, which is faster than
+    computing them; a grid's spectra that all carry EWMA bins as float64
+    bytes are read from those, not from their tuples. Which bins each mask
+    adds, per grid, comes from _scoring_index, cached by the grids and
     channel centres; each grid's start_khz and bin_khz, as the first
     spectrum on it gives them, must be ints. A total that is not finite is a
     DomainError naming the bin that makes it so.
     """
     centers = tuple(channel_center_khz(ch) for ch in channels)
+    _complete(spectra)
     shapes: dict[tuple[int, int, int], list[int]] = {}  # the spectra on each grid, by first use
     for k, s in enumerate(spectra):
         shapes.setdefault((s.start_khz, s.bin_khz, len(s.bins)), []).append(k)
@@ -85,9 +89,13 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
         # with it adds 0.0 after its last term, which changes nothing
         mw = np.zeros((len(on_grid), hi - lo + 1))
         levels = [spectra[k]._levels for k in on_grid]
+        carried = [spectra[k]._dbm for k in on_grid]
         if None not in levels:
             codes = np.frombuffer(b"".join(levels), np.uint8).reshape(len(on_grid), -1)
             mw[:, :-1] = _SCALAR_MW[codes[:, lo:hi]]
+        elif None not in carried:  # EWMA levels lie in [-128, 127] dBm: no overflow
+            dbm = np.frombuffer(b"".join(carried)).reshape(len(on_grid), -1)
+            mw[:, :-1] = np.float_power(10.0, dbm[:, lo:hi] / 10.0)
         else:
             dbms = [spectra[k].bins[lo:hi] for k in on_grid]
             try:

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain, product, starmap
@@ -64,7 +63,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..linkbudget import Frequency, fspl_db_columns
-from .frames import _LEVELS, BinGrid, SensorSweep, _index, _lookup, _prebuilt
+from .frames import _LEVELS, BinGrid, SensorSweep, _index, _lookup, _prebuilt, _real, _shown
 from .plan import ALL_CHANNELS, AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
 SWEEP_GRID = BinGrid(start_khz=2_400_000, bin_khz=1_000, n_bins=100)
@@ -77,23 +76,12 @@ _HALF_GUARD_DB = 1e-6
 
 
 def _finite(name: str, value) -> None:
-    # a float skips the numbers.Real ABC check, which costs about 1 us a call
-    real = isinstance(value, float) or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool)
-    )
     try:
-        finite = real and math.isfinite(value)
+        finite = _real(value) and math.isfinite(value)
     except OverflowError:  # an int past the float range
         finite = False
     if not finite:
         raise DomainError(f"{name} must be a finite number, got {_shown(value)}")
-
-
-def _shown(value) -> str:
-    try:
-        return repr(value)
-    except ValueError:  # it holds an int longer than sys.get_int_max_str_digits()
-        return f"an overlong {type(value).__name__}"
 
 
 def _sensor_points(positions: Sequence[tuple[float, float]]) -> Iterator[tuple[float, float]]:
@@ -155,7 +143,8 @@ class Emitter:
     y: float
 
     def __post_init__(self):
-        channel_center_khz(_index("emitter channel", self.channel))  # validates 1..14
+        object.__setattr__(self, "channel", _index("emitter channel", self.channel))
+        channel_center_khz(self.channel)  # validates 1..14
         _finite("emitter tx_power_dbm", self.tx_power_dbm)
         _finite("emitter x", self.x)
         _finite("emitter y", self.y)
@@ -188,7 +177,7 @@ class Scenario:
         object.__setattr__(self, "emitters", tuple(self.emitters))
         _finite("noise_floor_dbm", self.noise_floor_dbm)
         _finite("shadowing_sigma_db", self.shadowing_sigma_db)
-        _index("seed", self.seed)
+        object.__setattr__(self, "seed", _index("seed", self.seed))
         if self.shadowing_sigma_db < 0:
             raise DomainError(f"shadowing sigma must be non-negative, got {self.shadowing_sigma_db}")
         if not 0 <= self.seed <= 0xFFFFFFFFFFFFFFFF:
@@ -340,8 +329,16 @@ def _quantize(total_mw: np.ndarray, floor_dbm: float) -> np.ndarray:
 
 
 def scenario_to_json(scenario: Scenario) -> str:
-    """Scenario as a JSON document mirroring the type field-for-field."""
-    return json.dumps(asdict(scenario), indent=2) + "\n"
+    """Scenario as a JSON document mirroring the type field-for-field.
+
+    A value json cannot write, such as a numpy float32 coordinate, is a
+    DomainError naming it.
+    """
+    return json.dumps(asdict(scenario), indent=2, default=_unwritable) + "\n"
+
+
+def _unwritable(value):
+    raise DomainError(f"scenario value {_shown(value)} cannot be written as JSON")
 
 
 def scenario_from_json(text: str) -> Scenario:

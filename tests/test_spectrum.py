@@ -1,17 +1,23 @@
+import copy
 import dataclasses
 import functools
 import hashlib
+import json
 import math
 import operator
+import os
+import pickle
 import random
 import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfplan.errors import DomainError
@@ -163,10 +169,32 @@ def test_ewma_then_max_across_sensors():
 
 
 def test_ewma_alpha_validation():
-    with pytest.raises(DomainError):
-        aggregate([sweep([-90])], EWMA, alpha=0.0)
+    # a bool, a non-real or an out-of-range alpha, each named with one text
+    for alpha, shown in [
+        (0.0, "0.0"),
+        (1.5, "1.5"),
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (True, "True"),
+        (False, "False"),
+        ("0.3", "'0.3'"),
+        (None, "None"),
+        (0.3 + 0j, "(0.3+0j)"),
+        (np.array(0.3), "array(0.3)"),
+        (10**5000, "an overlong int"),
+    ]:
+        message = f"ewma alpha must be a real number in (0, 1], got {shown}"
+        with pytest.raises(DomainError, match=re.escape(message) + "$"):
+            aggregate([sweep([-90]), sweep([-80], t=1)], EWMA, alpha=alpha)
     with pytest.raises(DomainError):
         aggregate([sweep([-90])], "median")
+    # any other real is taken; a Fraction smooths as its float
+    log = count_log([3, 2])
+    assert aggregate(log, EWMA, alpha=Fraction(3, 10)) == aggregate(log, EWMA, alpha=0.3)
+    assert aggregate(log, EWMA, alpha=1) == aggregate(log, EWMA, alpha=1.0)
+    assert bits(aggregate(log, EWMA, alpha=np.float32(0.3)).bins) == bits(
+        ewma_per_sweep(log, np.float32(0.3))
+    )
 
 
 def test_last_update_tracks_per_sensor():
@@ -324,6 +352,202 @@ def test_mw_table_entries_match_the_per_sweep_expression():
             expected = 10.0 ** (np.asarray(codes, dtype=float) / 10.0)
             got = _MW_TABLE[np.asarray(codes, dtype=np.int8).view(np.uint8)]
             assert bits(got) == bits(expected)
+
+
+# --- deferred EWMA -----------------------------------------------------------
+
+# a grid of each bin count that every channel's mask falls on
+DEFERRAL_GRIDS = {
+    7: (2_400_000, 14_285),
+    100: (2_400_000, 1_000),
+    101: (2_400_000, 990),
+    256: (2_400_000, 390),
+}
+
+# RFPLAN_CLI_FUZZ_PROFILE=cli-fuzz-deep, the CI step that deepens the CLI
+# properties, runs the deferral property at 1,000 examples too, never
+# derandomized; otherwise it runs hypothesis's default 100
+if os.environ.get("RFPLAN_CLI_FUZZ_PROFILE") == "cli-fuzz-deep":
+    DEFERRAL = settings(deadline=None, max_examples=1000, derandomize=False)
+else:
+    DEFERRAL = settings(deadline=None)
+
+
+def deferral_logs(positions, seed):
+    """Each position's sweep log: (n_bins, counts, _) gives sensor k counts[k]
+    in-order sweeps, interleaved, on the bin count's grid, with random levels."""
+    rng = np.random.default_rng(seed)
+    logs = []
+    for n_bins, counts, _ in positions:
+        start, width = DEFERRAL_GRIDS[n_bins]
+        sensors = rng.choice(0x10000, len(counts), replace=False).tolist()
+        order = [(t, k) for t in range(max(counts)) for k, n in enumerate(counts) if t < n]
+        logs.append([
+            sweep(rng.integers(-128, 128, n_bins).tolist(), sensor_id=sensors[k], t=1000 * t,
+                  start=start, width=width)
+            for t, k in order
+        ])
+    return logs
+
+
+def eager_twin(log, alpha, position_id):
+    """The spectrum aggregate should give, built from the per-sweep oracle."""
+    last_update = {s.sensor_id: s.timestamp_ms for s in log}  # in first-seen order
+    first = log[0]
+    bins = ewma_per_sweep(log, alpha)
+    return AggregatedSpectrum(position_id, EWMA, first.start_khz, first.bin_khz, bins, last_update)
+
+
+def score_all(spectra):
+    """select_channel over every position, or channel_power_mw of a lone one."""
+    if len(spectra) > 1:
+        return select_channel(spectra, CLIENT_AWARE)
+    return [channel_power_mw(spectra[plan.AP_ID], ch) for ch in ALL_CHANNELS]
+
+
+# the benchmark's tick: 51 positions of one sensor and 13 sweeps; then one
+# with some 12-sweep windows, as when frames were lost while windows filled
+@example(positions=[(100, [13], 0)] * 51, pair=(0.3, 0.3), seed=1)
+@example(
+    positions=[(100, [12 if k % 7 == 3 else 13], 0) for k in range(51)], pair=(0.3, 0.3), seed=2
+)
+@given(
+    positions=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(DEFERRAL_GRIDS)),
+            st.lists(st.integers(1, 13), min_size=1, max_size=3),
+            st.integers(0, 1),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    pair=st.tuples(alphas, alphas),
+    seed=st.integers(0, 2**32 - 1),
+)
+@DEFERRAL
+def test_pending_spectra_complete_alike_one_at_a_time_or_in_a_batch(positions, pair, seed):
+    ids = [plan.AP_ID, *(f"c{k}" for k in range(1, len(positions)))]
+    logs = deferral_logs(positions, seed)
+    chosen = [pair[pick] for _, _, pick in positions]
+    want = {pos: eager_twin(log, alpha, pos) for pos, log, alpha in zip(ids, logs, chosen)}
+
+    def pending():
+        return {
+            pos: aggregate(log, EWMA, alpha=alpha, position_id=pos)
+            for pos, log, alpha in zip(ids, logs, chosen)
+        }
+
+    one_at_a_time = pending()
+    for spectrum in one_at_a_time.values():
+        spectrum.bins
+    batched = pending()
+    scores = score_all(batched)
+    subset_first = pending()
+    pick = random.Random(seed)
+    for pos in pick.sample(ids, pick.randint(0, len(ids))):
+        subset_first[pos].bins
+    score_all(subset_first)
+    for done in (one_at_a_time, batched, subset_first):
+        for pos, spectrum in done.items():
+            assert "_pending" not in vars(spectrum)
+            assert bits(spectrum.bins) == bits(want[pos].bins)
+            assert list(spectrum.last_update_ms.items()) == list(want[pos].last_update_ms.items())
+            assert spectrum == want[pos]
+    # scored from the carried float64 bytes, from the bins of a replaced
+    # spectrum, and from the oracle's bins: the same bits
+    replaced = {pos: dataclasses.replace(spectrum) for pos, spectrum in batched.items()}
+    assert all(spectrum._dbm is not None for spectrum in batched.values())
+    assert all(spectrum._dbm is None for spectrum in replaced.values())
+    assert repr(score_all(replaced)) == repr(scores)
+    assert repr(score_all(want)) == repr(scores)
+
+
+def test_a_pending_spectrum_completes_wherever_its_bins_are_read():
+    log = count_log([4, 4, 2], n_bins=100)
+    twin = aggregate(log, EWMA, position_id="p")
+    twin.bins
+    reads = [
+        *(functools.partial(lambda p, s: pickle.loads(pickle.dumps(s, p)), p) for p in range(6)),
+        copy.copy,
+        copy.deepcopy,
+        dataclasses.replace,
+        dataclasses.asdict,
+        repr,
+        lambda s: s.grid,
+        lambda s: s == twin,
+    ]
+    for read in reads:
+        spectrum = aggregate(log, EWMA, position_id="p")
+        assert spectrum._pending is not None and "bins" not in vars(spectrum)
+        got = read(spectrum)
+        assert spectrum._pending is None and "_pending" not in vars(spectrum)
+        assert bits(spectrum.bins) == bits(twin.bins)
+        if isinstance(got, AggregatedSpectrum):
+            assert got._pending is None
+            assert got == twin
+        else:
+            assert got == read(twin)
+
+
+def test_completing_a_complete_spectrum_changes_nothing():
+    log = count_log([5, 5], n_bins=100)
+    spectrum = aggregate(log, EWMA, position_id=plan.AP_ID)
+    # handed twice in one batch, it is computed once and scored twice
+    totals = plan._in_channel_mw([spectrum, spectrum], (1, 6))
+    assert totals[:, 0].tobytes() == totals[:, 1].tobytes()
+    bins, carried = spectrum.bins, spectrum._dbm
+    again = plan._in_channel_mw([spectrum], (1, 6))
+    assert spectrum.bins is bins and spectrum._dbm is carried
+    assert again.tobytes() == totals[:, :1].tobytes()
+
+
+def test_threads_completing_the_same_spectra_agree():
+    log = count_log([7, 7, 3], n_bins=100)
+    want = eager_twin(log, 0.3, "p")
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            spectra = [aggregate(log, EWMA, alpha=0.3, position_id="p") for _ in range(3)]
+            got, errors = [], []
+
+            def complete(k):
+                try:
+                    if k % 2:
+                        plan._in_channel_mw(spectra, (6,))
+                    got.append([spectrum.bins for spectrum in spectra])
+                except Exception as exc:  # collected for the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=complete, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert errors == []
+            assert got == [[want.bins] * 3] * 6
+            assert all(spectrum == want and spectrum._pending is None for spectrum in spectra)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_a_batch_keeps_each_alphas_type():
+    # equal alphas, but where numpy keeps a float32 scalar's type (from numpy
+    # 2), 1 - alpha rounds in float32 for the narrow one
+    narrow = np.nextafter(np.float32(0.3), np.float32(1.0))
+    wide = float(narrow)
+    assert narrow == wide
+    rounds = float(1.0 - narrow) != 1.0 - wide
+    log = count_log([6], n_bins=100)
+    spectra = {
+        plan.AP_ID: aggregate(log, EWMA, alpha=narrow, position_id=plan.AP_ID),
+        "c": aggregate(log, EWMA, alpha=wide, position_id="c"),
+    }
+    select_channel(spectra, CLIENT_AWARE)
+    assert bits(spectra[plan.AP_ID].bins) == bits(ewma_per_sweep(log, narrow))
+    assert bits(spectra["c"].bins) == bits(ewma_per_sweep(log, wide))
+    assert (spectra[plan.AP_ID].bins != spectra["c"].bins) == rounds
 
 
 # --- channel scoring ---------------------------------------------------------
@@ -1787,6 +2011,21 @@ def test_scenario_json_round_trip():
     assert scenario_from_json(text) == scenario
     with pytest.raises(DomainError):
         scenario_from_json("{\"clients\": []}")  # ap_position missing
+
+
+def test_scenario_json_writes_numpy_ints_and_names_what_it_cannot_write():
+    scenario = Scenario(
+        ap_position=(0.0, 0.0), emitters=(Emitter(np.int64(6), 20.0, 1.0, 0.0),), seed=np.uint64(3)
+    )
+    assert type(scenario.seed) is int and type(scenario.emitters[0].channel) is int
+    text = scenario_to_json(scenario)
+    assert json.loads(text)["seed"] == 3
+    assert scenario_from_json(text) == scenario
+    for value in (np.float32(1.5), Fraction(3, 2), np.int64(2)):
+        scenario = Scenario(ap_position=(0.0, 0.0), clients=(Client("a", value, 0.0),))
+        message = f"scenario value {value!r} cannot be written as JSON"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            scenario_to_json(scenario)
 
 
 def test_scenario_json_matches_pinned_bytes():
