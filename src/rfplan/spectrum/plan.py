@@ -8,7 +8,6 @@ client-aware mode the proposed improvement.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain
@@ -28,8 +27,6 @@ AP_ID = "ap"
 # 2.4 GHz (802.11b/g) channel plan; channel energy is approximated by a flat
 # +-11 MHz mask around the center, deliberately a touch conservative.
 CHANNEL_HALF_WIDTH_KHZ = 11_000
-CHANNEL_MASK_KHZ = 22_000
-CHANNEL_STEP_KHZ = 5_000
 ALL_CHANNELS: tuple[int, ...] = tuple(range(1, 15))
 PREFERRED_CHANNELS = frozenset({1, 6, 11})
 
@@ -68,9 +65,7 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
     computing them; a grid's spectra that all carry EWMA bins as float64
     bytes are read from those, not from their tuples. Which bins each mask
     adds, per grid, comes from _scoring_index, cached by the grids and
-    channel centres; each grid's start_khz and bin_khz, as the first
-    spectrum on it gives them, must be ints. A total that is not finite is a
-    DomainError naming the bin that makes it so.
+    channel centres. Every total is finite: AggregatedSpectrum bounds its bins.
     """
     centers = tuple(channel_center_khz(ch) for ch in channels)
     _complete(spectra)
@@ -78,12 +73,8 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
     for k, s in enumerate(spectra):
         shapes.setdefault((s.start_khz, s.bin_khz, len(s.bins)), []).append(k)
     totals = np.empty((len(channels), len(spectra)))
-    # the cache key holds ints only: lru_cache takes 2400000.0 for 2400000
-    grids = tuple(
-        (_index("spectrum start_khz", start), _index("spectrum bin_khz", step), n_bins)
-        for start, step, n_bins in shapes
-    )
-    indexes = _scoring_index(grids, centers)
+    # ints only, as AggregatedSpectrum keeps them: lru_cache takes 2400000.0 for 2400000
+    indexes = _scoring_index(tuple(shapes), centers)
     for on_grid, (lo, hi, index) in zip(shapes.values(), indexes):
         # every bin any mask holds, then a zero column: padding a short mask
         # with it adds 0.0 after its last term, which changes nothing
@@ -93,24 +84,16 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
         if None not in levels:
             codes = np.frombuffer(b"".join(levels), np.uint8).reshape(len(on_grid), -1)
             mw[:, :-1] = _SCALAR_MW[codes[:, lo:hi]]
-        elif None not in carried:  # EWMA levels lie in [-128, 127] dBm: no overflow
+        elif None not in carried:
             dbm = np.frombuffer(b"".join(carried)).reshape(len(on_grid), -1)
             mw[:, :-1] = np.float_power(10.0, dbm[:, lo:hi] / 10.0)
         else:
-            dbms = [spectra[k].bins[lo:hi] for k in on_grid]
-            try:
-                dbm = np.fromiter(chain.from_iterable(dbms), float, len(on_grid) * (hi - lo))
-                with np.errstate(over="ignore"):  # past about 3083 dBm: the check below names it
-                    scalar = np.float_power(10.0, dbm / 10.0)
-            except OverflowError:  # an int bin past the float range, whatever its sign: inf
-                scalar = np.fromiter(map(_mw_or_inf, chain.from_iterable(dbms)), float)
-            mw[:, :-1] = scalar.reshape(len(on_grid), hi - lo)
+            dbms = chain.from_iterable(spectra[k].bins[lo:hi] for k in on_grid)
+            dbm = np.fromiter(dbms, float, len(on_grid) * (hi - lo))
+            mw[:, :-1] = np.float_power(10.0, dbm / 10.0).reshape(len(on_grid), hi - lo)
         total = np.zeros((len(centers), len(on_grid)))
-        with np.errstate(over="ignore"):  # a total past the float range is named below
-            for term in mw.T[index]:
-                total += term
-        if not np.isfinite(total).all():
-            raise _non_finite_total([spectra[k] for k in on_grid], channels, total)
+        for term in mw.T[index]:
+            total += term
         totals[:, on_grid] = total
     return totals
 
@@ -144,43 +127,6 @@ def _scoring_index(shapes: tuple[tuple[int, int, int], ...], centers: tuple[int,
         index.flags.writeable = False
         indexes.append((lo, hi, index))
     return tuple(indexes)
-
-
-def _mw_or_inf(dbm: float) -> float:
-    try:
-        return 10.0 ** (dbm / 10.0)
-    except OverflowError:
-        return math.inf
-
-
-def _non_finite_total(
-    spectra: Sequence[AggregatedSpectrum], channels: Sequence[int], totals: np.ndarray
-) -> DomainError:
-    """The first non-finite total, channel by channel, named by the bin that makes it so."""
-    row, column = np.argwhere(~np.isfinite(totals))[0].tolist()  # row-major: channel first
-    spectrum, channel = spectra[column], channels[row]
-    center = channel_center_khz(channel)
-    mask = spectrum.grid.span(center - CHANNEL_HALF_WIDTH_KHZ, center + CHANNEL_HALF_WIDTH_KHZ)
-    total = 0.0
-    for dbm in spectrum.bins[mask]:
-        total += _mw_or_inf(dbm)
-        if not math.isfinite(total):
-            return DomainError(
-                f"bin value {dbm!r} at position {spectrum.position_id!r} makes the "
-                f"in-channel power of channel {channel} non-finite"
-            )
-    raise AssertionError("every in-channel total is finite")
-
-
-def overlap_weight(channel_distance: int) -> float:
-    """Fraction of the 22 MHz mask shared by channels this many steps apart.
-
-    Triangular falloff on the 5 MHz grid; zero from distance 5 up, the
-    classic non-overlapping spacing.
-    """
-    if channel_distance < 0:
-        raise DomainError(f"channel distance must be non-negative, got {channel_distance}")
-    return max(0.0, (CHANNEL_MASK_KHZ - CHANNEL_STEP_KHZ * channel_distance) / CHANNEL_MASK_KHZ)
 
 
 @dataclass(frozen=True)
@@ -239,11 +185,6 @@ def select_channel(
         else:
             # left to right, as sum() did before Python 3.12 compensated it
             value = reduce(add, row, 0.0)
-            if not math.isfinite(value):
-                raise DomainError(
-                    f"the sum of channel {ch}'s in-channel powers over {len(row)} "
-                    "positions leaves the float range"
-                )
         scores[ch] = ChannelScore(per_position_mw=per_position, objective=value)
         ranking.append(
             (value, per_position[AP_ID], 0 if ch in PREFERRED_CHANNELS else 1, ch)

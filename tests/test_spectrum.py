@@ -27,6 +27,7 @@ from rfplan.spectrum import (
     AP_ONLY,
     CLIENT_AWARE,
     EWMA,
+    MAX_BIN_DBM,
     MAX_HOLD,
     MINIMAX,
     SWEEP_GRID,
@@ -42,7 +43,6 @@ from rfplan.spectrum import (
     default_sensor_layout,
     encode_frame,
     load_scenario,
-    overlap_weight,
     parse_frame,
     scenario_from_json,
     scenario_to_json,
@@ -365,12 +365,14 @@ DEFERRAL_GRIDS = {
 }
 
 # RFPLAN_CLI_FUZZ_PROFILE=cli-fuzz-deep, the CI step that deepens the CLI
-# properties, runs the deferral property at 1,000 examples too, never
-# derandomized; otherwise it runs hypothesis's default 100
+# properties, runs the deferral property and the scalar-pow property of
+# hand-built bins at 1,000 examples too, never derandomized; otherwise each
+# runs hypothesis's default 100
 if os.environ.get("RFPLAN_CLI_FUZZ_PROFILE") == "cli-fuzz-deep":
-    DEFERRAL = settings(deadline=None, max_examples=1000, derandomize=False)
+    DEFERRAL = SCALAR_POW = settings(deadline=None, max_examples=1000, derandomize=False)
 else:
     DEFERRAL = settings(deadline=None)
+    SCALAR_POW = settings()
 
 
 def deferral_logs(positions, seed):
@@ -625,16 +627,6 @@ def test_channel_power_monotone_in_bins(bin_index, bump):
         bins=tuple(raised), last_update_ms={},
     )
     assert channel_power_mw(spec_hi, 6) > channel_power_mw(spec_lo, 6)
-
-
-def test_overlap_weight_profile():
-    assert overlap_weight(0) == 1.0
-    assert overlap_weight(1) == pytest.approx(0.7727272727272727, rel=1e-12)
-    assert overlap_weight(4) == pytest.approx(2 / 22, rel=1e-12)
-    assert overlap_weight(5) == 0.0
-    assert overlap_weight(9) == 0.0
-    with pytest.raises(DomainError):
-        overlap_weight(-1)
 
 
 # --- selection ---------------------------------------------------------------
@@ -936,7 +928,6 @@ def test_max_hold_levels_score_like_the_bins(spectra, mode, candidates, objectiv
     got = outcome(select_channel, spectra, mode, candidates, objective)
     want = outcome(select_channel, scalar, mode, candidates, objective)
     assert repr(got) == repr(want)
-    assert "non-finite" not in repr(got)  # aggregated levels always score finite
     for pos, spectrum in spectra.items():
         for ch in candidates or ALL_CHANNELS:
             got = outcome(channel_power_mw, spectrum, ch)
@@ -944,41 +935,101 @@ def test_max_hold_levels_score_like_the_bins(spectra, mode, candidates, objectiv
             assert repr(got) == repr(want)
 
 
-def test_channel_power_names_a_bin_it_cannot_score():
-    def spectrum(bins):
-        return AggregatedSpectrum("ap", MAX_HOLD, 2_400_000, 1_000, tuple(bins), {})
+# --- spectrum construction ---------------------------------------------------
 
-    # pow overflow, nan, +inf, and a sum past the float range from finite terms
-    for bins, bad in [
-        ((4000.0,) * 100, "4000.0"),
-        ((math.nan,) * 100, "nan"),
-        ([-90.0] * 30 + [math.inf] + [-90.0] * 69, "inf"),
-        ((3080.0,) * 100, "3080.0"),
-    ]:
+OVERLONG = 10**5000  # past sys.get_int_max_str_digits(): repr raises
+
+# every kind of value a hand-built bin might be, and the edges of the bound
+bin_values = st.one_of(
+    st.floats(),
+    st.floats(-1100.0, 1100.0),
+    st.sampled_from([1000, -1000, 1001, 1000.0, -1000.0, math.nextafter(1000.0, math.inf),
+                     math.nextafter(-1000.0, -math.inf), Fraction(10001, 10), OVERLONG,
+                     -OVERLONG, None]),
+    st.integers(-2000, 2000),
+    st.integers(2**1024, 10**400),  # ints past the float range, on both sides
+    st.integers(2**1024, 10**400).map(operator.neg),
+    st.fractions(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.complex_numbers(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+def within_bound(value):
+    """Whether a spectrum may hold value as a bin: a real number other than a
+    bool, in [-1000, 1000] dBm, compared exactly."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if not isinstance(value, (int, float, Fraction)) or isinstance(value, bool):
+        return False
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    return abs(Fraction(value)) <= 1000
+
+
+def shown(value):
+    try:
+        return repr(value)
+    except ValueError:
+        return "an overlong int"
+
+
+@given(bin_values, st.integers(0, 99), st.sampled_from(["ap", "c3"]))
+# the bins scoring used to refuse as it met them: pow overflow, nan, +inf,
+# a total past the float range from finite terms, a bin no channel-1 mask
+# holds, -inf dBm (0 mW), the positions of a weighted sum past the float
+# range, and ints past the float range on either side
+@example(4000.0, 0, "ap")
+@example(math.nan, 0, "ap")
+@example(math.inf, 30, "ap")
+@example(3080.0, 0, "ap")
+@example(4000.0, 50, "ap")
+@example(-math.inf, 0, "ap")
+@example(3060.0, 0, "c3")
+@example(10**400, 0, "ap")
+@example(-(10**400), 0, "ap")
+@example(OVERLONG, 99, "ap")
+def test_a_spectrum_holds_only_real_bins_within_the_bound(value, at, position):
+    bins = [-90.0] * 100
+    bins[at] = value
+    if within_bound(value):
+        spectrum = AggregatedSpectrum(position, MAX_HOLD, 2_400_000, 1_000, tuple(bins), {})
+        assert spectrum.bins[at] is value
+    else:
         with pytest.raises(DomainError) as info:
-            channel_power_mw(spectrum(bins), 6)
+            AggregatedSpectrum(position, MAX_HOLD, 2_400_000, 1_000, tuple(bins), {})
         assert str(info.value) == (
-            f"bin value {bad} at position 'ap' makes the in-channel power of channel 6 "
-            "non-finite"
+            f"bin value {shown(value)} at position {position!r} must be a real number "
+            "in [-1000.0, 1000.0] dBm"
         )
-    # a bin no mask holds is never scored, and -inf dBm is 0 mW
-    outside = [-90.0] * 100
-    outside[50] = 4000.0
-    assert channel_power_mw(spectrum(outside), 1) == channel_power_mw(flat_spectrum(-90.0), 1)
-    assert channel_power_mw(spectrum((-math.inf,) * 100), 6) == 0.0
 
 
-def test_weighted_sum_refuses_a_sum_past_the_float_range():
-    # each position's channel power is 2.2e307 mW; ten of them overflow
+def test_bins_at_the_bound_score_finite_under_both_objectives():
+    # the worst case the bound allows: every bin at MAX_BIN_DBM, 1e100 mW, on a
+    # 1-kHz grid, where channel 6's mask holds 22,000 bins, at 21 positions
+    assert MAX_BIN_DBM == 1000.0
+    bins = (MAX_BIN_DBM,) * 22_000
     spectra = {
-        pos: AggregatedSpectrum(pos, MAX_HOLD, 2_400_000, 1_000, (3060.0,) * 100, {})
-        for pos in ("ap", *(f"c{i}" for i in range(9)))
+        pos: AggregatedSpectrum(pos, EWMA, 2_426_000, 1, bins, {})
+        for pos in ("ap", *(f"c{i}" for i in range(20)))
     }
-    assert select_channel(spectra, CLIENT_AWARE, objective=MINIMAX).chosen_channel == 1
-    with pytest.raises(DomainError, match=re.escape(
-        "the sum of channel 1's in-channel powers over 10 positions leaves the float range"
-    )):
-        select_channel(spectra, CLIENT_AWARE, objective=WEIGHTED_SUM)
+    center = channel_center_khz(6)
+    mask = spectra["ap"].grid.span(center - CHANNEL_HALF_WIDTH_KHZ, center + CHANNEL_HALF_WIDTH_KHZ)
+    assert mask == slice(0, 22_000)
+    for objective, want in [(MINIMAX, 2.2e104), (WEIGHTED_SUM, 21 * 2.2e104)]:
+        score = select_channel(spectra, CLIENT_AWARE, [6], objective).per_channel_scores[6]
+        assert score.objective == pytest.approx(want, rel=1e-9)
+        assert all(value == pytest.approx(2.2e104, rel=1e-9)
+                   for value in score.per_position_mw.values())
+    # the ten 3060-dBm positions whose weighted sum passed the float range
+    # cannot be built
+    with pytest.raises(DomainError, match=re.escape("bin value 3060.0 at position 'ap'")):
+        AggregatedSpectrum("ap", MAX_HOLD, 2_400_000, 1_000, (3060.0,) * 100, {})
 
 
 @given(
@@ -995,16 +1046,25 @@ def test_weighted_sum_refuses_a_sum_past_the_float_range():
 @example([4000.0] * 100, 0, AP_ONLY, MINIMAX)
 @example([3080.0] * 100, 0, AP_ONLY, MINIMAX)
 @example([3060.0] * 100, 9, CLIENT_AWARE, WEIGHTED_SUM)
+@example([1000.0] * 100, 3, CLIENT_AWARE, WEIGHTED_SUM)
+@example([-1000.0, 5e-324] * 50, 3, CLIENT_AWARE, MINIMAX)
 def test_any_float_bins_give_finite_scores_or_raise_domain_error(bins, n_clients, mode, objective):
+    # bins within the bound always score finite; any other is refused when
+    # the spectrum is built
+    if not all(-MAX_BIN_DBM <= dbm <= MAX_BIN_DBM for dbm in bins):  # nan fails both sides
+        with pytest.raises(DomainError):
+            AggregatedSpectrum("ap", MAX_HOLD, 2_400_000, 1_000, tuple(bins), {})
+        return
     ids = ("ap", *(f"c{i}" for i in range(n_clients)))
     spectra = {
         pos: AggregatedSpectrum(pos, MAX_HOLD, 2_400_000, 1_000, tuple(bins[k:] + bins[:k]), {})
         for k, pos in enumerate(ids)
     }
-    try:
-        plan = select_channel(spectra, mode, objective=objective)
-    except DomainError:
+    if mode == CLIENT_AWARE and n_clients == 0:
+        with pytest.raises(DomainError, match="needs at least one client"):
+            select_channel(spectra, mode, objective=objective)
         return
+    plan = select_channel(spectra, mode, objective=objective)
     for score in plan.per_channel_scores.values():
         assert math.isfinite(score.objective)
         assert all(map(math.isfinite, score.per_position_mw.values()))
@@ -1044,19 +1104,10 @@ def test_float_power_is_the_scalar_pow(xs):
         assert bits(np.float_power(10.0, np.array(xs[::-1]))[::-1]) == want
 
 
-def scalar_mw(dbm):
-    """The scalar 10.0 ** (dbm / 10.0); inf where either step overflows."""
-    try:
-        return 10.0 ** (dbm / 10.0)
-    except OverflowError:
-        return math.inf
-
-
 def in_channel_mw_scalar_pow(spectra, channels):
     """plan._in_channel_mw with every power the scalar pow, added bin by bin.
 
-    Masks are formed channel by channel, then grid by first use; grid by grid,
-    the first non-finite total, channel by channel, is named.
+    Masks are formed channel by channel, then grid by first use.
     """
     centers = [channel_center_khz(ch) for ch in channels]
     members = {}
@@ -1074,30 +1125,23 @@ def in_channel_mw_scalar_pow(spectra, channels):
             for row, mask in enumerate(masks[grid]):
                 total = 0.0
                 for dbm in spectra[k].bins[mask]:
-                    total += scalar_mw(dbm)
+                    total += 10.0 ** (dbm / 10.0)
                 totals[row, k] = total
-        if not np.isfinite(totals[:, on_grid]).all():
-            raise plan._non_finite_total(
-                [spectra[k] for k in on_grid], channels, totals[:, on_grid]
-            )
     return totals
 
 
-# past 3082.5 dBm the power overflows; an int past the float range overflows
-# the division too, whatever its sign
-DBM_EXTREMES = (
-    math.nan, math.inf, -math.inf, 3082.0, 3083.0, 3100.0, -3100.0,
-    10**400, -(10**400), 2**1023, -0.0, 5e-324,
-)
+# the bound on either side, a signed zero, the least subnormal, and an int and
+# a Fraction, which the bins path reads as their floats
+DBM_EXTREMES = (MAX_BIN_DBM, -MAX_BIN_DBM, -0.0, 5e-324, 999, Fraction(-181, 2))
 
 
 @st.composite
 def float_bin_spectra(draw):
     """Hand-built spectra: dBm on a plan's scale, a drawn share from a small
-    pool of any floats and extremes, on one grid or on several."""
+    pool of any floats within the bound and extremes, on one grid or on several."""
     n_clients = draw(st.integers(0, 4))
     ids = draw(st.permutations(["ap", *(f"c{i}" for i in range(n_clients))]))
-    values = st.one_of(st.floats(), st.sampled_from(DBM_EXTREMES))
+    values = st.one_of(st.floats(-MAX_BIN_DBM, MAX_BIN_DBM), st.sampled_from(DBM_EXTREMES))
     pool = draw(st.lists(values, min_size=1, max_size=4))
     share = draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
     single = draw(st.booleans())
@@ -1126,10 +1170,11 @@ def uniform_spectra(dbm, n_clients=1):
     candidate_lists,
     st.sampled_from([MINIMAX, WEIGHTED_SUM]),
 )
-@example(uniform_spectra(10**400), CLIENT_AWARE, None, MINIMAX)
-@example(uniform_spectra(-(10**400)), CLIENT_AWARE, None, WEIGHTED_SUM)
-@example(uniform_spectra(math.nan), AP_ONLY, None, MINIMAX)
-@example(uniform_spectra(3060.0, 9), CLIENT_AWARE, None, WEIGHTED_SUM)
+@example(uniform_spectra(MAX_BIN_DBM), CLIENT_AWARE, None, MINIMAX)
+@example(uniform_spectra(-MAX_BIN_DBM), CLIENT_AWARE, None, WEIGHTED_SUM)
+@example(uniform_spectra(5e-324), AP_ONLY, None, MINIMAX)
+@example(uniform_spectra(MAX_BIN_DBM, 20), CLIENT_AWARE, None, WEIGHTED_SUM)
+@SCALAR_POW
 def test_float_bins_score_like_the_scalar_pow(spectra, mode, candidates, objective):
     listed = list(spectra.values())
     channels = tuple(candidates or ALL_CHANNELS)
@@ -1175,16 +1220,23 @@ def test_cached_scoring_index_serves_grids_in_either_order():
 
 
 def test_a_float_grid_leaves_the_scoring_index_cache_alone():
-    # lru_cache takes 2400000.0 for 2400000: a float grid must be refused
-    # before it reaches the cache, or its index would serve the int grid too
+    # lru_cache takes 2400000.0 for 2400000: a float grid is refused when the
+    # spectrum is built, so it never reaches the cache, and a numpy int grid
+    # is kept as ints
     plan._scoring_index.cache_clear()
     ints = flat_spectrum(-60.0, "ints")
-    floats = dataclasses.replace(ints, start_khz=float(ints.start_khz))
-    for _ in range(2):
-        with pytest.raises(DomainError, match="^spectrum start_khz must be an integer, got 2400000.0$"):
-            plan._in_channel_mw([floats], (1, 6))
-        got = plan._in_channel_mw([ints], (1, 6))
-        assert got.tobytes() == in_channel_mw_scalar_pow([ints], (1, 6)).tobytes()
+    for name in ("start_khz", "bin_khz"):
+        value = float(getattr(ints, name))
+        with pytest.raises(DomainError, match=f"^spectrum {name} must be an integer, got {value}$"):
+            dataclasses.replace(ints, **{name: value})
+    numpy_ints = dataclasses.replace(
+        ints, start_khz=np.int64(ints.start_khz), bin_khz=np.int64(ints.bin_khz)
+    )
+    assert type(numpy_ints.start_khz) is int and type(numpy_ints.bin_khz) is int
+    for spectra in ([ints], [numpy_ints, ints]):
+        got = plan._in_channel_mw(spectra, (1, 6))
+        assert got.tobytes() == in_channel_mw_scalar_pow(spectra, (1, 6)).tobytes()
+    assert plan._scoring_index.cache_info().currsize == 1  # both calls met one grid
 
 
 def survey_spectra(seed):
