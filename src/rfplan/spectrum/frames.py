@@ -111,7 +111,7 @@ def _index(name: str, value) -> int:
             raise TypeError
         return operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
 
 
 @dataclass(frozen=True)
@@ -137,18 +137,19 @@ class SensorSweep:
             bins = tuple(_index("bin value", b) for b in bins)
         object.__setattr__(self, "bins", bins)
         if not 0 <= self.sensor_id <= 0xFFFF:
-            raise DomainError(f"sensor_id must fit 16 bits, got {self.sensor_id}")
+            raise DomainError(f"sensor_id must fit 16 bits, got {_shown(self.sensor_id)}")
         if not 0 <= self.timestamp_ms <= 0xFFFFFFFFFFFFFFFF:
-            raise DomainError(f"timestamp_ms must fit 64 bits, got {self.timestamp_ms}")
+            raise DomainError(f"timestamp_ms must fit 64 bits, got {_shown(self.timestamp_ms)}")
         if not 0 <= self.start_khz <= 0xFFFFFFFF:
-            raise DomainError(f"start_khz must fit 32 bits, got {self.start_khz}")
+            raise DomainError(f"start_khz must fit 32 bits, got {_shown(self.start_khz)}")
         if not 0 < self.bin_khz <= 0xFFFF:
-            raise DomainError(f"bin_khz must be a positive 16-bit value, got {self.bin_khz}")
+            shown = _shown(self.bin_khz)
+            raise DomainError(f"bin_khz must be a positive 16-bit value, got {shown}")
         if not self.bins:
             raise DomainError("sweep must contain at least one bin")
         if not (-128 <= min(self.bins) and max(self.bins) <= 127):
             bad = next(b for b in self.bins if not -128 <= b <= 127)
-            raise DomainError(f"bin value {bad} outside signed 8-bit range")
+            raise DomainError(f"bin value {_shown(bad)} outside signed 8-bit range")
 
     @property
     def grid(self) -> BinGrid:

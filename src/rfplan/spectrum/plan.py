@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import DomainError
 from ..modes import AP_ONLY, CLIENT_AWARE, MINIMAX, WEIGHTED_SUM
 from .aggregate import AggregatedSpectrum, _complete
-from .frames import _LEVELS, BinGrid, _index
+from .frames import _LEVELS, BinGrid, _index, _shown
 
 # position id of the access point's own spectrum
 AP_ID = "ap"
@@ -43,7 +43,7 @@ def channel_center_khz(channel: int) -> int:
         return 2_484_000
     if 1 <= channel <= 13:
         return (2407 + 5 * channel) * 1000
-    raise DomainError(f"channel must lie in 1..14, got {channel}")
+    raise DomainError(f"channel must lie in 1..14, got {_shown(channel)}")
 
 
 def channel_power_mw(spectrum: AggregatedSpectrum, channel: int) -> float:

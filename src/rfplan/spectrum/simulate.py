@@ -11,39 +11,41 @@ byte-identical sweeps. shadowing.py draws every link at once as array code,
 and through numpy's own generator only the links its ziggurat fast path
 refuses.
 
+Bounds: every real field is stored as a float, |tx_power_dbm| is at most
+MAX_TX_POWER_DBM and shadowing_sigma_db at most MAX_SHADOWING_SIGMA_DB, so no
+link and no bin total leaves the float range. numpy's ziggurat draws a tail
+normal as r + x with x <= 36.74 / r for 53-bit uniforms, so |z| < 13.7 and a
+draw is at most 1370 dB. The loss at the one-wavelength clamp is 22 dB and
+the spread 13.4 dB, so a link puts under 1000 + 1370 - 22 - 13.4 < 2400 dBm,
+1e240 mW, in a bin, and a bin adds at most one term per emitter.
+
 Arithmetic: the links form one sensors x emitters array, a column per
 emitter, and every step rounds exactly as the scalar per-link formula does.
 Distances are math.dist of each sensor's and emitter's (x, y), run over
 every link by np.fromiter: CPython computes math.dist and math.hypot by one
 routine of its own, and |sx - ex| equals |ex - sx| exactly, so each equals
-math.hypot(ex - sx, ey - sy) of the coordinates as floats. A scenario with
-a coordinate that a float does not hold exactly, or that does not subtract
-as a float does (a Fraction, a float32), takes that hypot of the exact
-differences link by link. The IEEE-exact
-steps run as numpy array operations in the scalar evaluation order: the
-clamp to one wavelength, 4*pi*R/lambda, 20 times its log10, tx - loss -
-spread + shadow, and the division by 10. 10.0 ** x runs as np.float_power,
-whose float64 loop calls the C library's pow, the function Python's float
-** calls. math.log10 stays scalar, mapped over the ratios, since numpy has
-no loop that calls the C library. Measured with numpy 2.4.6 on an AVX-512
-Xeon, over 2M random inputs each, by one or two ulp: np.hypot differs from
-math.hypot on about 12,000 (coordinates uniform in +-160 m), np.log10 from
-math.log10 on about 24,000 (10**U(-15, 3)), and np.power(10.0, x), SIMD
-code, from 10.0 ** x on about 106,000 (x uniform in [-15, 3]);
-np.float_power on none. Each channel's frequency, wavelength and mask are
-derived once per process. The mW adds run on a bins x sensors array, where
-each emitter's mask is a block of whole rows, added in place emitter by
-emitter in scenario order.
+math.hypot(ex - sx, ey - sy). The IEEE-exact steps run as numpy array
+operations in the scalar evaluation order: the clamp to one wavelength,
+4*pi*R/lambda, 20 times its log10, tx - loss - spread + shadow, and the
+division by 10. 10.0 ** x runs as np.float_power, whose float64 loop calls
+the C library's pow, the function Python's float ** calls. math.log10
+stays scalar, mapped over the ratios, since numpy has no loop that calls
+the C library. Measured with numpy 2.4.6 on an AVX-512 Xeon, over 2M random
+inputs each, by one or two ulp: np.hypot differs from math.hypot on about
+12,000 (coordinates uniform in +-160 m), np.log10 from math.log10 on about
+24,000 (10**U(-15, 3)), and np.power(10.0, x), SIMD code, from 10.0 ** x on
+about 106,000 (x uniform in [-15, 3]); np.float_power on none. Each
+channel's frequency, wavelength and mask are derived once per process. The
+mW adds run on a bins x sensors array, where each emitter's mask is a block
+of whole rows, added in place emitter by emitter in scenario order.
 
-A bin total past the float range, from finite mW that add up past it or
-from a +inf draw, is a DomainError naming the first emitter, in scenario
-order, that took the sum there. Quantization takes np.log10 of every bin
-total. A level within _HALF_GUARD_DB (1e-6 dB) of a half-integer is redone
-with the scalar formula: an error of a few ulp can change round(), the floor
-clamp or the 8-bit clip only there.
+Quantization takes np.log10 of every bin total. A level within
+_HALF_GUARD_DB (1e-6 dB) of a half-integer is redone with the scalar
+formula: an error of a few ulp can change round(), the floor clamp or the
+8-bit clip only there.
 
-Every sensor position must be an (x, y) pair of finite real numbers, as a
-Client's is; it is checked before any work. The sweeps are checked once per
+Every sensor position must be an (x, y) pair of finite real numbers, as the
+AP's is; it is checked before any work. The sweeps are checked once per
 call, not once per sweep: they share t_ms and the grid, and their levels are
 clipped ints, so SensorSweep checks sensor 0 and the first id past 16 bits
 before any bin is summed. Every sweep is built carrying its payload, its
@@ -55,7 +57,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import chain, product, starmap
+from itertools import product, starmap
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -73,44 +75,42 @@ _MASK_BINS = 2 * CHANNEL_HALF_WIDTH_KHZ // SWEEP_GRID.bin_khz
 _SPREAD_DB = 10.0 * math.log10(_MASK_BINS)
 # a vector level this close to a half-integer is redone with the scalar formula
 _HALF_GUARD_DB = 1e-6
+# loose enough for any Wi-Fi floor plan: tens of dBm, sigmas of a few dB
+MAX_TX_POWER_DBM = 1000.0
+MAX_SHADOWING_SIGMA_DB = 100.0
 
 
-def _finite(name: str, value) -> None:
+def _finite(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """value as a float, which must be a finite real number in [low, high];
+    any other is a DomainError naming it."""
     try:
-        finite = _real(value) and math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        finite = False
-    if not finite:
+        number = float(value) if _real(value) else math.nan
+    except OverflowError:  # an int or Fraction past the float range
+        number = math.nan
+    if not math.isfinite(number):
         raise DomainError(f"{name} must be a finite number, got {_shown(value)}")
+    if not low <= number <= high:
+        raise DomainError(f"{name} must lie in [{low}, {high}], got {number!r}")
+    return number
+
+
+def _pair(name: str, position, x_name: str, y_name: str) -> tuple[float, float]:
+    """position as an (x, y) tuple of floats, or a DomainError naming it or a coordinate."""
+    try:
+        x, y = position
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be an (x, y) pair, got {_shown(position)}") from None
+    return _finite(x_name, x), _finite(y_name, y)
 
 
 def _sensor_points(positions: Sequence[tuple[float, float]]) -> Iterator[tuple[float, float]]:
-    """Each position as an (x, y) tuple. It must be a pair of finite real
-    numbers, as a Client's position is; any other is a DomainError."""
+    """Each sensor position as an (x, y) tuple of floats, checked as the AP's is."""
     for k, position in enumerate(positions):
-        try:
-            x, y = position
-        except (TypeError, ValueError):
-            shown = _shown(position)
-            raise DomainError(f"sensor {k} position must be an (x, y) pair, got {shown}") from None
-        try:  # named only on failure: an f-string per coordinate would triple the cost
-            _finite("x", x)
-            _finite("y", y)
+        try:  # named only on failure, so that a sensor's check builds no string
+            point = _pair("position", position, "x", "y")
         except DomainError as exc:
             raise DomainError(f"sensor {k} {exc}") from None
-        yield x, y
-
-
-def _float_exact(points: Sequence[tuple[float, float]]) -> bool:
-    """Whether every coordinate is a float, or an int that a float holds
-    exactly. math.dist subtracts the coordinates as floats, so only then does
-    it give math.hypot of their differences: ints past 2**53, Fractions or
-    float32 values subtract otherwise."""
-    values = list(chain.from_iterable(points))
-    kinds = set(map(type, values))  # one C loop: a Python test per value costs more
-    if not kinds <= {float, int}:
-        return False
-    return int not in kinds or all(float(v) == v for v in values if type(v) is int)
+        yield point
 
 
 @lru_cache(maxsize=len(ALL_CHANNELS))
@@ -130,9 +130,9 @@ class Client:
 
     def __post_init__(self):
         if not isinstance(self.id, str):
-            raise DomainError(f"client id must be a string, got {self.id!r}")
-        _finite("client x", self.x)
-        _finite("client y", self.y)
+            raise DomainError(f"client id must be a string, got {_shown(self.id)}")
+        object.__setattr__(self, "x", _finite("client x", self.x))
+        object.__setattr__(self, "y", _finite("client y", self.y))
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,12 @@ class Emitter:
     def __post_init__(self):
         object.__setattr__(self, "channel", _index("emitter channel", self.channel))
         channel_center_khz(self.channel)  # validates 1..14
-        _finite("emitter tx_power_dbm", self.tx_power_dbm)
-        _finite("emitter x", self.x)
-        _finite("emitter y", self.y)
+        tx_dbm = _finite(
+            "emitter tx_power_dbm", self.tx_power_dbm, -MAX_TX_POWER_DBM, MAX_TX_POWER_DBM
+        )
+        object.__setattr__(self, "tx_power_dbm", tx_dbm)
+        object.__setattr__(self, "x", _finite("emitter x", self.x))
+        object.__setattr__(self, "y", _finite("emitter y", self.y))
 
 
 @dataclass(frozen=True)
@@ -162,11 +165,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.ap_position) != 2:
-            raise DomainError(f"ap_position must be an (x, y) pair, got {self.ap_position!r}")
-        for v in self.ap_position:
-            _finite("ap_position", v)
-        object.__setattr__(self, "ap_position", tuple(float(v) for v in self.ap_position))
+        ap_xy = _pair("ap_position", self.ap_position, "ap_position", "ap_position")
+        object.__setattr__(self, "ap_position", ap_xy)
         object.__setattr__(self, "clients", tuple(self.clients))
         taken = {AP_ID}  # a client's id names its position, as AP_ID names the AP's
         for c in self.clients:
@@ -175,13 +175,15 @@ class Scenario:
                 raise DomainError(f"client id {c.id!r} is already {owner}'s position id")
             taken.add(c.id)
         object.__setattr__(self, "emitters", tuple(self.emitters))
-        _finite("noise_floor_dbm", self.noise_floor_dbm)
-        _finite("shadowing_sigma_db", self.shadowing_sigma_db)
+        floor_dbm = _finite("noise_floor_dbm", self.noise_floor_dbm)
+        object.__setattr__(self, "noise_floor_dbm", floor_dbm)
+        sigma_db = _finite(
+            "shadowing_sigma_db", self.shadowing_sigma_db, 0.0, MAX_SHADOWING_SIGMA_DB
+        )
+        object.__setattr__(self, "shadowing_sigma_db", sigma_db)
         object.__setattr__(self, "seed", _index("seed", self.seed))
-        if self.shadowing_sigma_db < 0:
-            raise DomainError(f"shadowing sigma must be non-negative, got {self.shadowing_sigma_db}")
         if not 0 <= self.seed <= 0xFFFFFFFFFFFFFFFF:
-            raise DomainError(f"seed must fit 64 bits, got {self.seed}")
+            raise DomainError(f"seed must fit 64 bits, got {_shown(self.seed)}")
 
 
 def default_sensor_layout(scenario: Scenario) -> tuple[list[str], list[tuple[float, float]]]:
@@ -202,9 +204,9 @@ def simulate_sweeps(
     center) + one shadowing draw, spread flat over the emitter's mask bins.
     Distances are clamped up to one wavelength so co-located gear stays in
     the free-space formula's domain. Bin powers add in mW, emitter by emitter
-    in scenario order, must stay finite, are floored at the scenario noise
-    floor, and quantize to signed 8-bit dBm. The module docstring says which
-    steps run as array operations and which stay scalar.
+    in scenario order, are floored at the scenario noise floor, and quantize
+    to signed 8-bit dBm. The module docstring says which steps run as array
+    operations and which stay scalar.
     """
     points = list(_sensor_points(sensor_positions))  # checked before any work
     shape = (len(points), len(scenario.emitters))
@@ -215,55 +217,34 @@ def simulate_sweeps(
 
         draws = shadowing_draws(scenario.seed, scenario.shadowing_sigma_db, *shape)
     facts = [_channel_facts(e.channel) for e in scenario.emitters]
-    emitter_xy = [(e.x, e.y) for e in scenario.emitters]
-    links = product(points, emitter_xy)
-    if _float_exact(points + emitter_xy):
-        distances = starmap(math.dist, links)
-    else:
-        distances = (math.hypot(ex - sx, ey - sy) for (sx, sy), (ex, ey) in links)
-    distance_m = np.fromiter(distances, float, shape[0] * shape[1]).reshape(shape)
-    # overflow to inf is what the scalar steps give, without a warning
-    with np.errstate(all="ignore"):
-        distance_m = np.maximum(distance_m, [wavelength for _, wavelength, _ in facts])
-        loss_db = fspl_db_columns(distance_m, [freq for freq, _, _ in facts])
-        tx_dbm = np.array([e.tx_power_dbm for e in scenario.emitters], dtype=float)
-        per_bin_dbm = tx_dbm - loss_db - _SPREAD_DB + draws
-        exponents = per_bin_dbm / 10.0
-        per_bin_mw = np.float_power(10.0, exponents)
-        # 10.0 ** x raises where a finite x overflows; at x = inf it gives inf
-        overflow = np.isinf(per_bin_mw) & np.isfinite(exponents)
-        if overflow.any():
-            e, s = np.argwhere(overflow.T)[0].tolist()  # the first link, emitter by emitter
-            raise DomainError(
-                f"emitter {e} with tx_power_dbm {scenario.emitters[e].tx_power_dbm!r} puts "
-                f"{float(per_bin_dbm[s, e])!r} dBm in each bin at sensor {s}, "
-                "whose mW leaves the float range"
-            )
-        # The levels will be clipped ints and the grid fields are constants, so
-        # only the id bound and t_ms can fail SensorSweep's checks: check sensor
-        # 0, whose id always fits, and the first id that does not, if there are
-        # that many, before any bin is summed.
-        for sensor_index in (0, 0x10000):
-            if sensor_index >= shape[0]:
-                break
-            checked = SensorSweep(
-                sensor_id=sensor_index,
-                timestamp_ms=t_ms,
-                start_khz=SWEEP_GRID.start_khz,
-                bin_khz=SWEEP_GRID.bin_khz,
-                bins=(0,),
-            )
-            t_ms = checked.timestamp_ms  # an int, as SensorSweep makes it
-        masks = [mask for _, _, mask in facts]
-        # bins x sensors, so that each mask is a block of whole rows, added in place
-        bin_major = np.zeros((SWEEP_GRID.n_bins, shape[0]))
-        for mask, column in zip(masks, per_bin_mw.T):
-            rows = bin_major[mask]
-            np.add(rows, column, out=rows)
-        total_mw = bin_major.T
-        if not np.isfinite(total_mw).all():
-            raise _summed_overflow(scenario.emitters, per_bin_dbm, per_bin_mw, masks, total_mw)
-        levels = _quantize(total_mw, scenario.noise_floor_dbm)
+    links = product(points, [(e.x, e.y) for e in scenario.emitters])
+    distance_m = np.fromiter(starmap(math.dist, links), float, shape[0] * shape[1]).reshape(shape)
+    distance_m = np.maximum(distance_m, [wavelength for _, wavelength, _ in facts])
+    loss_db = fspl_db_columns(distance_m, [freq for freq, _, _ in facts])
+    tx_dbm = np.array([e.tx_power_dbm for e in scenario.emitters], dtype=float)
+    per_bin_dbm = tx_dbm - loss_db - _SPREAD_DB + draws
+    per_bin_mw = np.float_power(10.0, per_bin_dbm / 10.0)
+    # The levels will be clipped ints and the grid fields are constants, so
+    # only the id bound and t_ms can fail SensorSweep's checks: check sensor
+    # 0, whose id always fits, and the first id that does not, if there are
+    # that many, before any bin is summed.
+    for sensor_index in (0, 0x10000):
+        if sensor_index >= shape[0]:
+            break
+        checked = SensorSweep(
+            sensor_id=sensor_index,
+            timestamp_ms=t_ms,
+            start_khz=SWEEP_GRID.start_khz,
+            bin_khz=SWEEP_GRID.bin_khz,
+            bins=(0,),
+        )
+        t_ms = checked.timestamp_ms  # an int, as SensorSweep makes it
+    # bins x sensors, so that each mask is a block of whole rows, added in place
+    bin_major = np.zeros((SWEEP_GRID.n_bins, shape[0]))
+    for (_, _, mask), column in zip(facts, per_bin_mw.T):
+        rows = bin_major[mask]
+        np.add(rows, column, out=rows)
+    levels = _quantize(bin_major.T, scenario.noise_floor_dbm)
     # every level lies in [-128, 127], so its int8 bytes are the frame payload
     payload = levels.astype(np.int8).tobytes()
     bins = _lookup(_LEVELS, payload)  # one call for every sensor's bins, sliced per sweep
@@ -280,27 +261,6 @@ def simulate_sweeps(
         )
         for sensor_index, start in enumerate(range(0, len(payload), n))
     ]
-
-
-def _summed_overflow(emitters, per_bin_dbm, per_bin_mw, masks, total_mw) -> DomainError:
-    """The error for the first bin, sensor by sensor, whose total is not finite.
-
-    It names the first emitter, in scenario order, whose mW takes that sum
-    past the float range: one with a +inf draw, or one whose finite mW adds
-    up with the others' past it.
-    """
-    s, b = np.argwhere(~np.isfinite(total_mw))[0].tolist()
-    total = 0.0
-    for e, mask in enumerate(masks):
-        if mask.start <= b < mask.stop:
-            total += float(per_bin_mw[s, e])  # the same adds, in the same order
-            if not math.isfinite(total):
-                break
-    return DomainError(
-        f"emitter {e} with tx_power_dbm {emitters[e].tx_power_dbm!r} puts "
-        f"{float(per_bin_dbm[s, e])!r} dBm in each bin at sensor {s}, which takes the sum "
-        f"in the bin at {SWEEP_GRID.centers_khz()[b]} kHz past the float range"
-    )
 
 
 def _level(mw: float, floor_dbm: float) -> int:
@@ -329,16 +289,8 @@ def _quantize(total_mw: np.ndarray, floor_dbm: float) -> np.ndarray:
 
 
 def scenario_to_json(scenario: Scenario) -> str:
-    """Scenario as a JSON document mirroring the type field-for-field.
-
-    A value json cannot write, such as a numpy float32 coordinate, is a
-    DomainError naming it.
-    """
-    return json.dumps(asdict(scenario), indent=2, default=_unwritable) + "\n"
-
-
-def _unwritable(value):
-    raise DomainError(f"scenario value {_shown(value)} cannot be written as JSON")
+    """Scenario as a JSON document mirroring the type field-for-field."""
+    return json.dumps(asdict(scenario), indent=2) + "\n"
 
 
 def scenario_from_json(text: str) -> Scenario:

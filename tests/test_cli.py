@@ -29,7 +29,15 @@ from rfplan.linkbudget import (
     power_utilization,
 )
 from rfplan.polarization import ENVIRONMENT_PRESETS, dual_polarized_channel, mimo_capacity_bps_hz
-from rfplan.spectrum import Client, Emitter, Scenario, scenario_to_json, sweeps_from_jsonl
+from rfplan.spectrum import (
+    MAX_SHADOWING_SIGMA_DB,
+    MAX_TX_POWER_DBM,
+    Client,
+    Emitter,
+    Scenario,
+    scenario_to_json,
+    sweeps_from_jsonl,
+)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -506,25 +514,26 @@ def scenario_document(**change):
     return json.dumps({"ap_position": [0, 0], "emitters": [EMITTER], **change})
 
 
+TX_BOUND = "emitter tx_power_dbm must lie in [-1000.0, 1000.0]"
+
+
 def test_spectrum_plan_emitter_power_beyond_float_range_exits_two(capsys, tmp_path):
+    # 4000 dBm is 1e400 mW: the scenario is refused at the tx bound
     path = tmp_path / "scenario.json"
     path.write_text(scenario_document(emitters=[EMITTER, {**EMITTER, "tx_power_dbm": 4000.0}]))
     err = assert_domain_error(capsys, "spectrum", "plan", "--scenario", str(path))
-    assert err.startswith("error: emitter 1 with tx_power_dbm 4000.0 puts ")
-    assert err.count("\n") == 1
+    assert err == f"error: bad scenario document: {TX_BOUND}, got 4000.0\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "plan"])
 def test_spectrum_bin_sum_beyond_float_range_exits_two(capsys, tmp_path, command):
-    # each link's mW is finite, the sum of the two co-channel links is not
+    # each link's mW would be finite and the sum of the two co-channel links
+    # not: the tx bound refuses both emitters before any sum
     stacked = {"channel": 6, "tx_power_dbm": 3155.0, "x": 10.0, "y": 0.0}
     path = tmp_path / "scenario.json"
     path.write_text(scenario_document(emitters=[stacked, stacked], shadowing_sigma_db=0))
     err = assert_domain_error(capsys, "spectrum", command, "--scenario", str(path))
-    assert err == (
-        "error: emitter 1 with tx_power_dbm 3155.0 puts 3081.3908793862 dBm in each bin at "
-        "sensor 0, which takes the sum in the bin at 2426500.0 kHz past the float range\n"
-    )
+    assert err == f"error: bad scenario document: {TX_BOUND}, got 3155.0\n"
 
 
 # a client at (30, 0) hears channel 6, one at (-30, 0) channel 1 and, far
@@ -589,6 +598,7 @@ def test_spectrum_colliding_client_id_exits_two(capsys, tmp_path, command, ids, 
             scenario_document(ap_position=[0, 0, 0]),
             "ap_position must be an (x, y) pair, got [0, 0, 0]",
         ),
+        (scenario_document(ap_position=5), "ap_position must be an (x, y) pair, got 5"),
         (scenario_document(noise_floor_dbm="x"), "noise_floor_dbm must be a finite number, got 'x'"),
     ],
 )
@@ -888,29 +898,46 @@ def document_fields(anywhere):
     }
 
 
-# two to four co-channel emitters at one spot on the plan, unshadowed, so
-# that each link stays in the float range while their sum in a bin need not
+# two to four co-channel emitters at one spot on the plan, near the tx bound
 emitter_stacks = st.tuples(
     st.fixed_dictionaries(
         {
             "channel": st.integers(1, 14),
-            "tx_power_dbm": st.floats(3100.0, 3200.0),
+            "tx_power_dbm": st.floats(900.0, MAX_TX_POWER_DBM),
             "x": st.floats(-200.0, 200.0),
             "y": st.floats(-200.0, 200.0),
         }
     ),
     st.integers(2, 4),
 ).map(lambda stack: [stack[0]] * stack[1])
+# documents on a plan's scale whose stacked emitters put the loudest links the
+# bounds allow in the same bins, shadowed up to the sigma bound: each prints,
+# given a client for the client-aware plan to score
+stacked_documents = st.fixed_dictionaries(
+    {
+        **document_fields(st.nothing()),
+        "emitters": emitter_stacks,
+        "shadowing_sigma_db": st.floats(0.0, MAX_SHADOWING_SIGMA_DB),
+    }
+).filter(lambda document: document["clients"])
+# documents with an emitter's tx power, either sign, or the sigma past its
+# bound: each exits 2. The loud emitter comes after a stack within the bound
+past_tx = st.floats(MAX_TX_POWER_DBM, exclude_min=True, allow_infinity=False)
+loud_emitters = st.tuples(emitter_stacks, past_tx | past_tx.map(lambda tx: -tx)).map(
+    lambda drawn: [*drawn[0], {**drawn[0][0], "tx_power_dbm": drawn[1]}]
+)
+past_sigma = st.floats(MAX_SHADOWING_SIGMA_DB, exclude_min=True, allow_infinity=False)
+past_bound_documents = st.one_of(
+    st.fixed_dictionaries({**document_fields(finite), "emitters": loud_emitters}),
+    st.fixed_dictionaries({**document_fields(finite), "shadowing_sigma_db": past_sigma}),
+)
 # documents whose every number a float holds, and documents that may also
 # hold ints past the float range, which every scenario refuses
-float_scenario_documents = st.one_of(
-    st.fixed_dictionaries(document_fields(finite)),
-    st.fixed_dictionaries(
-        {**document_fields(finite), "emitters": emitter_stacks, "shadowing_sigma_db": st.just(0.0)}
-    ),
-)
-scenario_documents = float_scenario_documents | st.fixed_dictionaries(
-    document_fields(finite | past_float_range)
+float_scenario_documents = st.fixed_dictionaries(document_fields(finite)) | stacked_documents
+scenario_documents = st.one_of(
+    float_scenario_documents,
+    st.fixed_dictionaries(document_fields(finite | past_float_range)),
+    past_bound_documents,
 )
 
 # The CLI properties run under the profile RFPLAN_CLI_FUZZ_PROFILE names.
@@ -924,14 +951,23 @@ CLI_FUZZ = settings.get_profile(os.environ.get("RFPLAN_CLI_FUZZ_PROFILE", "cli-f
 
 
 @settings(CLI_FUZZ, max_examples=max(CLI_FUZZ.max_examples, 100))
-@given(document=scenario_documents)
-@example({"ap_position": [PAST_FLOAT_RANGE, 0]})
-def test_any_finite_scenario_exits_two_or_prints_strict_json(document):
+@given(
+    case=st.one_of(
+        scenario_documents.map(lambda document: (document, None)),
+        stacked_documents.map(lambda document: (document, 0)),
+        past_bound_documents.map(lambda document: (document, 2)),
+    )
+)
+@example(({"ap_position": [PAST_FLOAT_RANGE, 0]}, 2))
+def test_any_finite_scenario_exits_two_or_prints_strict_json(case):
+    # the exit code is pinned where the document's kind fixes it
+    document, expected = case
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(document))
         code = run(["spectrum", "plan", "--scenario", str(path), "--format", "json"], stdout, stderr)
+    assert code == expected or expected is None
     if code == 0:
         strict_json(stdout.getvalue())
     else:

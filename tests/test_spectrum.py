@@ -29,6 +29,8 @@ from rfplan.spectrum import (
     EWMA,
     MAX_BIN_DBM,
     MAX_HOLD,
+    MAX_SHADOWING_SIGMA_DB,
+    MAX_TX_POWER_DBM,
     MINIMAX,
     SWEEP_GRID,
     WEIGHTED_SUM,
@@ -365,13 +367,13 @@ DEFERRAL_GRIDS = {
 }
 
 # RFPLAN_CLI_FUZZ_PROFILE=cli-fuzz-deep, the CI step that deepens the CLI
-# properties, runs the deferral property and the scalar-pow property of
-# hand-built bins at 1,000 examples too, never derandomized; otherwise each
-# runs hypothesis's default 100
+# properties, runs the deferral property, the scalar-pow property of
+# hand-built bins and the simulator's property at the scenario bounds at 1,000
+# examples too, never derandomized; otherwise each runs hypothesis's default 100
 if os.environ.get("RFPLAN_CLI_FUZZ_PROFILE") == "cli-fuzz-deep":
-    DEFERRAL = SCALAR_POW = settings(deadline=None, max_examples=1000, derandomize=False)
+    DEFERRAL = SCALAR_POW = BOUNDS = settings(deadline=None, max_examples=1000, derandomize=False)
 else:
-    DEFERRAL = settings(deadline=None)
+    DEFERRAL = BOUNDS = settings(deadline=None)
     SCALAR_POW = settings()
 
 
@@ -976,7 +978,7 @@ def shown(value):
     try:
         return repr(value)
     except ValueError:
-        return "an overlong int"
+        return f"an overlong {type(value).__name__}"
 
 
 @given(bin_values, st.integers(0, 99), st.sampled_from(["ap", "c3"]))
@@ -1299,119 +1301,37 @@ def test_simulate_rejects_an_emitter_beyond_float_range():
         simulate_sweeps(scenario, [(0.0, 0.0)])
 
 
+TX_BOUND = "emitter tx_power_dbm must lie in [-1000.0, 1000.0], got "
+SIGMA_BOUND = "shadowing_sigma_db must lie in [0.0, 100.0], got "
+
+
 @pytest.mark.parametrize(
     ("emitters", "sigma", "named"),
     [
-        (((6, 4000.0),), 0.0, "emitter 0 with tx_power_dbm 4000.0 puts "),
-        # emitter 1 overflows at sensor 1 only, emitter 2 at both sensors: the
-        # simulator goes emitter by emitter, so the first is reported
-        (((6, 10.0), (1, 3130.0), (11, 4000.0)), 0.0, "emitter 1 with tx_power_dbm 3130.0 "),
-        (((6, 20.0),), 1e300, "emitter 0 with tx_power_dbm 20.0 puts "),
+        (((6, 4000.0),), 0.0, TX_BOUND + "4000.0"),
+        # the first emitter past the bound, in scenario order, is the one named
+        (((6, 10.0), (1, 3130.0), (11, 4000.0)), 0.0, TX_BOUND + "3130.0"),
+        (((6, 20.0),), 1e300, SIGMA_BOUND + "1e+300"),
+        # the next float past either bound
+        (((6, math.nextafter(1000.0, math.inf)),), 0.0, TX_BOUND + "1000.0000000000001"),
+        (((6, math.nextafter(-1000.0, -math.inf)),), 0.0, TX_BOUND + "-1000.0000000000001"),
+        (((6, 20.0),), math.nextafter(100.0, math.inf), SIGMA_BOUND + "100.00000000000001"),
+        (((6, 20.0),), -5e-324, SIGMA_BOUND + "-5e-324"),
     ],
-    ids=["tx-power", "first-emitter", "shadowing"],
+    ids=["tx-power", "first-emitter", "shadowing", "next-tx-up", "next-tx-down", "next-sigma-up",
+         "next-sigma-down"],
 )
 def test_simulate_names_an_emitter_whose_power_leaves_float_range(emitters, sigma, named):
-    scenario = Scenario(
-        ap_position=(0.0, 0.0),
-        emitters=tuple(Emitter(ch, tx, 10.0, 0.0) for ch, tx in emitters),
-        shadowing_sigma_db=sigma,
-        seed=3,
-    )
-    with pytest.raises(DomainError, match=re.escape(named)) as info:
-        simulate_sweeps(scenario, [(0.0, 0.0), (10.0, 0.0)])
-    assert str(info.value).endswith("whose mW leaves the float range")
-
-
-def test_simulate_names_the_first_overflowing_link_emitter_by_emitter():
-    # emitter 0 overflows only at sensor 2, on it, and emitter 1 only at
-    # sensor 0: link by link, sensor first, would name emitter 1
-    scenario = Scenario(
-        ap_position=(0.0, 0.0),
-        clients=(Client("c0", 50.0, 0.0), Client("c1", 100.0, 0.0)),
-        emitters=(Emitter(6, 3140.0, 100.0, 0.0), Emitter(11, 3140.0, 0.0, 0.0)),
-        shadowing_sigma_db=0.0,
-    )
+    # a scenario is refused when it is built if it may put a link's mW past
+    # the float range: the tx power or the sigma past its bound is named
     with pytest.raises(DomainError) as info:
-        simulate_sweeps(scenario, default_sensor_layout(scenario)[1])
-    assert str(info.value) == (
-        "emitter 0 with tx_power_dbm 3140.0 puts 3104.591575911336 dBm in each bin at "
-        "sensor 2, whose mW leaves the float range"
-    )
-
-
-def test_simulate_reads_infinite_draws_as_the_scalar_pow_does():
-    # sigma 1e308 scales every draw past the float range or near it
-    scenario = Scenario(
-        ap_position=(0.0, 0.0),
-        clients=(Client("c0", 5.0, 0.0), Client("c1", 10.0, 0.0)),
-        emitters=(Emitter(6, 20.0, 10.0, 0.0), Emitter(1, 20.0, 10.0, 0.0)),
-        shadowing_sigma_db=1e308,
-        seed=770,
-    )
-    positions = default_sensor_layout(scenario)[1]
-    draws = shadowing_draws(scenario.seed, scenario.shadowing_sigma_db, 3, 2)
-    assert -math.inf in draws and (draws <= 0).all()
-    # 10.0 ** -inf is 0.0, so every bin sits at the floor
-    sweeps = simulate_sweeps(scenario, positions, t_ms=5)
-    digest = hashlib.sha256(b"".join(encode_frame(s) for s in sweeps)).hexdigest()
-    assert digest == "76dedddace8ac07713e2b58be463800f95b7a258917408a49d659d0457088651"
-    # 10.0 ** inf is inf without an error, so the link with the +inf draw
-    # (sensor 0, emitter 0) is not the overflow named; the finite one after it is
-    seeded = dataclasses.replace(scenario, clients=scenario.clients[:1], seed=3)
-    draws = shadowing_draws(seeded.seed, seeded.shadowing_sigma_db, 2, 2)
-    assert draws[0, 0] == math.inf and 0 < draws[1, 0] < math.inf
-    with pytest.raises(DomainError) as info:
-        simulate_sweeps(seeded, positions[:2])
-    assert str(info.value) == (
-        "emitter 0 with tx_power_dbm 20.0 puts 1.755360346943547e+306 dBm in each bin at "
-        "sensor 1, whose mW leaves the float range"
-    )
-
-
-@pytest.mark.parametrize(
-    "channels, named",
-    [
-        # each link's mW is finite at 10 m, the sum of two is not
-        ((6, 6), "emitter 1 with tx_power_dbm 3155.0 puts 3081.3908793862 dBm in each bin at "
-                 "sensor 0, which takes the sum in the bin at 2426500.0 kHz past the float range"),
-        # the first bin past the range holds channels 1 and 3; channel 6,
-        # between them in scenario order, does not cover it
-        ((1, 6, 3), "emitter 2 with tx_power_dbm 3155.0 puts 3081.444507193754 dBm in each bin "
-                    "at sensor 0, which takes the sum in the bin at 2411500.0 kHz past the "
-                    "float range"),
-    ],
-    ids=["co-channel", "scenario-order"],
-)
-def test_simulate_names_the_emitter_that_takes_a_bin_sum_past_the_float_range(channels, named):
-    scenario = Scenario(
-        ap_position=(0.0, 0.0),
-        emitters=tuple(Emitter(ch, 3155.0, 10.0, 0.0) for ch in channels),
-        shadowing_sigma_db=0.0,
-    )
-    with pytest.raises(DomainError) as info:
-        simulate_sweeps(scenario, default_sensor_layout(scenario)[1])
+        Scenario(
+            ap_position=(0.0, 0.0),
+            emitters=tuple(Emitter(ch, tx, 10.0, 0.0) for ch, tx in emitters),
+            shadowing_sigma_db=sigma,
+            seed=3,
+        )
     assert str(info.value) == named
-
-
-def test_simulate_names_the_emitter_whose_infinite_draw_takes_a_bin_sum_past_the_float_range():
-    # seed 4's draw [0, 1] is +inf, and the ziggurat's fast path drew it;
-    # 10.0 ** inf is inf without an error, so no single link overflows
-    scenario = Scenario(
-        ap_position=(0.0, 0.0),
-        clients=(Client("c0", 5.0, 0.0),),
-        emitters=(Emitter(6, 20.0, 10.0, 0.0), Emitter(1, 20.0, 10.0, 0.0)),
-        shadowing_sigma_db=1e308,
-        seed=4,
-    )
-    assert _fast_normals(_first_outputs(_pcg64_seeds(4, 2, 2).reshape(-1, 4)))[1].all()
-    draws = shadowing_draws(scenario.seed, scenario.shadowing_sigma_db, 2, 2)
-    assert draws[0, 1] == math.inf and np.isfinite(np.delete(draws.ravel(), 1)).all()
-    with pytest.raises(DomainError) as info:
-        simulate_sweeps(scenario, default_sensor_layout(scenario)[1])
-    assert str(info.value) == (
-        "emitter 1 with tx_power_dbm 20.0 puts inf dBm in each bin at sensor 0, which takes "
-        "the sum in the bin at 2401500.0 kHz past the float range"
-    )
 
 
 def test_simulate_deterministic_bytes():
@@ -1744,6 +1664,42 @@ def test_simulate_matches_per_link_oracle(seed, sigma, noise_floor, clients, emi
     )
 
 
+# either end of each bound is drawn as often as a value between them
+bounded_tx = st.one_of(
+    st.sampled_from([-MAX_TX_POWER_DBM, MAX_TX_POWER_DBM]),
+    st.floats(-MAX_TX_POWER_DBM, MAX_TX_POWER_DBM),
+)
+bounded_sigma = st.one_of(
+    st.sampled_from([0.0, MAX_SHADOWING_SIGMA_DB]), st.floats(0.0, MAX_SHADOWING_SIGMA_DB)
+)
+
+
+@BOUNDS
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    sigma=bounded_sigma,
+    channel=st.integers(1, 14),
+    tx_dbm=st.lists(bounded_tx, min_size=2, max_size=20),
+)
+@example(0, MAX_SHADOWING_SIGMA_DB, 6, [MAX_TX_POWER_DBM] * 20)
+def test_emitters_stacked_on_a_sensor_at_the_bounds_stay_in_the_float_range(
+    seed, sigma, channel, tx_dbm
+):
+    # the bounds are what let the simulator go without an overflow path: the
+    # loudest links they allow, co-channel at one wavelength from a sensor,
+    # sum finite in every bin, and numpy warns of nothing on the way
+    scenario = Scenario(
+        ap_position=(0.0, 0.0),
+        emitters=tuple(Emitter(channel, tx, 0.0, 0.0) for tx in tx_dbm),
+        shadowing_sigma_db=sigma,
+        seed=seed,
+    )
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        (swept,) = simulate_sweeps(scenario, [(0.0, 0.0)])
+    assert all(-128 <= b <= 127 for b in swept.bins)
+    assert [swept] == per_link_sweeps(scenario, [(0.0, 0.0)], 0)
+
+
 def test_survey_shape_matches_per_link_oracle():
     # 51 sensors x 50 emitters, the shape a site survey simulates
     rng = random.Random(24)
@@ -1776,32 +1732,47 @@ def test_a_numpy_int_channel_simulates_like_an_int():
 
 
 @pytest.mark.parametrize(
-    ("client", "emitter"),
+    ("coordinate", "real"),
     [
-        ((2**53 + 1, 0), (2**53, 0)),  # 1 m apart; as floats they coincide
-        ((Fraction(2**54 + 1, 2), Fraction(1, 3)), (Fraction(2**53), Fraction(1, 3))),
-        ((np.float32(25.639261), np.float32(79.40125)), (np.float32(66.710594), np.float32(0.2))),
+        (2**53 + 1, int),
+        (Fraction(1, 3), Fraction),
+        (np.float32(0.1), np.float32),
+        (np.int64(-7), np.int64),
     ],
-    ids=["ints-past-2**53", "fractions", "float32"],
+    ids=["ints-past-2**53", "fractions", "float32", "numpy-ints"],
 )
-def test_coordinates_a_float_does_not_hold_subtract_exactly(client, emitter):
-    # math.dist subtracts the coordinates as floats; the per-link formula
-    # subtracts them as they are. The power puts the level of the one at
-    # x.5 - d and the other at x.5 + d, so that they round apart
-    exact = math.hypot(emitter[0] - client[0], emitter[1] - client[1])
-    as_floats = math.dist(client, emitter)
-    assert exact != as_floats
-    freq = Frequency(channel_center_khz(6) * 1e3)
-    loss = [fspl_db(LinkGeometry(max(d, freq.wavelength_m), freq)) for d in (exact, as_floats)]
-    tx_dbm = 0.5 + 10.0 * math.log10(22) + sum(loss) / 2
-    scenario = Scenario(
-        ap_position=(0.0, 0.0),
-        clients=(Client("c0", *client),),
-        emitters=(Emitter(6, tx_dbm, *emitter), Emitter(11, 10.0, 3.0, 4.0)),
-        shadowing_sigma_db=0.0,
-    )
-    positions = [client, (0.0, 0.0)]
-    assert simulate_sweeps(scenario, positions) == per_link_sweeps(scenario, positions, 0)
+def test_real_fields_are_stored_written_and_simulated_as_floats(coordinate, real):
+    # 2**53 + 1 is stored as 2**53, Fraction(1, 3) and float32(0.1) as their
+    # nearest floats; a numpy int channel and seed are stored as ints
+    def build(x, real, index):
+        return Scenario(
+            ap_position=(x, 0.0),
+            clients=(Client("c0", x, 1.0),),
+            emitters=(Emitter(index(6), real(20), x, 3.0), Emitter(11, real(5), 0.0, x)),
+            noise_floor_dbm=real(-95),
+            shadowing_sigma_db=real(4),
+            seed=index(3),
+        )
+
+    scenario = build(coordinate, real, np.uint64)
+    floats = build(float(coordinate), float, int)
+    (client,), (e0, e1) = scenario.clients, scenario.emitters
+    reals = [*scenario.ap_position, client.x, client.y, e0.tx_power_dbm, e0.x, e0.y,
+             e1.tx_power_dbm, scenario.noise_floor_dbm, scenario.shadowing_sigma_db]
+    assert {type(v) for v in reals} == {float}
+    assert type(e0.channel) is int and type(scenario.seed) is int
+    assert scenario == floats
+    # an int, a Fraction or a numpy number is written as its float, and so
+    # is a JSON int read back
+    text = scenario_to_json(scenario)
+    assert text == scenario_to_json(floats)
+    assert scenario_from_json(text) == scenario
+    document = scenario_to_json(scenario_from_json('{"ap_position": [3, 0]}'))
+    assert json.loads(document, parse_float=str)["ap_position"] == ["3.0", "0.0"]
+    # a sensor position is taken as its floats too
+    positions = [(coordinate, coordinate), (0.0, 1.0)]
+    as_floats = [(float(coordinate), float(coordinate)), (0.0, 1.0)]
+    assert simulate_sweeps(scenario, positions) == simulate_sweeps(floats, as_floats)
 
 
 @pytest.mark.parametrize(
@@ -1970,14 +1941,20 @@ def test_simulate_refuses_too_many_sensors_before_summing_bins():
         tracemalloc.stop()
     assert str(info.value) == "sensor_id must fit 16 bits, got 65536"
     assert peak < 8 * 2**20
-    # an overflowing emitter is still the one named, and a bad timestamp
-    # still wins over the id
-    loud = Scenario(ap_position=(0.0, 0.0), emitters=(Emitter(6, 4000.0, 10.0, 0.0),),
-                    shadowing_sigma_db=0.0)
-    with pytest.raises(DomainError, match="^emitter 0 with tx_power_dbm 4000.0 puts "):
-        simulate_sweeps(loud, positions)
-    with pytest.raises(DomainError, match="^timestamp_ms must fit 64 bits, got -1$"):
-        simulate_sweeps(Scenario(ap_position=(0.0, 0.0)), positions, -1)
+    # a link past the free-space formula's domain is still the one named, and
+    # a bad timestamp still wins over the id; neither sums a bin either
+    far = Scenario(ap_position=(0.0, 0.0), emitters=(Emitter(6, 20.0, 1e307, 0.0),),
+                   shadowing_sigma_db=0.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"^4\*pi\*R/lambda for distance 1e\+307 m "):
+            simulate_sweeps(far, positions)
+        with pytest.raises(DomainError, match="^timestamp_ms must fit 64 bits, got -1$"):
+            simulate_sweeps(Scenario(ap_position=(0.0, 0.0)), positions, -1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_simulate_makes_an_integer_timestamp_an_int():
@@ -2029,6 +2006,39 @@ def test_an_int_past_the_float_range_is_named(build, field, sign):
         build(value)
 
 
+@pytest.mark.parametrize(
+    ("build", "value", "message"),
+    [
+        (lambda v: SensorSweep(0, v, 2_400_000, 1_000, (0,)), Fraction(OVERLONG),
+         "timestamp_ms must be an integer, got "),
+        (lambda v: SensorSweep(0, v, 2_400_000, 1_000, (0,)), OVERLONG,
+         "timestamp_ms must fit 64 bits, got "),
+        (lambda v: SensorSweep(0, 0, 2_400_000, 1_000, (v,)), OVERLONG, "bin value "),
+        (lambda v: AggregatedSpectrum("p", MAX_HOLD, v, 1_000, (0.0,), {}), Fraction(OVERLONG),
+         "spectrum start_khz must be an integer, got "),
+        (lambda v: Client(v, 0.0, 0.0), OVERLONG, "client id must be a string, got "),
+        (lambda v: Emitter(v, 0.0, 0.0, 0.0), Fraction(OVERLONG),
+         "emitter channel must be an integer, got "),
+        (lambda v: Emitter(v, 0.0, 0.0, 0.0), OVERLONG, "channel must lie in 1..14, got "),
+        (lambda v: Scenario(ap_position=v), (OVERLONG,),
+         "ap_position must be an (x, y) pair, got "),
+        (lambda v: Scenario(ap_position=(0.0, 0.0), seed=v), Fraction(OVERLONG),
+         "seed must be an integer, got "),
+        (lambda v: Scenario(ap_position=(0.0, 0.0), seed=v), OVERLONG,
+         "seed must fit 64 bits, got "),
+    ],
+    ids=["sweep-timestamp", "sweep-timestamp-range", "sweep-bin", "spectrum-start", "client-id",
+         "emitter-channel", "emitter-channel-range", "ap-position", "seed", "seed-range"],
+)
+def test_a_value_too_long_to_print_is_named_by_its_type(build, value, message):
+    # repr of an int past sys.get_int_max_str_digits() raises ValueError, and so
+    # does repr of a Fraction or a tuple that holds one
+    with pytest.raises(DomainError) as info:
+        build(value)
+    named = str(info.value)
+    assert named.startswith(message) and shown(value) in named
+
+
 def test_an_int_too_long_to_print_is_named_by_its_type():
     value = 10**5000
     try:
@@ -2063,21 +2073,6 @@ def test_scenario_json_round_trip():
     assert scenario_from_json(text) == scenario
     with pytest.raises(DomainError):
         scenario_from_json("{\"clients\": []}")  # ap_position missing
-
-
-def test_scenario_json_writes_numpy_ints_and_names_what_it_cannot_write():
-    scenario = Scenario(
-        ap_position=(0.0, 0.0), emitters=(Emitter(np.int64(6), 20.0, 1.0, 0.0),), seed=np.uint64(3)
-    )
-    assert type(scenario.seed) is int and type(scenario.emitters[0].channel) is int
-    text = scenario_to_json(scenario)
-    assert json.loads(text)["seed"] == 3
-    assert scenario_from_json(text) == scenario
-    for value in (np.float32(1.5), Fraction(3, 2), np.int64(2)):
-        scenario = Scenario(ap_position=(0.0, 0.0), clients=(Client("a", value, 0.0),))
-        message = f"scenario value {value!r} cannot be written as JSON"
-        with pytest.raises(DomainError, match=re.escape(message)):
-            scenario_to_json(scenario)
 
 
 def test_scenario_json_matches_pinned_bytes():
