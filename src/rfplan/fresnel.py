@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DomainError, check_sample_count
+from .errors import DomainError, _finite, _index, _positive, _shown, check_sample_count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,9 +70,7 @@ class PathGeometry:
 
     def __post_init__(self):
         for name in ("d1_m", "d2_m", "lambda_m"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise DomainError(f"{name} must be positive and finite, got {v}")
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
         # the terms of zone_radius and obliquity_factor to U_MAX, in their order
         # of operations; one that overflows or goes subnormal turns radii into
         # inf or nan and K(u) into nan or a flat 0.5
@@ -87,10 +85,8 @@ class PathGeometry:
 
 def check_zone_number(n: int, name: str = "zone number") -> None:
     """Refuse a zone outside 1..U_MAX: PathGeometry checks the terms only that far."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"{name} must be an integer, got {n!r}")
-    if not 1 <= n <= U_MAX:
-        raise DomainError(f"{name} must lie in 1..{U_MAX:g}, got {n}")
+    if not 1 <= _index(name, n) <= U_MAX:
+        raise DomainError(f"{name} must lie in 1..{U_MAX:g}, got {_shown(n)}")
 
 
 def zone_radius(n: int, geometry: PathGeometry) -> float:
@@ -102,8 +98,7 @@ def zone_radius(n: int, geometry: PathGeometry) -> float:
 
 def zone_index(r_m: float, geometry: PathGeometry) -> float:
     """Continuous zone coordinate u at radius r; inverse of zone_radius."""
-    if not 0 <= r_m < math.inf:
-        raise DomainError(f"radius must be non-negative and finite, got {r_m}")
+    r_m = _finite("radius", r_m, 0.0)
     g = geometry
     u = r_m * r_m * (g.d1_m + g.d2_m) / (g.lambda_m * g.d1_m * g.d2_m)
     if u == math.inf:
@@ -121,6 +116,8 @@ class AnnularScreenSpec:
     blocked_zone: int
 
     def __post_init__(self):
+        for name in ("r_inner_m", "r_outer_m"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if not 0.0 <= self.r_inner_m < self.r_outer_m:
             raise DomainError(
                 f"need 0 <= r_inner < r_outer, got [{self.r_inner_m}, {self.r_outer_m}]"
@@ -149,10 +146,8 @@ def shading_cone_deg(r_outer_m: float, distance_m: float) -> float:
     The caller picks the apex distance: d1 for the cone seen from the access
     point, d1+d2 for the whole link.
     """
-    if not 0 < distance_m < math.inf:
-        raise DomainError(f"distance must be positive and finite, got {distance_m}")
-    if not 0 <= r_outer_m < math.inf:
-        raise DomainError(f"radius must be non-negative and finite, got {r_outer_m}")
+    distance_m = _positive("distance", distance_m)
+    r_outer_m = _finite("radius", r_outer_m, 0.0)
     return 2.0 * math.degrees(math.atan(r_outer_m / distance_m))
 
 
@@ -190,13 +185,12 @@ def obliquity_factor(u: float | np.ndarray, geometry: PathGeometry) -> float | n
 def _validated_intervals(blocked: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
     intervals = []
     for a, b in blocked:
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise DomainError(f"interval bounds must be finite, got [{a}, {b}]")
+        a, b = _finite("interval bound", a), _finite("interval bound", b)
         if not 0.0 <= a < b <= U_MAX:
             raise DomainError(
                 f"interval [{a}, {b}] must satisfy 0 <= a < b <= {U_MAX}"
             )
-        intervals.append((float(a), float(b)))
+        intervals.append((a, b))
     intervals.sort()
     for (a_prev, b_prev), (a_next, b_next) in zip(intervals, intervals[1:]):
         if a_next < b_prev:
@@ -381,10 +375,9 @@ def partial_field_curve(
     Without obliquity this is |1 - exp(i*pi*u)|, the familiar spiral swing
     between 0 and twice the free field.
     """
+    u_max, step = _finite("u_max", u_max), _positive("step", step)
     if not 0 < u_max <= U_MAX:
         raise DomainError(f"u_max must lie in (0, {U_MAX}], got {u_max}")
-    if not (step > 0 and math.isfinite(step)):
-        raise DomainError(f"step must be positive and finite, got {step}")
     check_sample_count(step, u_max, "step", "u_max")
     if obliquity and geometry is None:
         raise DomainError("obliquity weighting needs the path geometry")

@@ -12,7 +12,7 @@ from functools import reduce
 from operator import add
 from pathlib import Path
 
-from .errors import DomainError
+from .errors import DomainError, _finite, _positive
 
 
 class NoGrowthError(DomainError):
@@ -26,17 +26,14 @@ class CountSeries:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "points", tuple((float(t), float(c)) for t, c in self.points)
-        )
+        object.__setattr__(self, "points", tuple(
+            (_finite("t_days", t), _positive("count", c)) for t, c in self.points
+        ))
         if len(self.points) < 2:
             raise DomainError(f"need at least 2 points, got {len(self.points)}")
         for (t0, c0), (t1, c1) in zip(self.points, self.points[1:]):
             if not t1 > t0:
                 raise DomainError(f"times must be strictly increasing ({t0} -> {t1})")
-        for t, c in self.points:
-            if not (c > 0 and math.isfinite(c) and math.isfinite(t)):
-                raise DomainError(f"counts must be positive and finite, got ({t}, {c})")
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ def predict_doubling_date(fit: GrowthFit, from_t_days: float) -> float:
         raise DomainError(
             f"doubling period must be positive to extrapolate, got {fit.doubling_days}"
         )
-    t = from_t_days + fit.doubling_days
+    t = _finite("from_t_days", from_t_days) + fit.doubling_days
     if not math.isfinite(t):
         raise DomainError(
             f"{from_t_days!r} + {fit.doubling_days!r} days leaves the float range"

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .errors import DomainError, check_sample_count
+from .errors import DomainError, _finite, _positive, check_sample_count
 from .linkbudget import (
     AntennaGain,
     Frequency,
@@ -36,14 +36,13 @@ class BelowCutoffError(DomainError):
 
 def effective_index(plate_spacing_m: float, frequency: Frequency) -> float:
     """Effective refraction index n = sqrt(1 - (lambda/(2a))^2), in (0, 1)."""
+    plate_spacing_m = _finite("plate spacing", plate_spacing_m)
     lam = frequency.wavelength_m
     if plate_spacing_m <= lam / 2.0:
         raise BelowCutoffError(
             f"plate spacing {plate_spacing_m} m is at or below cutoff "
             f"lambda/2 = {lam / 2.0:.5f} m"
         )
-    if not math.isfinite(plate_spacing_m):
-        raise DomainError(f"plate spacing must be finite, got {plate_spacing_m} m")
     ratio = lam / (2.0 * plate_spacing_m)
     index = math.sqrt(1.0 - ratio * ratio)
     if index == 1.0:
@@ -54,25 +53,17 @@ def effective_index(plate_spacing_m: float, frequency: Frequency) -> float:
     return index
 
 
-def _check_focal_length(focal_m: float) -> None:
-    if focal_m <= 0:
-        raise DomainError(f"focal length must be positive, got {focal_m}")
-    if not math.isfinite(focal_m):
-        raise DomainError(f"focal length must be finite, got {focal_m}")
-
-
 def profile_radius(focal_m: float, index: float, theta_deg: float) -> float:
     """Plate-edge radius from the focus at polar angle theta.
 
     r = f*(1-n)/(1 - n*cos(theta)): an ellipse with the feed in the far
     focus, r(0) = f, decreasing toward the rim for n in (0, 1).
     """
+    index = _finite("effective index", index)
     if not 0.0 < index < 1.0:
         raise DomainError(f"effective index must lie in (0, 1), got {index}")
-    if not abs(theta_deg) <= 90.0:
-        raise DomainError(f"profile angle must satisfy |theta| <= 90 deg, got {theta_deg}")
-    _check_focal_length(focal_m)
-    theta = math.radians(theta_deg)
+    theta = math.radians(_finite("profile angle", theta_deg, -90.0, 90.0))
+    focal_m = _positive("focal length", focal_m)
     return focal_m * (1.0 - index) / (1.0 - index * math.cos(theta))
 
 
@@ -86,13 +77,14 @@ class LensSpec:
     aperture_half_angle_deg: float
 
     def __post_init__(self):
-        # raises BelowCutoffError for a <= lambda/2
-        effective_index(self.plate_spacing_m, self.design_frequency)
-        _check_focal_length(self.focal_length_m)
-        if not 0.0 < self.aperture_half_angle_deg < 90.0:
-            raise DomainError(
-                f"aperture half angle must lie in (0, 90) deg, got {self.aperture_half_angle_deg}"
-            )
+        spacing = _finite("plate spacing", self.plate_spacing_m)
+        effective_index(spacing, self.design_frequency)  # BelowCutoffError for a <= lambda/2
+        object.__setattr__(self, "plate_spacing_m", spacing)
+        object.__setattr__(self, "focal_length_m", _positive("focal length", self.focal_length_m))
+        angle = _finite("aperture half angle", self.aperture_half_angle_deg)
+        if not 0.0 < angle < 90.0:
+            raise DomainError(f"aperture half angle must lie in (0, 90) deg, got {angle}")
+        object.__setattr__(self, "aperture_half_angle_deg", angle)
 
     @property
     def index(self) -> float:
@@ -118,8 +110,7 @@ class LensProfile:
 
 def lens_profile(spec: LensSpec, step_deg: float = 1.0) -> LensProfile:
     """Sample the plate-edge curve from the axis out to the aperture edge."""
-    if not (step_deg > 0 and math.isfinite(step_deg)):
-        raise DomainError(f"profile step must be positive and finite, got {step_deg}")
+    step_deg = _positive("profile step", step_deg)
     n = spec.index
     f = spec.focal_length_m
     # samples sit at k*step, so the angles cannot drift; the first is the
@@ -156,6 +147,7 @@ def plate_edge_offset(spec: LensSpec, y_m: float) -> float:
     n = spec.index
     f = spec.focal_length_m
     edge_deg = spec.aperture_half_angle_deg
+    y_m = _finite("offset", y_m)
     y_edge = profile_radius(f, n, edge_deg) * math.sin(math.radians(edge_deg))
     if not abs(y_m) <= y_edge:
         raise DomainError(
@@ -175,12 +167,10 @@ class ShadingSector:
     attenuation_db: float = 10.0
 
     def __post_init__(self):
+        for name in ("bearing_deg", "width_deg", "attenuation_db"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if not 0.0 <= self.width_deg < 360.0:
             raise DomainError(f"sector width must lie in [0, 360), got {self.width_deg}")
-        for name in ("bearing_deg", "attenuation_db"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -196,24 +186,17 @@ class LensEffect:
     shading_sector: ShadingSector = field(default_factory=ShadingSector)
 
     def __post_init__(self):
-        if not 0.0 <= self.gain_uplift_db <= 30.0:
-            raise DomainError(f"gain uplift must lie in [0, 30] dB, got {self.gain_uplift_db}")
-        if self.throughput_uplift_fraction < 0:
-            raise DomainError(
-                f"throughput uplift must be non-negative, got {self.throughput_uplift_fraction}"
-            )
-        if not math.isfinite(self.throughput_uplift_fraction):
-            raise DomainError(
-                f"throughput uplift must be finite, got {self.throughput_uplift_fraction}"
-            )
+        uplift_db = _finite("gain uplift", self.gain_uplift_db, 0.0, 30.0)
+        fraction = _finite("throughput uplift", self.throughput_uplift_fraction, 0.0)
+        object.__setattr__(self, "gain_uplift_db", uplift_db)
+        object.__setattr__(self, "throughput_uplift_fraction", fraction)
 
 
 def lens_shadow_sector(
     spec: LensSpec, bearing_deg: float, attenuation_db: float = 10.0
 ) -> ShadingSector:
     """Shadow sector whose width is the lens aperture as seen from the AP."""
-    if not math.isfinite(bearing_deg):  # the sector would hold inf % 360, a nan
-        raise DomainError(f"bearing_deg must be finite, got {bearing_deg}")
+    bearing_deg = _finite("bearing_deg", bearing_deg)  # before % 360: inf % 360 is a nan
     return ShadingSector(
         bearing_deg=bearing_deg % 360.0,
         width_deg=2.0 * spec.aperture_half_angle_deg,
@@ -232,6 +215,7 @@ class LensReport:
 
 def boost_rx_power(rx_dbm: float, effect: LensEffect) -> LensReport:
     """Apply the lens uplift to a bare received-power figure."""
+    rx_dbm = _finite("rx_dbm", rx_dbm)
     return LensReport(
         rx_before_dbm=rx_dbm,
         rx_after_dbm=rx_dbm + effect.gain_uplift_db,
@@ -262,12 +246,13 @@ def shading_assessment(
     boundary bearings count as shaded. Zero width disables shading entirely.
     """
     sector = effect.shading_sector
+    center = _finite("lens_bearing_deg", lens_bearing_deg) % 360.0
+    bearings = [_finite("client bearing", bearing) for bearing in client_bearings_deg]
     if sector.width_deg == 0.0:
-        return [0.0 for _ in client_bearings_deg]
-    center = lens_bearing_deg % 360.0
+        return [0.0 for _ in bearings]
     half = sector.width_deg / 2.0
     out = []
-    for bearing in client_bearings_deg:
+    for bearing in bearings:
         delta = (bearing - center) % 360.0
         dist = min(delta, 360.0 - delta)
         out.append(sector.attenuation_db if dist <= half else 0.0)

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, _finite, _positive
 
 # Exact SI value; wavelengths below 2.4 GHz folklore (0.125 m) come out as
 # 0.12491... from this constant.
@@ -28,8 +28,7 @@ class Frequency:
     hertz: float
 
     def __post_init__(self):
-        if not (self.hertz > 0 and math.isfinite(self.hertz)):
-            raise DomainError(f"frequency must be positive and finite, got {self.hertz}")
+        object.__setattr__(self, "hertz", _positive("frequency", self.hertz))
 
     @property
     def wavelength_m(self) -> float:
@@ -43,8 +42,7 @@ class AntennaGain:
     linear: float
 
     def __post_init__(self):
-        if not (self.linear > 0 and math.isfinite(self.linear)):
-            raise DomainError(f"gain must be positive and finite, got {self.linear}")
+        object.__setattr__(self, "linear", _positive("gain", self.linear))
 
     @property
     def dbi(self) -> float:
@@ -52,6 +50,7 @@ class AntennaGain:
 
     @classmethod
     def from_dbi(cls, dbi: float) -> "AntennaGain":
+        dbi = _finite("dBi gain", dbi)
         try:
             return cls(10.0 ** (dbi / 10.0))
         except (OverflowError, DomainError):  # above about 3083 dBi or below -3236
@@ -66,8 +65,7 @@ class LinkGeometry:
     frequency: Frequency
 
     def __post_init__(self):
-        if not (self.distance_m > 0 and math.isfinite(self.distance_m)):
-            raise DomainError(f"distance must be positive and finite, got {self.distance_m}")
+        object.__setattr__(self, "distance_m", _positive("distance", self.distance_m))
 
     @property
     def wavelength_m(self) -> float:
@@ -84,8 +82,7 @@ class LinkBudget:
     geometry: LinkGeometry
 
     def __post_init__(self):
-        if not math.isfinite(self.tx_power_dbm):
-            raise DomainError(f"transmit power must be finite, got {self.tx_power_dbm} dBm")
+        object.__setattr__(self, "tx_power_dbm", _finite("transmit power", self.tx_power_dbm))
 
     @property
     def rx_power_dbm(self) -> float:
@@ -185,6 +182,7 @@ def range_ratio_from_gain_delta(delta_db: float) -> float:
     Free space: power goes with 1/R^2, so a delta_db budget improvement buys
     a factor 10**(delta_db/20) of range at constant link quality.
     """
+    delta_db = _finite("gain change", delta_db)
     try:
         ratio = 10.0 ** (delta_db / 20.0)
     except OverflowError:  # above about 6165 dB

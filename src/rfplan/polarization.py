@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import DomainError, _finite, _index, _positive, _shown
 from .modes import PRESET_ISOLATION_DB
 
 if TYPE_CHECKING:
@@ -31,14 +31,14 @@ class EnvironmentModel:
     tilt_gain_db_per_rad: float = DEFAULT_TILT_GAIN_DB_PER_RAD
 
     def __post_init__(self):
-        if not 0.0 <= self.diffuse_fraction <= 1.0:
-            raise DomainError(
-                f"diffuse fraction must lie in [0, 1], got {self.diffuse_fraction}"
-            )
+        fraction = _finite("diffuse fraction", self.diffuse_fraction, 0.0, 1.0)
+        slope = _finite("tilt gain", self.tilt_gain_db_per_rad)
         # tilt_effect_db multiplies it by a tilt of up to pi/2
-        if not abs(self.tilt_gain_db_per_rad) * (math.pi / 2.0) < math.inf:
+        if not abs(slope) * (math.pi / 2.0) < math.inf:
             raise DomainError(f"tilt gain must keep the effect at |tilt| = pi/2 finite, "
-                              f"got {self.tilt_gain_db_per_rad} dB/rad")
+                              f"got {slope} dB/rad")
+        object.__setattr__(self, "diffuse_fraction", fraction)
+        object.__setattr__(self, "tilt_gain_db_per_rad", slope)
 
 
 def calibrate_diffuse_from_isolation(isolation_db: float) -> float:
@@ -47,9 +47,7 @@ def calibrate_diffuse_from_isolation(isolation_db: float) -> float:
     epsilon = 10**(-isolation_db/10), so mismatch_loss_db at 90 degrees gives
     back -isolation_db by construction.
     """
-    if not isolation_db >= 0:
-        raise DomainError(f"isolation must be non-negative dB, got {isolation_db}")
-    return 10.0 ** (-isolation_db / 10.0)
+    return 10.0 ** (-_finite("isolation", isolation_db, 0.0) / 10.0)
 
 
 ENVIRONMENT_PRESETS: dict[str, EnvironmentModel] = {
@@ -73,10 +71,8 @@ def mismatch_loss_db(delta_psi_deg: float, env: EnvironmentModel) -> float:
     Always <= 0; exactly 0 at aligned polarizations; bounded below by the
     diffuse floor 10*log10(eps).
     """
-    if not math.isfinite(delta_psi_deg):
-        raise DomainError(f"polarization angle must be finite, got {delta_psi_deg}")
     eps = env.diffuse_fraction
-    cos = math.cos(math.radians(delta_psi_deg))
+    cos = math.cos(math.radians(_finite("polarization angle", delta_psi_deg)))
     power = (1.0 - eps) * cos * cos + eps
     return 10.0 * math.log10(power) if power > 0 else float("-inf")
 
@@ -87,6 +83,7 @@ def tilt_effect_db(tilt_rad: float, env: EnvironmentModel) -> float:
     Positive for a forward lean (toward the ground-reflected wave), negative
     backward; odd by construction.
     """
+    tilt_rad = _finite("tilt", tilt_rad)
     if not abs(tilt_rad) <= math.pi / 2.0:
         raise DomainError(f"tilt must satisfy |tilt| <= pi/2, got {tilt_rad}")
     return env.tilt_gain_db_per_rad * tilt_rad
@@ -109,9 +106,8 @@ class MimoChannel:
         if not finite.all():
             i, j = np.argwhere(~finite)[0].tolist()
             raise DomainError(f"channel matrix must be finite, got {h[i, j]} at [{i}, {j}]")
-        if not (self.snr_linear > 0 and math.isfinite(self.snr_linear)):
-            raise DomainError(f"snr must be positive and finite, got {self.snr_linear}")
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "snr_linear", _positive("snr", self.snr_linear))
 
 
 def mimo_capacity_bps_hz(channel: MimoChannel) -> float:
@@ -154,13 +150,11 @@ def dual_polarized_channel(
     ones (rank-1 all-ones H). A seed adds a reproducible complex Gaussian
     perturbation of standard deviation 0.1 per entry for Monte-Carlo work.
     """
-    if not 0.0 <= xpd_linear <= 1.0:
-        raise DomainError(f"cross-polar leakage must lie in [0, 1], got {xpd_linear}")
-    if seed is not None and seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+    s = math.sqrt(_finite("cross-polar leakage", xpd_linear, 0.0, 1.0))
+    if seed is not None and (seed := _index("seed", seed)) < 0:
+        raise DomainError(f"seed must be non-negative, got {_shown(seed)}")
     import numpy as np
 
-    s = math.sqrt(xpd_linear)
     h = np.array([[1.0, s], [s, 1.0]], dtype=complex)
     if seed is not None:
         rng = np.random.default_rng(seed)

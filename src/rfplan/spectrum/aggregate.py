@@ -30,9 +30,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, _index, _real, _shown
 from ..modes import DEFAULT_EWMA_ALPHA, EWMA, MAX_HOLD
-from .frames import _LEVELS, BinGrid, SensorSweep, _index, _lookup, _prebuilt, _real, _shown
+from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _prebuilt
 
 # mW of every dBm a bin can hold, indexed by the bin's byte as unsigned. EWMA
 # output carries np.power's bits, and those follow the CPU: numpy sends

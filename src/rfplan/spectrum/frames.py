@@ -26,13 +26,12 @@ its payload on demand.
 """
 from __future__ import annotations
 
-import numbers
 import operator
 import struct
 import zlib
 from dataclasses import dataclass
 
-from ..errors import DomainError
+from ..errors import DomainError, _index, _shown
 
 MAGIC = b"WX"
 VERSION = 1
@@ -87,31 +86,6 @@ class BinGrid:
         first = -((self.bin_khz - 2 * (lo_khz - self.start_khz)) // width)
         stop = (2 * (hi_khz - self.start_khz) + self.bin_khz) // width
         return slice(first, stop)
-
-
-def _real(value) -> bool:
-    """Whether value is a real number other than a bool."""
-    # a float skips the numbers.Real ABC check, which costs about 1 us a call
-    return isinstance(value, float) or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool)
-    )
-
-
-def _shown(value) -> str:
-    try:
-        return repr(value)
-    except ValueError:  # it holds an int longer than sys.get_int_max_str_digits()
-        return f"an overlong {type(value).__name__}"
-
-
-def _index(name: str, value) -> int:
-    """value as an int; a bool, float or string is rejected, never truncated."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, _index, _shown
 from ..modes import AP_ONLY, CLIENT_AWARE, MINIMAX, WEIGHTED_SUM
 from .aggregate import AggregatedSpectrum, _complete
-from .frames import _LEVELS, BinGrid, _index, _shown
+from .frames import _LEVELS, BinGrid
 
 # position id of the access point's own spectrum
 AP_ID = "ap"

@@ -21,9 +21,10 @@ compared bit for bit with the per-link loop.
 
 normal(loc, scale) is loc + scale * standard_normal() in numpy's
 distributions.c, so the whole matrix of draws is scaled once as
-0.0 + sigma * z, which rounds the same; numpy's own check of the scale is
-then skipped, and shadowing_draws refuses a negative or non-finite sigma
-itself.
+0.0 + sigma * z, which rounds the same. numpy's own check of the scale is
+skipped: the only caller, simulate_sweeps, passes a Scenario's sigma, a
+float in (0, 100], and 100 times a draw below 13.7 in magnitude (see
+simulate.py) cannot overflow.
 
 This module imports numpy.random, which costs several ms; simulate.py loads
 it only for a scenario with shadowing.
@@ -31,13 +32,11 @@ it only for a scenario with shadowing.
 from __future__ import annotations
 
 import binascii
-import math
 
 import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from ..errors import DomainError
 
 # numpy/random/bit_generator.pyx
 _POOL_SIZE = 4
@@ -273,19 +272,13 @@ class _LinkSeed(ISeedSequence):
 def shadowing_draws(seed: int, sigma: float, n_sensors: int, n_emitters: int) -> np.ndarray:
     """draws[s, e] == default_rng([seed, s, e]).normal(0.0, sigma), bit for bit.
 
-    Shape (n_sensors, n_emitters); all zeros, with nothing drawn, when
-    sigma is 0. Each link's standard_normal() comes from the ziggurat's fast
+    Shape (n_sensors, n_emitters). Each link's standard_normal() comes from the ziggurat's fast
     path where it accepts the link's first PCG64 output, and from numpy's
     per-link loop elsewhere; the whole matrix is scaled once as
     0.0 + sigma * z, which is numpy's normal(loc, scale).
     """
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise DomainError(f"sigma must be a non-negative finite number, got {sigma}")
-    if sigma == 0.0:
-        return np.zeros((n_sensors, n_emitters))
     seeds = _pcg64_seeds(seed, n_sensors, n_emitters).reshape(-1, 4)
     z, fast = _fast_normals(_first_outputs(seeds))
     slow = np.flatnonzero(~fast)
     z[slow] = [Generator(PCG64(_LinkSeed(w))).standard_normal() for w in seeds[slow]]
-    with np.errstate(over="ignore"):  # an inf draw, as numpy's normal gives it
-        return (0.0 + float(sigma) * z).reshape(n_sensors, n_emitters)
+    return (0.0 + sigma * z).reshape(n_sensors, n_emitters)

@@ -63,9 +63,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, _finite, _index, _shown
 from ..linkbudget import Frequency, fspl_db_columns
-from .frames import _LEVELS, BinGrid, SensorSweep, _index, _lookup, _prebuilt, _real, _shown
+from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _prebuilt
 from .plan import ALL_CHANNELS, AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
 SWEEP_GRID = BinGrid(start_khz=2_400_000, bin_khz=1_000, n_bins=100)
@@ -78,20 +78,6 @@ _HALF_GUARD_DB = 1e-6
 # loose enough for any Wi-Fi floor plan: tens of dBm, sigmas of a few dB
 MAX_TX_POWER_DBM = 1000.0
 MAX_SHADOWING_SIGMA_DB = 100.0
-
-
-def _finite(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
-    """value as a float, which must be a finite real number in [low, high];
-    any other is a DomainError naming it."""
-    try:
-        number = float(value) if _real(value) else math.nan
-    except OverflowError:  # an int or Fraction past the float range
-        number = math.nan
-    if not math.isfinite(number):
-        raise DomainError(f"{name} must be a finite number, got {_shown(value)}")
-    if not low <= number <= high:
-        raise DomainError(f"{name} must lie in [{low}, {high}], got {number!r}")
-    return number
 
 
 def _pair(name: str, position, x_name: str, y_name: str) -> tuple[float, float]:

@@ -179,8 +179,8 @@ def test_shading_cone_reference_angles():
 @pytest.mark.parametrize(
     "r, distance, message",
     [
-        (math.nan, 50.0, "radius must be non-negative and finite, got nan"),  # was nan
-        (math.inf, 50.0, "radius must be non-negative and finite, got inf"),  # was 180
+        (math.nan, 50.0, "radius must be a finite number, got nan"),  # was nan
+        (math.inf, 50.0, "radius must be a finite number, got inf"),  # was 180
         (1.0, math.nan, "distance must be positive and finite, got nan"),  # was nan
         (1.0, math.inf, "distance must be positive and finite, got inf"),  # was 0.0
     ],

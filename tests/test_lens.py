@@ -309,7 +309,7 @@ def test_lens_shadow_sector_uses_aperture_width():
     "call, value",
     [
         (lambda: LensSpec(0.625 * LAM, F_DESIGN, math.inf, 40.0), "inf"),
-        (lambda: LensSpec(math.nan, F_DESIGN, 0.3, 40.0), "nan m"),
+        (lambda: LensSpec(math.nan, F_DESIGN, 0.3, 40.0), "got nan"),
         # (lambda/2a)^2 vanishes against 1: the index was exactly 1.0
         (lambda: LensSpec(1e9, F_DESIGN, 0.3, 40.0), "plate spacing 1000000000.0 m"),
         (lambda: LensEffect(throughput_uplift_fraction=math.nan), "nan"),

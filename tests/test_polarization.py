@@ -225,6 +225,16 @@ def test_builder_refuses_a_negative_seed():
     assert mimo_capacity_bps_hz(dual_polarized_channel(0.25, seed=0)) > 0
 
 
+@pytest.mark.parametrize("seed", [2.5, "3", True, np.float64(3.0)])
+def test_builder_refuses_a_seed_that_is_not_an_integer(seed):
+    # 2.5 escaped as numpy's TypeError, "3" as a TypeError from <, and True
+    # drew as seed 1
+    with pytest.raises(DomainError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        dual_polarized_channel(0.25, seed=seed)
+    numpy_int = dual_polarized_channel(0.25, seed=np.int64(3))
+    assert np.array_equal(numpy_int.h, dual_polarized_channel(0.25, seed=3).h)
+
+
 def test_builder_seeded_perturbation_reproducible():
     a = dual_polarized_channel(0.3, seed=7)
     b = dual_polarized_channel(0.3, seed=7)

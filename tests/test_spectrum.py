@@ -66,6 +66,7 @@ from rfplan.spectrum.shadowing import (
 )
 from rfplan.spectrum.simulate import _quantize
 from rfplan import fixtures
+from tests.test_errors import PAST_FLOAT_RANGE, SPECTRUM_INPUTS
 
 
 def sweep(bins, sensor_id=0, t=0, start=SWEEP_GRID.start_khz, width=SWEEP_GRID.bin_khz):
@@ -1384,13 +1385,6 @@ def test_simulated_frames_match_pinned_bytes():
     assert digest == "033c5df7aa55b0203c1fb1d3b5663b3711aebe6da97b030cae526e1215107785"
 
 
-@pytest.mark.parametrize("sigma", [-1.0, -math.inf, math.inf, math.nan])
-def test_shadowing_draws_refuse_a_negative_or_non_finite_sigma(sigma):
-    message = f"sigma must be a non-negative finite number, got {sigma}"
-    with pytest.raises(DomainError, match=re.escape(message)):
-        shadowing_draws(1, sigma, 2, 2)
-
-
 # seeds whose SeedSequence entropy is one word, or two (2^32 and above)
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1)
 seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
@@ -1983,22 +1977,9 @@ def test_scenario_validation():
         Emitter(channel=6, tx_power_dbm=True, x=0.0, y=0.0)
 
 
-PAST_FLOAT_RANGE = 10**400 - 1  # finite as an int, infinite as a float
-
-
-@pytest.mark.parametrize(
-    ("build", "field"),
-    [
-        (lambda v: Client("c0", v, 0.0), "client x"),
-        (lambda v: Client("c0", 0.0, v), "client y"),
-        (lambda v: Emitter(6, v, 0.0, 0.0), "emitter tx_power_dbm"),
-        (lambda v: Emitter(6, 0.0, v, 0.0), "emitter x"),
-        (lambda v: Emitter(6, 0.0, 0.0, v), "emitter y"),
-        (lambda v: Scenario(ap_position=(v, 0.0)), "ap_position"),
-        (lambda v: Scenario(ap_position=(0.0, 0.0), noise_floor_dbm=v), "noise_floor_dbm"),
-        (lambda v: Scenario(ap_position=(0.0, 0.0), shadowing_sigma_db=v), "shadowing_sigma_db"),
-    ],
-)
+# the whole text for the spectrum rows of the table in tests/test_errors.py,
+# which checks every real input against more kinds of value
+@pytest.mark.parametrize(("build", "field"), [(call, name) for _, name, call in SPECTRUM_INPUTS])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_an_int_past_the_float_range_is_named(build, field, sign):
     value = sign * PAST_FLOAT_RANGE
