@@ -122,6 +122,8 @@ class AnnularScreenSpec:
             raise DomainError(
                 f"need 0 <= r_inner < r_outer, got [{self.r_inner_m}, {self.r_outer_m}]"
             )
+        check_zone_number(self.blocked_zone, "blocked_zone")
+        object.__setattr__(self, "blocked_zone", _index("blocked_zone", self.blocked_zone))
 
     @property
     def outer_diameter_m(self) -> float:

@@ -42,6 +42,10 @@ class GrowthFit:
     intercept_log2: float
     r_squared: float
 
+    def __post_init__(self):
+        for name in ("doubling_days", "intercept_log2", "r_squared"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+
 
 def _sum(values) -> float:
     """Left to right, as sum() of floats was before Python 3.12 compensated it,

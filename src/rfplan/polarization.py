@@ -97,15 +97,26 @@ class MimoChannel:
     snr_linear: float
 
     def __post_init__(self):
+        import numbers
+
         import numpy as np
 
-        h = np.asarray(self.h, dtype=complex)
+        try:
+            h = np.asarray(self.h, dtype=complex)
+        except (TypeError, ValueError):  # complex() refuses an entry, or the rows are ragged
+            raise DomainError(
+                f"channel matrix must be a 2x2 array of numbers, got {_shown(self.h)}"
+            ) from None
         if h.shape != (2, 2):
             raise DomainError(f"channel matrix must be 2x2, got shape {h.shape}")
-        finite = np.isfinite(h)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0].tolist()
-            raise DomainError(f"channel matrix must be finite, got {h[i, j]} at [{i}, {j}]")
+        # each entry as given: numpy reads None as nan and a string as its number
+        for (i, j), entry in np.ndenumerate(np.asarray(self.h, dtype=object)):
+            if not isinstance(entry, numbers.Number) or isinstance(entry, bool):
+                raise DomainError(
+                    f"channel matrix entry at [{i}, {j}] must be a number, got {_shown(entry)}"
+                )
+            if not np.isfinite(h[i, j]):
+                raise DomainError(f"channel matrix must be finite, got {h[i, j]} at [{i}, {j}]")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "snr_linear", _positive("snr", self.snr_linear))
 

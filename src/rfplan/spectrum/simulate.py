@@ -19,37 +19,33 @@ draw is at most 1370 dB. The loss at the one-wavelength clamp is 22 dB and
 the spread 13.4 dB, so a link puts under 1000 + 1370 - 22 - 13.4 < 2400 dBm,
 1e240 mW, in a bin, and a bin adds at most one term per emitter.
 
-Arithmetic: the links form one sensors x emitters array, a column per
-emitter, and every step rounds exactly as the scalar per-link formula does.
-Distances are math.dist of each sensor's and emitter's (x, y), run over
-every link by np.fromiter: CPython computes math.dist and math.hypot by one
-routine of its own, and |sx - ex| equals |ex - sx| exactly, so each equals
-math.hypot(ex - sx, ey - sy). The IEEE-exact steps run as numpy array
-operations in the scalar evaluation order: the clamp to one wavelength,
-4*pi*R/lambda, 20 times its log10, tx - loss - spread + shadow, and the
-division by 10. 10.0 ** x runs as np.float_power, whose float64 loop calls
-the C library's pow, the function Python's float ** calls. math.log10
-stays scalar, mapped over the ratios, since numpy has no loop that calls
-the C library. Measured with numpy 2.4.6 on an AVX-512 Xeon, over 2M random
-inputs each, by one or two ulp: np.hypot differs from math.hypot on about
-12,000 (coordinates uniform in +-160 m), np.log10 from math.log10 on about
-24,000 (10**U(-15, 3)), and np.power(10.0, x), SIMD code, from 10.0 ** x on
-about 106,000 (x uniform in [-15, 3]); np.float_power on none. Each
-channel's frequency, wavelength and mask are derived once per process. The
-mW adds run on a bins x sensors array, where each emitter's mask is a block
-of whole rows, added in place emitter by emitter in scenario order.
-
-Quantization takes np.log10 of every bin total. A level within
-_HALF_GUARD_DB (1e-6 dB) of a half-integer is redone with the scalar
-formula: an error of a few ulp can change round(), the floor clamp or the
-8-bit clip only there.
+Arithmetic: the links form one sensors x emitters array, and every step is
+one numpy vector routine: np.hypot of the sensor-emitter differences, the
+clamp to one wavelength, 20 * np.log10(4*pi*R/lambda), tx - loss - spread +
+shadow and np.power(10, x / 10). np.add.at sums each channel's links, and
+each channel's mask, a block of whole rows of a bins x sensors array, adds
+its sum in place; each bin total's dB is np.log10. These routines may
+differ from the C library's, which the scalar formula calls, in the last
+bits, by SIMD code that follows the CPU, and the adds run in another order
+than the formula's; that can move a bin's int8 level only next to a
+half-integer. So a bin whose unclamped vector dB lies within _HALF_GUARD_DB
+(1e-6 dB) of a half-integer, and not more than that below the noise floor,
+is redone with the exact scalar chain: each covering link's math.dist,
+fspl_db and 10.0 ** x, added from 0.0 in emitter order, then _level. Every
+level then equals the per-link formula's. Over 150 seed-1 site-survey
+scenarios of the benchmark, the worst |vector dB - exact dB| of a bin was
+2.8e-14 dB with AVX-512 on and off (numpy 2.4.6, Xeon), about 3e7 times
+below the guard; the tests measure it again on the installed numpy. Links
+whose vector path ratio reaches _RATIO_LIMIT take the scalar chain first,
+emitter by emitter, and the first that fails raises what fspl_db raises.
 
 Every sensor position must be an (x, y) pair of finite real numbers, as the
 AP's is; it is checked before any work. The sweeps are checked once per
 call, not once per sweep: they share t_ms and the grid, and their levels are
 clipped ints, so SensorSweep checks sensor 0 and the first id past 16 bits
-before any bin is summed. Every sweep is built carrying its payload, its
-bins the shared ints that parse_frame gives.
+once the links are checked, before any link is drawn or bin summed. Every
+sweep is built carrying its payload, its bins the shared ints that
+parse_frame gives.
 """
 from __future__ import annotations
 
@@ -57,14 +53,13 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import product, starmap
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from ..errors import DomainError, _finite, _index, _shown
-from ..linkbudget import Frequency, fspl_db_columns
+from ..linkbudget import Frequency, LinkGeometry, fspl_db
 from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _prebuilt
 from .plan import ALL_CHANNELS, AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
@@ -73,8 +68,10 @@ SWEEP_GRID = BinGrid(start_khz=2_400_000, bin_khz=1_000, n_bins=100)
 # power spread evenly over the 22 one-MHz bins of the mask
 _MASK_BINS = 2 * CHANNEL_HALF_WIDTH_KHZ // SWEEP_GRID.bin_khz
 _SPREAD_DB = 10.0 * math.log10(_MASK_BINS)
-# a vector level this close to a half-integer is redone with the scalar formula
+# a bin whose vector dB is this close to a half-integer is redone with the scalar chain
 _HALF_GUARD_DB = 1e-6
+# a link whose vector path ratio reaches this takes the scalar chain, which may refuse it
+_RATIO_LIMIT = 1e300
 # loose enough for any Wi-Fi floor plan: tens of dBm, sigmas of a few dB
 MAX_TX_POWER_DBM = 1000.0
 MAX_SHADOWING_SIGMA_DB = 100.0
@@ -89,14 +86,14 @@ def _pair(name: str, position, x_name: str, y_name: str) -> tuple[float, float]:
     return _finite(x_name, x), _finite(y_name, y)
 
 
-def _sensor_points(positions: Sequence[tuple[float, float]]) -> Iterator[tuple[float, float]]:
-    """Each sensor position as an (x, y) tuple of floats, checked as the AP's is."""
+def _sensor_coordinates(positions: Sequence[tuple[float, float]]) -> Iterator[float]:
+    """Each sensor position's x, then its y, as floats, checked as the AP's is."""
     for k, position in enumerate(positions):
         try:  # named only on failure, so that a sensor's check builds no string
             point = _pair("position", position, "x", "y")
         except DomainError as exc:
             raise DomainError(f"sensor {k} {exc}") from None
-        yield point
+        yield from point
 
 
 @lru_cache(maxsize=len(ALL_CHANNELS))
@@ -191,29 +188,34 @@ def simulate_sweeps(
     Distances are clamped up to one wavelength so co-located gear stays in
     the free-space formula's domain. Bin powers add in mW, emitter by emitter
     in scenario order, are floored at the scenario noise floor, and quantize
-    to signed 8-bit dBm. The module docstring says which steps run as array
-    operations and which stay scalar.
+    to signed 8-bit dBm. The module docstring says how the array steps give
+    the scalar formula's levels.
     """
-    points = list(_sensor_points(sensor_positions))  # checked before any work
-    shape = (len(points), len(scenario.emitters))
-    draws = np.zeros(shape)
-    if scenario.shadowing_sigma_db != 0.0:
-        # imported here: numpy.random costs several ms, and only drawing needs it
-        from .shadowing import shadowing_draws
-
-        draws = shadowing_draws(scenario.seed, scenario.shadowing_sigma_db, *shape)
+    # checked before any work, and held as floats, not as a tuple per sensor
+    sensor_xy = np.fromiter(_sensor_coordinates(sensor_positions), float).reshape(-1, 2)
+    shape = (len(sensor_xy), len(scenario.emitters))
     facts = [_channel_facts(e.channel) for e in scenario.emitters]
-    links = product(points, [(e.x, e.y) for e in scenario.emitters])
-    distance_m = np.fromiter(starmap(math.dist, links), float, shape[0] * shape[1]).reshape(shape)
-    distance_m = np.maximum(distance_m, [wavelength for _, wavelength, _ in facts])
-    loss_db = fspl_db_columns(distance_m, [freq for freq, _, _ in facts])
-    tx_dbm = np.array([e.tx_power_dbm for e in scenario.emitters], dtype=float)
-    per_bin_dbm = tx_dbm - loss_db - _SPREAD_DB + draws
-    per_bin_mw = np.float_power(10.0, per_bin_dbm / 10.0)
+
+    def exact_loss(s: int, e: int) -> float:
+        """Link (s, e)'s path loss by the scalar formula; fspl_db raises for a failing link."""
+        emitter = scenario.emitters[e]
+        freq, wavelength, _ = facts[e]
+        distance = max(math.dist(sensor_xy[s].tolist(), (emitter.x, emitter.y)), wavelength)
+        return fspl_db(LinkGeometry(distance, freq))
+
+    emitter_x, emitter_y, tx_dbm, wavelength_m = np.array(
+        [(e.x, e.y, e.tx_power_dbm, fact[1]) for e, fact in zip(scenario.emitters, facts)]
+    ).reshape(-1, 4).T
+    with np.errstate(over="ignore"):  # a difference past the float range is refused below
+        distance_m = np.hypot(emitter_x - sensor_xy[:, :1], emitter_y - sensor_xy[:, 1:])
+        ratio = 4.0 * math.pi * np.maximum(distance_m, wavelength_m) / wavelength_m
+    if not (ratio < _RATIO_LIMIT).all():
+        for e, s in zip(*np.nonzero(~(ratio < _RATIO_LIMIT).T)):  # emitter by emitter
+            exact_loss(s, e)
     # The levels will be clipped ints and the grid fields are constants, so
     # only the id bound and t_ms can fail SensorSweep's checks: check sensor
     # 0, whose id always fits, and the first id that does not, if there are
-    # that many, before any bin is summed.
+    # that many, before any link is drawn or bin summed.
     for sensor_index in (0, 0x10000):
         if sensor_index >= shape[0]:
             break
@@ -225,14 +227,35 @@ def simulate_sweeps(
             bins=(0,),
         )
         t_ms = checked.timestamp_ms  # an int, as SensorSweep makes it
-    # bins x sensors, so that each mask is a block of whole rows, added in place
+    draws = np.zeros(shape)
+    if scenario.shadowing_sigma_db != 0.0:
+        # imported here: numpy.random costs several ms, and only drawing needs it
+        from .shadowing import shadowing_draws
+
+        draws = shadowing_draws(scenario.seed, scenario.shadowing_sigma_db, *shape)
+    per_bin_dbm = tx_dbm - 20.0 * np.log10(ratio) - _SPREAD_DB + draws
+    per_bin_mw = np.power(10.0, per_bin_dbm / 10.0)
+
+    def exact_total(s: int, b: int) -> float:
+        """Bin b's mW at sensor s by the scalar formula, added in emitter order."""
+        total = 0.0
+        for e, (emitter, (_, _, mask)) in enumerate(zip(scenario.emitters, facts)):
+            if mask.start <= b < mask.stop:
+                dbm = emitter.tx_power_dbm - exact_loss(s, e) - _SPREAD_DB + draws[s, e].item()
+                total += 10.0 ** (dbm / 10.0)
+        return total
+
+    # each channel's links summed first, then its mask added in place as a
+    # block of whole rows of a bins x sensors array
+    channels = [e.channel for e in scenario.emitters]
+    per_channel_mw = np.zeros((ALL_CHANNELS[-1] + 1, shape[0]))
+    np.add.at(per_channel_mw, channels, per_bin_mw.T)
     bin_major = np.zeros((SWEEP_GRID.n_bins, shape[0]))
-    for (_, _, mask), column in zip(facts, per_bin_mw.T):
-        rows = bin_major[mask]
-        np.add(rows, column, out=rows)
-    levels = _quantize(bin_major.T, scenario.noise_floor_dbm)
-    # every level lies in [-128, 127], so its int8 bytes are the frame payload
-    payload = levels.astype(np.int8).tobytes()
+    for channel in sorted(set(channels)):
+        rows = bin_major[_channel_facts(channel)[2]]
+        np.add(rows, per_channel_mw[channel], out=rows)
+    # the int8 bytes of the levels are the frame payload
+    payload = _quantize(bin_major.T, scenario.noise_floor_dbm, exact_total).tobytes()
     bins = _lookup(_LEVELS, payload)  # one call for every sensor's bins, sliced per sweep
     n = SWEEP_GRID.n_bins
     return [
@@ -255,22 +278,17 @@ def _level(mw: float, floor_dbm: float) -> int:
     return int(min(127, max(-128, round(dbm))))
 
 
-def _quantize(total_mw: np.ndarray, floor_dbm: float) -> np.ndarray:
-    """_level of every entry, bit for bit, as an int64 array of the same shape.
-
-    numpy's log10 is within a few ulp of math.log10, which can move round(),
-    the floor clamp or the 8-bit clip only for a level near a half-integer;
-    those totals take the scalar formula, once per distinct total: at a
-    half-integer floor every floor bin is one. Every total must be finite:
-    round() refuses an infinite level.
-    """
-    with np.errstate(all="ignore"):  # log10(0) is -inf, which the floor replaces
-        dbm = np.maximum(10.0 * np.log10(total_mw), floor_dbm)
-        levels = np.clip(np.rint(dbm), -128, 127).astype(np.int64)
-        near_half = ~(np.abs(dbm - np.floor(dbm) - 0.5) > _HALF_GUARD_DB)
-    if near_half.any():
-        totals, where = np.unique(total_mw[near_half], return_inverse=True)
-        levels[near_half] = np.array([_level(mw, floor_dbm) for mw in totals.tolist()])[where]
+def _quantize(total_mw: np.ndarray, floor_dbm: float, exact_total: Callable) -> np.ndarray:
+    """_level of every total, as an int8 array of the same shape: by np.log10,
+    but for a total in doubt (see the module docstring), whose level is _level
+    of exact_total(*index), that total summed by the scalar formula."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # log10(0) is -inf, never in doubt
+        dbm = 10.0 * np.log10(total_mw)
+        near_half = np.abs(dbm - np.floor(dbm) - 0.5) <= _HALF_GUARD_DB
+        in_doubt = near_half & (dbm >= floor_dbm - _HALF_GUARD_DB)
+    levels = np.clip(np.rint(np.maximum(dbm, floor_dbm)), -128, 127).astype(np.int8)
+    for index in np.argwhere(in_doubt).tolist():
+        levels[tuple(index)] = _level(exact_total(*index), floor_dbm)
     return levels
 
 

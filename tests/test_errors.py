@@ -103,6 +103,9 @@ LIBRARY_INPUTS = [
     ("CountSeries", "count", lambda v: CountSeries(((0.0, v), (1.0, 2.0)))),
     ("predict_doubling_date", "from_t_days",
      lambda v: predict_doubling_date(GrowthFit(1.0, 0.0, 1.0), v)),
+    ("GrowthFit", "doubling_days", lambda v: GrowthFit(v, 0.0, 1.0)),
+    ("GrowthFit", "intercept_log2", lambda v: GrowthFit(1.0, v, 1.0)),
+    ("GrowthFit", "r_squared", lambda v: GrowthFit(1.0, 0.0, v)),
 ]
 
 # a step just above the sample bound makes a curve of a million samples,
@@ -180,6 +183,7 @@ def test_any_input_returns_or_raises_a_domain_error(name, call, value):
         (lambda v: MimoChannel(np.eye(2), v).snr_linear, "snr_linear"),
         (lambda v: EnvironmentModel(v / 4, v).tilt_gain_db_per_rad, "tilt_gain_db_per_rad"),
         (lambda v: CountSeries(((0, 1), (v, v))).points[1][1], "count"),
+        (lambda v: GrowthFit(v, v, v).r_squared, "r_squared"),
     ],
 )
 @pytest.mark.parametrize("value", [3, Fraction(3, 1), np.float32(3.0), np.int64(3)])

@@ -166,6 +166,12 @@ def test_screen_zone_one_starts_at_axis():
 def test_annular_screen_validation():
     with pytest.raises(DomainError):
         AnnularScreenSpec(GEOM, r_inner_m=1.0, r_outer_m=0.5, blocked_zone=2)
+    with pytest.raises(DomainError, match=r"^blocked_zone must be an integer, got 2\.5$"):
+        AnnularScreenSpec(GEOM, r_inner_m=0.0, r_outer_m=1.0, blocked_zone=2.5)
+    with pytest.raises(DomainError, match=r"^blocked_zone must lie in 1\.\.200, got 0$"):
+        AnnularScreenSpec(GEOM, r_inner_m=0.0, r_outer_m=1.0, blocked_zone=0)
+    screen = AnnularScreenSpec(GEOM, r_inner_m=0.0, r_outer_m=1.0, blocked_zone=np.int64(2))
+    assert type(screen.blocked_zone) is int and screen.blocked_zone == 2
 
 
 def test_shading_cone_reference_angles():

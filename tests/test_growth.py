@@ -204,6 +204,12 @@ def test_predict_refuses_a_date_beyond_the_float_range():
         predict_doubling_date(fit, 1e308)
 
 
+def test_growth_fit_refuses_a_field_that_is_not_a_finite_number():
+    # tests/test_errors.py names every field; this call once raised a TypeError
+    with pytest.raises(DomainError, match="^doubling_days must be a finite number, got None$"):
+        predict_doubling_date(GrowthFit(None, 0.0, 1.0), 1.0)
+
+
 _ANY_TIME = st.floats(allow_nan=False, allow_infinity=False)
 _ANY_COUNT = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 

@@ -58,6 +58,14 @@ def test_fspl_near_field_guard():
     fspl_db(LinkGeometry(f.wavelength_m, f))
 
 
+@pytest.mark.parametrize("frequency", [None, 2.4e9, "2.4e9"])
+def test_link_geometry_refuses_a_frequency_that_is_not_a_frequency(frequency):
+    # LinkGeometry(1.0, None) was once accepted and failed later with an AttributeError
+    with pytest.raises(DomainError) as info:
+        LinkGeometry(1.0, frequency)
+    assert str(info.value) == f"frequency must be a Frequency, got {frequency!r}"
+
+
 @pytest.mark.parametrize(
     ("distance", "hertz", "far_field"),
     [(1e308, 2.4 * GHZ, True), (2e306, 2.4 * GHZ, True), (1e-300, 1e-300, False)],

@@ -147,6 +147,26 @@ def test_channel_validation():
 
 
 @pytest.mark.parametrize(
+    ("h", "message"),
+    [
+        ([["a", "b"], ["c", "d"]],
+         "channel matrix must be a 2x2 array of numbers, got [['a', 'b'], ['c', 'd']]"),
+        ("xx", "channel matrix must be a 2x2 array of numbers, got 'xx'"),
+        ([[1, 2], [3]], "channel matrix must be a 2x2 array of numbers, got [[1, 2], [3]]"),
+        # numpy would read None as nan+nanj and "1" as 1
+        ([[None, 1], [1, 1]], "channel matrix entry at [0, 0] must be a number, got None"),
+        ([[1, 0], ["1", 1]], "channel matrix entry at [1, 0] must be a number, got '1'"),
+        ([[1, 0], [0, True]], "channel matrix entry at [1, 1] must be a number, got True"),
+    ],
+    ids=["strings", "string", "ragged", "none", "numeric-string", "bool"],
+)
+def test_channel_matrix_names_what_is_not_a_matrix_of_numbers(h, message):
+    with pytest.raises(DomainError) as info:
+        MimoChannel(h=h, snr_linear=1.0)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "h, entry",
     [
         ([[1e200, 0], [0, 1]], "(1e+200+0j) at [0, 0]"),
