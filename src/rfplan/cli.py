@@ -175,10 +175,6 @@ def _cmd_linkbudget(args) -> Result:
         args.pt, _antenna_gain("--gt", args.gt), _antenna_gain("--gr", args.gr), geometry
     )
     utilization = power_utilization(budget.tx_gain, budget.rx_gain, geometry)
-    if not math.isfinite(utilization):
-        raise DomainError(
-            f"--gt {args.gt!r} dBi with --gr {args.gr!r} dBi overflows power_utilization"
-        )
     return Result(
         {
             "wavelength_m": geometry.wavelength_m,

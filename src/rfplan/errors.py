@@ -4,9 +4,10 @@ Every input that violates a physical or structural precondition raises
 DomainError (or a subclass), so callers can distinguish bad inputs from bugs.
 A non-real value, a bool, nan, inf or a number past the float range given to
 any public constructor or function where a real number is due is a
-DomainError naming it: _finite and _positive return the float that is then
-stored or used, as _index returns an int for an integer input. No numpy here:
-every CLI command loads this module.
+DomainError naming it: _finite, _positive and _length return the float that
+is then stored or used, as _index returns an int for an integer input, and
+every length lies in the one domain below. No numpy here: every CLI command
+loads this module.
 """
 import math
 import operator
@@ -56,6 +57,27 @@ def _finite(name: str, value, low: float = -math.inf, high: float = math.inf) ->
     if not low <= number <= high:
         raise DomainError(f"{name} must lie in [{low}, {high}], got {number!r}")
     return number
+
+
+# Every length the library takes lies in [MIN_LENGTH_M, MAX_LENGTH_M] metres;
+# a radius may also be 0, and a coordinate or offset is signed, within
+# +-MAX_LENGTH_M. 1e12 < 2**53, so an int coordinate in range is exact as a
+# float. No product of four lengths and no ratio of two leaves the float range
+# or goes subnormal: they lie in [1e-48, 1e48] and [1e-24, 1e24], and normal
+# floats span [2.2e-308, 1.8e308]. Sums, coordinate differences (at most
+# 2*sqrt(2)*MAX_LENGTH_M) and factors such as 4*pi or U_MAX = 200 move these
+# bounds by a few decades: fspl_db's ratio lies in [4*pi, 1.3e25],
+# PathGeometry's terms in [1e-48, about 1e52], and a simulator link above
+# about -2,673 dBm. A radius, coordinate or offset below MIN_LENGTH_M may
+# square to a subnormal or 0, right to within 1e-24 m^2, never a nan or inf.
+MIN_LENGTH_M = 1e-12
+MAX_LENGTH_M = 1e12
+
+
+def _length(name: str, value, low: float = MIN_LENGTH_M) -> float:
+    """value as a float, a length in [low, MAX_LENGTH_M] metres: low is 0.0
+    for a radius and -MAX_LENGTH_M for a coordinate or offset."""
+    return _finite(name, value, low, MAX_LENGTH_M)
 
 
 def _positive(name: str, value) -> float:

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DomainError, _finite, _index, _positive, _shown, check_sample_count
+from .errors import DomainError, _finite, _index, _length, _positive, _shown, check_sample_count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,7 +61,12 @@ _PANEL_BLOCK = 8192
 
 @dataclass(frozen=True)
 class PathGeometry:
-    """Transmitter -> screen plane -> receiver distances plus wavelength."""
+    """Transmitter -> screen plane -> receiver distances plus wavelength.
+
+    All three are lengths (see errors.py), so the terms of zone_radius and
+    obliquity_factor to U_MAX lie in [1e-48, about 1e52]: from (d1*d1)*(d2*d2)
+    to (d1*d1 + r^2)*(d2*d2 + r^2), r^2 = U_MAX*lambda*d1*d2/(d1+d2) <= 1e26.
+    """
 
     d1_m: float
     d2_m: float
@@ -70,21 +74,11 @@ class PathGeometry:
 
     def __post_init__(self):
         for name in ("d1_m", "d2_m", "lambda_m"):
-            object.__setattr__(self, name, _positive(name, getattr(self, name)))
-        # the terms of zone_radius and obliquity_factor to U_MAX, in their order
-        # of operations; one that overflows or goes subnormal turns radii into
-        # inf or nan and K(u) into nan or a flat 0.5
-        d1, d2, lam = self.d1_m, self.d2_m, self.lambda_m
-        r_sq = U_MAX * lam * d1 * d2 / (d1 + d2)
-        terms = (lam * d1 * d2 / (d1 + d2), d1 * d2, d1 * d1, d2 * d2,
-                 (d1 * d1) * (d2 * d2), (d1 * d1 + r_sq) * (d2 * d2 + r_sq))
-        if not all(sys.float_info.min <= t < math.inf for t in terms):
-            raise DomainError(f"d1_m={d1!r}, d2_m={d2!r}, lambda_m={lam!r}: zone radii "
-                              f"or K(u) to u = {U_MAX:g} leave the float range")
+            object.__setattr__(self, name, _length(name, getattr(self, name)))
 
 
 def check_zone_number(n: int, name: str = "zone number") -> None:
-    """Refuse a zone outside 1..U_MAX: PathGeometry checks the terms only that far."""
+    """Refuse a zone outside 1..U_MAX: PathGeometry bounds the terms only that far."""
     if not 1 <= _index(name, n) <= U_MAX:
         raise DomainError(f"{name} must lie in 1..{U_MAX:g}, got {_shown(n)}")
 
@@ -98,12 +92,9 @@ def zone_radius(n: int, geometry: PathGeometry) -> float:
 
 def zone_index(r_m: float, geometry: PathGeometry) -> float:
     """Continuous zone coordinate u at radius r; inverse of zone_radius."""
-    r_m = _finite("radius", r_m, 0.0)
+    r_m = _length("radius", r_m, 0.0)
     g = geometry
-    u = r_m * r_m * (g.d1_m + g.d2_m) / (g.lambda_m * g.d1_m * g.d2_m)
-    if u == math.inf:
-        raise DomainError(f"radius {r_m} puts the zone coordinate beyond the float range")
-    return u
+    return r_m * r_m * (g.d1_m + g.d2_m) / (g.lambda_m * g.d1_m * g.d2_m)
 
 
 @dataclass(frozen=True)
@@ -117,10 +108,10 @@ class AnnularScreenSpec:
 
     def __post_init__(self):
         for name in ("r_inner_m", "r_outer_m"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        if not 0.0 <= self.r_inner_m < self.r_outer_m:
+            object.__setattr__(self, name, _length(name, getattr(self, name), 0.0))
+        if not self.r_inner_m < self.r_outer_m:
             raise DomainError(
-                f"need 0 <= r_inner < r_outer, got [{self.r_inner_m}, {self.r_outer_m}]"
+                f"need r_inner < r_outer, got [{self.r_inner_m}, {self.r_outer_m}]"
             )
         check_zone_number(self.blocked_zone, "blocked_zone")
         object.__setattr__(self, "blocked_zone", _index("blocked_zone", self.blocked_zone))
@@ -148,8 +139,8 @@ def shading_cone_deg(r_outer_m: float, distance_m: float) -> float:
     The caller picks the apex distance: d1 for the cone seen from the access
     point, d1+d2 for the whole link.
     """
-    distance_m = _positive("distance", distance_m)
-    r_outer_m = _finite("radius", r_outer_m, 0.0)
+    distance_m = _length("distance", distance_m)
+    r_outer_m = _length("radius", r_outer_m, 0.0)
     return 2.0 * math.degrees(math.atan(r_outer_m / distance_m))
 
 

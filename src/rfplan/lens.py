@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .errors import DomainError, _finite, _positive, check_sample_count
+from .errors import MAX_LENGTH_M, DomainError, _finite, _length, _positive, check_sample_count
 from .linkbudget import (
     AntennaGain,
     Frequency,
@@ -36,7 +36,7 @@ class BelowCutoffError(DomainError):
 
 def effective_index(plate_spacing_m: float, frequency: Frequency) -> float:
     """Effective refraction index n = sqrt(1 - (lambda/(2a))^2), in (0, 1)."""
-    plate_spacing_m = _finite("plate spacing", plate_spacing_m)
+    plate_spacing_m = _length("plate spacing", plate_spacing_m)
     lam = frequency.wavelength_m
     if plate_spacing_m <= lam / 2.0:
         raise BelowCutoffError(
@@ -63,7 +63,7 @@ def profile_radius(focal_m: float, index: float, theta_deg: float) -> float:
     if not 0.0 < index < 1.0:
         raise DomainError(f"effective index must lie in (0, 1), got {index}")
     theta = math.radians(_finite("profile angle", theta_deg, -90.0, 90.0))
-    focal_m = _positive("focal length", focal_m)
+    focal_m = _length("focal length", focal_m)
     return focal_m * (1.0 - index) / (1.0 - index * math.cos(theta))
 
 
@@ -77,10 +77,10 @@ class LensSpec:
     aperture_half_angle_deg: float
 
     def __post_init__(self):
-        spacing = _finite("plate spacing", self.plate_spacing_m)
+        spacing = _length("plate spacing", self.plate_spacing_m)
         effective_index(spacing, self.design_frequency)  # BelowCutoffError for a <= lambda/2
         object.__setattr__(self, "plate_spacing_m", spacing)
-        object.__setattr__(self, "focal_length_m", _positive("focal length", self.focal_length_m))
+        object.__setattr__(self, "focal_length_m", _length("focal length", self.focal_length_m))
         angle = _finite("aperture half angle", self.aperture_half_angle_deg)
         if not 0.0 < angle < 90.0:
             raise DomainError(f"aperture half angle must lie in (0, 90) deg, got {angle}")
@@ -142,12 +142,14 @@ def plate_edge_offset(spec: LensSpec, y_m: float) -> float:
     on the branch through the vertex,
     d = y^2 / ((1-n)*(f + sqrt(f^2 - (1+n)/(1-n)*y^2))). Past theta = acos(n)
     the curve turns back toward the axis; only the vertex branch is
-    returned. |y| beyond the aperture edge is a DomainError.
+    returned. |y| beyond the aperture edge is a DomainError. f is a length
+    and |y| at most f, and 1 - n is at least 2**-53, so every term stays
+    below 2e40 and d is finite.
     """
     n = spec.index
     f = spec.focal_length_m
     edge_deg = spec.aperture_half_angle_deg
-    y_m = _finite("offset", y_m)
+    y_m = _length("offset", y_m, -MAX_LENGTH_M)
     y_edge = profile_radius(f, n, edge_deg) * math.sin(math.radians(edge_deg))
     if not abs(y_m) <= y_edge:
         raise DomainError(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, _finite, _positive, _shown
+from .errors import MAX_LENGTH_M, MIN_LENGTH_M, DomainError, _finite, _length, _positive, _shown
 
 # Exact SI value; wavelengths below 2.4 GHz folklore (0.125 m) come out as
 # 0.12491... from this constant.
@@ -22,12 +22,14 @@ class NearFieldError(DomainError):
 
 @dataclass(frozen=True)
 class Frequency:
-    """Carrier frequency in hertz."""
+    """Carrier frequency in hertz, whose wavelength is a length (see errors.py)."""
 
     hertz: float
 
     def __post_init__(self):
-        object.__setattr__(self, "hertz", _positive("frequency", self.hertz))
+        hertz = _finite("frequency", self.hertz, SPEED_OF_LIGHT_M_S / MAX_LENGTH_M,
+                        SPEED_OF_LIGHT_M_S / MIN_LENGTH_M)
+        object.__setattr__(self, "hertz", hertz)
 
     @property
     def wavelength_m(self) -> float:
@@ -64,7 +66,7 @@ class LinkGeometry:
     frequency: Frequency
 
     def __post_init__(self):
-        object.__setattr__(self, "distance_m", _positive("distance", self.distance_m))
+        object.__setattr__(self, "distance_m", _length("distance", self.distance_m))
         if not isinstance(self.frequency, Frequency):
             raise DomainError(f"frequency must be a Frequency, got {_shown(self.frequency)}")
 
@@ -98,20 +100,14 @@ def _check_far_field(geometry: LinkGeometry) -> None:
         )
 
 
-def fspl_db(geometry: LinkGeometry, *, enforce_far_field: bool = True) -> float:
+def fspl_db(geometry: LinkGeometry) -> float:
     """Free-space path loss, 20*log10(4*pi*R/lambda).
 
-    Raises NearFieldError for R < lambda unless enforce_far_field is False
-    (useful only for checking the formula's fixed points), and DomainError
-    when 4*pi*R/lambda overflows (or, without the far-field check, reaches 0).
+    Raises NearFieldError for R < lambda. R and lambda are lengths, so the
+    ratio lies in [4*pi, 4*pi*1e24], within [4*pi, 1.3e25].
     """
-    if enforce_far_field:
-        _check_far_field(geometry)
-    ratio = 4.0 * math.pi * geometry.distance_m / geometry.wavelength_m
-    if not 0.0 < ratio < math.inf:
-        raise DomainError(f"4*pi*R/lambda for distance {geometry.distance_m} m and "
-                          f"wavelength {geometry.wavelength_m} m leaves the float range")
-    return 20.0 * math.log10(ratio)
+    _check_far_field(geometry)
+    return 20.0 * math.log10(4.0 * math.pi * geometry.distance_m / geometry.wavelength_m)
 
 
 def friis_received_dbm(budget: LinkBudget) -> float:
@@ -124,24 +120,24 @@ def friis_received_dbm(budget: LinkBudget) -> float:
     )
 
 
-def power_utilization(
-    tx_gain: AntennaGain,
-    rx_gain: AntennaGain,
-    geometry: LinkGeometry,
-    *,
-    enforce_far_field: bool = True,
-) -> float:
+def power_utilization(tx_gain: AntennaGain, rx_gain: AntennaGain, geometry: LinkGeometry) -> float:
     """Fraction of radiated power collected by the receive antenna.
 
     Gt * A_eff / (4*pi*R^2) with A_eff = Gr * lambda^2 / (4*pi), which reduces
     to Gt * Gr * (lambda / (4*pi*R))^2. Symmetric in the two gains. For stock
     2.4 GHz gear at tens of meters this lands around 1e-6, i.e. nearly all
-    radiated energy misses the receiver.
+    radiated energy misses the receiver. Raises NearFieldError for R < lambda,
+    and DomainError for gains whose product overflows.
     """
-    if enforce_far_field:
-        _check_far_field(geometry)
+    _check_far_field(geometry)
     scale = geometry.wavelength_m / (4.0 * math.pi * geometry.distance_m)
-    return tx_gain.linear * rx_gain.linear * scale * scale
+    utilization = tx_gain.linear * rx_gain.linear * scale * scale
+    if utilization == math.inf:
+        raise DomainError(
+            f"gains {tx_gain.dbi!r} dBi and {rx_gain.dbi!r} dBi at distance "
+            f"{geometry.distance_m!r} m overflow power_utilization"
+        )
+    return utilization
 
 
 def range_ratio_from_gain_delta(delta_db: float) -> float:

@@ -11,13 +11,15 @@ byte-identical sweeps. shadowing.py draws every link at once as array code,
 and through numpy's own generator only the links its ziggurat fast path
 refuses.
 
-Bounds: every real field is stored as a float, |tx_power_dbm| is at most
-MAX_TX_POWER_DBM and shadowing_sigma_db at most MAX_SHADOWING_SIGMA_DB, so no
-link and no bin total leaves the float range. numpy's ziggurat draws a tail
-normal as r + x with x <= 36.74 / r for 53-bit uniforms, so |z| < 13.7 and a
-draw is at most 1370 dB. The loss at the one-wavelength clamp is 22 dB and
-the spread 13.4 dB, so a link puts under 1000 + 1370 - 22 - 13.4 < 2400 dBm,
-1e240 mW, in a bin, and a bin adds at most one term per emitter.
+Bounds: every real field is stored as a float, coordinates lie within
++-MAX_LENGTH_M, |tx_power_dbm| is at most MAX_TX_POWER_DBM and
+shadowing_sigma_db at most MAX_SHADOWING_SIGMA_DB. numpy's ziggurat draws a
+tail normal as r + x with x <= 36.74 / r for 53-bit uniforms, so |z| < 13.7
+and a draw lies within +-1370 dB. With the 13.4 dB spread and a loss from
+22 dB at the one-wavelength clamp to 289.4 dB over 2*sqrt(2)*MAX_LENGTH_M at
+channel 14, a link puts between -1000 - 1370 - 289.4 - 13.4 > -2673 dBm
+(1e-267 mW, which cannot underflow) and 1000 + 1370 - 22 - 13.4 < 2400 dBm
+(1e240 mW) in a bin, and a bin adds at most one term per emitter.
 
 Arithmetic: the links form one sensors x emitters array, and every step is
 one numpy vector routine: np.hypot of the sensor-emitter differences, the
@@ -31,21 +33,19 @@ than the formula's; that can move a bin's int8 level only next to a
 half-integer. So a bin whose unclamped vector dB lies within _HALF_GUARD_DB
 (1e-6 dB) of a half-integer, and not more than that below the noise floor,
 is redone with the exact scalar chain: each covering link's math.dist,
-fspl_db and 10.0 ** x, added from 0.0 in emitter order, then _level. Every
-level then equals the per-link formula's. Over 150 seed-1 site-survey
-scenarios of the benchmark, the worst |vector dB - exact dB| of a bin was
-2.8e-14 dB with AVX-512 on and off (numpy 2.4.6, Xeon), about 3e7 times
-below the guard; the tests measure it again on the installed numpy. Links
-whose vector path ratio reaches _RATIO_LIMIT take the scalar chain first,
-emitter by emitter, and the first that fails raises what fspl_db raises.
+fspl_db's formula (R may exceed the lengths fspl_db takes) and 10.0 ** x,
+added from 0.0 in emitter order, then _level. Every level then equals the
+per-link formula's. Over 150 seed-1 site-survey scenarios of the benchmark,
+the worst |vector dB - exact dB| of a bin was 2.8e-14 dB with AVX-512 on and
+off (numpy 2.4.6, Xeon), about 3e7 times below the guard; the tests measure
+it again on the installed numpy.
 
-Every sensor position must be an (x, y) pair of finite real numbers, as the
-AP's is; it is checked before any work. The sweeps are checked once per
-call, not once per sweep: they share t_ms and the grid, and their levels are
-clipped ints, so SensorSweep checks sensor 0 and the first id past 16 bits
-once the links are checked, before any link is drawn or bin summed. Every
-sweep is built carrying its payload, its bins the shared ints that
-parse_frame gives.
+Every sensor position must be an (x, y) pair of coordinates, as the AP's
+is; it is checked before any work. The sweeps are checked once per call, not
+once per sweep: they share t_ms and the grid, and their levels are clipped
+ints, so SensorSweep checks sensor 0 and the first id past 16 bits before
+any link is formed or bin summed. Every sweep is built carrying its payload,
+its bins the shared ints that parse_frame gives.
 """
 from __future__ import annotations
 
@@ -58,8 +58,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import DomainError, _finite, _index, _shown
-from ..linkbudget import Frequency, LinkGeometry, fspl_db
+from ..errors import MAX_LENGTH_M, DomainError, _finite, _index, _length, _shown
+from ..linkbudget import Frequency
 from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _prebuilt
 from .plan import ALL_CHANNELS, AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
@@ -70,8 +70,6 @@ _MASK_BINS = 2 * CHANNEL_HALF_WIDTH_KHZ // SWEEP_GRID.bin_khz
 _SPREAD_DB = 10.0 * math.log10(_MASK_BINS)
 # a bin whose vector dB is this close to a half-integer is redone with the scalar chain
 _HALF_GUARD_DB = 1e-6
-# a link whose vector path ratio reaches this takes the scalar chain, which may refuse it
-_RATIO_LIMIT = 1e300
 # loose enough for any Wi-Fi floor plan: tens of dBm, sigmas of a few dB
 MAX_TX_POWER_DBM = 1000.0
 MAX_SHADOWING_SIGMA_DB = 100.0
@@ -83,7 +81,7 @@ def _pair(name: str, position, x_name: str, y_name: str) -> tuple[float, float]:
         x, y = position
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be an (x, y) pair, got {_shown(position)}") from None
-    return _finite(x_name, x), _finite(y_name, y)
+    return _length(x_name, x, -MAX_LENGTH_M), _length(y_name, y, -MAX_LENGTH_M)
 
 
 def _sensor_coordinates(positions: Sequence[tuple[float, float]]) -> Iterator[float]:
@@ -97,12 +95,11 @@ def _sensor_coordinates(positions: Sequence[tuple[float, float]]) -> Iterator[fl
 
 
 @lru_cache(maxsize=len(ALL_CHANNELS))
-def _channel_facts(channel: int) -> tuple[Frequency, float, slice]:
-    """An emitter channel's centre frequency, its wavelength and its mask's bins."""
+def _channel_facts(channel: int) -> tuple[float, slice]:
+    """An emitter channel's wavelength at its centre frequency and its mask's bins."""
     center = channel_center_khz(channel)
-    freq = Frequency(center * 1e3)
     mask = SWEEP_GRID.span(center - CHANNEL_HALF_WIDTH_KHZ, center + CHANNEL_HALF_WIDTH_KHZ)
-    return freq, freq.wavelength_m, mask
+    return Frequency(center * 1e3).wavelength_m, mask
 
 
 @dataclass(frozen=True)
@@ -114,8 +111,8 @@ class Client:
     def __post_init__(self):
         if not isinstance(self.id, str):
             raise DomainError(f"client id must be a string, got {_shown(self.id)}")
-        object.__setattr__(self, "x", _finite("client x", self.x))
-        object.__setattr__(self, "y", _finite("client y", self.y))
+        object.__setattr__(self, "x", _length("client x", self.x, -MAX_LENGTH_M))
+        object.__setattr__(self, "y", _length("client y", self.y, -MAX_LENGTH_M))
 
 
 @dataclass(frozen=True)
@@ -132,8 +129,8 @@ class Emitter:
             "emitter tx_power_dbm", self.tx_power_dbm, -MAX_TX_POWER_DBM, MAX_TX_POWER_DBM
         )
         object.__setattr__(self, "tx_power_dbm", tx_dbm)
-        object.__setattr__(self, "x", _finite("emitter x", self.x))
-        object.__setattr__(self, "y", _finite("emitter y", self.y))
+        object.__setattr__(self, "x", _length("emitter x", self.x, -MAX_LENGTH_M))
+        object.__setattr__(self, "y", _length("emitter y", self.y, -MAX_LENGTH_M))
 
 
 @dataclass(frozen=True)
@@ -195,23 +192,6 @@ def simulate_sweeps(
     sensor_xy = np.fromiter(_sensor_coordinates(sensor_positions), float).reshape(-1, 2)
     shape = (len(sensor_xy), len(scenario.emitters))
     facts = [_channel_facts(e.channel) for e in scenario.emitters]
-
-    def exact_loss(s: int, e: int) -> float:
-        """Link (s, e)'s path loss by the scalar formula; fspl_db raises for a failing link."""
-        emitter = scenario.emitters[e]
-        freq, wavelength, _ = facts[e]
-        distance = max(math.dist(sensor_xy[s].tolist(), (emitter.x, emitter.y)), wavelength)
-        return fspl_db(LinkGeometry(distance, freq))
-
-    emitter_x, emitter_y, tx_dbm, wavelength_m = np.array(
-        [(e.x, e.y, e.tx_power_dbm, fact[1]) for e, fact in zip(scenario.emitters, facts)]
-    ).reshape(-1, 4).T
-    with np.errstate(over="ignore"):  # a difference past the float range is refused below
-        distance_m = np.hypot(emitter_x - sensor_xy[:, :1], emitter_y - sensor_xy[:, 1:])
-        ratio = 4.0 * math.pi * np.maximum(distance_m, wavelength_m) / wavelength_m
-    if not (ratio < _RATIO_LIMIT).all():
-        for e, s in zip(*np.nonzero(~(ratio < _RATIO_LIMIT).T)):  # emitter by emitter
-            exact_loss(s, e)
     # The levels will be clipped ints and the grid fields are constants, so
     # only the id bound and t_ms can fail SensorSweep's checks: check sensor
     # 0, whose id always fits, and the first id that does not, if there are
@@ -227,6 +207,11 @@ def simulate_sweeps(
             bins=(0,),
         )
         t_ms = checked.timestamp_ms  # an int, as SensorSweep makes it
+    emitter_x, emitter_y, tx_dbm, wavelength_m = np.array(
+        [(e.x, e.y, e.tx_power_dbm, fact[0]) for e, fact in zip(scenario.emitters, facts)]
+    ).reshape(-1, 4).T
+    distance_m = np.hypot(emitter_x - sensor_xy[:, :1], emitter_y - sensor_xy[:, 1:])
+    ratio = 4.0 * math.pi * np.maximum(distance_m, wavelength_m) / wavelength_m
     draws = np.zeros(shape)
     if scenario.shadowing_sigma_db != 0.0:
         # imported here: numpy.random costs several ms, and only drawing needs it
@@ -238,10 +223,12 @@ def simulate_sweeps(
 
     def exact_total(s: int, b: int) -> float:
         """Bin b's mW at sensor s by the scalar formula, added in emitter order."""
-        total = 0.0
-        for e, (emitter, (_, _, mask)) in enumerate(zip(scenario.emitters, facts)):
+        total, sensor = 0.0, sensor_xy[s].tolist()
+        for e, (emitter, (wavelength, mask)) in enumerate(zip(scenario.emitters, facts)):
             if mask.start <= b < mask.stop:
-                dbm = emitter.tx_power_dbm - exact_loss(s, e) - _SPREAD_DB + draws[s, e].item()
+                distance = max(math.dist(sensor, (emitter.x, emitter.y)), wavelength)
+                loss = 20.0 * math.log10(4.0 * math.pi * distance / wavelength)
+                dbm = emitter.tx_power_dbm - loss - _SPREAD_DB + draws[s, e].item()
                 total += 10.0 ** (dbm / 10.0)
         return total
 
@@ -252,7 +239,7 @@ def simulate_sweeps(
     np.add.at(per_channel_mw, channels, per_bin_mw.T)
     bin_major = np.zeros((SWEEP_GRID.n_bins, shape[0]))
     for channel in sorted(set(channels)):
-        rows = bin_major[_channel_facts(channel)[2]]
+        rows = bin_major[_channel_facts(channel)[1]]
         np.add(rows, per_channel_mw[channel], out=rows)
     # the int8 bytes of the levels are the frame payload
     payload = _quantize(bin_major.T, scenario.noise_floor_dbm, exact_total).tobytes()

@@ -775,7 +775,7 @@ LINKBUDGET_GEOMETRY = ["linkbudget", "--pt", "1", "--freq", "2.4e9", "--dist", "
         (["--gt", "0", "--gr=-1e308"],
          "--gr must be a gain with a positive, finite linear value, got -1e+308 dBi"),
         (["--gt", "3000", "--gr", "3000"],
-         "--gt 3000.0 dBi with --gr 3000.0 dBi overflows power_utilization"),
+         "gains 3000.0 dBi and 3000.0 dBi at distance 10.0 m overflow power_utilization"),
     ],
 )
 def test_overflowing_gains_name_the_flag(capsys, gains, message):
@@ -797,32 +797,36 @@ def test_finite_gains_exit_two_or_print_strict_json(gt, gr):
         strict_json(stdout.getvalue())
     else:
         assert (code, stdout.getvalue()) == (2, "")
-        assert re.match(r"error: --g[tr] ", stderr.getvalue())
+        assert re.match(r"error: (--g[tr] |gains )", stderr.getvalue())
+
+
+LENGTH_BOUNDS = "must lie in [1e-12, 1000000000000.0], got"
 
 
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
         (["linkbudget", "--pt", "1", "--gt", "0", "--gr", "0", "--freq", "2.4e9",
-          "--dist", "1e308"],
-         "4*pi*R/lambda for distance 1e+308 m and wavelength 0.12491352416666666 m "
-         "leaves the float range"),
+          "--dist", "1e308"], f"distance {LENGTH_BOUNDS} 1e+308"),
+        (["linkbudget", "--pt", "1", "--gt", "0", "--gr", "0", "--freq", "1e-300",
+          "--dist", "10"], "frequency must lie in [0.000299792458, 2.99792458e+20], got 1e-300"),
         (["fresnel", "zones", "--lambda", "0.125", "--d1", "1e308", "--d2", "1e308"],
-         "d1_m=1e+308, d2_m=1e+308, lambda_m=0.125"),
-        (["fresnel", "zones", "--lambda", "1e300", "--d1", "1e300", "--d2", "1e300"],
-         "d1_m=1e+300, d2_m=1e+300, lambda_m=1e+300"),
-        (["fresnel", "field", "--block", "1:2", "--obliquity", "--lambda", "1e-300",
-          "--d1", "1e-300", "--d2", "1e-300"],
-         "d1_m=1e-300, d2_m=1e-300, lambda_m=1e-300"),
+         f"d1_m {LENGTH_BOUNDS} 1e+308"),
+        (["fresnel", "zones", "--lambda", "1e300", "--d1", "25", "--d2", "25"],
+         f"lambda_m {LENGTH_BOUNDS} 1e+300"),
         (["fresnel", "field", "--block", "1:2", "--obliquity", "--lambda", "0.125",
-          "--d1", "1e200", "--d2", "25"],
-         "d1_m=1e+200, d2_m=25.0, lambda_m=0.125"),
+          "--d1", "25", "--d2", "1e-300"], f"d2_m {LENGTH_BOUNDS} 1e-300"),
+        # a zone radius past the domain, from lengths inside it
+        (["fresnel", "screen", "--zone", "200", "--lambda", "1e12", "--d1", "1e12",
+          "--d2", "1e12"], "r_inner_m must lie in [0.0, 1000000000000.0], got 9974968671630.002"),
+        (["lens", "design", "--focal", "1e160"], f"focal length {LENGTH_BOUNDS} 1e+160"),
+        (["lens", "design", "--spacing", "1e16"], f"plate spacing {LENGTH_BOUNDS} 1e+16"),
     ],
+    ids=["distance", "frequency", "d1", "lambda", "d2", "zone-radius", "focal", "spacing"],
 )
-def test_values_outside_float_range_exit_two(capsys, argv, message):
+def test_lengths_outside_the_domain_exit_two_naming_the_field(capsys, argv, message):
     err = assert_domain_error(capsys, *argv, "--format", "json")
-    assert err.startswith(f"error: {message}")
-    assert err.count("\n") == 1
+    assert err == f"error: {message}\n"
 
 
 positive_finite = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -838,8 +842,10 @@ def test_any_positive_link_exits_two_or_prints_strict_json(dist, freq):
         strict_json(stdout.getvalue())
     else:
         assert (code, stdout.getvalue()) == (2, "")
-        assert re.fullmatch(f"error: [^\n]*distance {re.escape(repr(dist))} m[^\n]*\n",
-                            stderr.getvalue())
+        d, f = re.escape(repr(dist)), re.escape(repr(freq))
+        named = (f"distance {d} m is inside one wavelength [^\n]*|distance must lie in [^\n]*, "
+                 f"got {d}|frequency must lie in [^\n]*, got {f}")
+        assert re.fullmatch(f"error: ({named})\n", stderr.getvalue())
 
 
 FRESNEL_GEOMETRY_COMMANDS = [
@@ -864,8 +870,11 @@ def test_any_positive_fresnel_geometry_exits_two_or_prints_strict_json(command, 
         strict_json(stdout.getvalue())
     else:
         assert (code, stdout.getvalue()) == (2, "")
-        named = f"d1_m={d1!r}, d2_m={d2!r}, lambda_m={lam!r}: "
-        assert re.fullmatch(f"error: {re.escape(named)}[^\n]*\n", stderr.getvalue())
+        named = "|".join(f"{name} must lie in [^\n]*, got {re.escape(repr(value))}"
+                         for name, value in (("d1_m", d1), ("d2_m", d2), ("lambda_m", lam)))
+        if command[1] == "screen":  # the zone radius and d1 + d2 it derives are lengths too
+            named += "|(r_inner_m|r_outer_m|distance) must lie in [^\n]*"
+        assert re.fullmatch(f"error: ({named})\n", stderr.getvalue())
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

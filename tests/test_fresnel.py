@@ -1,6 +1,8 @@
 import cmath
 import contextlib
+import itertools
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -12,7 +14,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rfplan import fresnel
-from rfplan.errors import MAX_SAMPLES, DomainError, check_sample_count
+from rfplan.errors import (
+    MAX_LENGTH_M,
+    MAX_SAMPLES,
+    MIN_LENGTH_M,
+    DomainError,
+    check_sample_count,
+)
 from rfplan.fresnel import (
     U_MAX,
     AnnularScreenSpec,
@@ -125,7 +133,7 @@ def test_zone_index_refuses_non_finite_radius(r):
 
 
 def test_zone_index_refuses_radius_whose_coordinate_overflows():
-    with pytest.raises(DomainError, match="radius 1e\\+200 puts"):
+    with pytest.raises(DomainError, match="^radius must lie in .*, got 1e\\+200$"):
         zone_index(1e200, GEOM)
 
 
@@ -187,8 +195,8 @@ def test_shading_cone_reference_angles():
     [
         (math.nan, 50.0, "radius must be a finite number, got nan"),  # was nan
         (math.inf, 50.0, "radius must be a finite number, got inf"),  # was 180
-        (1.0, math.nan, "distance must be positive and finite, got nan"),  # was nan
-        (1.0, math.inf, "distance must be positive and finite, got inf"),  # was 0.0
+        (1.0, math.nan, "distance must be a finite number, got nan"),  # was nan
+        (1.0, math.inf, "distance must be a finite number, got inf"),  # was 0.0
     ],
 )
 def test_shading_cone_refuses_non_finite_inputs(r, distance, message):
@@ -562,19 +570,72 @@ def test_quadrature_paths_emit_no_warnings():
 
 
 @pytest.mark.parametrize(
-    ("d1", "d2", "lam"),
+    ("d1", "d2", "lam", "named"),
     [
-        (1e308, 1e308, 0.125),  # d1 + d2 and d1*d1 overflow: nan radii
-        (1e300, 1e300, 1e300),  # lambda*d1 overflows: infinite radii
-        (1e-300, 1e-300, 1e-300),  # d1*d2 underflows: K(u) is nan
-        (1e200, 25.0, 0.125),  # d1*d1 overflows: K(u) is a flat 0.5
-        (1e-160, 1e100, 0.125),  # d1*d1 is subnormal: K(0) is 1.0000028
+        # geometries whose radii or K(u) would leave the float range
+        (1e308, 1e308, 0.125, "d1_m"),  # d1 + d2 and d1*d1 overflow: nan radii
+        (1e300, 1e300, 1e300, "d1_m"),  # lambda*d1 overflows: infinite radii
+        (1e-300, 1e-300, 1e-300, "d1_m"),  # d1*d2 underflows: K(u) is nan
+        (1e200, 25.0, 0.125, "d1_m"),  # d1*d1 overflows: K(u) is a flat 0.5
+        (1e-160, 1e100, 0.125, "d1_m"),  # d1*d1 is subnormal: K(0) is 1.0000028
+        # and the next float past either end of the domain
+        (25.0, math.nextafter(MAX_LENGTH_M, math.inf), 0.125, "d2_m"),
+        (25.0, 25.0, math.nextafter(MIN_LENGTH_M, 0.0), "lambda_m"),
     ],
 )
-def test_path_geometry_outside_float_range_names_all_three(d1, d2, lam):
-    message = f"d1_m={d1!r}, d2_m={d2!r}, lambda_m={lam!r}: "
-    with pytest.raises(DomainError, match=re.escape(message)):
+def test_path_geometry_outside_the_length_domain_names_the_field(d1, d2, lam, named):
+    value = {"d1_m": d1, "d2_m": d2, "lambda_m": lam}[named]
+    message = f"^{named} must lie in .*, got {re.escape(repr(value))}$"
+    with pytest.raises(DomainError, match=message):
         PathGeometry(d1, d2, lam)
+
+
+# the deep-fuzz CI step sets RFPLAN_CLI_FUZZ_PROFILE=cli-fuzz-deep, which runs
+# the domain properties below at 1,000 examples, never derandomized
+if os.environ.get("RFPLAN_CLI_FUZZ_PROFILE") == "cli-fuzz-deep":
+    DOMAIN = settings(deadline=None, max_examples=1000, derandomize=False)
+else:
+    DOMAIN = settings(deadline=None)
+
+# log-uniform over the length domain, and its ends as often as a value between them
+in_domain_lengths = st.one_of(
+    st.sampled_from([MIN_LENGTH_M, MAX_LENGTH_M]),
+    st.floats(-12.0, 12.0).map(lambda e: min(max(10.0**e, MIN_LENGTH_M), MAX_LENGTH_M)),
+)
+
+
+def assert_geometry_stays_in_the_float_range(d1, d2, lam):
+    """The terms of zone_radius and obliquity_factor lie within PathGeometry's
+    written bound, and nothing numpy computes overflows, underflows or turns
+    into a nan: what lets PathGeometry go without a check of its terms."""
+    geometry = PathGeometry(d1, d2, lam)
+    r_sq = U_MAX * lam * d1 * d2 / (d1 + d2)
+    terms = (lam * d1 * d2 / (d1 + d2), d1 * d2, d1 * d1, d2 * d2,
+             (d1 * d1) * (d2 * d2), (d1 * d1 + r_sq) * (d2 * d2 + r_sq))
+    assert all(0.99e-48 <= t <= 1.1e52 for t in terms), terms
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="raise"):
+        assert math.isfinite(zone_radius(200, geometry))
+        assert math.isfinite(zone_index(MAX_LENGTH_M, geometry))
+        k = obliquity_factor(np.linspace(0.0, U_MAX, 401), geometry)
+        assert ((0.0 <= k) & (k <= 1.0)).all()
+        ratio = field_ratio([(1.0, 2.0), (150.0, U_MAX)], obliquity=True, geometry=geometry)
+        assert cmath.isfinite(ratio.complex_ratio)
+        curve = partial_field_curve(3.0, 0.25, obliquity=True, geometry=geometry)
+        assert all(math.isfinite(m) for _, m in curve)
+
+
+@pytest.mark.parametrize(
+    ("d1", "d2", "lam"), itertools.product([MIN_LENGTH_M, MAX_LENGTH_M], repeat=3)
+)
+def test_path_geometry_at_the_corners_of_the_length_domain_stays_in_the_float_range(d1, d2, lam):
+    assert_geometry_stays_in_the_float_range(d1, d2, lam)
+
+
+@DOMAIN
+@given(d1=in_domain_lengths, d2=in_domain_lengths, lam=in_domain_lengths)
+@example(d1=25.0, d2=25.0, lam=0.125)
+def test_path_geometry_across_the_length_domain_stays_in_the_float_range(d1, d2, lam):
+    assert_geometry_stays_in_the_float_range(d1, d2, lam)
 
 
 # moderate values, hypothesis's edge-biased floats, and log-uniform ones

@@ -1,13 +1,15 @@
 import math
+import os
 import re
 import sys
 from dataclasses import astuple
 
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rfplan.errors import DomainError
+from rfplan.errors import MAX_LENGTH_M, MIN_LENGTH_M, DomainError
 from rfplan.lens import (
     BelowCutoffError,
     LensEffect,
@@ -23,6 +25,7 @@ from rfplan.lens import (
     shading_assessment,
 )
 from rfplan.linkbudget import (
+    SPEED_OF_LIGHT_M_S,
     AntennaGain,
     Frequency,
     LinkBudget,
@@ -209,6 +212,52 @@ def test_plate_edge_offset_matches_profile_depth(spacing_factor, focal, fold_fra
 def test_plate_edge_offset_rejects_nan():
     with pytest.raises(DomainError, match="nan"):
         plate_edge_offset(spec_with_index_06(), math.nan)
+
+
+# the deep-fuzz CI step sets RFPLAN_CLI_FUZZ_PROFILE=cli-fuzz-deep, which runs
+# the domain property below at 1,000 examples, never derandomized
+if os.environ.get("RFPLAN_CLI_FUZZ_PROFILE") == "cli-fuzz-deep":
+    DOMAIN = settings(deadline=None, max_examples=1000, derandomize=False)
+else:
+    DOMAIN = settings(deadline=None)
+
+# log-uniform over the length domain, and its ends as often as a value between them
+in_domain_lengths = st.one_of(
+    st.sampled_from([MIN_LENGTH_M, MAX_LENGTH_M]),
+    st.floats(-12.0, 12.0).map(lambda e: min(max(10.0**e, MIN_LENGTH_M), MAX_LENGTH_M)),
+)
+
+
+@DOMAIN
+@given(
+    lam=in_domain_lengths,
+    # from just past cutoff to where the index nearly rounds to 1
+    spacing_factor=st.sampled_from([0.625, 1e7]) | st.floats(0.5, 1e7, exclude_min=True),
+    focal=in_domain_lengths,
+    aperture=st.floats(1e-3, 90.0, exclude_max=True),
+    fraction=st.sampled_from([-1.0, 0.5, 1.0]) | st.floats(-1.0, 1.0),
+)
+@example(lam=LAM, spacing_factor=0.625, focal=MAX_LENGTH_M, aperture=40.0, fraction=0.5)
+@example(lam=MIN_LENGTH_M, spacing_factor=1e7, focal=MAX_LENGTH_M, aperture=89.0, fraction=1.0)
+@example(lam=MAX_LENGTH_M, spacing_factor=0.625, focal=MIN_LENGTH_M, aperture=1.0, fraction=-1.0)
+def test_lens_stays_finite_across_the_length_domain(lam, spacing_factor, focal, aperture, fraction):
+    # a focal length of 1e160 m, which the domain now refuses, gave an
+    # infinite depth at half the aperture edge
+    spacing = min(spacing_factor * lam, MAX_LENGTH_M)
+    try:
+        spec = LensSpec(spacing, Frequency(SPEED_OF_LIGHT_M_S / lam), focal, aperture)
+    except DomainError:  # at or below cutoff, or an index that rounds to 1
+        assume(False)
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="raise"):
+        profile = lens_profile(spec, step_deg=aperture / 8.0)
+        assert all(math.isfinite(v) for s in profile.samples for v in astuple(s))
+        edge = profile.samples[-1].y_m
+        assert math.isfinite(plate_edge_offset(spec, fraction * edge))
+
+
+def test_lens_refuses_a_focal_length_outside_the_length_domain():
+    with pytest.raises(DomainError, match=r"^focal length must lie in .*, got 1e\+160$"):
+        LensSpec(0.625 * LAM, F_DESIGN, 1e160, 40.0)
 
 
 def test_apply_lens_defaults_to_measured_band_midpoint():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rfplan.errors import DomainError
+from rfplan.errors import MAX_LENGTH_M, MIN_LENGTH_M, DomainError
 from rfplan.linkbudget import (
     SPEED_OF_LIGHT_M_S,
     AntennaGain,
@@ -38,10 +38,10 @@ def test_nonpositive_frequency_rejected():
         Frequency(-2.4 * GHZ)
 
 
-def test_fspl_log_argument_one_gives_zero():
-    lam = Frequency(2.4 * GHZ).wavelength_m
-    geom = LinkGeometry(lam / (4 * math.pi), Frequency(2.4 * GHZ))
-    assert fspl_db(geom, enforce_far_field=False) == pytest.approx(0.0, abs=1e-12)
+def test_fspl_at_one_wavelength_is_20_log10_of_4pi():
+    f = Frequency(2.4 * GHZ)
+    expected = 20 * math.log10(4 * math.pi)
+    assert fspl_db(LinkGeometry(f.wavelength_m, f)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_fspl_reference_values():
@@ -66,28 +66,62 @@ def test_link_geometry_refuses_a_frequency_that_is_not_a_frequency(frequency):
     assert str(info.value) == f"frequency must be a Frequency, got {frequency!r}"
 
 
-@pytest.mark.parametrize(
-    ("distance", "hertz", "far_field"),
-    [(1e308, 2.4 * GHZ, True), (2e306, 2.4 * GHZ, True), (1e-300, 1e-300, False)],
+# the lowest and highest frequency, whose wavelengths are the longest and
+# shortest lengths
+HERTZ_BOUNDS = [SPEED_OF_LIGHT_M_S / MAX_LENGTH_M, SPEED_OF_LIGHT_M_S / MIN_LENGTH_M]
+# log-uniform over the length domain, and its ends as often as a value between them
+in_domain_lengths = st.one_of(
+    st.sampled_from([MIN_LENGTH_M, MAX_LENGTH_M]),
+    st.floats(-12.0, 12.0).map(lambda e: min(max(10.0**e, MIN_LENGTH_M), MAX_LENGTH_M)),
 )
-def test_fspl_outside_float_range_names_distance_and_wavelength(distance, hertz, far_field):
+
+
+@pytest.mark.parametrize(
+    ("value", "build", "name"),
+    [
+        (math.nextafter(MAX_LENGTH_M, math.inf), lambda v: LinkGeometry(v, Frequency(GHZ)),
+         "distance"),
+        (math.nextafter(MIN_LENGTH_M, 0.0), lambda v: LinkGeometry(v, Frequency(GHZ)),
+         "distance"),
+        (math.nextafter(HERTZ_BOUNDS[0], 0.0), Frequency, "frequency"),
+        (math.nextafter(HERTZ_BOUNDS[1], math.inf), Frequency, "frequency"),
+    ],
+    ids=["distance-up", "distance-down", "frequency-down", "frequency-up"],
+)
+def test_a_link_outside_the_length_domain_is_refused_by_name(value, build, name):
+    message = f"^{name} must lie in .*, got {re.escape(repr(value))}$"
+    with pytest.raises(DomainError, match=message):
+        build(value)
+
+
+@given(distance=in_domain_lengths, hertz=st.sampled_from(HERTZ_BOUNDS) | st.floats(*HERTZ_BOUNDS))
+@example(distance=MAX_LENGTH_M, hertz=HERTZ_BOUNDS[1])
+@example(distance=MIN_LENGTH_M, hertz=HERTZ_BOUNDS[1])
+@example(distance=MAX_LENGTH_M, hertz=HERTZ_BOUNDS[0])
+def test_fspl_ratio_stays_in_its_bound_across_the_length_domain(distance, hertz):
+    # what lets fspl_db and power_utilization go without a float-range check:
+    # a wavelength is a length too, and the far-field check leaves R >= lambda
     geometry = LinkGeometry(distance, Frequency(hertz))
-    message = (
-        f"4*pi*R/lambda for distance {distance} m and wavelength "
-        f"{geometry.wavelength_m} m leaves the float range"
-    )
-    with pytest.raises(DomainError, match=re.escape(message)):
-        fspl_db(geometry, enforce_far_field=far_field)
+    assert MIN_LENGTH_M <= geometry.wavelength_m <= MAX_LENGTH_M
+    if distance < geometry.wavelength_m:
+        with pytest.raises(NearFieldError):
+            fspl_db(geometry)
+        return
+    ratio = 4.0 * math.pi * distance / geometry.wavelength_m
+    assert 4 * math.pi * (1 - 1e-15) <= ratio <= 1.3e25
+    assert fspl_db(geometry) == 20.0 * math.log10(ratio)
+    unit = power_utilization(AntennaGain(1.0), AntennaGain(1.0), geometry)
+    assert 0.0 < unit <= (1 + 1e-15) / (4 * math.pi) ** 2
 
 
 @given(
-    r=st.floats(min_value=0.5, max_value=1e5),
+    r=st.floats(min_value=1.0, max_value=1e5),
     f_ghz=st.floats(min_value=0.5, max_value=60.0),
 )
 def test_fspl_doubling_distance_costs_6dB(r, f_ghz):
     f = Frequency(f_ghz * GHZ)
-    a = fspl_db(LinkGeometry(r, f), enforce_far_field=False)
-    b = fspl_db(LinkGeometry(2 * r, f), enforce_far_field=False)
+    a = fspl_db(LinkGeometry(r, f))
+    b = fspl_db(LinkGeometry(2 * r, f))
     assert b - a == pytest.approx(20 * math.log10(2), abs=1e-9)
     assert b > a
 
@@ -98,8 +132,8 @@ def test_fspl_doubling_distance_costs_6dB(r, f_ghz):
     factor=st.floats(min_value=1.001, max_value=10.0),
 )
 def test_fspl_increasing_in_frequency(r, f_lo, factor):
-    a = fspl_db(LinkGeometry(r, Frequency(f_lo * GHZ)), enforce_far_field=False)
-    b = fspl_db(LinkGeometry(r, Frequency(f_lo * factor * GHZ)), enforce_far_field=False)
+    a = fspl_db(LinkGeometry(r, Frequency(f_lo * GHZ)))
+    b = fspl_db(LinkGeometry(r, Frequency(f_lo * factor * GHZ)))
     assert b > a
 
 
@@ -142,12 +176,20 @@ def test_friis_affine_in_tx_power_with_unit_slope(pt, delta):
 
 
 def test_power_utilization_identity_scale():
+    # unit gains at one wavelength, the nearest link the formula takes
     f = Frequency(2.4 * GHZ)
-    r = f.wavelength_m / (4 * math.pi)
-    k = power_utilization(
-        AntennaGain(1.0), AntennaGain(1.0), LinkGeometry(r, f), enforce_far_field=False
+    k = power_utilization(AntennaGain(1.0), AntennaGain(1.0), LinkGeometry(f.wavelength_m, f))
+    assert k == pytest.approx(1 / (4 * math.pi) ** 2, rel=1e-12)
+
+
+def test_power_utilization_names_gains_whose_product_overflows():
+    # it returned inf, which only the CLI caught
+    geometry = LinkGeometry(10.0, Frequency(2.4 * GHZ))
+    with pytest.raises(DomainError) as info:
+        power_utilization(AntennaGain(1e300), AntennaGain(1e300), geometry)
+    assert str(info.value) == (
+        "gains 3000.0 dBi and 3000.0 dBi at distance 10.0 m overflow power_utilization"
     )
-    assert k == pytest.approx(1.0, abs=1e-12)
 
 
 def test_power_utilization_stock_wifi_link():
