@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import modes
-from .errors import DomainError, check_sample_count
+from .errors import MAX_LENGTH_M, DomainError, _decibels, check_sample_count
 
 # Each handler imports the library module it runs, so a command loads and
 # compiles that module alone; the parser needs only the names in modes.
@@ -156,24 +156,15 @@ def _reject_non_finite_result(result: Result) -> None:
 
 # --- command handlers -------------------------------------------------------
 
-def _antenna_gain(flag: str, dbi: float):
-    from .linkbudget import AntennaGain
-
-    try:
-        return AntennaGain.from_dbi(dbi)
-    except DomainError:
-        raise DomainError(
-            f"{flag} must be a gain with a positive, finite linear value, got {dbi!r} dBi"
-        ) from None
-
-
 def _cmd_linkbudget(args) -> Result:
-    from .linkbudget import Frequency, LinkBudget, LinkGeometry, fspl_db, power_utilization
+    from .linkbudget import (
+        AntennaGain, Frequency, LinkBudget, LinkGeometry, fspl_db, power_utilization,
+    )
 
     geometry = LinkGeometry(args.dist, Frequency(args.freq))
-    budget = LinkBudget(
-        args.pt, _antenna_gain("--gt", args.gt), _antenna_gain("--gr", args.gr), geometry
-    )
+    gt = AntennaGain.from_dbi(_decibels("--gt", args.gt))
+    gr = AntennaGain.from_dbi(_decibels("--gr", args.gr))
+    budget = LinkBudget(args.pt, gt, gr, geometry)
     utilization = power_utilization(budget.tx_gain, budget.rx_gain, geometry)
     return Result(
         {
@@ -257,8 +248,15 @@ def _cmd_fresnel_screen(args) -> Result:
 
     geometry = _fresnel_geometry(args)
     fresnel.check_zone_number(args.zone, "--zone")
+    # the screen's radius and d1 + d2 are lengths too, derived from the flags
+    wave = f"--freq {args.freq!r}" if args.lambda_m is None else f"--lambda {args.lambda_m!r}"
+    d1_d2, past = f"--d1 {args.d1!r} and --d2 {args.d2!r}", f" m, past {MAX_LENGTH_M} m"
+    if (r_outer := fresnel.zone_radius(args.zone, geometry)) > MAX_LENGTH_M:
+        raise DomainError(f"--zone {args.zone} with {wave}, {d1_d2} gives a screen radius of "
+                          f"{r_outer!r}{past}")
+    if (total := geometry.d1_m + geometry.d2_m) > MAX_LENGTH_M:
+        raise DomainError(f"{d1_d2} add up to {total!r}{past}")
     screen = fresnel.screen_for_zone(args.zone, geometry)
-    total = geometry.d1_m + geometry.d2_m
     return Result(
         {
             "blocked_zone": screen.blocked_zone,

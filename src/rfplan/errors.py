@@ -4,10 +4,11 @@ Every input that violates a physical or structural precondition raises
 DomainError (or a subclass), so callers can distinguish bad inputs from bugs.
 A non-real value, a bool, nan, inf or a number past the float range given to
 any public constructor or function where a real number is due is a
-DomainError naming it: _finite, _positive and _length return the float that
-is then stored or used, as _index returns an int for an integer input, and
-every length lies in the one domain below. No numpy here: every CLI command
-loads this module.
+DomainError naming it: _finite, _positive, _length and _decibels return the
+float that is then stored or used, as _index returns an int for an integer
+input. Every length lies in the one domain below, and every dB value the
+library turns into a ratio within the one bound below it. No numpy here:
+every CLI command loads this module.
 """
 import math
 import operator
@@ -45,13 +46,18 @@ def _index(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
 
 
+def _float(value) -> float:
+    """value as a float; nan if it is not a real number or lies past the float range."""
+    try:
+        return float(value) if _real(value) else math.nan
+    except OverflowError:
+        return math.nan
+
+
 def _finite(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
     """value as a float, which must be a finite real number in [low, high];
     any other is a DomainError naming it."""
-    try:
-        number = float(value) if _real(value) else math.nan
-    except OverflowError:  # an int or Fraction past the float range
-        number = math.nan
+    number = _float(value)
     if not math.isfinite(number):
         raise DomainError(f"{name} must be a finite number, got {_shown(value)}")
     if not low <= number <= high:
@@ -80,15 +86,34 @@ def _length(name: str, value, low: float = MIN_LENGTH_M) -> float:
     return _finite(name, value, low, MAX_LENGTH_M)
 
 
-def _positive(name: str, value) -> float:
-    """value as a float, which must be a positive, finite real number; any
-    other is a DomainError naming it."""
-    try:
-        number = float(value) if _real(value) else math.nan
-    except OverflowError:
-        number = math.nan
+# Every dB value the library turns into a ratio lies within +-MAX_DB, so its
+# power ratio 10**(dB/10) lies in [1e-100, 1e100] and its field ratio
+# 10**(dB/20) in [1e-50, 1e50]. Two power ratios and the square of a ratio of
+# two lengths multiply to within [1e-300, 1e300], inside the normal floats:
+# power_utilization's Gt*Gr*(lambda/(4*pi*R))**2 lies in [6.3e-251, 6.4e197].
+# A 2x2 channel whose entries' parts are field ratios has eigenvalues of
+# H H^dagger of at most 8e100, so at an SNR that is a power ratio 1 +
+# snr/2*lambda is at most 4e200. An emitter's and a hand-built bin's dBm share
+# the bound.
+MAX_DB = 1000.0
+
+
+def _decibels(name: str, value) -> float:
+    """value as a float, a dB figure within +-MAX_DB."""
+    number = _finite(name, value)
+    if not abs(number) <= MAX_DB:
+        raise DomainError(f"{name} must lie in [{-MAX_DB}, {MAX_DB}] dB, got {number!r} dB")
+    return number
+
+
+def _positive(name: str, value, high: float = math.inf) -> float:
+    """value as a float, which must be a positive, finite real number of at
+    most high; any other is a DomainError naming it."""
+    number = _float(value)
     if not 0.0 < number < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {_shown(value)}")
+    if not number <= high:
+        raise DomainError(f"{name} must lie in (0.0, {high}], got {number!r}")
     return number
 
 

@@ -228,7 +228,8 @@ def boost_rx_power(rx_dbm: float, effect: LensEffect) -> LensReport:
 
 
 def apply_lens(budget: LinkBudget, effect: LensEffect) -> tuple[LinkBudget, LensReport]:
-    """Fold the lens into a link budget by scaling the receive gain."""
+    """Fold the lens into a link budget by scaling the receive gain; a gain the
+    uplift (up to 30 dB) takes past AntennaGain's MAX_DB dBi is a DomainError."""
     report = boost_rx_power(budget.rx_power_dbm, effect)
     boosted = replace(
         budget,
@@ -237,18 +238,14 @@ def apply_lens(budget: LinkBudget, effect: LensEffect) -> tuple[LinkBudget, Lens
     return boosted, report
 
 
-def shading_assessment(
-    lens_bearing_deg: float,
-    effect: LensEffect,
-    client_bearings_deg: Sequence[float],
-) -> list[float]:
+def shading_assessment(effect: LensEffect, client_bearings_deg: Sequence[float]) -> list[float]:
     """Per-client attenuation in dB from the lens shadow sector.
 
-    The sector is centered on lens_bearing_deg with the effect's width;
-    boundary bearings count as shaded. Zero width disables shading entirely.
+    The effect's sector is centered on its bearing, with its width; boundary
+    bearings count as shaded. Zero width disables shading entirely.
     """
     sector = effect.shading_sector
-    center = _finite("lens_bearing_deg", lens_bearing_deg) % 360.0
+    center = sector.bearing_deg % 360.0
     bearings = [_finite("client bearing", bearing) for bearing in client_bearings_deg]
     if sector.width_deg == 0.0:
         return [0.0 for _ in bearings]

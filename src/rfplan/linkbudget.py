@@ -9,11 +9,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import MAX_LENGTH_M, MIN_LENGTH_M, DomainError, _finite, _length, _positive, _shown
+from .errors import (
+    MAX_DB, MAX_LENGTH_M, MIN_LENGTH_M, DomainError, _decibels, _finite, _length, _shown,
+)
 
 # Exact SI value; wavelengths below 2.4 GHz folklore (0.125 m) come out as
 # 0.12491... from this constant.
 SPEED_OF_LIGHT_M_S = 299_792_458.0
+# the linear gains of -MAX_DB and MAX_DB dBi, as from_dbi computes them
+_GAIN_BOUNDS = (10.0 ** (-MAX_DB / 10.0), 10.0 ** (MAX_DB / 10.0))
 
 
 class NearFieldError(DomainError):
@@ -38,12 +42,13 @@ class Frequency:
 
 @dataclass(frozen=True)
 class AntennaGain:
-    """Antenna power gain, stored linearly (1.0 = isotropic)."""
+    """Antenna power gain, stored linearly (1.0 = isotropic), within the
+    linear gains of +-MAX_DB dBi (see errors.py)."""
 
     linear: float
 
     def __post_init__(self):
-        object.__setattr__(self, "linear", _positive("gain", self.linear))
+        object.__setattr__(self, "linear", _finite("gain", self.linear, *_GAIN_BOUNDS))
 
     @property
     def dbi(self) -> float:
@@ -51,11 +56,7 @@ class AntennaGain:
 
     @classmethod
     def from_dbi(cls, dbi: float) -> "AntennaGain":
-        dbi = _finite("dBi gain", dbi)
-        try:
-            return cls(10.0 ** (dbi / 10.0))
-        except (OverflowError, DomainError):  # above about 3083 dBi or below -3236
-            raise DomainError(f"{dbi} dBi has no positive, finite linear gain") from None
+        return cls(10.0 ** (_decibels("dBi gain", dbi) / 10.0))
 
 
 @dataclass(frozen=True)
@@ -126,31 +127,20 @@ def power_utilization(tx_gain: AntennaGain, rx_gain: AntennaGain, geometry: Link
     Gt * A_eff / (4*pi*R^2) with A_eff = Gr * lambda^2 / (4*pi), which reduces
     to Gt * Gr * (lambda / (4*pi*R))^2. Symmetric in the two gains. For stock
     2.4 GHz gear at tens of meters this lands around 1e-6, i.e. nearly all
-    radiated energy misses the receiver. Raises NearFieldError for R < lambda,
-    and DomainError for gains whose product overflows.
+    radiated energy misses the receiver. Raises NearFieldError for R < lambda.
+    The gains are power ratios and R and lambda lengths, so the result lies in
+    [6.3e-251, 6.4e197] (see errors.py).
     """
     _check_far_field(geometry)
     scale = geometry.wavelength_m / (4.0 * math.pi * geometry.distance_m)
-    utilization = tx_gain.linear * rx_gain.linear * scale * scale
-    if utilization == math.inf:
-        raise DomainError(
-            f"gains {tx_gain.dbi!r} dBi and {rx_gain.dbi!r} dBi at distance "
-            f"{geometry.distance_m!r} m overflow power_utilization"
-        )
-    return utilization
+    return tx_gain.linear * rx_gain.linear * scale * scale
 
 
 def range_ratio_from_gain_delta(delta_db: float) -> float:
     """Distance ratio that keeps received power fixed after a gain change.
 
     Free space: power goes with 1/R^2, so a delta_db budget improvement buys
-    a factor 10**(delta_db/20) of range at constant link quality.
+    a factor 10**(delta_db/20) of range at constant link quality, a field
+    ratio in [1e-50, 1e50] for a change within +-MAX_DB.
     """
-    delta_db = _finite("gain change", delta_db)
-    try:
-        ratio = 10.0 ** (delta_db / 20.0)
-    except OverflowError:  # above about 6165 dB
-        ratio = math.inf
-    if not ratio < math.inf:
-        raise DomainError(f"a gain change of {delta_db} dB has no finite range ratio")
-    return ratio
+    return 10.0 ** (_decibels("gain change", delta_db) / 20.0)

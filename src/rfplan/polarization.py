@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, _finite, _index, _positive, _shown
+from .errors import MAX_DB, DomainError, _decibels, _finite, _index, _positive, _shown
 from .modes import PRESET_ISOLATION_DB
 
 if TYPE_CHECKING:
@@ -21,6 +21,8 @@ if TYPE_CHECKING:
 # forward lean of the receiving element.
 REFERENCE_TILT_RAD = math.radians(15.0)
 DEFAULT_TILT_GAIN_DB_PER_RAD = 2.0 / REFERENCE_TILT_RAD
+# the largest real or imaginary part of a channel entry: a field ratio of MAX_DB
+_MAX_PART = 10.0 ** (MAX_DB / 20.0)
 
 
 @dataclass(frozen=True)
@@ -32,12 +34,8 @@ class EnvironmentModel:
 
     def __post_init__(self):
         fraction = _finite("diffuse fraction", self.diffuse_fraction, 0.0, 1.0)
-        slope = _finite("tilt gain", self.tilt_gain_db_per_rad)
-        # tilt_effect_db multiplies it by a tilt of up to pi/2
-        if not abs(slope) * (math.pi / 2.0) < math.inf:
-            raise DomainError(f"tilt gain must keep the effect at |tilt| = pi/2 finite, "
-                              f"got {slope} dB/rad")
         object.__setattr__(self, "diffuse_fraction", fraction)
+        slope = _decibels("tilt gain", self.tilt_gain_db_per_rad)
         object.__setattr__(self, "tilt_gain_db_per_rad", slope)
 
 
@@ -91,7 +89,9 @@ def tilt_effect_db(tilt_rad: float, env: EnvironmentModel) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MimoChannel:
-    """2x2 complex channel matrix and mean per-receive-branch SNR."""
+    """2x2 complex channel matrix and mean per-receive-branch SNR, bounded by
+    MAX_DB (see errors.py): the SNR as a power ratio, each real and imaginary
+    part of an entry as a field ratio (abs() of an entry may overflow)."""
 
     h: np.ndarray
     snr_linear: float
@@ -115,38 +115,27 @@ class MimoChannel:
                 raise DomainError(
                     f"channel matrix entry at [{i}, {j}] must be a number, got {_shown(entry)}"
                 )
-            if not np.isfinite(h[i, j]):
-                raise DomainError(f"channel matrix must be finite, got {h[i, j]} at [{i}, {j}]")
+            if not (abs(h[i, j].real) <= _MAX_PART and abs(h[i, j].imag) <= _MAX_PART):
+                raise DomainError(f"channel matrix entry {h[i, j]} at [{i}, {j}] must have "
+                                  f"real and imaginary parts in [{-_MAX_PART}, {_MAX_PART}]")
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "snr_linear", _positive("snr", self.snr_linear))
+        snr = _positive("snr", self.snr_linear, 10.0 ** (MAX_DB / 10.0))
+        object.__setattr__(self, "snr_linear", snr)
 
 
 def mimo_capacity_bps_hz(channel: MimoChannel) -> float:
     """Shannon capacity log2 det(I + (snr/2) H H^dagger) in bit/s/Hz.
 
     Evaluated through the eigenvalues of the Hermitian product H H^dagger,
-    which keeps the log-det stable for near-singular channels.
+    which keeps the log-det stable for near-singular channels. MimoChannel's
+    bounds keep each eigenvalue at most 8e100 and each term's argument at
+    most 4e200.
     """
     import numpy as np
 
-    with np.errstate(over="ignore", invalid="ignore"):  # refused here, naming the entry
-        hh = channel.h @ channel.h.conj().T
-        # an eigenvalue can overflow where every entry of H H^dagger is finite
-        if not (np.isfinite(hh).all()
-                and np.isfinite(eigenvalues := np.linalg.eigvalsh(hh)).all()):
-            i, j = np.unravel_index(np.argmax(np.abs(channel.h)), (2, 2))
-            raise DomainError(f"channel matrix entry {channel.h[i, j]} at [{i}, {j}] "
-                              "overflows H H^dagger")
     capacity = 0.0
-    for lam in eigenvalues:
-        lam = max(float(lam), 0.0)
-        gain = 1.0 + channel.snr_linear / 2.0 * lam
-        if math.isinf(gain):
-            raise DomainError(
-                f"snr_linear {channel.snr_linear!r} times eigenvalue {lam!r} / 2 "
-                "leaves the float range"
-            )
-        capacity += math.log2(gain)
+    for lam in np.linalg.eigvalsh(channel.h @ channel.h.conj().T):
+        capacity += math.log2(1.0 + channel.snr_linear / 2.0 * max(float(lam), 0.0))
     return capacity
 
 

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import DomainError, _index, _real, _shown
+from ..errors import MAX_DB, DomainError, _index, _real, _shown
 from ..modes import DEFAULT_EWMA_ALPHA, EWMA, MAX_HOLD
 from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _prebuilt
 
@@ -45,8 +45,6 @@ _LEVEL_TEXT = tuple(map(str, _LEVELS))  # the JSON text of every level, indexed 
 # A sweep's line: json.dumps(sweep_record(s)) + "\n" byte for byte, since it keeps json's
 # default separators and sweep_record's key order, and SensorSweep makes each field an exact int
 _RECORD = '{"sensor_id": %d, "timestamp_ms": %d, "start_khz": %d, "bin_khz": %d, "bins": [%s]}\n'
-# the bound, either way, on a bin of a spectrum built by hand, in dBm
-MAX_BIN_DBM = 1000.0
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ class AggregatedSpectrum:
 
     A spectrum built by hand is checked: start_khz and bin_khz must be
     integers and are kept as ints, and every bin must be a real number in
-    [-MAX_BIN_DBM, MAX_BIN_DBM] dBm, or the DomainError names it. A bin then
+    [-MAX_DB, MAX_DB] dBm, errors.py's dB bound, or the DomainError names it. A bin then
     holds at most 1e100 mW and a channel's mask at most 22,000 bins, so an
     in-channel total stays below 2.2e104 mW and a sum of totals over
     positions stays finite. aggregate's bins lie in [-128, 127] dBm; it
@@ -84,10 +82,10 @@ class AggregatedSpectrum:
         for name in ("start_khz", "bin_khz"):
             object.__setattr__(self, name, _index(f"spectrum {name}", getattr(self, name)))
         for dbm in self.bins:
-            if not (_real(dbm) and -MAX_BIN_DBM <= dbm <= MAX_BIN_DBM):
+            if not (_real(dbm) and -MAX_DB <= dbm <= MAX_DB):
                 raise DomainError(
                     f"bin value {_shown(dbm)} at position {self.position_id!r} must be "
-                    f"a real number in [{-MAX_BIN_DBM}, {MAX_BIN_DBM}] dBm"
+                    f"a real number in [{-MAX_DB}, {MAX_DB}] dBm"
                 )
 
     def __getattr__(self, name):

@@ -12,8 +12,8 @@ and through numpy's own generator only the links its ziggurat fast path
 refuses.
 
 Bounds: every real field is stored as a float, coordinates lie within
-+-MAX_LENGTH_M, |tx_power_dbm| is at most MAX_TX_POWER_DBM and
-shadowing_sigma_db at most MAX_SHADOWING_SIGMA_DB. numpy's ziggurat draws a
++-MAX_LENGTH_M, |tx_power_dbm| is at most MAX_DB (errors.py's dB bound,
+1000 dBm) and shadowing_sigma_db at most MAX_SHADOWING_SIGMA_DB. numpy's ziggurat draws a
 tail normal as r + x with x <= 36.74 / r for 53-bit uniforms, so |z| < 13.7
 and a draw lies within +-1370 dB. With the 13.4 dB spread and a loss from
 22 dB at the one-wavelength clamp to 289.4 dB over 2*sqrt(2)*MAX_LENGTH_M at
@@ -58,7 +58,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import MAX_LENGTH_M, DomainError, _finite, _index, _length, _shown
+from ..errors import MAX_DB, MAX_LENGTH_M, DomainError, _finite, _index, _length, _shown
 from ..linkbudget import Frequency
 from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _prebuilt
 from .plan import ALL_CHANNELS, AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
@@ -70,8 +70,7 @@ _MASK_BINS = 2 * CHANNEL_HALF_WIDTH_KHZ // SWEEP_GRID.bin_khz
 _SPREAD_DB = 10.0 * math.log10(_MASK_BINS)
 # a bin whose vector dB is this close to a half-integer is redone with the scalar chain
 _HALF_GUARD_DB = 1e-6
-# loose enough for any Wi-Fi floor plan: tens of dBm, sigmas of a few dB
-MAX_TX_POWER_DBM = 1000.0
+# loose enough for any Wi-Fi floor plan, whose sigmas are a few dB
 MAX_SHADOWING_SIGMA_DB = 100.0
 
 
@@ -125,9 +124,7 @@ class Emitter:
     def __post_init__(self):
         object.__setattr__(self, "channel", _index("emitter channel", self.channel))
         channel_center_khz(self.channel)  # validates 1..14
-        tx_dbm = _finite(
-            "emitter tx_power_dbm", self.tx_power_dbm, -MAX_TX_POWER_DBM, MAX_TX_POWER_DBM
-        )
+        tx_dbm = _finite("emitter tx_power_dbm", self.tx_power_dbm, -MAX_DB, MAX_DB)
         object.__setattr__(self, "tx_power_dbm", tx_dbm)
         object.__setattr__(self, "x", _length("emitter x", self.x, -MAX_LENGTH_M))
         object.__setattr__(self, "y", _length("emitter y", self.y, -MAX_LENGTH_M))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from rfplan import cli, fixtures
 from rfplan.cli import build_parser, run
+from rfplan.errors import MAX_DB
 from rfplan.fresnel import PathGeometry, shading_cone_deg, zone_radius
 from rfplan.linkbudget import (
     AntennaGain,
@@ -31,7 +32,6 @@ from rfplan.linkbudget import (
 from rfplan.polarization import ENVIRONMENT_PRESETS, dual_polarized_channel, mimo_capacity_bps_hz
 from rfplan.spectrum import (
     MAX_SHADOWING_SIGMA_DB,
-    MAX_TX_POWER_DBM,
     Client,
     Emitter,
     Scenario,
@@ -770,13 +770,12 @@ LINKBUDGET_GEOMETRY = ["linkbudget", "--pt", "1", "--freq", "2.4e9", "--dist", "
 @pytest.mark.parametrize(
     ("gains", "message"),
     [
-        (["--gt", "1e308", "--gr", "0"],
-         "--gt must be a gain with a positive, finite linear value, got 1e+308 dBi"),
-        (["--gt", "0", "--gr=-1e308"],
-         "--gr must be a gain with a positive, finite linear value, got -1e+308 dBi"),
-        (["--gt", "3000", "--gr", "3000"],
-         "gains 3000.0 dBi and 3000.0 dBi at distance 10.0 m overflow power_utilization"),
+        (["--gt", "1e308", "--gr", "0"], "--gt must lie in [-1000.0, 1000.0] dB, got 1e+308 dB"),
+        (["--gt", "0", "--gr=-1e308"], "--gr must lie in [-1000.0, 1000.0] dB, got -1e+308 dB"),
+        # each linear gain was finite, and their product in power_utilization overflowed
+        (["--gt", "3000", "--gr", "3000"], "--gt must lie in [-1000.0, 1000.0] dB, got 3000.0 dB"),
     ],
+    ids=["gt-1e308", "gr--1e308", "both-3000"],
 )
 def test_overflowing_gains_name_the_flag(capsys, gains, message):
     err = assert_domain_error(capsys, *LINKBUDGET_GEOMETRY, *gains, "--format", "json")
@@ -784,7 +783,9 @@ def test_overflowing_gains_name_the_flag(capsys, gains, message):
 
 
 finite_gains = st.one_of(
-    st.floats(-4000.0, 4000.0), st.floats(allow_nan=False, allow_infinity=False)
+    st.sampled_from([-MAX_DB, MAX_DB]),
+    st.floats(-4000.0, 4000.0),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
@@ -793,11 +794,14 @@ def test_finite_gains_exit_two_or_print_strict_json(gt, gr):
     stdout, stderr = io.StringIO(), io.StringIO()
     argv = [*LINKBUDGET_GEOMETRY, f"--gt={gt!r}", f"--gr={gr!r}", "--format", "json"]
     code = run(argv, stdout, stderr)
+    # the dB bound alone decides: any pair of gains within it prints
+    assert (code == 0) == (abs(gt) <= MAX_DB and abs(gr) <= MAX_DB)
     if code == 0:
         strict_json(stdout.getvalue())
     else:
         assert (code, stdout.getvalue()) == (2, "")
-        assert re.match(r"error: (--g[tr] |gains )", stderr.getvalue())
+        assert re.match(r"error: --g[tr] must lie in \[-1000\.0, 1000\.0\] dB, got ",
+                        stderr.getvalue())
 
 
 LENGTH_BOUNDS = "must lie in [1e-12, 1000000000000.0], got"
@@ -816,13 +820,20 @@ LENGTH_BOUNDS = "must lie in [1e-12, 1000000000000.0], got"
          f"lambda_m {LENGTH_BOUNDS} 1e+300"),
         (["fresnel", "field", "--block", "1:2", "--obliquity", "--lambda", "0.125",
           "--d1", "25", "--d2", "1e-300"], f"d2_m {LENGTH_BOUNDS} 1e-300"),
-        # a zone radius past the domain, from lengths inside it
+        # a zone radius past the domain, from lengths inside it; it named
+        # r_inner_m, and the sum d1 + d2 named the distance, but neither a flag
         (["fresnel", "screen", "--zone", "200", "--lambda", "1e12", "--d1", "1e12",
-          "--d2", "1e12"], "r_inner_m must lie in [0.0, 1000000000000.0], got 9974968671630.002"),
+          "--d2", "1e12"], "--zone 200 with --lambda 1000000000000.0, --d1 1000000000000.0 "
+         "and --d2 1000000000000.0 gives a screen radius of 10000000000000.0 m, past "
+         "1000000000000.0 m"),
+        (["fresnel", "screen", "--zone", "2", "--lambda", "0.125", "--d1", "6e11",
+          "--d2", "6e11"], "--d1 600000000000.0 and --d2 600000000000.0 add up to "
+         "1200000000000.0 m, past 1000000000000.0 m"),
         (["lens", "design", "--focal", "1e160"], f"focal length {LENGTH_BOUNDS} 1e+160"),
         (["lens", "design", "--spacing", "1e16"], f"plate spacing {LENGTH_BOUNDS} 1e+16"),
     ],
-    ids=["distance", "frequency", "d1", "lambda", "d2", "zone-radius", "focal", "spacing"],
+    ids=["distance", "frequency", "d1", "lambda", "d2", "zone-radius", "screen-distance",
+         "focal", "spacing"],
 )
 def test_lengths_outside_the_domain_exit_two_naming_the_field(capsys, argv, message):
     err = assert_domain_error(capsys, *argv, "--format", "json")
@@ -873,7 +884,10 @@ def test_any_positive_fresnel_geometry_exits_two_or_prints_strict_json(command, 
         named = "|".join(f"{name} must lie in [^\n]*, got {re.escape(repr(value))}"
                          for name, value in (("d1_m", d1), ("d2_m", d2), ("lambda_m", lam)))
         if command[1] == "screen":  # the zone radius and d1 + d2 it derives are lengths too
-            named += "|(r_inner_m|r_outer_m|distance) must lie in [^\n]*"
+            flags, past = f"--d1 {d1!r} and --d2 {d2!r}", " m, past 1000000000000.0 m"
+            named += (f"|{re.escape(f'--zone 2 with --lambda {lam!r}, {flags}')} gives a "
+                      f"screen radius of [^\n]*{re.escape(past)}"
+                      f"|{re.escape(flags)} add up to [^\n]*{re.escape(past)}")
         assert re.fullmatch(f"error: ({named})\n", stderr.getvalue())
 
 
@@ -912,7 +926,7 @@ emitter_stacks = st.tuples(
     st.fixed_dictionaries(
         {
             "channel": st.integers(1, 14),
-            "tx_power_dbm": st.floats(900.0, MAX_TX_POWER_DBM),
+            "tx_power_dbm": st.floats(900.0, MAX_DB),
             "x": st.floats(-200.0, 200.0),
             "y": st.floats(-200.0, 200.0),
         }
@@ -931,7 +945,7 @@ stacked_documents = st.fixed_dictionaries(
 ).filter(lambda document: document["clients"])
 # documents with an emitter's tx power, either sign, or the sigma past its
 # bound: each exits 2. The loud emitter comes after a stack within the bound
-past_tx = st.floats(MAX_TX_POWER_DBM, exclude_min=True, allow_infinity=False)
+past_tx = st.floats(MAX_DB, exclude_min=True, allow_infinity=False)
 loud_emitters = st.tuples(emitter_stacks, past_tx | past_tx.map(lambda tx: -tx)).map(
     lambda drawn: [*drawn[0], {**drawn[0][0], "tx_power_dbm": drawn[1]}]
 )
@@ -949,14 +963,9 @@ scenario_documents = st.one_of(
     past_bound_documents,
 )
 
-# The CLI properties run under the profile RFPLAN_CLI_FUZZ_PROFILE names.
-# cli-fuzz, the default: 40 examples of each of the 12 commands, about 9 s on
-# a 2-CPU Xeon, and hypothesis's default 100 scenario documents. cli-fuzz-deep:
-# 1,000 of each, a CI step of its own; it never derandomizes, which
-# hypothesis otherwise does by default on CI.
-settings.register_profile("cli-fuzz", deadline=None, max_examples=40)
-settings.register_profile("cli-fuzz-deep", deadline=None, max_examples=1000, derandomize=False)
-CLI_FUZZ = settings.get_profile(os.environ.get("RFPLAN_CLI_FUZZ_PROFILE", "cli-fuzz"))
+# The CLI properties run under the cli-fuzz profile (tests/conftest.py): 40
+# examples of each of the 12 commands, and at least 100 scenario documents
+CLI_FUZZ = settings.get_profile("cli-fuzz")
 
 
 @settings(CLI_FUZZ, max_examples=max(CLI_FUZZ.max_examples, 100))
@@ -1241,7 +1250,8 @@ def test_overflowing_capacity_exits_two_naming_the_snr(capsys):
     err = assert_domain_error(
         capsys, "polar", "capacity", "--xpd", "1.0", "--snr-linear", "1.7e308"
     )
-    assert re.fullmatch(r"error: snr_linear 1\.7e\+308 times [^\n]*\n", err)
+    # it was refused when snr/2 times an eigenvalue left the float range
+    assert err == "error: snr must lie in (0.0, 1e+100], got 1.7e+308\n"
 
 
 def test_curve_step_past_the_float_range_writes_nothing_to_stderr(capsys):

@@ -1,13 +1,13 @@
 import math
-import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rfplan.errors import DomainError
+from rfplan.errors import MAX_DB, MAX_LENGTH_M, MIN_LENGTH_M, DomainError
 from rfplan.fresnel import (
     AnnularScreenSpec,
     PathGeometry,
@@ -30,10 +30,12 @@ from rfplan.lens import (
     shading_assessment,
 )
 from rfplan.linkbudget import (
+    SPEED_OF_LIGHT_M_S,
     AntennaGain,
     Frequency,
     LinkBudget,
     LinkGeometry,
+    power_utilization,
     range_ratio_from_gain_delta,
 )
 from rfplan.polarization import (
@@ -41,10 +43,12 @@ from rfplan.polarization import (
     MimoChannel,
     calibrate_diffuse_from_isolation,
     dual_polarized_channel,
+    mimo_capacity_bps_hz,
     mismatch_loss_db,
     tilt_effect_db,
 )
 from rfplan.spectrum import Client, Emitter, Scenario
+from tests.test_linkbudget import in_domain_lengths
 
 FREQ = Frequency(2.437e9)
 GAIN = AntennaGain(1.0)
@@ -89,8 +93,7 @@ LIBRARY_INPUTS = [
     ("lens_shadow_sector", "bearing_deg", lambda v: lens_shadow_sector(SPEC, v)),
     ("lens_shadow_sector", "attenuation_db", lambda v: lens_shadow_sector(SPEC, 0.0, v)),
     ("boost_rx_power", "rx_dbm", lambda v: boost_rx_power(v, LensEffect())),
-    ("shading_assessment", "lens_bearing_deg", lambda v: shading_assessment(v, LensEffect(), [])),
-    ("shading_assessment", "client bearing", lambda v: shading_assessment(0.0, LensEffect(), [v])),
+    ("shading_assessment", "client bearing", lambda v: shading_assessment(LensEffect(), [v])),
     ("mismatch_loss_db", "polarization angle", lambda v: mismatch_loss_db(v, ENV)),
     ("MimoChannel", "snr", lambda v: MimoChannel(np.eye(2), v)),
     ("EnvironmentModel", "diffuse fraction", EnvironmentModel),
@@ -150,16 +153,9 @@ def test_a_value_that_is_not_a_finite_real_is_named(name, call):
         assert message.startswith(f"{name} must ") and repr(value) in message, value
 
 
-# the deep-fuzz CI step sets RFPLAN_CLI_FUZZ_PROFILE=cli-fuzz-deep, which runs
-# the property at 1,000 examples, never derandomized
-if os.environ.get("RFPLAN_CLI_FUZZ_PROFILE") == "cli-fuzz-deep":
-    ANY_INPUT = settings(deadline=None, max_examples=1000, derandomize=False)
-else:
-    ANY_INPUT = settings(deadline=None)
-
-
+# the deep-fuzz CI step runs the property at 1,000 examples (tests/conftest.py)
 @pytest.mark.parametrize(("name", "call"), rows(LIBRARY_INPUTS + SPECTRUM_INPUTS))
-@ANY_INPUT
+@settings.get_profile("fuzz")
 @given(value=st.one_of(st.floats(), st.integers(), st.fractions(), st.booleans(), st.none(),
                        st.text()))
 def test_any_input_returns_or_raises_a_domain_error(name, call, value):
@@ -190,3 +186,46 @@ def test_any_input_returns_or_raises_a_domain_error(name, call, value):
 def test_a_real_field_is_stored_as_the_float_it_was_checked_to_be(build, field, value):
     stored = build(value)
     assert type(stored) is float and stored == 3.0, field
+
+
+# dB values within the bound, and its ends as often as a value between them
+in_bound_db = st.sampled_from([-MAX_DB, MAX_DB]) | st.floats(-MAX_DB, MAX_DB)
+# a channel entry's part: 0, or a field ratio of a dB value within the bound,
+# either sign. A part nearer 0 is allowed too, but its square may underflow in
+# H H^dagger, which all="raise" flags; the capacity stays finite, as
+# test_any_finite_channel_gives_a_finite_capacity_or_raises_domain_error shows
+field_parts = st.sampled_from([0.0, 1e50, -1e50]) | st.builds(
+    lambda db, sign: sign * 10.0 ** (db / 20.0), in_bound_db, st.sampled_from([1.0, -1.0])
+)
+
+
+# the deep-fuzz CI step runs the property at 1,000 examples (tests/conftest.py)
+@settings.get_profile("fuzz")
+@given(
+    gains_db=st.tuples(in_bound_db, in_bound_db),
+    distance=in_domain_lengths,
+    wavelength=in_domain_lengths,
+    delta_db=in_bound_db,
+    parts=st.lists(field_parts, min_size=8, max_size=8),
+    snr_db=in_bound_db,
+)
+@example(gains_db=(MAX_DB, MAX_DB), distance=MIN_LENGTH_M, wavelength=MIN_LENGTH_M,
+         delta_db=MAX_DB, parts=[1e50, -1e50] * 4, snr_db=MAX_DB)
+@example(gains_db=(-MAX_DB, -MAX_DB), distance=MAX_LENGTH_M, wavelength=MIN_LENGTH_M,
+         delta_db=-MAX_DB, parts=[1e-50, 0.0] * 4, snr_db=-MAX_DB)
+def test_ratios_within_the_db_bound_stay_in_the_float_range(
+    gains_db, distance, wavelength, delta_db, parts, snr_db
+):
+    """What lets power_utilization, range_ratio_from_gain_delta, tilt_effect_db
+    and mimo_capacity_bps_hz go without a float-range check (see errors.py)."""
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frequency = Frequency(SPEED_OF_LIGHT_M_S / wavelength)
+        geometry = LinkGeometry(max(distance, frequency.wavelength_m), frequency)
+        gt, gr = map(AntennaGain.from_dbi, gains_db)
+        assert 6.3e-251 <= power_utilization(gt, gr, geometry) <= 6.4e197
+        assert 1e-50 <= range_ratio_from_gain_delta(delta_db) <= 1e50
+        assert math.isfinite(tilt_effect_db(-math.pi / 2, EnvironmentModel(0.1, delta_db)))
+        h = np.reshape([complex(re, im) for re, im in zip(parts[::2], parts[1::2])], (2, 2))
+        capacity = mimo_capacity_bps_hz(MimoChannel(h, 10.0 ** (snr_db / 10.0)))
+        assert 0.0 <= capacity < math.inf

@@ -2,7 +2,6 @@ import cmath
 import contextlib
 import itertools
 import math
-import os
 import re
 import sys
 import tracemalloc
@@ -590,12 +589,9 @@ def test_path_geometry_outside_the_length_domain_names_the_field(d1, d2, lam, na
         PathGeometry(d1, d2, lam)
 
 
-# the deep-fuzz CI step sets RFPLAN_CLI_FUZZ_PROFILE=cli-fuzz-deep, which runs
-# the domain properties below at 1,000 examples, never derandomized
-if os.environ.get("RFPLAN_CLI_FUZZ_PROFILE") == "cli-fuzz-deep":
-    DOMAIN = settings(deadline=None, max_examples=1000, derandomize=False)
-else:
-    DOMAIN = settings(deadline=None)
+# the deep-fuzz CI step runs the domain properties below at 1,000 examples
+# (tests/conftest.py)
+DOMAIN = settings.get_profile("fuzz")
 
 # log-uniform over the length domain, and its ends as often as a value between them
 in_domain_lengths = st.one_of(

@@ -1,15 +1,14 @@
 import math
-import os
 import re
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rfplan.errors import MAX_LENGTH_M, MIN_LENGTH_M, DomainError
+from rfplan.errors import MAX_DB, MAX_LENGTH_M, MIN_LENGTH_M, DomainError
 from rfplan.lens import (
     BelowCutoffError,
     LensEffect,
@@ -214,12 +213,9 @@ def test_plate_edge_offset_rejects_nan():
         plate_edge_offset(spec_with_index_06(), math.nan)
 
 
-# the deep-fuzz CI step sets RFPLAN_CLI_FUZZ_PROFILE=cli-fuzz-deep, which runs
-# the domain property below at 1,000 examples, never derandomized
-if os.environ.get("RFPLAN_CLI_FUZZ_PROFILE") == "cli-fuzz-deep":
-    DOMAIN = settings(deadline=None, max_examples=1000, derandomize=False)
-else:
-    DOMAIN = settings(deadline=None)
+# the deep-fuzz CI step runs the domain property below at 1,000 examples
+# (tests/conftest.py)
+DOMAIN = settings.get_profile("fuzz")
 
 # log-uniform over the length domain, and its ends as often as a value between them
 in_domain_lengths = st.one_of(
@@ -302,6 +298,15 @@ def test_apply_lens_budget_scaling():
     assert boosted.tx_gain == budget.tx_gain
 
 
+def test_apply_lens_refuses_a_gain_the_uplift_takes_past_the_db_bound():
+    budget = LinkBudget(20.0, AntennaGain(1.0), AntennaGain.from_dbi(MAX_DB - 30.0),
+                        LinkGeometry(10.0, F_DESIGN))
+    assert apply_lens(budget, LensEffect(gain_uplift_db=30.0))[0].rx_gain.dbi == MAX_DB
+    with pytest.raises(DomainError, match=r"^gain must lie in \[1e-100, 1e\+100\], got "):
+        apply_lens(replace(budget, rx_gain=AntennaGain.from_dbi(MAX_DB - 29.0)),
+                   LensEffect(gain_uplift_db=30.0))
+
+
 def test_effect_validation():
     with pytest.raises(DomainError):
         LensEffect(gain_uplift_db=-1.0)
@@ -313,21 +318,33 @@ def test_effect_validation():
         ShadingSector(width_deg=360.0)
 
 
+def shadow(bearing, width, attenuation=10.0):
+    return LensEffect(shading_sector=ShadingSector(bearing, width, attenuation))
+
+
 def test_shading_zero_width_never_attenuates():
-    effect = LensEffect(shading_sector=ShadingSector(width_deg=0.0, attenuation_db=10.0))
-    assert shading_assessment(90.0, effect, [90.0, 0.0, 180.0]) == [0.0, 0.0, 0.0]
+    assert shading_assessment(shadow(90.0, 0.0), [90.0, 0.0, 180.0]) == [0.0, 0.0, 0.0]
 
 
 def test_shading_sector_membership():
-    effect = LensEffect(shading_sector=ShadingSector(width_deg=30.0, attenuation_db=10.0))
-    assert shading_assessment(90.0, effect, [80.0, 120.0]) == [10.0, 0.0]
+    effect = shadow(90.0, 30.0)
+    assert shading_assessment(effect, [80.0, 120.0]) == [10.0, 0.0]
     # boundary bearings count as shaded
-    assert shading_assessment(90.0, effect, [75.0, 105.0]) == [10.0, 10.0]
+    assert shading_assessment(effect, [75.0, 105.0]) == [10.0, 10.0]
 
 
 def test_shading_wraps_around_north():
-    effect = LensEffect(shading_sector=ShadingSector(width_deg=20.0, attenuation_db=10.0))
-    assert shading_assessment(0.0, effect, [355.0, 12.0]) == [10.0, 0.0]
+    assert shading_assessment(shadow(0.0, 20.0), [355.0, 12.0]) == [10.0, 0.0]
+    # a sector built by hand may carry its bearing past a full turn
+    assert shading_assessment(shadow(-360.0, 20.0), [355.0, 12.0]) == [10.0, 0.0]
+
+
+def test_shading_centres_on_the_bearing_the_sector_carries():
+    # the sector's own bearing was ignored: the caller passed the centre again
+    sector = lens_shadow_sector(spec_with_index_06(aperture=10.0), bearing_deg=370.0)
+    effect = LensEffect(shading_sector=sector)
+    # centred on 10 degrees, 20 wide
+    assert shading_assessment(effect, [0.0, 20.0, 21.0, 190.0, 355.0]) == [10.0] * 2 + [0.0] * 3
 
 
 # quarter-degree grids keep client + 360*turns exact in floats, so the
@@ -339,9 +356,9 @@ def test_shading_wraps_around_north():
     turns=st.integers(min_value=-3, max_value=3),
 )
 def test_shading_invariant_under_full_turns(bearing, width, client, turns):
-    effect = LensEffect(shading_sector=ShadingSector(width_deg=width, attenuation_db=7.0))
-    a = shading_assessment(bearing, effect, [client])
-    b = shading_assessment(bearing, effect, [client + 360.0 * turns])
+    effect = shadow(bearing, width, attenuation=7.0)
+    a = shading_assessment(effect, [client])
+    b = shading_assessment(effect, [client + 360.0 * turns])
     assert a == b
     assert a[0] in (0.0, 7.0)
 

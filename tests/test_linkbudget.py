@@ -183,13 +183,11 @@ def test_power_utilization_identity_scale():
 
 
 def test_power_utilization_names_gains_whose_product_overflows():
-    # it returned inf, which only the CLI caught
-    geometry = LinkGeometry(10.0, Frequency(2.4 * GHZ))
+    # such gains lie past the dB bound, so AntennaGain names them before
+    # power_utilization can multiply them
     with pytest.raises(DomainError) as info:
-        power_utilization(AntennaGain(1e300), AntennaGain(1e300), geometry)
-    assert str(info.value) == (
-        "gains 3000.0 dBi and 3000.0 dBi at distance 10.0 m overflow power_utilization"
-    )
+        AntennaGain(1e300)
+    assert str(info.value) == "gain must lie in [1e-100, 1e+100], got 1e+300"
 
 
 def test_power_utilization_stock_wifi_link():
@@ -256,7 +254,7 @@ def test_speed_of_light_is_exact_si():
 
 @pytest.mark.parametrize("dbi", [1e308, 3084.0, -1e308, -3300.0])
 def test_gain_without_a_finite_linear_value_names_its_dbi(dbi):
-    message = f"{dbi} dBi has no positive, finite linear gain"
+    message = f"dBi gain must lie in [-1000.0, 1000.0] dB, got {dbi} dB"
     with pytest.raises(DomainError, match=re.escape(message)):
         AntennaGain.from_dbi(dbi)
 
@@ -268,6 +266,11 @@ def test_gain_without_a_finite_linear_value_names_its_dbi(dbi):
             math.nan, AntennaGain(1.0), AntennaGain(1.0), LinkGeometry(10.0, Frequency(GHZ))
         ), "got nan"),
         (lambda: range_ratio_from_gain_delta(7000.0), "7000.0 dB"),
+        # these two returned 0.0
+        (lambda: range_ratio_from_gain_delta(-7000.0), "got -7000.0 dB"),
+        (lambda: power_utilization(
+            AntennaGain(5e-324), AntennaGain(5e-324), LinkGeometry(10.0, Frequency(2.4 * GHZ))
+        ), "got 5e-324"),
     ],
 )
 def test_edge_inputs_raise_a_domain_error_naming_them(call, value):

@@ -5,7 +5,6 @@ import hashlib
 import json
 import math
 import operator
-import os
 import pickle
 import random
 import re
@@ -20,17 +19,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rfplan.errors import MAX_LENGTH_M, DomainError
+from rfplan.errors import MAX_DB, MAX_LENGTH_M, DomainError
 from rfplan.linkbudget import Frequency, LinkGeometry, fspl_db
 from rfplan.spectrum import (
     ALL_CHANNELS,
     AP_ONLY,
     CLIENT_AWARE,
     EWMA,
-    MAX_BIN_DBM,
     MAX_HOLD,
     MAX_SHADOWING_SIGMA_DB,
-    MAX_TX_POWER_DBM,
     MINIMAX,
     SWEEP_GRID,
     WEIGHTED_SUM,
@@ -367,18 +364,12 @@ DEFERRAL_GRIDS = {
     256: (2_400_000, 390),
 }
 
-# RFPLAN_CLI_FUZZ_PROFILE=cli-fuzz-deep, the CI step that deepens the CLI
-# properties, runs the deferral property, the scalar-pow property of
+# the deep-fuzz CI step runs the deferral property, the scalar-pow property of
 # hand-built bins, the simulator's property at the scenario bounds and its
 # per-link oracle, on which the half-level guard's soundness rests, at 1,000
-# examples too, never derandomized; otherwise each runs hypothesis's default 100
-if os.environ.get("RFPLAN_CLI_FUZZ_PROFILE") == "cli-fuzz-deep":
-    DEFERRAL = SCALAR_POW = BOUNDS = ORACLE = settings(
-        deadline=None, max_examples=1000, derandomize=False
-    )
-else:
-    DEFERRAL = BOUNDS = settings(deadline=None)
-    SCALAR_POW = ORACLE = settings()
+# examples (tests/conftest.py); otherwise each runs hypothesis's default 100
+DEFERRAL = BOUNDS = settings.get_profile("fuzz")
+SCALAR_POW = ORACLE = settings.get_profile("fuzz-timed")
 
 
 def deferral_logs(positions, seed):
@@ -1016,10 +1007,10 @@ def test_a_spectrum_holds_only_real_bins_within_the_bound(value, at, position):
 
 
 def test_bins_at_the_bound_score_finite_under_both_objectives():
-    # the worst case the bound allows: every bin at MAX_BIN_DBM, 1e100 mW, on a
+    # the worst case the bound allows: every bin at MAX_DB, 1e100 mW, on a
     # 1-kHz grid, where channel 6's mask holds 22,000 bins, at 21 positions
-    assert MAX_BIN_DBM == 1000.0
-    bins = (MAX_BIN_DBM,) * 22_000
+    assert MAX_DB == 1000.0
+    bins = (MAX_DB,) * 22_000
     spectra = {
         pos: AggregatedSpectrum(pos, EWMA, 2_426_000, 1, bins, {})
         for pos in ("ap", *(f"c{i}" for i in range(20)))
@@ -1057,7 +1048,7 @@ def test_bins_at_the_bound_score_finite_under_both_objectives():
 def test_any_float_bins_give_finite_scores_or_raise_domain_error(bins, n_clients, mode, objective):
     # bins within the bound always score finite; any other is refused when
     # the spectrum is built
-    if not all(-MAX_BIN_DBM <= dbm <= MAX_BIN_DBM for dbm in bins):  # nan fails both sides
+    if not all(-MAX_DB <= dbm <= MAX_DB for dbm in bins):  # nan fails both sides
         with pytest.raises(DomainError):
             AggregatedSpectrum("ap", MAX_HOLD, 2_400_000, 1_000, tuple(bins), {})
         return
@@ -1138,7 +1129,7 @@ def in_channel_mw_scalar_pow(spectra, channels):
 
 # the bound on either side, a signed zero, the least subnormal, and an int and
 # a Fraction, which the bins path reads as their floats
-DBM_EXTREMES = (MAX_BIN_DBM, -MAX_BIN_DBM, -0.0, 5e-324, 999, Fraction(-181, 2))
+DBM_EXTREMES = (MAX_DB, -MAX_DB, -0.0, 5e-324, 999, Fraction(-181, 2))
 
 
 @st.composite
@@ -1147,7 +1138,7 @@ def float_bin_spectra(draw):
     pool of any floats within the bound and extremes, on one grid or on several."""
     n_clients = draw(st.integers(0, 4))
     ids = draw(st.permutations(["ap", *(f"c{i}" for i in range(n_clients))]))
-    values = st.one_of(st.floats(-MAX_BIN_DBM, MAX_BIN_DBM), st.sampled_from(DBM_EXTREMES))
+    values = st.one_of(st.floats(-MAX_DB, MAX_DB), st.sampled_from(DBM_EXTREMES))
     pool = draw(st.lists(values, min_size=1, max_size=4))
     share = draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
     single = draw(st.booleans())
@@ -1176,10 +1167,10 @@ def uniform_spectra(dbm, n_clients=1):
     candidate_lists,
     st.sampled_from([MINIMAX, WEIGHTED_SUM]),
 )
-@example(uniform_spectra(MAX_BIN_DBM), CLIENT_AWARE, None, MINIMAX)
-@example(uniform_spectra(-MAX_BIN_DBM), CLIENT_AWARE, None, WEIGHTED_SUM)
+@example(uniform_spectra(MAX_DB), CLIENT_AWARE, None, MINIMAX)
+@example(uniform_spectra(-MAX_DB), CLIENT_AWARE, None, WEIGHTED_SUM)
 @example(uniform_spectra(5e-324), AP_ONLY, None, MINIMAX)
-@example(uniform_spectra(MAX_BIN_DBM, 20), CLIENT_AWARE, None, WEIGHTED_SUM)
+@example(uniform_spectra(MAX_DB, 20), CLIENT_AWARE, None, WEIGHTED_SUM)
 @SCALAR_POW
 def test_float_bins_score_like_the_scalar_pow(spectra, mode, candidates, objective):
     listed = list(spectra.values())
@@ -1670,8 +1661,8 @@ def test_simulate_matches_per_link_oracle(seed, sigma, noise_floor, clients, emi
 
 # either end of each bound is drawn as often as a value between them
 bounded_tx = st.one_of(
-    st.sampled_from([-MAX_TX_POWER_DBM, MAX_TX_POWER_DBM]),
-    st.floats(-MAX_TX_POWER_DBM, MAX_TX_POWER_DBM),
+    st.sampled_from([-MAX_DB, MAX_DB]),
+    st.floats(-MAX_DB, MAX_DB),
 )
 bounded_sigma = st.one_of(
     st.sampled_from([0.0, MAX_SHADOWING_SIGMA_DB]), st.floats(0.0, MAX_SHADOWING_SIGMA_DB)
@@ -1685,7 +1676,7 @@ bounded_sigma = st.one_of(
     channel=st.integers(1, 14),
     tx_dbm=st.lists(bounded_tx, min_size=2, max_size=20),
 )
-@example(0, MAX_SHADOWING_SIGMA_DB, 6, [MAX_TX_POWER_DBM] * 20)
+@example(0, MAX_SHADOWING_SIGMA_DB, 6, [MAX_DB] * 20)
 def test_emitters_stacked_on_a_sensor_at_the_bounds_stay_in_the_float_range(
     seed, sigma, channel, tx_dbm
 ):
@@ -1724,8 +1715,8 @@ corner_points = st.tuples(corner_coordinates, corner_coordinates)
 @example(  # the weakest link the bounds allow, and the loudest, at once
     0,
     MAX_SHADOWING_SIGMA_DB,
-    [(14, -MAX_TX_POWER_DBM, MAX_LENGTH_M, MAX_LENGTH_M),
-     (6, MAX_TX_POWER_DBM, -MAX_LENGTH_M, -MAX_LENGTH_M)],
+    [(14, -MAX_DB, MAX_LENGTH_M, MAX_LENGTH_M),
+     (6, MAX_DB, -MAX_LENGTH_M, -MAX_LENGTH_M)],
     [(-MAX_LENGTH_M, -MAX_LENGTH_M), (MAX_LENGTH_M, MAX_LENGTH_M)],
 )
 def test_links_between_the_coordinate_corners_stay_in_the_float_range(
@@ -1756,7 +1747,7 @@ def test_the_weakest_link_the_bounds_allow_stays_a_normal_float():
     farthest = math.hypot(2 * MAX_LENGTH_M, 2 * MAX_LENGTH_M)
     loss = 20.0 * math.log10(4.0 * math.pi * farthest / wavelength)
     spread = 10.0 * math.log10(2 * CHANNEL_HALF_WIDTH_KHZ // SWEEP_GRID.bin_khz)
-    weakest = -MAX_TX_POWER_DBM - loss - spread - 13.7 * MAX_SHADOWING_SIGMA_DB
+    weakest = -MAX_DB - loss - spread - 13.7 * MAX_SHADOWING_SIGMA_DB
     assert -2673.0 < weakest < -2672.0
     assert 10.0 ** (weakest / 10.0) > sys.float_info.min
 
@@ -2031,7 +2022,7 @@ def test_vector_link_chain_stays_far_inside_the_guard(monkeypatch):
         emitters = tuple(
             Emitter(
                 rng.randint(1, 14),
-                rng.uniform(-MAX_TX_POWER_DBM, MAX_TX_POWER_DBM),
+                rng.uniform(-MAX_DB, MAX_DB),
                 rng.uniform(-1e4, 1e4),
                 rng.uniform(-1e4, 1e4),
             )
