@@ -210,7 +210,7 @@ def _cmd_lens_apply(args) -> Result:
     from . import lens
 
     effect = lens.LensEffect(
-        gain_uplift_db=args.uplift_db,
+        gain_uplift_db=lens.check_gain_uplift(args.uplift_db, "--uplift-db"),
         throughput_uplift_fraction=args.throughput_frac,
     )
     return Result(asdict(lens.boost_rx_power(args.rx_dbm, effect)))
@@ -326,7 +326,9 @@ def _cmd_polar_capacity(args) -> Result:
     from . import polarization
 
     channel = polarization.dual_polarized_channel(
-        args.xpd, snr_linear=args.snr_linear, seed=args.seed
+        polarization.check_leakage(args.xpd, "--xpd"),
+        snr_linear=polarization.check_snr(args.snr_linear, "--snr-linear"),
+        seed=args.seed,
     )
     return Result(
         {

@@ -175,6 +175,11 @@ class ShadingSector:
             raise DomainError(f"sector width must lie in [0, 360), got {self.width_deg}")
 
 
+def check_gain_uplift(uplift_db: float, name: str = "gain uplift") -> float:
+    """uplift_db as a float, a lens gain uplift in [0, 30] dB."""
+    return _finite(name, uplift_db, 0.0, 30.0)
+
+
 @dataclass(frozen=True)
 class LensEffect:
     """Measured-style link effect of one lens: gain uplift, throughput, shadow.
@@ -188,7 +193,7 @@ class LensEffect:
     shading_sector: ShadingSector = field(default_factory=ShadingSector)
 
     def __post_init__(self):
-        uplift_db = _finite("gain uplift", self.gain_uplift_db, 0.0, 30.0)
+        uplift_db = check_gain_uplift(self.gain_uplift_db)
         fraction = _finite("throughput uplift", self.throughput_uplift_fraction, 0.0)
         object.__setattr__(self, "gain_uplift_db", uplift_db)
         object.__setattr__(self, "throughput_uplift_fraction", fraction)

@@ -43,9 +43,10 @@ def calibrate_diffuse_from_isolation(isolation_db: float) -> float:
     """Diffuse fraction that reproduces a measured cross-polar isolation.
 
     epsilon = 10**(-isolation_db/10), so mismatch_loss_db at 90 degrees gives
-    back -isolation_db by construction.
+    back -isolation_db by construction. The isolation lies in [0, MAX_DB], so
+    epsilon lies in [1e-100, 1] and never underflows to no diffuse floor.
     """
-    return 10.0 ** (-_finite("isolation", isolation_db, 0.0) / 10.0)
+    return 10.0 ** (-_finite("isolation", isolation_db, 0.0, MAX_DB) / 10.0)
 
 
 ENVIRONMENT_PRESETS: dict[str, EnvironmentModel] = {
@@ -119,8 +120,17 @@ class MimoChannel:
                 raise DomainError(f"channel matrix entry {h[i, j]} at [{i}, {j}] must have "
                                   f"real and imaginary parts in [{-_MAX_PART}, {_MAX_PART}]")
         object.__setattr__(self, "h", h)
-        snr = _positive("snr", self.snr_linear, 10.0 ** (MAX_DB / 10.0))
-        object.__setattr__(self, "snr_linear", snr)
+        object.__setattr__(self, "snr_linear", check_snr(self.snr_linear))
+
+
+def check_snr(snr_linear: float, name: str = "snr") -> float:
+    """snr_linear as a float, a power ratio of at most MAX_DB: in (0, 1e100]."""
+    return _positive(name, snr_linear, 10.0 ** (MAX_DB / 10.0))
+
+
+def check_leakage(xpd_linear: float, name: str = "cross-polar leakage") -> float:
+    """xpd_linear as a float, a cross-polar leakage in [0, 1]."""
+    return _finite(name, xpd_linear, 0.0, 1.0)
 
 
 def mimo_capacity_bps_hz(channel: MimoChannel) -> float:
@@ -150,7 +160,7 @@ def dual_polarized_channel(
     ones (rank-1 all-ones H). A seed adds a reproducible complex Gaussian
     perturbation of standard deviation 0.1 per entry for Monte-Carlo work.
     """
-    s = math.sqrt(_finite("cross-polar leakage", xpd_linear, 0.0, 1.0))
+    s = math.sqrt(check_leakage(xpd_linear))
     if seed is not None and (seed := _index("seed", seed)) < 0:
         raise DomainError(f"seed must be non-negative, got {_shown(seed)}")
     import numpy as np

@@ -9,8 +9,10 @@ Two modes:
   sweeps must arrive in timestamp order; a sweep older than its sensor's
   previous one is a DomainError.
 
-Both modes read each sweep's frame payload (SensorSweep.payload) as one
-numpy buffer of signed bytes, never the bins as Python ints.
+Both modes read each sweep's frame payload (SensorSweep.payload), the bins
+as signed bytes, never the bins as Python ints. Max-hold uses a lone sweep's
+payload as it stands, takes numpy's max over two or more sweeps, and builds
+its bins from the merged bytes through a 256-entry table of float levels.
 
 aggregate checks every sweep when it is called, in both modes, but an EWMA
 spectrum's bins are computed later: on their first read, or when channel
@@ -42,6 +44,7 @@ from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _prebuilt
 # the same bits on every CPU, but other bytes there.
 _MW_TABLE = 10.0 ** (np.asarray(_LEVELS, dtype=float) / 10.0)
 _LEVEL_TEXT = tuple(map(str, _LEVELS))  # the JSON text of every level, indexed alike
+_LEVEL_FLOAT = tuple(map(float, _LEVELS))  # every level as a max-hold bin, indexed alike
 # A sweep's line: json.dumps(sweep_record(s)) + "\n" byte for byte, since it keeps json's
 # default separators and sweep_record's key order, and SensorSweep makes each field an exact int
 _RECORD = '{"sensor_id": %d, "timestamp_ms": %d, "start_khz": %d, "bin_khz": %d, "bins": [%s]}\n'
@@ -69,11 +72,12 @@ class AggregatedSpectrum:
 
     # Hidden attributes, not fields: equality, repr and dataclasses.replace
     # never see them, and a replaced spectrum is scored from its bins.
-    # _levels: a max-hold spectrum's merged levels as int8 bytes, which
-    # channel scoring reads through a table. _pending: an EWMA spectrum's
-    # per-sensor payload histories and alpha, until _complete computes its
-    # bins and drops it. _dbm: those bins as float64 bytes, which scoring
-    # reads in place of the tuple.
+    # _levels: a max-hold spectrum's merged levels as int8 bytes (a lone
+    # sweep's payload as it stands), which aggregate turned into the bins
+    # through _LEVEL_FLOAT and channel scoring reads through its mW table.
+    # _pending: an EWMA spectrum's per-sensor payload histories and alpha,
+    # until _complete computes its bins and drops it. _dbm: those bins as
+    # float64 bytes, which scoring reads in place of the tuple.
     _levels = None
     _pending = None
     _dbm = None
@@ -147,10 +151,12 @@ def aggregate(
         last_update_ms=last_update,
     )
     if mode == MAX_HOLD:
-        levels = np.frombuffer(b"".join(map(b"".join, histories.values())), np.int8)
-        peak = levels.reshape(len(sweeps), -1).max(axis=0)
-        bins = tuple(peak.astype(float).tolist())
-        return _prebuilt(AggregatedSpectrum, **fields, bins=bins, _levels=peak.tobytes())
+        peak = payload  # a lone sweep's payload is its peak as it stands
+        if len(sweeps) > 1:
+            levels = np.frombuffer(b"".join(map(b"".join, histories.values())), np.int8)
+            peak = levels.reshape(len(sweeps), -1).max(axis=0).tobytes()
+        bins = _lookup(_LEVEL_FLOAT, peak)
+        return _prebuilt(AggregatedSpectrum, **fields, bins=bins, _levels=peak)
     if mode != EWMA:
         raise DomainError(f"unknown aggregation mode {mode!r}")
     if not (_real(alpha) and 0.0 < alpha <= 1.0):

@@ -1251,7 +1251,23 @@ def test_overflowing_capacity_exits_two_naming_the_snr(capsys):
         capsys, "polar", "capacity", "--xpd", "1.0", "--snr-linear", "1.7e308"
     )
     # it was refused when snr/2 times an eigenvalue left the float range
-    assert err == "error: snr must lie in (0.0, 1e+100], got 1.7e+308\n"
+    assert err == "error: --snr-linear must lie in (0.0, 1e+100], got 1.7e+308\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["polar", "capacity", "--xpd", "2"], "--xpd must lie in [0.0, 1.0], got 2.0"),
+        (["polar", "capacity", "--xpd", "0.1", "--snr-linear", "0"],
+         "--snr-linear must be positive and finite, got 0.0"),
+        (["lens", "apply", "--rx-dbm", "-60", "--uplift-db", "40"],
+         "--uplift-db must lie in [0.0, 30.0], got 40.0"),
+    ],
+    ids=["xpd", "snr-linear", "uplift-db"],
+)
+def test_bounded_library_inputs_exit_two_naming_the_flag(capsys, argv, message):
+    # each was named by the library's field: cross-polar leakage, snr, gain uplift
+    assert assert_domain_error(capsys, *argv) == f"error: {message}\n"
 
 
 def test_curve_step_past_the_float_range_writes_nothing_to_stderr(capsys):

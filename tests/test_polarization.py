@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rfplan.errors import DomainError
+from rfplan.errors import MAX_DB, DomainError
 from rfplan.polarization import (
     DEFAULT_TILT_GAIN_DB_PER_RAD,
     ENVIRONMENT_PRESETS,
@@ -66,8 +66,13 @@ def test_fully_diffuse_environment_is_flat(psi):
 
 def test_calibrate_edge_cases():
     assert calibrate_diffuse_from_isolation(0.0) == 1.0
+    assert calibrate_diffuse_from_isolation(MAX_DB) == 1e-100
     with pytest.raises(DomainError):
         calibrate_diffuse_from_isolation(-1.0)
+    # past the dB bound 10**(-x/10) would underflow to 0.0, no diffuse floor at all
+    bound = re.escape("isolation must lie in [0.0, 1000.0], got 3300.0")
+    with pytest.raises(DomainError, match=bound):
+        calibrate_diffuse_from_isolation(3300.0)
 
 
 @given(x=st.floats(min_value=0.0, max_value=40.0))

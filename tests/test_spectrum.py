@@ -52,7 +52,7 @@ from rfplan.spectrum import (
 )
 from rfplan.spectrum.aggregate import _MW_TABLE
 from rfplan.spectrum import plan, shadowing, simulate
-from rfplan.spectrum.frames import _LEVELS
+from rfplan.spectrum.frames import _LEVELS, _prebuilt
 from rfplan.spectrum.plan import _SCALAR_MW, CHANNEL_HALF_WIDTH_KHZ
 from rfplan.spectrum.shadowing import (
     _fast_normals,
@@ -89,6 +89,8 @@ def test_single_sweep_max_hold_is_identity():
     s = sweep([-90, -40, -77])
     merged = aggregate([s], MAX_HOLD)
     assert merged.bins == (-90.0, -40.0, -77.0)
+    assert all(type(b) is float for b in merged.bins)
+    assert merged._levels == s.payload
     assert merged.start_khz == s.start_khz
     assert merged.last_update_ms == {0: 0}
 
@@ -365,10 +367,11 @@ DEFERRAL_GRIDS = {
 }
 
 # the deep-fuzz CI step runs the deferral property, the scalar-pow property of
-# hand-built bins, the simulator's property at the scenario bounds and its
-# per-link oracle, on which the half-level guard's soundness rests, at 1,000
-# examples (tests/conftest.py); otherwise each runs hypothesis's default 100
-DEFERRAL = BOUNDS = settings.get_profile("fuzz")
+# hand-built bins, max-hold's byte-table property, the simulator's property at
+# the scenario bounds and its per-link oracle, on which the half-level guard's
+# soundness rests, at 1,000 examples (tests/conftest.py); otherwise each runs
+# hypothesis's default 100
+DEFERRAL = BOUNDS = BYTE_TABLE = settings.get_profile("fuzz")
 SCALAR_POW = ORACLE = settings.get_profile("fuzz-timed")
 
 
@@ -930,6 +933,89 @@ def test_max_hold_levels_score_like_the_bins(spectra, mode, candidates, objectiv
             got = outcome(channel_power_mw, spectrum, ch)
             want = outcome(channel_power_mw, scalar[pos], ch)
             assert repr(got) == repr(want)
+
+
+@functools.cache
+def simulated_sweep_pool():
+    """Sweeps on SWEEP_GRID that carry their slice of the simulator's payload."""
+    pool = []
+    for seed in range(4):
+        scenario = random_scenario(seed)
+        pool += simulate_sweeps(scenario, default_sensor_layout(scenario)[1], t_ms=seed)
+    return tuple(pool)
+
+
+@st.composite
+def max_hold_logs(draw):
+    """1-3 positions on one grid, each with 1-8 sweeps: hand-built ones, which
+    pack their payload on demand, and parsed, simulated and JSONL-read ones."""
+    start, width, n = draw(st.one_of(
+        st.sampled_from(MAX_HOLD_GRIDS),
+        st.tuples(st.integers(2_300_000, 2_500_000), st.integers(1, 30_000), st.integers(1, 8)),
+    ))
+    sources = ["tuple", "frame", "jsonl"]
+    if (start, width, n) == (SWEEP_GRID.start_khz, SWEEP_GRID.bin_khz, SWEEP_GRID.n_bins):
+        sources.append("simulated")
+    logs = {}
+    for pos in ["ap", "c0", "c1"][: draw(st.integers(1, 3))]:
+        log = []
+        for _ in range(draw(st.integers(1, 8))):
+            source = draw(st.sampled_from(sources))
+            if source == "simulated":
+                log.append(draw(st.sampled_from(simulated_sweep_pool())))
+                continue
+            if draw(st.booleans()):
+                shift = draw(st.integers(0, 255))
+                bins = [(shift + i) % 256 - 128 for i in range(n)]
+            else:
+                bins = np.frombuffer(draw(st.binary(min_size=n, max_size=n)), np.int8).tolist()
+            s = sweep(bins, draw(st.integers(0, 3)), draw(st.integers(0, 3)), start, width)
+            if source == "frame":
+                s = parse_frame(encode_frame(s))
+            elif source == "jsonl":
+                (s,) = sweeps_from_jsonl(sweeps_to_jsonl([s]))
+            log.append(s)
+        logs[pos] = log
+    return logs
+
+
+def max_hold_numpy(sweeps, position_id):
+    """Max-hold by numpy's max over every sweep, converted back to floats."""
+    peak = np.array([s.bins for s in sweeps], np.int8).max(axis=0)
+    last_update = {}
+    for s in sweeps:
+        last_update[s.sensor_id] = max(last_update.get(s.sensor_id, s.timestamp_ms), s.timestamp_ms)
+    first = sweeps[0]
+    return _prebuilt(
+        AggregatedSpectrum,
+        position_id=position_id,
+        mode=MAX_HOLD,
+        start_khz=first.start_khz,
+        bin_khz=first.bin_khz,
+        bins=tuple(peak.astype(float).tolist()),
+        last_update_ms=last_update,
+        _levels=peak.tobytes(),
+    )
+
+
+# a lone one-bin sweep takes _lookup's single-byte branch
+@example({"ap": [sweep([-128], start=2_401_000, width=22_000)]})
+@given(max_hold_logs())
+@BYTE_TABLE
+def test_max_hold_byte_table_matches_the_numpy_max(logs):
+    got = {pos: aggregate(log, MAX_HOLD, position_id=pos) for pos, log in logs.items()}
+    want = {pos: max_hold_numpy(log, pos) for pos, log in logs.items()}
+    for pos, spectrum in got.items():
+        assert spectrum == want[pos]
+        assert bits(spectrum.bins) == bits(want[pos].bins)
+        assert all(type(b) is float for b in spectrum.bins)
+        assert list(spectrum.last_update_ms.items()) == list(want[pos].last_update_ms.items())
+        assert spectrum._levels == want[pos]._levels
+    for mode in (AP_ONLY, CLIENT_AWARE):
+        for objective in (MINIMAX, WEIGHTED_SUM):
+            plan_got = outcome(select_channel, got, mode, None, objective)
+            plan_want = outcome(select_channel, want, mode, None, objective)
+            assert repr(plan_got) == repr(plan_want)
 
 
 # --- spectrum construction ---------------------------------------------------
