@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import modes
-from .errors import MAX_LENGTH_M, DomainError, _decibels, check_sample_count
+from .errors import MAX_LENGTH_M, DomainError, _decibels, _uint64, check_sample_count
 
 # Each handler imports the library module it runs, so a command loads and
 # compiles that module alone; the parser needs only the names in modes.
@@ -328,7 +328,7 @@ def _cmd_polar_capacity(args) -> Result:
     channel = polarization.dual_polarized_channel(
         polarization.check_leakage(args.xpd, "--xpd"),
         snr_linear=polarization.check_snr(args.snr_linear, "--snr-linear"),
-        seed=args.seed,
+        seed=None if args.seed is None else _uint64("--seed", args.seed),
     )
     return Result(
         {
@@ -344,15 +344,15 @@ def _scenario_from_args(args):
     from . import fixtures
     from .spectrum import load_scenario
 
-    if args.t_ms < 0:
-        raise DomainError(f"--t-ms must be non-negative, got {args.t_ms}")
+    _uint64("--t-ms", args.t_ms)
+    seed = None if args.seed is None else _uint64("--seed", args.seed)
     path = Path(args.scenario)
     if not path.exists():
         if args.scenario not in fixtures.BUNDLED_SCENARIOS:
             raise DomainError(f"no scenario file or bundled scenario named {args.scenario!r}")
         path = fixtures.BUNDLED_SCENARIOS[args.scenario]()
     scenario = load_scenario(path)
-    return scenario if args.seed is None else replace(scenario, seed=args.seed)
+    return scenario if seed is None else replace(scenario, seed=seed)
 
 
 def _cmd_spectrum_simulate(args) -> Result:
@@ -489,6 +489,7 @@ def build_parser() -> _Parser:
         q.add_argument("--scenario", required=True,
                        help="scenario JSON file or bundled name (e.g. 'divergence')")
         q.add_argument("--t-ms", type=int, default=0, help="sweep timestamp, ms")
+        q.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
 
     p = command("linkbudget", "free-space link budget and power utilization", _cmd_linkbudget)
     p.add_argument("--pt", type=float, required=True, help="transmit power, dBm")
@@ -544,6 +545,7 @@ def build_parser() -> _Parser:
     p = command("polar capacity", "2x2 polarization-diversity capacity", _cmd_polar_capacity)
     p.add_argument("--xpd", type=float, required=True, help="cross-polar leakage in [0, 1]")
     p.add_argument("--snr-linear", type=float, default=100.0, help="mean branch SNR, linear")
+    p.add_argument("--seed", type=int, default=None, help="perturb the channel by this seed")
 
     p = command("spectrum simulate", "simulate sweeps at the AP and clients",
                 _cmd_spectrum_simulate)
@@ -572,7 +574,6 @@ def build_parser() -> _Parser:
     for p in leaves:  # the common flags come last in every command's usage and help
         p.add_argument("--format", choices=_RENDERERS, default="table",
                        help="output format (default: table)")
-        p.add_argument("--seed", type=int, default=None, help="override the random seed")
         p.add_argument("--out", type=Path, default=None, help="write output to a file")
         p.set_defaults(float_flags=p.float_flags)
     return parser

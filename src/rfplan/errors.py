@@ -6,9 +6,9 @@ A non-real value, a bool, nan, inf or a number past the float range given to
 any public constructor or function where a real number is due is a
 DomainError naming it: _finite, _positive, _length and _decibels return the
 float that is then stored or used, as _index returns an int for an integer
-input. Every length lies in the one domain below, and every dB value the
-library turns into a ratio within the one bound below it. No numpy here:
-every CLI command loads this module.
+input and _uint64 one that fits 64 bits. Every length lies in the one domain
+below, and every dB value the library turns into a ratio within the one bound
+below it. No numpy here: every CLI command loads this module.
 """
 import math
 import operator
@@ -44,6 +44,14 @@ def _index(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
+
+
+def _uint64(name: str, value) -> int:
+    """value as an int in [0, 2**64 - 1], the domain of every seed and timestamp."""
+    number = _index(name, value)
+    if not 0 <= number <= 0xFFFFFFFFFFFFFFFF:
+        raise DomainError(f"{name} must fit 64 bits, got {_shown(number)}")
+    return number
 
 
 def _float(value) -> float:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import MAX_DB, DomainError, _decibels, _finite, _index, _positive, _shown
+from .errors import MAX_DB, DomainError, _decibels, _finite, _positive, _shown, _uint64
 from .modes import PRESET_ISOLATION_DB
 
 if TYPE_CHECKING:
@@ -157,17 +157,16 @@ def dual_polarized_channel(
     """Two-branch polarization-diversity channel with cross-polar leakage xpd.
 
     xpd = 0 gives perfectly isolated branches (H = I), xpd = 1 fully merged
-    ones (rank-1 all-ones H). A seed adds a reproducible complex Gaussian
-    perturbation of standard deviation 0.1 per entry for Monte-Carlo work.
+    ones (rank-1 all-ones H). A seed, an int in [0, 2**64 - 1], adds a
+    reproducible complex Gaussian perturbation of standard deviation 0.1 per
+    entry for Monte-Carlo work.
     """
     s = math.sqrt(check_leakage(xpd_linear))
-    if seed is not None and (seed := _index("seed", seed)) < 0:
-        raise DomainError(f"seed must be non-negative, got {_shown(seed)}")
     import numpy as np
 
     h = np.array([[1.0, s], [s, 1.0]], dtype=complex)
     if seed is not None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_uint64("seed", seed))
         scale = 0.1 / math.sqrt(2.0)
         h = h + scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     return MimoChannel(h=h, snr_linear=snr_linear)

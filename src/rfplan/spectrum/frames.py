@@ -31,7 +31,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from ..errors import DomainError, _index, _shown
+from ..errors import DomainError, _index, _shown, _uint64
 
 MAGIC = b"WX"
 VERSION = 1
@@ -112,8 +112,7 @@ class SensorSweep:
         object.__setattr__(self, "bins", bins)
         if not 0 <= self.sensor_id <= 0xFFFF:
             raise DomainError(f"sensor_id must fit 16 bits, got {_shown(self.sensor_id)}")
-        if not 0 <= self.timestamp_ms <= 0xFFFFFFFFFFFFFFFF:
-            raise DomainError(f"timestamp_ms must fit 64 bits, got {_shown(self.timestamp_ms)}")
+        _uint64("timestamp_ms", self.timestamp_ms)
         if not 0 <= self.start_khz <= 0xFFFFFFFF:
             raise DomainError(f"start_khz must fit 32 bits, got {_shown(self.start_khz)}")
         if not 0 < self.bin_khz <= 0xFFFF:

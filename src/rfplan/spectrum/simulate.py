@@ -58,7 +58,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import MAX_DB, MAX_LENGTH_M, DomainError, _finite, _index, _length, _shown
+from ..errors import MAX_DB, MAX_LENGTH_M, DomainError, _finite, _index, _length, _shown, _uint64
 from ..linkbudget import Frequency
 from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _prebuilt
 from .plan import ALL_CHANNELS, AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
@@ -132,7 +132,7 @@ class Emitter:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One floor plan: an AP, clients, interference emitters, and noise."""
+    """One floor plan: an AP, clients, emitters, noise and a seed in [0, 2**64 - 1]."""
 
     ap_position: tuple[float, float]
     clients: tuple[Client, ...] = ()
@@ -158,9 +158,7 @@ class Scenario:
             "shadowing_sigma_db", self.shadowing_sigma_db, 0.0, MAX_SHADOWING_SIGMA_DB
         )
         object.__setattr__(self, "shadowing_sigma_db", sigma_db)
-        object.__setattr__(self, "seed", _index("seed", self.seed))
-        if not 0 <= self.seed <= 0xFFFFFFFFFFFFFFFF:
-            raise DomainError(f"seed must fit 64 bits, got {_shown(self.seed)}")
+        object.__setattr__(self, "seed", _uint64("seed", self.seed))
 
 
 def default_sensor_layout(scenario: Scenario) -> tuple[list[str], list[tuple[float, float]]]:

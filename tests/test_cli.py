@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -406,9 +407,11 @@ def test_usage_errors_exit_one(capsys):
 
 
 # sha256 of `--help` stdout for every parser and of the stderr of one usage
-# error per command, recorded before the parser was declared command by
-# command. argparse lays help out differently from one Python minor version
-# to the next, so the pins hold for the version they were recorded on.
+# error per command. The group pins were recorded before the parser was
+# declared command by command, the leaf pins when --seed moved to the three
+# commands that draw from it. argparse lays help out differently from one
+# Python minor version to the next, so the pins hold for the version they
+# were recorded on.
 HELP_PYTHON = (3, 11)
 HELP_SHA256 = {
     (): "a4c7879de5d98208d239170de18723f033f7dde15aaaeed2b2b3c914ca762216",
@@ -417,33 +420,33 @@ HELP_SHA256 = {
     ("polar",): "c707f234ede57510fe3855cb4eb435a7953aaef8b1356e560af91090507491be",
     ("spectrum",): "16039ff79ada851d6b0d81fe8187ab2cd485ea247ceb9eff3578132f8e60d89f",
     ("growth",): "8f4b982e1e3a801fcb4db986ef7a043ba77518ebcf6f6fbb70ce7c766970409f",
-    ("linkbudget",): "fd2f1218057778060a909a86408fc8a8d745a5bb75000a9b74bfb8062fd53667",
-    ("lens", "design"): "9764a76db49ca3bc03fc4ef04ab229adf9236fe92fcb072a30965f022a529650",
-    ("lens", "apply"): "7ed9b0daf2050d3f3be7b72754e4bb34612e339933339dd45e9cfcdd9acda80c",
-    ("fresnel", "zones"): "d5da418b960680aa4e66aa88506e8b6c65b8b511606a7b76468a31c42a46d4e7",
-    ("fresnel", "screen"): "16a188cd69a58729f2f748ecd196dbb126e07ba1a7c3a1cbfaec353a3d80b7c6",
-    ("fresnel", "field"): "468b357e1ae9d96e04df28ce493f97e48d8c270945dec6140e720be8aff9a1cd",
-    ("polar", "loss"): "16abe22db7dc292faf02bf8f55ec866fbce49920c433320c10e51049288f497e",
-    ("polar", "capacity"): "6349d3edcc486a3e49673cb910a84c578b27a8b76ac7404818102f3503aef17e",
-    ("spectrum", "simulate"): "11898c34980683674f93032eedf659e76e20b032c6fefcbbf9c4ad97c92e6c19",
-    ("spectrum", "aggregate"): "dbbee40664d0e6a7857ec8ee8ca415e72582de60de2307b1770bd8613aadee27",
-    ("spectrum", "plan"): "46e0af3fb39eec2764f9c624fa0b66acd033c81953d1afec5b8fd613b0aab999",
-    ("growth", "fit"): "ffadf9dd87c91c14104b338e95b789d863534f3977a2b1b573f1ae65273dcc4b",
+    ("linkbudget",): "ef7fa58514143740765e3d0bf1094549276edc4c1b98495c96a4ce9539fa5d67",
+    ("lens", "design"): "391dd59fb3a41661f884185ab80724cbc9ab54281835daa1a77393af825f021d",
+    ("lens", "apply"): "700268e8d3077dc8bd463055ad44d67947005d22ef9a8c9a737adaa6cbac457e",
+    ("fresnel", "zones"): "4942c0ef3f56027c787e10a517ed50866724686e1c0fe74a968a4d664c95fad8",
+    ("fresnel", "screen"): "e90add2be53e30a1ab2aa369d53a7105a51d6e3ff4294759d18378f0f1d7e041",
+    ("fresnel", "field"): "3e35c8971e8fa03b285cd032de5b1894a900f43d1575d790adc0c11f21d023c0",
+    ("polar", "loss"): "7dae7716fc149322a2fcee56989ec8edb7bf074f6fe11de159465d4f8ad039af",
+    ("polar", "capacity"): "33f7d57bb6998e165115e9f8e6d888dacdbdcedae536dfddc9aee333bd2bf5e0",
+    ("spectrum", "simulate"): "baeb2e877cbadbe1e9b2cdeb77b9b9db29c2100b7a15710e86a89777dc704bba",
+    ("spectrum", "aggregate"): "541682f7256710fe274b3282da95c0639e108acaed601cedc2370485572bd6db",
+    ("spectrum", "plan"): "63f00f9deb99497ab958ba0d8e8a682fcad892c4c6d143759ef363e82dedf0b0",
+    ("growth", "fit"): "c0f8e3ea90cfe320916d7173ca42f16d2bfc0e7c3acb6d5db8b74fcb5bda5abd",
 }
 # stderr of `<command> --format xml`, which prints the command's full usage
 USAGE_ERROR_SHA256 = {
-    ("linkbudget",): "e81c79fea2af921562965d3b408739c5a105d16e4c7c7e4f9afdc5372bdef1d0",
-    ("lens", "design"): "97f6e848b77e5f592e4efa835b63af876400be8b5f6fc0936a5d3255fe988cd7",
-    ("lens", "apply"): "eb05589cc97368d47f6aad8558c6490713fa56adf18caaa1647bd8731419b8b2",
-    ("fresnel", "zones"): "d27b99673255b47512824ed061e778febad8fdd1717d9f154b0c2d7cf3b2d628",
-    ("fresnel", "screen"): "cc78c0c20a024bc375ac45a91f4a8ace11be89ca9cbb44f2ffd485967117b4d4",
-    ("fresnel", "field"): "c0f132c39206d3ea5e6aa86368dad08b7601c50563cfecacb8a5560afaa6e967",
-    ("polar", "loss"): "24cdea72ec6f86b19b56a92210915386a12948723ab66b0465d9929785078f35",
-    ("polar", "capacity"): "c3160e7ebc03b302b88598dd4c815114cc570b396c1e8bf11059309c5e0db459",
-    ("spectrum", "simulate"): "46be7aa2c3de48ed9bb9ad9636af7e1904c6d06342ff51e55e3ccf6b39ae2213",
-    ("spectrum", "aggregate"): "9e1568cbe27ac82367dda1e0f58fa808ad39b3f4dd812fb08cfb218a3d9a6214",
-    ("spectrum", "plan"): "56dc423e219e0e0b963d6c5115eac8e0aac5501a7b245f5c69bc3d9c15c21025",
-    ("growth", "fit"): "a4a4fa80b1f822751764c66b469344b4065dea3542c0a6e734c0c1c16d454768",
+    ("linkbudget",): "0c76459a80e3e8577136793da2270ae1e5f2b6c9be33452dfb328b848d122701",
+    ("lens", "design"): "9ced0c6b4a07b05b0411d356d43789c7188add1255a27bf5592218ff18982dba",
+    ("lens", "apply"): "051cdb66bebbad8b5eef1afad8ea31f04db74686ec7c1567ecadf764164cb01d",
+    ("fresnel", "zones"): "7a8bbcc26c03da9875963376a920e82053d2f48988528c58d42435b1933bf9bf",
+    ("fresnel", "screen"): "96515a02f1993c1f476a48b31bdb29e16f9160a4b8a8c0524552f58e1ccfba87",
+    ("fresnel", "field"): "796dbe94bf174d41d3f1d9905461bd8bb147d3cb408cf808f4e80b42f01693e1",
+    ("polar", "loss"): "b35afc2012ff6bce9b03157e63c0822f3dd058fdb0d4b6947dd2efcda61cb511",
+    ("polar", "capacity"): "b60c0b7e3af11ae87159ade2ef546adb050ac370eb21bd891cdb5cbbddcf7228",
+    ("spectrum", "simulate"): "cdf9d5ab36458f4a2e175acb0f3d428fbdcfe3bc4a72ca8f9e4f7c0dd5530f27",
+    ("spectrum", "aggregate"): "fd9b3f49d8db8f37394abbf6f4931b3a985fb57338686c37e2de01dc4369f467",
+    ("spectrum", "plan"): "c7baa67443bea896594a1d278e9598bfc4d4eadb97723415fdcc4a7e628e188e",
+    ("growth", "fit"): "602c25d91fb80b62cc228c0659f0b66fb26587bf10ea19c69cf47c00eb4a0f27",
 }
 pinned_argparse = pytest.mark.skipif(
     sys.version_info[:2] != HELP_PYTHON, reason="help layout pinned for another Python"
@@ -996,7 +999,7 @@ def test_any_finite_scenario_exits_two_or_prints_strict_json(case):
 @pytest.mark.parametrize("command", ["simulate", "plan"])
 def test_negative_t_ms_names_the_flag(capsys, command):
     err = assert_domain_error(capsys, "spectrum", command, "--scenario", "divergence", "--t-ms=-5")
-    assert err == "error: --t-ms must be non-negative, got -5\n"
+    assert err == "error: --t-ms must fit 64 bits, got -5\n"
 
 
 @pytest.mark.parametrize(
@@ -1040,13 +1043,20 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert doc["blocked_zone"] == 2
 
 
-def test_seed_flag_overrides_scenario_seed(capsys):
-    base = invoke(capsys, "spectrum", "simulate", "--scenario", "divergence",
-                  "--format", "csv")
-    reseeded = invoke(capsys, "spectrum", "simulate", "--scenario", "divergence",
-                      "--seed", "99", "--format", "csv")
-    # divergence scenario has zero shadowing, so the seed changes nothing
-    assert base[1] == reseeded[1]
+def test_seed_flag_overrides_scenario_seed(capsys, tmp_path):
+    # a shadowed survey, so that the seed moves the draws: the divergence
+    # scenario draws nothing, and printed the same whatever the seed
+    own, reseeded = tmp_path / "own.json", tmp_path / "reseeded.json"
+    own.write_text(scenario_to_json(seeded_survey_scenario(1)))
+    reseeded.write_text(scenario_to_json(replace(seeded_survey_scenario(1), seed=99)))
+    for command in ("simulate", "plan"):
+        overridden = invoke(capsys, "spectrum", command, "--scenario", str(own), "--seed", "99",
+                            "--format", "json")
+        assert overridden[0] == 0
+        assert overridden == invoke(capsys, "spectrum", command, "--scenario", str(reseeded),
+                                    "--format", "json")
+        assert overridden != invoke(capsys, "spectrum", command, "--scenario", str(own),
+                                    "--format", "json")
 
 
 def test_table_format_is_default(capsys):
@@ -1237,7 +1247,7 @@ FRESNEL_25_25 = ["--lambda", "0.125", "--d1", "25", "--d2", "25"]
          "--curve-step 1e-300 splits --curve-max 200.0 into more than 1000000 steps"),
         # numpy's "expected non-negative integer", exit 1
         (["polar", "capacity", "--xpd", "0.25", "--seed=-3"],
-         "seed must be non-negative, got -3"),
+         "--seed must fit 64 bits, got -3"),
     ],
     ids=["zone-1e400", "zone-201", "zone-0", "max-zone-1e26", "lens-step", "curve-step",
          "negative-seed"],
@@ -1309,6 +1319,30 @@ def leaf_commands(parser, words=()):
 
 
 LEAF_COMMANDS = leaf_commands(build_parser())
+SEEDED_COMMANDS = {("polar", "capacity"), ("spectrum", "simulate"), ("spectrum", "plan")}
+
+
+@pytest.mark.parametrize("words", sorted(LEAF_COMMANDS), ids=" ".join)
+def test_only_the_commands_that_draw_take_a_seed(capsys, tmp_path, words):
+    # every command took --seed, and nine of them ignored it
+    flags = {flag for action in LEAF_COMMANDS[words]._actions for flag in action.option_strings}
+    assert ("--seed" in flags) == (words in SEEDED_COMMANDS)
+    sweeps = tmp_path / "sweeps.jsonl"
+    sweeps.write_text(seeded_sweep_log(7))
+    argv = next(argv for argv, _ in MODULES_PER_COMMAND.values() if argv[:len(words)] == [*words])
+    argv = [word.format(sweeps=sweeps) for word in argv]
+    if words not in SEEDED_COMMANDS:
+        code, out, err = invoke(capsys, *argv, "--seed", "1")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --seed 1\n" in err
+        return
+    # the library's rule, by the flag's name: polar capacity took 2**64 and
+    # named a negative seed `seed`
+    for seed in (-1, 2**64):
+        err = assert_domain_error(capsys, *argv, f"--seed={seed}")
+        assert err == f"error: --seed must fit 64 bits, got {seed}\n"
+    code, _, err = invoke(capsys, *argv, "--seed", str(2**64 - 1))
+    assert (code, err) == (0, "")
 # --format is fixed to json, so exit 0 must print a document; --out would move it
 UNDRAWN_FLAGS = {"-h", "--format", "--out"}
 FLOAT_EXTREMES = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 2.0, 1e12, 1e300, 1.7e308]

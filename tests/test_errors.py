@@ -47,7 +47,7 @@ from rfplan.polarization import (
     mismatch_loss_db,
     tilt_effect_db,
 )
-from rfplan.spectrum import Client, Emitter, Scenario
+from rfplan.spectrum import Client, Emitter, Scenario, SensorSweep
 from tests.test_linkbudget import in_domain_lengths
 
 FREQ = Frequency(2.437e9)
@@ -163,6 +163,25 @@ def test_any_input_returns_or_raises_a_domain_error(name, call, value):
         call(value)
     except DomainError:
         pass
+
+
+# every seed and timestamp the library takes fits 64 bits, by one rule: a
+# channel's seed was only non-negative, so it took 2**64 and named -1 apart
+@pytest.mark.parametrize(
+    ("name", "call"),
+    [
+        ("seed", lambda v: Scenario(ap_position=(0.0, 0.0), seed=v).seed),
+        ("seed", lambda v: dual_polarized_channel(0.25, seed=v).h),
+        ("timestamp_ms", lambda v: SensorSweep(0, v, 2_400_000, 1_000, (0,)).timestamp_ms),
+    ],
+    ids=["scenario-seed", "channel-seed", "sweep-timestamp"],
+)
+def test_a_seed_or_timestamp_must_fit_64_bits(name, call):
+    for value in (-(2**70), -1, 2**64, 2**70):
+        with pytest.raises(DomainError, match=f"^{name} must fit 64 bits, got {value}$"):
+            call(value)
+    for value in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        call(value)
 
 
 @pytest.mark.parametrize(

@@ -249,7 +249,7 @@ def test_builder_validation():
 
 def test_builder_refuses_a_negative_seed():
     # numpy's default_rng raised its own ValueError
-    with pytest.raises(DomainError, match="seed must be non-negative, got -3"):
+    with pytest.raises(DomainError, match="^seed must fit 64 bits, got -3$"):
         dual_polarized_channel(0.25, seed=-3)
     assert mimo_capacity_bps_hz(dual_polarized_channel(0.25, seed=0)) > 0
 
