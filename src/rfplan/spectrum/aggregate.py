@@ -14,12 +14,13 @@ as signed bytes, never the bins as Python ints. Max-hold uses a lone sweep's
 payload as it stands, takes numpy's max over two or more sweeps, and builds
 its bins from the merged bytes through a 256-entry table of float levels.
 
-aggregate checks every sweep when it is called, in both modes, but an EWMA
-spectrum's bins are computed later: on their first read, or when channel
-scoring is handed the spectrum. Scoring completes every pending spectrum it
-is handed in one batch, one recurrence over all their sensors per alpha and
-bin count, so the positions of one tick share each numpy step. A lone
-spectrum is a batch of one, and the bits do not depend on the batch.
+aggregate checks every sweep and alpha when it is called, in both modes, but
+an EWMA spectrum's bins are computed later: on their first read, or when
+channel scoring is handed the spectrum. Any real alpha smooths as its float.
+Scoring completes every pending spectrum it is handed in one batch, one
+recurrence over all their sensors per alpha and bin count, so the positions
+of one tick share each numpy step. A lone spectrum is a batch of one, and
+the bits do not depend on the batch.
 
 Sweeps also travel as JSON lines for logging and replay, written from the payload too.
 """
@@ -150,6 +151,11 @@ def aggregate(
         bin_khz=first.bin_khz,
         last_update_ms=last_update,
     )
+    if mode not in (MAX_HOLD, EWMA):
+        raise DomainError(f"unknown aggregation mode {mode!r}")
+    if not (_real(alpha) and 0.0 < alpha <= 1.0):
+        raise DomainError(f"ewma alpha must be a real number in (0, 1], got {_shown(alpha)}")
+    alpha = float(alpha)  # a Fraction or a numpy scalar smooths as its float
     if mode == MAX_HOLD:
         peak = payload  # a lone sweep's payload is its peak as it stands
         if len(sweeps) > 1:
@@ -157,14 +163,8 @@ def aggregate(
             peak = levels.reshape(len(sweeps), -1).max(axis=0).tobytes()
         bins = _lookup(_LEVEL_FLOAT, peak)
         return _prebuilt(AggregatedSpectrum, **fields, bins=bins, _levels=peak)
-    if mode != EWMA:
-        raise DomainError(f"unknown aggregation mode {mode!r}")
-    if not (_real(alpha) and 0.0 < alpha <= 1.0):
-        raise DomainError(f"ewma alpha must be a real number in (0, 1], got {_shown(alpha)}")
     if late is not None:
         raise DomainError(late)
-    if not isinstance(alpha, (float, np.generic)):  # a Fraction, say, which numpy
-        alpha = float(alpha)  # would hold as an object, smooths as its float
     return _prebuilt(AggregatedSpectrum, **fields, _pending=(list(histories.values()), alpha))
 
 
@@ -173,18 +173,17 @@ def _complete(spectra: Iterable[AggregatedSpectrum]) -> None:
 
     Per alpha and bin count, one _ewma_mw recurrence runs over every sensor
     of those spectra and one log10 over all their rows, then each spectrum
-    takes the max over its own sensors' rows. The key keeps alpha's type: a
-    float32 alpha can equal a float one while 1.0 - alpha rounds in float32.
+    takes the max over its own sensors' rows. aggregate made each alpha a float.
     """
-    batches: dict[tuple, dict[int, tuple[AggregatedSpectrum, list]]] = {}
+    batches: dict[tuple[float, int], dict[int, tuple[AggregatedSpectrum, list]]] = {}
     for s in spectra:
         pending = s._pending
         if pending is not None:
             histories, alpha = pending
-            key = (type(alpha), alpha, len(histories[0][0]))
+            key = (alpha, len(histories[0][0]))
             # a spectrum handed twice is computed once
             batches.setdefault(key, {})[id(s)] = s, histories
-    for (_, alpha, _), batch in batches.items():
+    for (alpha, _), batch in batches.items():
         members, histories = zip(*batch.values())
         starts = np.cumsum([0, *map(len, histories[:-1])])  # each spectrum's first sensor row
         smoothed_dbm = 10.0 * np.log10(_ewma_mw(list(chain.from_iterable(histories)), alpha))
@@ -215,7 +214,7 @@ def _ewma_mw(histories: list[list[bytes]], alpha: float) -> np.ndarray:
         codes = np.frombuffer(b"".join(chain.from_iterable(zip(*group))), np.uint8)
         codes = codes.reshape(n_steps, -1)
         mw = _MW_TABLE.take(codes[0])
-        step_mw = np.empty_like(mw, dtype=scaled.dtype)  # float64, or a longdouble alpha's
+        step_mw = np.empty_like(mw)
         for step in codes[1:]:
             mw *= keep
             mw += scaled.take(step, out=step_mw, mode="clip")  # clip: out is not buffered

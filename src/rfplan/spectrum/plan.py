@@ -55,78 +55,73 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
     """In-channel power of each channel (rows) at each spectrum (columns).
 
     It first completes every pending EWMA spectrum it is handed, in one
-    batch (aggregate._complete). Each total adds its bins' scalar
+    batch (aggregate._complete), then refuses spectra on two bin grids, as
+    aggregate refuses sweeps on two. Each total adds its bins' scalar
     10.0 ** (dbm / 10.0) left to right: numpy sums pairwise and sum() is
     compensated from Python 3.12, so either would change the last bits of a
     total. The powers come from np.float_power, which calls the C library's
     pow as 10.0 ** x does, bit for bit; np.power dispatches to SIMD code
-    that can differ in the last bit. A grid's spectra that all carry
-    max-hold levels read those powers from _SCALAR_MW, which is faster than
-    computing them; a grid's spectra that all carry EWMA bins as float64
-    bytes are read from those, not from their tuples. Which bins each mask
-    adds, per grid, comes from _scoring_index, cached by the grids and
-    channel centres. Every total is finite: AggregatedSpectrum bounds its bins.
+    that can differ in the last bit. Spectra that all carry max-hold levels
+    read those powers from _SCALAR_MW, which is faster than computing them;
+    spectra that all carry EWMA bins as float64 bytes are read from those,
+    not from their tuples. _scoring_index, cached by the grid and channel
+    centres, gives the bins each mask adds. Every total is finite:
+    AggregatedSpectrum bounds its bins.
     """
     centers = tuple(channel_center_khz(ch) for ch in channels)
     _complete(spectra)
-    shapes: dict[tuple[int, int, int], list[int]] = {}  # the spectra on each grid, by first use
-    for k, s in enumerate(spectra):
-        shapes.setdefault((s.start_khz, s.bin_khz, len(s.bins)), []).append(k)
-    totals = np.empty((len(channels), len(spectra)))
+    first = spectra[0]
     # ints only, as AggregatedSpectrum keeps them: lru_cache takes 2400000.0 for 2400000
-    indexes = _scoring_index(tuple(shapes), centers)
-    for on_grid, (lo, hi, index) in zip(shapes.values(), indexes):
-        # every bin any mask holds, then a zero column: padding a short mask
-        # with it adds 0.0 after its last term, which changes nothing
-        mw = np.zeros((len(on_grid), hi - lo + 1))
-        levels = [spectra[k]._levels for k in on_grid]
-        carried = [spectra[k]._dbm for k in on_grid]
-        if None not in levels:
-            codes = np.frombuffer(b"".join(levels), np.uint8).reshape(len(on_grid), -1)
-            mw[:, :-1] = _SCALAR_MW[codes[:, lo:hi]]
-        elif None not in carried:
-            dbm = np.frombuffer(b"".join(carried)).reshape(len(on_grid), -1)
-            mw[:, :-1] = np.float_power(10.0, dbm[:, lo:hi] / 10.0)
-        else:
-            dbms = chain.from_iterable(spectra[k].bins[lo:hi] for k in on_grid)
-            dbm = np.fromiter(dbms, float, len(on_grid) * (hi - lo))
-            mw[:, :-1] = np.float_power(10.0, dbm / 10.0).reshape(len(on_grid), hi - lo)
-        total = np.zeros((len(centers), len(on_grid)))
-        for term in mw.T[index]:
-            total += term
-        totals[:, on_grid] = total
+    shape = (first.start_khz, first.bin_khz, len(first.bins))
+    for s in spectra:
+        if (s.start_khz, s.bin_khz, len(s.bins)) != shape:
+            raise DomainError(
+                f"spectra disagree on the bin grid ({s.position_id!r} on {s.grid} vs "
+                f"{first.position_id!r} on {first.grid}); resampling is not supported"
+            )
+    lo, hi, index = _scoring_index(shape, centers)
+    # every bin any mask holds, then a zero column: padding a short mask
+    # with it adds 0.0 after its last term, which changes nothing
+    mw = np.zeros((len(spectra), hi - lo + 1))
+    levels = [s._levels for s in spectra]
+    carried = [s._dbm for s in spectra]
+    if None not in levels:
+        codes = np.frombuffer(b"".join(levels), np.uint8).reshape(len(spectra), -1)
+        mw[:, :-1] = _SCALAR_MW[codes[:, lo:hi]]
+    elif None not in carried:
+        dbm = np.frombuffer(b"".join(carried)).reshape(len(spectra), -1)
+        mw[:, :-1] = np.float_power(10.0, dbm[:, lo:hi] / 10.0)
+    else:
+        dbms = chain.from_iterable(s.bins[lo:hi] for s in spectra)
+        dbm = np.fromiter(dbms, float, len(spectra) * (hi - lo))
+        mw[:, :-1] = np.float_power(10.0, dbm / 10.0).reshape(len(spectra), hi - lo)
+    totals = np.zeros((len(centers), len(spectra)))
+    for term in mw.T[index]:
+        totals += term
     return totals
 
 
 @lru_cache(maxsize=16)
-def _scoring_index(shapes: tuple[tuple[int, int, int], ...], centers: tuple[int, ...]):
-    """(lo, hi, index) per grid (start_khz, bin_khz, n_bins): the bins lo:hi
+def _scoring_index(shape: tuple[int, int, int], centers: tuple[int, ...]):
+    """(lo, hi, index) on the grid (start_khz, bin_khz, n_bins): the bins lo:hi
     that any channel's mask holds, and the read-only step x channel array of
     each mask's bins, counted from lo, padded with hi - lo, the zero column
     past them.
 
-    The masks are formed channel by channel, then grid by first use, so the
-    first grid that does not cover a channel is the one the spectrum-by-
-    spectrum order meets first. An uncovered grid raises, which lru_cache
-    does not cache, so every call that meets it raises again.
+    The masks are formed in channel order, so the first channel the grid
+    does not cover is the one named. An uncovered grid raises, which
+    lru_cache does not cache, so every call that meets it raises again.
     """
-    masks: dict[BinGrid, list[slice]] = {BinGrid(*shape): [] for shape in shapes}
-    for center in centers:
-        for grid, grid_masks in masks.items():
-            grid_masks.append(
-                grid.span(center - CHANNEL_HALF_WIDTH_KHZ, center + CHANNEL_HALF_WIDTH_KHZ)
-            )
-    indexes = []
-    for grid_masks in masks.values():
-        starts = np.array([mask.start for mask in grid_masks])
-        lengths = np.array([max(0, mask.stop - mask.start) for mask in grid_masks])
-        lo = int(starts.min())
-        hi = max(lo, max(mask.stop for mask in grid_masks))
-        steps = np.arange(lengths.max())[:, None]
-        index = np.where(steps < lengths, starts - lo + steps, hi - lo)
-        index.flags.writeable = False
-        indexes.append((lo, hi, index))
-    return tuple(indexes)
+    grid = BinGrid(*shape)
+    masks = [grid.span(c - CHANNEL_HALF_WIDTH_KHZ, c + CHANNEL_HALF_WIDTH_KHZ) for c in centers]
+    starts = np.array([mask.start for mask in masks])
+    lengths = np.array([max(0, mask.stop - mask.start) for mask in masks])
+    lo = int(starts.min())
+    hi = max(lo, max(mask.stop for mask in masks))
+    steps = np.arange(lengths.max())[:, None]
+    index = np.where(steps < lengths, starts - lo + steps, hi - lo)
+    index.flags.writeable = False
+    return lo, hi, index
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ A property reads its profile by name: @settings.get_profile("fuzz").
 RFPLAN_CLI_FUZZ_PROFILE=cli-fuzz-deep, the CI step that deepens the fuzzing,
 gives every profile below the deep settings: 1,000 examples, no deadline,
 never derandomized, which hypothesis otherwise is by default on CI. The
-step's -k list picks the properties it runs. Otherwise:
+step runs the properties marked @pytest.mark.deep_fuzz (-m deep_fuzz).
+Otherwise:
 - cli-fuzz: 40 examples of each CLI command, no deadline, about 9 s on a
   2-CPU Xeon;
 - fuzz: hypothesis's default 100 examples, no deadline;

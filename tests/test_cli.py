@@ -666,6 +666,16 @@ def test_spectrum_aggregate_non_integer_sweep_field_exits_two(
     assert err == f"error: bad sweep record on line 2: {message}\n"
 
 
+@pytest.mark.parametrize("mode", ["max-hold", "ewma"])
+def test_spectrum_aggregate_bad_alpha_exits_two_in_either_mode(capsys, tmp_path, mode):
+    log = tmp_path / "sweeps.jsonl"
+    log.write_text(SWEEP_RECORD.format(sensor_id=0, bins="[-60, -50]"))
+    err = assert_domain_error(
+        capsys, "spectrum", "aggregate", "--sweeps", str(log), "--mode", mode, "--alpha", "2"
+    )
+    assert err == "error: ewma alpha must be a real number in (0, 1], got 2.0\n"
+
+
 def test_growth_fit_missing_input_exits_two(capsys, tmp_path):
     missing = tmp_path / "missing.txt"
     assert_file_error(capsys, missing, "growth", "fit", "--input", str(missing))
@@ -971,6 +981,7 @@ scenario_documents = st.one_of(
 CLI_FUZZ = settings.get_profile("cli-fuzz")
 
 
+@pytest.mark.deep_fuzz
 @settings(CLI_FUZZ, max_examples=max(CLI_FUZZ.max_examples, 100))
 @given(
     case=st.one_of(
@@ -1456,6 +1467,7 @@ def command_lines(draw, words):
     return argv, fault
 
 
+@pytest.mark.deep_fuzz
 @pytest.mark.parametrize("words", sorted(LEAF_COMMANDS), ids=" ".join)
 @settings(CLI_FUZZ)
 @given(data=st.data())

@@ -154,6 +154,7 @@ def test_a_value_that_is_not_a_finite_real_is_named(name, call):
 
 
 # the deep-fuzz CI step runs the property at 1,000 examples (tests/conftest.py)
+@pytest.mark.deep_fuzz
 @pytest.mark.parametrize(("name", "call"), rows(LIBRARY_INPUTS + SPECTRUM_INPUTS))
 @settings.get_profile("fuzz")
 @given(value=st.one_of(st.floats(), st.integers(), st.fractions(), st.booleans(), st.none(),
@@ -219,6 +220,7 @@ field_parts = st.sampled_from([0.0, 1e50, -1e50]) | st.builds(
 
 
 # the deep-fuzz CI step runs the property at 1,000 examples (tests/conftest.py)
+@pytest.mark.deep_fuzz
 @settings.get_profile("fuzz")
 @given(
     gains_db=st.tuples(in_bound_db, in_bound_db),

@@ -627,6 +627,7 @@ def test_path_geometry_at_the_corners_of_the_length_domain_stays_in_the_float_ra
     assert_geometry_stays_in_the_float_range(d1, d2, lam)
 
 
+@pytest.mark.deep_fuzz
 @DOMAIN
 @given(d1=in_domain_lengths, d2=in_domain_lengths, lam=in_domain_lengths)
 @example(d1=25.0, d2=25.0, lam=0.125)

@@ -224,6 +224,7 @@ in_domain_lengths = st.one_of(
 )
 
 
+@pytest.mark.deep_fuzz
 @DOMAIN
 @given(
     lam=in_domain_lengths,

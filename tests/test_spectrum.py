@@ -171,10 +171,13 @@ def test_ewma_then_max_across_sensors():
 
 
 def test_ewma_alpha_validation():
-    # a bool, a non-real or an out-of-range alpha, each named with one text
+    # a bool, a non-real or an out-of-range alpha, each named with one text in
+    # either mode, after an unknown mode
+    log = [sweep([-90]), sweep([-80], t=1)]
     for alpha, shown in [
         (0.0, "0.0"),
         (1.5, "1.5"),
+        (2, "2"),
         (math.nan, "nan"),
         (math.inf, "inf"),
         (True, "True"),
@@ -186,16 +189,18 @@ def test_ewma_alpha_validation():
         (10**5000, "an overlong int"),
     ]:
         message = f"ewma alpha must be a real number in (0, 1], got {shown}"
-        with pytest.raises(DomainError, match=re.escape(message) + "$"):
-            aggregate([sweep([-90]), sweep([-80], t=1)], EWMA, alpha=alpha)
-    with pytest.raises(DomainError):
-        aggregate([sweep([-90])], "median")
-    # any other real is taken; a Fraction smooths as its float
+        for mode in (MAX_HOLD, EWMA):
+            with pytest.raises(DomainError, match=re.escape(message) + "$"):
+                aggregate(log, mode, alpha=alpha)
+        with pytest.raises(DomainError, match="^unknown aggregation mode 'median'$"):
+            aggregate(log, "median", alpha=alpha)
+    # any other real is taken and smooths as its float: a Fraction, an int, a numpy scalar
     log = count_log([3, 2])
     assert aggregate(log, EWMA, alpha=Fraction(3, 10)) == aggregate(log, EWMA, alpha=0.3)
     assert aggregate(log, EWMA, alpha=1) == aggregate(log, EWMA, alpha=1.0)
-    assert bits(aggregate(log, EWMA, alpha=np.float32(0.3)).bins) == bits(
-        ewma_per_sweep(log, np.float32(0.3))
+    narrow = np.float32(0.3)
+    assert bits(aggregate(log, EWMA, alpha=narrow).bins) == bits(
+        ewma_per_sweep(log, float(narrow))
     )
 
 
@@ -328,6 +333,31 @@ def test_ewma_matches_per_sweep_oracle(sweeps, alpha):
         assert bits(got.bins) == bits(want)
 
 
+# any real alpha smooths as its float: numpy 2 keeps a float32 or longdouble
+# scalar's type through 1.0 - alpha, numpy 1.24 makes it a float64, and either
+# way the bins are alpha=float(alpha)'s
+typed_alphas = st.one_of(
+    st.just(1),
+    alphas.flatmap(
+        lambda alpha: st.sampled_from(
+            [alpha, Fraction(alpha), np.float32(alpha), np.float64(alpha), np.longdouble(alpha)]
+        )
+    ),
+).filter(lambda alpha: alpha > 0)  # a float32 rounds the least floats to 0
+
+
+@example(count_log([4, 4, 2]), np.float32(0.3))
+@example(count_log([4, 4, 2]), np.longdouble(0.7))
+@given(sweep_logs(), typed_alphas)
+def test_any_real_alpha_smooths_as_its_float(sweeps, alpha):
+    got = outcome(aggregate, sweeps, EWMA, alpha=alpha)
+    want = outcome(aggregate, sweeps, EWMA, alpha=float(alpha))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert bits(got.bins) == bits(want.bins)
+
+
 @example(count_log([4, 4, 2]), 0.3, EWMA)
 @example(count_log([1, 3, 3, 3]), 0.6180339887498949, EWMA)
 @given(sweep_logs(), alphas, st.sampled_from([MAX_HOLD, EWMA]))
@@ -409,19 +439,23 @@ def score_all(spectra):
 
 # the benchmark's tick: 51 positions of one sensor and 13 sweeps; then one
 # with some 12-sweep windows, as when frames were lost while windows filled
+@pytest.mark.deep_fuzz
 @example(positions=[(100, [13], 0)] * 51, pair=(0.3, 0.3), seed=1)
 @example(
     positions=[(100, [12 if k % 7 == 3 else 13], 0) for k in range(51)], pair=(0.3, 0.3), seed=2
 )
 @given(
-    positions=st.lists(
-        st.tuples(
-            st.sampled_from(sorted(DEFERRAL_GRIDS)),
-            st.lists(st.integers(1, 13), min_size=1, max_size=3),
-            st.integers(0, 1),
-        ),
-        min_size=1,
-        max_size=12,
+    # one grid per scoring call, as scoring takes
+    positions=st.sampled_from(sorted(DEFERRAL_GRIDS)).flatmap(
+        lambda n_bins: st.lists(
+            st.tuples(
+                st.just(n_bins),
+                st.lists(st.integers(1, 13), min_size=1, max_size=3),
+                st.integers(0, 1),
+            ),
+            min_size=1,
+            max_size=12,
+        )
     ),
     pair=st.tuples(alphas, alphas),
     seed=st.integers(0, 2**32 - 1),
@@ -534,22 +568,26 @@ def test_threads_completing_the_same_spectra_agree():
         sys.setswitchinterval(switch)
 
 
-def test_a_batch_keeps_each_alphas_type():
-    # equal alphas, but where numpy keeps a float32 scalar's type (from numpy
-    # 2), 1 - alpha rounds in float32 for the narrow one
+def test_equal_alphas_of_any_type_complete_in_one_batch(monkeypatch):
+    # a float32 alpha whose float is not its float32 rounding of 0.3, and that
+    # float as a longdouble and a Fraction: each smooths as the float, so the
+    # four positions share one recurrence, and 1 - alpha rounds in float64
     narrow = np.nextafter(np.float32(0.3), np.float32(1.0))
     wide = float(narrow)
-    assert narrow == wide
-    rounds = float(1.0 - narrow) != 1.0 - wide
     log = count_log([6], n_bins=100)
+    chosen = {plan.AP_ID: narrow, "c1": wide, "c2": np.longdouble(wide), "c3": Fraction(wide)}
     spectra = {
-        plan.AP_ID: aggregate(log, EWMA, alpha=narrow, position_id=plan.AP_ID),
-        "c": aggregate(log, EWMA, alpha=wide, position_id="c"),
+        pos: aggregate(log, EWMA, alpha=alpha, position_id=pos) for pos, alpha in chosen.items()
     }
+    module = sys.modules[AggregatedSpectrum.__module__]  # the package's aggregate is the function
+    ewma_mw, smoothed = module._ewma_mw, []
+    monkeypatch.setattr(
+        module, "_ewma_mw", lambda rows, alpha: smoothed.append(alpha) or ewma_mw(rows, alpha)
+    )
     select_channel(spectra, CLIENT_AWARE)
-    assert bits(spectra[plan.AP_ID].bins) == bits(ewma_per_sweep(log, narrow))
-    assert bits(spectra["c"].bins) == bits(ewma_per_sweep(log, wide))
-    assert (spectra[plan.AP_ID].bins != spectra["c"].bins) == rounds
+    assert smoothed == [wide] and type(smoothed[0]) is float
+    for spectrum in spectra.values():
+        assert bits(spectrum.bins) == bits(ewma_per_sweep(log, wide))
 
 
 # --- channel scoring ---------------------------------------------------------
@@ -806,11 +844,10 @@ SCORING_GRIDS = (
 def scored_spectra(draw):
     n_clients = draw(st.integers(0, 5))
     ids = draw(st.permutations(["ap", *(f"c{i}" for i in range(n_clients))]))
-    single = draw(st.booleans())
-    grids = [SCORING_GRIDS[0] if single else draw(st.sampled_from(SCORING_GRIDS)) for _ in ids]
+    start, width, n = draw(st.sampled_from(SCORING_GRIDS))  # one grid per scoring call
     rng = random.Random(draw(st.integers(0, 2**32)))
     spectra = {}
-    for pos, (start, width, n) in zip(ids, grids):
+    for pos in ids:
         bins = tuple(
             rng.choice([float(rng.randint(-128, 127)), rng.uniform(-130.0, 20.0), -0.0])
             for _ in range(n)
@@ -999,6 +1036,7 @@ def max_hold_numpy(sweeps, position_id):
 
 
 # a lone one-bin sweep takes _lookup's single-byte branch
+@pytest.mark.deep_fuzz
 @example({"ap": [sweep([-128], start=2_401_000, width=22_000)]})
 @given(max_hold_logs())
 @BYTE_TABLE
@@ -1221,17 +1259,16 @@ DBM_EXTREMES = (MAX_DB, -MAX_DB, -0.0, 5e-324, 999, Fraction(-181, 2))
 @st.composite
 def float_bin_spectra(draw):
     """Hand-built spectra: dBm on a plan's scale, a drawn share from a small
-    pool of any floats within the bound and extremes, on one grid or on several."""
+    pool of any floats within the bound and extremes, on one grid."""
     n_clients = draw(st.integers(0, 4))
     ids = draw(st.permutations(["ap", *(f"c{i}" for i in range(n_clients))]))
     values = st.one_of(st.floats(-MAX_DB, MAX_DB), st.sampled_from(DBM_EXTREMES))
     pool = draw(st.lists(values, min_size=1, max_size=4))
     share = draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
-    single = draw(st.booleans())
+    start, width, n = draw(st.sampled_from(SCORING_GRIDS))
     rng = random.Random(draw(st.integers(0, 2**32)))
     spectra = {}
     for pos in ids:
-        start, width, n = SCORING_GRIDS[0] if single else draw(st.sampled_from(SCORING_GRIDS))
         bins = tuple(
             rng.choice(pool) if rng.random() < share else rng.uniform(-130.0, 20.0)
             for _ in range(n)
@@ -1247,6 +1284,7 @@ def uniform_spectra(dbm, n_clients=1):
     }
 
 
+@pytest.mark.deep_fuzz
 @given(
     float_bin_spectra(),
     st.sampled_from([AP_ONLY, CLIENT_AWARE]),
@@ -1270,36 +1308,56 @@ def test_float_bins_score_like_the_scalar_pow(spectra, mode, candidates, objecti
     assert repr(got) == repr(want)
 
 
+def mixed_grid_message(spectrum, first):
+    return (
+        f"spectra disagree on the bin grid ({spectrum.position_id!r} on {spectrum.grid} vs "
+        f"{first.position_id!r} on {first.grid}); resampling is not supported"
+    )
+
+
 def test_uncovered_grid_names_the_first_channel_and_position():
+    # one grid over [2400, 2480] MHz, which misses channels 13 and 14: the
+    # first of them in candidate order is named. Twice each: the scoring
+    # index is cached, a failure is not
     spectra = {
-        "ap": flat_spectrum(-95.0, "ap"),
-        "c1": AggregatedSpectrum("c1", MAX_HOLD, 2_400_000, 1_000, (-90.0,) * 80, {}),
-        "c2": AggregatedSpectrum("c2", MAX_HOLD, 2_430_000, 1_000, (-90.0,) * 30, {}),
+        pos: AggregatedSpectrum(pos, MAX_HOLD, 2_400_000, 1_000, (-90.0,) * 80, {})
+        for pos in ("ap", "c1")
     }
-    # channel by channel, then position by position: with 13 first, c1 fails
-    # before c2 (which misses both channels) is looked at. Twice each: the
-    # scoring index is cached, a failure is not
     for _ in range(2):
-        with pytest.raises(DomainError) as info:
-            select_channel(spectra, CLIENT_AWARE, candidates=(13, 1))
-        assert str(info.value) == (
-            "spectrum [2400000, 2480000] kHz does not cover [2461000, 2483000] kHz"
-        )
-        with pytest.raises(DomainError) as info:
-            select_channel(spectra, CLIENT_AWARE, candidates=(1, 13))
-        assert str(info.value) == (
-            "spectrum [2430000, 2460000] kHz does not cover [2401000, 2423000] kHz"
-        )
+        for candidates, uncovered in (((13, 1, 14), "[2461000, 2483000]"),
+                                      ((1, 14, 13), "[2473000, 2495000]")):
+            with pytest.raises(DomainError) as info:
+                select_channel(spectra, CLIENT_AWARE, candidates)
+            assert str(info.value) == (
+                f"spectrum [2400000, 2480000] kHz does not cover {uncovered} kHz"
+            )
+    # a second grid, which misses every candidate, is refused before any mask is formed
+    spectra["c2"] = AggregatedSpectrum("c2", MAX_HOLD, 2_430_000, 1_000, (-90.0,) * 30, {})
+    with pytest.raises(DomainError) as info:
+        select_channel(spectra, CLIENT_AWARE, candidates=(13, 1))
+    assert str(info.value) == mixed_grid_message(spectra["c2"], spectra["ap"])
 
 
-def test_cached_scoring_index_serves_grids_in_either_order():
+def test_mixed_grids_are_refused_in_either_order():
     fine = flat_spectrum(-60.0, "fine")
     coarse = AggregatedSpectrum(
         "coarse", MAX_HOLD, 2_400_000, 2_000, tuple(-70.0 + 0.5 * k for k in range(45)), {}
     )
-    for spectra in ([fine, coarse], [coarse, fine], [fine, coarse], [coarse, fine]):
-        got = plan._in_channel_mw(spectra, (3, 6, 1, 6))
-        assert got.tobytes() == in_channel_mw_scalar_pow(spectra, (3, 6, 1, 6)).tobytes()
+    # a pending EWMA spectrum on the sweep grid's start and width but with 7
+    # bins is completed before its grid is compared
+    pending = aggregate(count_log([2, 1]), EWMA, position_id="pending")
+    for first, second in ((fine, coarse), (coarse, fine), (fine, pending), (pending, coarse)):
+        for _ in range(2):
+            with pytest.raises(DomainError) as info:
+                plan._in_channel_mw([first, second], (3, 6, 1, 6))
+            assert str(info.value) == mixed_grid_message(second, first)
+        with pytest.raises(DomainError) as info:
+            select_channel({"ap": first, "c": second}, CLIENT_AWARE)
+        assert str(info.value) == mixed_grid_message(second, first)
+    # each grid on its own scores as the oracle does
+    for spectrum in (fine, coarse):
+        got = plan._in_channel_mw([spectrum, spectrum], (3, 6, 1, 6))
+        assert got.tobytes() == in_channel_mw_scalar_pow([spectrum] * 2, (3, 6, 1, 6)).tobytes()
 
 
 def test_a_float_grid_leaves_the_scoring_index_cache_alone():
@@ -1707,6 +1765,7 @@ def per_link_sweeps(scenario, positions, t_ms):
 coordinates = st.floats(-80.0, 80.0)
 
 
+@pytest.mark.deep_fuzz
 @ORACLE
 @given(
     seed=seeds,
@@ -1755,6 +1814,7 @@ bounded_sigma = st.one_of(
 )
 
 
+@pytest.mark.deep_fuzz
 @BOUNDS
 @given(
     seed=st.integers(0, 2**64 - 1),
@@ -1785,6 +1845,7 @@ corner_coordinates = st.sampled_from([-MAX_LENGTH_M, MAX_LENGTH_M])
 corner_points = st.tuples(corner_coordinates, corner_coordinates)
 
 
+@pytest.mark.deep_fuzz
 @BOUNDS
 @given(
     seed=st.integers(0, 2**64 - 1),
