@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import modes
-from .errors import MAX_LENGTH_M, DomainError, _decibels, _uint64, check_sample_count
+from .errors import (MAX_LENGTH_M, DomainError, _decibels, _length, _positive, _uint64,
+                     check_sample_count)
 
 # Each handler imports the library module it runs, so a command loads and
 # compiles that module alone; the parser needs only the names in modes.
@@ -273,6 +274,12 @@ def _cmd_fresnel_field(args) -> Result:
     from . import fresnel
 
     geometry = _fresnel_geometry(args) if args.obliquity else None
+    if args.freq is not None:  # every given value is checked, whether it is read or not
+        from .linkbudget import Frequency
+        Frequency(args.freq)
+    for name, value in (("d1_m", args.d1), ("d2_m", args.d2), ("lambda_m", args.lambda_m)):
+        if value is not None:
+            _length(name, value)
     blocked = args.block or []
     ratio = fresnel.field_ratio(
         blocked,
@@ -280,6 +287,7 @@ def _cmd_fresnel_field(args) -> Result:
         geometry=geometry,
         force_quadrature=args.quadrature,
     )
+    _positive("step", args.curve_step)  # checked also where no curve reads it
     rows = None
     if args.curve_max is not None:
         check_sample_count(args.curve_step, args.curve_max, "--curve-step", "--curve-max")

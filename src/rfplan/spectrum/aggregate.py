@@ -17,10 +17,10 @@ its bins from the merged bytes through a 256-entry table of float levels.
 aggregate checks every sweep and alpha when it is called, in both modes, but
 an EWMA spectrum's bins are computed later: on their first read, or when
 channel scoring is handed the spectrum. Any real alpha smooths as its float.
-Scoring completes every pending spectrum it is handed in one batch, one
-recurrence over all their sensors per alpha and bin count, so the positions
-of one tick share each numpy step. A lone spectrum is a batch of one, and
-the bits do not depend on the batch.
+select_channel completes every pending spectrum of its mapping in one batch,
+in either mode: one recurrence over all their sensors per alpha and bin
+count, so the positions of one tick share each numpy step. A lone spectrum
+is a batch of one, and the bits do not depend on the batch.
 
 Sweeps also travel as JSON lines for logging and replay, written from the payload too.
 """
@@ -127,15 +127,17 @@ def aggregate(
     last_update: dict[int, int] = {}
     late = None
     for s in sweeps:
-        payload = s.payload
+        payload = s._payload or s.payload  # carried bytes, without the property's call
         if (s.start_khz, s.bin_khz, len(payload)) != shape:
             raise DomainError(
                 f"sweeps disagree on the bin grid ({s.grid} vs {first.grid}); "
                 "resampling is not supported"
             )
         sensor, t_ms = s.sensor_id, s.timestamp_ms
-        histories.setdefault(sensor, []).append(payload)
-        prev_ms = last_update.setdefault(sensor, t_ms)
+        prev_ms = last_update.get(sensor, -1)  # -1 precedes every uint64 timestamp
+        if prev_ms < 0:
+            histories[sensor] = []
+        histories[sensor].append(payload)
         if t_ms >= prev_ms:
             last_update[sensor] = t_ms
         elif late is None:
@@ -144,36 +146,34 @@ def aggregate(
                 f"{sensor} went from {prev_ms} ms back to {t_ms} ms"
             )
 
-    fields = dict(
-        position_id=position_id,
-        mode=mode,
-        start_khz=first.start_khz,
-        bin_khz=first.bin_khz,
-        last_update_ms=last_update,
-    )
     if mode not in (MAX_HOLD, EWMA):
         raise DomainError(f"unknown aggregation mode {mode!r}")
     if not (_real(alpha) and 0.0 < alpha <= 1.0):
         raise DomainError(f"ewma alpha must be a real number in (0, 1], got {_shown(alpha)}")
-    alpha = float(alpha)  # a Fraction or a numpy scalar smooths as its float
+    if mode == EWMA and late is not None:
+        raise DomainError(late)
+    spectrum = _prebuilt(  # its own dict, built once: the bins and a hidden attribute join it
+        AggregatedSpectrum, position_id=position_id, mode=mode, start_khz=first.start_khz,
+        bin_khz=first.bin_khz, last_update_ms=last_update,
+    )
     if mode == MAX_HOLD:
         peak = payload  # a lone sweep's payload is its peak as it stands
         if len(sweeps) > 1:
             levels = np.frombuffer(b"".join(map(b"".join, histories.values())), np.int8)
             peak = levels.reshape(len(sweeps), -1).max(axis=0).tobytes()
-        bins = _lookup(_LEVEL_FLOAT, peak)
-        return _prebuilt(AggregatedSpectrum, **fields, bins=bins, _levels=peak)
-    if late is not None:
-        raise DomainError(late)
-    return _prebuilt(AggregatedSpectrum, **fields, _pending=(list(histories.values()), alpha))
+        vars(spectrum).update(bins=_lookup(_LEVEL_FLOAT, peak), _levels=peak)
+    else:  # a Fraction or a numpy scalar alpha smooths as its float
+        vars(spectrum)["_pending"] = list(histories.values()), float(alpha)
+    return spectrum
 
 
 def _complete(spectra: Iterable[AggregatedSpectrum]) -> None:
     """Compute the bins of every pending spectrum in spectra; complete ones are left alone.
 
     Per alpha and bin count, one _ewma_mw recurrence runs over every sensor
-    of those spectra and one log10 over all their rows, then each spectrum
-    takes the max over its own sensors' rows. aggregate made each alpha a float.
+    of those spectra (select_channel hands it a whole tick) and one log10 over
+    all their rows; each spectrum takes the max over its own sensors' rows and
+    slices its float64 bytes from the batch's. aggregate made alpha a float.
     """
     batches: dict[tuple[float, int], dict[int, tuple[AggregatedSpectrum, list]]] = {}
     for s in spectra:
@@ -187,10 +187,13 @@ def _complete(spectra: Iterable[AggregatedSpectrum]) -> None:
         members, histories = zip(*batch.values())
         starts = np.cumsum([0, *map(len, histories[:-1])])  # each spectrum's first sensor row
         smoothed_dbm = 10.0 * np.log10(_ewma_mw(list(chain.from_iterable(histories)), alpha))
-        merged = np.maximum.reduceat(smoothed_dbm, starts)
-        for s, bins, dbm in zip(members, merged.tolist(), merged):
+        merged = smoothed_dbm  # with one sensor each, every row is its own max
+        if len(starts) < len(merged):
+            merged = np.maximum.reduceat(merged, starts)
+        raw, size = merged.tobytes(), merged[0].nbytes  # one copy, sliced per spectrum
+        for s, bins, at in zip(members, merged.tolist(), range(0, len(raw), size)):
             attrs = s.__dict__
-            attrs["_dbm"] = dbm.tobytes()
+            attrs["_dbm"] = raw[at : at + size]
             attrs["bins"] = tuple(bins)
             # last: a thread reading the bins meanwhile computes the same ones itself
             attrs.pop("_pending", None)

@@ -853,6 +853,24 @@ def test_lengths_outside_the_domain_exit_two_naming_the_field(capsys, argv, mess
     assert err == f"error: {message}\n"
 
 
+# each flag is refused as when the flags after it make the command read it
+@pytest.mark.parametrize(
+    ("flags", "readers", "message"),
+    [
+        (["--lambda", "-5", "--d1", "0"], ["--obliquity", "--d2", "25"],
+         f"d1_m {LENGTH_BOUNDS} 0.0"),
+        (["--curve-step", "0"], ["--curve-max", "3"], "step must be positive and finite, got 0.0"),
+        (["--freq", "-3"], ["--obliquity", "--d1", "25", "--d2", "25"],
+         "frequency must lie in [0.000299792458, 2.99792458e+20], got -3.0"),
+    ],
+    ids=["lambda-d1", "curve-step", "freq"],
+)
+def test_fresnel_field_checks_every_given_flag(capsys, flags, readers, message):
+    for argv in (flags, [*flags, *readers]):
+        err = assert_domain_error(capsys, "fresnel", "field", "--block", "1:2", *argv)
+        assert err == f"error: {message}\n"
+
+
 positive_finite = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 

@@ -483,10 +483,18 @@ def test_pending_spectra_complete_alike_one_at_a_time_or_in_a_batch(positions, p
     for pos in pick.sample(ids, pick.randint(0, len(ids))):
         subset_first[pos].bins
     score_all(subset_first)
-    for done in (one_at_a_time, batched, subset_first):
+    # ap-only first completes the whole mapping, then client-aware finds it complete
+    ap_first = pending()
+    plans = [select_channel(ap_first, AP_ONLY)]
+    assert all(spectrum._pending is None for spectrum in ap_first.values())
+    if len(ids) > 1:
+        plans.append(select_channel(ap_first, CLIENT_AWARE))
+    assert repr(plans) == repr([select_channel(want, made.mode) for made in plans])
+    for done in (one_at_a_time, batched, subset_first, ap_first):
         for pos, spectrum in done.items():
             assert "_pending" not in vars(spectrum)
             assert bits(spectrum.bins) == bits(want[pos].bins)
+            assert spectrum._dbm == np.array(want[pos].bins).tobytes()
             assert list(spectrum.last_update_ms.items()) == list(want[pos].last_update_ms.items())
             assert spectrum == want[pos]
     # scored from the carried float64 bytes, from the bins of a replaced
@@ -712,6 +720,15 @@ def test_selection_validation():
         select_channel(spectra, "psychic")
     with pytest.raises(DomainError):
         select_channel(spectra, AP_ONLY, objective="mean-square")
+
+
+@pytest.mark.parametrize("mode", [AP_ONLY, CLIENT_AWARE])
+def test_selection_refuses_a_value_that_is_not_a_spectrum(mode):
+    log = count_log([3], n_bins=100)
+    spectra = {"ap": aggregate(log, EWMA, position_id="ap"), "c": 5}
+    with pytest.raises(DomainError) as info:
+        select_channel(spectra, mode)
+    assert str(info.value) == "position 'c' holds int, not a spectrum"
 
 
 def test_divergence_fixture_modes_differ():
@@ -1225,11 +1242,13 @@ def test_float_power_is_the_scalar_pow(xs):
         assert bits(np.float_power(10.0, np.array(xs[::-1]))[::-1]) == want
 
 
-def in_channel_mw_scalar_pow(spectra, channels):
+def in_channel_mw_scalar_pow(spectra, channels, centers=()):
     """plan._in_channel_mw with every power the scalar pow, added bin by bin.
 
-    Masks are formed channel by channel, then grid by first use.
+    Masks are formed channel by channel, then grid by first use; centers,
+    when select_channel passes them, must be the channels' own.
     """
+    assert not centers or list(centers) == [channel_center_khz(ch) for ch in channels]
     centers = [channel_center_khz(ch) for ch in channels]
     members = {}
     for k, spectrum in enumerate(spectra):
