@@ -287,9 +287,10 @@ def _cmd_fresnel_field(args) -> Result:
         geometry=geometry,
         force_quadrature=args.quadrature,
     )
-    _positive("step", args.curve_step)  # checked also where no curve reads it
     rows = None
-    if args.curve_max is not None:
+    if args.curve_max is None:
+        _positive("step", args.curve_step)  # checked also where no curve reads it
+    else:
         check_sample_count(args.curve_step, args.curve_max, "--curve-step", "--curve-max")
         curve = fresnel.partial_field_curve(
             args.curve_max,

@@ -187,9 +187,7 @@ def _complete(spectra: Iterable[AggregatedSpectrum]) -> None:
         members, histories = zip(*batch.values())
         starts = np.cumsum([0, *map(len, histories[:-1])])  # each spectrum's first sensor row
         smoothed_dbm = 10.0 * np.log10(_ewma_mw(list(chain.from_iterable(histories)), alpha))
-        merged = smoothed_dbm  # with one sensor each, every row is its own max
-        if len(starts) < len(merged):
-            merged = np.maximum.reduceat(merged, starts)
+        merged = np.maximum.reduceat(smoothed_dbm, starts)
         raw, size = merged.tobytes(), merged[0].nbytes  # one copy, sliced per spectrum
         for s, bins, at in zip(members, merged.tolist(), range(0, len(raw), size)):
             attrs = s.__dict__

@@ -51,24 +51,24 @@ def channel_power_mw(spectrum: AggregatedSpectrum, channel: int) -> float:
     return float(_in_channel_mw([spectrum], [channel])[0, 0])
 
 
-def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int],
-                   centers: tuple[int, ...] = ()) -> np.ndarray:
+def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int]) -> np.ndarray:
     """In-channel power of each channel (rows) at each spectrum (columns).
 
-    centers are the channels' centres if the caller has checked them. Any
-    pending EWMA spectrum is completed first, in one batch
-    (aggregate._complete), and spectra on two bin grids are refused, as
-    aggregate refuses sweeps on two. Each total adds its bins' scalar
-    10.0 ** (dbm / 10.0) left to right: numpy sums pairwise and sum() is
-    compensated from Python 3.12, so either would change a total's last
-    bits. np.float_power calls the C library's pow as 10.0 ** x does, bit
-    for bit; np.power's SIMD code can differ in the last bit. Spectra that
-    all carry max-hold levels read their powers from _SCALAR_MW, and spectra
-    that all carry EWMA bins as float64 bytes are read from those bytes.
-    _scoring_index, cached by the grid and the centres, gives the bins each
-    mask adds. AggregatedSpectrum bounds its bins, so every total is finite.
+    It first completes every pending EWMA spectrum it is handed, in one batch
+    (aggregate._complete; select_channel has already completed its whole
+    mapping), then refuses spectra on two bin grids, as aggregate refuses
+    sweeps on two. Each total adds its bins' scalar 10.0 ** (dbm / 10.0) left
+    to right: numpy sums pairwise and sum() is compensated from Python 3.12, so
+    either would change the last bits of a total. The powers come from
+    np.float_power, which calls the C library's pow as 10.0 ** x does, bit for
+    bit; np.power dispatches to SIMD code that can differ in the last bit.
+    Spectra that all carry max-hold levels read those powers from _SCALAR_MW,
+    which is faster than computing them; spectra that all carry EWMA bins as
+    float64 bytes are read from those, not from their tuples. _scoring_index,
+    cached by the grid and channel centres, gives the bins each mask adds.
+    Every total is finite: AggregatedSpectrum bounds its bins.
     """
-    centers = centers or tuple(channel_center_khz(ch) for ch in channels)
+    centers = tuple(channel_center_khz(ch) for ch in channels)
     _complete(spectra)
     first = spectra[0]
     # ints only, as AggregatedSpectrum keeps them: lru_cache takes 2400000.0 for 2400000
@@ -156,7 +156,8 @@ def select_channel(
     channels = tuple(candidates) if candidates is not None else ALL_CHANNELS
     if not channels:
         raise DomainError("no candidate channels to choose from")
-    centers = tuple(map(channel_center_khz, channels))  # checks each channel
+    for ch in channels:
+        channel_center_khz(ch)  # validates the range
     if AP_ID not in spectra:
         raise DomainError(f"no spectrum for the access-point position {AP_ID!r}")
     if mode == AP_ONLY:
@@ -174,7 +175,7 @@ def select_channel(
             raise DomainError(f"position {pos!r} holds {type(spectrum).__name__}, not a spectrum")
     _complete(spectra.values())
 
-    in_channel = _in_channel_mw([spectra[pos] for pos in positions], channels, centers)
+    in_channel = _in_channel_mw([spectra[pos] for pos in positions], channels)
     scores: dict[int, ChannelScore] = {}
     ranking = []
     for ch, row in zip(channels, in_channel.tolist()):

@@ -860,10 +860,12 @@ def test_lengths_outside_the_domain_exit_two_naming_the_field(capsys, argv, mess
         (["--lambda", "-5", "--d1", "0"], ["--obliquity", "--d2", "25"],
          f"d1_m {LENGTH_BOUNDS} 0.0"),
         (["--curve-step", "0"], ["--curve-max", "3"], "step must be positive and finite, got 0.0"),
+        # the curve checks its step before its u_max, as without the unread-flag checks
+        (["--curve-step", "0"], ["--curve-max", "0"], "step must be positive and finite, got 0.0"),
         (["--freq", "-3"], ["--obliquity", "--d1", "25", "--d2", "25"],
          "frequency must lie in [0.000299792458, 2.99792458e+20], got -3.0"),
     ],
-    ids=["lambda-d1", "curve-step", "freq"],
+    ids=["lambda-d1", "curve-step", "curve-step-before-u-max", "freq"],
 )
 def test_fresnel_field_checks_every_given_flag(capsys, flags, readers, message):
     for argv in (flags, [*flags, *readers]):

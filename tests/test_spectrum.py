@@ -1242,13 +1242,11 @@ def test_float_power_is_the_scalar_pow(xs):
         assert bits(np.float_power(10.0, np.array(xs[::-1]))[::-1]) == want
 
 
-def in_channel_mw_scalar_pow(spectra, channels, centers=()):
+def in_channel_mw_scalar_pow(spectra, channels):
     """plan._in_channel_mw with every power the scalar pow, added bin by bin.
 
-    Masks are formed channel by channel, then grid by first use; centers,
-    when select_channel passes them, must be the channels' own.
+    Masks are formed channel by channel, then grid by first use.
     """
-    assert not centers or list(centers) == [channel_center_khz(ch) for ch in channels]
     centers = [channel_center_khz(ch) for ch in channels]
     members = {}
     for k, spectrum in enumerate(spectra):
