@@ -217,6 +217,13 @@ def _cmd_lens_apply(args) -> Result:
     return Result(asdict(lens.boost_rx_power(args.rx_dbm, effect)))
 
 
+def _given_frequency(args):
+    """--freq's Frequency, checked whether it is read or not; None if not given."""
+    if args.freq is not None:
+        from .linkbudget import Frequency
+        return Frequency(args.freq)
+
+
 def _fresnel_geometry(args):
     from .fresnel import PathGeometry
 
@@ -224,12 +231,12 @@ def _fresnel_geometry(args):
     if lam is None:
         if args.freq is None:
             raise DomainError("give either --lambda or --freq")
-        from .linkbudget import Frequency
-
-        lam = Frequency(args.freq).wavelength_m
+        lam = _given_frequency(args).wavelength_m
     if args.d1 is None or args.d2 is None:
         raise DomainError("this computation needs --d1 and --d2")
-    return PathGeometry(d1_m=args.d1, d2_m=args.d2, lambda_m=lam)
+    geometry = PathGeometry(d1_m=args.d1, d2_m=args.d2, lambda_m=lam)
+    _given_frequency(args)  # a --freq given beside --lambda too
+    return geometry
 
 
 def _cmd_fresnel_zones(args) -> Result:
@@ -274,9 +281,7 @@ def _cmd_fresnel_field(args) -> Result:
     from . import fresnel
 
     geometry = _fresnel_geometry(args) if args.obliquity else None
-    if args.freq is not None:  # every given value is checked, whether it is read or not
-        from .linkbudget import Frequency
-        Frequency(args.freq)
+    _given_frequency(args)
     for name, value in (("d1_m", args.d1), ("d2_m", args.d2), ("lambda_m", args.lambda_m)):
         if value is not None:
             _length(name, value)

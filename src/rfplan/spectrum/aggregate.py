@@ -35,7 +35,7 @@ import numpy as np
 
 from ..errors import MAX_DB, DomainError, _index, _real, _shown
 from ..modes import DEFAULT_EWMA_ALPHA, EWMA, MAX_HOLD
-from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _prebuilt
+from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _new, _setters
 
 # mW of every dBm a bin can hold, indexed by the bin's byte as unsigned. EWMA
 # output carries np.power's bits, and those follow the CPU: numpy sends
@@ -51,8 +51,22 @@ _LEVEL_FLOAT = tuple(map(float, _LEVELS))  # every level as a max-hold bin, inde
 _RECORD = '{"sensor_id": %d, "timestamp_ms": %d, "start_khz": %d, "bin_khz": %d, "bins": [%s]}\n'
 
 
-@dataclass(frozen=True)
-class AggregatedSpectrum:
+class _SpectrumHidden:
+    # Slots of this base, not fields: equality, repr and dataclasses.replace
+    # never see them, and a replaced spectrum is scored from its bins. Every
+    # spectrum sets all three, None where it has nothing.
+    # _levels: a max-hold spectrum's merged levels as int8 bytes (a lone
+    # sweep's payload as it stands), which aggregate turned into the bins
+    # through _LEVEL_FLOAT and channel scoring reads through its mW table.
+    # _pending: an EWMA spectrum's per-sensor payload histories and alpha,
+    # until _complete computes its bins and sets it to None; the bins slot
+    # stays unset until then. _dbm: those bins as float64 bytes, which
+    # scoring reads in place of the tuple.
+    __slots__ = ("_levels", "_pending", "_dbm")
+
+
+@dataclass(frozen=True, slots=True)
+class AggregatedSpectrum(_SpectrumHidden):
     """Merged view of one position's RF environment on a fixed bin grid.
 
     A spectrum built by hand is checked: start_khz and bin_khz must be
@@ -71,19 +85,9 @@ class AggregatedSpectrum:
     bins: tuple[float, ...]
     last_update_ms: Mapping[int, int]
 
-    # Hidden attributes, not fields: equality, repr and dataclasses.replace
-    # never see them, and a replaced spectrum is scored from its bins.
-    # _levels: a max-hold spectrum's merged levels as int8 bytes (a lone
-    # sweep's payload as it stands), which aggregate turned into the bins
-    # through _LEVEL_FLOAT and channel scoring reads through its mW table.
-    # _pending: an EWMA spectrum's per-sensor payload histories and alpha,
-    # until _complete computes its bins and drops it. _dbm: those bins as
-    # float64 bytes, which scoring reads in place of the tuple.
-    _levels = None
-    _pending = None
-    _dbm = None
-
     def __post_init__(self):
+        for name in _SpectrumHidden.__slots__:
+            object.__setattr__(self, name, None)
         for name in ("start_khz", "bin_khz"):
             object.__setattr__(self, name, _index(f"spectrum {name}", getattr(self, name)))
         for dbm in self.bins:
@@ -94,18 +98,43 @@ class AggregatedSpectrum:
                 )
 
     def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: bins while pending
+        # reached only for a slot the instance has not set: bins while pending
         if name == "bins" and self._pending is not None:
             _complete((self,))
         return object.__getattribute__(self, name)
 
-    def __getstate__(self):
-        self.bins  # pickle and copy take a pending spectrum's state complete
-        return self.__dict__
+    def __reduce__(self):
+        # pickle and copy keep the hidden slots, and take a pending spectrum complete
+        fields = self.position_id, self.mode, self.start_khz, self.bin_khz, self.last_update_ms
+        return _spectrum, (*fields, self.bins, self._levels, None, self._dbm)
 
     @property
     def grid(self) -> BinGrid:
         return BinGrid(self.start_khz, self.bin_khz, len(self.bins))
+
+
+(_SET_POSITION_ID, _SET_MODE, _SET_START_KHZ, _SET_BIN_KHZ, _SET_LAST_UPDATE_MS, _SET_BINS,
+ _SET_LEVELS, _SET_PENDING, _SET_DBM) = _setters(
+    AggregatedSpectrum, "position_id", "mode", "start_khz", "bin_khz", "last_update_ms", "bins",
+    "_levels", "_pending", "_dbm",
+)
+
+
+def _spectrum(position_id, mode, start_khz, bin_khz, last_update_ms, bins, levels, pending, dbm):
+    """An AggregatedSpectrum of values that pass its checks, one positional set
+    per slot, no keyword dict; its bins stay unset while pending is not None."""
+    spectrum = _new(AggregatedSpectrum)
+    _SET_POSITION_ID(spectrum, position_id)
+    _SET_MODE(spectrum, mode)
+    _SET_START_KHZ(spectrum, start_khz)
+    _SET_BIN_KHZ(spectrum, bin_khz)
+    _SET_LAST_UPDATE_MS(spectrum, last_update_ms)
+    if pending is None:
+        _SET_BINS(spectrum, bins)
+    _SET_LEVELS(spectrum, levels)
+    _SET_PENDING(spectrum, pending)
+    _SET_DBM(spectrum, dbm)
+    return spectrum
 
 
 def aggregate(
@@ -152,19 +181,17 @@ def aggregate(
         raise DomainError(f"ewma alpha must be a real number in (0, 1], got {_shown(alpha)}")
     if mode == EWMA and late is not None:
         raise DomainError(late)
-    spectrum = _prebuilt(  # its own dict, built once: the bins and a hidden attribute join it
-        AggregatedSpectrum, position_id=position_id, mode=mode, start_khz=first.start_khz,
-        bin_khz=first.bin_khz, last_update_ms=last_update,
-    )
+    start_khz, bin_khz = first.start_khz, first.bin_khz
     if mode == MAX_HOLD:
         peak = payload  # a lone sweep's payload is its peak as it stands
         if len(sweeps) > 1:
             levels = np.frombuffer(b"".join(map(b"".join, histories.values())), np.int8)
             peak = levels.reshape(len(sweeps), -1).max(axis=0).tobytes()
-        vars(spectrum).update(bins=_lookup(_LEVEL_FLOAT, peak), _levels=peak)
-    else:  # a Fraction or a numpy scalar alpha smooths as its float
-        vars(spectrum)["_pending"] = list(histories.values()), float(alpha)
-    return spectrum
+        bins = _lookup(_LEVEL_FLOAT, peak)
+        return _spectrum(position_id, mode, start_khz, bin_khz, last_update, bins, peak, None, None)
+    # a Fraction or a numpy scalar alpha smooths as its float
+    pending = list(histories.values()), float(alpha)
+    return _spectrum(position_id, mode, start_khz, bin_khz, last_update, None, None, pending, None)
 
 
 def _complete(spectra: Iterable[AggregatedSpectrum]) -> None:
@@ -190,11 +217,10 @@ def _complete(spectra: Iterable[AggregatedSpectrum]) -> None:
         merged = np.maximum.reduceat(smoothed_dbm, starts)
         raw, size = merged.tobytes(), merged[0].nbytes  # one copy, sliced per spectrum
         for s, bins, at in zip(members, merged.tolist(), range(0, len(raw), size)):
-            attrs = s.__dict__
-            attrs["_dbm"] = raw[at : at + size]
-            attrs["bins"] = tuple(bins)
+            _SET_DBM(s, raw[at : at + size])
+            _SET_BINS(s, tuple(bins))
             # last: a thread reading the bins meanwhile computes the same ones itself
-            attrs.pop("_pending", None)
+            _SET_PENDING(s, None)
 
 
 def _ewma_mw(histories: list[list[bytes]], alpha: float) -> np.ndarray:

@@ -43,9 +43,10 @@ it again on the installed numpy.
 Every sensor position must be an (x, y) pair of coordinates, as the AP's
 is; it is checked before any work. The sweeps are checked once per call, not
 once per sweep: they share t_ms and the grid, and their levels are clipped
-ints, so SensorSweep checks sensor 0 and the first id past 16 bits before
-any link is formed or bin summed. Every sweep is built carrying its payload,
-its bins the shared ints that parse_frame gives.
+ints, so only t_ms and the first id past 16 bits can fail SensorSweep's
+checks, and both are checked, with its messages, before any link is formed
+or bin summed. Every sweep is built carrying its payload, its bins the
+shared ints that parse_frame gives.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ import numpy as np
 
 from ..errors import MAX_DB, MAX_LENGTH_M, DomainError, _finite, _index, _length, _shown, _uint64
 from ..linkbudget import Frequency
-from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _prebuilt
+from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _sweep
 from .plan import ALL_CHANNELS, AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
 SWEEP_GRID = BinGrid(start_khz=2_400_000, bin_khz=1_000, n_bins=100)
@@ -187,21 +188,12 @@ def simulate_sweeps(
     sensor_xy = np.fromiter(_sensor_coordinates(sensor_positions), float).reshape(-1, 2)
     shape = (len(sensor_xy), len(scenario.emitters))
     facts = [_channel_facts(e.channel) for e in scenario.emitters]
-    # The levels will be clipped ints and the grid fields are constants, so
-    # only the id bound and t_ms can fail SensorSweep's checks: check sensor
-    # 0, whose id always fits, and the first id that does not, if there are
-    # that many, before any link is drawn or bin summed.
-    for sensor_index in (0, 0x10000):
-        if sensor_index >= shape[0]:
-            break
-        checked = SensorSweep(
-            sensor_id=sensor_index,
-            timestamp_ms=t_ms,
-            start_khz=SWEEP_GRID.start_khz,
-            bin_khz=SWEEP_GRID.bin_khz,
-            bins=(0,),
-        )
-        t_ms = checked.timestamp_ms  # an int, as SensorSweep makes it
+    # only t_ms and the id bound can fail SensorSweep's checks (see the module
+    # docstring); with no sensor there is no sweep to check
+    if shape[0]:
+        t_ms = _uint64("timestamp_ms", t_ms)  # an int, as SensorSweep makes it
+        if shape[0] > 0x10000:
+            raise DomainError("sensor_id must fit 16 bits, got 65536")
     emitter_x, emitter_y, tx_dbm, wavelength_m = np.array(
         [(e.x, e.y, e.tx_power_dbm, fact[0]) for e, fact in zip(scenario.emitters, facts)]
     ).reshape(-1, 4).T
@@ -240,17 +232,10 @@ def simulate_sweeps(
     payload = _quantize(bin_major.T, scenario.noise_floor_dbm, exact_total).tobytes()
     bins = _lookup(_LEVELS, payload)  # one call for every sensor's bins, sliced per sweep
     n = SWEEP_GRID.n_bins
+    start_khz, bin_khz = SWEEP_GRID.start_khz, SWEEP_GRID.bin_khz
     return [
-        _prebuilt(
-            SensorSweep,
-            sensor_id=sensor_index,
-            timestamp_ms=t_ms,
-            start_khz=SWEEP_GRID.start_khz,
-            bin_khz=SWEEP_GRID.bin_khz,
-            bins=bins[start : start + n],
-            _payload=payload[start : start + n],
-        )
-        for sensor_index, start in enumerate(range(0, len(payload), n))
+        _sweep(sensor, t_ms, start_khz, bin_khz, bins[at : at + n], payload[at : at + n])
+        for sensor, at in enumerate(range(0, len(payload), n))
     ]
 
 

@@ -873,6 +873,22 @@ def test_fresnel_field_checks_every_given_flag(capsys, flags, readers, message):
         assert err == f"error: {message}\n"
 
 
+# a --freq given beside --lambda is checked, after the geometry's own flags
+@pytest.mark.parametrize(
+    "command",
+    [["fresnel", "zones"], ["fresnel", "screen", "--zone", "2"],
+     ["fresnel", "field", "--block", "1:2", "--obliquity"]],
+    ids=["zones", "screen", "field"],
+)
+def test_a_freq_beside_lambda_is_checked_after_the_geometry(capsys, command):
+    for d1, message in (
+        ("25", "frequency must lie in [0.000299792458, 2.99792458e+20], got -3.0"),
+        ("-1", f"d1_m {LENGTH_BOUNDS} -1.0"),
+    ):
+        argv = [*command, "--lambda", "0.125", "--freq", "-3", "--d1", d1, "--d2", "25"]
+        assert assert_domain_error(capsys, *argv) == f"error: {message}\n"
+
+
 positive_finite = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 

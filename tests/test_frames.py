@@ -297,9 +297,11 @@ def test_payload_is_the_packed_bins_from_every_source(sweep, other_bins):
 def test_encode_leaves_a_sweep_without_payload_as_it_was():
     # packing on demand, not caching: a sweep from ints keeps its footprint
     sweep = SensorSweep(1, 0, 2_400_000, 1000, bins=(-90, -40, 7))
-    before = dict(vars(sweep))
+    slots = ("_payload", *(f.name for f in dataclasses.fields(sweep)))
+    before = [getattr(sweep, name) for name in slots]
     encode_frame(sweep)
-    assert vars(sweep) == before
+    assert [getattr(sweep, name) for name in slots] == before
+    assert sweep._payload is None
 
 
 @given(

@@ -5,13 +5,16 @@ import hashlib
 import json
 import math
 import operator
+import os
 import pickle
 import random
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rfplan
 from rfplan.errors import MAX_DB, MAX_LENGTH_M, DomainError
 from rfplan.linkbudget import Frequency, LinkGeometry, fspl_db
 from rfplan.spectrum import (
@@ -50,9 +54,9 @@ from rfplan.spectrum import (
     sweeps_from_jsonl,
     sweeps_to_jsonl,
 )
-from rfplan.spectrum.aggregate import _MW_TABLE
+from rfplan.spectrum.aggregate import _MW_TABLE, _spectrum
 from rfplan.spectrum import plan, shadowing, simulate
-from rfplan.spectrum.frames import _LEVELS, _prebuilt
+from rfplan.spectrum.frames import _LEVELS
 from rfplan.spectrum.plan import _SCALAR_MW, CHANNEL_HALF_WIDTH_KHZ
 from rfplan.spectrum.shadowing import (
     _fast_normals,
@@ -422,6 +426,15 @@ def deferral_logs(positions, seed):
     return logs
 
 
+def bins_slot_set(spectrum):
+    """Whether the spectrum holds its bins, read without completing a pending one."""
+    try:
+        object.__getattribute__(spectrum, "bins")
+    except AttributeError:
+        return False
+    return True
+
+
 def eager_twin(log, alpha, position_id):
     """The spectrum aggregate should give, built from the per-sweep oracle."""
     last_update = {s.sensor_id: s.timestamp_ms for s in log}  # in first-seen order
@@ -492,7 +505,7 @@ def test_pending_spectra_complete_alike_one_at_a_time_or_in_a_batch(positions, p
     assert repr(plans) == repr([select_channel(want, made.mode) for made in plans])
     for done in (one_at_a_time, batched, subset_first, ap_first):
         for pos, spectrum in done.items():
-            assert "_pending" not in vars(spectrum)
+            assert spectrum._pending is None and bins_slot_set(spectrum)
             assert bits(spectrum.bins) == bits(want[pos].bins)
             assert spectrum._dbm == np.array(want[pos].bins).tobytes()
             assert list(spectrum.last_update_ms.items()) == list(want[pos].last_update_ms.items())
@@ -506,14 +519,20 @@ def test_pending_spectra_complete_alike_one_at_a_time_or_in_a_batch(positions, p
     assert repr(score_all(want)) == repr(scores)
 
 
+COPIES = [
+    *(functools.partial(lambda p, r: pickle.loads(pickle.dumps(r, p)), p)
+      for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    copy.copy,
+    copy.deepcopy,
+]
+
+
 def test_a_pending_spectrum_completes_wherever_its_bins_are_read():
     log = count_log([4, 4, 2], n_bins=100)
     twin = aggregate(log, EWMA, position_id="p")
     twin.bins
     reads = [
-        *(functools.partial(lambda p, s: pickle.loads(pickle.dumps(s, p)), p) for p in range(6)),
-        copy.copy,
-        copy.deepcopy,
+        *COPIES,
         dataclasses.replace,
         dataclasses.asdict,
         repr,
@@ -522,15 +541,106 @@ def test_a_pending_spectrum_completes_wherever_its_bins_are_read():
     ]
     for read in reads:
         spectrum = aggregate(log, EWMA, position_id="p")
-        assert spectrum._pending is not None and "bins" not in vars(spectrum)
+        assert spectrum._pending is not None and not bins_slot_set(spectrum)
         got = read(spectrum)
-        assert spectrum._pending is None and "_pending" not in vars(spectrum)
+        assert spectrum._pending is None and bins_slot_set(spectrum)
         assert bits(spectrum.bins) == bits(twin.bins)
         if isinstance(got, AggregatedSpectrum):
             assert got._pending is None
             assert got == twin
         else:
             assert got == read(twin)
+
+
+def hidden(record):
+    """A record's hidden slots as scoring and the codec read them."""
+    if isinstance(record, SensorSweep):
+        return record._payload, record.payload
+    return record._levels, record._pending, record._dbm
+
+
+@given(
+    logs=st.lists(st.lists(st.integers(-128, 127), min_size=3, max_size=3), min_size=1, max_size=4),
+    seed=st.integers(0, 2**64 - 1),
+    t_ms=st.integers(0, 2**64 - 1),
+    alpha=alphas,
+)
+def test_pickle_and_copy_keep_every_hidden_slot(logs, seed, t_ms, alpha):
+    hand = [sweep(bins, sensor_id=k % 2, t=k) for k, bins in enumerate(logs)]
+    parsed = [parse_frame(encode_frame(s)) for s in hand]
+    scenario = Scenario(
+        ap_position=(0.0, 0.0), emitters=(Emitter(6, 20.0, 3.0, 4.0),), shadowing_sigma_db=6.0,
+        seed=seed,
+    )
+    simulated = simulate_sweeps(scenario, [(0.0, 0.0), (30.0, 40.0)], t_ms)
+    replaced = [dataclasses.replace(s, timestamp_ms=t_ms) for s in parsed + simulated]
+    sweeps = hand + parsed + simulated + replaced
+    completed = aggregate(parsed, EWMA, alpha=alpha)
+    completed.bins
+    spectra = [
+        aggregate(parsed[:1], MAX_HOLD), aggregate(parsed, MAX_HOLD), completed,
+        eager_twin(parsed, alpha, "p"), dataclasses.replace(completed),
+    ]
+    for record in sweeps + spectra:
+        for make_copy in COPIES:
+            got = make_copy(record)
+            assert type(got) is type(record) and got == record
+            assert hidden(got) == hidden(record)
+    # a pending spectrum's copy is complete, and completes the original
+    for make_copy in COPIES:
+        pending = aggregate(parsed, EWMA, alpha=alpha)
+        got = make_copy(pending)
+        assert got == pending == completed
+        assert hidden(got) == hidden(pending) == hidden(completed)
+        assert got._pending is None and got._dbm is not None
+
+
+# each constructor runs first in a fresh process, then every other one
+LAYOUT_PROBE = """
+import dataclasses, json, sys
+from rfplan.spectrum import (
+    EWMA, AggregatedSpectrum, Scenario, SensorSweep, aggregate, encode_frame, parse_frame,
+    simulate_sweeps,
+)
+
+def built(kind):
+    if kind == "init":
+        return SensorSweep(1, 0, 2_400_000, 1000, bins=(-90,) * 100)  # the simulator's grid
+    if kind == "parse":
+        return parse_frame(encode_frame(built("init")))
+    if kind == "simulate":
+        return simulate_sweeps(Scenario(ap_position=(0.0, 0.0)), [(0.0, 0.0)])[0]
+    return dataclasses.replace(simulate_sweeps(Scenario(ap_position=(0.0, 0.0)), [(0.0, 0.0)])[0])
+
+first = sys.argv[1]
+sweeps = {first: built(first)}
+sweeps.update((kind, built(kind)) for kind in ("init", "parse", "simulate", "replace"))
+log = list(sweeps.values())
+pending = aggregate(log, EWMA)
+spectra = {
+    "max-hold": aggregate(log), "pending": pending, "completed": aggregate(log, EWMA),
+    "by hand": AggregatedSpectrum("p", EWMA, 2_400_000, 1000, (1.0,), {}),
+}
+spectra["completed"].bins
+spectra["replace"] = dataclasses.replace(spectra["completed"])
+print(json.dumps({
+    "sweep": {k: [hasattr(s, "__dict__"), sys.getsizeof(s)] for k, s in sweeps.items()},
+    "spectrum": {k: [hasattr(s, "__dict__"), sys.getsizeof(s)] for k, s in spectra.items()},
+}))
+"""
+
+
+@pytest.mark.parametrize("first", ["init", "parse", "simulate", "replace"])
+def test_every_sweep_and_spectrum_has_one_layout_whichever_constructor_runs_first(first):
+    src = Path(rfplan.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", LAYOUT_PROBE, first], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+    )
+    layouts = json.loads(proc.stdout)
+    for kinds in layouts.values():
+        (has_dict,), sizes = {has for has, _ in kinds.values()}, {size for _, size in kinds.values()}
+        assert has_dict is False and len(sizes) == 1, kinds
 
 
 def test_completing_a_complete_spectrum_changes_nothing():
@@ -1040,15 +1150,10 @@ def max_hold_numpy(sweeps, position_id):
     for s in sweeps:
         last_update[s.sensor_id] = max(last_update.get(s.sensor_id, s.timestamp_ms), s.timestamp_ms)
     first = sweeps[0]
-    return _prebuilt(
-        AggregatedSpectrum,
-        position_id=position_id,
-        mode=MAX_HOLD,
-        start_khz=first.start_khz,
-        bin_khz=first.bin_khz,
-        bins=tuple(peak.astype(float).tolist()),
-        last_update_ms=last_update,
-        _levels=peak.tobytes(),
+    bins = tuple(peak.astype(float).tolist())
+    return _spectrum(
+        position_id, MAX_HOLD, first.start_khz, first.bin_khz, last_update, bins, peak.tobytes(),
+        None, None,
     )
 
 
