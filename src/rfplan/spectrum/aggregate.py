@@ -11,12 +11,16 @@ Two modes:
 
 Both modes read each sweep's frame payload (SensorSweep.payload), the bins
 as signed bytes, never the bins as Python ints. Max-hold uses a lone sweep's
-payload as it stands, takes numpy's max over two or more sweeps, and builds
-its bins from the merged bytes through a 256-entry table of float levels.
+payload as it stands and takes numpy's max over two or more sweeps; the
+first read of its bins builds them from those bytes through a 256-entry
+table of float levels.
 
 aggregate checks every sweep and alpha when it is called, in both modes, but
-an EWMA spectrum's bins are computed later: on their first read, or when
-channel scoring is handed the spectrum. Any real alpha smooths as its float.
+an EWMA spectrum's levels are computed later, as float64 bytes: on the first
+read of its bins, which then builds them from those bytes, or when channel
+scoring is handed the spectrum. Scoring reads the bytes of both modes, so a
+tick that aggregates and scores builds no bins tuple. Any real alpha smooths
+as its float.
 select_channel completes every pending spectrum of its mapping in one batch,
 in either mode: one recurrence over all their sensors per alpha and bin
 count, so the positions of one tick share each numpy step. A lone spectrum
@@ -35,7 +39,7 @@ import numpy as np
 
 from ..errors import MAX_DB, DomainError, _index, _real, _shown
 from ..modes import DEFAULT_EWMA_ALPHA, EWMA, MAX_HOLD
-from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _new, _setters
+from .frames import _LEVELS, BinGrid, SensorSweep, _BuiltOnFirstRead, _lookup, _new, _setters
 
 # mW of every dBm a bin can hold, indexed by the bin's byte as unsigned. EWMA
 # output carries np.power's bits, and those follow the CPU: numpy sends
@@ -56,12 +60,12 @@ class _SpectrumHidden:
     # never see them, and a replaced spectrum is scored from its bins. Every
     # spectrum sets all three, None where it has nothing.
     # _levels: a max-hold spectrum's merged levels as int8 bytes (a lone
-    # sweep's payload as it stands), which aggregate turned into the bins
-    # through _LEVEL_FLOAT and channel scoring reads through its mW table.
+    # sweep's payload as it stands), which channel scoring reads through its
+    # mW table and the first read of bins turns into them through _LEVEL_FLOAT.
     # _pending: an EWMA spectrum's per-sensor payload histories and alpha,
-    # until _complete computes its bins and sets it to None; the bins slot
-    # stays unset until then. _dbm: those bins as float64 bytes, which
-    # scoring reads in place of the tuple.
+    # until _complete computes its levels and sets it to None. _dbm: those
+    # levels as float64 bytes, which scoring reads and the first read of bins
+    # turns into them. aggregate leaves the bins slot unset in both modes.
     __slots__ = ("_levels", "_pending", "_dbm")
 
 
@@ -97,11 +101,13 @@ class AggregatedSpectrum(_SpectrumHidden):
                     f"a real number in [{-MAX_DB}, {MAX_DB}] dBm"
                 )
 
-    def __getattr__(self, name):
-        # reached only for a slot the instance has not set: bins while pending
-        if name == "bins" and self._pending is not None:
-            _complete((self,))
-        return object.__getattribute__(self, name)
+    def _n_bins(self) -> int:
+        """len(self.bins), read from the bytes a spectrum carries without building the bins."""
+        if self._levels is not None:
+            return len(self._levels)
+        if self._dbm is not None:
+            return len(self._dbm) // 8  # float64s
+        return len(self.bins)  # built by hand or replaced; a pending spectrum completes
 
     def __reduce__(self):
         # pickle and copy keep the hidden slots, and take a pending spectrum complete
@@ -110,7 +116,7 @@ class AggregatedSpectrum(_SpectrumHidden):
 
     @property
     def grid(self) -> BinGrid:
-        return BinGrid(self.start_khz, self.bin_khz, len(self.bins))
+        return BinGrid(self.start_khz, self.bin_khz, self._n_bins())
 
 
 (_SET_POSITION_ID, _SET_MODE, _SET_START_KHZ, _SET_BIN_KHZ, _SET_LAST_UPDATE_MS, _SET_BINS,
@@ -120,16 +126,30 @@ class AggregatedSpectrum(_SpectrumHidden):
 )
 
 
+def _built_bins(spectrum: AggregatedSpectrum) -> tuple[float, ...]:
+    """The bins from the bytes a spectrum carries, completing a pending one
+    first. _complete sets _dbm before it clears _pending, so a thread that
+    finds _pending None finds _dbm set."""
+    if spectrum._pending is not None:
+        _complete((spectrum,))
+    if spectrum._levels is not None:
+        return _lookup(_LEVEL_FLOAT, spectrum._levels)
+    return tuple(np.frombuffer(spectrum._dbm).tolist())
+
+
+AggregatedSpectrum.bins = _BuiltOnFirstRead(AggregatedSpectrum.bins, _built_bins)
+
+
 def _spectrum(position_id, mode, start_khz, bin_khz, last_update_ms, bins, levels, pending, dbm):
     """An AggregatedSpectrum of values that pass its checks, one positional set
-    per slot, no keyword dict; its bins stay unset while pending is not None."""
+    per slot, no keyword dict; its bins slot stays unset while bins is None."""
     spectrum = _new(AggregatedSpectrum)
     _SET_POSITION_ID(spectrum, position_id)
     _SET_MODE(spectrum, mode)
     _SET_START_KHZ(spectrum, start_khz)
     _SET_BIN_KHZ(spectrum, bin_khz)
     _SET_LAST_UPDATE_MS(spectrum, last_update_ms)
-    if pending is None:
+    if bins is not None:
         _SET_BINS(spectrum, bins)
     _SET_LEVELS(spectrum, levels)
     _SET_PENDING(spectrum, pending)
@@ -148,7 +168,7 @@ def aggregate(
     if not sweeps:
         raise DomainError("nothing to aggregate")
     first = sweeps[0]
-    shape = (first.start_khz, first.bin_khz, len(first.bins))
+    shape = (first.start_khz, first.bin_khz, first._n_bins())
     # One pass checks the grid and groups each sensor's payloads. A sensor's
     # latest timestamp is its last while its sweeps are in order; the first one
     # that is not is reported only for ewma, after the grid check and alpha.
@@ -187,15 +207,15 @@ def aggregate(
         if len(sweeps) > 1:
             levels = np.frombuffer(b"".join(map(b"".join, histories.values())), np.int8)
             peak = levels.reshape(len(sweeps), -1).max(axis=0).tobytes()
-        bins = _lookup(_LEVEL_FLOAT, peak)
-        return _spectrum(position_id, mode, start_khz, bin_khz, last_update, bins, peak, None, None)
+        return _spectrum(position_id, mode, start_khz, bin_khz, last_update, None, peak, None, None)
     # a Fraction or a numpy scalar alpha smooths as its float
     pending = list(histories.values()), float(alpha)
     return _spectrum(position_id, mode, start_khz, bin_khz, last_update, None, None, pending, None)
 
 
 def _complete(spectra: Iterable[AggregatedSpectrum]) -> None:
-    """Compute the bins of every pending spectrum in spectra; complete ones are left alone.
+    """Compute the levels of every pending spectrum in spectra as its float64
+    bytes, _dbm; complete ones are left alone, and no bins tuple is built.
 
     Per alpha and bin count, one _ewma_mw recurrence runs over every sensor
     of those spectra (select_channel hands it a whole tick) and one log10 over
@@ -216,10 +236,9 @@ def _complete(spectra: Iterable[AggregatedSpectrum]) -> None:
         smoothed_dbm = 10.0 * np.log10(_ewma_mw(list(chain.from_iterable(histories)), alpha))
         merged = np.maximum.reduceat(smoothed_dbm, starts)
         raw, size = merged.tobytes(), merged[0].nbytes  # one copy, sliced per spectrum
-        for s, bins, at in zip(members, merged.tolist(), range(0, len(raw), size)):
+        for s, at in zip(members, range(0, len(raw), size)):
             _SET_DBM(s, raw[at : at + size])
-            _SET_BINS(s, tuple(bins))
-            # last: a thread reading the bins meanwhile computes the same ones itself
+            # last: a thread reading the bins meanwhile computes the same bytes itself
             _SET_PENDING(s, None)
 
 

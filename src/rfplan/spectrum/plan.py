@@ -63,8 +63,9 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
     np.float_power, which calls the C library's pow as 10.0 ** x does, bit for
     bit; np.power dispatches to SIMD code that can differ in the last bit.
     Spectra that all carry max-hold levels read those powers from _SCALAR_MW,
-    which is faster than computing them; spectra that all carry EWMA bins as
-    float64 bytes are read from those, not from their tuples. _scoring_index,
+    which is faster than computing them; spectra that all carry EWMA levels as
+    float64 bytes are read from those. Neither builds a bins tuple, nor does
+    the grid check, which reads each bin count from the bytes. _scoring_index,
     cached by the grid and channel centres, gives the bins each mask adds.
     Every total is finite: AggregatedSpectrum bounds its bins.
     """
@@ -72,9 +73,9 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
     _complete(spectra)
     first = spectra[0]
     # ints only, as AggregatedSpectrum keeps them: lru_cache takes 2400000.0 for 2400000
-    shape = (first.start_khz, first.bin_khz, len(first.bins))
+    shape = (first.start_khz, first.bin_khz, first._n_bins())
     for s in spectra:
-        if (s.start_khz, s.bin_khz, len(s.bins)) != shape:
+        if (s.start_khz, s.bin_khz, s._n_bins()) != shape:
             raise DomainError(
                 f"spectra disagree on the bin grid ({s.position_id!r} on {s.grid} vs "
                 f"{first.position_id!r} on {first.grid}); resampling is not supported"

@@ -45,8 +45,8 @@ is; it is checked before any work. The sweeps are checked once per call, not
 once per sweep: they share t_ms and the grid, and their levels are clipped
 ints, so only t_ms and the first id past 16 bits can fail SensorSweep's
 checks, and both are checked, with its messages, before any link is formed
-or bin summed. Every sweep is built carrying its payload, its bins the
-shared ints that parse_frame gives.
+or bin summed. Every sweep is built carrying its payload, as parse_frame
+builds its sweeps; the first read of its bins builds them from it.
 """
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ import numpy as np
 
 from ..errors import MAX_DB, MAX_LENGTH_M, DomainError, _finite, _index, _length, _shown, _uint64
 from ..linkbudget import Frequency
-from .frames import _LEVELS, BinGrid, SensorSweep, _lookup, _sweep
+from .frames import BinGrid, SensorSweep, _sweep
 from .plan import ALL_CHANNELS, AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
 SWEEP_GRID = BinGrid(start_khz=2_400_000, bin_khz=1_000, n_bins=100)
@@ -230,11 +230,10 @@ def simulate_sweeps(
         np.add(rows, per_channel_mw[channel], out=rows)
     # the int8 bytes of the levels are the frame payload
     payload = _quantize(bin_major.T, scenario.noise_floor_dbm, exact_total).tobytes()
-    bins = _lookup(_LEVELS, payload)  # one call for every sensor's bins, sliced per sweep
     n = SWEEP_GRID.n_bins
     start_khz, bin_khz = SWEEP_GRID.start_khz, SWEEP_GRID.bin_khz
     return [
-        _sweep(sensor, t_ms, start_khz, bin_khz, bins[at : at + n], payload[at : at + n])
+        _sweep(sensor, t_ms, start_khz, bin_khz, None, payload[at : at + n])
         for sensor, at in enumerate(range(0, len(payload), n))
     ]
 

@@ -54,7 +54,7 @@ from rfplan.spectrum import (
     sweeps_from_jsonl,
     sweeps_to_jsonl,
 )
-from rfplan.spectrum.aggregate import _MW_TABLE, _spectrum
+from rfplan.spectrum.aggregate import _MW_TABLE, _complete, _spectrum
 from rfplan.spectrum import plan, shadowing, simulate
 from rfplan.spectrum.frames import _LEVELS
 from rfplan.spectrum.plan import _SCALAR_MW, CHANNEL_HALF_WIDTH_KHZ
@@ -400,12 +400,12 @@ DEFERRAL_GRIDS = {
     256: (2_400_000, 390),
 }
 
-# the deep-fuzz CI step runs the deferral property, the scalar-pow property of
-# hand-built bins, max-hold's byte-table property, the simulator's property at
-# the scenario bounds and its per-link oracle, on which the half-level guard's
-# soundness rests, at 1,000 examples (tests/conftest.py); otherwise each runs
-# hypothesis's default 100
-DEFERRAL = BOUNDS = BYTE_TABLE = settings.get_profile("fuzz")
+# the deep-fuzz CI step runs the deferral property, the late-bins property,
+# the scalar-pow property of hand-built bins, max-hold's byte-table property,
+# the simulator's property at the scenario bounds and its per-link oracle, on
+# which the half-level guard's soundness rests, at 1,000 examples
+# (tests/conftest.py); otherwise each runs hypothesis's default 100
+DEFERRAL = LATE_BINS = BOUNDS = BYTE_TABLE = settings.get_profile("fuzz")
 SCALAR_POW = ORACLE = settings.get_profile("fuzz-timed")
 
 
@@ -426,10 +426,12 @@ def deferral_logs(positions, seed):
     return logs
 
 
-def bins_slot_set(spectrum):
-    """Whether the spectrum holds its bins, read without completing a pending one."""
+def bins_slot_set(record):
+    """Whether the sweep or spectrum holds its bins, read from the slot
+    itself, without building them or completing a pending spectrum."""
+    slot = type(record).bins.slot
     try:
-        object.__getattribute__(spectrum, "bins")
+        slot.__get__(record)
     except AttributeError:
         return False
     return True
@@ -493,8 +495,10 @@ def test_pending_spectra_complete_alike_one_at_a_time_or_in_a_batch(positions, p
     scores = score_all(batched)
     subset_first = pending()
     pick = random.Random(seed)
+    read = [one_at_a_time[pos] for pos in ids]
     for pos in pick.sample(ids, pick.randint(0, len(ids))):
         subset_first[pos].bins
+        read.append(subset_first[pos])
     score_all(subset_first)
     # ap-only first completes the whole mapping, then client-aware finds it complete
     ap_first = pending()
@@ -505,8 +509,12 @@ def test_pending_spectra_complete_alike_one_at_a_time_or_in_a_batch(positions, p
     assert repr(plans) == repr([select_channel(want, made.mode) for made in plans])
     for done in (one_at_a_time, batched, subset_first, ap_first):
         for pos, spectrum in done.items():
-            assert spectrum._pending is None and bins_slot_set(spectrum)
+            # scoring reads the carried float64 bytes: only a spectrum whose
+            # bins were read holds them, and the first read builds them
+            assert spectrum._pending is None
+            assert bins_slot_set(spectrum) is any(spectrum is r for r in read)
             assert bits(spectrum.bins) == bits(want[pos].bins)
+            assert bins_slot_set(spectrum)
             assert spectrum._dbm == np.array(want[pos].bins).tobytes()
             assert list(spectrum.last_update_ms.items()) == list(want[pos].last_update_ms.items())
             assert spectrum == want[pos]
@@ -595,8 +603,142 @@ def test_pickle_and_copy_keep_every_hidden_slot(logs, seed, t_ms, alpha):
         assert got._pending is None and got._dbm is not None
 
 
+def test_a_tick_through_the_library_builds_no_bins_tuple():
+    # the codec, the JSONL writer, aggregation and scoring read the carried
+    # bytes, so no record of a tick builds its bins
+    scenario = Scenario(
+        ap_position=(0.0, 0.0),
+        clients=(Client("c1", 30.0, 0.0), Client("c2", 0.0, 40.0)),
+        emitters=(Emitter(6, 20.0, 3.0, 4.0), Emitter(1, 10.0, 40.0, 5.0)),
+        shadowing_sigma_db=6.0,
+        seed=7,
+    )
+    ids, positions = default_sensor_layout(scenario)
+    # a site survey: simulated, encoded, logged, max-hold of each position's
+    # sweep and of all of them, scored both ways
+    simulated = simulate_sweeps(scenario, positions)
+    for s in simulated:
+        encode_frame(s)
+    sweeps_to_jsonl(simulated)
+    survey = {pos: aggregate([s], MAX_HOLD, position_id=pos) for pos, s in zip(ids, simulated)}
+    held = aggregate(simulated, MAX_HOLD, position_id=plan.AP_ID)
+    records = [*simulated, *survey.values(), held]
+    for spectra in (survey, {**survey, plan.AP_ID: held}):
+        for mode in (AP_ONLY, CLIENT_AWARE):
+            select_channel(spectra, mode)
+    # sensor-ingest ticks: frames parsed, re-encoded, logged, EWMA over each
+    # position's window, scored both ways
+    windows = {pos: [] for pos in ids}
+    for tick in range(4):
+        ticked = simulate_sweeps(scenario, positions, t_ms=1000 * tick)
+        parsed = [parse_frame(encode_frame(s)) for s in ticked]
+        for s in parsed:
+            encode_frame(s)
+        sweeps_to_jsonl(parsed)
+        for pos, s in zip(ids, parsed):
+            windows[pos].append(s)
+        spectra = {pos: aggregate(log, EWMA, position_id=pos) for pos, log in windows.items()}
+        for mode in (AP_ONLY, CLIENT_AWARE):
+            select_channel(spectra, mode)
+        records += [*ticked, *parsed, *spectra.values()]
+    assert [r for r in records if bins_slot_set(r)] == []
+
+
+def hashed(record):
+    """hash(record), or the TypeError's message: a spectrum's last_update_ms is a dict."""
+    try:
+        return hash(record)
+    except TypeError as exc:
+        return str(exc)
+
+
+@st.composite
+def late_logs(draw):
+    """An in-order log of 1-6 sweeps from 1-3 sensors on one grid of 1-100 bins."""
+    n_bins = draw(st.integers(1, 100))
+    sensors = draw(st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=3, unique=True))
+    order = draw(st.lists(st.sampled_from(sensors), min_size=1, max_size=6))
+    return [
+        sweep(
+            np.frombuffer(draw(st.binary(min_size=n_bins, max_size=n_bins)), np.int8).tolist(),
+            sensor_id=k,
+            t=t,
+        )
+        for t, k in enumerate(order)
+    ]
+
+
+@pytest.mark.deep_fuzz
+@example(count_log([1]), 0, 0.3)  # one sweep of 7 bins
+@example([sweep([-128])], 1, 1.0)  # one bin: _lookup's single-byte branch
+@given(late_logs(), st.integers(0, 2**16), alphas)
+@LATE_BINS
+def test_a_late_bins_equals_the_eager_one_bit_for_bit(log, seed, alpha):
+    scenario = random_scenario(seed)
+    positions = default_sensor_layout(scenario)[1]
+    first = log[0]
+
+    def held_twin(sweeps):
+        """The max-hold spectrum of hand-built sweeps, built by hand."""
+        peak = np.array([s.bins for s in sweeps], np.int8).max(axis=0)
+        last_update = {s.sensor_id: s.timestamp_ms for s in sweeps}
+        bins = tuple(peak.astype(float).tolist())
+        return AggregatedSpectrum("p", MAX_HOLD, first.start_khz, first.bin_khz, bins, last_update)
+
+    def made():
+        """Fresh records whose bins are unread, in the order of twins: parsed
+        and simulated sweeps, max-hold of one sweep and of all, an EWMA
+        spectrum pending, one completed alone and two completed in a batch."""
+        parsed = [parse_frame(encode_frame(s)) for s in log]
+        alone = aggregate(parsed, EWMA, alpha=alpha, position_id="p")
+        _complete([alone])
+        batch = [
+            aggregate(parsed, EWMA, alpha=alpha, position_id="p"),
+            aggregate(parsed[:1], EWMA, alpha=alpha, position_id="q"),
+        ]
+        _complete(batch)
+        return [
+            *parsed,
+            *simulate_sweeps(scenario, positions, t_ms=9),
+            aggregate(parsed[:1], MAX_HOLD, position_id="p"),
+            aggregate(parsed, MAX_HOLD, position_id="p"),
+            aggregate(parsed, EWMA, alpha=alpha, position_id="p"),
+            alone,
+            *batch,
+        ]
+
+    twins = [
+        *log,
+        *(
+            SensorSweep(s.sensor_id, s.timestamp_ms, s.start_khz, s.bin_khz,
+                        tuple(np.frombuffer(s.payload, np.int8).tolist()))
+            for s in simulate_sweeps(scenario, positions, t_ms=9)
+        ),
+        held_twin(log[:1]),
+        held_twin(log),
+        *[eager_twin(log, alpha, "p")] * 3,
+        eager_twin(log[:1], alpha, "q"),
+    ]
+    reads = [operator.attrgetter("bins"), hashed, repr, dataclasses.replace, dataclasses.asdict]
+    # each read makes the first read of fresh records' bins; None stands for ==
+    for read in [*reads, *COPIES, None]:
+        records = made()
+        assert len(records) == len(twins)
+        for record, twin in zip(records, twins):
+            assert not bins_slot_set(record)
+            if read is None:
+                assert record == twin
+            else:
+                got, want = read(record), read(twin)
+                assert type(got) is type(want) and repr(got) == repr(want)
+            assert bins_slot_set(record)
+            assert bits(record.bins) == bits(twin.bins)
+            assert list(map(type, record.bins)) == list(map(type, twin.bins))
+
+
 # each constructor runs first in a fresh process, then every other one
 LAYOUT_PROBE = """
+
 import dataclasses, json, sys
 from rfplan.spectrum import (
     EWMA, AggregatedSpectrum, Scenario, SensorSweep, aggregate, encode_frame, parse_frame,
@@ -658,18 +800,32 @@ def test_completing_a_complete_spectrum_changes_nothing():
 def test_threads_completing_the_same_spectra_agree():
     log = count_log([7, 7, 3], n_bins=100)
     want = eager_twin(log, 0.3, "p")
+    frames = [encode_frame(s) for s in log]
+    want_sweeps = [s.bins for s in log]
+    want_held = [
+        tuple(map(float, log[0].bins)), tuple(float(max(col)) for col in zip(*want_sweeps))
+    ]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(30):
             spectra = [aggregate(log, EWMA, alpha=0.3, position_id="p") for _ in range(3)]
-            got, errors = [], []
+            # shared records whose bins no thread has read yet
+            parsed = [parse_frame(frame) for frame in frames]
+            held = [aggregate(parsed[:1], MAX_HOLD), aggregate(parsed, MAX_HOLD)]
+            got, got_records, errors = [], [], []
 
             def complete(k):
+                # odd threads complete the EWMA spectra while even ones make
+                # the first reads of the parsed sweeps' and max-hold bins
                 try:
                     if k % 2:
                         plan._in_channel_mw(spectra, (6,))
+                    else:
+                        got_records.append(([s.bins for s in parsed], [h.bins for h in held]))
                     got.append([spectrum.bins for spectrum in spectra])
+                    if k % 2:
+                        got_records.append(([s.bins for s in parsed], [h.bins for h in held]))
                 except Exception as exc:  # collected for the assertion below
                     errors.append(exc)
 
@@ -681,7 +837,9 @@ def test_threads_completing_the_same_spectra_agree():
                 assert not thread.is_alive()
             assert errors == []
             assert got == [[want.bins] * 3] * 6
+            assert got_records == [(want_sweeps, want_held)] * 6
             assert all(spectrum == want and spectrum._pending is None for spectrum in spectra)
+            assert parsed == log
     finally:
         sys.setswitchinterval(switch)
 
