@@ -26,12 +26,13 @@ in either mode: one recurrence over all their sensors per alpha and bin
 count, so the positions of one tick share each numpy step. A lone spectrum
 is a batch of one, and the bits do not depend on the batch.
 
-Sweeps also travel as JSON lines for logging and replay, written from the payload too.
+Sweeps also travel as JSON lines for logging and replay, written from the payload too:
+one gather of a byte table gives the bins' text of a chunk of sweeps.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -48,11 +49,22 @@ from .frames import _LEVELS, BinGrid, SensorSweep, _BuiltOnFirstRead, _lookup, _
 # The pinned EWMA bytes are this table's on AVX-512; np.float_power would give
 # the same bits on every CPU, but other bytes there.
 _MW_TABLE = 10.0 ** (np.asarray(_LEVELS, dtype=float) / 10.0)
-_LEVEL_TEXT = tuple(map(str, _LEVELS))  # the JSON text of every level, indexed alike
 _LEVEL_FLOAT = tuple(map(float, _LEVELS))  # every level as a max-hold bin, indexed alike
 # A sweep's line: json.dumps(sweep_record(s)) + "\n" byte for byte, since it keeps json's
 # default separators and sweep_record's key order, and SensorSweep makes each field an exact int
 _RECORD = '{"sensor_id": %d, "timestamp_ms": %d, "start_khz": %d, "bin_khz": %d, "bins": [%s]}\n'
+# A bin's text in a line, indexed alike: ", " and the level's JSON text, NUL-padded
+# to 8 bytes; row 256, a newline, ends a sweep. ", -128" needs 6, but numpy's take
+# copies an 8-byte row as one word, about three times as fast.
+_BIN_TEXT = np.frombuffer(  # read-only, a view of bytes
+    b"".join(text.encode().ljust(8, b"\0") for text in [*(f", {b}" for b in _LEVELS), "\n"]),
+    np.uint8,
+).reshape(257, 8)
+_SWEEP_FIELDS = tuple(f.name for f in fields(SensorSweep))  # a record's keys, in order
+# what json.loads gives for a line that is not an object
+_JSON_KINDS = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+_CHUNK_BINS = 8192  # bins per gather of _BIN_TEXT; a longer sweep is a chunk alone
 
 
 class _SpectrumHidden:
@@ -74,12 +86,12 @@ class AggregatedSpectrum(_SpectrumHidden):
     """Merged view of one position's RF environment on a fixed bin grid.
 
     A spectrum built by hand is checked: start_khz and bin_khz must be
-    integers and are kept as ints, and every bin must be a real number in
-    [-MAX_DB, MAX_DB] dBm, errors.py's dB bound, or the DomainError names it. A bin then
-    holds at most 1e100 mW and a channel's mask at most 22,000 bins, so an
-    in-channel total stays below 2.2e104 mW and a sum of totals over
-    positions stays finite. aggregate's bins lie in [-128, 127] dBm; it
-    skips the check.
+    integers and are kept as ints, its bins are kept as a tuple, and every
+    bin must be a real number in [-MAX_DB, MAX_DB] dBm, errors.py's dB
+    bound, or the DomainError names it. A bin then holds at most 1e100 mW
+    and a channel's mask at most 22,000 bins, so an in-channel total stays
+    below 2.2e104 mW and a sum of totals over positions stays finite.
+    aggregate's bins lie in [-128, 127] dBm; it skips the check.
     """
 
     position_id: str
@@ -94,7 +106,15 @@ class AggregatedSpectrum(_SpectrumHidden):
             object.__setattr__(self, name, None)
         for name in ("start_khz", "bin_khz"):
             object.__setattr__(self, name, _index(f"spectrum {name}", getattr(self, name)))
-        for dbm in self.bins:
+        try:
+            bins = tuple(self.bins)  # an iterator is read once, here
+        except TypeError:
+            raise DomainError(
+                f"bins at position {self.position_id!r} must be a sequence of real numbers, "
+                f"got {_shown(self.bins)}"
+            ) from None
+        _SET_BINS(self, bins)
+        for dbm in bins:
             if not (_real(dbm) and -MAX_DB <= dbm <= MAX_DB):
                 raise DomainError(
                     f"bin value {_shown(dbm)} at position {self.position_id!r} must be "
@@ -279,13 +299,41 @@ def sweep_record(sweep: SensorSweep) -> dict:
 
 
 def sweeps_to_jsonl(sweeps: Iterable[SensorSweep]) -> str:
-    """One JSON record per line; the interchange format for sweep logs."""
-    text = _LEVEL_TEXT
-    return "".join(
-        _RECORD
-        % (s.sensor_id, s.timestamp_ms, s.start_khz, s.bin_khz, ", ".join(_lookup(text, s.payload)))
-        for s in sweeps
-    )
+    """One JSON record per line; the interchange format for sweep logs.
+
+    Each line is json.dumps(sweep_record(s)) + "\n" byte for byte, its bins
+    written from the payload. The sweeps go in chunks of whole sweeps of about
+    _CHUNK_BINS bins, so no temporary grows with the log.
+    """
+    lines: list[str] = []
+    chunk: list[SensorSweep] = []
+    n_bins = 0
+    for s in sweeps:
+        chunk.append(s)
+        n_bins += s._n_bins()
+        if n_bins >= _CHUNK_BINS:
+            lines += _record_lines(chunk)
+            chunk, n_bins = [], 0
+    if chunk:
+        lines += _record_lines(chunk)
+    return "".join(lines)
+
+
+def _record_lines(chunk: list[SensorSweep]) -> list[str]:
+    """The lines of a chunk of sweeps.
+
+    One take gathers the _BIN_TEXT row of every bin and of every sweep's end;
+    dropping the NULs and splitting at the ends leaves each sweep's bins text
+    after a ", ".
+    """
+    payloads = [s._payload or s.payload for s in chunk]  # carried bytes, without a call
+    codes = np.frombuffer(b"\0".join([*payloads, b""]), np.uint8).astype(np.intp)
+    codes[np.cumsum([len(p) + 1 for p in payloads]) - 1] = 256
+    text = _BIN_TEXT.take(codes, axis=0).tobytes().translate(None, b"\0").decode()
+    return [
+        _RECORD % (s.sensor_id, s.timestamp_ms, s.start_khz, s.bin_khz, bins[2:])
+        for s, bins in zip(chunk, text.split("\n"))
+    ]
 
 
 def sweeps_from_jsonl(text: str) -> list[SensorSweep]:
@@ -295,15 +343,11 @@ def sweeps_from_jsonl(text: str) -> list[SensorSweep]:
             continue
         try:
             rec = json.loads(line)
-            sweeps.append(
-                SensorSweep(
-                    sensor_id=rec["sensor_id"],
-                    timestamp_ms=rec["timestamp_ms"],
-                    start_khz=rec["start_khz"],
-                    bin_khz=rec["bin_khz"],
-                    bins=tuple(rec["bins"]),
-                )
-            )
-        except (ValueError, KeyError, TypeError) as exc:
+            if type(rec) is not dict:
+                raise DomainError(f"expected a JSON object, got {_JSON_KINDS[type(rec)]}")
+            sweeps.append(SensorSweep(*(rec[name] for name in _SWEEP_FIELDS)))
+        except KeyError as exc:
+            raise DomainError(f"bad sweep record on line {lineno}: missing field {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise DomainError(f"bad sweep record on line {lineno}: {exc}") from exc
     return sweeps

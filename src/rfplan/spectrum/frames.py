@@ -117,7 +117,11 @@ class SensorSweep(_SweepHidden):
         object.__setattr__(self, "_payload", None)
         for name in ("sensor_id", "timestamp_ms", "start_khz", "bin_khz"):
             object.__setattr__(self, name, _index(name, getattr(self, name)))
-        bins = tuple(self.bins)
+        try:
+            bins = tuple(self.bins)
+        except TypeError:
+            shown = _shown(self.bins)
+            raise DomainError(f"sweep bins must be a sequence of integers, got {shown}") from None
         if {*map(type, bins)} != {int}:  # plain ints, as the simulator and JSON give, pass as is
             bins = tuple(_index("bin value", b) for b in bins)
         _SET_BINS(self, bins)

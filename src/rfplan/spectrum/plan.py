@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import DomainError, _index, _shown
 from ..modes import AP_ONLY, CLIENT_AWARE, MINIMAX, WEIGHTED_SUM
 from .aggregate import AggregatedSpectrum, _complete
-from .frames import _LEVELS, BinGrid
+from .frames import _LEVELS, BinGrid, _BuiltOnFirstRead, _new, _setters
 
 # position id of the access point's own spectrum
 AP_ID = "ap"
@@ -125,10 +125,43 @@ def _scoring_index(shape: tuple[int, int, int], centers: tuple[int, ...]):
     return lo, hi, index
 
 
-@dataclass(frozen=True)
-class ChannelScore:
+class _ScoreHidden:
+    # Slots of this base, not fields: equality, repr and dataclasses.replace
+    # never see them. A score of select_channel carries its positions and its
+    # numpy row of in-channel powers, and the first read of per_position_mw
+    # builds the map from them (_BuiltOnFirstRead); any other score sets both
+    # to None and holds its map from the start.
+    __slots__ = ("_positions", "_row")
+
+
+@dataclass(frozen=True, slots=True)
+class ChannelScore(_ScoreHidden):
     per_position_mw: Mapping[str, float]
     objective: float
+
+    def __post_init__(self):
+        _SET_POSITIONS(self, None)
+        _SET_ROW(self, None)
+
+    def __reduce__(self):
+        # pickle and copy carry the map, built, and no row
+        return ChannelScore, (self.per_position_mw, self.objective)
+
+
+_SET_OBJECTIVE, _SET_POSITIONS, _SET_ROW = _setters(ChannelScore, "objective", "_positions", "_row")
+ChannelScore.per_position_mw = _BuiltOnFirstRead(
+    ChannelScore.per_position_mw, lambda score: dict(zip(score._positions, score._row.tolist()))
+)
+
+
+def _score(objective, positions, row) -> ChannelScore:
+    """A score of select_channel, one positional set per slot, no keyword
+    dict; its per_position_mw slot stays unset until its first read."""
+    score = _new(ChannelScore)
+    _SET_OBJECTIVE(score, objective)
+    _SET_POSITIONS(score, positions)
+    _SET_ROW(score, row)
+    return score
 
 
 @dataclass(frozen=True)
@@ -153,6 +186,7 @@ def select_channel(
     in-channel power (minimax) or the plain, unweighted sum over positions
     (weighted-sum). Every candidate is scored exhaustively; ties fall to the
     lower AP-local power, then to channels {1, 6, 11}, then to the lowest number.
+    Each score builds its per_position_mw map on the map's first read.
     """
     channels = tuple(candidates) if candidates is not None else ALL_CHANNELS
     if not channels:
@@ -177,19 +211,15 @@ def select_channel(
     _complete(spectra.values())
 
     in_channel = _in_channel_mw([spectra[pos] for pos in positions], channels)
-    scores: dict[int, ChannelScore] = {}
-    ranking = []
-    for ch, row in zip(channels, in_channel.tolist()):
-        per_position = dict(zip(positions, row))
-        if objective == MINIMAX:
-            value = max(row)
-        else:
-            # left to right, as sum() did before Python 3.12 compensated it
-            value = reduce(add, row, 0.0)
-        scores[ch] = ChannelScore(per_position_mw=per_position, objective=value)
-        ranking.append(
-            (value, per_position[AP_ID], 0 if ch in PREFERRED_CHANNELS else 1, ch)
-        )
-
-    chosen = min(ranking)[3]
+    if objective == MINIMAX:
+        values = in_channel.max(axis=1).tolist()  # a max is exact
+    else:
+        # left to right, as sum() did before Python 3.12 compensated it
+        values = [reduce(add, row, 0.0) for row in in_channel.tolist()]
+    scores = {
+        ch: _score(value, positions, row) for ch, value, row in zip(channels, values, in_channel)
+    }
+    ap_mw = in_channel[:, positions.index(AP_ID)].tolist()
+    preference = [0 if ch in PREFERRED_CHANNELS else 1 for ch in channels]
+    chosen = min(zip(values, ap_mw, preference, channels))[3]
     return ChannelPlan(chosen_channel=chosen, per_channel_scores=scores, mode=mode)

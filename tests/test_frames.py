@@ -4,6 +4,7 @@ import operator
 import random
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -31,6 +32,7 @@ from rfplan.spectrum import (
     sweeps_from_jsonl,
     sweeps_to_jsonl,
 )
+from rfplan.spectrum.aggregate import _CHUNK_BINS
 
 GOLDEN_SWEEP = SensorSweep(
     sensor_id=1, timestamp_ms=0, start_khz=2_400_000, bin_khz=1000, bins=(-90,)
@@ -176,6 +178,13 @@ def test_sweep_validation():
         SensorSweep(-1, 0, 2_400_000, 1000, bins=(-90,))
     with pytest.raises(DomainError):
         SensorSweep(1 << 16, 0, 2_400_000, 1000, bins=(-90,))
+
+
+@pytest.mark.parametrize("bins", [5, None, 1.5])
+def test_sweep_names_bins_that_are_not_a_sequence(bins):
+    message = f"sweep bins must be a sequence of integers, got {bins!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        SensorSweep(0, 0, 1, 1, bins)
 
 
 def test_sweep_names_the_first_bin_out_of_range():
@@ -358,9 +367,9 @@ def test_jsonl_writer_is_json_dumps_of_the_record(sweep):
 
 
 def test_jsonl_writer_takes_one_and_two_bin_payloads_whole():
-    # the writer looks up a payload's texts in one call, and a lookup of one
-    # index gives a bare item, not a tuple: every level in one-bin and
-    # two-bin sweeps, parsed so that they carry their payload
+    # every level in one-bin and two-bin sweeps, parsed so that they carry
+    # their payload: each bin's text lies next to a sweep's end in the text
+    # the writer gathers and splits
     levels = range(-128, 128)
     sweeps = [SensorSweep(7, 9, 2_400_000, 1_000, (b,)) for b in levels] + [
         SensorSweep(7, 9, 2_400_000, 1_000, (b, -1 - b)) for b in levels
@@ -378,3 +387,100 @@ def test_jsonl_writer_is_json_dumps_of_simulated_records(document, t_ms):
     except DomainError:
         return  # the CLI tests cover the documents the simulator refuses
     assert sweeps_to_jsonl(simulated).encode() == b"".join(map(json_line, simulated))
+
+
+def sweep_of(kind, sensor_id, n_bins, seed):
+    """A sweep of n_bins seeded levels, built by hand or parsed from its frame."""
+    bins = tuple(np.random.default_rng(seed).integers(-128, 128, n_bins).tolist())
+    sweep = SensorSweep(sensor_id, seed, 2_400_000 + seed % 1000, 1 + seed % 0xFFFF, bins)
+    return parse_frame(encode_frame(sweep)) if kind == "parsed" else sweep
+
+
+@st.composite
+def mixed_logs(draw):
+    """A log of parsed, simulated and hand-built sweeps of 1 to 0xFFFF bins."""
+    log = []
+    for k in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["hand", "parsed", "simulated"]))
+        seed = draw(st.integers(0, 2**32 - 1))
+        if kind == "simulated":
+            scenario = Scenario(
+                ap_position=(0.0, 0.0), emitters=(Emitter(6, 20.0, 3.0, 4.0),),
+                shadowing_sigma_db=6.0, seed=seed,
+            )
+            log += simulate_sweeps(scenario, [(0.0, 0.0), (30.0, 40.0)], t_ms=seed)
+        else:
+            # mostly under a chunk's bins, but any count a frame holds
+            n_bins = draw(st.one_of(st.integers(1, 300), st.integers(1, 0xFFFF)))
+            log.append(sweep_of(kind, k, n_bins, seed))
+    return log
+
+
+# sweeps that fill a chunk exactly, end one bin short of it or one past it,
+# and one that is a chunk alone
+CHUNK_EDGE_LOG = [
+    sweep_of(kind, k, n_bins, k)
+    for k, (kind, n_bins) in enumerate(
+        [("parsed", _CHUNK_BINS - 1), ("hand", 1), ("parsed", _CHUNK_BINS - 2), ("parsed", 1),
+         ("hand", 2), ("parsed", _CHUNK_BINS + 1), ("hand", 0xFFFF), ("parsed", 3)]
+    )
+]
+
+
+# the deep-fuzz CI step runs the property at 1,000 logs (tests/conftest.py)
+@pytest.mark.deep_fuzz
+@settings.get_profile("fuzz")
+@given(log=mixed_logs(), as_generator=st.booleans())
+@example(log=[], as_generator=False)
+@example(log=[], as_generator=True)
+@example(log=CHUNK_EDGE_LOG, as_generator=False)
+@example(log=CHUNK_EDGE_LOG, as_generator=True)
+def test_jsonl_writer_is_json_dumps_of_any_log(log, as_generator):
+    got = sweeps_to_jsonl((s for s in log) if as_generator else log)
+    assert got.encode() == b"".join(map(json_line, log))
+
+
+def test_jsonl_writer_peak_memory_stays_near_its_output():
+    # chunks keep every temporary bounded: the peak is the finished lines and
+    # their join, about twice the output, on a log of 2M bins
+    pool = [sweep_of("parsed", k, n_bins, k) for k, n_bins in enumerate([100] * 30 + [0xFFFF])]
+    log = pool * 30
+    assert sum(len(s.payload) for s in log) > 2_000_000
+    tracemalloc.start()
+    try:
+        text = sweeps_to_jsonl(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ('{"sensor_id": 1, "timestamp_ms": 0, "start_khz": 1, "bin_khz": 1}',
+         "missing field 'bins'"),
+        ('{"timestamp_ms": 0, "bins": [1]}', "missing field 'sensor_id'"),
+        ("[1, 2]", "expected a JSON object, got an array"),
+        ('"sweep"', "expected a JSON object, got a string"),
+        ("7", "expected a JSON object, got a number"),
+        ("-7.5", "expected a JSON object, got a number"),
+        ("true", "expected a JSON object, got a boolean"),
+        ("null", "expected a JSON object, got null"),
+        ('{"sensor_id": 1, "timestamp_ms": 0, "start_khz": 1, "bin_khz": 1, "bins": 5}',
+         "sweep bins must be a sequence of integers, got 5"),
+        ('{"sensor_id": 1, "timestamp_ms": 0, "start_khz": 1, "bin_khz": 1, "bins": null}',
+         "sweep bins must be a sequence of integers, got None"),
+    ],
+)
+def test_jsonl_reader_names_what_a_record_lacks(line, message):
+    text = json_line(GOLDEN_SWEEP).decode() + line + "\n"
+    with pytest.raises(DomainError) as info:
+        sweeps_from_jsonl(text)
+    assert str(info.value) == f"bad sweep record on line 2: {message}"
+
+
+def test_jsonl_reader_names_a_line_nested_too_deep():
+    # json.loads raises RecursionError, which the CLI used to print as a traceback
+    with pytest.raises(DomainError, match=r"^bad sweep record on line 2: .*recursion"):
+        sweeps_from_jsonl(json_line(GOLDEN_SWEEP).decode() + "[" * 100_000 + "]" * 100_000)

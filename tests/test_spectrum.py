@@ -36,6 +36,7 @@ from rfplan.spectrum import (
     SWEEP_GRID,
     WEIGHTED_SUM,
     AggregatedSpectrum,
+    ChannelScore,
     Client,
     Emitter,
     Scenario,
@@ -426,10 +427,11 @@ def deferral_logs(positions, seed):
     return logs
 
 
-def bins_slot_set(record):
-    """Whether the sweep or spectrum holds its bins, read from the slot
-    itself, without building them or completing a pending spectrum."""
-    slot = type(record).bins.slot
+def bins_slot_set(record, name="bins"):
+    """Whether the sweep or spectrum holds its bins, or a record the named
+    field built on first read, read from the slot itself, without building
+    it or completing a pending spectrum."""
+    slot = getattr(type(record), name).slot
     try:
         slot.__get__(record)
     except AttributeError:
@@ -605,7 +607,8 @@ def test_pickle_and_copy_keep_every_hidden_slot(logs, seed, t_ms, alpha):
 
 def test_a_tick_through_the_library_builds_no_bins_tuple():
     # the codec, the JSONL writer, aggregation and scoring read the carried
-    # bytes, so no record of a tick builds its bins
+    # bytes, so no record of a tick builds its bins, and no score of its plans
+    # builds its per_position_mw map
     scenario = Scenario(
         ap_position=(0.0, 0.0),
         clients=(Client("c1", 30.0, 0.0), Client("c2", 0.0, 40.0)),
@@ -623,9 +626,10 @@ def test_a_tick_through_the_library_builds_no_bins_tuple():
     survey = {pos: aggregate([s], MAX_HOLD, position_id=pos) for pos, s in zip(ids, simulated)}
     held = aggregate(simulated, MAX_HOLD, position_id=plan.AP_ID)
     records = [*simulated, *survey.values(), held]
+    scores = []
     for spectra in (survey, {**survey, plan.AP_ID: held}):
         for mode in (AP_ONLY, CLIENT_AWARE):
-            select_channel(spectra, mode)
+            scores += select_channel(spectra, mode).per_channel_scores.values()
     # sensor-ingest ticks: frames parsed, re-encoded, logged, EWMA over each
     # position's window, scored both ways
     windows = {pos: [] for pos in ids}
@@ -639,9 +643,10 @@ def test_a_tick_through_the_library_builds_no_bins_tuple():
             windows[pos].append(s)
         spectra = {pos: aggregate(log, EWMA, position_id=pos) for pos, log in windows.items()}
         for mode in (AP_ONLY, CLIENT_AWARE):
-            select_channel(spectra, mode)
+            scores += select_channel(spectra, mode).per_channel_scores.values()
         records += [*ticked, *parsed, *spectra.values()]
     assert [r for r in records if bins_slot_set(r)] == []
+    assert [s for s in scores if bins_slot_set(s, "per_position_mw")] == []
 
 
 def hashed(record):
@@ -1165,6 +1170,65 @@ def test_select_channel_matches_per_bin_oracle(spectra, mode, candidates, object
             assert got == want if isinstance(want, str) else got.hex() == want.hex()
 
 
+def eager_scores(spectra, mode, candidates, objective):
+    """select_channel's scores, each map built whole, as ChannelScore by hand."""
+    positions = (plan.AP_ID,) if mode == AP_ONLY else tuple(spectra)
+    scores = {}
+    for ch in candidates or ALL_CHANNELS:
+        per_position = {pos: channel_power_mw(spectra[pos], ch) for pos in positions}
+        if objective == MINIMAX:
+            value = max(per_position.values())
+        else:
+            value = functools.reduce(operator.add, per_position.values(), 0.0)
+        scores[ch] = ChannelScore(per_position_mw=per_position, objective=value)
+    return scores
+
+
+@given(
+    scored_spectra().filter(lambda spectra: len(spectra) > 1),
+    st.sampled_from([AP_ONLY, CLIENT_AWARE]),
+    st.one_of(st.none(), st.lists(st.integers(1, 14), min_size=1, max_size=20)),
+    st.sampled_from([MINIMAX, WEIGHTED_SUM]),
+)
+def test_plan_scores_read_like_scores_built_by_hand(spectra, mode, candidates, objective):
+    map_set = functools.partial(bins_slot_set, name="per_position_mw")
+    # scored_spectra permutes the positions, so the AP is not always first
+    twins = outcome(eager_scores, spectra, mode, candidates, objective)
+    if isinstance(twins, str):  # a grid that does not cover a candidate
+        assert isinstance(outcome(select_channel, spectra, mode, candidates, objective), str)
+        return
+    for twin in twins.values():
+        assert twin._positions is None and twin._row is None and map_set(twin)
+    reads = [
+        operator.attrgetter("per_position_mw"),
+        repr,
+        dataclasses.replace,
+        dataclasses.asdict,
+        lambda score: dataclasses.replace(score, objective=-1.0),
+        *COPIES,
+    ]
+    # each read makes the first read of fresh scores' maps; None stands for ==
+    for read in [*reads, None]:
+        scores = select_channel(spectra, mode, candidates, objective).per_channel_scores
+        assert list(scores) == list(twins)
+        for score, twin in zip(scores.values(), twins.values()):
+            assert not map_set(score)
+            if read is None:
+                assert score == twin
+            else:
+                got, want = read(score), read(twin)
+                assert type(got) is type(want) and repr(got) == repr(want)
+                if isinstance(got, ChannelScore):
+                    # a copy or a replaced score carries the map, built
+                    assert got._positions is None and got._row is None and map_set(got)
+                    assert got == want
+            assert map_set(score)
+            assert list(score.per_position_mw) == list(twin.per_position_mw)
+            assert bits(score.per_position_mw.values()) == bits(twin.per_position_mw.values())
+            assert all(type(mw) is float for mw in score.per_position_mw.values())
+            assert score.objective.hex() == twin.objective.hex()
+
+
 # bins wider than the 22 MHz mask: on the first grid some channels' masks hold
 # no bin; on the second, whose centers are 2410 and 2470 MHz, the masks of
 # channels 3, 9 and 10 hold none
@@ -1408,6 +1472,24 @@ def test_a_spectrum_holds_only_real_bins_within_the_bound(value, at, position):
             f"bin value {shown(value)} at position {position!r} must be a real number "
             "in [-1000.0, 1000.0] dBm"
         )
+
+
+@pytest.mark.parametrize("bins", [5, None, -90.0])
+def test_a_spectrum_names_bins_that_are_not_a_sequence(bins):
+    message = f"bins at position 'c1' must be a sequence of real numbers, got {bins!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        AggregatedSpectrum("c1", MAX_HOLD, 2_400_000, 1_000, bins, {})
+
+
+@pytest.mark.parametrize("make", [list, iter, np.array])
+def test_a_spectrum_keeps_its_bins_as_a_tuple(make):
+    # an iterator's bins were spent by the check, and scoring then raised a bare TypeError
+    bins = [-90.0 + k for k in range(100)]
+    spectrum = AggregatedSpectrum("ap", MAX_HOLD, 2_400_000, 1_000, make(bins), {})
+    twin = AggregatedSpectrum("ap", MAX_HOLD, 2_400_000, 1_000, tuple(bins), {})
+    assert type(spectrum.bins) is tuple and spectrum == twin
+    plans = [select_channel({"ap": record}, AP_ONLY) for record in (spectrum, twin)]
+    assert repr(plans[0]) == repr(plans[1])
 
 
 def test_bins_at_the_bound_score_finite_under_both_objectives():
