@@ -18,9 +18,9 @@ table of float levels.
 aggregate checks every sweep and alpha when it is called, in both modes, but
 an EWMA spectrum's levels are computed later, as float64 bytes: on the first
 read of its bins, which then builds them from those bytes, or when channel
-scoring is handed the spectrum. Scoring reads the bytes of both modes, so a
-tick that aggregates and scores builds no bins tuple. Any real alpha smooths
-as its float.
+scoring is handed the spectrum. A spectrum built by hand carries its bins as
+float64 bytes from the start. Scoring reads the bytes, so a tick that
+aggregates and scores builds no bins tuple. Any real alpha smooths as its float.
 select_channel completes every pending spectrum of its mapping in one batch,
 in either mode: one recurrence over all their sensors per alpha and bin
 count, so the positions of one tick share each numpy step. A lone spectrum
@@ -69,15 +69,15 @@ _CHUNK_BINS = 8192  # bins per gather of _BIN_TEXT; a longer sweep is a chunk al
 
 class _SpectrumHidden:
     # Slots of this base, not fields: equality, repr and dataclasses.replace
-    # never see them, and a replaced spectrum is scored from its bins. Every
-    # spectrum sets all three, None where it has nothing.
+    # never see them. Every spectrum sets all three, None where it has nothing.
     # _levels: a max-hold spectrum's merged levels as int8 bytes (a lone
     # sweep's payload as it stands), which channel scoring reads through its
     # mW table and the first read of bins turns into them through _LEVEL_FLOAT.
     # _pending: an EWMA spectrum's per-sensor payload histories and alpha,
-    # until _complete computes its levels and sets it to None. _dbm: those
-    # levels as float64 bytes, which scoring reads and the first read of bins
-    # turns into them. aggregate leaves the bins slot unset in both modes.
+    # until _complete computes its levels and sets it to None. _dbm: the
+    # levels of an EWMA spectrum, or the bins of one built by hand, as float64
+    # bytes, which scoring reads and the first read of bins turns into them.
+    # aggregate leaves the bins slot unset in both modes.
     __slots__ = ("_levels", "_pending", "_dbm")
 
 
@@ -86,7 +86,7 @@ class AggregatedSpectrum(_SpectrumHidden):
     """Merged view of one position's RF environment on a fixed bin grid.
 
     A spectrum built by hand is checked: start_khz and bin_khz must be
-    integers and are kept as ints, its bins are kept as a tuple, and every
+    integers and are kept as ints, its bins as a tuple and float64 bytes, and every
     bin must be a real number in [-MAX_DB, MAX_DB] dBm, errors.py's dB
     bound, or the DomainError names it. A bin then holds at most 1e100 mW
     and a channel's mask at most 22,000 bins, so an in-channel total stays
@@ -102,8 +102,8 @@ class AggregatedSpectrum(_SpectrumHidden):
     last_update_ms: Mapping[int, int]
 
     def __post_init__(self):
-        for name in _SpectrumHidden.__slots__:
-            object.__setattr__(self, name, None)
+        _SET_LEVELS(self, None)
+        _SET_PENDING(self, None)
         for name in ("start_khz", "bin_khz"):
             object.__setattr__(self, name, _index(f"spectrum {name}", getattr(self, name)))
         try:
@@ -120,6 +120,7 @@ class AggregatedSpectrum(_SpectrumHidden):
                     f"bin value {_shown(dbm)} at position {self.position_id!r} must be "
                     f"a real number in [{-MAX_DB}, {MAX_DB}] dBm"
                 )
+        _SET_DBM(self, np.fromiter(bins, float, len(bins)).tobytes())
 
     def _n_bins(self) -> int:
         """len(self.bins), read from the bytes a spectrum carries without building the bins."""
@@ -127,7 +128,7 @@ class AggregatedSpectrum(_SpectrumHidden):
             return len(self._levels)
         if self._dbm is not None:
             return len(self._dbm) // 8  # float64s
-        return len(self.bins)  # built by hand or replaced; a pending spectrum completes
+        return len(self.bins)  # a pending spectrum completes
 
     def __reduce__(self):
         # pickle and copy keep the hidden slots, and take a pending spectrum complete
@@ -196,7 +197,7 @@ def aggregate(
     last_update: dict[int, int] = {}
     late = None
     for s in sweeps:
-        payload = s._payload or s.payload  # carried bytes, without the property's call
+        payload = s._payload  # without the property's call
         if (s.start_khz, s.bin_khz, len(payload)) != shape:
             raise DomainError(
                 f"sweeps disagree on the bin grid ({s.grid} vs {first.grid}); "
@@ -326,7 +327,7 @@ def _record_lines(chunk: list[SensorSweep]) -> list[str]:
     dropping the NULs and splitting at the ends leaves each sweep's bins text
     after a ", ".
     """
-    payloads = [s._payload or s.payload for s in chunk]  # carried bytes, without a call
+    payloads = [s._payload for s in chunk]  # without the property's call
     codes = np.frombuffer(b"\0".join([*payloads, b""]), np.uint8).astype(np.intp)
     codes[np.cumsum([len(p) + 1 for p in payloads]) - 1] = 256
     text = _BIN_TEXT.take(codes, axis=0).tobytes().translate(None, b"\0").decode()

@@ -18,12 +18,12 @@ The CRC is the ubiquitous reflected-0xEDB88320 variant (init and final xor
 0xFFFFFFFF), i.e. exactly zlib.crc32. Parse errors are split three ways so a
 collector can count framing noise, short reads and corruption separately.
 
-A sweep from parse_frame or the simulator carries its frame payload, the
-bins as signed bytes, and builds its bins tuple from it on the first read
-of bins: encode_frame appends the payload and takes the bin count from it,
-and the aggregation and the JSONL writer read it, so no producer-to-consumer
-path unpacks bins into ints at all. Any other sweep has its bins from the
-start and packs its payload on demand.
+Every sweep carries its frame payload, the bins as signed bytes:
+encode_frame appends it and takes the bin count from it, and the
+aggregation and the JSONL writer read it. A sweep built by hand packs it
+once, after its checks. A sweep from parse_frame or the simulator builds
+its bins tuple from it on the first read of bins, so no
+producer-to-consumer path unpacks bins into ints at all.
 
 SensorSweep is slotted: every sweep has one instance layout and no
 __dict__, however it was built. parse_frame and the simulator build theirs
@@ -95,11 +95,11 @@ class BinGrid:
 
 
 class _SweepHidden:
-    # The bins' frame bytes when a producer already holds them (see payload),
-    # else None. A slot of this base, not a field: equality, repr and
-    # dataclasses.replace never see it, and a replaced sweep packs its own
-    # bins again. A sweep that carries them leaves its bins slot unset until
-    # the first read of bins builds the tuple from them (_BuiltOnFirstRead).
+    # The bins' frame bytes (see payload), which every sweep carries. A slot
+    # of this base, not a field: equality, repr and dataclasses.replace never
+    # see it, and a replaced sweep packs its own bins again. A sweep from
+    # _sweep leaves its bins slot unset until the first read of bins builds
+    # the tuple from them (_BuiltOnFirstRead).
     __slots__ = ("_payload",)
 
 
@@ -114,7 +114,6 @@ class SensorSweep(_SweepHidden):
     bins: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_payload", None)
         for name in ("sensor_id", "timestamp_ms", "start_khz", "bin_khz"):
             object.__setattr__(self, name, _index(name, getattr(self, name)))
         try:
@@ -138,11 +137,11 @@ class SensorSweep(_SweepHidden):
         if not (-128 <= min(bins) and max(bins) <= 127):
             bad = next(b for b in bins if not -128 <= b <= 127)
             raise DomainError(f"bin value {_shown(bad)} outside signed 8-bit range")
+        _SET_PAYLOAD(self, struct.pack(f"<{len(bins)}b", *bins))
 
     def _n_bins(self) -> int:
-        """len(self.bins), read from the payload a sweep carries without building the bins."""
-        payload = self._payload
-        return len(self.bins if payload is None else payload)
+        """len(self.bins), read from the payload without building the bins."""
+        return len(self._payload)
 
     @property
     def grid(self) -> BinGrid:
@@ -151,15 +150,12 @@ class SensorSweep(_SweepHidden):
     @property
     def payload(self) -> bytes:
         """The bins as a frame carries them: one signed byte each."""
-        if self._payload is not None:
-            return self._payload
-        bins = self.bins
-        return struct.pack(f"<{len(bins)}b", *bins)
+        return self._payload
 
     def __reduce__(self):
-        # pickle and copy keep the payload: a slotted frozen dataclass would
-        # carry its fields alone
-        fields = self.sensor_id, self.timestamp_ms, self.start_khz, self.bin_khz, self.bins
+        # pickle and copy keep the payload, from which a copy builds its bins
+        # on their first read: a slotted frozen dataclass would carry its fields alone
+        fields = self.sensor_id, self.timestamp_ms, self.start_khz, self.bin_khz
         return _sweep, (*fields, self._payload)
 
 
@@ -205,17 +201,15 @@ _new = object.__new__
 SensorSweep.bins = _BuiltOnFirstRead(SensorSweep.bins, lambda s: _lookup(_LEVELS, s._payload))
 
 
-def _sweep(sensor_id, timestamp_ms, start_khz, bin_khz, bins, payload) -> SensorSweep:
+def _sweep(sensor_id, timestamp_ms, start_khz, bin_khz, payload) -> SensorSweep:
     """A SensorSweep of values that pass its checks, carrying payload, the
-    bins' bytes, or None: one positional set per slot, no keyword dict; its
-    bins slot stays unset while bins is None."""
+    bins' bytes: one positional set per slot, no keyword dict; its bins slot
+    stays unset until the first read of bins."""
     sweep = _new(SensorSweep)
     _SET_SENSOR_ID(sweep, sensor_id)
     _SET_TIMESTAMP_MS(sweep, timestamp_ms)
     _SET_START_KHZ(sweep, start_khz)
     _SET_BIN_KHZ(sweep, bin_khz)
-    if bins is not None:
-        _SET_BINS(sweep, bins)
     _SET_PAYLOAD(sweep, payload)
     return sweep
 
@@ -273,7 +267,7 @@ def parse_frame(data: bytes) -> SensorSweep:
     # The header's field widths and the bins' signed bytes keep every other
     # value in SensorSweep's ranges.
     payload = bytes(body[_HEADER.size :])  # bytes, for a bytearray or memoryview too
-    return _sweep(sensor_id, timestamp_ms, start_khz, bin_khz, None, payload)
+    return _sweep(sensor_id, timestamp_ms, start_khz, bin_khz, payload)
 
 
 def _lookup(table: tuple, payload: bytes) -> tuple:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -48,6 +47,8 @@ def channel_center_khz(channel: int) -> int:
 
 def channel_power_mw(spectrum: AggregatedSpectrum, channel: int) -> float:
     """Total in-channel power: sum of bin powers whose centers fall in the mask."""
+    if not isinstance(spectrum, AggregatedSpectrum):
+        raise DomainError(f"channel power needs a spectrum, got {type(spectrum).__name__}")
     return float(_in_channel_mw([spectrum], [channel])[0, 0])
 
 
@@ -63,10 +64,12 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
     np.float_power, which calls the C library's pow as 10.0 ** x does, bit for
     bit; np.power dispatches to SIMD code that can differ in the last bit.
     Spectra that all carry max-hold levels read those powers from _SCALAR_MW,
-    which is faster than computing them; spectra that all carry EWMA levels as
-    float64 bytes are read from those. Neither builds a bins tuple, nor does
-    the grid check, which reads each bin count from the bytes. _scoring_index,
-    cached by the grid and channel centres, gives the bins each mask adds.
+    which is faster than computing them. Otherwise every spectrum gives a row
+    of float64 dBm: its carried bytes, or a max-hold spectrum's int8 levels as
+    floats, which equal its bins bit for bit. Neither path builds a bins
+    tuple, nor does the grid check, which reads each bin count from the
+    bytes. _scoring_index, cached by the grid and channel centres, gives the
+    bins each mask adds.
     Every total is finite: AggregatedSpectrum bounds its bins.
     """
     centers = tuple(channel_center_khz(ch) for ch in channels)
@@ -85,17 +88,14 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
     # with it adds 0.0 after its last term, which changes nothing
     mw = np.zeros((len(spectra), hi - lo + 1))
     levels = [s._levels for s in spectra]
-    carried = [s._dbm for s in spectra]
     if None not in levels:
         codes = np.frombuffer(b"".join(levels), np.uint8).reshape(len(spectra), -1)
         mw[:, :-1] = _SCALAR_MW[codes[:, lo:hi]]
-    elif None not in carried:
-        dbm = np.frombuffer(b"".join(carried)).reshape(len(spectra), -1)
-        mw[:, :-1] = np.float_power(10.0, dbm[:, lo:hi] / 10.0)
     else:
-        dbms = chain.from_iterable(s.bins[lo:hi] for s in spectra)
-        dbm = np.fromiter(dbms, float, len(spectra) * (hi - lo))
-        mw[:, :-1] = np.float_power(10.0, dbm / 10.0).reshape(len(spectra), hi - lo)
+        rows = [s._dbm if s._dbm is not None else np.frombuffer(s._levels, np.int8).astype(float)
+                for s in spectra]
+        dbm = np.frombuffer(b"".join(rows)).reshape(len(spectra), -1)
+        mw[:, :-1] = np.float_power(10.0, dbm[:, lo:hi] / 10.0)
     totals = np.zeros((len(centers), len(spectra)))
     for term in mw.T[index]:
         totals += term

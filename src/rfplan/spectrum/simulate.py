@@ -233,7 +233,7 @@ def simulate_sweeps(
     n = SWEEP_GRID.n_bins
     start_khz, bin_khz = SWEEP_GRID.start_khz, SWEEP_GRID.bin_khz
     return [
-        _sweep(sensor, t_ms, start_khz, bin_khz, None, payload[at : at + n])
+        _sweep(sensor, t_ms, start_khz, bin_khz, payload[at : at + n])
         for sensor, at in enumerate(range(0, len(payload), n))
     ]
 
@@ -273,7 +273,7 @@ def scenario_from_json(text: str) -> Scenario:
             if key in doc:
                 doc[key] = tuple(record(**fields) for fields in doc[key])
         return Scenario(**doc)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DomainError(f"bad scenario document: {exc}") from exc
 
 

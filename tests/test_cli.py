@@ -603,13 +603,16 @@ def test_spectrum_colliding_client_id_exits_two(capsys, tmp_path, command, ids, 
         ),
         (scenario_document(ap_position=5), "ap_position must be an (x, y) pair, got 5"),
         (scenario_document(noise_floor_dbm="x"), "noise_floor_dbm must be a finite number, got 'x'"),
+        # json.loads raises RecursionError, which the CLI used to print as a traceback
+        pytest.param("[" * 100_000, "recursion", id="nested-too-deep"),
     ],
 )
 def test_spectrum_plan_bad_scenario_document_exits_two(capsys, tmp_path, document, named):
     path = tmp_path / "scenario.json"
     path.write_text(document)
     err = assert_domain_error(capsys, "spectrum", "plan", "--scenario", str(path))
-    assert "bad scenario document" in err and named in err
+    assert err.startswith("error: bad scenario document: ") and named in err
+    assert err.count("\n") == 1
 
 
 PAST_FLOAT_RANGE = 10**400 - 1  # 400 nines: a JSON int no float can hold

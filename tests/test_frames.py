@@ -303,14 +303,15 @@ def test_payload_is_the_packed_bins_from_every_source(sweep, other_bins):
         assert encode_frame(source) == encode_frame(by_value(source))
 
 
-def test_encode_leaves_a_sweep_without_payload_as_it_was():
-    # packing on demand, not caching: a sweep from ints keeps its footprint
+def test_encode_leaves_a_hand_built_sweep_as_it_was():
+    # a sweep from ints packs its payload once, when built, and encoding
+    # reads that payload without touching any slot
     sweep = SensorSweep(1, 0, 2_400_000, 1000, bins=(-90, -40, 7))
+    assert sweep._payload == packed(sweep) == b"\xa6\xd8\x07"
     slots = ("_payload", *(f.name for f in dataclasses.fields(sweep)))
     before = [getattr(sweep, name) for name in slots]
     encode_frame(sweep)
-    assert [getattr(sweep, name) for name in slots] == before
-    assert sweep._payload is None
+    assert all(getattr(sweep, name) is value for name, value in zip(slots, before))
 
 
 @given(

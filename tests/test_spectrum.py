@@ -367,7 +367,7 @@ def test_any_real_alpha_smooths_as_its_float(sweeps, alpha):
 @example(count_log([1, 3, 3, 3]), 0.6180339887498949, EWMA)
 @given(sweep_logs(), alphas, st.sampled_from([MAX_HOLD, EWMA]))
 def test_aggregate_of_parsed_frames_matches_tuple_sweeps(sweeps, alpha, mode):
-    # parsed sweeps carry their frame payload, tuple-built ones pack it on demand
+    # parsed sweeps carry their frame payload, tuple-built ones pack it when built
     parsed = [parse_frame(encode_frame(s)) for s in sweeps]
     got = outcome(aggregate, parsed, mode, alpha=alpha)
     want = outcome(aggregate, sweeps, mode, alpha=alpha)
@@ -520,11 +520,11 @@ def test_pending_spectra_complete_alike_one_at_a_time_or_in_a_batch(positions, p
             assert spectrum._dbm == np.array(want[pos].bins).tobytes()
             assert list(spectrum.last_update_ms.items()) == list(want[pos].last_update_ms.items())
             assert spectrum == want[pos]
-    # scored from the carried float64 bytes, from the bins of a replaced
-    # spectrum, and from the oracle's bins: the same bits
+    # scored from the float64 bytes the batch computed, from those a replaced
+    # spectrum packs from its bins, and from the oracle's: the same bits
     replaced = {pos: dataclasses.replace(spectrum) for pos, spectrum in batched.items()}
-    assert all(spectrum._dbm is not None for spectrum in batched.values())
-    assert all(spectrum._dbm is None for spectrum in replaced.values())
+    for pos, spectrum in replaced.items():
+        assert spectrum._dbm == np.array(spectrum.bins).tobytes() == batched[pos]._dbm
     assert repr(score_all(replaced)) == repr(scores)
     assert repr(score_all(want)) == repr(scores)
 
@@ -725,7 +725,8 @@ def test_a_late_bins_equals_the_eager_one_bit_for_bit(log, seed, alpha):
         eager_twin(log[:1], alpha, "q"),
     ]
     reads = [operator.attrgetter("bins"), hashed, repr, dataclasses.replace, dataclasses.asdict]
-    # each read makes the first read of fresh records' bins; None stands for ==
+    # each read but a sweep's copy makes the first read of fresh records'
+    # bins; None stands for ==
     for read in [*reads, *COPIES, None]:
         records = made()
         assert len(records) == len(twins)
@@ -736,7 +737,9 @@ def test_a_late_bins_equals_the_eager_one_bit_for_bit(log, seed, alpha):
             else:
                 got, want = read(record), read(twin)
                 assert type(got) is type(want) and repr(got) == repr(want)
-            assert bins_slot_set(record)
+            # a sweep's copy carries its payload alone, so copying reads no bins
+            copied_sweep = read in COPIES and isinstance(record, SensorSweep)
+            assert bins_slot_set(record) is not copied_sweep
             assert bits(record.bins) == bits(twin.bins)
             assert list(map(type, record.bins)) == list(map(type, twin.bins))
 
@@ -1002,6 +1005,12 @@ def test_selection_refuses_a_value_that_is_not_a_spectrum(mode):
     with pytest.raises(DomainError) as info:
         select_channel(spectra, mode)
     assert str(info.value) == "position 'c' holds int, not a spectrum"
+
+
+def test_channel_power_refuses_a_value_that_is_not_a_spectrum():
+    with pytest.raises(DomainError) as info:
+        channel_power_mw(5, 1)
+    assert str(info.value) == "channel power needs a spectrum, got int"
 
 
 def test_divergence_fixture_modes_differ():
@@ -1305,15 +1314,27 @@ def max_hold_spectra(draw):
     st.sampled_from([AP_ONLY, CLIENT_AWARE]),
     st.one_of(st.none(), st.lists(st.integers(1, 14), min_size=1, max_size=14, unique=True)),
     st.sampled_from([MINIMAX, WEIGHTED_SUM]),
+    st.integers(0, 2**32 - 1),
 )
-def test_max_hold_levels_score_like_the_bins(spectra, mode, candidates, objective):
-    # dataclasses.replace drops the carried levels, so the copies take the scalar pow
+def test_max_hold_levels_score_like_the_bins(spectra, mode, candidates, objective, seed):
+    # dataclasses.replace drops the carried levels, so the copies are scored
+    # from their bins as float64 dBm; a mapping with a drawn subset replaced
+    # reads the others' levels as dBm rows too
     scalar = {pos: dataclasses.replace(spectrum) for pos, spectrum in spectra.items()}
     assert all(spectrum._levels is not None for spectrum in spectra.values())
     assert all(spectrum._levels is None for spectrum in scalar.values())
+    pick = random.Random(seed)
+    chosen = set(pick.sample(sorted(spectra), pick.randint(0, len(spectra))))
+    mixed = {pos: scalar[pos] if pos in chosen else s for pos, s in spectra.items()}
     got = outcome(select_channel, spectra, mode, candidates, objective)
-    want = outcome(select_channel, scalar, mode, candidates, objective)
-    assert repr(got) == repr(want)
+    for other in (scalar, mixed):
+        want = outcome(select_channel, other, mode, candidates, objective)
+        assert repr(got) == repr(want)
+    listed, channels = list(mixed.values()), tuple(candidates or ALL_CHANNELS)
+    if len({s.grid for s in listed}) == 1:  # the oracle scores two grids side by side
+        got = outcome(plan._in_channel_mw, listed, channels)
+        want = outcome(in_channel_mw_scalar_pow, listed, channels)
+        assert got == want if isinstance(want, str) else got.tobytes() == want.tobytes()
     for pos, spectrum in spectra.items():
         for ch in candidates or ALL_CHANNELS:
             got = outcome(channel_power_mw, spectrum, ch)
@@ -1334,7 +1355,7 @@ def simulated_sweep_pool():
 @st.composite
 def max_hold_logs(draw):
     """1-3 positions on one grid, each with 1-8 sweeps: hand-built ones, which
-    pack their payload on demand, and parsed, simulated and JSONL-read ones."""
+    pack their payload when built, and parsed, simulated and JSONL-read ones."""
     start, width, n = draw(st.one_of(
         st.sampled_from(MAX_HOLD_GRIDS),
         st.tuples(st.integers(2_300_000, 2_500_000), st.integers(1, 30_000), st.integers(1, 8)),
@@ -1614,7 +1635,7 @@ def in_channel_mw_scalar_pow(spectra, channels):
 
 
 # the bound on either side, a signed zero, the least subnormal, and an int and
-# a Fraction, which the bins path reads as their floats
+# a Fraction, which a spectrum carries as their floats
 DBM_EXTREMES = (MAX_DB, -MAX_DB, -0.0, 5e-324, 999, Fraction(-181, 2))
 
 
