@@ -18,8 +18,12 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import modes
-from .errors import (MAX_LENGTH_M, DomainError, _decibels, _length, _positive, _uint64,
-                     check_sample_count)
+from .errors import (
+    MAX_LENGTH_M, DomainError, _decibels, _finite, _length, _positive, _uint64, check_alpha,
+    check_aperture, check_channel, check_fraction, check_frequency, check_gain_uplift,
+    check_interval, check_sample_count, check_snr, check_throughput, check_tilt_deg, check_u_max,
+    check_zone_number, read_text,
+)
 
 # Each handler imports the library module it runs, so a command loads and
 # compiles that module alone; the parser needs only the names in modes.
@@ -30,18 +34,7 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems instead of exiting with code 2,
-    and keeps the flag of every float-valued argument by its dest."""
-
-    def __init__(self, *args, **kwargs):
-        self.float_flags: dict[str, str] = {}
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.type in (float, _parse_interval):
-            self.float_flags[action.dest] = action.option_strings[0]
-        return action
+    """argparse that reports usage problems instead of exiting with code 2."""
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
@@ -133,16 +126,6 @@ def _parse_channels(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"invalid channel list value: {text!r}") from None
 
 
-def _reject_non_finite(args) -> None:
-    """nan or inf from a float flag would print as NaN/Infinity, which is not JSON."""
-    for dest, flag in args.float_flags.items():
-        value = getattr(args, dest)
-        for item in value if isinstance(value, list) else [value]:  # --block repeats
-            numbers = item if isinstance(item, tuple) else (item,)  # an A:B interval
-            if not all(math.isfinite(x) for x in numbers if x is not None):
-                raise DomainError(f"{flag} must be finite, got {':'.join(map(repr, numbers))}")
-
-
 def _reject_non_finite_result(result: Result) -> None:
     """nan or inf in a result would print as NaN/Infinity, or as nan/inf in a table or CSV."""
     columns = [(key, (value,)) for key, value in result.scalars.items()]
@@ -163,8 +146,7 @@ def _cmd_linkbudget(args) -> Result:
     )
 
     geometry = LinkGeometry(args.dist, Frequency(args.freq))
-    gt = AntennaGain.from_dbi(_decibels("--gt", args.gt))
-    gr = AntennaGain.from_dbi(_decibels("--gr", args.gr))
+    gt, gr = AntennaGain.from_dbi(args.gt), AntennaGain.from_dbi(args.gr)
     budget = LinkBudget(args.pt, gt, gr, geometry)
     utilization = power_utilization(budget.tx_gain, budget.rx_gain, geometry)
     return Result(
@@ -183,12 +165,7 @@ def _cmd_lens_design(args) -> Result:
 
     freq = Frequency(args.freq)
     spacing = args.spacing if args.spacing is not None else 0.625 * freq.wavelength_m
-    spec = lens.LensSpec(
-        plate_spacing_m=spacing,
-        design_frequency=freq,
-        focal_length_m=args.focal,
-        aperture_half_angle_deg=args.aperture,
-    )
+    spec = lens.LensSpec(spacing, freq, args.focal, args.aperture)
     check_sample_count(args.step, args.aperture, "--step", "--aperture")
     profile = lens.lens_profile(spec, step_deg=args.step)
     return Result(
@@ -199,29 +176,16 @@ def _cmd_lens_design(args) -> Result:
             "focal_length_m": spec.focal_length_m,
             "aperture_half_angle_deg": spec.aperture_half_angle_deg,
         },
-        Rows(
-            "profile",
-            [f.name for f in fields(lens.ProfileSample)],
-            [astuple(s) for s in profile.samples],
-        ),
+        Rows("profile", [f.name for f in fields(lens.ProfileSample)],
+             [astuple(s) for s in profile.samples]),
     )
 
 
 def _cmd_lens_apply(args) -> Result:
     from . import lens
 
-    effect = lens.LensEffect(
-        gain_uplift_db=lens.check_gain_uplift(args.uplift_db, "--uplift-db"),
-        throughput_uplift_fraction=args.throughput_frac,
-    )
+    effect = lens.LensEffect(args.uplift_db, args.throughput_frac)
     return Result(asdict(lens.boost_rx_power(args.rx_dbm, effect)))
-
-
-def _given_frequency(args):
-    """--freq's Frequency, checked whether it is read or not; None if not given."""
-    if args.freq is not None:
-        from .linkbudget import Frequency
-        return Frequency(args.freq)
 
 
 def _fresnel_geometry(args):
@@ -231,23 +195,20 @@ def _fresnel_geometry(args):
     if lam is None:
         if args.freq is None:
             raise DomainError("give either --lambda or --freq")
-        lam = _given_frequency(args).wavelength_m
+        from .linkbudget import Frequency
+        lam = Frequency(args.freq).wavelength_m
     if args.d1 is None or args.d2 is None:
         raise DomainError("this computation needs --d1 and --d2")
-    geometry = PathGeometry(d1_m=args.d1, d2_m=args.d2, lambda_m=lam)
-    _given_frequency(args)  # a --freq given beside --lambda too
-    return geometry
+    return PathGeometry(d1_m=args.d1, d2_m=args.d2, lambda_m=lam)
 
 
 def _cmd_fresnel_zones(args) -> Result:
     from . import fresnel
 
     geometry = _fresnel_geometry(args)
-    fresnel.check_zone_number(args.max_zone, "--max-zone")
-    table = fresnel.zone_table(geometry, args.max_zone)
     return Result(
         {"lambda_m": geometry.lambda_m, "d1_m": geometry.d1_m, "d2_m": geometry.d2_m},
-        Rows("zones", ["r_m", "zone_index"], [(r, n) for r, n in table]),
+        Rows("zones", ["r_m", "zone_index"], fresnel.zone_table(geometry, args.max_zone)),
     )
 
 
@@ -255,7 +216,6 @@ def _cmd_fresnel_screen(args) -> Result:
     from . import fresnel
 
     geometry = _fresnel_geometry(args)
-    fresnel.check_zone_number(args.zone, "--zone")
     # the screen's radius and d1 + d2 are lengths too, derived from the flags
     wave = f"--freq {args.freq!r}" if args.lambda_m is None else f"--lambda {args.lambda_m!r}"
     d1_d2, past = f"--d1 {args.d1!r} and --d2 {args.d2!r}", f" m, past {MAX_LENGTH_M} m"
@@ -281,28 +241,14 @@ def _cmd_fresnel_field(args) -> Result:
     from . import fresnel
 
     geometry = _fresnel_geometry(args) if args.obliquity else None
-    _given_frequency(args)
-    for name, value in (("d1_m", args.d1), ("d2_m", args.d2), ("lambda_m", args.lambda_m)):
-        if value is not None:
-            _length(name, value)
     blocked = args.block or []
-    ratio = fresnel.field_ratio(
-        blocked,
-        obliquity=args.obliquity,
-        geometry=geometry,
-        force_quadrature=args.quadrature,
-    )
+    ratio = fresnel.field_ratio(blocked, obliquity=args.obliquity, geometry=geometry,
+                                force_quadrature=args.quadrature)
     rows = None
-    if args.curve_max is None:
-        _positive("step", args.curve_step)  # checked also where no curve reads it
-    else:
+    if args.curve_max is not None:
         check_sample_count(args.curve_step, args.curve_max, "--curve-step", "--curve-max")
-        curve = fresnel.partial_field_curve(
-            args.curve_max,
-            step=args.curve_step,
-            obliquity=args.obliquity,
-            geometry=geometry,
-        )
+        curve = fresnel.partial_field_curve(args.curve_max, args.curve_step,
+                                            obliquity=args.obliquity, geometry=geometry)
         rows = Rows("partial_field", ["u", "partial_field_magnitude"], curve)
     return Result(
         {
@@ -339,11 +285,7 @@ def _cmd_polar_loss(args) -> Result:
 def _cmd_polar_capacity(args) -> Result:
     from . import polarization
 
-    channel = polarization.dual_polarized_channel(
-        polarization.check_leakage(args.xpd, "--xpd"),
-        snr_linear=polarization.check_snr(args.snr_linear, "--snr-linear"),
-        seed=None if args.seed is None else _uint64("--seed", args.seed),
-    )
+    channel = polarization.dual_polarized_channel(args.xpd, args.snr_linear, args.seed)
     return Result(
         {
             "xpd": args.xpd,
@@ -358,15 +300,13 @@ def _scenario_from_args(args):
     from . import fixtures
     from .spectrum import load_scenario
 
-    _uint64("--t-ms", args.t_ms)
-    seed = None if args.seed is None else _uint64("--seed", args.seed)
     path = Path(args.scenario)
     if not path.exists():
         if args.scenario not in fixtures.BUNDLED_SCENARIOS:
             raise DomainError(f"no scenario file or bundled scenario named {args.scenario!r}")
         path = fixtures.BUNDLED_SCENARIOS[args.scenario]()
     scenario = load_scenario(path)
-    return scenario if seed is None else replace(scenario, seed=seed)
+    return scenario if args.seed is None else replace(scenario, seed=args.seed)
 
 
 def _cmd_spectrum_simulate(args) -> Result:
@@ -378,10 +318,8 @@ def _cmd_spectrum_simulate(args) -> Result:
     if args.jsonl:
         # the interchange stream, one record per line, for piping into aggregate
         return Result({}, raw=sweeps_to_jsonl(sweeps))
-    rows = []
-    for pos_id, sweep in zip(ids, sweeps):
-        for center_khz, dbm in zip(sweep.grid.centers_khz(), sweep.bins):
-            rows.append((sweep.sensor_id, pos_id, center_khz, dbm))
+    rows = [(sweep.sensor_id, pos_id, center_khz, dbm) for pos_id, sweep in zip(ids, sweeps)
+            for center_khz, dbm in zip(sweep.grid.centers_khz(), sweep.bins)]
     return Result(
         {
             "sensors": len(sweeps),
@@ -396,7 +334,7 @@ def _cmd_spectrum_simulate(args) -> Result:
 def _cmd_spectrum_aggregate(args) -> Result:
     from .spectrum import aggregate, sweeps_from_jsonl
 
-    sweeps = sweeps_from_jsonl(Path(args.sweeps).read_text())
+    sweeps = sweeps_from_jsonl(read_text(args.sweeps))
     spectrum = aggregate(sweeps, args.mode, alpha=args.alpha, position_id=args.position_id)
     rows = list(zip(spectrum.grid.centers_khz(), spectrum.bins))
     return Result(
@@ -423,15 +361,8 @@ def _cmd_spectrum_plan(args) -> Result:
     }
     ap_plan = select_channel(spectra, modes.AP_ONLY, args.candidates, args.objective)
     client_plan = select_channel(spectra, modes.CLIENT_AWARE, args.candidates, args.objective)
-    rows = []
-    for ch in sorted(client_plan.per_channel_scores):
-        rows.append(
-            (
-                ch,
-                ap_plan.per_channel_scores[ch].objective,
-                client_plan.per_channel_scores[ch].objective,
-            )
-        )
+    rows = [(ch, ap_plan.per_channel_scores[ch].objective, score.objective)
+            for ch, score in sorted(client_plan.per_channel_scores.items())]
     return Result(
         {
             "ap_only_channel": ap_plan.chosen_channel,
@@ -461,6 +392,28 @@ def _cmd_growth_fit(args) -> Result:
 
 
 # --- parser assembly ---------------------------------------------------------
+
+# Each numeric flag's domain, the errors.py rule the library applies to its
+# value: run checks each given value, in declaration order, before the handler.
+_DOMAINS = {
+    **dict.fromkeys(("--pt", "--rx-dbm", "--delta-psi"), _finite),
+    **dict.fromkeys(("--gt", "--gr"), _decibels),
+    "--freq": check_frequency,
+    **dict.fromkeys(("--dist", "--spacing", "--focal", "--lambda", "--d1", "--d2"), _length),
+    "--aperture": check_aperture,
+    **dict.fromkeys(("--step", "--curve-step"), _positive),
+    "--uplift-db": check_gain_uplift,
+    "--throughput-frac": check_throughput,
+    **dict.fromkeys(("--max-zone", "--zone"), check_zone_number),
+    "--block": check_interval,  # each A:B
+    "--curve-max": check_u_max,
+    **dict.fromkeys(("--epsilon", "--xpd"), check_fraction),
+    "--tilt-deg": check_tilt_deg,
+    "--snr-linear": check_snr,
+    **dict.fromkeys(("--seed", "--t-ms"), _uint64),
+    "--alpha": check_alpha,
+    "--candidates": check_channel,  # each channel
+}
 
 _GROUPS = {
     "lens": "accelerating metal-plate lens",
@@ -589,7 +542,7 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=_RENDERERS, default="table",
                        help="output format (default: table)")
         p.add_argument("--out", type=Path, default=None, help="write output to a file")
-        p.set_defaults(float_flags=p.float_flags)
+        p.set_defaults(domains=[a for a in p._actions if a.option_strings[0] in _DOMAINS])
     return parser
 
 
@@ -603,7 +556,11 @@ def run(argv: Sequence[str] | None = None, stdout=None, stderr=None) -> int:
         print(str(exc), file=stderr)
         return 1
     try:
-        _reject_non_finite(args)
+        for action in args.domains:
+            flag, value = action.option_strings[0], getattr(args, action.dest)
+            for item in value if isinstance(value, (list, tuple)) else [value]:
+                if item is not None:  # a flag not given and without a default
+                    _DOMAINS[flag](flag, item)
         result = args.handler(args)
         if result.raw is None:
             _reject_non_finite_result(result)

@@ -8,10 +8,14 @@ DomainError naming it: _finite, _positive, _length and _decibels return the
 float that is then stored or used, as _index returns an int for an integer
 input and _uint64 one that fits 64 bits. Every length lies in the one domain
 below, and every dB value the library turns into a ratio within the one bound
-below it. No numpy here: every CLI command loads this module.
+below it. Each rule of one input is a check(name, value) here: the library
+applies it under its field's name, the CLI under the flag's (cli._DOMAINS).
+No numpy here: every CLI command loads this module.
 """
 import math
 import operator
+from functools import partial
+from pathlib import Path
 
 
 class DomainError(ValueError):
@@ -86,6 +90,9 @@ def _finite(name: str, value, low: float = -math.inf, high: float = math.inf) ->
 # square to a subnormal or 0, right to within 1e-24 m^2, never a nan or inf.
 MIN_LENGTH_M = 1e-12
 MAX_LENGTH_M = 1e12
+# Exact SI value; wavelengths below 2.4 GHz folklore (0.125 m) come out as
+# 0.12491... from this constant.
+SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 
 def _length(name: str, value, low: float = MIN_LENGTH_M) -> float:
@@ -125,6 +132,64 @@ def _positive(name: str, value, high: float = math.inf) -> float:
     return number
 
 
+# Largest zone number and coordinate of field ratios and curves. It bounds the
+# work of one call, about one unit panel per zone, not its accuracy: fresnel's
+# fixed rule is exact to rounding at any u. The open-aperture curve has not
+# settled there (K(200) is still about 0.67 for 25 m legs at 0.125 m).
+U_MAX = 200.0
+MAX_TILT_DEG = 90.0  # either way; radians(90.0) is pi/2, and radians is monotonic
+
+# The rules of bounded real inputs, each check(name, value) -> the float:
+# a carrier frequency, whose wavelength is a length
+check_frequency = partial(_finite, low=SPEED_OF_LIGHT_M_S / MAX_LENGTH_M,
+                          high=SPEED_OF_LIGHT_M_S / MIN_LENGTH_M)
+check_fraction = partial(_finite, low=0.0, high=1.0)  # a diffuse fraction or cross-polar leakage
+check_gain_uplift = partial(_finite, low=0.0, high=30.0)  # a lens gain uplift, dB
+check_throughput = partial(_finite, low=0.0)  # a fractional throughput gain at fixed range
+check_snr = partial(_positive, high=10.0 ** (MAX_DB / 10.0))  # a power ratio of at most MAX_DB
+check_u_max = partial(_positive, high=U_MAX)  # the zone coordinate a curve runs to
+check_tilt_deg = partial(_finite, low=-MAX_TILT_DEG, high=MAX_TILT_DEG)
+check_tilt = partial(_finite, low=-math.radians(MAX_TILT_DEG), high=math.radians(MAX_TILT_DEG))
+
+
+def check_aperture(name: str, value) -> float:
+    """value as a float, a lens aperture half angle in (0, 90) deg."""
+    angle = _finite(name, value)
+    if not 0.0 < angle < 90.0:
+        raise DomainError(f"{name} must lie in (0, 90) deg, got {angle}")
+    return angle
+
+
+def check_alpha(name: str, value):
+    """value as given, an EWMA smoothing factor: a real number in (0, 1]."""
+    if not (_real(value) and 0.0 < value <= 1.0):
+        raise DomainError(f"{name} must be a real number in (0, 1], got {_shown(value)}")
+    return value
+
+
+def _int_range(low: int, high: float, name: str, value) -> int:
+    """value as an int in low..high, a bool, float or string refused. A rule binds
+    the bounds positionally: keywords would cost channel scoring a dict a call."""
+    number = _index(name, value)
+    if not low <= number <= high:
+        raise DomainError(f"{name} must lie in {low}..{high:g}, got {_shown(number)}")
+    return number
+
+
+ALL_CHANNELS: tuple[int, ...] = tuple(range(1, 15))  # the 2.4 GHz (802.11b/g) channels
+check_channel = partial(_int_range, ALL_CHANNELS[0], ALL_CHANNELS[-1])
+# PathGeometry bounds the terms of a zone's radius only out to U_MAX
+check_zone_number = partial(_int_range, 1, U_MAX)
+
+
+def check_interval(name: str, value) -> tuple[float, float]:
+    """value as a pair of floats (a, b), a blocked span 0 <= a < b <= U_MAX of u."""
+    a, b = (_finite(f"{name} bound", bound) for bound in value)
+    if not 0.0 <= a < b <= U_MAX:
+        raise DomainError(f"{name} [{a}, {b}] must satisfy 0 <= a < b <= {U_MAX}")
+    return a, b
+
+
 # Most steps a lens profile or a partial-field curve may take. Each call holds
 # all its samples at once, so this bounds its time and memory, while a step
 # such as 1e-300 would loop forever or ask numpy for an array it cannot
@@ -143,3 +208,11 @@ def check_sample_count(step: float, extent: float, step_name: str, extent_name: 
             f"{step_name} {step!r} splits {extent_name} {extent!r} into more than "
             f"{MAX_SAMPLES} steps"
         )
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file at path; one that is not UTF-8 is a DomainError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None

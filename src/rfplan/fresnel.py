@@ -24,16 +24,13 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DomainError, _finite, _index, _length, _positive, _shown, check_sample_count
+from .errors import (
+    U_MAX, DomainError, _length, _positive, check_interval, check_sample_count, check_u_max,
+    check_zone_number,
+)
 
 if TYPE_CHECKING:
     import numpy as np
-
-# Largest zone coordinate that field ratios and curves accept. It bounds the
-# work of one call, about one unit panel per zone, not its accuracy: the
-# fixed rule below is exact to rounding at any u. The open-aperture curve has
-# not settled there (K(200) is still about 0.67 for 25 m legs at 0.125 m).
-U_MAX = 200.0
 
 # Accuracy quadrature results are held to, relative to max(1, |value|); the
 # fixed rule's error is orders of magnitude below it.
@@ -77,15 +74,9 @@ class PathGeometry:
             object.__setattr__(self, name, _length(name, getattr(self, name)))
 
 
-def check_zone_number(n: int, name: str = "zone number") -> None:
-    """Refuse a zone outside 1..U_MAX: PathGeometry bounds the terms only that far."""
-    if not 1 <= _index(name, n) <= U_MAX:
-        raise DomainError(f"{name} must lie in 1..{U_MAX:g}, got {_shown(n)}")
-
-
 def zone_radius(n: int, geometry: PathGeometry) -> float:
     """Outer radius of Fresnel zone n: sqrt(n*lambda*d1*d2/(d1+d2))."""
-    check_zone_number(n)
+    n = check_zone_number("zone number", n)
     g = geometry
     return math.sqrt(n * g.lambda_m * g.d1_m * g.d2_m / (g.d1_m + g.d2_m))
 
@@ -113,8 +104,8 @@ class AnnularScreenSpec:
             raise DomainError(
                 f"need r_inner < r_outer, got [{self.r_inner_m}, {self.r_outer_m}]"
             )
-        check_zone_number(self.blocked_zone, "blocked_zone")
-        object.__setattr__(self, "blocked_zone", _index("blocked_zone", self.blocked_zone))
+        zone = check_zone_number("blocked_zone", self.blocked_zone)
+        object.__setattr__(self, "blocked_zone", zone)
 
     @property
     def outer_diameter_m(self) -> float:
@@ -123,7 +114,7 @@ class AnnularScreenSpec:
 
 def screen_for_zone(n: int, geometry: PathGeometry) -> AnnularScreenSpec:
     """Annular screen spanning zone n: [r_{n-1}, r_n] (r_0 = 0)."""
-    check_zone_number(n)
+    n = check_zone_number("zone number", n)
     inner = 0.0 if n == 1 else zone_radius(n - 1, geometry)
     return AnnularScreenSpec(
         geometry=geometry,
@@ -176,15 +167,7 @@ def obliquity_factor(u: float | np.ndarray, geometry: PathGeometry) -> float | n
 
 
 def _validated_intervals(blocked: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    intervals = []
-    for a, b in blocked:
-        a, b = _finite("interval bound", a), _finite("interval bound", b)
-        if not 0.0 <= a < b <= U_MAX:
-            raise DomainError(
-                f"interval [{a}, {b}] must satisfy 0 <= a < b <= {U_MAX}"
-            )
-        intervals.append((a, b))
-    intervals.sort()
+    intervals = sorted(check_interval("interval", interval) for interval in blocked)
     for (a_prev, b_prev), (a_next, b_next) in zip(intervals, intervals[1:]):
         if a_next < b_prev:
             raise DomainError(
@@ -368,9 +351,7 @@ def partial_field_curve(
     Without obliquity this is |1 - exp(i*pi*u)|, the familiar spiral swing
     between 0 and twice the free field.
     """
-    u_max, step = _finite("u_max", u_max), _positive("step", step)
-    if not 0 < u_max <= U_MAX:
-        raise DomainError(f"u_max must lie in (0, {U_MAX}], got {u_max}")
+    u_max, step = check_u_max("u_max", u_max), _positive("step", step)
     check_sample_count(step, u_max, "step", "u_max")
     if obliquity and geometry is None:
         raise DomainError("obliquity weighting needs the path geometry")
@@ -386,6 +367,6 @@ def partial_field_curve(
 
 def zone_table(geometry: PathGeometry, max_zone: int) -> list[tuple[float, int]]:
     """(radius, zone index) rows out to max_zone."""
-    check_zone_number(max_zone, "max_zone")
+    max_zone = check_zone_number("max_zone", max_zone)
     return [(zone_radius(n, geometry), n) for n in range(1, max_zone + 1)]
 

@@ -12,7 +12,7 @@ from functools import reduce
 from operator import add
 from pathlib import Path
 
-from .errors import DomainError, _finite, _positive
+from .errors import DomainError, _finite, _positive, read_text
 
 
 class NoGrowthError(DomainError):
@@ -128,4 +128,4 @@ def parse_count_series(text: str) -> CountSeries:
 
 def read_count_series(path: str | Path) -> CountSeries:
     """Read a count-series file; see parse_count_series for the format."""
-    return parse_count_series(Path(path).read_text())
+    return parse_count_series(read_text(path))

@@ -16,7 +16,10 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .errors import MAX_LENGTH_M, DomainError, _finite, _length, _positive, check_sample_count
+from .errors import (
+    MAX_LENGTH_M, DomainError, _finite, _length, _positive, check_aperture, check_gain_uplift,
+    check_sample_count, check_throughput,
+)
 from .linkbudget import (
     AntennaGain,
     Frequency,
@@ -81,9 +84,7 @@ class LensSpec:
         effective_index(spacing, self.design_frequency)  # BelowCutoffError for a <= lambda/2
         object.__setattr__(self, "plate_spacing_m", spacing)
         object.__setattr__(self, "focal_length_m", _length("focal length", self.focal_length_m))
-        angle = _finite("aperture half angle", self.aperture_half_angle_deg)
-        if not 0.0 < angle < 90.0:
-            raise DomainError(f"aperture half angle must lie in (0, 90) deg, got {angle}")
+        angle = check_aperture("aperture half angle", self.aperture_half_angle_deg)
         object.__setattr__(self, "aperture_half_angle_deg", angle)
 
     @property
@@ -175,11 +176,6 @@ class ShadingSector:
             raise DomainError(f"sector width must lie in [0, 360), got {self.width_deg}")
 
 
-def check_gain_uplift(uplift_db: float, name: str = "gain uplift") -> float:
-    """uplift_db as a float, a lens gain uplift in [0, 30] dB."""
-    return _finite(name, uplift_db, 0.0, 30.0)
-
-
 @dataclass(frozen=True)
 class LensEffect:
     """Measured-style link effect of one lens: gain uplift, throughput, shadow.
@@ -193,8 +189,8 @@ class LensEffect:
     shading_sector: ShadingSector = field(default_factory=ShadingSector)
 
     def __post_init__(self):
-        uplift_db = check_gain_uplift(self.gain_uplift_db)
-        fraction = _finite("throughput uplift", self.throughput_uplift_fraction, 0.0)
+        uplift_db = check_gain_uplift("gain uplift", self.gain_uplift_db)
+        fraction = check_throughput("throughput uplift", self.throughput_uplift_fraction)
         object.__setattr__(self, "gain_uplift_db", uplift_db)
         object.__setattr__(self, "throughput_uplift_fraction", fraction)
 

@@ -10,12 +10,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    MAX_DB, MAX_LENGTH_M, MIN_LENGTH_M, DomainError, _decibels, _finite, _length, _shown,
+    MAX_DB, SPEED_OF_LIGHT_M_S, DomainError, _decibels, _finite, _length, _shown, check_frequency,
 )
 
-# Exact SI value; wavelengths below 2.4 GHz folklore (0.125 m) come out as
-# 0.12491... from this constant.
-SPEED_OF_LIGHT_M_S = 299_792_458.0
 # the linear gains of -MAX_DB and MAX_DB dBi, as from_dbi computes them
 _GAIN_BOUNDS = (10.0 ** (-MAX_DB / 10.0), 10.0 ** (MAX_DB / 10.0))
 
@@ -31,9 +28,7 @@ class Frequency:
     hertz: float
 
     def __post_init__(self):
-        hertz = _finite("frequency", self.hertz, SPEED_OF_LIGHT_M_S / MAX_LENGTH_M,
-                        SPEED_OF_LIGHT_M_S / MIN_LENGTH_M)
-        object.__setattr__(self, "hertz", hertz)
+        object.__setattr__(self, "hertz", check_frequency("frequency", self.hertz))
 
     @property
     def wavelength_m(self) -> float:

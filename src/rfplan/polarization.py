@@ -11,7 +11,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import MAX_DB, DomainError, _decibels, _finite, _positive, _shown, _uint64
+from .errors import (
+    MAX_DB, DomainError, _decibels, _finite, _shown, _uint64, check_fraction, check_snr, check_tilt,
+)
+from .errors import check_fraction as check_leakage  # importable here under its old name
 from .modes import PRESET_ISOLATION_DB
 
 if TYPE_CHECKING:
@@ -33,7 +36,7 @@ class EnvironmentModel:
     tilt_gain_db_per_rad: float = DEFAULT_TILT_GAIN_DB_PER_RAD
 
     def __post_init__(self):
-        fraction = _finite("diffuse fraction", self.diffuse_fraction, 0.0, 1.0)
+        fraction = check_fraction("diffuse fraction", self.diffuse_fraction)
         object.__setattr__(self, "diffuse_fraction", fraction)
         slope = _decibels("tilt gain", self.tilt_gain_db_per_rad)
         object.__setattr__(self, "tilt_gain_db_per_rad", slope)
@@ -82,10 +85,7 @@ def tilt_effect_db(tilt_rad: float, env: EnvironmentModel) -> float:
     Positive for a forward lean (toward the ground-reflected wave), negative
     backward; odd by construction.
     """
-    tilt_rad = _finite("tilt", tilt_rad)
-    if not abs(tilt_rad) <= math.pi / 2.0:
-        raise DomainError(f"tilt must satisfy |tilt| <= pi/2, got {tilt_rad}")
-    return env.tilt_gain_db_per_rad * tilt_rad
+    return env.tilt_gain_db_per_rad * check_tilt("tilt", tilt_rad)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,17 +120,7 @@ class MimoChannel:
                 raise DomainError(f"channel matrix entry {h[i, j]} at [{i}, {j}] must have "
                                   f"real and imaginary parts in [{-_MAX_PART}, {_MAX_PART}]")
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "snr_linear", check_snr(self.snr_linear))
-
-
-def check_snr(snr_linear: float, name: str = "snr") -> float:
-    """snr_linear as a float, a power ratio of at most MAX_DB: in (0, 1e100]."""
-    return _positive(name, snr_linear, 10.0 ** (MAX_DB / 10.0))
-
-
-def check_leakage(xpd_linear: float, name: str = "cross-polar leakage") -> float:
-    """xpd_linear as a float, a cross-polar leakage in [0, 1]."""
-    return _finite(name, xpd_linear, 0.0, 1.0)
+        object.__setattr__(self, "snr_linear", check_snr("snr", self.snr_linear))
 
 
 def mimo_capacity_bps_hz(channel: MimoChannel) -> float:
@@ -161,7 +151,7 @@ def dual_polarized_channel(
     reproducible complex Gaussian perturbation of standard deviation 0.1 per
     entry for Monte-Carlo work.
     """
-    s = math.sqrt(check_leakage(xpd_linear))
+    s = math.sqrt(check_fraction("cross-polar leakage", xpd_linear))
     import numpy as np
 
     h = np.array([[1.0, s], [s, 1.0]], dtype=complex)

@@ -32,13 +32,13 @@ one gather of a byte table gives the bins' text of a chunk of sweeps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import MAX_DB, DomainError, _index, _real, _shown
+from ..errors import MAX_DB, DomainError, _index, _real, _shown, check_alpha
 from ..modes import DEFAULT_EWMA_ALPHA, EWMA, MAX_HOLD
 from .frames import _LEVELS, BinGrid, SensorSweep, _BuiltOnFirstRead, _lookup, _new, _setters
 
@@ -61,9 +61,9 @@ _BIN_TEXT = np.frombuffer(  # read-only, a view of bytes
     np.uint8,
 ).reshape(257, 8)
 _SWEEP_FIELDS = tuple(f.name for f in fields(SensorSweep))  # a record's keys, in order
-# what json.loads gives for a line that is not an object
-_JSON_KINDS = {list: "an array", str: "a string", int: "a number", float: "a number",
-               bool: "a boolean", type(None): "null"}
+# the kind of each value json.loads gives, as a document names it
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
 _CHUNK_BINS = 8192  # bins per gather of _BIN_TEXT; a longer sweep is a chunk alone
 
 
@@ -218,8 +218,7 @@ def aggregate(
 
     if mode not in (MAX_HOLD, EWMA):
         raise DomainError(f"unknown aggregation mode {mode!r}")
-    if not (_real(alpha) and 0.0 < alpha <= 1.0):
-        raise DomainError(f"ewma alpha must be a real number in (0, 1], got {_shown(alpha)}")
+    check_alpha("ewma alpha", alpha)
     if mode == EWMA and late is not None:
         raise DomainError(late)
     start_khz, bin_khz = first.start_khz, first.bin_khz
@@ -337,18 +336,31 @@ def _record_lines(chunk: list[SensorSweep]) -> list[str]:
     ]
 
 
+def _json_record(value, record, strict: bool = True, arrays: Sequence[tuple] = ()) -> dict:
+    """value, a JSON object, as a dict of the dataclass record's fields, the
+    items of each (key, record) of arrays built; a DomainError names what is wrong."""
+    if type(value) is not dict:
+        raise DomainError(f"expected a JSON object, got {_JSON_KINDS[type(value)]}")
+    required = {f.name: f.default is MISSING for f in fields(record)}
+    if missing := [name for name, needed in required.items() if needed and name not in value]:
+        raise DomainError(f"missing field {missing[0]!r}")
+    if strict and (unknown := [key for key in value if key not in required]):
+        raise DomainError(f"unknown field {unknown[0]!r}")
+    for key, item in arrays:  # an omitted array is empty
+        if type(items := value.get(key, [])) is not list:
+            raise DomainError(f"{key} must be an array, got {_JSON_KINDS[type(items)]}")
+        value[key] = tuple(item(**_json_record(v, item)) for v in items)
+    return value
+
+
 def sweeps_from_jsonl(text: str) -> list[SensorSweep]:
     sweeps = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-            if type(rec) is not dict:
-                raise DomainError(f"expected a JSON object, got {_JSON_KINDS[type(rec)]}")
+            rec = _json_record(json.loads(line), SensorSweep, strict=False)
             sweeps.append(SensorSweep(*(rec[name] for name in _SWEEP_FIELDS)))
-        except KeyError as exc:
-            raise DomainError(f"bad sweep record on line {lineno}: missing field {exc}") from exc
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise DomainError(f"bad sweep record on line {lineno}: {exc}") from exc
     return sweeps

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import DomainError, _index, _shown
+from ..errors import ALL_CHANNELS, DomainError, check_channel
 from ..modes import AP_ONLY, CLIENT_AWARE, MINIMAX, WEIGHTED_SUM
 from .aggregate import AggregatedSpectrum, _complete
 from .frames import _LEVELS, BinGrid, _BuiltOnFirstRead, _new, _setters
@@ -26,7 +26,6 @@ AP_ID = "ap"
 # 2.4 GHz (802.11b/g) channel plan; channel energy is approximated by a flat
 # +-11 MHz mask around the center, deliberately a touch conservative.
 CHANNEL_HALF_WIDTH_KHZ = 11_000
-ALL_CHANNELS: tuple[int, ...] = tuple(range(1, 15))
 PREFERRED_CHANNELS = frozenset({1, 6, 11})
 
 # mW of every level a max-hold bin can hold, indexed by the bin's byte as
@@ -37,12 +36,8 @@ _SCALAR_MW = np.float_power(10.0, np.array(_LEVELS, dtype=float) / 10.0)
 
 def channel_center_khz(channel: int) -> int:
     """Center frequency of a 2.4 GHz channel: 2407 + 5*ch MHz, ch 14 at 2484."""
-    channel = _index("channel", channel)
-    if channel == 14:
-        return 2_484_000
-    if 1 <= channel <= 13:
-        return (2407 + 5 * channel) * 1000
-    raise DomainError(f"channel must lie in 1..14, got {_shown(channel)}")
+    channel = check_channel("channel", channel)
+    return 2_484_000 if channel == 14 else (2407 + 5 * channel) * 1000
 
 
 def channel_power_mw(spectrum: AggregatedSpectrum, channel: int) -> float:

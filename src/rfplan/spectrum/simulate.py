@@ -59,8 +59,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import MAX_DB, MAX_LENGTH_M, DomainError, _finite, _index, _length, _shown, _uint64
+from ..errors import (
+    MAX_DB, MAX_LENGTH_M, DomainError, _finite, _index, _length, _shown, _uint64, read_text,
+)
 from ..linkbudget import Frequency
+from .aggregate import _json_record
 from .frames import BinGrid, SensorSweep, _sweep
 from .plan import ALL_CHANNELS, AP_ID, CHANNEL_HALF_WIDTH_KHZ, channel_center_khz
 
@@ -264,18 +267,14 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 
 def scenario_from_json(text: str) -> Scenario:
-    """Inverse of scenario_to_json; omitted fields take the Scenario defaults."""
+    """Inverse of scenario_to_json; omitted fields take the Scenario defaults,
+    and a key that is no field of its record is refused."""
     try:
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-        for key, record in (("clients", Client), ("emitters", Emitter)):
-            if key in doc:
-                doc[key] = tuple(record(**fields) for fields in doc[key])
-        return Scenario(**doc)
-    except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: nested too deep
+        arrays = (("clients", Client), ("emitters", Emitter))
+        return Scenario(**_json_record(json.loads(text), Scenario, arrays=arrays))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DomainError(f"bad scenario document: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return scenario_from_json(Path(path).read_text())
+    return scenario_from_json(read_text(path))

@@ -19,8 +19,17 @@ from hypothesis import strategies as st
 
 from rfplan import cli, fixtures
 from rfplan.cli import build_parser, run
-from rfplan.errors import MAX_DB
-from rfplan.fresnel import PathGeometry, shading_cone_deg, zone_radius
+from rfplan.errors import MAX_DB, SPEED_OF_LIGHT_M_S, U_MAX, DomainError
+from rfplan.fresnel import (
+    PathGeometry,
+    field_ratio,
+    partial_field_curve,
+    screen_for_zone,
+    shading_cone_deg,
+    zone_radius,
+    zone_table,
+)
+from rfplan.lens import LensEffect, LensSpec, boost_rx_power, lens_profile
 from rfplan.linkbudget import (
     AntennaGain,
     Frequency,
@@ -30,13 +39,24 @@ from rfplan.linkbudget import (
     fspl_db,
     power_utilization,
 )
-from rfplan.polarization import ENVIRONMENT_PRESETS, dual_polarized_channel, mimo_capacity_bps_hz
+from rfplan.polarization import (
+    ENVIRONMENT_PRESETS,
+    EnvironmentModel,
+    dual_polarized_channel,
+    mimo_capacity_bps_hz,
+    mismatch_loss_db,
+    tilt_effect_db,
+)
 from rfplan.spectrum import (
     MAX_SHADOWING_SIGMA_DB,
     Client,
     Emitter,
     Scenario,
+    SensorSweep,
+    aggregate,
     scenario_to_json,
+    select_channel,
+    simulate_sweeps,
     sweeps_from_jsonl,
 )
 
@@ -582,7 +602,14 @@ def test_spectrum_colliding_client_id_exits_two(capsys, tmp_path, command, ids, 
     ("document", "named"),
     [
         ('{"ap_position": [0, 0], "noise_floor_dbn": -60}', "noise_floor_dbn"),
-        ("[1, 2]", "list"),
+        # it named the Python class, list
+        pytest.param("[1, 2]", "expected a JSON object, got an array", id="[1, 2]-list"),
+        # each printed a TypeError from a constructor or from ** and iteration
+        ('{"ap_position": [0, 0], "bogus": 1}', "unknown field 'bogus'"),
+        ('{"ap_position": [0, 0], "clients": [{"id": "c", "x": 1}]}', "missing field 'y'"),
+        ('{"ap_position": [0, 0], "clients": "ab"}', "clients must be an array, got a string"),
+        ('{"ap_position": [0, 0], "emitters": 5}', "emitters must be an array, got a number"),
+        ('{"ap_position": [0, 0], "clients": [[1, 2]]}', "expected a JSON object, got an array"),
         (scenario_document(seed=1.5), "seed must be an integer, got 1.5"),
         (scenario_document(seed=True), "seed must be an integer, got True"),
         (
@@ -672,11 +699,13 @@ def test_spectrum_aggregate_non_integer_sweep_field_exits_two(
 @pytest.mark.parametrize("mode", ["max-hold", "ewma"])
 def test_spectrum_aggregate_bad_alpha_exits_two_in_either_mode(capsys, tmp_path, mode):
     log = tmp_path / "sweeps.jsonl"
-    log.write_text(SWEEP_RECORD.format(sensor_id=0, bins="[-60, -50]"))
-    err = assert_domain_error(
-        capsys, "spectrum", "aggregate", "--sweeps", str(log), "--mode", mode, "--alpha", "2"
-    )
-    assert err == "error: ewma alpha must be a real number in (0, 1], got 2.0\n"
+    # an empty log was refused as "nothing to aggregate", before alpha was read
+    for text in (SWEEP_RECORD.format(sensor_id=0, bins="[-60, -50]"), ""):
+        log.write_text(text)
+        err = assert_domain_error(
+            capsys, "spectrum", "aggregate", "--sweeps", str(log), "--mode", mode, "--alpha", "2"
+        )
+        assert err == "error: --alpha must be a real number in (0, 1], got 2.0\n"
 
 
 def test_growth_fit_missing_input_exits_two(capsys, tmp_path):
@@ -708,6 +737,20 @@ def test_spectrum_plan_directory_scenario_exits_two(capsys, tmp_path):
     assert_file_error(capsys, tmp_path, "spectrum", "plan", "--scenario", str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "aggregate", "--sweeps"], ["spectrum", "simulate", "--scenario"],
+     ["spectrum", "plan", "--scenario"], ["growth", "fit", "--input"]],
+    ids=" ".join,
+)
+def test_an_input_file_that_is_not_utf8_exits_two(capsys, tmp_path, argv):
+    # a UnicodeDecodeError printed a traceback and exited 1, the usage-error code
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff" + json.dumps({"ap_position": [0, 0]}).encode())
+    err = assert_domain_error(capsys, *argv, str(path))
+    assert err == f"error: {path} is not UTF-8 text: invalid start byte at byte 0\n"
+
+
 def test_out_to_missing_directory_exits_two(capsys, tmp_path):
     target = tmp_path / "missing" / "x.txt"
     assert_file_error(
@@ -715,18 +758,29 @@ def test_out_to_missing_directory_exits_two(capsys, tmp_path):
     )
 
 
+# Each id says the flag must be finite and what it was given; the message is
+# the refusal of the flag's domain (cli._DOMAINS)
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        (["linkbudget", "--pt", "nan", "--gt", "0", "--gr", "0", "--freq", "2.4e9",
-          "--dist", "10"], "--pt must be finite, got nan"),
-        (["lens", "apply", "--rx-dbm", "nan"], "--rx-dbm must be finite, got nan"),
-        (["polar", "loss", "--delta-psi", "nan"], "--delta-psi must be finite, got nan"),
-        (["polar", "loss", "--delta-psi", "3", "--tilt-deg", "inf"],
-         "--tilt-deg must be finite, got inf"),
-        (["lens", "design", "--focal=-inf"], "--focal must be finite, got -inf"),
-        (["fresnel", "field", "--block", "0:1", "--block", "nan:2"],
-         "--block must be finite, got nan:2.0"),
+        pytest.param(["linkbudget", "--pt", "nan", "--gt", "0", "--gr", "0", "--freq", "2.4e9",
+                      "--dist", "10"], "--pt must be a finite number, got nan",
+                     id="argv0---pt must be finite, got nan"),
+        pytest.param(["lens", "apply", "--rx-dbm", "nan"],
+                     "--rx-dbm must be a finite number, got nan",
+                     id="argv1---rx-dbm must be finite, got nan"),
+        pytest.param(["polar", "loss", "--delta-psi", "nan"],
+                     "--delta-psi must be a finite number, got nan",
+                     id="argv2---delta-psi must be finite, got nan"),
+        pytest.param(["polar", "loss", "--delta-psi", "3", "--tilt-deg", "inf"],
+                     "--tilt-deg must be a finite number, got inf",
+                     id="argv3---tilt-deg must be finite, got inf"),
+        pytest.param(["lens", "design", "--focal=-inf"],
+                     "--focal must be a finite number, got -inf",
+                     id="argv4---focal must be finite, got -inf"),
+        pytest.param(["fresnel", "field", "--block", "0:1", "--block", "nan:2"],
+                     "--block bound must be a finite number, got nan",
+                     id="argv5---block must be finite, got nan:2.0"),
     ],
 )
 def test_non_finite_float_flags_exit_two(capsys, argv, message):
@@ -759,7 +813,7 @@ def test_json_documents_parse_strictly(flag, value):
         strict_json(stdout.getvalue())
     else:
         assert (code, stdout.getvalue()) == (2, "")
-        assert stderr.getvalue() == f"error: {flag} must be finite, got {value!r}\n"
+        assert stderr.getvalue() == f"error: {flag} must be a finite number, got {value!r}\n"
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
@@ -821,21 +875,23 @@ def test_finite_gains_exit_two_or_print_strict_json(gt, gr):
 
 
 LENGTH_BOUNDS = "must lie in [1e-12, 1000000000000.0], got"
+FREQ_BOUNDS = "must lie in [0.000299792458, 2.99792458e+20], got"
 
 
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
+        # each named the library's field: distance, frequency, d1_m, lambda_m, d2_m
         (["linkbudget", "--pt", "1", "--gt", "0", "--gr", "0", "--freq", "2.4e9",
-          "--dist", "1e308"], f"distance {LENGTH_BOUNDS} 1e+308"),
+          "--dist", "1e308"], f"--dist {LENGTH_BOUNDS} 1e+308"),
         (["linkbudget", "--pt", "1", "--gt", "0", "--gr", "0", "--freq", "1e-300",
-          "--dist", "10"], "frequency must lie in [0.000299792458, 2.99792458e+20], got 1e-300"),
+          "--dist", "10"], f"--freq {FREQ_BOUNDS} 1e-300"),
         (["fresnel", "zones", "--lambda", "0.125", "--d1", "1e308", "--d2", "1e308"],
-         f"d1_m {LENGTH_BOUNDS} 1e+308"),
+         f"--d1 {LENGTH_BOUNDS} 1e+308"),
         (["fresnel", "zones", "--lambda", "1e300", "--d1", "25", "--d2", "25"],
-         f"lambda_m {LENGTH_BOUNDS} 1e+300"),
+         f"--lambda {LENGTH_BOUNDS} 1e+300"),
         (["fresnel", "field", "--block", "1:2", "--obliquity", "--lambda", "0.125",
-          "--d1", "25", "--d2", "1e-300"], f"d2_m {LENGTH_BOUNDS} 1e-300"),
+          "--d1", "25", "--d2", "1e-300"], f"--d2 {LENGTH_BOUNDS} 1e-300"),
         # a zone radius past the domain, from lengths inside it; it named
         # r_inner_m, and the sum d1 + d2 named the distance, but neither a flag
         (["fresnel", "screen", "--zone", "200", "--lambda", "1e12", "--d1", "1e12",
@@ -845,8 +901,9 @@ LENGTH_BOUNDS = "must lie in [1e-12, 1000000000000.0], got"
         (["fresnel", "screen", "--zone", "2", "--lambda", "0.125", "--d1", "6e11",
           "--d2", "6e11"], "--d1 600000000000.0 and --d2 600000000000.0 add up to "
          "1200000000000.0 m, past 1000000000000.0 m"),
-        (["lens", "design", "--focal", "1e160"], f"focal length {LENGTH_BOUNDS} 1e+160"),
-        (["lens", "design", "--spacing", "1e16"], f"plate spacing {LENGTH_BOUNDS} 1e+16"),
+        # they named focal length and plate spacing
+        (["lens", "design", "--focal", "1e160"], f"--focal {LENGTH_BOUNDS} 1e+160"),
+        (["lens", "design", "--spacing", "1e16"], f"--spacing {LENGTH_BOUNDS} 1e+16"),
     ],
     ids=["distance", "frequency", "d1", "lambda", "d2", "zone-radius", "screen-distance",
          "focal", "spacing"],
@@ -856,27 +913,34 @@ def test_lengths_outside_the_domain_exit_two_naming_the_field(capsys, argv, mess
     assert err == f"error: {message}\n"
 
 
-# each flag is refused as when the flags after it make the command read it
+# each flag is refused as when the flags after it make the command read it,
+# and of two bad flags the one declared first is named, wherever it stands in
+# argv. They named the library's fields d1_m, step and frequency, and the
+# geometry's d1_m before --lambda; --curve-step came before --curve-max
 @pytest.mark.parametrize(
-    ("flags", "readers", "message"),
+    ("flags", "readers", "messages"),
     [
         (["--lambda", "-5", "--d1", "0"], ["--obliquity", "--d2", "25"],
-         f"d1_m {LENGTH_BOUNDS} 0.0"),
-        (["--curve-step", "0"], ["--curve-max", "3"], "step must be positive and finite, got 0.0"),
-        # the curve checks its step before its u_max, as without the unread-flag checks
-        (["--curve-step", "0"], ["--curve-max", "0"], "step must be positive and finite, got 0.0"),
+         [f"--lambda {LENGTH_BOUNDS} -5.0"] * 2),
+        (["--curve-step", "0"], ["--curve-max", "3"],
+         ["--curve-step must be positive and finite, got 0.0"] * 2),
+        (["--curve-step", "0"], ["--curve-max", "0"],
+         ["--curve-step must be positive and finite, got 0.0",
+          "--curve-max must be positive and finite, got 0.0"]),
         (["--freq", "-3"], ["--obliquity", "--d1", "25", "--d2", "25"],
-         "frequency must lie in [0.000299792458, 2.99792458e+20], got -3.0"),
+         [f"--freq {FREQ_BOUNDS} -3.0"] * 2),
     ],
     ids=["lambda-d1", "curve-step", "curve-step-before-u-max", "freq"],
 )
-def test_fresnel_field_checks_every_given_flag(capsys, flags, readers, message):
-    for argv in (flags, [*flags, *readers]):
+def test_fresnel_field_checks_every_given_flag(capsys, flags, readers, messages):
+    for argv, message in zip((flags, [*flags, *readers]), messages):
         err = assert_domain_error(capsys, "fresnel", "field", "--block", "1:2", *argv)
         assert err == f"error: {message}\n"
 
 
-# a --freq given beside --lambda is checked, after the geometry's own flags
+# a --freq given beside --lambda is checked, in declaration order: after
+# --lambda and before --d1 and --d2. It was checked after all three, as the
+# geometry's d1_m, lambda_m and d2_m, and named frequency
 @pytest.mark.parametrize(
     "command",
     [["fresnel", "zones"], ["fresnel", "screen", "--zone", "2"],
@@ -884,11 +948,12 @@ def test_fresnel_field_checks_every_given_flag(capsys, flags, readers, message):
     ids=["zones", "screen", "field"],
 )
 def test_a_freq_beside_lambda_is_checked_after_the_geometry(capsys, command):
-    for d1, message in (
-        ("25", "frequency must lie in [0.000299792458, 2.99792458e+20], got -3.0"),
-        ("-1", f"d1_m {LENGTH_BOUNDS} -1.0"),
+    for lam, d1, message in (
+        ("0.125", "25", f"--freq {FREQ_BOUNDS} -3.0"),
+        ("0.125", "-1", f"--freq {FREQ_BOUNDS} -3.0"),
+        ("-1", "25", f"--lambda {LENGTH_BOUNDS} -1.0"),
     ):
-        argv = [*command, "--lambda", "0.125", "--freq", "-3", "--d1", d1, "--d2", "25"]
+        argv = [*command, "--lambda", lam, "--freq", "-3", "--d1", d1, "--d2", "25"]
         assert assert_domain_error(capsys, *argv) == f"error: {message}\n"
 
 
@@ -906,8 +971,8 @@ def test_any_positive_link_exits_two_or_prints_strict_json(dist, freq):
     else:
         assert (code, stdout.getvalue()) == (2, "")
         d, f = re.escape(repr(dist)), re.escape(repr(freq))
-        named = (f"distance {d} m is inside one wavelength [^\n]*|distance must lie in [^\n]*, "
-                 f"got {d}|frequency must lie in [^\n]*, got {f}")
+        named = (f"distance {d} m is inside one wavelength [^\n]*|--dist must lie in [^\n]*, "
+                 f"got {d}|--freq must lie in [^\n]*, got {f}")
         assert re.fullmatch(f"error: ({named})\n", stderr.getvalue())
 
 
@@ -934,7 +999,7 @@ def test_any_positive_fresnel_geometry_exits_two_or_prints_strict_json(command, 
     else:
         assert (code, stdout.getvalue()) == (2, "")
         named = "|".join(f"{name} must lie in [^\n]*, got {re.escape(repr(value))}"
-                         for name, value in (("d1_m", d1), ("d2_m", d2), ("lambda_m", lam)))
+                         for name, value in (("--d1", d1), ("--d2", d2), ("--lambda", lam)))
         if command[1] == "screen":  # the zone radius and d1 + d2 it derives are lengths too
             flags, past = f"--d1 {d1!r} and --d2 {d2!r}", " m, past 1000000000000.0 m"
             named += (f"|{re.escape(f'--zone 2 with --lambda {lam!r}, {flags}')} gives a "
@@ -1536,3 +1601,145 @@ def test_every_command_exits_cleanly_on_any_flags(words, data):
         assert err.startswith("rfplan ") and "\nusage: rfplan " in err
     # exit 1 is a usage error, and only a usage error
     assert (code == 1) == (fault is not None), err
+    # a value outside its flag's domain exits 2 naming the flag, the first
+    # declared of several, before any handler reads a file or a flag
+    bad = None if fault is not None else first_bad_flag(words, argv)
+    assert bad is None or (code == 2 and err.startswith(f"error: {bad} ")), err
+
+
+def passes(check, *args) -> bool:
+    """Whether check(*args) returns rather than raising a DomainError."""
+    try:
+        check(*args)
+    except DomainError:
+        return False
+    return True
+
+
+def first_bad_flag(words, argv):
+    """The first flag of the command, in declaration order, given a value
+    (or, for --block and --candidates, an item) outside its domain."""
+    args = build_parser().parse_args(argv)
+    for action in LEAF_COMMANDS[words]._actions:
+        flag = action.option_strings[0]
+        value = getattr(args, action.dest) if flag in cli._DOMAINS else None
+        items = value if isinstance(value, (list, tuple)) else [value]
+        if value is not None and not all(passes(cli._DOMAINS[flag], flag, v) for v in items):
+            return flag
+    return None
+
+
+# --- each numeric flag's domain against the library --------------------------
+
+FREQ = Frequency(2.437e9)
+UNIT_GAIN = AntennaGain(1.0)
+SPACING = 0.625 * FREQ.wavelength_m
+GEOMETRY_25_25 = PathGeometry(25.0, 25.0, 0.125)
+ENV = EnvironmentModel(0.1)
+ONE_BIN = SensorSweep(0, 0, 2_400_000, 1_000, (-90,))
+AP_SPECTRA = {"ap": aggregate([SensorSweep(0, 0, 2_400_000, 1_000, (-90,) * 100)])}
+
+
+def wavelength_spaced_lens(spacing):
+    """A lens whose plates lie one wavelength of its design frequency apart:
+    above cutoff, and at an index below 1, for any spacing that is a length."""
+    return LensSpec(spacing, Frequency(SPEED_OF_LIGHT_M_S / spacing if spacing else math.nan),
+                    0.3, 40.0)
+
+
+# The library call that each numeric flag's value reaches, its other inputs
+# chosen so that only the flag's own rule can refuse it: one lens profile or
+# curve step whatever the step, and a plate spacing above cutoff
+LIBRARY_CALLS = {
+    "--pt": lambda v: LinkBudget(v, UNIT_GAIN, UNIT_GAIN, LinkGeometry(10.0, FREQ)),
+    **dict.fromkeys(("--gt", "--gr"), AntennaGain.from_dbi),
+    "--freq": Frequency,
+    "--dist": lambda v: LinkGeometry(v, FREQ),
+    "--spacing": wavelength_spaced_lens,
+    "--focal": lambda v: LensSpec(SPACING, FREQ, v, 40.0),
+    "--aperture": lambda v: LensSpec(SPACING, FREQ, 0.3, v),
+    "--step": lambda v: lens_profile(LensSpec(SPACING, FREQ, 0.3, 5e-324), v),
+    "--rx-dbm": lambda v: boost_rx_power(v, LensEffect()),
+    "--uplift-db": lambda v: LensEffect(gain_uplift_db=v),
+    "--throughput-frac": lambda v: LensEffect(throughput_uplift_fraction=v),
+    "--lambda": lambda v: PathGeometry(25.0, 25.0, v),
+    "--d1": lambda v: PathGeometry(v, 25.0, 0.125),
+    "--d2": lambda v: PathGeometry(25.0, v, 0.125),
+    "--max-zone": lambda v: zone_table(GEOMETRY_25_25, v),
+    "--zone": lambda v: screen_for_zone(v, GEOMETRY_25_25),
+    "--block": lambda v: field_ratio([v]),
+    "--curve-max": lambda v: partial_field_curve(v, U_MAX),
+    "--curve-step": lambda v: partial_field_curve(5e-324, v),
+    "--delta-psi": lambda v: mismatch_loss_db(v, ENV),
+    "--epsilon": EnvironmentModel,
+    "--tilt-deg": lambda v: tilt_effect_db(math.radians(v), ENV),  # as polar loss passes it
+    "--xpd": dual_polarized_channel,
+    "--snr-linear": lambda v: dual_polarized_channel(0.5, v),
+    "--seed": lambda v: (Scenario((0.0, 0.0), seed=v), dual_polarized_channel(0.5, seed=v)),
+    "--t-ms": lambda v: simulate_sweeps(Scenario((0.0, 0.0)), [(0.0, 0.0)], t_ms=v),
+    "--alpha": lambda v: aggregate([ONE_BIN], alpha=v),
+    "--candidates": lambda v: select_channel(AP_SPECTRA, "ap-only", [v]),
+}
+# each numeric flag's parser type, over every command
+FLAG_TYPES = {
+    action.option_strings[0]: action.type
+    for parser in LEAF_COMMANDS.values() for action in parser._actions
+    if action.type in (float, int, cli._parse_interval, cli._parse_channels)
+}
+anywhere_floats = st.one_of(st.floats(), extreme_floats, st.floats(-300.0, 300.0))
+anywhere_ints = st.one_of(st.integers(-3, 300), st.integers(-(2**70), 2**70),
+                          st.sampled_from([2**64 - 1, 2**64]))
+FLAG_VALUES = {
+    float: anywhere_floats,
+    int: anywhere_ints,
+    cli._parse_interval: st.tuples(anywhere_floats, anywhere_floats),
+    cli._parse_channels: anywhere_ints,  # one channel of the list
+}
+flag_cases = st.sampled_from(sorted(FLAG_TYPES)).flatmap(
+    lambda flag: st.tuples(st.just(flag), FLAG_VALUES[FLAG_TYPES[flag]])
+)
+
+
+def test_every_numeric_flag_has_a_domain_and_a_library_call():
+    assert set(FLAG_TYPES) == set(cli._DOMAINS) == set(LIBRARY_CALLS)
+
+
+# the deep-fuzz CI step runs the property at 1,000 examples (tests/conftest.py)
+@pytest.mark.deep_fuzz
+@settings(CLI_FUZZ, max_examples=max(CLI_FUZZ.max_examples, 300))
+@given(case=flag_cases)
+@example(("--tilt-deg", 90.0))
+@example(("--tilt-deg", -90.0))
+@example(("--tilt-deg", math.nextafter(90.0, math.inf)))  # math.radians(90.0) is pi/2
+@example(("--tilt-deg", math.nextafter(-90.0, -math.inf)))
+@example(("--aperture", 0.0))
+@example(("--aperture", 90.0))
+@example(("--aperture", math.nextafter(90.0, 0.0)))
+@example(("--epsilon", 0.0))
+@example(("--epsilon", 1.0))
+@example(("--xpd", 0.0))
+@example(("--xpd", math.nextafter(1.0, math.inf)))
+@example(("--alpha", 1.0))
+@example(("--alpha", 5e-324))
+@example(("--alpha", 0.0))
+@example(("--zone", 200))
+@example(("--zone", 201))
+@example(("--max-zone", 0))
+@example(("--curve-max", 200.0))
+@example(("--curve-max", math.nextafter(200.0, math.inf)))
+@example(("--seed", 2**64 - 1))
+@example(("--seed", 2**64))
+@example(("--t-ms", -1))
+@example(("--freq", SPEED_OF_LIGHT_M_S / 1e12))
+@example(("--freq", math.nextafter(SPEED_OF_LIGHT_M_S / 1e12, 0.0)))
+@example(("--freq", SPEED_OF_LIGHT_M_S / 1e-12))
+@example(("--freq", math.nextafter(SPEED_OF_LIGHT_M_S / 1e-12, math.inf)))
+@example(("--spacing", 1e-12))
+@example(("--spacing", 0.0))
+@example(("--block", (0.0, U_MAX)))
+@example(("--block", (1.0, 1.0)))
+@example(("--candidates", 14))
+@example(("--candidates", 15))
+def test_each_flag_domain_admits_what_the_library_admits(case):
+    flag, value = case
+    assert passes(cli._DOMAINS[flag], flag, value) == passes(LIBRARY_CALLS[flag], value), case

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import operator
@@ -485,3 +486,93 @@ def test_jsonl_reader_names_a_line_nested_too_deep():
     # json.loads raises RecursionError, which the CLI used to print as a traceback
     with pytest.raises(DomainError, match=r"^bad sweep record on line 2: .*recursion"):
         sweeps_from_jsonl(json_line(GOLDEN_SWEEP).decode() + "[" * 100_000 + "]" * 100_000)
+
+
+SCENARIO_DOCUMENT = {
+    "ap_position": [0, 0],
+    "clients": [{"id": "c0", "x": 5.0, "y": 0.0}],
+    "emitters": [{"channel": 6, "tx_power_dbm": 10.0, "x": 1.0, "y": 0.0}],
+    "noise_floor_dbm": -95.0,
+    "shadowing_sigma_db": 0.0,
+    "seed": 3,
+}
+# a JSON value of every kind, each a wrong type somewhere in a document
+WRONG_VALUES = [None, True, 7, -7.5, "ab", [], [1, 2], {}, {"id": 1}]
+# what a refusal printed before one reader served both documents: a Python
+# class, a constructor's or **'s TypeError, a bare KeyError
+PYTHON_WORDS = re.compile(r"\b(list|dict|str|int|float|bool|tuple|NoneType|Client|Emitter|"
+                          r"Scenario|SensorSweep)\b|__init__|argument after \*\*|object is not|^'")
+
+
+def containers(value):
+    """value and every object and array inside it."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from containers(item)
+
+
+@st.composite
+def mutated_documents(draw, document):
+    """(document with one key or item dropped, one key added, or one value, or
+    the whole document, put to a wrong type; the mutation's name)."""
+    document = copy.deepcopy(document)
+    mutation = draw(st.sampled_from(["drop", "add", "retype", "retype-document"]))
+    if mutation == "retype-document":
+        return draw(st.sampled_from(WRONG_VALUES)), mutation
+    container = draw(st.sampled_from(list(containers(document))))
+    keys = list(container) if isinstance(container, dict) else list(range(len(container)))
+    if mutation == "add" or not keys:
+        wrong = copy.deepcopy(draw(st.sampled_from(WRONG_VALUES)))
+        if isinstance(container, dict):
+            container[draw(st.sampled_from(["bogus", "z", ""]))] = wrong
+        else:
+            container.append(wrong)
+        return document, "add"
+    key = draw(st.sampled_from(keys))
+    if mutation == "drop":
+        del container[key]
+    else:
+        container[key] = copy.deepcopy(draw(st.sampled_from(WRONG_VALUES)))
+    return document, mutation
+
+
+def assert_named(error, prefix):
+    message = str(error)
+    assert message.startswith(prefix), message
+    assert not PYTHON_WORDS.search(message.removeprefix(prefix)), message
+
+
+# the deep-fuzz CI step runs the property at 1,000 examples (tests/conftest.py)
+@pytest.mark.deep_fuzz
+@settings.get_profile("fuzz")
+@given(case=mutated_documents(SCENARIO_DOCUMENT))
+@example(({"ap_position": [0, 0], "clients": "ab"}, "retype"))
+@example(({"ap_position": [0, 0], "clients": 5}, "retype"))
+@example(({"ap_position": [0, 0], "clients": ["ab"]}, "retype"))
+@example(({"ap_position": [0, 0], "clients": [{"id": "c", "x": 0}]}, "drop"))
+def test_a_mutated_scenario_document_loads_or_is_refused_by_name(case):
+    document, mutation = case
+    try:
+        scenario_from_json(json.dumps(document))
+    except DomainError as exc:
+        assert_named(exc, "bad scenario document: ")
+    else:
+        # the reader refuses a key that is no field, at every level
+        assert mutation != "add" or isinstance(document, list), document
+
+
+# the deep-fuzz CI step runs the property at 1,000 examples (tests/conftest.py)
+@pytest.mark.deep_fuzz
+@settings.get_profile("fuzz")
+@given(case=mutated_documents(sweep_record(GOLDEN_SWEEP)))
+def test_a_mutated_sweep_record_loads_or_is_refused_by_name(case):
+    record, mutation = case
+    try:
+        sweeps = sweeps_from_jsonl(json_line(GOLDEN_SWEEP).decode() + json.dumps(record) + "\n")
+    except DomainError as exc:
+        assert_named(exc, "bad sweep record on line 2: ")
+    else:
+        # the reader ignores a key that is no field of a sweep
+        assert mutation != "drop" or record.get("bins") == [], record
+        assert len(sweeps) == 2
