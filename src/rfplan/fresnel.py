@@ -18,11 +18,12 @@ their contributions from 1.
 """
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (
     U_MAX, DomainError, _length, _positive, check_interval, check_sample_count, check_u_max,
@@ -49,8 +50,8 @@ _SLIVER = 1e-12
 # near-zero fault count. At least 2: see _panel_slices.
 _PANEL_CHUNK = 512
 
-# Panels of the curve grid at one step whose edges, nodes and phases are
-# kept between calls, about 3 MB (see _step_phases). A curve to U_MAX at the
+# Panels of the curve grid at one step whose nodes and phases are kept
+# between calls, about 3.5 MB (see _step_plan). A curve to U_MAX at the
 # default step, about 4,000 panels, fits whole. Slices of panels never cross
 # a block edge (see _panel_slices).
 _PANEL_BLOCK = 8192
@@ -154,16 +155,24 @@ class FieldRatio:
 def obliquity_factor(u: float | np.ndarray, geometry: PathGeometry) -> float | np.ndarray:
     """K(u) = (1 + cos(chi))/2 with chi the ray deflection angle at radius r(u).
 
-    u may be a float or a numpy array; the result has the same shape.
+    u may be a float or a numpy array; the result has the same shape. An
+    array's temporaries are updated in place, in the order of
+    r_sq = u*lambda*d1*d2/(d1+d2) and (d1*d2 - r_sq)/sqrt((d1*d1 + r_sq)*(d2*d2 + r_sq)).
     """
     import numpy as np
 
     g = geometry
-    r_sq = u * g.lambda_m * g.d1_m * g.d2_m / (g.d1_m + g.d2_m)
-    cos_chi = (g.d1_m * g.d2_m - r_sq) / np.sqrt(
-        (g.d1_m * g.d1_m + r_sq) * (g.d2_m * g.d2_m + r_sq)
-    )
-    return 0.5 * (1.0 + cos_chi)
+    r_sq = u * g.lambda_m
+    r_sq *= g.d1_m
+    r_sq *= g.d2_m
+    r_sq /= g.d1_m + g.d2_m
+    cos_chi, norm = g.d1_m * g.d2_m - r_sq, g.d1_m * g.d1_m + r_sq
+    r_sq += g.d2_m * g.d2_m
+    norm *= r_sq
+    cos_chi /= np.sqrt(norm)
+    cos_chi += 1.0
+    cos_chi *= 0.5
+    return cos_chi
 
 
 def _validated_intervals(blocked: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -198,16 +207,17 @@ def _nodes_and_phases(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nd
     return u, np.exp(1j * np.pi * u)
 
 
-def _curve_samples(u_max: float, step: float) -> np.ndarray:
-    """Curve samples k*step below u_max, then u_max itself.
+def _curve_samples(u_max: float, step: float, first: int = 0) -> np.ndarray:
+    """Curve samples k*step below u_max from k = first on, then u_max itself.
 
     Samples sit at k*step, so the grid cannot drift; the first is 0 and the
-    last u_max, even when u_max is shorter than the sliver.
+    last u_max, even when u_max is shorter than the sliver. A first past 0
+    must be a k with k*step below u_max - _SLIVER.
     """
     import numpy as np
 
     # a step at or past u_max keeps only 0, and 2*step could overflow
-    ks = np.arange(math.ceil(u_max / step) + 2 if step < u_max else 2) * step
+    ks = np.arange(first, math.ceil(u_max / step) + 2 if step < u_max else 2) * step
     return np.append(ks[: max(1, np.searchsorted(ks, u_max - _SLIVER))], u_max)
 
 
@@ -221,27 +231,8 @@ def _panel_edges(edges: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate((edges, cuts)))
 
 
-@lru_cache(maxsize=1)
-def _step_phases(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(lo, hi, u, exp(i*pi*u)) of the first _PANEL_BLOCK panels of the curve grid at step.
-
-    Neither depends on the geometry, and every curve at one step samples the
-    grid k*step, so a curve's leading panels whose edges equal these exactly
-    may take their nodes and phases: elementwise, they are the bits a
-    recomputation gives. The grid ends once it has _PANEL_BLOCK panels, or at
-    U_MAX, so a coarse step cuts no more integers than a curve to U_MAX does
-    and a fine one sorts no samples past the block.
-    """
-    grid = _panel_edges(_curve_samples(min(U_MAX, (_PANEL_BLOCK + 1) * step), step))
-    lo, hi = grid[:-1][:_PANEL_BLOCK], grid[1:][:_PANEL_BLOCK]
-    table = (lo, hi, *_nodes_and_phases(lo, hi))
-    for array in table:
-        array.flags.writeable = False  # the cache hands the same arrays to every curve
-    return table
-
-
 def _panel_slices(n: int, known: int):
-    """(rows, from_table) slices that cover n panels, the first known from _step_phases.
+    """(rows, from_table) slices that cover n panels, the first known with nodes in the plan.
 
     A slice lies within one _PANEL_BLOCK block and on one side of the known
     prefix, and holds at most _PANEL_CHUNK + 1 rows. None has one row unless
@@ -265,43 +256,110 @@ def _panel_slices(n: int, known: int):
                     yield slice(a, b), from_table
 
 
-def _contributions(
-    edges: np.ndarray, geometry: PathGeometry | None, step: float | None = None
-) -> np.ndarray:
-    """Integral of (-i*pi)*K(u)*exp(i*pi*u) over each [edges[k], edges[k+1]].
+class _Plan(NamedTuple):
+    """The part of a quadrature over the intervals between edges that no geometry enters."""
 
-    edges must be non-decreasing; K = 1 when geometry is None. The intervals
-    are split into panels at interior integers (see _panel_edges), and K(u)
-    and the rule's row sums are formed _PANEL_CHUNK panels at a time (see
-    _panel_slices), so no temporary holds more than one chunk's nodes. A
-    curve passes its sample step: its leading panels whose edges equal those
-    of _step_phases(step) exactly then take their nodes and phases from that
-    table, as views, and only K(u) is evaluated afresh for them.
+    u: np.ndarray  # nodes of the first len(u) panels, one row each
+    phase: np.ndarray  # exp(i*pi*u)
+    grid: np.ndarray  # edges of every panel
+    scale: np.ndarray  # -i*pi*half-width of every panel
+    owner: np.ndarray  # the interval every panel folds onto
+    slices: tuple  # _panel_slices of the panels
+
+
+def _plan(edges: np.ndarray, known: int) -> _Plan:
+    """Plan of the intervals between non-decreasing edges, nodes kept for the first known panels.
+
+    Panels split the intervals at interior integers (see _panel_edges). The
+    arrays are read-only, since a cache hands them to every call.
+    """
+    import numpy as np
+
+    grid = _panel_edges(edges)
+    lo, hi = grid[:-1], grid[1:]
+    plan = _Plan(
+        *_nodes_and_phases(lo[:known], hi[:known]), grid,
+        -1j * np.pi * ((hi - lo) / 2.0), np.searchsorted(edges, lo, side="right") - 1,
+        tuple(_panel_slices(len(lo), known)),
+    )
+    for array in plan[:-1]:
+        array.flags.writeable = False
+    return plan
+
+
+@lru_cache(maxsize=16)
+def _interval_plan(intervals: tuple[tuple[float, float], ...]) -> _Plan:
+    """Plan of sorted, disjoint intervals and the gaps between them.
+
+    field_ratio keeps the plans of its last 16 sets of at most _PANEL_CHUNK
+    intervals. With at most U_MAX integers between them, such a set has fewer
+    than 720 panels, so a plan holds at most about 0.3 MB and the cache 5 MB.
+    """
+    import numpy as np
+
+    return _plan(np.array(intervals, dtype=float).ravel(), _PANEL_BLOCK)
+
+
+@lru_cache(maxsize=1)
+def _step_plan(step: float) -> tuple[list[float], _Plan]:
+    """(samples, plan) of the curve grid k*step: its first points, as floats, and its panels.
+
+    plan keeps the nodes of one _PANEL_BLOCK block of panels, which cover the
+    intervals between samples whole; with the samples, about 3.5 MB. The grid
+    ends at U_MAX or past the block, so a coarse step cuts no more integers
+    than a curve to U_MAX does and a fine one sorts no samples past it.
+    """
+    grid = _curve_samples(min(U_MAX, (_PANEL_BLOCK + 1) * step), step)[:-1]
+    plan = _plan(grid, _PANEL_BLOCK)
+    # the first panel without nodes is in the first interval not whole
+    whole = plan.owner[_PANEL_BLOCK] + 1 if len(plan.owner) > _PANEL_BLOCK else len(grid)
+    return grid[:whole].tolist(), plan
+
+
+def _contributions(plan: _Plan, geometry: PathGeometry | None, n: int) -> np.ndarray:
+    """Integral of (-i*pi)*K(u)*exp(i*pi*u) over each of the n intervals of plan.
+
+    K = 1 when geometry is None. K(u) and the rule's row sums are formed a
+    slice of plan.slices at a time.
     """
     import numpy as np
 
     _, weights = _gauss_legendre()
-    grid = _panel_edges(edges)
-    lo, hi = grid[:-1], grid[1:]
-    known = 0
-    if step is not None:
-        table_lo, table_hi, table_u, table_phase = _step_phases(step)
-        n = min(len(lo), len(table_lo))
-        same = (lo[:n] == table_lo[:n]) & (hi[:n] == table_hi[:n])
-        known = n if same.all() else int(same.argmin())
-    panels = np.empty(len(lo), dtype=complex)
-    for rows, from_table in _panel_slices(len(lo), known):
+    panels = np.empty(len(plan.scale), dtype=complex)
+    for rows, from_table in plan.slices:
         if from_table:
-            u, phase = table_u[rows], table_phase[rows]
+            u, phase = plan.u[rows], plan.phase[rows]
         else:
-            u, phase = _nodes_and_phases(lo[rows], hi[rows])
+            u, phase = _nodes_and_phases(plan.grid[:-1][rows], plan.grid[1:][rows])
         weight = 1.0 if geometry is None else obliquity_factor(u, geometry)
         np.matmul(weight * phase, weights, out=panels[rows])
-    panels *= -1j * np.pi * ((hi - lo) / 2.0)
-    # fold the panels back onto the caller's intervals
-    owner = np.searchsorted(edges, lo, side="right") - 1
-    n = len(edges) - 1
-    return np.bincount(owner, panels.real, n) + 1j * np.bincount(owner, panels.imag, n)
+    panels *= plan.scale
+    if len(panels) == n:
+        # one panel an interval: the fold below adds each to 0.0 too (a
+        # zero-width gap hands the next interval its panel, an exact 0)
+        return panels + 0.0
+    return np.bincount(plan.owner, panels.real, n) + 1j * np.bincount(plan.owner, panels.imag, n)
+
+
+def _obliquity_field(u_max: float, step: float, geometry: PathGeometry):
+    """An obliquity curve's samples past 0, a list of floats then an array, and its field there.
+
+    Its samples below u_max are the grid's, so its first t intervals take their
+    panels from _step_plan(step), by count; only the tail past them is planned.
+    """
+    import numpy as np
+
+    grid, table = _step_plan(step)
+    t = max(0, bisect.bisect_left(grid, u_max - _SLIVER) - 1)
+    tail = _curve_samples(u_max, step, t)
+    rest, known = _plan(tail, 0), int(np.searchsorted(table.owner, t))
+    plan = _Plan(
+        table.u[:known], table.phase[:known], np.concatenate((table.grid[:known], rest.grid)),
+        np.concatenate((table.scale[:known], rest.scale)),
+        np.concatenate((table.owner[:known], rest.owner + t)),
+        tuple(_panel_slices(known + len(rest.scale), known)),
+    )
+    return grid[1 : t + 1], tail[1:], np.cumsum(_contributions(plan, geometry, t + len(tail) - 1))
 
 
 def field_ratio(
@@ -331,12 +389,11 @@ def field_ratio(
 
     if not intervals:
         return FieldRatio(1.0 + 0.0j)
-    import numpy as np
-
     # the even-numbered gaps between edges are the blocked intervals
-    edges = np.array(intervals, dtype=float).ravel()
-    blocked_sum = _contributions(edges, geometry if obliquity else None)[::2].sum()
-    return FieldRatio(complex(1.0 - blocked_sum))
+    key = tuple(intervals)
+    plan = (_interval_plan if len(key) <= _PANEL_CHUNK else _interval_plan.__wrapped__)(key)
+    sums = _contributions(plan, geometry if obliquity else None, 2 * len(key) - 1)
+    return FieldRatio(complex(1.0 - sums[::2].sum()))
 
 
 def partial_field_curve(
@@ -357,12 +414,11 @@ def partial_field_curve(
         raise DomainError("obliquity weighting needs the path geometry")
     import numpy as np
 
-    u = _curve_samples(u_max, step)
-    if obliquity:
-        field = np.cumsum(_contributions(u, geometry, step))
-    else:
-        field = 1.0 - np.exp(1j * np.pi * u[1:])
-    return [(0.0, 0.0)] + list(zip(u[1:].tolist(), np.abs(field).tolist()))
+    if not obliquity:
+        u = _curve_samples(u_max, step)[1:]
+        return [(0.0, 0.0), *zip(u.tolist(), np.abs(1.0 - np.exp(1j * np.pi * u)).tolist())]
+    head, tail, field = _obliquity_field(u_max, step, geometry)
+    return [(0.0, 0.0), *zip(head + tail.tolist(), np.abs(field).tolist())]
 
 
 def zone_table(geometry: PathGeometry, max_zone: int) -> list[tuple[float, int]]:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import (
     MAX_LENGTH_M, DomainError, _finite, _length, _positive, check_aperture, check_gain_uplift,
-    check_sample_count, check_throughput,
+    check_sample_count, check_throughput, check_tilt_deg,
 )
 from .linkbudget import (
     AntennaGain,
@@ -65,7 +65,7 @@ def profile_radius(focal_m: float, index: float, theta_deg: float) -> float:
     index = _finite("effective index", index)
     if not 0.0 < index < 1.0:
         raise DomainError(f"effective index must lie in (0, 1), got {index}")
-    theta = math.radians(_finite("profile angle", theta_deg, -90.0, 90.0))
+    theta = math.radians(check_tilt_deg("profile angle", theta_deg))
     focal_m = _length("focal length", focal_m)
     return focal_m * (1.0 - index) / (1.0 - index * math.cos(theta))
 

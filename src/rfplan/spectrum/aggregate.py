@@ -338,7 +338,8 @@ def _record_lines(chunk: list[SensorSweep]) -> list[str]:
 
 def _json_record(value, record, strict: bool = True, arrays: Sequence[tuple] = ()) -> dict:
     """value, a JSON object, as a dict of the dataclass record's fields, the
-    items of each (key, record) of arrays built; a DomainError names what is wrong."""
+    items of each (key, record) of arrays built; a DomainError names what is
+    wrong, after key[index] for an item's."""
     if type(value) is not dict:
         raise DomainError(f"expected a JSON object, got {_JSON_KINDS[type(value)]}")
     required = {f.name: f.default is MISSING for f in fields(record)}
@@ -349,7 +350,13 @@ def _json_record(value, record, strict: bool = True, arrays: Sequence[tuple] = (
     for key, item in arrays:  # an omitted array is empty
         if type(items := value.get(key, [])) is not list:
             raise DomainError(f"{key} must be an array, got {_JSON_KINDS[type(items)]}")
-        value[key] = tuple(item(**_json_record(v, item)) for v in items)
+        built = []
+        for index, v in enumerate(items):
+            try:
+                built.append(item(**_json_record(v, item)))
+            except DomainError as exc:
+                raise DomainError(f"{key}[{index}]: {exc}") from exc
+        value[key] = tuple(built)
     return value
 
 

@@ -60,7 +60,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ..errors import (
-    MAX_DB, MAX_LENGTH_M, DomainError, _finite, _index, _length, _shown, _uint64, read_text,
+    MAX_DB, MAX_LENGTH_M, DomainError, _finite, _length, _shown, _uint64, check_channel,
+    read_text,
 )
 from ..linkbudget import Frequency
 from .aggregate import _json_record
@@ -126,8 +127,7 @@ class Emitter:
     y: float
 
     def __post_init__(self):
-        object.__setattr__(self, "channel", _index("emitter channel", self.channel))
-        channel_center_khz(self.channel)  # validates 1..14
+        object.__setattr__(self, "channel", check_channel("emitter channel", self.channel))
         tx_dbm = _finite("emitter tx_power_dbm", self.tx_power_dbm, -MAX_DB, MAX_DB)
         object.__setattr__(self, "tx_power_dbm", tx_dbm)
         object.__setattr__(self, "x", _length("emitter x", self.x, -MAX_LENGTH_M))

@@ -545,7 +545,7 @@ def test_spectrum_plan_emitter_power_beyond_float_range_exits_two(capsys, tmp_pa
     path = tmp_path / "scenario.json"
     path.write_text(scenario_document(emitters=[EMITTER, {**EMITTER, "tx_power_dbm": 4000.0}]))
     err = assert_domain_error(capsys, "spectrum", "plan", "--scenario", str(path))
-    assert err == f"error: bad scenario document: {TX_BOUND}, got 4000.0\n"
+    assert err == f"error: bad scenario document: emitters[1]: {TX_BOUND}, got 4000.0\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "plan"])
@@ -556,7 +556,7 @@ def test_spectrum_bin_sum_beyond_float_range_exits_two(capsys, tmp_path, command
     path = tmp_path / "scenario.json"
     path.write_text(scenario_document(emitters=[stacked, stacked], shadowing_sigma_db=0))
     err = assert_domain_error(capsys, "spectrum", command, "--scenario", str(path))
-    assert err == f"error: bad scenario document: {TX_BOUND}, got 3155.0\n"
+    assert err == f"error: bad scenario document: emitters[0]: {TX_BOUND}, got 3155.0\n"
 
 
 # a client at (30, 0) hears channel 6, one at (-30, 0) channel 1 and, far
@@ -642,6 +642,27 @@ def test_spectrum_plan_bad_scenario_document_exits_two(capsys, tmp_path, documen
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    ("document", "message"),
+    [
+        # it printed "missing field 'y'", naming no client
+        ('{"ap_position": [0, 0], "clients": [{"id": "a", "x": 1, "y": 2}, {"id": "b", "x": 1}]}',
+         "clients[1]: missing field 'y'"),
+        # it printed "channel must lie in 1..14, got 15", naming no emitter
+        (scenario_document(emitters=[EMITTER, {**EMITTER, "channel": 15}]),
+         "emitters[1]: emitter channel must lie in 1..14, got 15"),
+        (scenario_document(emitters=[{**EMITTER, "tx_power_dbm": 1e4}]),
+         f"emitters[0]: {TX_BOUND}, got 10000.0"),
+    ],
+    ids=["client-field", "emitter-channel", "emitter-power"],
+)
+def test_spectrum_plan_names_the_scenario_record_at_fault(capsys, tmp_path, document, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(document)
+    err = assert_domain_error(capsys, "spectrum", "plan", "--scenario", str(path))
+    assert err == f"error: bad scenario document: {message}\n"
+
+
 PAST_FLOAT_RANGE = 10**400 - 1  # 400 nines: a JSON int no float can hold
 
 
@@ -662,8 +683,10 @@ def test_spectrum_plan_int_past_the_float_range_exits_two(capsys, tmp_path, chan
     path = tmp_path / "scenario.json"
     path.write_text(scenario_document(**change))
     err = assert_domain_error(capsys, "spectrum", "plan", "--scenario", str(path))
+    item = next((f"{key}[0]: " for key in ("clients", "emitters") if key in change), "")
     assert err == (
-        f"error: bad scenario document: {field} must be a finite number, got {PAST_FLOAT_RANGE}\n"
+        f"error: bad scenario document: {item}{field} must be a finite number, "
+        f"got {PAST_FLOAT_RANGE}\n"
     )
 
 

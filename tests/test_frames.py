@@ -543,6 +543,16 @@ def assert_named(error, prefix):
     assert not PYTHON_WORDS.search(message.removeprefix(prefix)), message
 
 
+def changed_item(document):
+    """'key[index]: ' of the first array item of document that is not SCENARIO_DOCUMENT's, or ''."""
+    for key in ("clients", "emitters"):
+        items = document.get(key) if isinstance(document, dict) else None
+        for index, item in enumerate(items if isinstance(items, list) else []):
+            if index >= len(SCENARIO_DOCUMENT[key]) or item != SCENARIO_DOCUMENT[key][index]:
+                return f"{key}[{index}]: "
+    return ""
+
+
 # the deep-fuzz CI step runs the property at 1,000 examples (tests/conftest.py)
 @pytest.mark.deep_fuzz
 @settings.get_profile("fuzz")
@@ -556,7 +566,8 @@ def test_a_mutated_scenario_document_loads_or_is_refused_by_name(case):
     try:
         scenario_from_json(json.dumps(document))
     except DomainError as exc:
-        assert_named(exc, "bad scenario document: ")
+        # a failure inside an array item names the item first
+        assert_named(exc, "bad scenario document: " + changed_item(document))
     else:
         # the reader refuses a key that is no field, at every level
         assert mutation != "add" or isinstance(document, list), document

@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import hashlib
 import itertools
 import math
 import re
@@ -389,16 +390,21 @@ def test_fine_obliquity_curve_memory_is_bounded():
     assert peak < 128e6  # the returned list alone is about 45 MB
 
 
+def _clear_plans():
+    fresnel._step_plan.cache_clear()
+    fresnel._interval_plan.cache_clear()
+
+
 @contextlib.contextmanager
 def _panel_block(block):
-    """_PANEL_BLOCK set to block, with no step table of another size kept past either edge."""
-    fresnel._step_phases.cache_clear()
+    """_PANEL_BLOCK set to block, with no plan of another size kept past either edge."""
+    _clear_plans()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fresnel, "_PANEL_BLOCK", block)
         try:
             yield mp
         finally:
-            fresnel._step_phases.cache_clear()
+            _clear_plans()
 
 
 def test_blocked_panels_match_one_block():
@@ -436,7 +442,7 @@ def test_warm_phase_memo_matches_cold(calls, d1, d2, lam):
     geom = PathGeometry(d1, d2, lam)
     for step, u_max, obliquity in calls:
         warm = partial_field_curve(u_max, step, obliquity=obliquity, geometry=geom)
-        fresnel._step_phases.cache_clear()
+        fresnel._step_plan.cache_clear()
         cold = partial_field_curve(u_max, step, obliquity=obliquity, geometry=geom)
         assert _hex_curve(warm) == _hex_curve(cold)
 
@@ -445,8 +451,10 @@ def test_fine_curve_leaves_the_phase_memo_bounded():
     before = _hex_curve(partial_field_curve(150.0, obliquity=True, geometry=GEOM))
     fine = partial_field_curve(200.0, 0.0005, obliquity=True, geometry=GEOM)
     assert len(fine) == 400_001
-    lo, hi, u, phase = fresnel._step_phases(0.0005)
-    assert len(lo) == len(hi) == len(u) == len(phase) == fresnel._PANEL_BLOCK
+    samples, plan = fresnel._step_plan(0.0005)
+    assert len(plan.u) == len(plan.phase) == fresnel._PANEL_BLOCK
+    # the panels of the intervals between the kept samples all have nodes
+    assert np.searchsorted(plan.owner, len(samples) - 1) <= fresnel._PANEL_BLOCK
     after = partial_field_curve(150.0, obliquity=True, geometry=GEOM)
     assert _hex_curve(after) == before
     whole = field_ratio([(0.0, 150.0)], obliquity=True, geometry=GEOM).complex_ratio
@@ -491,15 +499,17 @@ def test_panel_slices_cover_the_panels_without_lone_rows(n, block, chunk, data):
 def test_panel_chunk_size_leaves_every_bit(step, u_max, block, a, width, d1, d2, lam):
     # K(u), the weighted phases and each panel's 16-term row sum do not
     # depend on which rows share a chunk, nor on whether a panel's nodes and
-    # phases come from the step table or are computed afresh
+    # phases come from a plan or are computed afresh
     geom = PathGeometry(d1, d2, lam)
     blocked = [(a, min(a + width, U_MAX))]
 
-    def evaluate(table_step):
+    def evaluate(known):
+        fresnel._interval_plan.cache_clear()  # its slices follow _PANEL_CHUNK
         curve = partial_field_curve(u_max, step, obliquity=True, geometry=geom)
-        # the curve's panel sums, as the curve call split them: a last bit
-        # they differ in can vanish from the curve's magnitudes
-        sums = fresnel._contributions(np.array([u for u, _ in curve]), geom, table_step)
+        # the curve's panel sums, all in one plan: a last bit they differ in
+        # can vanish from the curve's magnitudes
+        edges = np.array([u for u, _ in curve])
+        sums = fresnel._contributions(fresnel._plan(edges, known), geom, len(edges) - 1)
         ratio = field_ratio(blocked, obliquity=True, geometry=geom).complex_ratio
         return (_hex_curve(curve), [(z.real.hex(), z.imag.hex()) for z in sums.tolist()],
                 ratio.real.hex(), ratio.imag.hex())
@@ -508,7 +518,7 @@ def test_panel_chunk_size_leaves_every_bit(step, u_max, block, a, width, d1, d2,
         results = []
         for chunk in (2, 3, fresnel._PANEL_CHUNK, block + 1):
             mp.setattr(fresnel, "_PANEL_CHUNK", chunk)
-            results += [evaluate(step), evaluate(None)]
+            results += [evaluate(block), evaluate(0)]
     assert all(r == results[0] for r in results[1:])
 
 
@@ -531,11 +541,138 @@ def test_warm_curve_temporaries_stay_small(u_max):
 def test_step_table_ends_at_u_max_and_field_ratios_leave_it_alone():
     # not at (_PANEL_BLOCK + 1) * step: a step of 1e6 would cut a million integers
     partial_field_curve(200.0, 1e6, obliquity=True, geometry=GEOM)
-    before = fresnel._step_phases.cache_info()
+    before = fresnel._step_plan.cache_info()
     field_ratio([(0.5, 2.0), (3.0, 150.0)], obliquity=True, geometry=GEOM)
-    assert fresnel._step_phases.cache_info() == before
-    lo, hi, _, _ = fresnel._step_phases(1e6)
-    assert len(lo) <= 201 and hi[-1] == U_MAX
+    assert fresnel._step_plan.cache_info() == before
+    samples, plan = fresnel._step_plan(1e6)
+    assert samples == [0.0] and len(plan.grid) == 1
+    samples, plan = fresnel._step_plan(70.0)  # 0, 70 and 140 below U_MAX
+    assert samples == [0.0, 70.0, 140.0] and len(plan.scale) == 140
+
+
+# three geometries, and u_max on the grid, off it, past U_MAX's table at a
+# fine step and below the sliver
+PINNED_GEOMETRIES = (GEOM, PathGeometry(31.0, 17.0, 0.0577), PathGeometry(100.0, 5.0, 0.123))
+PINNED_U_MAX = (0.01, 1.0, 20.0, 137.3, 144.0, 200.0)
+
+
+def _digest(values):
+    return hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()
+
+
+# sha256 of the float.hex bits each call gave before the quadrature kept its
+# geometry-free plans between calls. The deep-fuzz CI step runs these too
+@pytest.mark.deep_fuzz
+@pytest.mark.parametrize(
+    ("step", "digest"),
+    [
+        (0.05, "02a1a02b45b7fa6ea5a0ff632164d2ac8917197c7a4b9516db32c2953c6c3ab0"),
+        (0.1, "ad1f348a732e83af3a17fe322b19937f37f7eebe17fc79b071d19c8dbe6636af"),
+        (0.013, "66b8491bee6b7a92f8d1b102d930065c9976eb5b24f6064ee7ef9763f5fea5f6"),
+        (0.5, "5376911d21c732e6c889920a5861dc8881fc31dddd38eb9157d3507afb9ca147"),
+        # 20,000 panels to U_MAX: past the step table and two block edges
+        (0.01, "f0ffad20a48d207cd2cb8a486b6a184712e0e8424bb509783d47462e7c402ed5"),
+    ],
+    ids=["0.05", "0.1", "0.013", "0.5", "0.01"],
+)
+def test_curve_bits_match_the_pinned_digest(step, digest):
+    values = []
+    for u_max in PINNED_U_MAX:
+        for geometry in (None, *PINNED_GEOMETRIES):
+            curve = partial_field_curve(
+                u_max, step, obliquity=geometry is not None, geometry=geometry
+            )
+            values += [x for point in curve for x in point]
+    assert _digest(values) == digest
+
+
+@pytest.mark.deep_fuzz
+@pytest.mark.parametrize(
+    ("blocked", "digest"),
+    [
+        ([(1.0, 2.0)], "00cee235eb69a6e7ba490d766c23f44b55cdcc8f8747b9800e9fd22e5f726b20"),
+        ([(1.0, 2.0), (3.0, 4.0)],
+         "97f9bfb95dac51e2b80ab5ee14c7e8a76d8ae091ffafe9c29103889d5d1bcf11"),
+        # a zero-width gap between them
+        ([(1.0, 2.0), (2.0, 3.0)],
+         "26c8238b69fc4bcb00d8bee74a7e701d1c329786935cf1d8fad7e312b071eef3"),
+        ([(1.2, 1.3)], "cc5de5feff55c1aa76213f400ad0386d07154a47b0f3fd92f97e8e04497c3aef"),
+        ([(0.5, 150.0)], "c21e54717b74bc62e40e1df443d3921914a937e0e5d801d9897289546a9925fa"),
+    ],
+    ids=["zone-2", "zones-2-4", "touching", "sub-panel", "wide"],
+)
+def test_field_ratio_bits_match_the_pinned_digest(blocked, digest):
+    ratios = [field_ratio(blocked, obliquity=True, geometry=g) for g in PINNED_GEOMETRIES]
+    ratios.append(field_ratio(blocked, force_quadrature=True))
+    parts = [x for r in ratios for x in (r.complex_ratio.real, r.complex_ratio.imag)]
+    assert _digest(parts) == digest
+
+
+# the deep-fuzz CI step runs the property at 1,000 curves (tests/conftest.py)
+@pytest.mark.deep_fuzz
+@settings.get_profile("fuzz")
+@given(
+    step=st.sampled_from([0.05, 0.1, 0.013, 0.5, 0.01, 3.7]),
+    u_max=st.floats(min_value=0.0, max_value=U_MAX, exclude_min=True),
+    block=st.sampled_from([fresnel._PANEL_BLOCK, 37, 2]),
+    d1=st.floats(min_value=1.0, max_value=300.0),
+    d2=st.floats(min_value=1.0, max_value=300.0),
+    lam=st.floats(min_value=0.01, max_value=1.0),
+)
+@example(step=0.05, u_max=200.0, block=fresnel._PANEL_BLOCK, d1=25.0, d2=25.0, lam=0.125)
+@example(step=0.01, u_max=81.93, block=fresnel._PANEL_BLOCK, d1=25.0, d2=25.0, lam=0.125)
+def test_curve_from_the_step_plan_matches_one_plan_of_its_samples(step, u_max, block, d1, d2, lam):
+    # a curve takes its whole intervals from the step's plan, by sample count,
+    # and plans only its tail; planning all of its samples at once, with no
+    # nodes kept, must give the same magnitudes bit for bit
+    geom = PathGeometry(d1, d2, lam)
+    with _panel_block(block):
+        curve = partial_field_curve(u_max, step, obliquity=True, geometry=geom)
+        edges = np.array([u for u, _ in curve])
+        assert edges.tobytes() == fresnel._curve_samples(u_max, step).tobytes()
+        sums = fresnel._contributions(fresnel._plan(edges, 0), geom, len(edges) - 1)
+    mags = np.abs(np.cumsum(sums)).tolist()
+    assert _hex_curve(curve[1:]) == _hex_curve(zip(edges[1:].tolist(), mags))
+
+
+# the deep-fuzz CI step runs the property at 1,000 interval sets (tests/conftest.py)
+@pytest.mark.deep_fuzz
+@settings.get_profile("fuzz")
+@given(
+    points=st.lists(
+        st.floats(min_value=0.0, max_value=U_MAX), min_size=2, max_size=12, unique=True
+    ),
+    d1=st.floats(min_value=1.0, max_value=300.0),
+    d2=st.floats(min_value=1.0, max_value=300.0),
+    lam=st.floats(min_value=0.01, max_value=1.0),
+)
+def test_kept_interval_plan_matches_a_fresh_one(points, d1, d2, lam):
+    points = sorted(points)
+    blocked = list(zip(points[::2], points[1::2]))
+    geom = PathGeometry(d1, d2, lam)
+
+    def bits(cold):
+        parts = []
+        for kwargs in ({"obliquity": True, "geometry": geom}, {"force_quadrature": True}):
+            if cold:
+                fresnel._interval_plan.cache_clear()
+            ratio = field_ratio(blocked, **kwargs).complex_ratio
+            parts += [ratio.real.hex(), ratio.imag.hex()]
+        return parts
+
+    assert bits(cold=True) == bits(cold=False)
+
+
+def test_interval_plans_kept_are_bounded():
+    fresnel._interval_plan.cache_clear()
+    for k in range(40):
+        field_ratio([(0.5, 1.0 + k)], obliquity=True, geometry=GEOM)
+    assert fresnel._interval_plan.cache_info().currsize == 16
+    # a set of more than _PANEL_CHUNK intervals is planned for its call only
+    many = [(0.3 * k, 0.3 * k + 0.1) for k in range(fresnel._PANEL_CHUNK + 1)]
+    before = fresnel._interval_plan.cache_info()
+    field_ratio(many, obliquity=True, geometry=GEOM)
+    assert fresnel._interval_plan.cache_info() == before
 
 
 def test_partial_field_curve_rejects_bad_step():

@@ -83,8 +83,11 @@ def test_profile_radius_domain():
         profile_radius(0.3, 1.0, 10.0)
     with pytest.raises(DomainError):
         profile_radius(0.3, 0.0, 10.0)
-    with pytest.raises(DomainError):
-        profile_radius(0.3, 0.6, 95.0)
+    # the tilt rule's bound, errors.MAX_TILT_DEG, either way
+    for theta in (95.0, -95.0):
+        message = rf"^profile angle must lie in \[-90.0, 90.0\], got {theta}$"
+        with pytest.raises(DomainError, match=message):
+            profile_radius(0.3, 0.6, theta)
 
 
 @given(

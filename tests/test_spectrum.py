@@ -2692,7 +2692,8 @@ def test_an_int_past_the_float_range_is_named(build, field, sign):
         (lambda v: Client(v, 0.0, 0.0), OVERLONG, "client id must be a string, got "),
         (lambda v: Emitter(v, 0.0, 0.0, 0.0), Fraction(OVERLONG),
          "emitter channel must be an integer, got "),
-        (lambda v: Emitter(v, 0.0, 0.0, 0.0), OVERLONG, "channel must lie in 1..14, got "),
+        (lambda v: Emitter(v, 0.0, 0.0, 0.0), OVERLONG,
+         "emitter channel must lie in 1..14, got "),
         (lambda v: Scenario(ap_position=v), (OVERLONG,),
          "ap_position must be an (x, y) pair, got "),
         (lambda v: Scenario(ap_position=(0.0, 0.0), seed=v), Fraction(OVERLONG),
