@@ -15,6 +15,10 @@ field normalized to 1, the contribution of the u-interval [a, b] is
 which telescopes to exp(i*pi*a) - exp(i*pi*b) when the obliquity weight
 K(u) = (1 + cos(chi))/2 is dropped. Blocking a set of intervals subtracts
 their contributions from 1.
+
+With K(u) the integral is numerical: a Gauss-Legendre rule of as few nodes as
+the widest panel allows (see _nodes_for) on panels between integers. Every sum
+is elementwise float64 in a fixed order, so no SIMD unit or BLAS kernel moves a bit.
 """
 from __future__ import annotations
 
@@ -41,19 +45,14 @@ QUADRATURE_REL_TOL = 1e-6
 # degenerate sliver panels reach the rule.
 _SLIVER = 1e-12
 
-# Panels whose K(u) and weighted phases are formed at once. At 16 nodes a
-# chunk's temporaries are 64 KiB per node array and 128 KiB for the complex
-# product weight * phase, small enough to be reused from the heap by the next
-# chunk and call; whole-curve temporaries of 0.3-1 MB go back to the kernel
-# when freed, and the next call faults their pages in afresh. 512 measured
-# 2-8% faster than 256, from fewer numpy calls per curve, with the same
-# near-zero fault count. At least 2: see _panel_slices.
-_PANEL_CHUNK = 512
+# Node values whose K(u) and terms are formed at once, at least 16: it bounds
+# memory and moves no bit. A chunk's largest temporary, 96 KiB, is reused from
+# the heap, where larger ones go back to the kernel: a fresnel-study op faulted
+# in 0.2 pages at this size, 2.4 at twice it and 5.9 with whole curves.
+_CHUNK_NODES = 6144
 
-# Panels of the curve grid at one step whose nodes and phases are kept
-# between calls, about 3.5 MB (see _step_plan). A curve to U_MAX at the
-# default step, about 4,000 panels, fits whole. Slices of panels never cross
-# a block edge (see _panel_slices).
+# Panels of the curve grid at one step whose nodes are kept between calls
+# (see _step_plan); a curve to U_MAX at the default step fits whole.
 _PANEL_BLOCK = 8192
 
 
@@ -186,25 +185,54 @@ def _validated_intervals(blocked: Sequence[tuple[float, float]]) -> list[tuple[f
 
 
 @cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the rule, computed once on first use.
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes, ascending, and weights of the n-node Gauss-Legendre rule on [-1, 1].
 
-    Between integer u the integrand is entire and spans at most half a
-    period, so 16 Gauss-Legendre nodes per unit panel are exact to rounding.
+    Newton's iteration on P_n in Python floats gives the nodes from 0 up, then
+    mirrored: no LAPACK routine enters the bits.
     """
     import numpy as np
 
-    return np.polynomial.legendre.leggauss(16)
+    upper = []
+    for i in range((n + 1) // 2, 0, -1):
+        x = 0.0 if 2 * i == n + 1 else math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(10):  # quadratic from the guess: the last bit has settled
+            p_prev, p = 1.0, x
+            for k in range(2, n + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            dp = n * (x * p - p_prev) / (x * x - 1.0)
+            x -= p / dp
+        upper.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    return tuple(np.array([(-x, w) for x, w in reversed(upper[n % 2 :])] + upper).T)
 
 
-def _nodes_and_phases(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rule nodes u of the panels [lo, hi], one row per panel, and exp(i*pi*u)."""
+def _nodes_for(width: float) -> int:
+    """Fewest Gauss-Legendre nodes, at most 16, exact to rounding on panels of the width.
+
+    That is the rule's remainder for an integrand of frequency 5*pi, (n!)^4
+    (5*pi*h)^(2n) / ((2n+1) ((2n)!)^3) <= 2^-53: exp(i*pi*u) has frequency pi
+    and K(u) varies far more slowly. Unit panels take 16, steps of 0.05 take 6.
+    """
+    return next((n for n in range(1, 16) if math.factorial(n) ** 4
+                 * (5.0 * math.pi * width) ** (2 * n)
+                 / ((2 * n + 1) * math.factorial(2 * n) ** 3) <= 2.0**-53), 16)
+
+
+def _nodes_and_terms(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rule nodes u of the panels [lo, hi], one row per node, and their terms S and C.
+
+    A node's share of (-i*pi)*exp(i*pi*u) over its panel is S - i*C, S =
+    pi*half*w*sin(pi*u) and C = pi*half*w*cos(pi*u). numpy's complex exp
+    calls the C library's cos and sin whatever SIMD the CPU has.
+    """
     import numpy as np
 
-    nodes, _ = _gauss_legendre()
+    nodes, weights = _gauss_legendre(n)
     half = (hi - lo) / 2.0
-    u = (lo + half)[:, None] + half[:, None] * nodes
-    return u, np.exp(1j * np.pi * u)
+    u = (lo + half) + nodes[:, None] * half
+    phase = np.exp(1j * np.pi * u)
+    scale = weights[:, None] * (np.pi * half)
+    return u, np.stack((phase.imag * scale, phase.real * scale), axis=1)
 
 
 def _curve_samples(u_max: float, step: float, first: int = 0) -> np.ndarray:
@@ -221,145 +249,100 @@ def _curve_samples(u_max: float, step: float, first: int = 0) -> np.ndarray:
     return np.append(ks[: max(1, np.searchsorted(ks, u_max - _SLIVER))], u_max)
 
 
-def _panel_edges(edges: np.ndarray) -> np.ndarray:
-    """Non-decreasing edges plus the integers between them, bar those within _SLIVER of one."""
-    import numpy as np
-
-    cuts = np.arange(math.floor(edges[0]) + 1.0, math.ceil(edges[-1]))
-    above = np.searchsorted(edges, cuts)
-    cuts = cuts[(edges[above] - cuts > _SLIVER) & (cuts - edges[above - 1] > _SLIVER)]
-    return np.sort(np.concatenate((edges, cuts)))
-
-
-def _panel_slices(n: int, known: int):
-    """(rows, from_table) slices that cover n panels, the first known with nodes in the plan.
-
-    A slice lies within one _PANEL_BLOCK block and on one side of the known
-    prefix, and holds at most _PANEL_CHUNK + 1 rows. None has one row unless
-    its block has: numpy forms a one-row product with its dot routine, which
-    adds the 16 terms in another order than a product of more rows, so the
-    last bits of a panel would depend on where its slice ends. A block of one
-    panel, such as a field ratio's single panel, keeps the dot routine's bits.
-    """
-    for start in range(0, n, _PANEL_BLOCK):
-        stop = min(start + _PANEL_BLOCK, n)
-        split = min(max(known, start), stop)
-        if stop - start > 1:
-            if stop - split == 1:
-                split -= 1
-            if split - start == 1:
-                split = start
-        for first, last, from_table in ((start, split, True), (split, stop, False)):
-            if first < last:
-                cuts = [*range(first, max(first + 1, last - 1), _PANEL_CHUNK), last]
-                for a, b in zip(cuts, cuts[1:]):
-                    yield slice(a, b), from_table
+def _panel_edges(edges: list[float]) -> list[float]:
+    """Increasing edges plus the integers between them, bar those within _SLIVER of one."""
+    cuts = []
+    for k in range(math.floor(edges[0]) + 1, math.ceil(edges[-1])):
+        above = bisect.bisect_left(edges, k)
+        if edges[above] - k > _SLIVER and k - edges[above - 1] > _SLIVER:
+            cuts.append(float(k))
+    return sorted(edges + cuts) if cuts else edges
 
 
 class _Plan(NamedTuple):
-    """The part of a quadrature over the intervals between edges that no geometry enters."""
+    """The part of a quadrature over a row of panels that no geometry enters."""
 
-    u: np.ndarray  # nodes of the first len(u) panels, one row each
-    phase: np.ndarray  # exp(i*pi*u)
-    grid: np.ndarray  # edges of every panel
-    scale: np.ndarray  # -i*pi*half-width of every panel
-    owner: np.ndarray  # the interval every panel folds onto
-    slices: tuple  # _panel_slices of the panels
+    u: np.ndarray  # nodes of the first panels, shape (n, known)
+    terms: np.ndarray  # their S and C, shape (n, 2, known)
+    lo: np.ndarray  # edges of the panels past them, whose nodes come per chunk
+    hi: np.ndarray
 
 
-def _plan(edges: np.ndarray, known: int) -> _Plan:
-    """Plan of the intervals between non-decreasing edges, nodes kept for the first known panels.
-
-    Panels split the intervals at interior integers (see _panel_edges). The
-    arrays are read-only, since a cache hands them to every call.
-    """
-    import numpy as np
-
-    grid = _panel_edges(edges)
-    lo, hi = grid[:-1], grid[1:]
-    plan = _Plan(
-        *_nodes_and_phases(lo[:known], hi[:known]), grid,
-        -1j * np.pi * ((hi - lo) / 2.0), np.searchsorted(edges, lo, side="right") - 1,
-        tuple(_panel_slices(len(lo), known)),
-    )
-    for array in plan[:-1]:
+def _plan(lo: np.ndarray, hi: np.ndarray, n: int) -> _Plan:
+    """Plan of the panels [lo, hi] at n nodes, all kept; read-only, as caches share it."""
+    plan = _Plan(*_nodes_and_terms(lo, hi, n), lo[:0], hi[:0])
+    for array in plan:
         array.flags.writeable = False
     return plan
 
 
-@lru_cache(maxsize=16)
-def _interval_plan(intervals: tuple[tuple[float, float], ...]) -> _Plan:
-    """Plan of sorted, disjoint intervals and the gaps between them.
+def _row_sums(u: np.ndarray, terms: np.ndarray, geometry: PathGeometry | None) -> np.ndarray:
+    """Sum over the node rows of K(u)*terms, K = 1 without geometry, row 0 first.
 
-    field_ratio keeps the plans of its last 16 sets of at most _PANEL_CHUNK
-    intervals. With at most U_MAX integers between them, such a set has fewer
-    than 720 panels, so a plan holds at most about 0.3 MB and the cache 5 MB.
+    numpy's running sum down the rows is one call, but slow across many
+    panels, where in-place adds take over; both add in this order on any CPU.
+    Every other operation is elementwise: a panel's bits depend on no other.
+    """
+    sums = terms if geometry is None else terms * obliquity_factor(u, geometry)[:, None]
+    if sums.shape[2] <= 32:
+        return sums.cumsum(axis=0)[-1]
+    total = sums[0].copy()
+    for row in sums[1:]:
+        total += row
+    return total
+
+
+def _panel_values(plan: _Plan, geometry: PathGeometry | None) -> np.ndarray:
+    """Rows S and C, S - i*C the integral of (-i*pi)*K(u)*exp(i*pi*u) over each panel of plan.
+
+    A chunk of _CHUNK_NODES // n panels at a time, so that temporaries stay small.
     """
     import numpy as np
 
-    return _plan(np.array(intervals, dtype=float).ravel(), _PANEL_BLOCK)
+    n, known = plan.u.shape
+    size = _CHUNK_NODES // n
+    if known <= size and not len(plan.lo):
+        return _row_sums(plan.u, plan.terms, geometry)
+    kept = [(plan.u[:, i : i + size], plan.terms[:, :, i : i + size])
+            for i in range(0, known, size)]
+    rest = (_nodes_and_terms(plan.lo[i : i + size], plan.hi[i : i + size], n)
+            for i in range(0, len(plan.lo), size))
+    return np.concatenate([_row_sums(*chunk, geometry) for chunk in (*kept, *rest)], axis=1)
+
+
+@lru_cache(maxsize=16)
+def _interval_plan(intervals: tuple[tuple[float, float], ...]) -> _Plan:
+    """Plan of the panels of sorted, disjoint intervals, at the nodes their widest panel needs.
+
+    field_ratio keeps the plans of its last 16 sets that fit one chunk of unit
+    panels, 384 intervals: fewer than 584 panels, 0.22 MB a plan, 3.6 MB in all.
+    """
+    import numpy as np
+
+    panels = [_panel_edges([a, b]) for a, b in intervals]
+    lo = np.array([x for edges in panels for x in edges[:-1]])
+    hi = np.array([x for edges in panels for x in edges[1:]])
+    return _plan(lo, hi, _nodes_for(float((hi - lo).max())))
 
 
 @lru_cache(maxsize=1)
-def _step_plan(step: float) -> tuple[list[float], _Plan]:
-    """(samples, plan) of the curve grid k*step: its first points, as floats, and its panels.
+def _step_plan(step: float) -> tuple[list[float], np.ndarray, _Plan]:
+    """(samples, ends, plan) of the curve grid k*step, at the nodes the step needs.
 
-    plan keeps the nodes of one _PANEL_BLOCK block of panels, which cover the
-    intervals between samples whole; with the samples, about 3.5 MB. The grid
-    ends at U_MAX or past the block, so a coarse step cuts no more integers
-    than a curve to U_MAX does and a fine one sorts no samples past it.
-    """
-    grid = _curve_samples(min(U_MAX, (_PANEL_BLOCK + 1) * step), step)[:-1]
-    plan = _plan(grid, _PANEL_BLOCK)
-    # the first panel without nodes is in the first interval not whole
-    whole = plan.owner[_PANEL_BLOCK] + 1 if len(plan.owner) > _PANEL_BLOCK else len(grid)
-    return grid[:whole].tolist(), plan
-
-
-def _contributions(plan: _Plan, geometry: PathGeometry | None, n: int) -> np.ndarray:
-    """Integral of (-i*pi)*K(u)*exp(i*pi*u) over each of the n intervals of plan.
-
-    K = 1 when geometry is None. K(u) and the rule's row sums are formed a
-    slice of plan.slices at a time.
+    plan keeps one _PANEL_BLOCK block of panels, covering the intervals between
+    the samples whole; ends[k] is interval k's last panel. The grid ends at
+    U_MAX or past the block: a coarse step cuts no more integers than a curve
+    to U_MAX, and a fine one sorts no samples past the block.
     """
     import numpy as np
 
-    _, weights = _gauss_legendre()
-    panels = np.empty(len(plan.scale), dtype=complex)
-    for rows, from_table in plan.slices:
-        if from_table:
-            u, phase = plan.u[rows], plan.phase[rows]
-        else:
-            u, phase = _nodes_and_phases(plan.grid[:-1][rows], plan.grid[1:][rows])
-        weight = 1.0 if geometry is None else obliquity_factor(u, geometry)
-        np.matmul(weight * phase, weights, out=panels[rows])
-    panels *= plan.scale
-    if len(panels) == n:
-        # one panel an interval: the fold below adds each to 0.0 too (a
-        # zero-width gap hands the next interval its panel, an exact 0)
-        return panels + 0.0
-    return np.bincount(plan.owner, panels.real, n) + 1j * np.bincount(plan.owner, panels.imag, n)
-
-
-def _obliquity_field(u_max: float, step: float, geometry: PathGeometry):
-    """An obliquity curve's samples past 0, a list of floats then an array, and its field there.
-
-    Its samples below u_max are the grid's, so its first t intervals take their
-    panels from _step_plan(step), by count; only the tail past them is planned.
-    """
-    import numpy as np
-
-    grid, table = _step_plan(step)
-    t = max(0, bisect.bisect_left(grid, u_max - _SLIVER) - 1)
-    tail = _curve_samples(u_max, step, t)
-    rest, known = _plan(tail, 0), int(np.searchsorted(table.owner, t))
-    plan = _Plan(
-        table.u[:known], table.phase[:known], np.concatenate((table.grid[:known], rest.grid)),
-        np.concatenate((table.scale[:known], rest.scale)),
-        np.concatenate((table.owner[:known], rest.owner + t)),
-        tuple(_panel_slices(known + len(rest.scale), known)),
-    )
-    return grid[1 : t + 1], tail[1:], np.cumsum(_contributions(plan, geometry, t + len(tail) - 1))
+    grid = _curve_samples(min(U_MAX, (_PANEL_BLOCK + 1) * step), step)[:-1].tolist()
+    panels = np.array(_panel_edges(grid))
+    ends = np.searchsorted(panels, grid[1:]) - 1
+    whole = int(np.searchsorted(ends, _PANEL_BLOCK))
+    plan = _plan(panels[:-1][:_PANEL_BLOCK], panels[1:][:_PANEL_BLOCK], _nodes_for(min(step, 1.0)))
+    ends.flags.writeable = False
+    return grid[: whole + 1], ends[:whole], plan
 
 
 def field_ratio(
@@ -381,19 +364,18 @@ def field_ratio(
     if obliquity and geometry is None:
         raise DomainError("obliquity weighting needs the path geometry")
 
-    if not obliquity and not force_quadrature:
+    if not ((obliquity or force_quadrature) and intervals):
         ratio = 1.0 + 0.0j
         for a, b in intervals:
             ratio += cmath.exp(1j * math.pi * b) - cmath.exp(1j * math.pi * a)
         return FieldRatio(ratio)
 
-    if not intervals:
-        return FieldRatio(1.0 + 0.0j)
-    # the even-numbered gaps between edges are the blocked intervals
     key = tuple(intervals)
-    plan = (_interval_plan if len(key) <= _PANEL_CHUNK else _interval_plan.__wrapped__)(key)
-    sums = _contributions(plan, geometry if obliquity else None, 2 * len(key) - 1)
-    return FieldRatio(complex(1.0 - sums[::2].sum()))
+    plan = (_interval_plan if len(key) <= _CHUNK_NODES // 16 else _interval_plan.__wrapped__)(key)
+    values = _panel_values(plan, geometry if obliquity else None)
+    # 1 minus the sum, panel after panel, of S - i*C
+    s, c = (values if values.shape[1] == 1 else values.cumsum(axis=1))[:, -1].tolist()
+    return FieldRatio(complex(1.0 - s, c))
 
 
 def partial_field_curve(
@@ -406,7 +388,9 @@ def partial_field_curve(
     """(u, |field of the open aperture [0, u]|) samples for plotting.
 
     Without obliquity this is |1 - exp(i*pi*u)|, the familiar spiral swing
-    between 0 and twice the free field.
+    between 0 and twice the free field. With it, the first t intervals take
+    their panels from _step_plan(step), by count, and only the tail past them
+    is planned; the field is the panels' running sum at each interval's end.
     """
     u_max, step = check_u_max("u_max", u_max), _positive("step", step)
     check_sample_count(step, u_max, "step", "u_max")
@@ -416,9 +400,24 @@ def partial_field_curve(
 
     if not obliquity:
         u = _curve_samples(u_max, step)[1:]
-        return [(0.0, 0.0), *zip(u.tolist(), np.abs(1.0 - np.exp(1j * np.pi * u)).tolist())]
-    head, tail, field = _obliquity_field(u_max, step, geometry)
-    return [(0.0, 0.0), *zip(head + tail.tolist(), np.abs(field).tolist())]
+        field = 1.0 - np.exp(1j * np.pi * u)
+        u, s, c = u.tolist(), field.real, field.imag
+    else:
+        grid, ends, table = _step_plan(step)
+        t = max(0, bisect.bisect_left(grid, u_max - _SLIVER) - 1)
+        # below the last kept sample the tail is one interval of the grid's
+        tail = [grid[t], u_max] if t + 1 < len(grid) else _curve_samples(u_max, step, t).tolist()
+        panels = _panel_edges(tail)
+        known = int(ends[t - 1]) + 1 if t else 0
+        plan = _Plan(table.u[:, :known], table.terms[:, :, :known],
+                     np.array(panels[:-1]), np.array(panels[1:]))
+        field = np.cumsum(_panel_values(plan, geometry), axis=1)
+        if known + len(panels) != t + len(tail):
+            last = np.concatenate((ends[:t], known + np.searchsorted(panels, tail[1:]) - 1))
+            field = field[:, last]
+        u, (s, c) = grid[1 : t + 1] + tail[1:], field
+    # not np.abs, whose complex loop numpy picks by the CPU's SIMD
+    return [(0.0, 0.0), *zip(u, np.sqrt(s * s + c * c).tolist())]
 
 
 def zone_table(geometry: PathGeometry, max_zone: int) -> list[tuple[float, int]]:

@@ -164,6 +164,30 @@ def test_fresnel_field_curve_to_u_max_200_has_4001_rows(capsys):
     assert lines[-1].startswith("200.0,")
 
 
+# sha256 of stdout of the quadrature's ratios and curve, recorded when every
+# quadrature sum became elementwise IEEE arithmetic in a fixed order, so the
+# bytes are the same on any CPU. --quadrature's ratio_imag is rounding residue
+FRESNEL_FIELD_STDOUT_SHA256 = {
+    ("curve", "json"): "7b55a1bc55740927621d5ed242d89504829e8b9cd24283bb9ae94d14c9e634fa",
+    ("curve", "csv"): "2f9679f487e6561f1537dfbf26d49aa6fdd5aa9ffc767e5db90d1e649cb889bc",
+    ("quadrature", "table"): "7515f9aca1618dd2dff2f25b6f45ffccd0db7ec37317108157b3b6b9575acbac",
+    ("quadrature", "json"): "61e95ea213a4034a3309fc48a730536341a0f90be7e94f982037c917affce542",
+    ("quadrature", "csv"): "9082069ef0d30f7d0ac725366f955e940c1463762db9c13dd20c70e238505f36",
+}
+
+
+@pytest.mark.parametrize(("command", "fmt"), sorted(FRESNEL_FIELD_STDOUT_SHA256))
+def test_fresnel_field_stdout_matches_pinned_bytes(capsys, command, fmt):
+    flags = {
+        "curve": ["--obliquity", "--lambda", "0.125", "--d1", "25", "--d2", "25",
+                  "--curve-max", "200"],
+        "quadrature": ["--quadrature"],
+    }[command]
+    code, out, _ = invoke(capsys, "fresnel", "field", "--block", "1:2", *flags, "--format", fmt)
+    assert code == 0
+    assert sha256(out) == FRESNEL_FIELD_STDOUT_SHA256[command, fmt]
+
+
 def test_fresnel_zones_csv(capsys):
     code, out, _ = invoke(
         capsys, "fresnel", "zones", "--lambda", "0.125", "--d1", "25", "--d2", "25",

@@ -338,11 +338,16 @@ def test_panel_rule_matches_doubled_rule(points, d1, d2, lam, u_max):
         ref = gauss_legendre_ratio(blocked, geometry)
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
-    # the curve's running sum ends where one integral over [0, u_max] does
-    last_u, last_mag = partial_field_curve(u_max, obliquity=True, geometry=geom)[-1]
+    # the curve's running sum ends where one integral over [0, u_max] does,
+    # and at each step's node count its samples are those of the doubled rule
     whole = field_ratio([(0.0, u_max)], obliquity=True, geometry=geom).complex_ratio
-    assert last_u == u_max
-    assert last_mag == pytest.approx(abs(1.0 - whole), abs=1e-12)
+    for step in (0.05, 0.013, 0.1, 0.5, 3.7):
+        curve = partial_field_curve(u_max, step, obliquity=True, geometry=geom)
+        assert curve[-1][0] == u_max
+        assert curve[-1][1] == pytest.approx(abs(1.0 - whole), abs=1e-12)
+        for u, mag in curve[1 :: max(1, len(curve) // 8)]:
+            ref = abs(1.0 - gauss_legendre_ratio([(0.0, u)], geom))
+            assert abs(mag - ref) <= 1e-12 * max(1.0, ref)
 
 
 @pytest.mark.parametrize("obliquity", [False, True])
@@ -451,75 +456,72 @@ def test_fine_curve_leaves_the_phase_memo_bounded():
     before = _hex_curve(partial_field_curve(150.0, obliquity=True, geometry=GEOM))
     fine = partial_field_curve(200.0, 0.0005, obliquity=True, geometry=GEOM)
     assert len(fine) == 400_001
-    samples, plan = fresnel._step_plan(0.0005)
-    assert len(plan.u) == len(plan.phase) == fresnel._PANEL_BLOCK
-    # the panels of the intervals between the kept samples all have nodes
-    assert np.searchsorted(plan.owner, len(samples) - 1) <= fresnel._PANEL_BLOCK
+    samples, ends, plan = fresnel._step_plan(0.0005)
+    assert plan.u.shape[1] == plan.terms.shape[2] == fresnel._PANEL_BLOCK and not len(plan.lo)
+    # the intervals between the kept samples end in the kept panels
+    assert len(ends) == len(samples) - 1 and ends[-1] < fresnel._PANEL_BLOCK
     after = partial_field_curve(150.0, obliquity=True, geometry=GEOM)
     assert _hex_curve(after) == before
     whole = field_ratio([(0.0, 150.0)], obliquity=True, geometry=GEOM).complex_ratio
     assert after[-1][1] == pytest.approx(abs(1.0 - whole), abs=1e-12)
 
 
-@given(
-    n=st.integers(min_value=0, max_value=60),
-    block=st.integers(min_value=1, max_value=20),
-    chunk=st.integers(min_value=2, max_value=25),
-    data=st.data(),
-)
-def test_panel_slices_cover_the_panels_without_lone_rows(n, block, chunk, data):
-    # the step table never holds more than one block of the curve's panels
-    known = data.draw(st.integers(min_value=0, max_value=min(n, block)), label="known")
-    with _panel_block(block) as mp:
-        mp.setattr(fresnel, "_PANEL_CHUNK", chunk)
-        slices = list(fresnel._panel_slices(n, known))
-    ends = [0] + [rows.stop for rows, _ in slices]
-    assert [rows.start for rows, _ in slices] == ends[:-1] and ends[-1] == n
-    for rows, from_table in slices:
-        first_block = rows.start // block
-        assert (rows.stop - 1) // block == first_block
-        assert 1 <= rows.stop - rows.start <= chunk + 1
-        # numpy's one-row product adds in another order: only a one-panel
-        # block may have one
-        assert rows.stop - rows.start > 1 or min(n - first_block * block, block) == 1
-        assert not from_table or rows.stop <= known
+def test_gauss_legendre_rule_matches_leggauss():
+    # no LAPACK in the rule's bits: leggauss starts from eigvalsh. Its weights
+    # come from P_n' at those roots, before their Newton step, and lie up to
+    # 63 ulp (1.4e-14) from 50-digit values, so only the nodes are held to ulps
+    for n in range(1, 17):
+        nodes, weights = fresnel._gauss_legendre(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert (np.abs(nodes - ref_nodes) <= 2 * np.spacing(np.abs(ref_nodes))).all(), n
+        assert (np.abs(weights - ref_weights) <= 2e-14 * ref_weights).all(), n
+        assert (nodes == -nodes[::-1]).all() and (weights == weights[::-1]).all()
 
 
-@settings(max_examples=40, deadline=None)
+def test_node_count_grows_with_the_panel_width():
+    assert fresnel._nodes_for(1.0) == 16 and fresnel._nodes_for(0.05) == 6
+    assert [fresnel._nodes_for(h) for h in (0.1, 0.25, 0.5)] == [7, 10, 12]
+    counts = [fresnel._nodes_for(h) for h in np.linspace(0.0, 1.0, 10_001).tolist()]
+    assert counts[0] == 1 and all(a <= b for a, b in zip(counts, counts[1:]))
+
+
+def _curve_and_ratio_bits(u_max, step, blocked, geometry):
+    curve = partial_field_curve(u_max, step, obliquity=True, geometry=geometry)
+    ratios = (field_ratio(blocked, obliquity=True, geometry=geometry).complex_ratio,
+              field_ratio(blocked, force_quadrature=True).complex_ratio)
+    return _hex_curve(curve), [(z.real.hex(), z.imag.hex()) for z in ratios]
+
+
+# the deep-fuzz CI step runs the property at 1,000 curves (tests/conftest.py)
+@pytest.mark.deep_fuzz
+@settings.get_profile("fuzz")
 @given(
-    step=st.sampled_from([0.05, 0.1, 0.013, 0.5]),
+    step=st.sampled_from([0.05, 0.1, 0.013, 0.5, 3.7]),
     u_max=st.floats(min_value=0.0, max_value=U_MAX, exclude_min=True),
-    block=st.sampled_from([fresnel._PANEL_BLOCK, 37]),
-    a=st.floats(min_value=0.0, max_value=U_MAX - 1.0),
-    width=st.floats(min_value=0.01, max_value=60.0),
+    block=st.sampled_from([2, 37, fresnel._PANEL_BLOCK]),
+    chunk_nodes=st.sampled_from([16, 17, 100, 10**6]),
+    points=st.lists(
+        st.floats(min_value=0.0, max_value=U_MAX), min_size=2, max_size=8, unique=True
+    ),
     d1=st.floats(min_value=1.0, max_value=300.0),
     d2=st.floats(min_value=1.0, max_value=300.0),
     lam=st.floats(min_value=0.01, max_value=1.0),
 )
-def test_panel_chunk_size_leaves_every_bit(step, u_max, block, a, width, d1, d2, lam):
-    # K(u), the weighted phases and each panel's 16-term row sum do not
-    # depend on which rows share a chunk, nor on whether a panel's nodes and
-    # phases come from a plan or are computed afresh
+def test_chunk_and_block_sizes_leave_every_bit(
+    step, u_max, block, chunk_nodes, points, d1, d2, lam
+):
+    # every operation on a panel's nodes is elementwise and its node rows are
+    # added in one fixed order, so neither the panels formed at once nor
+    # whether a panel's nodes come from a kept plan moves a bit; at 16 nodes
+    # a chunk of 16 node values is one panel
     geom = PathGeometry(d1, d2, lam)
-    blocked = [(a, min(a + width, U_MAX))]
-
-    def evaluate(known):
-        fresnel._interval_plan.cache_clear()  # its slices follow _PANEL_CHUNK
-        curve = partial_field_curve(u_max, step, obliquity=True, geometry=geom)
-        # the curve's panel sums, all in one plan: a last bit they differ in
-        # can vanish from the curve's magnitudes
-        edges = np.array([u for u, _ in curve])
-        sums = fresnel._contributions(fresnel._plan(edges, known), geom, len(edges) - 1)
-        ratio = field_ratio(blocked, obliquity=True, geometry=geom).complex_ratio
-        return (_hex_curve(curve), [(z.real.hex(), z.imag.hex()) for z in sums.tolist()],
-                ratio.real.hex(), ratio.imag.hex())
-
+    points = sorted(points)
+    blocked = list(zip(points[::2], points[1::2]))
+    with _panel_block(fresnel._PANEL_BLOCK):
+        expected = _curve_and_ratio_bits(u_max, step, blocked, geom)
     with _panel_block(block) as mp:
-        results = []
-        for chunk in (2, 3, fresnel._PANEL_CHUNK, block + 1):
-            mp.setattr(fresnel, "_PANEL_CHUNK", chunk)
-            results += [evaluate(block), evaluate(0)]
-    assert all(r == results[0] for r in results[1:])
+        mp.setattr(fresnel, "_CHUNK_NODES", chunk_nodes)
+        assert _curve_and_ratio_bits(u_max, step, blocked, geom) == expected
 
 
 @pytest.mark.parametrize("u_max", [200.0, 137.3])  # 137.3 is off the grid: a tail past the table
@@ -544,10 +546,11 @@ def test_step_table_ends_at_u_max_and_field_ratios_leave_it_alone():
     before = fresnel._step_plan.cache_info()
     field_ratio([(0.5, 2.0), (3.0, 150.0)], obliquity=True, geometry=GEOM)
     assert fresnel._step_plan.cache_info() == before
-    samples, plan = fresnel._step_plan(1e6)
-    assert samples == [0.0] and len(plan.grid) == 1
-    samples, plan = fresnel._step_plan(70.0)  # 0, 70 and 140 below U_MAX
-    assert samples == [0.0, 70.0, 140.0] and len(plan.scale) == 140
+    samples, ends, plan = fresnel._step_plan(1e6)
+    assert samples == [0.0] and not len(ends) and plan.u.shape == (16, 0)
+    samples, ends, plan = fresnel._step_plan(70.0)  # 0, 70 and 140 below U_MAX
+    assert samples == [0.0, 70.0, 140.0] and ends.tolist() == [69, 139]
+    assert plan.u.shape == (16, 140)
 
 
 # three geometries, and u_max on the grid, off it, past U_MAX's table at a
@@ -560,18 +563,20 @@ def _digest(values):
     return hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()
 
 
-# sha256 of the float.hex bits each call gave before the quadrature kept its
-# geometry-free plans between calls. The deep-fuzz CI step runs these too
+# sha256 of the float.hex bits each call gives. Every sum is elementwise
+# IEEE arithmetic in a fixed order, so they hold on any CPU: CI runs them with
+# numpy's SIMD targets capped and under another OpenBLAS kernel, and the
+# deep-fuzz step runs them too
 @pytest.mark.deep_fuzz
 @pytest.mark.parametrize(
     ("step", "digest"),
     [
-        (0.05, "02a1a02b45b7fa6ea5a0ff632164d2ac8917197c7a4b9516db32c2953c6c3ab0"),
-        (0.1, "ad1f348a732e83af3a17fe322b19937f37f7eebe17fc79b071d19c8dbe6636af"),
-        (0.013, "66b8491bee6b7a92f8d1b102d930065c9976eb5b24f6064ee7ef9763f5fea5f6"),
-        (0.5, "5376911d21c732e6c889920a5861dc8881fc31dddd38eb9157d3507afb9ca147"),
+        (0.05, "606eea8833d928b53673f1324eaa0d208faa1c5b7b37ed8c3bb264fa540bf26b"),
+        (0.1, "c615ff7935a53bb4d38b5bbeaf6b26c65eb84b915daff1e8a2d54d8eb9804487"),
+        (0.013, "0458ce5fed6e9f4bc4d5af1c9ec9cecd9858665ca65338fe6928f9dfd88ed891"),
+        (0.5, "36e0db3c1ab3d523a7fb18ab5d2ce501e5a2f3aaf2f00ed5ac1d7224c740fe3c"),
         # 20,000 panels to U_MAX: past the step table and two block edges
-        (0.01, "f0ffad20a48d207cd2cb8a486b6a184712e0e8424bb509783d47462e7c402ed5"),
+        (0.01, "5a8270ab0a414f5d21b6549b8d1e487fe0b03b3c369e5c2bc5612e3880971131"),
     ],
     ids=["0.05", "0.1", "0.013", "0.5", "0.01"],
 )
@@ -590,14 +595,14 @@ def test_curve_bits_match_the_pinned_digest(step, digest):
 @pytest.mark.parametrize(
     ("blocked", "digest"),
     [
-        ([(1.0, 2.0)], "00cee235eb69a6e7ba490d766c23f44b55cdcc8f8747b9800e9fd22e5f726b20"),
+        ([(1.0, 2.0)], "4f776f939c41dd0c77cf099da39b4bb5ebf7d276c43dd91ddf85f4aa4e94943d"),
         ([(1.0, 2.0), (3.0, 4.0)],
-         "97f9bfb95dac51e2b80ab5ee14c7e8a76d8ae091ffafe9c29103889d5d1bcf11"),
+         "1d0d81ff5767b91bb9dd22a66f735871a0bc17873ef45817b88a1c5a1c5a5c29"),
         # a zero-width gap between them
         ([(1.0, 2.0), (2.0, 3.0)],
-         "26c8238b69fc4bcb00d8bee74a7e701d1c329786935cf1d8fad7e312b071eef3"),
-        ([(1.2, 1.3)], "cc5de5feff55c1aa76213f400ad0386d07154a47b0f3fd92f97e8e04497c3aef"),
-        ([(0.5, 150.0)], "c21e54717b74bc62e40e1df443d3921914a937e0e5d801d9897289546a9925fa"),
+         "0e83b99ba709c1a7943cbedb3870984732a1d0144315813ae7009dfe604c230f"),
+        ([(1.2, 1.3)], "ad06879112e8801b0211096c9730b1ff168191c11659aae3bf133695917ed72c"),
+        ([(0.5, 150.0)], "bc202dc30ebb544756c124ddf34bc7b319cc20f97b031080c3cc88ef8893754c"),
     ],
     ids=["zone-2", "zones-2-4", "touching", "sub-panel", "wide"],
 )
@@ -623,16 +628,21 @@ def test_field_ratio_bits_match_the_pinned_digest(blocked, digest):
 @example(step=0.01, u_max=81.93, block=fresnel._PANEL_BLOCK, d1=25.0, d2=25.0, lam=0.125)
 def test_curve_from_the_step_plan_matches_one_plan_of_its_samples(step, u_max, block, d1, d2, lam):
     # a curve takes its whole intervals from the step's plan, by sample count,
-    # and plans only its tail; planning all of its samples at once, with no
-    # nodes kept, must give the same magnitudes bit for bit
+    # and plans only its tail; planning all of its panels at once, at the
+    # step's node count and with no nodes kept, must give the same magnitudes
+    # bit for bit
     geom = PathGeometry(d1, d2, lam)
     with _panel_block(block):
         curve = partial_field_curve(u_max, step, obliquity=True, geometry=geom)
-        edges = np.array([u for u, _ in curve])
-        assert edges.tobytes() == fresnel._curve_samples(u_max, step).tobytes()
-        sums = fresnel._contributions(fresnel._plan(edges, 0), geom, len(edges) - 1)
-    mags = np.abs(np.cumsum(sums)).tolist()
-    assert _hex_curve(curve[1:]) == _hex_curve(zip(edges[1:].tolist(), mags))
+    samples = fresnel._curve_samples(u_max, step).tolist()
+    assert [u for u, _ in curve] == samples
+    panels = fresnel._panel_edges(samples)
+    n = fresnel._nodes_for(min(step, 1.0))
+    plan = fresnel._Plan(np.empty((n, 0)), np.empty((n, 2, 0)),
+                         np.array(panels[:-1]), np.array(panels[1:]))
+    field = np.cumsum(fresnel._panel_values(plan, geom), axis=1)
+    s, c = field[:, np.searchsorted(panels, samples[1:]) - 1]
+    assert _hex_curve(curve[1:]) == _hex_curve(zip(samples[1:], np.sqrt(s * s + c * c).tolist()))
 
 
 # the deep-fuzz CI step runs the property at 1,000 interval sets (tests/conftest.py)
@@ -668,8 +678,8 @@ def test_interval_plans_kept_are_bounded():
     for k in range(40):
         field_ratio([(0.5, 1.0 + k)], obliquity=True, geometry=GEOM)
     assert fresnel._interval_plan.cache_info().currsize == 16
-    # a set of more than _PANEL_CHUNK intervals is planned for its call only
-    many = [(0.3 * k, 0.3 * k + 0.1) for k in range(fresnel._PANEL_CHUNK + 1)]
+    # a set of more intervals than one chunk of unit panels is planned for its call only
+    many = [(0.3 * k, 0.3 * k + 0.1) for k in range(fresnel._CHUNK_NODES // 16 + 1)]
     before = fresnel._interval_plan.cache_info()
     field_ratio(many, obliquity=True, geometry=GEOM)
     assert fresnel._interval_plan.cache_info() == before
