@@ -10,11 +10,14 @@ input and _uint64 one that fits 64 bits. Every length lies in the one domain
 below, and every dB value the library turns into a ratio within the one bound
 below it. Each rule of one input is a check(name, value) here: the library
 applies it under its field's name, the CLI under the flag's (cli._DOMAINS).
+The sample grid of lens profiles and curves, and the left-to-right float sum
+of growth fits and weighted-sum scores, live here too, once each.
 No numpy here: every CLI command loads this module.
 """
+import bisect
 import math
 import operator
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 
@@ -208,6 +211,31 @@ def check_sample_count(step: float, extent: float, step_name: str, extent_name: 
             f"{step_name} {step!r} splits {extent_name} {extent!r} into more than "
             f"{MAX_SAMPLES} steps"
         )
+
+
+# Grid points and panel cuts within this distance of an edge are dropped, so
+# no near-duplicate sample or degenerate sliver panel is made.
+SLIVER = 1e-12
+
+
+def sample_grid(extent: float, step: float) -> list[float]:
+    """Samples k*step below extent - SLIVER from k = 0 on, then extent itself.
+
+    Samples sit at k*step, so the grid cannot drift; the first is 0 and the
+    last extent, even when extent is shorter than the sliver. The caller
+    bounds extent/step by check_sample_count; a k*step past the float range
+    is inf, which the cut drops.
+    """
+    grid = [k * step for k in range(math.ceil(extent / step) + 2)]
+    del grid[max(1, bisect.bisect_left(grid, extent - SLIVER)) :]
+    grid.append(extent)
+    return grid
+
+
+def sum_in_order(values) -> float:
+    """The float sum of values, left to right, as sum() was before Python 3.12
+    compensated it, so a total has the same bits on every Python."""
+    return reduce(operator.add, values, 0.0)
 
 
 def read_text(path) -> str:

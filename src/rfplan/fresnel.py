@@ -17,8 +17,10 @@ K(u) = (1 + cos(chi))/2 is dropped. Blocking a set of intervals subtracts
 their contributions from 1.
 
 With K(u) the integral is numerical: a Gauss-Legendre rule of as few nodes as
-the widest panel allows (see _nodes_for) on panels between integers. Every sum
-is elementwise float64 in a fixed order, so no SIMD unit or BLAS kernel moves a bit.
+the widest panel allows (see _nodes_for) on panels between integers. A panel's
+node rows are added row 0 first and the panels left to right, each sum in
+float64 elementwise, so no SIMD unit or BLAS kernel moves a bit. A curve
+samples errors.sample_grid, the grid a lens profile samples too.
 """
 from __future__ import annotations
 
@@ -30,8 +32,8 @@ from functools import cache, lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (
-    U_MAX, DomainError, _length, _positive, check_interval, check_sample_count, check_u_max,
-    check_zone_number,
+    SLIVER, U_MAX, DomainError, _length, _positive, check_interval, check_sample_count,
+    check_u_max, check_zone_number, sample_grid,
 )
 
 if TYPE_CHECKING:
@@ -40,10 +42,6 @@ if TYPE_CHECKING:
 # Accuracy quadrature results are held to, relative to max(1, |value|); the
 # fixed rule's error is orders of magnitude below it.
 QUADRATURE_REL_TOL = 1e-6
-
-# Split points within this distance of an interval edge are dropped, so no
-# degenerate sliver panels reach the rule.
-_SLIVER = 1e-12
 
 # Node values whose K(u) and terms are formed at once, at least 16: it bounds
 # memory and moves no bit. A chunk's largest temporary, 96 KiB, is reused from
@@ -235,26 +233,12 @@ def _nodes_and_terms(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray
     return u, np.stack((phase.imag * scale, phase.real * scale), axis=1)
 
 
-def _curve_samples(u_max: float, step: float, first: int = 0) -> np.ndarray:
-    """Curve samples k*step below u_max from k = first on, then u_max itself.
-
-    Samples sit at k*step, so the grid cannot drift; the first is 0 and the
-    last u_max, even when u_max is shorter than the sliver. A first past 0
-    must be a k with k*step below u_max - _SLIVER.
-    """
-    import numpy as np
-
-    # a step at or past u_max keeps only 0, and 2*step could overflow
-    ks = np.arange(first, math.ceil(u_max / step) + 2 if step < u_max else 2) * step
-    return np.append(ks[: max(1, np.searchsorted(ks, u_max - _SLIVER))], u_max)
-
-
 def _panel_edges(edges: list[float]) -> list[float]:
-    """Increasing edges plus the integers between them, bar those within _SLIVER of one."""
+    """Increasing edges plus the integers between them, bar those within SLIVER of one."""
     cuts = []
     for k in range(math.floor(edges[0]) + 1, math.ceil(edges[-1])):
         above = bisect.bisect_left(edges, k)
-        if edges[above] - k > _SLIVER and k - edges[above - 1] > _SLIVER:
+        if edges[above] - k > SLIVER and k - edges[above - 1] > SLIVER:
             cuts.append(float(k))
     return sorted(edges + cuts) if cuts else edges
 
@@ -276,38 +260,28 @@ def _plan(lo: np.ndarray, hi: np.ndarray, n: int) -> _Plan:
     return plan
 
 
-def _row_sums(u: np.ndarray, terms: np.ndarray, geometry: PathGeometry | None) -> np.ndarray:
-    """Sum over the node rows of K(u)*terms, K = 1 without geometry, row 0 first.
-
-    numpy's running sum down the rows is one call, but slow across many
-    panels, where in-place adds take over; both add in this order on any CPU.
-    Every other operation is elementwise: a panel's bits depend on no other.
-    """
-    sums = terms if geometry is None else terms * obliquity_factor(u, geometry)[:, None]
-    if sums.shape[2] <= 32:
-        return sums.cumsum(axis=0)[-1]
-    total = sums[0].copy()
-    for row in sums[1:]:
-        total += row
-    return total
-
-
 def _panel_values(plan: _Plan, geometry: PathGeometry | None) -> np.ndarray:
     """Rows S and C, S - i*C the integral of (-i*pi)*K(u)*exp(i*pi*u) over each panel of plan.
 
-    A chunk of _CHUNK_NODES // n panels at a time, so that temporaries stay small.
+    A chunk of _CHUNK_NODES // n panels at a time, so that temporaries stay
+    small. Each chunk sums K(u)*terms (K = 1 without geometry) over its node
+    rows: numpy reduces the outer axis of (nodes, S/C, panels) by adding whole
+    rows in order, row 0 first. The S/C axis, of length 2, keeps the node axis
+    outer for any panel count; on (nodes, panels), or (nodes, 1) for one
+    panel, numpy would add pairwise instead. Every other operation is
+    elementwise: a panel's bits depend on no other.
     """
     import numpy as np
 
     n, known = plan.u.shape
     size = _CHUNK_NODES // n
-    if known <= size and not len(plan.lo):
-        return _row_sums(plan.u, plan.terms, geometry)
     kept = [(plan.u[:, i : i + size], plan.terms[:, :, i : i + size])
             for i in range(0, known, size)]
     rest = (_nodes_and_terms(plan.lo[i : i + size], plan.hi[i : i + size], n)
             for i in range(0, len(plan.lo), size))
-    return np.concatenate([_row_sums(*chunk, geometry) for chunk in (*kept, *rest)], axis=1)
+    sums = [(terms if geometry is None else terms * obliquity_factor(u, geometry)[:, None])
+            .sum(axis=0) for u, terms in (*kept, *rest)]
+    return sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
 
 
 @lru_cache(maxsize=16)
@@ -336,7 +310,7 @@ def _step_plan(step: float) -> tuple[list[float], np.ndarray, _Plan]:
     """
     import numpy as np
 
-    grid = _curve_samples(min(U_MAX, (_PANEL_BLOCK + 1) * step), step)[:-1].tolist()
+    grid = sample_grid(min(U_MAX, (_PANEL_BLOCK + 1) * step), step)[:-1]
     panels = np.array(_panel_edges(grid))
     ends = np.searchsorted(panels, grid[1:]) - 1
     whole = int(np.searchsorted(ends, _PANEL_BLOCK))
@@ -399,14 +373,14 @@ def partial_field_curve(
     import numpy as np
 
     if not obliquity:
-        u = _curve_samples(u_max, step)[1:]
-        field = 1.0 - np.exp(1j * np.pi * u)
-        u, s, c = u.tolist(), field.real, field.imag
+        u = sample_grid(u_max, step)[1:]
+        field = 1.0 - np.exp(1j * np.pi * np.array(u))
+        s, c = field.real, field.imag
     else:
         grid, ends, table = _step_plan(step)
-        t = max(0, bisect.bisect_left(grid, u_max - _SLIVER) - 1)
+        t = max(0, bisect.bisect_left(grid, u_max - SLIVER) - 1)
         # below the last kept sample the tail is one interval of the grid's
-        tail = [grid[t], u_max] if t + 1 < len(grid) else _curve_samples(u_max, step, t).tolist()
+        tail = [grid[t], u_max] if t + 1 < len(grid) else sample_grid(u_max, step)[t:]
         panels = _panel_edges(tail)
         known = int(ends[t - 1]) + 1 if t else 0
         plan = _Plan(table.u[:, :known], table.terms[:, :, :known],

@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from pathlib import Path
 
-from .errors import DomainError, _finite, _positive, read_text
+from .errors import DomainError, _finite, _positive, read_text, sum_in_order
 
 
 class NoGrowthError(DomainError):
@@ -47,12 +45,6 @@ class GrowthFit:
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
 
 
-def _sum(values) -> float:
-    """Left to right, as sum() of floats was before Python 3.12 compensated it,
-    so a fit gives the same bits on every Python."""
-    return reduce(add, values, 0.0)
-
-
 def fit_doubling(series: CountSeries) -> GrowthFit:
     """Least squares of log2(count) against time; doubling = 1/slope.
 
@@ -67,18 +59,18 @@ def fit_doubling(series: CountSeries) -> GrowthFit:
     )
     n = len(ts)
     try:
-        t_mean = _sum(ts) / n
-        y_mean = _sum(ys) / n
-        s_tt = _sum((t - t_mean) ** 2 for t in ts)
+        t_mean = sum_in_order(ts) / n
+        y_mean = sum_in_order(ys) / n
+        s_tt = sum_in_order((t - t_mean) ** 2 for t in ts)
         if not 0.0 < s_tt < math.inf:
             raise out_of_range
-        s_ty = _sum((t - t_mean) * (y - y_mean) for t, y in zip(ts, ys))
+        s_ty = sum_in_order((t - t_mean) * (y - y_mean) for t, y in zip(ts, ys))
         slope = s_ty / s_tt
         if slope == 0.0:
             raise NoGrowthError("flat series: log2(count) has zero slope")
         intercept = y_mean - slope * t_mean
-        ss_res = _sum((y - (intercept + slope * t)) ** 2 for t, y in zip(ts, ys))
-        ss_tot = _sum((y - y_mean) ** 2 for y in ys)
+        ss_res = sum_in_order((y - (intercept + slope * t)) ** 2 for t, y in zip(ts, ys))
+        ss_tot = sum_in_order((y - y_mean) ** 2 for y in ys)
     except OverflowError:
         raise out_of_range from None
     doubling_days = 1.0 / slope

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import (
     MAX_LENGTH_M, DomainError, _finite, _length, _positive, check_aperture, check_gain_uplift,
-    check_sample_count, check_throughput, check_tilt_deg,
+    check_sample_count, check_throughput, check_tilt_deg, sample_grid,
 )
 from .linkbudget import (
     AntennaGain,
@@ -26,11 +26,6 @@ from .linkbudget import (
     LinkBudget,
     range_ratio_from_gain_delta,
 )
-
-
-# Profile angles closer than this to the aperture edge are not sampled, so
-# the curve never ends in a near-duplicate row.
-_SLIVER_DEG = 1e-12
 
 
 class BelowCutoffError(DomainError):
@@ -114,15 +109,11 @@ def lens_profile(spec: LensSpec, step_deg: float = 1.0) -> LensProfile:
     step_deg = _positive("profile step", step_deg)
     n = spec.index
     f = spec.focal_length_m
-    # samples sit at k*step, so the angles cannot drift; the first is the
-    # axis and the last the edge, even when the edge is inside the sliver
     edge = spec.aperture_half_angle_deg
     check_sample_count(step_deg, edge, "profile step", "aperture half angle")
-    ks = range(math.ceil(edge / step_deg) + 2)
-    thetas = [k * step_deg for k in ks if k == 0 or k * step_deg < edge - _SLIVER_DEG]
-    thetas.append(edge)
     samples = []
-    for theta_deg in thetas:
+    # from the axis to the edge at k*step, so the angles cannot drift
+    for theta_deg in sample_grid(edge, step_deg):
         r = profile_radius(f, n, theta_deg)
         theta = math.radians(theta_deg)
         samples.append(

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 from .errors import (
     MAX_DB, DomainError, _decibels, _finite, _shown, _uint64, check_fraction, check_snr, check_tilt,
 )
-from .errors import check_fraction as check_leakage  # importable here under its old name
 from .modes import PRESET_ISOLATION_DB
 
 if TYPE_CHECKING:

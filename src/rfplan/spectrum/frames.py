@@ -258,8 +258,11 @@ def parse_frame(data: bytes) -> SensorSweep:
         )
     body = data[: _HEADER.size + n]
     (crc_received,) = _CRC.unpack_from(data, _HEADER.size + n)
-    if zlib.crc32(body) != crc_received:
-        raise FrameIntegrityError("CRC mismatch")
+    crc_computed = zlib.crc32(body)
+    if crc_computed != crc_received:
+        raise FrameIntegrityError(
+            f"frame carries CRC 0x{crc_received:08x}, its bytes give 0x{crc_computed:08x}"
+        )
     if n == 0:
         raise FrameFormatError("frame field n_bins is 0; a sweep needs at least one bin")
     if bin_khz == 0:

@@ -9,13 +9,12 @@ client-aware mode the proposed improvement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import add
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ALL_CHANNELS, DomainError, check_channel
+from ..errors import ALL_CHANNELS, DomainError, check_channel, sum_in_order
 from ..modes import AP_ONLY, CLIENT_AWARE, MINIMAX, WEIGHTED_SUM
 from .aggregate import AggregatedSpectrum, _complete
 from .frames import _LEVELS, BinGrid, _BuiltOnFirstRead, _new, _setters
@@ -44,11 +43,11 @@ def channel_power_mw(spectrum: AggregatedSpectrum, channel: int) -> float:
     """Total in-channel power: sum of bin powers whose centers fall in the mask."""
     if not isinstance(spectrum, AggregatedSpectrum):
         raise DomainError(f"channel power needs a spectrum, got {type(spectrum).__name__}")
-    return float(_in_channel_mw([spectrum], [channel])[0, 0])
+    return float(_in_channel_mw([spectrum], (channel_center_khz(channel),))[0, 0])
 
 
-def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int]) -> np.ndarray:
-    """In-channel power of each channel (rows) at each spectrum (columns).
+def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], centers: tuple[int, ...]) -> np.ndarray:
+    """In-channel power of each channel, by its centre (rows), at each spectrum (columns).
 
     It first completes every pending EWMA spectrum it is handed, in one batch
     (aggregate._complete; select_channel has already completed its whole
@@ -67,7 +66,6 @@ def _in_channel_mw(spectra: Sequence[AggregatedSpectrum], channels: Sequence[int
     bins each mask adds.
     Every total is finite: AggregatedSpectrum bounds its bins.
     """
-    centers = tuple(channel_center_khz(ch) for ch in channels)
     _complete(spectra)
     first = spectra[0]
     # ints only, as AggregatedSpectrum keeps them: lru_cache takes 2400000.0 for 2400000
@@ -186,8 +184,7 @@ def select_channel(
     channels = tuple(candidates) if candidates is not None else ALL_CHANNELS
     if not channels:
         raise DomainError("no candidate channels to choose from")
-    for ch in channels:
-        channel_center_khz(ch)  # validates the range
+    centers = tuple(map(channel_center_khz, channels))  # each checked, the first bad one named
     if AP_ID not in spectra:
         raise DomainError(f"no spectrum for the access-point position {AP_ID!r}")
     if mode == AP_ONLY:
@@ -205,12 +202,11 @@ def select_channel(
             raise DomainError(f"position {pos!r} holds {type(spectrum).__name__}, not a spectrum")
     _complete(spectra.values())
 
-    in_channel = _in_channel_mw([spectra[pos] for pos in positions], channels)
+    in_channel = _in_channel_mw([spectra[pos] for pos in positions], centers)
     if objective == MINIMAX:
         values = in_channel.max(axis=1).tolist()  # a max is exact
     else:
-        # left to right, as sum() did before Python 3.12 compensated it
-        values = [reduce(add, row, 0.0) for row in in_channel.tolist()]
+        values = [sum_in_order(row) for row in in_channel.tolist()]
     scores = {
         ch: _score(value, positions, row) for ch, value, row in zip(channels, values, in_channel)
     }

@@ -133,6 +133,14 @@ def test_parse_rejects_payload_corruption():
         parse_frame(bytes(frame))
 
 
+def test_parse_names_both_crcs():
+    frame = bytearray(GOLDEN_FRAME)
+    frame[-1] ^= 0xFF  # the CRC's high byte, little-endian
+    with pytest.raises(FrameIntegrityError) as info:
+        parse_frame(bytes(frame))
+    assert str(info.value) == "frame carries CRC 0x800fff9b, its bytes give 0x7f0fff9b"
+
+
 def crc_framed(sensor_id, timestamp_ms, start_khz, bin_khz, n_bins, payload):
     """A frame with any header values and a valid CRC."""
     body = struct.pack(

@@ -18,8 +18,10 @@ from rfplan.errors import (
     MAX_LENGTH_M,
     MAX_SAMPLES,
     MIN_LENGTH_M,
+    SLIVER,
     DomainError,
     check_sample_count,
+    sample_grid,
 )
 from rfplan.fresnel import (
     U_MAX,
@@ -359,29 +361,37 @@ def test_partial_field_curve_samples_do_not_drift(obliquity):
     assert curve[-1][0] == 144.0
 
 
-def unclipped_curve_samples(u_max, step):
-    """The reference for _curve_samples: the same grid, formed in full, overflow and all."""
+def unclipped_sample_grid(extent, step):
+    """The reference for sample_grid: the same grid in numpy, formed in full, overflow and all."""
     with np.errstate(over="ignore"):
-        ks = np.arange(math.ceil(u_max / step) + 2) * step
-    return np.append(ks[: max(1, np.searchsorted(ks, u_max - fresnel._SLIVER))], u_max)
+        ks = np.arange(math.ceil(extent / step) + 2) * step
+    return np.append(ks[: max(1, np.searchsorted(ks, extent - SLIVER))], extent)
 
 
+# a curve's u_max and step, and a lens profile's aperture edge in (0, 90)
+# degrees and its step in degrees
 @given(
-    u_max=st.floats(min_value=0.0, max_value=U_MAX, exclude_min=True),
+    extent=st.floats(min_value=0.0, max_value=U_MAX, exclude_min=True)
+    | st.floats(min_value=0.0, max_value=90.0, exclude_min=True, exclude_max=True),
     step=st.floats(min_value=2.5e-4, max_value=400.0)
     | st.floats(min_value=1e300, max_value=sys.float_info.max),
 )
-@example(u_max=200.0, step=1.7e308)
-@example(u_max=200.0, step=sys.float_info.max)
-@example(u_max=5e-324, step=sys.float_info.max)
-@example(u_max=200.0, step=200.0)
-@example(u_max=200.0, step=math.nextafter(200.0, 0.0))
-@example(u_max=200.0, step=100.0)
-def test_curve_samples_match_the_unclipped_grid(u_max, step):
-    assume(u_max / step <= MAX_SAMPLES)
-    # under the suite's error::RuntimeWarning an overflow would raise here
-    got = fresnel._curve_samples(u_max, step)
-    assert got.tobytes() == unclipped_curve_samples(u_max, step).tobytes()
+@example(extent=200.0, step=1.7e308)
+@example(extent=200.0, step=sys.float_info.max)
+@example(extent=5e-324, step=sys.float_info.max)
+@example(extent=200.0, step=200.0)
+@example(extent=200.0, step=math.nextafter(200.0, 0.0))
+@example(extent=200.0, step=100.0)
+@example(extent=40.0, step=1.0)  # the lens design defaults
+@example(extent=40.0 + 1e-13, step=1.0)  # an edge inside the sliver past a sample
+@example(extent=math.nextafter(90.0, 0.0), step=0.1)
+@example(extent=1e-13, step=1.0)  # an edge inside the sliver past the axis
+@example(extent=30.0, step=7.0)
+def test_sample_grid_matches_the_unclipped_grid(extent, step):
+    assume(extent / step <= MAX_SAMPLES)
+    got = sample_grid(extent, step)
+    assert all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == unclipped_sample_grid(extent, step).tobytes()
 
 
 def test_fine_obliquity_curve_memory_is_bounded():
@@ -524,6 +534,44 @@ def test_chunk_and_block_sizes_leave_every_bit(
         assert _curve_and_ratio_bits(u_max, step, blocked, geom) == expected
 
 
+def row_sums_in_order(u, terms, geometry):
+    """K(u)*terms summed over the node rows one row at a time, row 0 first:
+    the oracle of _panel_values' numpy reduction, K = 1 without geometry."""
+    sums = terms if geometry is None else terms * obliquity_factor(u, geometry)[:, None]
+    total = sums[0].copy()
+    for row in sums[1:]:
+        total += row
+    return total
+
+
+@settings.get_profile("fuzz")
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    # 0 stands for more than two chunks of panels at n nodes
+    count=st.sampled_from([1, 2, 33, 0]),
+    known_share=st.sampled_from([0.0, 0.5, 1.0]),
+    geometry=st.none() | st.builds(
+        PathGeometry,
+        st.floats(min_value=1.0, max_value=300.0),
+        st.floats(min_value=1.0, max_value=300.0),
+        st.floats(min_value=0.01, max_value=1.0),
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_panel_values_add_node_rows_in_order(n, count, known_share, geometry, seed):
+    # numpy reduces the outer axis of (nodes, S/C, panels) whole row by whole
+    # row, for one panel or many, kept or planned per chunk; a lone column
+    # (nodes, 1) it would add pairwise
+    count = count or 2 * (fresnel._CHUNK_NODES // n) + 7
+    edges = np.sort(np.random.default_rng(seed).uniform(0.0, U_MAX, count + 1))
+    u, terms = fresnel._nodes_and_terms(edges[:-1], edges[1:], n)
+    known = round(known_share * count)
+    plan = fresnel._Plan(u[:, :known], terms[:, :, :known], edges[:-1][known:], edges[1:][known:])
+    got = fresnel._panel_values(plan, geometry)
+    assert got.shape == (2, count)
+    assert got.tobytes() == row_sums_in_order(u, terms, geometry).tobytes()
+
+
 @pytest.mark.parametrize("u_max", [200.0, 137.3])  # 137.3 is off the grid: a tail past the table
 def test_warm_curve_temporaries_stay_small(u_max):
     # with the step table built, a curve's temporaries are a few chunks of
@@ -634,7 +682,7 @@ def test_curve_from_the_step_plan_matches_one_plan_of_its_samples(step, u_max, b
     geom = PathGeometry(d1, d2, lam)
     with _panel_block(block):
         curve = partial_field_curve(u_max, step, obliquity=True, geometry=geom)
-    samples = fresnel._curve_samples(u_max, step).tolist()
+    samples = sample_grid(u_max, step)
     assert [u for u, _ in curve] == samples
     panels = fresnel._panel_edges(samples)
     n = fresnel._nodes_for(min(step, 1.0))

@@ -797,10 +797,10 @@ def test_completing_a_complete_spectrum_changes_nothing():
     log = count_log([5, 5], n_bins=100)
     spectrum = aggregate(log, EWMA, position_id=plan.AP_ID)
     # handed twice in one batch, it is computed once and scored twice
-    totals = plan._in_channel_mw([spectrum, spectrum], (1, 6))
+    totals = plan._in_channel_mw([spectrum, spectrum], centers_of((1, 6)))
     assert totals[:, 0].tobytes() == totals[:, 1].tobytes()
     bins, carried = spectrum.bins, spectrum._dbm
-    again = plan._in_channel_mw([spectrum], (1, 6))
+    again = plan._in_channel_mw([spectrum], centers_of((1, 6)))
     assert spectrum.bins is bins and spectrum._dbm is carried
     assert again.tobytes() == totals[:, :1].tobytes()
 
@@ -828,7 +828,7 @@ def test_threads_completing_the_same_spectra_agree():
                 # the first reads of the parsed sweeps' and max-hold bins
                 try:
                     if k % 2:
-                        plan._in_channel_mw(spectra, (6,))
+                        plan._in_channel_mw(spectra, centers_of((6,)))
                     else:
                         got_records.append(([s.bins for s in parsed], [h.bins for h in held]))
                     got.append([spectrum.bins for spectrum in spectra])
@@ -1332,8 +1332,9 @@ def test_max_hold_levels_score_like_the_bins(spectra, mode, candidates, objectiv
         assert repr(got) == repr(want)
     listed, channels = list(mixed.values()), tuple(candidates or ALL_CHANNELS)
     if len({s.grid for s in listed}) == 1:  # the oracle scores two grids side by side
-        got = outcome(plan._in_channel_mw, listed, channels)
-        want = outcome(in_channel_mw_scalar_pow, listed, channels)
+        # a bad candidate is refused by its centre, before either is called
+        got = outcome(lambda: plan._in_channel_mw(listed, centers_of(channels)))
+        want = outcome(lambda: in_channel_mw_scalar_pow(listed, centers_of(channels)))
         assert got == want if isinstance(want, str) else got.tobytes() == want.tobytes()
     for pos, spectrum in spectra.items():
         for ch in candidates or ALL_CHANNELS:
@@ -1608,12 +1609,16 @@ def test_float_power_is_the_scalar_pow(xs):
         assert bits(np.float_power(10.0, np.array(xs[::-1]))[::-1]) == want
 
 
-def in_channel_mw_scalar_pow(spectra, channels):
+def centers_of(channels):
+    """The channels' centres, as select_channel hands them to plan._in_channel_mw."""
+    return tuple(map(channel_center_khz, channels))
+
+
+def in_channel_mw_scalar_pow(spectra, centers):
     """plan._in_channel_mw with every power the scalar pow, added bin by bin.
 
     Masks are formed channel by channel, then grid by first use.
     """
-    centers = [channel_center_khz(ch) for ch in channels]
     members = {}
     for k, spectrum in enumerate(spectra):
         members.setdefault(spectrum.grid, []).append(k)
@@ -1623,7 +1628,7 @@ def in_channel_mw_scalar_pow(spectra, channels):
             grid_masks.append(
                 grid.span(center - CHANNEL_HALF_WIDTH_KHZ, center + CHANNEL_HALF_WIDTH_KHZ)
             )
-    totals = np.empty((len(channels), len(spectra)))
+    totals = np.empty((len(centers), len(spectra)))
     for grid, on_grid in members.items():
         for k in on_grid:
             for row, mask in enumerate(masks[grid]):
@@ -1682,13 +1687,20 @@ def uniform_spectra(dbm, n_clients=1):
 def test_float_bins_score_like_the_scalar_pow(spectra, mode, candidates, objective):
     listed = list(spectra.values())
     channels = tuple(candidates or ALL_CHANNELS)
-    got = outcome(plan._in_channel_mw, listed, channels)
-    want = outcome(in_channel_mw_scalar_pow, listed, channels)
+    # a bad candidate is refused by its centre, before either is called
+    got = outcome(lambda: plan._in_channel_mw(listed, centers_of(channels)))
+    want = outcome(lambda: in_channel_mw_scalar_pow(listed, centers_of(channels)))
     assert got == want if isinstance(want, str) else got.tobytes() == want.tobytes()
     got = outcome(select_channel, spectra, mode, candidates, objective)
     with mock.patch.object(plan, "_in_channel_mw", in_channel_mw_scalar_pow):
         want = outcome(select_channel, spectra, mode, candidates, objective)
     assert repr(got) == repr(want)
+
+
+def test_select_channel_takes_each_centre_once():
+    with mock.patch.object(plan, "channel_center_khz", wraps=plan.channel_center_khz) as center:
+        select_channel(uniform_spectra(-60.0), CLIENT_AWARE, (1, 6, 11, 6))
+    assert [call.args for call in center.call_args_list] == [(1,), (6,), (11,), (6,)]
 
 
 def mixed_grid_message(spectrum, first):
@@ -1732,15 +1744,16 @@ def test_mixed_grids_are_refused_in_either_order():
     for first, second in ((fine, coarse), (coarse, fine), (fine, pending), (pending, coarse)):
         for _ in range(2):
             with pytest.raises(DomainError) as info:
-                plan._in_channel_mw([first, second], (3, 6, 1, 6))
+                plan._in_channel_mw([first, second], centers_of((3, 6, 1, 6)))
             assert str(info.value) == mixed_grid_message(second, first)
         with pytest.raises(DomainError) as info:
             select_channel({"ap": first, "c": second}, CLIENT_AWARE)
         assert str(info.value) == mixed_grid_message(second, first)
     # each grid on its own scores as the oracle does
+    centers = centers_of((3, 6, 1, 6))
     for spectrum in (fine, coarse):
-        got = plan._in_channel_mw([spectrum, spectrum], (3, 6, 1, 6))
-        assert got.tobytes() == in_channel_mw_scalar_pow([spectrum] * 2, (3, 6, 1, 6)).tobytes()
+        got = plan._in_channel_mw([spectrum, spectrum], centers)
+        assert got.tobytes() == in_channel_mw_scalar_pow([spectrum] * 2, centers).tobytes()
 
 
 def test_a_float_grid_leaves_the_scoring_index_cache_alone():
@@ -1758,8 +1771,8 @@ def test_a_float_grid_leaves_the_scoring_index_cache_alone():
     )
     assert type(numpy_ints.start_khz) is int and type(numpy_ints.bin_khz) is int
     for spectra in ([ints], [numpy_ints, ints]):
-        got = plan._in_channel_mw(spectra, (1, 6))
-        assert got.tobytes() == in_channel_mw_scalar_pow(spectra, (1, 6)).tobytes()
+        got = plan._in_channel_mw(spectra, centers_of((1, 6)))
+        assert got.tobytes() == in_channel_mw_scalar_pow(spectra, centers_of((1, 6))).tobytes()
     assert plan._scoring_index.cache_info().currsize == 1  # both calls met one grid
 
 
