@@ -187,7 +187,11 @@ check_zone_number = partial(_int_range, 1, U_MAX)
 
 def check_interval(name: str, value) -> tuple[float, float]:
     """value as a pair of floats (a, b), a blocked span 0 <= a < b <= U_MAX of u."""
-    a, b = (_finite(f"{name} bound", bound) for bound in value)
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be an (a, b) pair, got {_shown(value)}") from None
+    a, b = _finite(f"{name} bound", a), _finite(f"{name} bound", b)
     if not 0.0 <= a < b <= U_MAX:
         raise DomainError(f"{name} [{a}, {b}] must satisfy 0 <= a < b <= {U_MAX}")
     return a, b

@@ -18,9 +18,9 @@ their contributions from 1.
 
 With K(u) the integral is numerical: a Gauss-Legendre rule of as few nodes as
 the widest panel allows (see _nodes_for) on panels between integers. A panel's
-node rows are added row 0 first and the panels left to right, each sum in
-float64 elementwise, so no SIMD unit or BLAS kernel moves a bit. A curve
-samples errors.sample_grid, the grid a lens profile samples too.
+nodes are added node 0 first and the panels left to right, by a field ratio in
+Python floats and by a curve in float64 rows, so no SIMD unit or BLAS kernel
+moves a bit. A curve samples errors.sample_grid, as a lens profile does.
 """
 from __future__ import annotations
 
@@ -29,10 +29,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import pairwise
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (
-    SLIVER, U_MAX, DomainError, _length, _positive, check_interval, check_sample_count,
+    SLIVER, U_MAX, DomainError, _length, _positive, _shown, check_interval, check_sample_count,
     check_u_max, check_zone_number, sample_grid,
 )
 
@@ -43,10 +44,10 @@ if TYPE_CHECKING:
 # fixed rule's error is orders of magnitude below it.
 QUADRATURE_REL_TOL = 1e-6
 
-# Node values whose K(u) and terms are formed at once, at least 16: it bounds
-# memory and moves no bit. A chunk's largest temporary, 96 KiB, is reused from
-# the heap, where larger ones go back to the kernel: a fresnel-study op faulted
-# in 0.2 pages at this size, 2.4 at twice it and 5.9 with whole curves.
+# Node values of a curve formed at once, at least 16: it bounds memory and
+# moves no bit. A chunk's largest temporary, 96 KiB, is reused from the heap,
+# where larger ones go back to the kernel: a fresnel-study op faulted in 0.2
+# pages at this size, 2.4 at twice it and 5.9 with whole curves.
 _CHUNK_NODES = 6144
 
 # Panels of the curve grid at one step whose nodes are kept between calls
@@ -152,12 +153,11 @@ class FieldRatio:
 def obliquity_factor(u: float | np.ndarray, geometry: PathGeometry) -> float | np.ndarray:
     """K(u) = (1 + cos(chi))/2 with chi the ray deflection angle at radius r(u).
 
-    u may be a float or a numpy array; the result has the same shape. An
-    array's temporaries are updated in place, in the order of
-    r_sq = u*lambda*d1*d2/(d1+d2) and (d1*d2 - r_sq)/sqrt((d1*d1 + r_sq)*(d2*d2 + r_sq)).
+    u may be a float, which gives a float and loads no numpy, or a numpy array,
+    which gives one of its shape with its temporaries updated in place. Both
+    take the operations in the order of r_sq = u*lambda*d1*d2/(d1+d2) and
+    (d1*d2 - r_sq)/sqrt((d1*d1 + r_sq)*(d2*d2 + r_sq)).
     """
-    import numpy as np
-
     g = geometry
     r_sq = u * g.lambda_m
     r_sq *= g.d1_m
@@ -166,14 +166,22 @@ def obliquity_factor(u: float | np.ndarray, geometry: PathGeometry) -> float | n
     cos_chi, norm = g.d1_m * g.d2_m - r_sq, g.d1_m * g.d1_m + r_sq
     r_sq += g.d2_m * g.d2_m
     norm *= r_sq
-    cos_chi /= np.sqrt(norm)
+    if isinstance(norm, float):
+        cos_chi /= math.sqrt(norm)
+    else:
+        import numpy as np
+        cos_chi /= np.sqrt(norm)
     cos_chi += 1.0
     cos_chi *= 0.5
     return cos_chi
 
 
 def _validated_intervals(blocked: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    intervals = sorted(check_interval("interval", interval) for interval in blocked)
+    try:
+        items = iter(blocked)
+    except TypeError:
+        raise DomainError(f"blocked must be iterable, got {_shown(blocked)}") from None
+    intervals = sorted(check_interval("interval", interval) for interval in items)
     for (a_prev, b_prev), (a_next, b_next) in zip(intervals, intervals[1:]):
         if a_next < b_prev:
             raise DomainError(
@@ -183,14 +191,12 @@ def _validated_intervals(blocked: Sequence[tuple[float, float]]) -> list[tuple[f
 
 
 @cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Nodes, ascending, and weights of the n-node Gauss-Legendre rule on [-1, 1].
 
     Newton's iteration on P_n in Python floats gives the nodes from 0 up, then
     mirrored: no LAPACK routine enters the bits.
     """
-    import numpy as np
-
     upper = []
     for i in range((n + 1) // 2, 0, -1):
         x = 0.0 if 2 * i == n + 1 else math.cos(math.pi * (i - 0.25) / (n + 0.5))
@@ -201,7 +207,12 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
             dp = n * (x * p - p_prev) / (x * x - 1.0)
             x -= p / dp
         upper.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
-    return tuple(np.array([(-x, w) for x, w in reversed(upper[n % 2 :])] + upper).T)
+    return tuple(zip(*[(-x, w) for x, w in reversed(upper[n % 2 :])], *upper))
+
+
+# _nodes_for's (n!)^4 and (2n+1)((2n)!)^3, as the floats its int*float and float/int made
+_REMAINDER_FACTORS = {n: (float(math.factorial(n) ** 4),
+                          float((2 * n + 1) * math.factorial(2 * n) ** 3)) for n in range(1, 16)}
 
 
 def _nodes_for(width: float) -> int:
@@ -211,9 +222,8 @@ def _nodes_for(width: float) -> int:
     (5*pi*h)^(2n) / ((2n+1) ((2n)!)^3) <= 2^-53: exp(i*pi*u) has frequency pi
     and K(u) varies far more slowly. Unit panels take 16, steps of 0.05 take 6.
     """
-    return next((n for n in range(1, 16) if math.factorial(n) ** 4
-                 * (5.0 * math.pi * width) ** (2 * n)
-                 / ((2 * n + 1) * math.factorial(2 * n) ** 3) <= 2.0**-53), 16)
+    return next((n for n, (top, bottom) in _REMAINDER_FACTORS.items()
+                 if top * (5.0 * math.pi * width) ** (2 * n) / bottom <= 2.0**-53), 16)
 
 
 def _nodes_and_terms(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,11 +235,11 @@ def _nodes_and_terms(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray
     """
     import numpy as np
 
-    nodes, weights = _gauss_legendre(n)
+    nodes, weights = np.array(_gauss_legendre(n))[:, :, None]
     half = (hi - lo) / 2.0
-    u = (lo + half) + nodes[:, None] * half
+    u = (lo + half) + nodes * half
     phase = np.exp(1j * np.pi * u)
-    scale = weights[:, None] * (np.pi * half)
+    scale = weights * (np.pi * half)
     return u, np.stack((phase.imag * scale, phase.real * scale), axis=1)
 
 
@@ -252,23 +262,14 @@ class _Plan(NamedTuple):
     hi: np.ndarray
 
 
-def _plan(lo: np.ndarray, hi: np.ndarray, n: int) -> _Plan:
-    """Plan of the panels [lo, hi] at n nodes, all kept; read-only, as caches share it."""
-    plan = _Plan(*_nodes_and_terms(lo, hi, n), lo[:0], hi[:0])
-    for array in plan:
-        array.flags.writeable = False
-    return plan
-
-
 def _panel_values(plan: _Plan, geometry: PathGeometry | None) -> np.ndarray:
     """Rows S and C, S - i*C the integral of (-i*pi)*K(u)*exp(i*pi*u) over each panel of plan.
 
     A chunk of _CHUNK_NODES // n panels at a time, so that temporaries stay
     small. Each chunk sums K(u)*terms (K = 1 without geometry) over its node
-    rows: numpy reduces the outer axis of (nodes, S/C, panels) by adding whole
-    rows in order, row 0 first. The S/C axis, of length 2, keeps the node axis
-    outer for any panel count; on (nodes, panels), or (nodes, 1) for one
-    panel, numpy would add pairwise instead. Every other operation is
+    rows: numpy reduces the outer axis of (nodes, S/C, panels) from 0.0, whole
+    rows in order, row 0 first; the S/C axis keeps it outer for any panel count,
+    where on (nodes, 1) numpy would add pairwise. Every other operation is
     elementwise: a panel's bits depend on no other.
     """
     import numpy as np
@@ -282,21 +283,6 @@ def _panel_values(plan: _Plan, geometry: PathGeometry | None) -> np.ndarray:
     sums = [(terms if geometry is None else terms * obliquity_factor(u, geometry)[:, None])
             .sum(axis=0) for u, terms in (*kept, *rest)]
     return sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
-
-
-@lru_cache(maxsize=16)
-def _interval_plan(intervals: tuple[tuple[float, float], ...]) -> _Plan:
-    """Plan of the panels of sorted, disjoint intervals, at the nodes their widest panel needs.
-
-    field_ratio keeps the plans of its last 16 sets that fit one chunk of unit
-    panels, 384 intervals: fewer than 584 panels, 0.22 MB a plan, 3.6 MB in all.
-    """
-    import numpy as np
-
-    panels = [_panel_edges([a, b]) for a, b in intervals]
-    lo = np.array([x for edges in panels for x in edges[:-1]])
-    hi = np.array([x for edges in panels for x in edges[1:]])
-    return _plan(lo, hi, _nodes_for(float((hi - lo).max())))
 
 
 @lru_cache(maxsize=1)
@@ -314,8 +300,10 @@ def _step_plan(step: float) -> tuple[list[float], np.ndarray, _Plan]:
     panels = np.array(_panel_edges(grid))
     ends = np.searchsorted(panels, grid[1:]) - 1
     whole = int(np.searchsorted(ends, _PANEL_BLOCK))
-    plan = _plan(panels[:-1][:_PANEL_BLOCK], panels[1:][:_PANEL_BLOCK], _nodes_for(min(step, 1.0)))
-    ends.flags.writeable = False
+    lo, hi = panels[:-1][:_PANEL_BLOCK], panels[1:][:_PANEL_BLOCK]
+    plan = _Plan(*_nodes_and_terms(lo, hi, _nodes_for(min(step, 1.0))), lo[:0], hi[:0])
+    for array in (*plan, ends):  # read-only, as every curve at the step shares them
+        array.flags.writeable = False
     return grid[: whole + 1], ends[:whole], plan
 
 
@@ -344,11 +332,23 @@ def field_ratio(
             ratio += cmath.exp(1j * math.pi * b) - cmath.exp(1j * math.pi * a)
         return FieldRatio(ratio)
 
-    key = tuple(intervals)
-    plan = (_interval_plan if len(key) <= _CHUNK_NODES // 16 else _interval_plan.__wrapped__)(key)
-    values = _panel_values(plan, geometry if obliquity else None)
-    # 1 minus the sum, panel after panel, of S - i*C
-    s, c = (values if values.shape[1] == 1 else values.cumsum(axis=1))[:, -1].tolist()
+    # 1 minus the sum of S - i*C over the panels, each term formed and added as
+    # _nodes_and_terms and _panel_values do, from 0.0; K = 1 multiplies exactly
+    panels = [p for a, b in intervals for p in pairwise(_panel_edges([a, b]))]
+    nodes, weights = _gauss_legendre(_nodes_for(max(hi - lo for lo, hi in panels)))
+    s, c, k = 0.0, 0.0, 1.0
+    for lo, hi in panels:
+        half = (hi - lo) / 2.0
+        mid, scale = lo + half, math.pi * half
+        panel_s = panel_c = 0.0
+        for x, w in zip(nodes, weights):
+            u = mid + x * half
+            if obliquity:
+                k = obliquity_factor(u, geometry)
+            panel_s += math.sin(math.pi * u) * (w * scale) * k
+            panel_c += math.cos(math.pi * u) * (w * scale) * k
+        s += panel_s
+        c += panel_c
     return FieldRatio(complex(1.0 - s, c))
 
 
@@ -374,7 +374,7 @@ def partial_field_curve(
 
     if not obliquity:
         u = sample_grid(u_max, step)[1:]
-        field = 1.0 - np.exp(1j * np.pi * np.array(u))
+        field = 1.0 - np.exp(1j * np.pi * np.fromiter(u, float, len(u)))
         s, c = field.real, field.imag
     else:
         grid, ends, table = _step_plan(step)

@@ -245,6 +245,24 @@ def test_field_ratio_rejects_bad_intervals():
         field_ratio([(1.0, 2.0)], obliquity=True)  # geometry missing
 
 
+@pytest.mark.parametrize(
+    ("blocked", "message"),
+    [
+        # each escaped as a bare ValueError or TypeError
+        ([(1, 2, 3)], "interval must be an (a, b) pair, got (1, 2, 3)"),
+        ([(1.0,)], "interval must be an (a, b) pair, got (1.0,)"),
+        ([(1.0, 2.0), 5], "interval must be an (a, b) pair, got 5"),
+        ([None], "interval must be an (a, b) pair, got None"),
+        (5, "blocked must be iterable, got 5"),
+        (None, "blocked must be iterable, got None"),
+    ],
+)
+def test_field_ratio_names_a_malformed_interval(blocked, message):
+    for kwargs in ({}, {"force_quadrature": True}, {"obliquity": True, "geometry": GEOM}):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            field_ratio(blocked, **kwargs)
+
+
 def test_forced_quadrature_matches_closed_form_zone_two():
     closed = field_ratio([(1.0, 2.0)])
     quad = field_ratio([(1.0, 2.0)], force_quadrature=True)
@@ -405,21 +423,16 @@ def test_fine_obliquity_curve_memory_is_bounded():
     assert peak < 128e6  # the returned list alone is about 45 MB
 
 
-def _clear_plans():
-    fresnel._step_plan.cache_clear()
-    fresnel._interval_plan.cache_clear()
-
-
 @contextlib.contextmanager
 def _panel_block(block):
     """_PANEL_BLOCK set to block, with no plan of another size kept past either edge."""
-    _clear_plans()
+    fresnel._step_plan.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fresnel, "_PANEL_BLOCK", block)
         try:
             yield mp
         finally:
-            _clear_plans()
+            fresnel._step_plan.cache_clear()
 
 
 def test_blocked_panels_match_one_block():
@@ -481,7 +494,9 @@ def test_gauss_legendre_rule_matches_leggauss():
     # come from P_n' at those roots, before their Newton step, and lie up to
     # 63 ulp (1.4e-14) from 50-digit values, so only the nodes are held to ulps
     for n in range(1, 17):
-        nodes, weights = fresnel._gauss_legendre(n)
+        rule = fresnel._gauss_legendre(n)
+        assert all(type(x) is float for part in rule for x in part)
+        nodes, weights = map(np.array, rule)
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
         assert (np.abs(nodes - ref_nodes) <= 2 * np.spacing(np.abs(ref_nodes))).all(), n
         assert (np.abs(weights - ref_weights) <= 2e-14 * ref_weights).all(), n
@@ -495,13 +510,6 @@ def test_node_count_grows_with_the_panel_width():
     assert counts[0] == 1 and all(a <= b for a, b in zip(counts, counts[1:]))
 
 
-def _curve_and_ratio_bits(u_max, step, blocked, geometry):
-    curve = partial_field_curve(u_max, step, obliquity=True, geometry=geometry)
-    ratios = (field_ratio(blocked, obliquity=True, geometry=geometry).complex_ratio,
-              field_ratio(blocked, force_quadrature=True).complex_ratio)
-    return _hex_curve(curve), [(z.real.hex(), z.imag.hex()) for z in ratios]
-
-
 # the deep-fuzz CI step runs the property at 1,000 curves (tests/conftest.py)
 @pytest.mark.deep_fuzz
 @settings.get_profile("fuzz")
@@ -510,28 +518,22 @@ def _curve_and_ratio_bits(u_max, step, blocked, geometry):
     u_max=st.floats(min_value=0.0, max_value=U_MAX, exclude_min=True),
     block=st.sampled_from([2, 37, fresnel._PANEL_BLOCK]),
     chunk_nodes=st.sampled_from([16, 17, 100, 10**6]),
-    points=st.lists(
-        st.floats(min_value=0.0, max_value=U_MAX), min_size=2, max_size=8, unique=True
-    ),
     d1=st.floats(min_value=1.0, max_value=300.0),
     d2=st.floats(min_value=1.0, max_value=300.0),
     lam=st.floats(min_value=0.01, max_value=1.0),
 )
-def test_chunk_and_block_sizes_leave_every_bit(
-    step, u_max, block, chunk_nodes, points, d1, d2, lam
-):
+def test_chunk_and_block_sizes_leave_every_bit(step, u_max, block, chunk_nodes, d1, d2, lam):
     # every operation on a panel's nodes is elementwise and its node rows are
     # added in one fixed order, so neither the panels formed at once nor
-    # whether a panel's nodes come from a kept plan moves a bit; at 16 nodes
-    # a chunk of 16 node values is one panel
+    # whether a panel's nodes come from a kept plan moves a bit of a curve; at
+    # 16 nodes a chunk of 16 node values is one panel
     geom = PathGeometry(d1, d2, lam)
-    points = sorted(points)
-    blocked = list(zip(points[::2], points[1::2]))
     with _panel_block(fresnel._PANEL_BLOCK):
-        expected = _curve_and_ratio_bits(u_max, step, blocked, geom)
+        expected = partial_field_curve(u_max, step, obliquity=True, geometry=geom)
     with _panel_block(block) as mp:
         mp.setattr(fresnel, "_CHUNK_NODES", chunk_nodes)
-        assert _curve_and_ratio_bits(u_max, step, blocked, geom) == expected
+        got = partial_field_curve(u_max, step, obliquity=True, geometry=geom)
+    assert _hex_curve(got) == _hex_curve(expected)
 
 
 def row_sums_in_order(u, terms, geometry):
@@ -698,39 +700,31 @@ def test_curve_from_the_step_plan_matches_one_plan_of_its_samples(step, u_max, b
 @settings.get_profile("fuzz")
 @given(
     points=st.lists(
-        st.floats(min_value=0.0, max_value=U_MAX), min_size=2, max_size=12, unique=True
+        st.floats(min_value=0.0, max_value=U_MAX) | st.integers(0, int(U_MAX)).map(float),
+        min_size=2, max_size=12, unique=True,
     ),
     d1=st.floats(min_value=1.0, max_value=300.0),
     d2=st.floats(min_value=1.0, max_value=300.0),
     lam=st.floats(min_value=0.01, max_value=1.0),
 )
-def test_kept_interval_plan_matches_a_fresh_one(points, d1, d2, lam):
+@example(points=[1.0, 2.0], d1=25.0, d2=25.0, lam=0.125)
+def test_field_ratio_is_one_minus_the_running_sum_of_numpy_panel_values(points, d1, d2, lam):
+    # field_ratio forms and adds its terms in Python floats, in the order in
+    # which _panel_values forms and adds them over a numpy plan of the same
+    # panels at the widest panel's node count, with no nodes kept; 1 minus
+    # the running sum of those panel values must give its bits
     points = sorted(points)
     blocked = list(zip(points[::2], points[1::2]))
+    lo, hi = np.array([p for a, b in blocked
+                       for p in itertools.pairwise(fresnel._panel_edges([a, b]))]).T
+    n = fresnel._nodes_for(float((hi - lo).max()))
+    plan = fresnel._Plan(np.empty((n, 0)), np.empty((n, 2, 0)), lo, hi)
     geom = PathGeometry(d1, d2, lam)
-
-    def bits(cold):
-        parts = []
-        for kwargs in ({"obliquity": True, "geometry": geom}, {"force_quadrature": True}):
-            if cold:
-                fresnel._interval_plan.cache_clear()
-            ratio = field_ratio(blocked, **kwargs).complex_ratio
-            parts += [ratio.real.hex(), ratio.imag.hex()]
-        return parts
-
-    assert bits(cold=True) == bits(cold=False)
-
-
-def test_interval_plans_kept_are_bounded():
-    fresnel._interval_plan.cache_clear()
-    for k in range(40):
-        field_ratio([(0.5, 1.0 + k)], obliquity=True, geometry=GEOM)
-    assert fresnel._interval_plan.cache_info().currsize == 16
-    # a set of more intervals than one chunk of unit panels is planned for its call only
-    many = [(0.3 * k, 0.3 * k + 0.1) for k in range(fresnel._CHUNK_NODES // 16 + 1)]
-    before = fresnel._interval_plan.cache_info()
-    field_ratio(many, obliquity=True, geometry=GEOM)
-    assert fresnel._interval_plan.cache_info() == before
+    for geometry, kwargs in ((geom, {"obliquity": True, "geometry": geom}),
+                             (None, {"force_quadrature": True})):
+        s, c = np.cumsum(fresnel._panel_values(plan, geometry), axis=1)[:, -1].tolist()
+        got = field_ratio(blocked, **kwargs).complex_ratio
+        assert (got.real.hex(), got.imag.hex()) == ((1.0 - s).hex(), c.hex())
 
 
 def test_partial_field_curve_rejects_bad_step():
@@ -828,6 +822,21 @@ def test_path_geometry_at_the_corners_of_the_length_domain_stays_in_the_float_ra
 @example(d1=25.0, d2=25.0, lam=0.125)
 def test_path_geometry_across_the_length_domain_stays_in_the_float_range(d1, d2, lam):
     assert_geometry_stays_in_the_float_range(d1, d2, lam)
+
+
+@given(
+    u=st.floats(min_value=0.0, max_value=U_MAX) | st.integers(0, int(U_MAX)).map(float),
+    d1=in_domain_lengths,
+    d2=in_domain_lengths,
+    lam=in_domain_lengths,
+)
+def test_obliquity_factor_of_a_float_is_the_array_paths_element(u, d1, d2, lam):
+    # a field ratio takes K(u) node by node in Python floats, a curve over
+    # numpy arrays: both must give the same bits
+    geom = PathGeometry(d1, d2, lam)
+    k = obliquity_factor(u, geom)
+    assert type(k) is float
+    assert k.hex() == float(obliquity_factor(np.array([u]), geom)[0]).hex()
 
 
 # moderate values, hypothesis's edge-biased floats, and log-uniform ones
