@@ -6,7 +6,9 @@ A non-real value, a bool, nan, inf or a number past the float range given to
 any public constructor or function where a real number is due is a
 DomainError naming it: _finite, _positive, _length and _decibels return the
 float that is then stored or used, as _index returns an int for an integer
-input and _uint64 one that fits 64 bits. Every length lies in the one domain
+input and _unsigned one that fits its width; check_pair and check_items return
+a pair's two items and a sequence's items, in order, and refuse a set or a
+mapping, whose order is no sequence's. Every length lies in the one domain
 below, and every dB value the library turns into a ratio within the one bound
 below it. Each rule of one input is a check(name, value) here: the library
 applies it under its field's name, the CLI under the flag's (cli._DOMAINS).
@@ -17,6 +19,7 @@ No numpy here: every CLI command loads this module.
 import bisect
 import math
 import operator
+from collections.abc import Mapping, Set
 from functools import partial, reduce
 from pathlib import Path
 
@@ -53,12 +56,15 @@ def _index(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
 
 
-def _uint64(name: str, value) -> int:
-    """value as an int in [0, 2**64 - 1], the domain of every seed and timestamp."""
+def _unsigned(bits: int, name: str, value) -> int:
+    """value as an int in [0, 2**bits - 1]; a rule binds bits positionally."""
     number = _index(name, value)
-    if not 0 <= number <= 0xFFFFFFFFFFFFFFFF:
-        raise DomainError(f"{name} must fit 64 bits, got {_shown(number)}")
+    if not 0 <= number < 1 << bits:
+        raise DomainError(f"{name} must fit {bits} bits, got {_shown(number)}")
     return number
+
+
+_uint64 = partial(_unsigned, 64)  # the domain of every seed and timestamp
 
 
 def _float(value) -> float:
@@ -185,12 +191,30 @@ check_channel = partial(_int_range, ALL_CHANNELS[0], ALL_CHANNELS[-1])
 check_zone_number = partial(_int_range, 1, U_MAX)
 
 
+def check_items(name: str, value, kind: str) -> tuple:
+    """value's items as a tuple, read once (an iterator's, or a string's
+    characters); a set or a mapping, whose order is no sequence's, or a value
+    that is not iterable is a DomainError naming it."""
+    # a tuple or a list passes by its type, as the ABC check costs about 0.2 us
+    if type(value) in (tuple, list) or not isinstance(value, (Set, Mapping)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be {kind}, got {_shown(value)}")
+
+
+def check_pair(name: str, value, form: str) -> tuple:
+    """value's two items, read as check_items reads a sequence's."""
+    pair = value if type(value) is tuple else check_items(name, value, f"an {form} pair")
+    if len(pair) != 2:
+        raise DomainError(f"{name} must be an {form} pair, got {_shown(value)}")
+    return pair
+
+
 def check_interval(name: str, value) -> tuple[float, float]:
     """value as a pair of floats (a, b), a blocked span 0 <= a < b <= U_MAX of u."""
-    try:
-        a, b = value
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be an (a, b) pair, got {_shown(value)}") from None
+    a, b = check_pair(name, value, "(a, b)")
     a, b = _finite(f"{name} bound", a), _finite(f"{name} bound", b)
     if not 0.0 <= a < b <= U_MAX:
         raise DomainError(f"{name} [{a}, {b}] must satisfy 0 <= a < b <= {U_MAX}")

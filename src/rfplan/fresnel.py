@@ -33,8 +33,8 @@ from itertools import pairwise
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (
-    SLIVER, U_MAX, DomainError, _length, _positive, _shown, check_interval, check_sample_count,
-    check_u_max, check_zone_number, sample_grid,
+    SLIVER, U_MAX, DomainError, _length, _positive, check_interval, check_items,
+    check_sample_count, check_u_max, check_zone_number, sample_grid,
 )
 
 if TYPE_CHECKING:
@@ -177,10 +177,7 @@ def obliquity_factor(u: float | np.ndarray, geometry: PathGeometry) -> float | n
 
 
 def _validated_intervals(blocked: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    try:
-        items = iter(blocked)
-    except TypeError:
-        raise DomainError(f"blocked must be iterable, got {_shown(blocked)}") from None
+    items = check_items("blocked", blocked, "iterable")
     intervals = sorted(check_interval("interval", interval) for interval in items)
     for (a_prev, b_prev), (a_next, b_next) in zip(intervals, intervals[1:]):
         if a_next < b_prev:
@@ -262,15 +259,15 @@ class _Plan(NamedTuple):
     hi: np.ndarray
 
 
-def _panel_values(plan: _Plan, geometry: PathGeometry | None) -> np.ndarray:
+def _panel_values(plan: _Plan, geometry: PathGeometry) -> np.ndarray:
     """Rows S and C, S - i*C the integral of (-i*pi)*K(u)*exp(i*pi*u) over each panel of plan.
 
     A chunk of _CHUNK_NODES // n panels at a time, so that temporaries stay
-    small. Each chunk sums K(u)*terms (K = 1 without geometry) over its node
-    rows: numpy reduces the outer axis of (nodes, S/C, panels) from 0.0, whole
-    rows in order, row 0 first; the S/C axis keeps it outer for any panel count,
-    where on (nodes, 1) numpy would add pairwise. Every other operation is
-    elementwise: a panel's bits depend on no other.
+    small. Each chunk sums K(u)*terms over its node rows: numpy reduces the
+    outer axis of (nodes, S/C, panels) from 0.0, whole rows in order, row 0
+    first; the S/C axis keeps it outer for any panel count, where on (nodes, 1)
+    numpy would add pairwise. Every other operation is elementwise: a panel's
+    bits depend on no other.
     """
     import numpy as np
 
@@ -280,8 +277,8 @@ def _panel_values(plan: _Plan, geometry: PathGeometry | None) -> np.ndarray:
             for i in range(0, known, size)]
     rest = (_nodes_and_terms(plan.lo[i : i + size], plan.hi[i : i + size], n)
             for i in range(0, len(plan.lo), size))
-    sums = [(terms if geometry is None else terms * obliquity_factor(u, geometry)[:, None])
-            .sum(axis=0) for u, terms in (*kept, *rest)]
+    sums = [(terms * obliquity_factor(u, geometry)[:, None]).sum(axis=0)
+            for u, terms in (*kept, *rest)]
     return sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
 
 

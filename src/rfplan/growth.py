@@ -10,7 +10,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DomainError, _finite, _positive, read_text, sum_in_order
+from .errors import (
+    DomainError, _finite, _positive, check_items, check_pair, read_text, sum_in_order,
+)
 
 
 class NoGrowthError(DomainError):
@@ -24,8 +26,10 @@ class CountSeries:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        points = check_items("points", self.points, "a sequence of (t_days, count) pairs")
+        pairs = (check_pair("point", point, "(t_days, count)") for point in points)
         object.__setattr__(self, "points", tuple(
-            (_finite("t_days", t), _positive("count", c)) for t, c in self.points
+            (_finite("t_days", t), _positive("count", c)) for t, c in pairs
         ))
         if len(self.points) < 2:
             raise DomainError(f"need at least 2 points, got {len(self.points)}")

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import (
     MAX_LENGTH_M, DomainError, _finite, _length, _positive, check_aperture, check_gain_uplift,
-    check_sample_count, check_throughput, check_tilt_deg, sample_grid,
+    check_items, check_sample_count, check_throughput, check_tilt_deg, sample_grid,
 )
 from .linkbudget import (
     AntennaGain,
@@ -238,7 +238,8 @@ def shading_assessment(effect: LensEffect, client_bearings_deg: Sequence[float])
     """
     sector = effect.shading_sector
     center = sector.bearing_deg % 360.0
-    bearings = [_finite("client bearing", bearing) for bearing in client_bearings_deg]
+    bearings = check_items("client bearings", client_bearings_deg, "a sequence of real numbers")
+    bearings = [_finite("client bearing", bearing) for bearing in bearings]
     if sector.width_deg == 0.0:
         return [0.0 for _ in bearings]
     half = sector.width_deg / 2.0

@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import MAX_DB, DomainError, _index, _real, _shown, check_alpha
+from ..errors import MAX_DB, DomainError, _index, _real, _shown, check_alpha, check_items
 from ..modes import DEFAULT_EWMA_ALPHA, EWMA, MAX_HOLD
 from .frames import _LEVELS, BinGrid, SensorSweep, _BuiltOnFirstRead, _lookup, _new, _setters
 
@@ -106,13 +106,8 @@ class AggregatedSpectrum(_SpectrumHidden):
         _SET_PENDING(self, None)
         for name in ("start_khz", "bin_khz"):
             object.__setattr__(self, name, _index(f"spectrum {name}", getattr(self, name)))
-        try:
-            bins = tuple(self.bins)  # an iterator is read once, here
-        except TypeError:
-            raise DomainError(
-                f"bins at position {self.position_id!r} must be a sequence of real numbers, "
-                f"got {_shown(self.bins)}"
-            ) from None
+        bins = check_items(f"bins at position {self.position_id!r}", self.bins,
+                           "a sequence of real numbers")
         _SET_BINS(self, bins)
         for dbm in bins:
             if not (_real(dbm) and -MAX_DB <= dbm <= MAX_DB):

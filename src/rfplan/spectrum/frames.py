@@ -37,7 +37,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from ..errors import DomainError, _index, _shown, _uint64
+from ..errors import DomainError, _index, _shown, _uint64, _unsigned, check_items
 
 MAGIC = b"WX"
 VERSION = 1
@@ -116,19 +116,13 @@ class SensorSweep(_SweepHidden):
     def __post_init__(self):
         for name in ("sensor_id", "timestamp_ms", "start_khz", "bin_khz"):
             object.__setattr__(self, name, _index(name, getattr(self, name)))
-        try:
-            bins = tuple(self.bins)
-        except TypeError:
-            shown = _shown(self.bins)
-            raise DomainError(f"sweep bins must be a sequence of integers, got {shown}") from None
+        bins = check_items("sweep bins", self.bins, "a sequence of integers")
         if {*map(type, bins)} != {int}:  # plain ints, as the simulator and JSON give, pass as is
             bins = tuple(_index("bin value", b) for b in bins)
         _SET_BINS(self, bins)
-        if not 0 <= self.sensor_id <= 0xFFFF:
-            raise DomainError(f"sensor_id must fit 16 bits, got {_shown(self.sensor_id)}")
+        _unsigned(16, "sensor_id", self.sensor_id)
         _uint64("timestamp_ms", self.timestamp_ms)
-        if not 0 <= self.start_khz <= 0xFFFFFFFF:
-            raise DomainError(f"start_khz must fit 32 bits, got {_shown(self.start_khz)}")
+        _unsigned(32, "start_khz", self.start_khz)
         if not 0 < self.bin_khz <= 0xFFFF:
             shown = _shown(self.bin_khz)
             raise DomainError(f"bin_khz must be a positive 16-bit value, got {shown}")

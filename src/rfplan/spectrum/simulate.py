@@ -60,8 +60,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ..errors import (
-    MAX_DB, MAX_LENGTH_M, DomainError, _finite, _length, _shown, _uint64, check_channel,
-    read_text,
+    MAX_DB, MAX_LENGTH_M, DomainError, _finite, _length, _shown, _uint64, _unsigned,
+    check_channel, check_items, check_pair, read_text,
 )
 from ..linkbudget import Frequency
 from .aggregate import _json_record
@@ -79,20 +79,13 @@ _HALF_GUARD_DB = 1e-6
 MAX_SHADOWING_SIGMA_DB = 100.0
 
 
-def _pair(name: str, position, x_name: str, y_name: str) -> tuple[float, float]:
-    """position as an (x, y) tuple of floats, or a DomainError naming it or a coordinate."""
-    try:
-        x, y = position
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be an (x, y) pair, got {_shown(position)}") from None
-    return _length(x_name, x, -MAX_LENGTH_M), _length(y_name, y, -MAX_LENGTH_M)
-
-
 def _sensor_coordinates(positions: Sequence[tuple[float, float]]) -> Iterator[float]:
     """Each sensor position's x, then its y, as floats, checked as the AP's is."""
+    positions = check_items("sensor_positions", positions, "a sequence of (x, y) pairs")
     for k, position in enumerate(positions):
         try:  # named only on failure, so that a sensor's check builds no string
-            point = _pair("position", position, "x", "y")
+            x, y = check_pair("position", position, "(x, y)")
+            point = _length("x", x, -MAX_LENGTH_M), _length("y", y, -MAX_LENGTH_M)
         except DomainError as exc:
             raise DomainError(f"sensor {k} {exc}") from None
         yield from point
@@ -146,16 +139,22 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        ap_xy = _pair("ap_position", self.ap_position, "ap_position", "ap_position")
+        ap_xy = check_pair("ap_position", self.ap_position, "(x, y)")
+        ap_xy = tuple(_length("ap_position", v, -MAX_LENGTH_M) for v in ap_xy)
         object.__setattr__(self, "ap_position", ap_xy)
-        object.__setattr__(self, "clients", tuple(self.clients))
+        for name, record, kind in (("clients", Client, "a Client"),
+                                   ("emitters", Emitter, "an Emitter")):
+            items = check_items(name, getattr(self, name), f"a sequence of {record.__name__}s")
+            for k, item in enumerate(items):
+                if not isinstance(item, record):
+                    raise DomainError(f"{name}[{k}] must be {kind}, got {_shown(item)}")
+            object.__setattr__(self, name, items)
         taken = {AP_ID}  # a client's id names its position, as AP_ID names the AP's
         for c in self.clients:
             if c.id in taken:
                 owner = "the access point" if c.id == AP_ID else "another client"
                 raise DomainError(f"client id {c.id!r} is already {owner}'s position id")
             taken.add(c.id)
-        object.__setattr__(self, "emitters", tuple(self.emitters))
         floor_dbm = _finite("noise_floor_dbm", self.noise_floor_dbm)
         object.__setattr__(self, "noise_floor_dbm", floor_dbm)
         sigma_db = _finite(
@@ -195,8 +194,8 @@ def simulate_sweeps(
     # docstring); with no sensor there is no sweep to check
     if shape[0]:
         t_ms = _uint64("timestamp_ms", t_ms)  # an int, as SensorSweep makes it
-        if shape[0] > 0x10000:
-            raise DomainError("sensor_id must fit 16 bits, got 65536")
+        # the last sensor's id, or the first past the bound, as SensorSweep names it
+        _unsigned(16, "sensor_id", min(shape[0] - 1, 0x10000))
     emitter_x, emitter_y, tx_dbm, wavelength_m = np.array(
         [(e.x, e.y, e.tx_power_dbm, fact[0]) for e, fact in zip(scenario.emitters, facts)]
     ).reshape(-1, 4).T

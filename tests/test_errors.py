@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rfplan.errors import MAX_DB, MAX_LENGTH_M, MIN_LENGTH_M, DomainError
+from rfplan.errors import MAX_DB, MAX_LENGTH_M, MIN_LENGTH_M, U_MAX, DomainError
 from rfplan.fresnel import (
     AnnularScreenSpec,
     PathGeometry,
@@ -47,7 +47,15 @@ from rfplan.polarization import (
     mismatch_loss_db,
     tilt_effect_db,
 )
-from rfplan.spectrum import Client, Emitter, Scenario, SensorSweep
+from rfplan.spectrum import (
+    MAX_HOLD,
+    AggregatedSpectrum,
+    Client,
+    Emitter,
+    Scenario,
+    SensorSweep,
+    simulate_sweeps,
+)
 from tests.test_linkbudget import in_domain_lengths
 
 FREQ = Frequency(2.437e9)
@@ -183,6 +191,131 @@ def test_a_seed_or_timestamp_must_fit_64_bits(name, call):
             call(value)
     for value in (0, 2**64 - 1, np.uint64(2**64 - 1)):
         call(value)
+
+
+OPEN_FLOOR = Scenario(ap_position=(0.0, 0.0))
+_coordinate = st.floats(-1e6, 1e6)
+_two_ordered = st.lists(st.floats(0.0, U_MAX), min_size=2, max_size=2, unique=True).map(sorted)
+
+# (what its refusal names, a call with the value in that place, two valid items)
+PAIR_INPUTS = [
+    ("interval", lambda v: field_ratio([v]), _two_ordered),
+    ("ap_position", lambda v: Scenario(ap_position=v), st.tuples(_coordinate, _coordinate)),
+    ("sensor 0 position", lambda v: simulate_sweeps(OPEN_FLOOR, [v]),
+     st.tuples(_coordinate, _coordinate)),
+    ("point", lambda v: CountSeries((v, (1e6, 1.0))),
+     st.tuples(st.floats(-1e5, 1e5), st.floats(1e-3, 1e6))),
+]
+SEQUENCE_INPUTS = [
+    ("blocked", field_ratio,
+     st.lists(st.floats(0.0, U_MAX), min_size=4, max_size=4, unique=True)
+     .map(lambda p: (tuple(sorted(p)[:2]), tuple(sorted(p)[2:])))),
+    ("sensor_positions", lambda v: simulate_sweeps(OPEN_FLOOR, v),
+     st.tuples(st.tuples(_coordinate, _coordinate), st.tuples(_coordinate, _coordinate))),
+    ("clients", lambda v: Scenario(ap_position=(0.0, 0.0), clients=v),
+     st.just((Client("c0", 1.0, 2.0), Client("c1", 3.0, 4.0)))),
+    ("emitters", lambda v: Scenario(ap_position=(0.0, 0.0), emitters=v),
+     st.tuples(*[st.builds(Emitter, st.integers(1, 14), st.floats(-20.0, 30.0), _coordinate,
+                           _coordinate)] * 2)),
+    ("points", CountSeries,
+     st.tuples(st.floats(-1e5, 0.0), st.floats(1.0, 1e5), st.floats(1e-3, 1e6))
+     .map(lambda v: ((v[0], v[2]), (v[1], v[2])))),
+    ("client bearings", lambda v: shading_assessment(LensEffect(), v),
+     st.tuples(st.floats(-720.0, 720.0), st.floats(-720.0, 720.0))),
+    ("sweep bins", lambda v: SensorSweep(0, 0, 2_400_000, 1_000, v),
+     st.tuples(st.integers(-128, 127), st.integers(-128, 127))),
+    ("bins at position 'c1'", lambda v: AggregatedSpectrum("c1", MAX_HOLD, 2_400_000, 1_000, v, {}),
+     st.tuples(st.floats(-MAX_DB, MAX_DB), st.floats(-MAX_DB, MAX_DB))),
+]
+
+# no pair or sequence input takes any of these: a set's or a mapping's order is
+# no sequence's
+UNORDERED_OR_NOT_ITERABLE = st.one_of(
+    st.sets(st.floats() | st.integers()), st.frozensets(st.floats()),
+    st.dictionaries(st.floats() | st.text(), st.integers()), st.none(), st.integers(),
+)
+
+
+def outcome(call, value):
+    """call(value)'s result, or the text of the DomainError it raised."""
+    try:
+        return call(value)
+    except DomainError as exc:
+        return str(exc)
+
+
+# the deep-fuzz CI step runs the property at 1,000 examples (tests/conftest.py)
+@pytest.mark.deep_fuzz
+@pytest.mark.parametrize(
+    ("name", "call", "valid", "pair"),
+    [pytest.param(*row, True, id=row[0]) for row in PAIR_INPUTS]
+    + [pytest.param(*row, False, id=row[0]) for row in SEQUENCE_INPUTS],
+)
+@settings.get_profile("fuzz")
+@given(data=st.data())
+def test_a_pair_or_sequence_is_read_in_order_or_refused_by_name(name, call, valid, pair, data):
+    # errors.check_pair and check_items: a bare ValueError, TypeError or
+    # AttributeError escapes pytest.raises and fails the test
+    bad = UNORDERED_OR_NOT_ITERABLE
+    if pair:
+        bad |= st.tuples(st.floats()) | st.tuples(st.floats(), st.floats(), st.floats())
+    value = data.draw(bad | st.text(), label="value")
+    if isinstance(value, str):
+        # a string is read as its characters; none is a number, pair or record
+        if value or pair:
+            with pytest.raises(DomainError) as info:
+                call(value)
+            assert repr(value) in str(info.value) or repr(value[0]) in str(info.value)
+        else:
+            assert outcome(call, value) == outcome(call, ())
+    else:
+        with pytest.raises(DomainError) as info:
+            call(value)
+        assert str(info.value).startswith(f"{name} must ") and repr(value) in str(info.value)
+    # two items read from a list or an iterator give what the tuple gives
+    items = tuple(data.draw(valid, label="items"))
+    expected = outcome(call, items)
+    assert outcome(call, list(items)) == expected
+    assert outcome(call, iter(items)) == expected
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        # the set and the mapping were read in their own order, which gave
+        # field ratios of 3.0, the zone-2 ratio
+        (lambda: field_ratio([{2.0, 1.0}]), "interval must be an (a, b) pair, got {1.0, 2.0}"),
+        (lambda: field_ratio([{1.0: "a", 2.0: "b"}]),
+         "interval must be an (a, b) pair, got {1.0: 'a', 2.0: 'b'}"),
+        (lambda: Scenario(ap_position={1.0, 2.0}),
+         "ap_position must be an (x, y) pair, got {1.0, 2.0}"),
+        (lambda: simulate_sweeps(OPEN_FLOOR, [{0.0: 1, 1.0: 2}]),
+         "sensor 0 position must be an (x, y) pair, got {0.0: 1, 1.0: 2}"),
+        (lambda: CountSeries(points=({1.0, 2.0}, (3.0, 4.0))),
+         "point must be an (t_days, count) pair, got {1.0, 2.0}"),
+        # each escaped as a bare TypeError, ValueError or AttributeError, or,
+        # the emitter, failed later in simulate_sweeps
+        (lambda: Scenario(ap_position=(0, 0), clients=5),
+         "clients must be a sequence of Clients, got 5"),
+        (lambda: Scenario(ap_position=(0, 0), clients=(1,)), "clients[0] must be a Client, got 1"),
+        (lambda: Scenario(ap_position=(0, 0), emitters=(1,)),
+         "emitters[0] must be an Emitter, got 1"),
+        (lambda: CountSeries(points=((1, 2, 3), (2, 4))),
+         "point must be an (t_days, count) pair, got (1, 2, 3)"),
+        (lambda: CountSeries(points=5), "points must be a sequence of (t_days, count) pairs, got 5"),
+        (lambda: shading_assessment(LensEffect(), 5),
+         "client bearings must be a sequence of real numbers, got 5"),
+        (lambda: simulate_sweeps(OPEN_FLOOR, None),
+         "sensor_positions must be a sequence of (x, y) pairs, got None"),
+    ],
+    ids=["interval-set", "interval-mapping", "ap-position-set", "sensor-position-mapping",
+         "point-set", "clients-int", "client-int", "emitter-int", "point-triple", "points-int",
+         "bearings-int", "sensor-positions-none"],
+)
+def test_an_unordered_or_malformed_pair_or_sequence_is_named(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

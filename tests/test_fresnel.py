@@ -563,13 +563,14 @@ def row_sums_in_order(u, terms, geometry):
 def test_panel_values_add_node_rows_in_order(n, count, known_share, geometry, seed):
     # numpy reduces the outer axis of (nodes, S/C, panels) whole row by whole
     # row, for one panel or many, kept or planned per chunk; a lone column
-    # (nodes, 1) it would add pairwise
+    # (nodes, 1) it would add pairwise. Without geometry the K = 1 sum is
+    # formed here, as the field-ratio property below forms it
     count = count or 2 * (fresnel._CHUNK_NODES // n) + 7
     edges = np.sort(np.random.default_rng(seed).uniform(0.0, U_MAX, count + 1))
     u, terms = fresnel._nodes_and_terms(edges[:-1], edges[1:], n)
     known = round(known_share * count)
     plan = fresnel._Plan(u[:, :known], terms[:, :, :known], edges[:-1][known:], edges[1:][known:])
-    got = fresnel._panel_values(plan, geometry)
+    got = terms.sum(axis=0) if geometry is None else fresnel._panel_values(plan, geometry)
     assert got.shape == (2, count)
     assert got.tobytes() == row_sums_in_order(u, terms, geometry).tobytes()
 
@@ -711,8 +712,9 @@ def test_curve_from_the_step_plan_matches_one_plan_of_its_samples(step, u_max, b
 def test_field_ratio_is_one_minus_the_running_sum_of_numpy_panel_values(points, d1, d2, lam):
     # field_ratio forms and adds its terms in Python floats, in the order in
     # which _panel_values forms and adds them over a numpy plan of the same
-    # panels at the widest panel's node count, with no nodes kept; 1 minus
-    # the running sum of those panel values must give its bits
+    # panels at the widest panel's node count, with no nodes kept, or, with
+    # K = 1, numpy's sum over the node rows of their terms; 1 minus the
+    # running sum of those panel values must give its bits
     points = sorted(points)
     blocked = list(zip(points[::2], points[1::2]))
     lo, hi = np.array([p for a, b in blocked
@@ -720,9 +722,11 @@ def test_field_ratio_is_one_minus_the_running_sum_of_numpy_panel_values(points, 
     n = fresnel._nodes_for(float((hi - lo).max()))
     plan = fresnel._Plan(np.empty((n, 0)), np.empty((n, 2, 0)), lo, hi)
     geom = PathGeometry(d1, d2, lam)
-    for geometry, kwargs in ((geom, {"obliquity": True, "geometry": geom}),
-                             (None, {"force_quadrature": True})):
-        s, c = np.cumsum(fresnel._panel_values(plan, geometry), axis=1)[:, -1].tolist()
+    for values, kwargs in ((fresnel._panel_values(plan, geom),
+                            {"obliquity": True, "geometry": geom}),
+                           (fresnel._nodes_and_terms(lo, hi, n)[1].sum(axis=0),
+                            {"force_quadrature": True})):
+        s, c = np.cumsum(values, axis=1)[:, -1].tolist()
         got = field_ratio(blocked, **kwargs).complex_ratio
         assert (got.real.hex(), got.imag.hex()) == ((1.0 - s).hex(), c.hex())
 
